@@ -28,6 +28,7 @@ import numpy as np
 
 from .fcurve import build_fcurve, check_minimality_equivalence, find_critical_points
 from .fundamental import (
+    TOL_RANGE,
     SolverError,
     check_envelope_bounds,
     check_riccati_residual,
@@ -87,8 +88,8 @@ class RunConfig:
                 raise ConfigError("--window values must be numbers") from exc
             if not (window[0] < 0.0 < window[1]):
                 raise ConfigError("--window must contain 0")
-        if not (1e-14 <= args.tol <= 1e-6):
-            raise ConfigError("--tol must lie in [1e-14, 1e-6]")
+        if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
+            raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
         if getattr(args, "oracle_L", 30.0) <= 0 or getattr(args, "oracle_h", 0.005) <= 0:
             raise ConfigError("--oracle-L and --oracle-h must be positive")
         return cls(

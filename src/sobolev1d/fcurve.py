@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fundamental import LogSolution, SolverError, decay_inset
 from .potential import Potential
@@ -252,6 +251,39 @@ def _make_point(
     )
 
 
+def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) -> float:
+    """Root of F' in [lo, hi], where F' changes sign; s_lo is F'(lo).
+
+    Newton's method on F' with the analytic F'', safeguarded by the sign
+    bracket: a step that would leave the bracket, or is not below half the
+    step before last, is replaced by bisection.  Stops once a step is below
+    xtol.
+    """
+    # Orient the bracket so that F' < 0 at neg and F' > 0 at pos.
+    neg, pos = (lo, hi) if s_lo < 0.0 else (hi, lo)
+    x = 0.5 * (lo + hi)
+    step = prev_step = hi - lo
+    for _ in range(100):
+        f = float(curve.slope_at(x))
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            neg = x
+        else:
+            pos = x
+        df = float(curve.curvature_at(x))
+        dx = f / df if df != 0.0 else math.inf
+        if abs(dx) < 0.5 * abs(prev_step) and min(neg, pos) < x - dx < max(neg, pos):
+            prev_step, step = step, dx
+            x -= dx
+        else:
+            prev_step, step = step, 0.5 * (pos - neg)
+            x = neg + step
+        if abs(step) < xtol or x in (neg, pos):
+            return x
+    raise SolverError(f"root polish of F' did not converge in [{lo:g}, {hi:g}]")
+
+
 def find_critical_points(
     curve: FCurve,
     potential: Potential | None = None,
@@ -263,10 +295,11 @@ def find_critical_points(
 ) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
-    Sign changes of the sampled slope are polished with Brent's method on
-    the dense slope.  Sign changes whose bracket values both sit under the
-    noise floor (noise_factor * tol * max(1, max F)) are integrator noise in
-    an asymptotically flat region and are ignored; a curve whose slope never
+    Sign changes of the sampled slope are polished to within root_tol by
+    safeguarded Newton steps on the dense slope F' with the analytic F''.
+    Sign changes whose bracket values both sit under the noise floor
+    (noise_factor * tol * max(1, max F)) are integrator noise in an
+    asymptotically flat region and are ignored; a curve whose slope never
     exceeds the floor is classified flat (constant potentials).  Roots with
     curvature below -curvature_slack are reported as rejected.
     """
@@ -300,7 +333,7 @@ def find_critical_points(
         elif s[i + 1] == 0.0:
             root = float(g[i + 1])
         else:
-            root = float(brentq(curve.slope_at, g[i], g[i + 1], xtol=root_tol))
+            root = _polish_root(curve, float(g[i]), float(g[i + 1]), float(s[i]), root_tol)
         if not roots or abs(root - roots[-1]) > max(10 * root_tol, 1e-11):
             roots.append(root)
 

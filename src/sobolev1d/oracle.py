@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .fundamental import SolverError
 from .potential import Potential
@@ -73,6 +72,8 @@ class DiscreteRayleighProblem:
         # Stationarity system: (2 u_j - u_{j-1} - u_{j+1})/h^2 + V_j u_j = 0
         # at interior nodes, in upper banded form.
         if self._factor is None:
+            from scipy.linalg import cholesky_banded
+
             h = self.spacing
             m = self.n_interior
             ab = np.zeros((2, m))
@@ -96,6 +97,14 @@ def _interior_index(problem: DiscreteRayleighProblem, a_node: int) -> int:
     return a_node - 1
 
 
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # scipy.linalg is imported on first use: it is slow to import and only
+    # the oracle needs it.
+    from scipy.linalg import cho_solve_banded
+
+    return cho_solve_banded((factor, False), rhs)
+
+
 def discrete_first_step(
     problem: DiscreteRayleighProblem, a_node: int
 ) -> tuple[np.ndarray, float]:
@@ -109,7 +118,7 @@ def discrete_first_step(
     factor = problem._cholesky()
     rhs = np.zeros(problem.n_interior)
     rhs[k] = 1.0
-    w = cho_solve_banded((factor, False), rhs)
+    w = _cho_solve(factor, rhs)
     u = np.zeros(problem.nodes.size)
     u[1:-1] = w / w[k]
     energy = problem.energy(u)
@@ -130,7 +139,7 @@ def _batch_energies(problem: DiscreteRayleighProblem, pins: np.ndarray) -> np.nd
         chunk = pins[start : start + 256]
         rhs = np.zeros((m, chunk.size))
         rhs[chunk - 1, np.arange(chunk.size)] = 1.0
-        w = cho_solve_banded((factor, False), rhs)
+        w = _cho_solve(factor, rhs)
         w = w / w[chunk - 1, np.arange(chunk.size)]
         u = np.zeros((problem.nodes.size, chunk.size))
         u[1:-1] = w

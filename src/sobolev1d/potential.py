@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import expit
 
 __all__ = [
     "Potential",
@@ -165,7 +163,8 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
 
     def evaluate(x):
         t = (np.asarray(x, dtype=float) - center) / width
-        return v0 + (v1 - v0) * expit(t)
+        # The logistic sigmoid 1/(1 + e^-t), without overflow for large |t|.
+        return v0 + (v1 - v0) * np.exp(-np.logaddexp(0.0, -t))
 
     return Potential(
         evaluate=evaluate,
@@ -244,7 +243,15 @@ def _spline_potential(
     lower_bound: float | None = None,
     upper_bound: float | None = None,
 ) -> Potential:
-    """Piecewise-cubic interpolant of positive samples, held constant outside the grid."""
+    """Piecewise-cubic interpolant of positive samples, held constant outside the grid.
+
+    Unless given, the bounds are the exact range of the interpolant: the
+    extremes over the samples and the spline's interior critical points.
+    """
+    # scipy.interpolate is imported on first use: it is slow to import and
+    # only tabulated potentials need it.
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(grid, samples, extrapolate=False)
     lo, hi = float(grid[0]), float(grid[-1])
     left, right = float(samples[0]), float(samples[-1])
@@ -254,9 +261,9 @@ def _spline_potential(
         out = spline(np.clip(x, lo, hi))
         return np.where(x < lo, left, np.where(x > hi, right, out))
 
-    # The spline can over/undershoot between nodes; bound it on a refinement.
-    fine = np.linspace(lo, hi, 10 * grid.size)
-    vals = evaluate(fine)
+    # The spline can over/undershoot between nodes, only at roots of its derivative.
+    critical = spline.derivative().roots(extrapolate=False)
+    vals = np.concatenate((samples, spline(critical[np.isfinite(critical)])))
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmin <= 0.0:
         raise ValueError(

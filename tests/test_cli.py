@@ -152,3 +152,30 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["attainment"] == "flat"
+
+
+def test_verify_table_without_bounds(capsys):
+    xs = [0.25 * k for k in range(-40, 41)]
+    spec = json.dumps(
+        {"kind": "table", "x": xs, "v": [4.0 - 3.0 * math.exp(-0.5 * x * x) for x in xs]}
+    )
+    _, out, _ = run(
+        capsys, "verify", "--potential", spec, "--oracle-L", "25", "--oracle-h", "0.01"
+    )
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS bounds-declared")
+    assert lines[1].startswith("PASS riccati-residual")
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, sobolev1d; print([m for m in sys.modules if m.startswith('scipy')])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

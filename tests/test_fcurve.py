@@ -13,6 +13,7 @@ from sobolev1d import (
     make_monotone_step,
     solve_log_solution,
 )
+from sobolev1d.fcurve import _polish_root
 
 WINDOW = (-25.0, 25.0)
 
@@ -169,3 +170,23 @@ def test_out_of_window_queries_raise(example_curve):
     _, curve = example_curve
     with pytest.raises(ValueError):
         curve.value_at(WINDOW[1])  # outside the inset curve window
+
+
+class _ArctanSlope:
+    """F' = atan(x - root): plain Newton diverges from |x - root| > 1.4."""
+
+    def __init__(self, root, flat=False):
+        self.root, self.flat = root, flat
+
+    def slope_at(self, x):
+        return math.atan(x - self.root)
+
+    def curvature_at(self, x):
+        return 0.0 if self.flat else 1.0 / (1.0 + (x - self.root) ** 2)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_root_polish_falls_back_to_bisection(flat):
+    curve = _ArctanSlope(0.3, flat)
+    root = _polish_root(curve, -20.0, 40.0, curve.slope_at(-20.0), 1e-12)
+    assert abs(root - 0.3) <= 1e-12

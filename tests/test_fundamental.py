@@ -15,9 +15,12 @@ from sobolev1d import (
     extremal_function,
     make_constant,
     make_example,
+    make_monotone_step,
     make_piecewise_constant,
+    minimize,
     solve_log_solution,
 )
+from sobolev1d.fundamental import _cell_maps
 from conftest import random_piecewise_constant
 
 WINDOW = (-25.0, 25.0)
@@ -217,3 +220,63 @@ def test_write_csv(tmp_path, example_pair):
     row = lines[1 + int(np.searchsorted(plus.grid, 0.0))].split(",")
     assert float(row[1]) == 0.0  # normalized at x = 0
     assert len(lines) == 1 + plus.grid.size
+
+
+def test_square_well_high_contrast():
+    """Contrast 1e4: m(V) = 2 s0 (s0 tanh s0 + s1) / (s0 + s1 tanh s0), a* = 0."""
+    v0, v1 = 1.0, 1e4
+    report = minimize(make_piecewise_constant([-1.0, 1.0], [v1, v0, v1]))
+    s0, s1 = math.sqrt(v0), math.sqrt(v1)
+    m_exact = 2.0 * s0 * (s0 * math.tanh(s0) + s1) / (s0 + s1 * math.tanh(s0))
+    assert abs(report.m_value - m_exact) < 1e-9
+    assert report.attainment == "attained"
+    assert abs(report.a_star) <= 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
+def test_example_accuracy_at_each_tolerance(tol):
+    # The window keeps |x| <= 20 one decay inset (12/sqrt(v0)) from its edges,
+    # so the seeding transient does not count against the integrator.
+    pot = make_example(cf.A, cf.B)
+    plus = solve_log_solution(pot, "+", -32.0, 32.0, tol)
+    minus = solve_log_solution(pot, "-", -32.0, 32.0, tol)
+    xs = np.linspace(-20.0, 20.0, 4001)
+    bound = max(tol, 1e-12)
+    assert np.max(np.abs(plus.ell_prime_at(xs) - cf.ell_plus_prime_exact(xs))) <= bound
+    assert np.max(np.abs(minus.ell_prime_at(xs) - cf.ell_minus_prime_exact(xs))) <= bound
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-3])
+def test_sharp_step_converged(width):
+    """A ramp far narrower than the initial mesh is resolved by refinement."""
+    pot = make_monotone_step(1.0, 100.0, width=width)
+    xs = np.concatenate((np.linspace(-24.0, 24.0, 2001), np.linspace(-0.05, 0.05, 2001)))
+    for side in ("+", "-"):
+        coarse = solve_log_solution(pot, side, *WINDOW, tol=1e-10)
+        fine = solve_log_solution(pot, side, *WINDOW, tol=1e-12)
+        assert np.max(np.abs(coarse.ell_prime_at(xs) - fine.ell_prime_at(xs))) < 1e-9
+
+
+def test_magnus_step_is_sixth_order():
+    """One cell's error in r falls like h^7 (a fourth-order step gives h^5)."""
+    pot = make_example(cf.A, cf.B)
+    x0 = 0.3
+    hs = np.array([0.4, 0.2, 0.1])
+    cm1, P, Q, R = _cell_maps(pot, np.full(hs.size, x0), hs)
+    r0 = cf.ell_plus_prime_exact(x0)
+    r1 = (R + (1.0 + cm1 - P) * r0) / (1.0 + cm1 + P + Q * r0)
+    err = np.abs(r1 - cf.ell_plus_prime_exact(x0 + hs))
+    assert np.all(err[:-1] / err[1:] > 2.0**6.5)
+
+
+def test_mesh_cap_and_non_finite_potential_refused():
+    with pytest.raises(SolverError, match="cells"):
+        solve_log_solution(make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6]), "+", *WINDOW)
+    base = make_constant(1.0)
+    holey = type(base)(
+        evaluate=lambda x: np.where(np.asarray(x) > 3.0, np.nan, 1.0),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_log_solution(holey, "-", *WINDOW)

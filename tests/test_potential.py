@@ -144,3 +144,20 @@ def test_spec_rejects_garbage():
         potential_from_spec({"v": 1.0})
     with pytest.raises(ValueError):
         potential_from_spec({"kind": "table", "x": [0, 1, 2, 3], "v": [1, 1, -1, 1]})
+
+
+def test_table_bounds_are_the_spline_range():
+    """Without explicit bounds a table declares the exact range of its spline.
+
+    A Gaussian well sampled every 0.25 has its minimum on a sample (x = 0);
+    the declared lower bound must not sit above it.
+    """
+    xs = np.arange(-40, 41) * 0.25
+    pot = potential_from_spec(
+        {"kind": "table", "x": xs.tolist(), "v": (4.0 - 3.0 * np.exp(-0.5 * xs * xs)).tolist()}
+    )
+    assert 1.0 - 1e-8 <= pot.lower_bound <= 1.0
+    assert 4.0 <= pot.upper_bound <= 4.0 + 1e-8
+    fine = np.linspace(-10.5, 10.5, 200001)
+    vals = np.asarray(pot(fine))
+    assert np.all(vals >= pot.lower_bound) and np.all(vals <= pot.upper_bound)
