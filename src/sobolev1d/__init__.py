@@ -36,7 +36,6 @@ from .fundamental import (
     check_gluing,
     check_riccati_residual,
     decay_inset,
-    evaluate_phi,
     extremal_function,
     solve_log_solution,
 )
@@ -45,7 +44,6 @@ from .green import (
     GreenResidualReport,
     build_green,
     gaussian_test,
-    green_eval,
     residual_check,
 )
 from .minimizer import (
@@ -96,14 +94,12 @@ __all__ = [
     "check_gluing",
     "check_riccati_residual",
     "decay_inset",
-    "evaluate_phi",
     "extremal_function",
     "solve_log_solution",
     "GreenEvaluator",
     "GreenResidualReport",
     "build_green",
     "gaussian_test",
-    "green_eval",
     "residual_check",
     "MinimizationReport",
     "SolverConfig",

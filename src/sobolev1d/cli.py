@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fcurve import build_fcurve, check_minimality_equivalence, find_critical_points
+from .fcurve import build_fcurve, check_minimality_equivalence
+from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
     TOL_RANGE,
     SolverError,
@@ -310,8 +311,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             record(name, None, "skipped: declared bounds are wrong")
         return _verify_emit(lines)
 
-    plus = solve_log_solution(pot, "+", window[0], window[1], cfg.tol)
-    minus = solve_log_solution(pot, "-", window[0], window[1], cfg.tol)
+    report = minimize(pot, SolverConfig(window=cfg.window, ode_tol=cfg.tol))
+    plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
     res_p = check_riccati_residual(plus)
     res_m = check_riccati_residual(minus)
     record(
@@ -324,16 +325,14 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     worst_env = max(env.violations.values()) if env.violations else 0.0
     record("envelope-bounds", env.passed, f"worst log-space violation {worst_env:.3e}")
 
-    curve = build_fcurve(plus, minus, pot)
     drift = curve.wronskian_drift()
     record("wronskian-constancy", drift <= 1e-8, f"relative drift {drift:.3e}")
 
-    scan = find_critical_points(curve, pot)
     if pot.continuous:
-        roots = [p.location for p in scan.points + scan.rejected]
+        roots = [p.location for p in report.critical_points + report.rejected_candidates]
         step = max(1, curve.grid.size // 200)
         samples = curve.grid[::step]
-        if roots and not scan.flat:
+        if roots and not report.flat:
             keep = np.ones(samples.size, dtype=bool)
             for root in roots:
                 keep &= np.abs(samples - root) > 0.02 / math.sqrt(pot.lower_bound)
@@ -359,7 +358,6 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"max residual {max(gr.residuals):.3e} over {len(gr.residuals)} test functions",
     )
 
-    report = minimize(pot, SolverConfig(window=cfg.window, ode_tol=cfg.tol))
     problem = DiscreteRayleighProblem.from_potential(
         pot, cfg.oracle_half_width, cfg.oracle_spacing
     )
@@ -445,9 +443,6 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, SolverError, decay_inset
+from .fundamental import LogSolution, SolverError, _check_pair, _match, decay_inset
 from .potential import Potential
 
 __all__ = [
@@ -42,6 +42,12 @@ __all__ = [
     "find_critical_points",
     "check_minimality_equivalence",
 ]
+
+# Slope sign changes whose bracket values both sit under
+# NOISE_FACTOR * tol * max(1, max F) are integrator noise.
+NOISE_FACTOR = 100.0
+# Roots with curvature below -CURVATURE_SLACK * max(1, max F) are rejected.
+CURVATURE_SLACK = 1e-8
 
 
 @dataclass
@@ -81,16 +87,16 @@ class FCurve:
 
     def value_at(self, a):
         rp, rm = self._rates(a)
-        return _shape(a, rm - rp)
+        return _match(a, rm - rp)
 
     def slope_at(self, a):
         rp, rm = self._rates(a)
-        return _shape(a, -(rm - rp) * (rp + rm))
+        return _match(a, -(rm - rp) * (rp + rm))
 
     def curvature_at(self, a):
         rp, rm = self._rates(a)
         v = np.asarray(self.potential.evaluate(np.asarray(a, dtype=float)))
-        return _shape(a, 2.0 * (rm - rp) * (rp * rp + rp * rm + rm * rm - v))
+        return _match(a, 2.0 * (rm - rp) * (rp * rp + rp * rm + rm * rm - v))
 
     def log_phi_sum(self, a):
         """log(phi_plus(a) * phi_minus(a)); equals log(W/F(a)) identically."""
@@ -98,7 +104,7 @@ class FCurve:
         out = np.asarray(self.phi_plus.ell_at(arr)) + np.asarray(
             self.phi_minus.ell_at(arr)
         )
-        return _shape(a, out)
+        return _match(a, out)
 
     def product_criterion(self, side: str, a):
         """h_side'(a) H_side(a), the one-sided minimality product.
@@ -111,7 +117,7 @@ class FCurve:
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
         out = 2.0 * r * np.exp(np.asarray(self.log_phi_sum(a))) / self.wronskian
-        return _shape(a, out)
+        return _match(a, out)
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
@@ -119,12 +125,6 @@ class FCurve:
             self.phi_plus.ell_at(self.grid)
         ) + np.asarray(self.phi_minus.ell_at(self.grid))
         return float(np.max(np.abs(np.expm1(log_w - math.log(self.wronskian)))))
-
-
-def _shape(a, values: np.ndarray):
-    if np.ndim(a) == 0:
-        return float(np.asarray(values).reshape(-1)[0])
-    return values
 
 
 def build_fcurve(
@@ -140,10 +140,7 @@ def build_fcurve(
     is their grid restricted to [x_min + inset, x_max - inset] (default
     inset: the decay inset, 12/sqrt(v0)).
     """
-    if phi_plus.side != "+" or phi_minus.side != "-":
-        raise ValueError("need a '+' solution and a '-' solution, in that order")
-    if phi_plus.window != phi_minus.window:
-        raise ValueError("solutions solved on incompatible windows")
+    wronskian = _check_pair(phi_plus, phi_minus)
     if potential is None:
         potential = phi_plus.potential
     if inset is None:
@@ -163,9 +160,6 @@ def build_fcurve(
     values = rm - rp
     if np.any(values <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
-    wronskian = float(phi_minus.ell_prime_at(0.0) - phi_plus.ell_prime_at(0.0))
-    if wronskian <= 0.0:
-        raise SolverError(f"nonpositive Wronskian {wronskian:g}")
     v = np.asarray(potential.evaluate(grid))
     slope = -values * (rp + rm)
     curvature = 2.0 * values * (rp * rp + rp * rm + rm * rm - v)
@@ -206,8 +200,8 @@ class CriticalPointScan:
     """Outcome of the critical-point search.
 
     ``points`` hold the accepted candidates (F' root, curvature above
-    -curvature_slack); ``rejected`` the roots that failed the curvature
-    test (local maxima).  ``flat`` marks a curve whose slope never exceeds
+    -CURVATURE_SLACK * max(1, max F)); ``rejected`` the roots that failed
+    the curvature test (local maxima).  ``flat`` marks a curve whose slope never exceeds
     the noise floor: every pin is then critical and ``points`` carries a
     single representative at a = 0.  ``derivative_sign_based_only`` is set
     for discontinuous potentials, where the product criteria are one-sided
@@ -290,25 +284,22 @@ def find_critical_points(
     *,
     root_tol: float = 1e-12,
     condition_tol: float = 1e-6,
-    curvature_slack: float | None = None,
-    noise_factor: float = 100.0,
 ) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
     Sign changes of the sampled slope are polished to within root_tol by
     safeguarded Newton steps on the dense slope F' with the analytic F''.
     Sign changes whose bracket values both sit under the noise floor
-    (noise_factor * tol * max(1, max F)) are integrator noise in an
+    (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
     asymptotically flat region and are ignored; a curve whose slope never
     exceeds the floor is classified flat (constant potentials).  Roots with
-    curvature below -curvature_slack are reported as rejected.
+    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
     """
     if potential is None:
         potential = curve.potential
     scale = max(1.0, float(np.max(np.abs(curve.values))))
-    noise_floor = noise_factor * curve.tol * scale
-    if curvature_slack is None:
-        curvature_slack = 1e-8 * scale
+    noise_floor = NOISE_FACTOR * curve.tol * scale
+    curvature_slack = CURVATURE_SLACK * scale
 
     if float(np.max(np.abs(curve.slope))) <= noise_floor:
         rep = _make_point(curve, potential, 0.0, condition_tol)

@@ -78,7 +78,6 @@ __all__ = [
     "LogSolution",
     "ExtremalFunction",
     "solve_log_solution",
-    "evaluate_phi",
     "extremal_function",
     "check_riccati_residual",
     "check_envelope_bounds",
@@ -122,7 +121,7 @@ def decay_inset(potential: Potential) -> float:
 def _match(x, values: np.ndarray):
     """Return values shaped like the original input (float for scalars)."""
     if np.ndim(x) == 0:
-        return float(values.reshape(-1)[0])
+        return float(np.asarray(values).reshape(-1)[0])
     return values
 
 
@@ -479,9 +478,27 @@ def solve_log_solution(
         )
     return solution
 
-def evaluate_phi(solution: LogSolution, x):
-    """phi(x) for a solved side; raises ValueError outside the window."""
-    return solution.phi_at(x)
+
+def _check_pair(
+    phi_plus: LogSolution, phi_minus: LogSolution, *, wronskian: bool = True
+) -> float | None:
+    """Enforce the rules shared by every consumer of the two sides.
+
+    The sides must come '+' then '-' and share one window (ValueError
+    otherwise).  With ``wronskian`` the Wronskian W = r_minus(0) - r_plus(0)
+    is returned; it costs two dense reads and must be positive (SolverError
+    otherwise).
+    """
+    if phi_plus.side != "+" or phi_minus.side != "-":
+        raise ValueError("need a '+' solution and a '-' solution, in that order")
+    if phi_plus.window != phi_minus.window:
+        raise ValueError("the two sides were solved on different windows")
+    if not wronskian:
+        return None
+    w = float(phi_minus.ell_prime_at(0.0) - phi_plus.ell_prime_at(0.0))
+    if w <= 0.0:
+        raise SolverError(f"nonpositive Wronskian {w:g}")
+    return w
 
 
 @dataclass
@@ -535,10 +552,7 @@ def extremal_function(
     inset: float | None = None,
 ) -> ExtremalFunction:
     """Assemble u_a from the two sides; a must sit well inside the window."""
-    if phi_plus.side != "+" or phi_minus.side != "-":
-        raise ValueError("need a '+' solution and a '-' solution, in that order")
-    if phi_plus.window != phi_minus.window:
-        raise ValueError("the two sides were solved on different windows")
+    _check_pair(phi_plus, phi_minus, wronskian=False)
     lo, hi = phi_plus.window
     if inset is None:
         inset = decay_inset(phi_plus.potential)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution
+from .fundamental import LogSolution, _check_pair
 from .potential import Potential
 from .quadrature import composite_gauss_legendre
 
@@ -33,7 +33,6 @@ __all__ = [
     "GreenEvaluator",
     "GreenResidualReport",
     "build_green",
-    "green_eval",
     "residual_check",
     "gaussian_test",
 ]
@@ -96,19 +95,8 @@ class GreenEvaluator:
 
 def build_green(phi_plus: LogSolution, phi_minus: LogSolution) -> GreenEvaluator:
     """Assemble the evaluator; the sides must share the window."""
-    if phi_plus.side != "+" or phi_minus.side != "-":
-        raise ValueError("need a '+' solution and a '-' solution, in that order")
-    if phi_plus.window != phi_minus.window:
-        raise ValueError("solutions solved on incompatible windows")
-    wronskian = float(phi_minus.ell_prime_at(0.0) - phi_plus.ell_prime_at(0.0))
-    if wronskian <= 0.0:
-        raise ValueError(f"nonpositive Wronskian {wronskian:g}")
+    wronskian = _check_pair(phi_plus, phi_minus)
     return GreenEvaluator(phi_plus=phi_plus, phi_minus=phi_minus, wronskian=wronskian)
-
-
-def green_eval(green: GreenEvaluator, x, y):
-    """G(x, y); raises ValueError outside the solved window."""
-    return green.value(x, y)
 
 
 @dataclass

@@ -21,7 +21,7 @@ no extremal exists.  ``minimize`` classifies accordingly, with an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,17 +76,6 @@ class SolverConfig:
     root_tol: float = 1e-12
     condition_tol: float = 1e-6
     classification_tol: float = 1e-9
-
-    def to_dict(self) -> dict:
-        return {
-            "window": None if self.window is None else [self.window[0], self.window[1]],
-            "ode_tol": self.ode_tol,
-            "grid_spacing": self.grid_spacing,
-            "inset": self.inset,
-            "root_tol": self.root_tol,
-            "condition_tol": self.condition_tol,
-            "classification_tol": self.classification_tol,
-        }
 
 
 def classify_attainment(
@@ -169,7 +158,7 @@ class MinimizationReport:
                 "domain": self.phi_plus.domain_margin,
             },
             "window": [self.window[0], self.window[1]],
-            "solver_config": self.config.to_dict(),
+            "solver_config": asdict(self.config),
         }
 
 
@@ -239,11 +228,7 @@ def minimize(potential: Potential, config: SolverConfig | None = None) -> Minimi
     )
 
 
-def extremal(
-    report: MinimizationReport,
-    phi_plus: LogSolution | None = None,
-    phi_minus: LogSolution | None = None,
-) -> ExtremalFunction | None:
+def extremal(report: MinimizationReport) -> ExtremalFunction | None:
     """The normalized extremal function u_{a*}, or None when none exists.
 
     Flat curves return the representative centered at 0; any translate is
@@ -251,9 +236,9 @@ def extremal(
     """
     if report.a_star is None:
         return None
-    plus = phi_plus if phi_plus is not None else report.phi_plus
-    minus = phi_minus if phi_minus is not None else report.phi_minus
-    return extremal_function(plus, minus, report.a_star, inset=report.config.inset)
+    return extremal_function(
+        report.phi_plus, report.phi_minus, report.a_star, inset=report.config.inset
+    )
 
 
 def rayleigh_quotient(

@@ -25,7 +25,7 @@ spec loader ``potential_from_spec``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -363,16 +363,10 @@ def potential_from_spec(spec: dict) -> Potential:
         pot = potential_from_log_derivative(
             x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
         )
-        if lb is None and ub is None:
-            return pot
-        return Potential(
-            evaluate=pot.evaluate,
+        return replace(
+            pot,
             lower_bound=pot.lower_bound if lb is None else float(lb),
             upper_bound=pot.upper_bound if ub is None else float(ub),
-            breakpoints=pot.breakpoints,
-            tail_limits=pot.tail_limits,
-            continuous=pot.continuous,
-            label=pot.label,
         )
     raise ValueError(f"unknown potential kind: {kind!r}")
 

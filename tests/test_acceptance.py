@@ -20,7 +20,6 @@ from sobolev1d import (
     discrete_minimize,
     extremal,
     gaussian_test,
-    green_eval,
     make_constant,
     make_example,
     make_monotone_step,

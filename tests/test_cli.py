@@ -138,6 +138,25 @@ def test_verify_passes(capsys):
     assert any(line.startswith("PASS oracle-agreement") for line in lines)
 
 
+def test_verify_solves_each_side_once(capsys, monkeypatch):
+    from sobolev1d import cli, minimizer
+
+    sides = []
+    original = minimizer.solve_log_solution
+
+    def counted(potential, side, *args, **kwargs):
+        sides.append(side)
+        return original(potential, side, *args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "solve_log_solution", counted)
+    monkeypatch.setattr(cli, "solve_log_solution", counted)
+    code, _, _ = run(
+        capsys, "verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"
+    )
+    assert code == 0
+    assert sorted(sides) == ["+", "-"]
+
+
 def test_verify_flags_dishonest_bounds(capsys):
     code, out, _ = run(capsys, "verify", "--potential", DISHONEST)
     assert code == 4

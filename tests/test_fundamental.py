@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 import _closed_forms as cf
 from sobolev1d import (
     SolverError,
+    build_fcurve,
+    build_green,
     check_comparison,
     check_envelope_bounds,
     check_gluing,
     check_riccati_residual,
     decay_inset,
-    evaluate_phi,
     extremal_function,
     make_constant,
     make_example,
@@ -139,10 +141,39 @@ def test_extremal_function_shape(example_pair):
         extremal_function(plus, minus, WINDOW[1])  # too close to the edge
 
 
-def test_evaluate_phi_alias(example_pair):
-    _, plus, _ = example_pair
-    xs = np.linspace(-3, 3, 11)
-    assert np.array_equal(evaluate_phi(plus, xs), plus.phi_at(xs))
+@pytest.fixture(scope="module")
+def constant_sides():
+    pot = make_constant(1.0)
+    plus = solve_log_solution(pot, "+", *WINDOW)
+    minus = solve_log_solution(pot, "-", *WINDOW)
+    wider_minus = solve_log_solution(pot, "-", WINDOW[0], WINDOW[1] + 5.0)
+    return plus, minus, wider_minus
+
+
+PAIR_CONSUMERS = {
+    "build_fcurve": build_fcurve,
+    "build_green": build_green,
+    "extremal_function": lambda plus, minus: extremal_function(plus, minus, 0.0),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
+def test_pair_rules(consumer, constant_sides):
+    plus, minus, wider_minus = constant_sides
+    build = PAIR_CONSUMERS[consumer]
+    build(plus, minus)
+    with pytest.raises(ValueError, match="in that order"):
+        build(minus, plus)
+    with pytest.raises(ValueError, match="different windows"):
+        build(plus, wider_minus)
+
+
+@pytest.mark.parametrize("consumer", ["build_fcurve", "build_green"])
+def test_nonpositive_wronskian_is_a_solver_error(consumer, constant_sides):
+    plus = constant_sides[0]
+    # A '+' solution relabelled '-' passes the order check but has W = 0.
+    with pytest.raises(SolverError, match="nonpositive Wronskian"):
+        PAIR_CONSUMERS[consumer](plus, dataclasses.replace(plus, side="-"))
 
 
 def test_envelope_bounds_example(example_pair):

@@ -8,7 +8,6 @@ from sobolev1d import (
     build_fcurve,
     build_green,
     gaussian_test,
-    green_eval,
     make_constant,
     make_example,
     make_piecewise_constant,
@@ -39,7 +38,7 @@ def test_constant_closed_form():
     got = green.value(gx, gy)
     assert np.max(np.abs(got - exact)) < 1e-12
     assert green.diagonal(0.0) == pytest.approx(0.5, abs=1e-12)
-    assert green_eval(green, 1.0, 0.0) == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-12)
+    assert green.value(1.0, 0.0) == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-12)
 
 
 def test_symmetry_random_pairs(example_green, rng):

@@ -16,6 +16,7 @@ from sobolev1d import (
     minimize,
     rayleigh_quotient,
 )
+from sobolev1d.cli import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,24 @@ def test_report_json_shape(example_report):
     assert doc["attainment"] == "attained"
     assert doc["critical_points"][0]["balanced_slope"] is True
     assert doc["margins"]["decision"] == pytest.approx(example_report.margin)
+
+
+def test_report_solver_config_block():
+    report = minimize(make_constant(1.0), SolverConfig(window=(-30.0, 30.0)))
+    assert canonical_json(report.to_json_dict()["solver_config"]) == (
+        "{\n"
+        '  "window": [\n'
+        "    -3.000000000000000e+01,\n"
+        "    3.000000000000000e+01\n"
+        "  ],\n"
+        '  "ode_tol": 1.000000000000000e-10,\n'
+        '  "grid_spacing": null,\n'
+        '  "inset": null,\n'
+        '  "root_tol": 1.000000000000000e-12,\n'
+        '  "condition_tol": 1.000000000000000e-06,\n'
+        '  "classification_tol": 1.000000000000000e-09\n'
+        "}"
+    )
 
 
 def test_rayleigh_quotient_kinked_exponential():
