@@ -1,9 +1,10 @@
 """Cross-checking the analytic minimizer against a brute-force mesh.
 
 The direct route discretizes the quadratic form on a uniform Dirichlet mesh,
-solves the pinned problem at every interior node with one banded Cholesky
-factorization, and takes the smallest energy.  It shares no code path with
-the Riccati-based solver, so agreement is meaningful evidence.  The gap
+gets the pinned energy at every interior node from two elimination sweeps of
+the tridiagonal stationarity matrix, and takes the smallest.  It shares no
+code path with the Riccati-based solver, so agreement is meaningful
+evidence.  The gap
 shrinks at second order in the mesh spacing; for a potential whose infimum
 is not attained, widening the mesh keeps lowering the discrete minimum and
 drags the argmin toward the cheap tail, which is the numerical signature of

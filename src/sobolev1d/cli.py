@@ -58,8 +58,6 @@ class RunConfig:
     tol: float
     fmt: str
     out: Path | None
-    oracle_half_width: float
-    oracle_spacing: float
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -91,16 +89,12 @@ class RunConfig:
                 raise ConfigError("--window must contain 0")
         if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
             raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-        if getattr(args, "oracle_L", 30.0) <= 0 or getattr(args, "oracle_h", 0.005) <= 0:
-            raise ConfigError("--oracle-L and --oracle-h must be positive")
         return cls(
             potential=potential,
             window=window,
             tol=args.tol,
             fmt=args.format if args.format is not None else args.fmt_default,
             out=None if args.out is None else Path(args.out),
-            oracle_half_width=getattr(args, "oracle_L", 30.0),
-            oracle_spacing=getattr(args, "oracle_h", 0.005),
         )
 
     def resolved_window(self) -> tuple[float, float]:
@@ -280,6 +274,8 @@ def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     pot = cfg.potential
+    # Built first so that bad --oracle-L/--oracle-h flags fail before any solve.
+    problem = DiscreteRayleighProblem.from_potential(pot, args.oracle_L, args.oracle_h)
     window = cfg.resolved_window()
     lines: list[tuple[str, str, str]] = []
 
@@ -358,9 +354,6 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"max residual {max(gr.residuals):.3e} over {len(gr.residuals)} test functions",
     )
 
-    problem = DiscreteRayleighProblem.from_potential(
-        pot, cfg.oracle_half_width, cfg.oracle_spacing
-    )
     m_disc, node = discrete_minimize(problem)
     gap = abs(m_disc - report.m_value)
     record(

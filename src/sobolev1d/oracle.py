@@ -5,9 +5,14 @@ Independent of the log-space machinery: on a uniform Dirichlet mesh over
 
     E(u) = sum (u_{i+1} - u_i)^2 / h  +  h sum V_i u_i^2
 
-over mesh functions with u(a_node) = 1 and u(+-L) = 0.  Stationarity gives
-one positive-definite tridiagonal system per pin (the same matrix for every
-pin, factorized once), and the minimizing pin is found by scanning nodes.
+over mesh functions with u(a_node) = 1 and u(+-L) = 0.  With A the
+stationarity matrix (2 u_i - u_{i-1} - u_{i+1})/h^2 + V_i u_i at the
+interior nodes, E(u) = h u^T A u, so the pinned minimizer is the column
+A^{-1} e_k rescaled to 1 at the pin and its energy is h / (A^{-1})_kk.  For
+the tridiagonal A that is h (d_k + e_k - a_k), with a the diagonal and d, e
+the elimination pivots swept from the left and from the right: the discrete
+twin of F = r_- - r_+.  Two O(n) sweeps therefore give the energy at every
+pin, and the minimizing pin is their exact argmin over the mesh.
 Convergence to the continuum values is O(h^2) for smooth potentials, plus a
 boundary truncation error exponentially small in L.  That makes the mesh
 answer a genuinely independent check of the analytic pipeline.
@@ -16,7 +21,7 @@ answer a genuinely independent check of the analytic pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +45,6 @@ class DiscreteRayleighProblem:
     spacing: float
     nodes: np.ndarray
     v_samples: np.ndarray
-    _factor: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_potential(
@@ -57,6 +61,9 @@ class DiscreteRayleighProblem:
             raise ValueError(f"need at least {_MIN_NODES} nodes, got {n + 1}")
         nodes = -half_width + spacing * np.arange(n + 1)
         v = np.asarray(potential.evaluate(nodes), dtype=float)
+        if not np.all(np.isfinite(v)):
+            bad = nodes[~np.isfinite(v)][0]
+            raise ValueError(f"potential is non-finite at mesh node x = {bad:g}")
         return cls(
             half_width=float(half_width),
             spacing=float(spacing),
@@ -68,41 +75,38 @@ class DiscreteRayleighProblem:
     def n_interior(self) -> int:
         return self.nodes.size - 2
 
-    def _cholesky(self) -> np.ndarray:
-        # Stationarity system: (2 u_j - u_{j-1} - u_{j+1})/h^2 + V_j u_j = 0
-        # at interior nodes, in upper banded form.
-        if self._factor is None:
-            from scipy.linalg import cholesky_banded
-
-            h = self.spacing
-            m = self.n_interior
-            ab = np.zeros((2, m))
-            ab[1] = 2.0 / h**2 + self.v_samples[1:-1]
-            ab[0, 1:] = -1.0 / h**2
-            self._factor = cholesky_banded(ab)
-        return self._factor
-
     def energy(self, u: np.ndarray) -> float:
         """The discrete energy of a mesh function (boundary values included)."""
         h = self.spacing
         return float(np.sum(np.diff(u) ** 2) / h + h * np.sum(self.v_samples * u * u))
 
 
-def _interior_index(problem: DiscreteRayleighProblem, a_node: int) -> int:
-    n = problem.nodes.size
-    if not (0 <= a_node < n):
-        raise IndexError(f"node index {a_node} out of range 0..{n - 1}")
-    if a_node in (0, n - 1):
-        raise IndexError("pin must be an interior node, not a boundary node")
-    return a_node - 1
+def _sweep(diag: list[float], coupling: float) -> np.ndarray:
+    # Pivots p_i = diag_i - coupling / p_{i-1} of Gaussian elimination
+    # (p_0 = inf, so p_1 = diag_1).
+    pivots = []
+    p = math.inf
+    for a in diag:
+        p = a - coupling / p
+        if not p > 0.0:
+            raise SolverError(
+                "mesh stationarity matrix is not positive definite "
+                "(the potential is too negative for this mesh)"
+            )
+        pivots.append(p)
+    return np.array(pivots)
 
 
-def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # scipy.linalg is imported on first use: it is slow to import and only
-    # the oracle needs it.
-    from scipy.linalg import cho_solve_banded
+def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal a and the left and right elimination pivots d, e of A.
 
-    return cho_solve_banded((factor, False), rhs)
+    All pivots positive is exactly positive definiteness of A; a pivot <= 0
+    raises SolverError.
+    """
+    h2 = problem.spacing**2
+    diag = 2.0 / h2 + problem.v_samples[1:-1]
+    values = diag.tolist()
+    return diag, _sweep(values, 1.0 / h2**2), _sweep(values[::-1], 1.0 / h2**2)[::-1]
 
 
 def discrete_first_step(
@@ -110,17 +114,25 @@ def discrete_first_step(
 ) -> tuple[np.ndarray, float]:
     """Minimize the discrete energy with u[a_node] = 1; returns (u, energy).
 
-    The solution is checked a posteriori to attain its maximum at the pin
-    (the continuum constraint max|u| = u(a) must be inactive); violation
-    signals a mesh too coarse for the potential and raises SolverError.
+    The profile is the Thomas back-substitution for a unit right-hand side at
+    the pin: u_i = u_{i+1} / (h^2 d_i) left of it and u_i = u_{i-1} / (h^2 e_i)
+    right of it.  The solution is checked a posteriori to attain its maximum
+    at the pin (the continuum constraint max|u| = u(a) must be inactive);
+    violation signals a mesh too coarse for the potential and raises
+    SolverError.
     """
-    k = _interior_index(problem, a_node)
-    factor = problem._cholesky()
-    rhs = np.zeros(problem.n_interior)
-    rhs[k] = 1.0
-    w = _cho_solve(factor, rhs)
-    u = np.zeros(problem.nodes.size)
-    u[1:-1] = w / w[k]
+    n = problem.nodes.size
+    if not (0 <= a_node < n):
+        raise IndexError(f"node index {a_node} out of range 0..{n - 1}")
+    if a_node in (0, n - 1):
+        raise IndexError("pin must be an interior node, not a boundary node")
+    _, left, right = _pivots(problem)
+    h2 = problem.spacing**2
+    k = a_node - 1
+    u = np.zeros(n)
+    u[a_node] = 1.0
+    u[1:a_node] = np.cumprod(1.0 / (h2 * left[:k][::-1]))[::-1]
+    u[a_node + 1 : -1] = np.cumprod(1.0 / (h2 * right[k + 1 :]))
     energy = problem.energy(u)
     if np.max(np.abs(u)) > 1.0 + 1e-9:
         raise SolverError(
@@ -129,50 +141,14 @@ def discrete_first_step(
     return u, energy
 
 
-def _batch_energies(problem: DiscreteRayleighProblem, pins: np.ndarray) -> np.ndarray:
-    """Energies of the pinned minimizers for many pins (interior indices)."""
-    factor = problem._cholesky()
-    h = problem.spacing
-    m = problem.n_interior
-    energies = np.empty(pins.size)
-    for start in range(0, pins.size, 256):
-        chunk = pins[start : start + 256]
-        rhs = np.zeros((m, chunk.size))
-        rhs[chunk - 1, np.arange(chunk.size)] = 1.0
-        w = _cho_solve(factor, rhs)
-        w = w / w[chunk - 1, np.arange(chunk.size)]
-        u = np.zeros((problem.nodes.size, chunk.size))
-        u[1:-1] = w
-        energies[start : start + 256] = (
-            np.sum(np.diff(u, axis=0) ** 2, axis=0) / h
-            + h * np.sum(problem.v_samples[:, None] * u * u, axis=0)
-        )
-    return energies
+def discrete_minimize(problem: DiscreteRayleighProblem) -> tuple[float, int]:
+    """Smallest pinned discrete energy over every interior node.
 
-
-def discrete_minimize(
-    problem: DiscreteRayleighProblem,
-    *,
-    stride: int | None = None,
-) -> tuple[float, int]:
-    """Scan pins for the smallest discrete energy; returns (energy, node index).
-
-    Coarse-to-fine: every stride-th interior node first (stride defaults to
-    ~0.1 length units), then every node within one stride of the coarse
-    winner.  The energy varies on the scale of the decay length, so the
-    coarse pass cannot skip over a genuine minimum basin.
+    Returns (energy, node index); the node is the first one attaining the
+    minimum of h (d + e - a), and the energy is that of its pinned profile.
     """
-    n = problem.nodes.size
-    if stride is None:
-        stride = max(1, int(round(0.1 / problem.spacing)))
-    coarse = np.unique(np.concatenate([np.arange(1, n - 1, stride), [1, n - 2]]))
-    energies = _batch_energies(problem, coarse)
-    k = int(coarse[np.argmin(energies)])
-    lo, hi = max(1, k - stride), min(n - 2, k + stride)
-    fine = np.arange(lo, hi + 1)
-    fine_energies = _batch_energies(problem, fine)
-    j = int(np.argmin(fine_energies))
-    best_node = int(fine[j])
+    diag, left, right = _pivots(problem)
+    best_node = int(np.argmin(left + right - diag)) + 1
     # A posteriori constraint check on the winner.
     _, energy = discrete_first_step(problem, best_node)
     return energy, best_node

@@ -157,6 +157,28 @@ def test_verify_solves_each_side_once(capsys, monkeypatch):
     assert sorted(sides) == ["+", "-"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--oracle-h", "0"), ("--oracle-L", "-1"), ("--oracle-h", "0.007")],
+)
+def test_verify_bad_oracle_flags_exit_2_before_solving(capsys, monkeypatch, flags):
+    from sobolev1d import cli, minimizer
+
+    sides = []
+    original = minimizer.solve_log_solution
+
+    def counted(potential, side, *args, **kwargs):
+        sides.append(side)
+        return original(potential, side, *args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "solve_log_solution", counted)
+    monkeypatch.setattr(cli, "solve_log_solution", counted)
+    code, out, err = run(capsys, "verify", "--potential", CONSTANT, *flags)
+    assert code == 2
+    assert out == "" and "configuration error" in err
+    assert sides == []
+
+
 def test_verify_flags_dishonest_bounds(capsys):
     code, out, _ = run(capsys, "verify", "--potential", DISHONEST)
     assert code == 4
@@ -187,14 +209,17 @@ def test_verify_table_without_bounds(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, sobolev1d; print([m for m in sys.modules if m.startswith('scipy')])",
-        ],
-        capture_output=True,
-        text=True,
+    verify = (
+        "from sobolev1d.cli import main; "
+        f"code = main(['verify', '--potential', {CONSTANT!r}, "
+        "'--oracle-L', '25', '--oracle-h', '0.01']); "
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    report = "print([m for m in sys.modules if m.startswith('scipy')]); "
+    for script in ("import sys, sobolev1d; code = 0; ", f"import sys; {verify}"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script + report + "sys.exit(code)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

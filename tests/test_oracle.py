@@ -6,14 +6,17 @@ import pytest
 import _closed_forms as cf
 from sobolev1d import (
     DiscreteRayleighProblem,
+    Potential,
     SolverError,
     discrete_first_step,
     discrete_minimize,
     make_constant,
     make_example,
     make_monotone_step,
+    make_piecewise_constant,
     minimize,
 )
+from sobolev1d.oracle import _pivots
 
 
 def test_problem_construction():
@@ -109,3 +112,45 @@ def test_oracle_brackets_analytic_value(rng):
     problem = DiscreteRayleighProblem.from_potential(pot, 30.0, 0.005)
     m_disc, _ = discrete_minimize(problem)
     assert abs(m_disc - report.m_value) < 1e-2
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [make_example(1.0, 2.0), make_piecewise_constant([-6, -5, 5, 6], [4, 1, 4, 1, 4])],
+)
+def test_pivot_energies_match_brute_force(pot):
+    problem = DiscreteRayleighProblem.from_potential(pot, 10.0, 0.05)
+    h = problem.spacing
+    diag, left, right = _pivots(problem)
+    swept = h * (left + right - diag)
+    # Dense reference: the pinned energy is h / (A^{-1})_kk.
+    a = np.diag(diag) - (np.eye(diag.size, k=1) + np.eye(diag.size, k=-1)) / h**2
+    assert np.allclose(swept, h / np.diag(np.linalg.inv(a)), rtol=1e-12, atol=0.0)
+    brute = []
+    for node in range(1, problem.nodes.size - 1):
+        u, energy = discrete_first_step(problem, node)
+        assert energy == pytest.approx(swept[node - 1], rel=1e-12)
+        residual = a @ u[1:-1]
+        residual[node - 1] = 0.0
+        assert np.max(np.abs(residual)) <= 1e-9 * 2.0 / h**2
+        brute.append(energy)
+    m_disc, best = discrete_minimize(problem)
+    assert m_disc == pytest.approx(min(brute), rel=1e-12)
+    assert brute[best - 1] <= min(brute) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "tail, error", [(np.nan, ValueError), (np.inf, ValueError), (-5e4, SolverError)]
+)
+def test_bad_tail_refused(tail, error):
+    pot = Potential(
+        evaluate=lambda x: np.where(np.abs(np.asarray(x)) > 27.0, tail, 1.0),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    with pytest.raises(error):
+        problem = DiscreteRayleighProblem.from_potential(pot, 30.0, 0.005)
+        discrete_minimize(problem)
+    with pytest.raises(error):
+        problem = DiscreteRayleighProblem.from_potential(pot, 30.0, 0.005)
+        discrete_first_step(problem, problem.nodes.size // 2)
