@@ -30,7 +30,7 @@ from sobolev1d import (
 pot = make_monotone_step(1.0, 4.0, width=1.0)
 plus = solve_log_solution(pot, "+", -25.0, 25.0)
 minus = solve_log_solution(pot, "-", -25.0, 25.0)
-curve = build_fcurve(plus, minus, pot)
+curve = build_fcurve(plus, minus)
 
 print(f"potential: {pot.label}, tails {pot.tail_limits}")
 print(f"curve window: [{curve.window[0]:.3f}, {curve.window[1]:.3f}]")
@@ -42,7 +42,7 @@ for a in a_grid:
     print(f"  {a:+7.2f}  {curve.value_at(a):10.6f}  {curve.slope_at(a):+11.3e}"
           f"  {curve.curvature_at(a):+11.3e}")
 
-scan = find_critical_points(curve, pot)
+scan = find_critical_points(curve)
 print(f"\ninterior critical points: {len(scan.points)} "
       f"(flat = {scan.flat}, noise floor {scan.noise_floor:.1e})")
 print("F' > 0 everywhere:", bool(np.all(curve.slope > 0.0)))
@@ -51,7 +51,7 @@ report = minimize(pot)
 print(f"m = {report.m_value:.9f} via {report.tail_method} "
       f"(2 sqrt(v_left) = 2), attainment = {report.attainment}")
 
-eq = check_minimality_equivalence(curve, np.linspace(-8, 8, 33), potential=pot)
+eq = check_minimality_equivalence(curve, np.linspace(-8, 8, 33))
 print(f"minimality conditions agree at {len(eq.rows)} sample pins "
       f"({eq.n_disagree} disagreements)")
 

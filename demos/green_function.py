@@ -24,7 +24,7 @@ pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
 plus = solve_log_solution(pot, "+", -25.0, 25.0)
 minus = solve_log_solution(pot, "-", -25.0, 25.0)
 green = build_green(plus, minus)
-curve = build_fcurve(plus, minus, pot)
+curve = build_fcurve(plus, minus)
 
 print(f"potential: {pot.label}")
 print(f"Wronskian = {green.wronskian:.12f}\n")

@@ -201,7 +201,7 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     window = cfg.resolved_window()
     plus = solve_log_solution(cfg.potential, "+", window[0], window[1], cfg.tol)
     minus = solve_log_solution(cfg.potential, "-", window[0], window[1], cfg.tol)
-    curve = build_fcurve(plus, minus, cfg.potential)
+    curve = build_fcurve(plus, minus)
     if args.grid is None:
         grid = curve.grid
     else:
@@ -211,18 +211,18 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--grid must stay inside the curve window [{lo:g}, {hi:g}]"
             )
-    rows = []
-    for a in grid:
-        rows.append(
-            (
-                float(a),
-                float(curve.value_at(a)),
-                float(curve.slope_at(a)),
-                float(curve.curvature_at(a)),
-                float(plus.phi_at(a)),
-                float(minus.phi_at(a)),
-            )
+    reads = curve._reads(grid)
+    # math.exp per element, as phi_at does for one pin: np.exp can differ by an ulp.
+    rows = list(
+        zip(
+            grid.tolist(),
+            reads.value.tolist(),
+            reads.slope.tolist(),
+            reads.curvature.tolist(),
+            map(math.exp, reads.l_plus.tolist()),
+            map(math.exp, reads.l_minus.tolist()),
         )
+    )
     if cfg.fmt == "csv":
         _emit(cfg, _csv_rows("a,F,dF,d2F,phi_plus,phi_minus", rows))
     else:
@@ -256,10 +256,12 @@ def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
     for name, vals in (("--x", xs), ("--y", ys)):
         if np.any(vals < lo) or np.any(vals > hi):
             raise ConfigError(f"{name} lattice leaves the window [{lo:g}, {hi:g}]")
-    rows = []
-    for x in xs:
-        for y in ys:
-            rows.append((float(x), float(y), float(green.value(x, y))))
+    lattice = green.value(xs[:, None], ys[None, :]).tolist()
+    rows = [
+        (x, y, g)
+        for x, row in zip(xs.tolist(), lattice)
+        for y, g in zip(ys.tolist(), row)
+    ]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_rows("x,y,G", rows))
     else:
@@ -333,7 +335,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             for root in roots:
                 keep &= np.abs(samples - root) > 0.02 / math.sqrt(pot.lower_bound)
             samples = samples[keep]
-        eq = check_minimality_equivalence(curve, samples, potential=pot)
+        eq = check_minimality_equivalence(curve, samples)
         record(
             "minimality-equivalence",
             eq.all_agree,

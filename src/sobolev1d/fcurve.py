@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,13 +50,49 @@ NOISE_FACTOR = 100.0
 CURVATURE_SLACK = 1e-8
 
 
+class PinReads(NamedTuple):
+    """r_±, l_± (l_±(0) = 0) and V at the same pins, with F, F', F'' from them."""
+
+    r_plus: np.ndarray
+    r_minus: np.ndarray
+    l_plus: np.ndarray
+    l_minus: np.ndarray
+    v: np.ndarray
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.r_minus - self.r_plus
+
+    @property
+    def slope(self) -> np.ndarray:
+        return -self.value * (self.r_plus + self.r_minus)
+
+    @property
+    def curvature(self) -> np.ndarray:
+        rp, rm = self.r_plus, self.r_minus
+        return 2.0 * self.value * (rp * rp + rp * rm + rm * rm - self.v)
+
+    def product(self, side: str, wronskian: float) -> np.ndarray:
+        """h_side' H_side = 2 r_side phi_plus phi_minus / W."""
+        r = self.r_plus if side == "+" else self.r_minus
+        return 2.0 * r * np.exp(self.l_plus + self.l_minus) / wronskian
+
+
+def _read_pins(phi_plus: LogSolution, phi_minus: LogSolution, a: np.ndarray) -> PinReads:
+    """One dense read per side and one evaluation of V at the pins a."""
+    rp, lp = phi_plus._dense(a)
+    rm, lm = phi_minus._dense(a)
+    return PinReads(rp, rm, lp, lm, np.asarray(phi_plus.potential.evaluate(a), dtype=float))
+
+
 @dataclass
 class FCurve:
     """Samples and dense evaluators of F, F', F'' on a truncation-safe window.
 
     The grid is the solutions' grid inset from the window edges by the decay
     inset, where the seeding transient of both sides is far below every
-    tolerance used here.
+    tolerance used here.  Every evaluator takes a pin or an array of pins
+    and reads each side once per call.
     """
 
     grid: np.ndarray
@@ -70,41 +106,27 @@ class FCurve:
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
 
-    def _check(self, a) -> np.ndarray:
+    def _reads(self, a) -> PinReads:
         arr = np.asarray(a, dtype=float)
         lo, hi = self.window
         eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
         if np.any(arr < lo - eps) or np.any(arr > hi + eps):
             raise ValueError(f"pin location outside curve window [{lo:g}, {hi:g}]")
-        return arr
-
-    def _rates(self, a) -> tuple[np.ndarray, np.ndarray]:
-        arr = self._check(a)
-        return (
-            np.asarray(self.phi_plus.ell_prime_at(arr)),
-            np.asarray(self.phi_minus.ell_prime_at(arr)),
-        )
+        return _read_pins(self.phi_plus, self.phi_minus, arr)
 
     def value_at(self, a):
-        rp, rm = self._rates(a)
-        return _match(a, rm - rp)
+        return _match(a, self._reads(a).value)
 
     def slope_at(self, a):
-        rp, rm = self._rates(a)
-        return _match(a, -(rm - rp) * (rp + rm))
+        return _match(a, self._reads(a).slope)
 
     def curvature_at(self, a):
-        rp, rm = self._rates(a)
-        v = np.asarray(self.potential.evaluate(np.asarray(a, dtype=float)))
-        return _match(a, 2.0 * (rm - rp) * (rp * rp + rp * rm + rm * rm - v))
+        return _match(a, self._reads(a).curvature)
 
     def log_phi_sum(self, a):
         """log(phi_plus(a) * phi_minus(a)); equals log(W/F(a)) identically."""
-        arr = self._check(a)
-        out = np.asarray(self.phi_plus.ell_at(arr)) + np.asarray(
-            self.phi_minus.ell_at(arr)
-        )
-        return _match(a, out)
+        reads = self._reads(a)
+        return _match(a, reads.l_plus + reads.l_minus)
 
     def product_criterion(self, side: str, a):
         """h_side'(a) H_side(a), the one-sided minimality product.
@@ -112,12 +134,9 @@ class FCurve:
         Equals 2 r_side(a) phi_plus(a) phi_minus(a) / W; at interior minima
         of F the "+" product is -1 and the "-" product is +1.
         """
-        rp, rm = self._rates(a)
-        r = rp if side == "+" else rm
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        out = 2.0 * r * np.exp(np.asarray(self.log_phi_sum(a))) / self.wronskian
-        return _match(a, out)
+        return _match(a, self._reads(a).product(side, self.wronskian))
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
@@ -130,7 +149,6 @@ class FCurve:
 def build_fcurve(
     phi_plus: LogSolution,
     phi_minus: LogSolution,
-    potential: Potential | None = None,
     *,
     inset: float | None = None,
 ) -> FCurve:
@@ -141,8 +159,7 @@ def build_fcurve(
     inset: the decay inset, 12/sqrt(v0)).
     """
     wronskian = _check_pair(phi_plus, phi_minus)
-    if potential is None:
-        potential = phi_plus.potential
+    potential = phi_plus.potential
     if inset is None:
         inset = decay_inset(potential)
     x_min, x_max = phi_plus.window
@@ -155,19 +172,15 @@ def build_fcurve(
     mask = (phi_plus.grid >= lo) & (phi_plus.grid <= hi)
     grid = phi_plus.grid[mask]
 
-    rp = np.asarray(phi_plus.ell_prime_at(grid))
-    rm = np.asarray(phi_minus.ell_prime_at(grid))
-    values = rm - rp
+    reads = _read_pins(phi_plus, phi_minus, grid)
+    values = reads.value
     if np.any(values <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
-    v = np.asarray(potential.evaluate(grid))
-    slope = -values * (rp + rm)
-    curvature = 2.0 * values * (rp * rp + rp * rm + rm * rm - v)
     return FCurve(
         grid=grid,
         values=values,
-        slope=slope,
-        curvature=curvature,
+        slope=reads.slope,
+        curvature=reads.curvature,
         wronskian=wronskian,
         window=(float(lo), float(hi)),
         potential=potential,
@@ -216,32 +229,27 @@ class CriticalPointScan:
 
 
 def _condition_flags(
-    curve: FCurve, potential: Potential, a: float, tol: float
-) -> tuple[bool, bool, bool]:
-    rp = float(curve.phi_plus.ell_prime_at(a))
-    rm = float(curve.phi_minus.ell_prime_at(a))
-    v = float(potential.evaluate(a))
-    sq = math.sqrt(v)
-    balanced = abs(rp + rm) <= tol and min(-rp, rm) >= sq - tol
-    prod_plus = float(curve.product_criterion("+", a))
-    prod_minus = float(curve.product_criterion("-", a))
-    plus = abs(prod_plus + 1.0) <= tol and (v - rp * rp) <= tol
-    minus = abs(prod_minus - 1.0) <= tol and (v - rm * rm) <= tol
+    reads: PinReads, wronskian: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The balanced-slope and the two one-sided product tests at every pin."""
+    rp, rm, v = reads.r_plus, reads.r_minus, reads.v
+    balanced = (np.abs(rp + rm) <= tol) & (np.minimum(-rp, rm) >= np.sqrt(v) - tol)
+    plus = (np.abs(reads.product("+", wronskian) + 1.0) <= tol) & (v - rp * rp <= tol)
+    minus = (np.abs(reads.product("-", wronskian) - 1.0) <= tol) & (v - rm * rm <= tol)
     return balanced, plus, minus
 
 
-def _make_point(
-    curve: FCurve, potential: Potential, a: float, condition_tol: float
-) -> CriticalPoint:
-    balanced, plus, minus = _condition_flags(curve, potential, a, condition_tol)
+def _make_point(curve: FCurve, a: float, condition_tol: float) -> CriticalPoint:
+    reads = curve._reads(a)
+    balanced, plus, minus = _condition_flags(reads, curve.wronskian, condition_tol)
     return CriticalPoint(
         location=float(a),
-        value=float(curve.value_at(a)),
-        curvature=float(curve.curvature_at(a)),
-        slope_residual=abs(float(curve.slope_at(a))),
-        balanced_slope=balanced,
-        plus_side_product=plus,
-        minus_side_product=minus,
+        value=float(reads.value),
+        curvature=float(reads.curvature),
+        slope_residual=abs(float(reads.slope)),
+        balanced_slope=bool(balanced),
+        plus_side_product=bool(plus),
+        minus_side_product=bool(minus),
     )
 
 
@@ -280,7 +288,6 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
 
 def find_critical_points(
     curve: FCurve,
-    potential: Potential | None = None,
     *,
     root_tol: float = 1e-12,
     condition_tol: float = 1e-6,
@@ -295,14 +302,13 @@ def find_critical_points(
     exceeds the floor is classified flat (constant potentials).  Roots with
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
     """
-    if potential is None:
-        potential = curve.potential
+    potential = curve.potential
     scale = max(1.0, float(np.max(np.abs(curve.values))))
     noise_floor = NOISE_FACTOR * curve.tol * scale
     curvature_slack = CURVATURE_SLACK * scale
 
     if float(np.max(np.abs(curve.slope))) <= noise_floor:
-        rep = _make_point(curve, potential, 0.0, condition_tol)
+        rep = _make_point(curve, 0.0, condition_tol)
         return CriticalPointScan(
             points=[rep],
             rejected=[],
@@ -331,7 +337,7 @@ def find_critical_points(
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []
     for root in roots:
-        pt = _make_point(curve, potential, root, condition_tol)
+        pt = _make_point(curve, root, condition_tol)
         (points if pt.curvature >= -curvature_slack else rejected).append(pt)
     return CriticalPointScan(
         points=points,
@@ -378,33 +384,23 @@ def check_minimality_equivalence(
     curve: FCurve,
     samples: Sequence[float] | None = None,
     tol: float = 1e-6,
-    potential: Potential | None = None,
 ) -> EquivalenceReport:
     """Evaluate the four local-minimality tests at each sample and compare.
 
     At every location the direct test (|F'| <= tol and F'' >= -tol) must
     return the same truth value as the balanced-slope and the two one-sided
     product criteria; the shared tolerance is absolute.  Meaningful for
-    continuous potentials.
+    continuous potentials.  All samples are read in one call.
     """
-    if potential is None:
-        potential = curve.potential
     if samples is None:
         step = max(1, curve.grid.size // 200)
         samples = curve.grid[::step]
-    rows = []
-    for a in np.asarray(samples, dtype=float):
-        slope = float(curve.slope_at(a))
-        curv = float(curve.curvature_at(a))
-        local_min = abs(slope) <= tol and curv >= -tol
-        balanced, plus, minus = _condition_flags(curve, potential, float(a), tol)
-        rows.append(
-            EquivalenceRow(
-                location=float(a),
-                local_min=local_min,
-                balanced_slope=balanced,
-                plus_side_product=plus,
-                minus_side_product=minus,
-            )
-        )
+    a = np.asarray(samples, dtype=float)
+    reads = curve._reads(a)
+    local_min = (np.abs(reads.slope) <= tol) & (reads.curvature >= -tol)
+    flags = _condition_flags(reads, curve.wronskian, tol)
+    rows = [
+        EquivalenceRow(*row)
+        for row in zip(a.tolist(), local_min.tolist(), *(f.tolist() for f in flags))
+    ]
     return EquivalenceReport(rows=rows, tol=tol)

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -315,7 +314,11 @@ class LogSolution:
             )
 
     def _dense(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(r, l) at x by a partial Magnus step from the node on the stable side."""
+        """(r, l) at x by a partial Magnus step from the node on the stable side.
+
+        l is shifted to vanish at 0.  Every read of r or l goes through here,
+        so a caller that needs both sides at many points reads each side once.
+        """
         xs = np.asarray(x, dtype=float)
         self._check_window(xs)
         mesh = self._mesh
@@ -333,13 +336,13 @@ class LogSolution:
         P, Q, R = sign * P, sign * Q, sign * R
         du = cm1 + P + Q * r0
         r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
-        l = self._l[k] + np.log1p(du)
+        l = self._l[k] + np.log1p(du) - self._shift
         return r.reshape(xs.shape), l.reshape(xs.shape)
 
     def ell_at(self, x):
         """log phi(x), normalized to vanish at 0."""
         _, l = self._dense(x)
-        return _match(x, np.asarray(l - self._shift))
+        return _match(x, np.asarray(l))
 
     def ell_prime_at(self, x):
         """Log-derivative r(x) = phi'(x)/phi(x)."""
@@ -355,13 +358,6 @@ class LogSolution:
     def phi_at(self, x):
         """phi(x) = exp(ell(x)); phi(0) = 1."""
         return np.exp(self.ell_at(x)) if np.ndim(x) else math.exp(self.ell_at(x))
-
-    def write_csv(self, path: str | Path) -> None:
-        """Dump the grid samples as CSV with header x,ell,ell_prime,phi."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,ell,ell_prime,phi\n")
-            for x, l, r in zip(self.grid, self.ell, self.ell_prime):
-                fh.write(f"{x:.15e},{l:.15e},{r:.15e},{math.exp(l):.15e}\n")
 
 
 def solve_log_solution(
@@ -463,7 +459,7 @@ def solve_log_solution(
     grid = grid[keep]
     r_grid, l_grid = solution._dense(grid)
     solution.grid = grid
-    solution.ell = l_grid - solution._shift
+    solution.ell = l_grid
     solution.ell_prime = r_grid
     solution.ell[grid == 0.0] = 0.0
 
@@ -513,6 +509,14 @@ class ExtremalFunction:
     center: float
     phi_plus: LogSolution
     phi_minus: LogSolution
+    # (l_plus, l_minus) at the center, read once.
+    _at_center: tuple[float, float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._at_center = (
+            self.phi_plus.ell_at(self.center),
+            self.phi_minus.ell_at(self.center),
+        )
 
     @property
     def window(self) -> tuple[float, float]:
@@ -522,26 +526,24 @@ class ExtremalFunction:
     def sup_norm(self) -> float:
         return 1.0
 
-    def log_value(self, x):
+    def _reads(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(log u, u'/u) at x, from one dense read per side."""
         xs = np.asarray(x, dtype=float)
-        lp = np.asarray(self.phi_plus.ell_at(xs))
-        lm = np.asarray(self.phi_minus.ell_at(xs))
-        la_p = self.phi_plus.ell_at(self.center)
-        la_m = self.phi_minus.ell_at(self.center)
-        out = np.where(xs < self.center, lm - la_m, lp - la_p)
-        return _match(x, out)
+        rp, lp = self.phi_plus._dense(xs)
+        rm, lm = self.phi_minus._dense(xs)
+        la_p, la_m = self._at_center
+        left = xs < self.center
+        return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
+
+    def log_value(self, x):
+        return _match(x, self._reads(x)[0])
 
     def __call__(self, x):
-        out = np.exp(np.asarray(self.log_value(x)))
-        return _match(x, out)
+        return _match(x, np.exp(self._reads(x)[0]))
 
     def derivative(self, x):
-        xs = np.asarray(x, dtype=float)
-        u = np.asarray(self(xs))
-        rp = np.asarray(self.phi_plus.ell_prime_at(xs))
-        rm = np.asarray(self.phi_minus.ell_prime_at(xs))
-        out = u * np.where(xs < self.center, rm, rp)
-        return _match(x, out)
+        log_u, rate = self._reads(x)
+        return _match(x, np.exp(log_u) * rate)
 
 
 def extremal_function(

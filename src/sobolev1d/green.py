@@ -54,23 +54,27 @@ class GreenEvaluator:
     def potential(self) -> Potential:
         return self.phi_plus.potential
 
-    def log_value(self, x, y):
+    def _reads(self, x, y):
+        """(x, y, log G(x, y), r_minus(min(x, y)), r_plus(max(x, y))), broadcast.
+
+        One dense read per side: G needs phi_minus at the smaller argument
+        and phi_plus at the larger one, and so does its x-derivative.
+        """
         xs, ys = np.broadcast_arrays(
             np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         )
-        lo = np.minimum(xs, ys)
-        hi = np.maximum(xs, ys)
-        out = (
-            np.asarray(self.phi_minus.ell_at(lo))
-            + np.asarray(self.phi_plus.ell_at(hi))
-            - math.log(self.wronskian)
-        )
+        rm, lm = self.phi_minus._dense(np.minimum(xs, ys))
+        rp, lp = self.phi_plus._dense(np.maximum(xs, ys))
+        return xs, ys, lm + lp - math.log(self.wronskian), rm, rp
+
+    def log_value(self, x, y):
+        out = self._reads(x, y)[2]
         if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return float(np.asarray(out).reshape(-1)[0])
+            return float(out.reshape(-1)[0])
         return out
 
     def value(self, x, y):
-        out = np.exp(np.asarray(self.log_value(x, y)))
+        out = np.exp(self._reads(x, y)[2])
         if np.ndim(x) == 0 and np.ndim(y) == 0:
             return float(out.reshape(-1)[0])
         return out
@@ -83,13 +87,10 @@ class GreenEvaluator:
 
     def section_derivative(self, x, y: float):
         """d/dx G(x, y) away from the diagonal (right-derivative at x = y)."""
-        xs = np.asarray(x, dtype=float)
-        g = np.asarray(self.value(xs, y))
-        rp = np.asarray(self.phi_plus.ell_prime_at(xs))
-        rm = np.asarray(self.phi_minus.ell_prime_at(xs))
-        out = g * np.where(xs < y, rm, rp)
+        xs, ys, log_g, rm, rp = self._reads(x, y)
+        out = np.exp(log_g) * np.where(xs < ys, rm, rp)
         if np.ndim(x) == 0:
-            return float(np.asarray(out).reshape(-1)[0])
+            return float(out.reshape(-1)[0])
         return out
 
 

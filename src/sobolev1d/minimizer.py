@@ -187,12 +187,9 @@ def minimize(potential: Potential, config: SolverConfig | None = None) -> Minimi
     phi_minus = solve_log_solution(
         potential, "-", x_min, x_max, config.ode_tol, grid_spacing=config.grid_spacing
     )
-    curve = build_fcurve(phi_plus, phi_minus, potential, inset=config.inset)
+    curve = build_fcurve(phi_plus, phi_minus, inset=config.inset)
     scan = find_critical_points(
-        curve,
-        potential,
-        root_tol=config.root_tol,
-        condition_tol=config.condition_tol,
+        curve, root_tol=config.root_tol, condition_tol=config.condition_tol
     )
     tail, tail_method = _tail_infimum(potential, curve)
 

@@ -204,7 +204,7 @@ def test_criterion_7_green_function():
 def test_criterion_8_identity_suite():
     pot = make_example(1.0, 2.0)
     plus, minus = _solve_pair(pot)
-    curve = build_fcurve(plus, minus, pot)
+    curve = build_fcurve(plus, minus)
     drift = curve.wronskian_drift()
 
     xs = np.linspace(-6.0, 6.0, 601)
@@ -260,17 +260,17 @@ def test_criterion_9_minimality_equivalence():
     ok = True
     for pot, samples in cases:
         plus, minus = _solve_pair(pot)
-        curve = build_fcurve(plus, minus, pot)
+        curve = build_fcurve(plus, minus)
         keep = np.abs(samples - cf.A1_EXACT) > 1e-4  # transition band of the tolerance
-        report = check_minimality_equivalence(curve, samples[keep], potential=pot)
+        report = check_minimality_equivalence(curve, samples[keep])
         total += len(report.rows)
         disagreements += report.n_disagree
         ok = ok and report.all_agree
 
     pot = make_example(1.0, 2.0)
     plus, minus = _solve_pair(pot)
-    curve = build_fcurve(plus, minus, pot)
-    ends = check_minimality_equivalence(curve, [cf.A1_EXACT, 0.0], potential=pot)
+    curve = build_fcurve(plus, minus)
+    ends = check_minimality_equivalence(curve, [cf.A1_EXACT, 0.0])
     at_min, at_zero = ends.rows
     all_true = all(
         [at_min.local_min, at_min.balanced_slope,

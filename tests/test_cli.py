@@ -3,10 +3,18 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import _closed_forms as cf
-from sobolev1d.cli import main
+from sobolev1d import (
+    build_fcurve,
+    build_green,
+    default_window,
+    potential_from_spec,
+    solve_log_solution,
+)
+from sobolev1d.cli import _csv_rows, canonical_json, main
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
 CONSTANT = '{"kind": "constant", "v": 1}'
@@ -97,6 +105,44 @@ def test_green_lattice(capsys):
     assert abs(float(rows[0][2]) - math.exp(-1.0) / 2.0) < 1e-12
     assert abs(float(rows[1][2]) - 0.5) < 1e-12
     assert float(rows[0][2]) == float(rows[2][2])  # symmetry
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EXAMPLE, '{"kind": "piecewise_constant", "edges": [-1, 1], "values": [1, 5, 1]}'],
+    ids=["example", "well"],
+)
+def test_scan_and_green_match_scalar_reads(capsys, spec):
+    """The tables equal rows built from one scalar read per pin and lattice point."""
+    pot = potential_from_spec(json.loads(spec))
+    plus = solve_log_solution(pot, "+", *default_window(pot))
+    minus = solve_log_solution(pot, "-", *default_window(pot))
+    curve = build_fcurve(plus, minus)
+    green = build_green(plus, minus)
+    scan = [
+        (float(a), curve.value_at(a), curve.slope_at(a), curve.curvature_at(a),
+         plus.phi_at(a), minus.phi_at(a))
+        for a in np.linspace(-3.0, 3.0, 41)
+    ]
+    lattice = np.linspace(-4.0, 4.0, 9)
+    table = [(float(x), float(y), green.value(x, y)) for x in lattice for y in lattice]
+    scan_keys = ("a", "F", "dF", "d2F", "phi_plus", "phi_minus")
+
+    def doc(keys, rows):
+        rows = [dict(zip(keys, row)) for row in rows]
+        return canonical_json({"schema_version": 1, "potential": pot.label, "rows": rows}) + "\n"
+
+    expected = {
+        ("scan", "csv"): _csv_rows(",".join(scan_keys), scan),
+        ("scan", "json"): doc(scan_keys, scan),
+        ("green", "csv"): _csv_rows("x,y,G", table),
+        ("green", "json"): doc(("x", "y", "G"), table),
+    }
+    for (command, fmt), text in expected.items():
+        flags = ["--grid=-3:3:41"] if command == "scan" else ["--x=-4:4:9", "--y=-4:4:9"]
+        code, out, _ = run(capsys, command, "--potential", spec, "--format", fmt, *flags)
+        assert code == 0
+        assert out == text
 
 
 def test_green_requires_lattice(capsys):

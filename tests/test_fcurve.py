@@ -5,15 +5,20 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
+    LogSolution,
     build_fcurve,
+    build_green,
     check_minimality_equivalence,
+    extremal_function,
     find_critical_points,
     make_constant,
     make_example,
     make_monotone_step,
+    minimize,
+    potential_from_spec,
     solve_log_solution,
 )
-from sobolev1d.fcurve import _polish_root
+from sobolev1d.fcurve import _make_point, _polish_root
 
 WINDOW = (-25.0, 25.0)
 
@@ -23,7 +28,7 @@ def example_curve():
     pot = make_example(cf.A, cf.B)
     plus = solve_log_solution(pot, "+", *WINDOW)
     minus = solve_log_solution(pot, "-", *WINDOW)
-    return pot, build_fcurve(plus, minus, pot)
+    return pot, build_fcurve(plus, minus)
 
 
 def test_values_against_closed_form(example_curve):
@@ -90,7 +95,7 @@ def test_derivatives_match_finite_differences(example_curve):
 
 def test_critical_points_example(example_curve):
     pot, curve = example_curve
-    scan = find_critical_points(curve, pot)
+    scan = find_critical_points(curve)
     assert not scan.flat
     assert len(scan.points) == 1
     assert len(scan.rejected) == 1
@@ -109,9 +114,9 @@ def test_flat_curve_constant():
     pot = make_constant(2.25)
     plus = solve_log_solution(pot, "+", *WINDOW)
     minus = solve_log_solution(pot, "-", *WINDOW)
-    curve = build_fcurve(plus, minus, pot)
+    curve = build_fcurve(plus, minus)
     assert np.max(np.abs(curve.values - 3.0)) < 1e-10
-    scan = find_critical_points(curve, pot)
+    scan = find_critical_points(curve)
     assert scan.flat
     assert len(scan.points) == 1  # representative point only
     assert scan.points[0].value == pytest.approx(3.0, abs=1e-10)
@@ -121,8 +126,8 @@ def test_monotone_step_has_no_roots():
     pot = make_monotone_step(1.0, 4.0)
     plus = solve_log_solution(pot, "+", *WINDOW)
     minus = solve_log_solution(pot, "-", *WINDOW)
-    curve = build_fcurve(plus, minus, pot)
-    scan = find_critical_points(curve, pot)
+    curve = build_fcurve(plus, minus)
+    scan = find_critical_points(curve)
     assert not scan.flat
     assert scan.points == [] and scan.rejected == []
     assert np.all(np.diff(curve.values) > 0.0)
@@ -144,7 +149,7 @@ def test_equivalence_example(example_curve):
     samples = np.concatenate(
         [np.linspace(-6, 6, 120), [cf.A1_EXACT, 0.0, cf.A2_EXACT]]
     )
-    report = check_minimality_equivalence(curve, samples, potential=pot)
+    report = check_minimality_equivalence(curve, samples)
     assert report.all_agree, [r for r in report.rows if not r.agree]
     by_loc = {r.location: r for r in report.rows}
     at_min = by_loc[cf.A1_EXACT]
@@ -159,7 +164,7 @@ def test_equivalence_example(example_curve):
 
 def test_equivalence_flags_a2_as_non_minimum(example_curve):
     pot, curve = example_curve
-    report = check_minimality_equivalence(curve, [cf.A2_EXACT], potential=pot)
+    report = check_minimality_equivalence(curve, [cf.A2_EXACT])
     row = report.rows[0]
     assert row.agree
     assert not row.local_min  # curvature is negative there
@@ -190,3 +195,87 @@ def test_root_polish_falls_back_to_bisection(flat):
     curve = _ArctanSlope(0.3, flat)
     root = _polish_root(curve, -20.0, 40.0, curve.slope_at(-20.0), 1e-12)
     assert abs(root - 0.3) <= 1e-12
+
+
+def _gaussian_well_table():
+    """4 - 3 exp(-x^2/2) sampled every 0.25 on [-10, 10], as a spline table."""
+    x = np.arange(-40, 41) * 0.25
+    v = 4.0 - 3.0 * np.exp(-0.5 * x * x)
+    return potential_from_spec({"kind": "table", "x": x.tolist(), "v": v.tolist()})
+
+
+def _scalar_rows(curve, samples, tol):
+    """The four tests at each sample from its own scalar reads, one pin at a time."""
+    rows = []
+    for a in map(float, samples):
+        rp = float(curve.phi_plus.ell_prime_at(a))
+        rm = float(curve.phi_minus.ell_prime_at(a))
+        phi = np.exp(np.asarray(curve.phi_plus.ell_at(a) + curve.phi_minus.ell_at(a)))
+        v = float(curve.potential.evaluate(a))
+        f = rm - rp
+        slope = -f * (rp + rm)
+        curv = 2.0 * f * (rp * rp + rp * rm + rm * rm - v)
+        prod_plus = float(2.0 * rp * phi / curve.wronskian)
+        prod_minus = float(2.0 * rm * phi / curve.wronskian)
+        rows.append(
+            (
+                a,
+                abs(slope) <= tol and curv >= -tol,
+                abs(rp + rm) <= tol and min(-rp, rm) >= math.sqrt(v) - tol,
+                abs(prod_plus + 1.0) <= tol and (v - rp * rp) <= tol,
+                abs(prod_minus - 1.0) <= tol and (v - rm * rm) <= tol,
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "make, disagreements",
+    [
+        (lambda: make_example(1.0, 2.0), 0),
+        (lambda: make_constant(1.0), 0),
+        # The known flat-tail FAIL of `verify`: every test sits at its tolerance.
+        (lambda: make_monotone_step(1.0, 4.0), 12),
+        (_gaussian_well_table, None),
+    ],
+    ids=["example", "constant", "step", "gaussian-table"],
+)
+def test_equivalence_matches_scalar_reads(make, disagreements):
+    curve = minimize(make()).curve
+    step = max(1, curve.grid.size // 200)
+    samples = curve.grid[::step]
+    report = check_minimality_equivalence(curve)
+    got = [
+        (r.location, r.local_min, r.balanced_slope, r.plus_side_product, r.minus_side_product)
+        for r in report.rows
+    ]
+    assert got == _scalar_rows(curve, samples, report.tol)
+    if disagreements is not None:
+        assert report.n_disagree == disagreements
+
+
+def test_one_dense_read_per_side(example_curve, monkeypatch):
+    _, curve = example_curve
+    u = extremal_function(curve.phi_plus, curve.phi_minus, cf.A1_EXACT)
+    green = build_green(curve.phi_plus, curve.phi_minus)
+    sides = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        sides.append(self.side)
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    xs = np.linspace(-6.0, 6.0, 209)
+    reads = [lambda n=n: check_minimality_equivalence(curve, xs[:n]) for n in (1, 7, 209)]
+    reads += [
+        lambda: _make_point(curve, cf.A1_EXACT, 1e-6),
+        lambda: u.log_value(xs),
+        lambda: u.derivative(xs),
+        lambda: green.value(xs[:, None], xs[None, :]),
+        lambda: green.section_derivative(xs, 0.5),
+    ]
+    for read in reads:
+        sides.clear()
+        read()
+        assert sorted(sides) == ["+", "-"]

@@ -242,17 +242,6 @@ def test_gluing_fails_inside_the_interval(example_pair):
     assert abs(lhs - rhs) > 1e-3
 
 
-def test_write_csv(tmp_path, example_pair):
-    _, plus, _ = example_pair
-    path = tmp_path / "plus.csv"
-    plus.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,ell,ell_prime,phi"
-    row = lines[1 + int(np.searchsorted(plus.grid, 0.0))].split(",")
-    assert float(row[1]) == 0.0  # normalized at x = 0
-    assert len(lines) == 1 + plus.grid.size
-
-
 def test_square_well_high_contrast():
     """Contrast 1e4: m(V) = 2 s0 (s0 tanh s0 + s1) / (s0 + s1 tanh s0), a* = 0."""
     v0, v1 = 1.0, 1e4

@@ -53,7 +53,7 @@ def test_symmetry_random_pairs(example_green, rng):
 def test_diagonal_inverts_energy_curve(example_green):
     plus, minus, green = example_green
     pot = make_example(cf.A, cf.B)
-    curve = build_fcurve(plus, minus, pot)
+    curve = build_fcurve(plus, minus)
     ys = np.linspace(-6, 6, 25)
     for y in ys:
         assert green.diagonal(y) == pytest.approx(1.0 / curve.value_at(y), rel=1e-10)
