@@ -29,7 +29,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, SolverError, _check_pair, _match, decay_inset
+from .fundamental import (
+    LogSolution,
+    SolverError,
+    _check_pair,
+    _match,
+    _sample_grid,
+    decay_inset,
+)
 from .potential import Potential
 
 __all__ = [
@@ -48,6 +55,10 @@ __all__ = [
 NOISE_FACTOR = 100.0
 # Roots with curvature below -CURVATURE_SLACK * max(1, max F) are rejected.
 CURVATURE_SLACK = 1e-8
+# Newton polish of F' roots stops once a step is below ROOT_TOL.
+ROOT_TOL = 1e-12
+# Absolute tolerance shared by every local-minimality test.
+CONDITION_TOL = 1e-6
 
 
 class PinReads(NamedTuple):
@@ -89,9 +100,9 @@ def _read_pins(phi_plus: LogSolution, phi_minus: LogSolution, a: np.ndarray) -> 
 class FCurve:
     """Samples and dense evaluators of F, F', F'' on a truncation-safe window.
 
-    The grid is the solutions' grid inset from the window edges by the decay
-    inset, where the seeding transient of both sides is far below every
-    tolerance used here.  Every evaluator takes a pin or an array of pins
+    The grid is the solutions' sample grid inset from the window edges by
+    the decay inset, where the seeding transient of both sides is far below
+    every tolerance used here.  Every evaluator takes a pin or an array of pins
     and reads each side once per call.
     """
 
@@ -146,31 +157,21 @@ class FCurve:
         return float(np.max(np.abs(np.expm1(log_w - math.log(self.wronskian)))))
 
 
-def build_fcurve(
-    phi_plus: LogSolution,
-    phi_minus: LogSolution,
-    *,
-    inset: float | None = None,
-) -> FCurve:
+def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     """Assemble the energy curve from the two decaying solutions.
 
     The solutions must have been produced on the same window; the curve grid
-    is their grid restricted to [x_min + inset, x_max - inset] (default
-    inset: the decay inset, 12/sqrt(v0)).
+    is their sample grid (spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the
+    breakpoints) restricted to [x_min + inset, x_max - inset] with the decay
+    inset 12/sqrt(v0).  The solver's decay margin of 20 keeps 0 inside.
     """
     wronskian = _check_pair(phi_plus, phi_minus)
     potential = phi_plus.potential
-    if inset is None:
-        inset = decay_inset(potential)
+    inset = decay_inset(potential)
     x_min, x_max = phi_plus.window
     lo, hi = x_min + inset, x_max - inset
-    if not (lo < 0.0 < hi):
-        raise ValueError(
-            f"window too narrow for inset {inset:g}: curve window [{lo:g}, {hi:g}] "
-            "must contain 0"
-        )
-    mask = (phi_plus.grid >= lo) & (phi_plus.grid <= hi)
-    grid = phi_plus.grid[mask]
+    grid = _sample_grid(phi_plus)
+    grid = grid[(grid >= lo) & (grid <= hi)]
 
     reads = _read_pins(phi_plus, phi_minus, grid)
     values = reads.value
@@ -266,14 +267,15 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
     x = 0.5 * (lo + hi)
     step = prev_step = hi - lo
     for _ in range(100):
-        f = float(curve.slope_at(x))
+        reads = curve._reads(x)
+        f = float(reads.slope)
         if f == 0.0:
             return x
         if f < 0.0:
             neg = x
         else:
             pos = x
-        df = float(curve.curvature_at(x))
+        df = float(reads.curvature)
         dx = f / df if df != 0.0 else math.inf
         if abs(dx) < 0.5 * abs(prev_step) and min(neg, pos) < x - dx < max(neg, pos):
             prev_step, step = step, dx
@@ -286,21 +288,18 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
     raise SolverError(f"root polish of F' did not converge in [{lo:g}, {hi:g}]")
 
 
-def find_critical_points(
-    curve: FCurve,
-    *,
-    root_tol: float = 1e-12,
-    condition_tol: float = 1e-6,
-) -> CriticalPointScan:
+def find_critical_points(curve: FCurve) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
-    Sign changes of the sampled slope are polished to within root_tol by
-    safeguarded Newton steps on the dense slope F' with the analytic F''.
+    Sign changes of the sampled slope are polished to within ROOT_TOL by
+    safeguarded Newton steps on the dense slope F' with the analytic F'',
+    one read of both sides per step.
     Sign changes whose bracket values both sit under the noise floor
     (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
     asymptotically flat region and are ignored; a curve whose slope never
     exceeds the floor is classified flat (constant potentials).  Roots with
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
+    The minimality flags of each point use CONDITION_TOL.
     """
     potential = curve.potential
     scale = max(1.0, float(np.max(np.abs(curve.values))))
@@ -308,7 +307,7 @@ def find_critical_points(
     curvature_slack = CURVATURE_SLACK * scale
 
     if float(np.max(np.abs(curve.slope))) <= noise_floor:
-        rep = _make_point(curve, 0.0, condition_tol)
+        rep = _make_point(curve, 0.0, CONDITION_TOL)
         return CriticalPointScan(
             points=[rep],
             rejected=[],
@@ -330,14 +329,14 @@ def find_critical_points(
         elif s[i + 1] == 0.0:
             root = float(g[i + 1])
         else:
-            root = _polish_root(curve, float(g[i]), float(g[i + 1]), float(s[i]), root_tol)
-        if not roots or abs(root - roots[-1]) > max(10 * root_tol, 1e-11):
+            root = _polish_root(curve, float(g[i]), float(g[i + 1]), float(s[i]), ROOT_TOL)
+        if not roots or abs(root - roots[-1]) > max(10 * ROOT_TOL, 1e-11):
             roots.append(root)
 
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []
     for root in roots:
-        pt = _make_point(curve, root, condition_tol)
+        pt = _make_point(curve, root, CONDITION_TOL)
         (points if pt.curvature >= -curvature_slack else rejected).append(pt)
     return CriticalPointScan(
         points=points,
@@ -381,26 +380,24 @@ class EquivalenceReport:
 
 
 def check_minimality_equivalence(
-    curve: FCurve,
-    samples: Sequence[float] | None = None,
-    tol: float = 1e-6,
+    curve: FCurve, samples: Sequence[float] | None = None
 ) -> EquivalenceReport:
     """Evaluate the four local-minimality tests at each sample and compare.
 
     At every location the direct test (|F'| <= tol and F'' >= -tol) must
     return the same truth value as the balanced-slope and the two one-sided
-    product criteria; the shared tolerance is absolute.  Meaningful for
-    continuous potentials.  All samples are read in one call.
+    product criteria; the shared tolerance is the absolute CONDITION_TOL.
+    Meaningful for continuous potentials.  All samples are read in one call.
     """
     if samples is None:
         step = max(1, curve.grid.size // 200)
         samples = curve.grid[::step]
     a = np.asarray(samples, dtype=float)
     reads = curve._reads(a)
-    local_min = (np.abs(reads.slope) <= tol) & (reads.curvature >= -tol)
-    flags = _condition_flags(reads, curve.wronskian, tol)
+    local_min = (np.abs(reads.slope) <= CONDITION_TOL) & (reads.curvature >= -CONDITION_TOL)
+    flags = _condition_flags(reads, curve.wronskian, CONDITION_TOL)
     rows = [
         EquivalenceRow(*row)
         for row in zip(a.tolist(), local_min.tolist(), *(f.tolist() for f in flags))
     ]
-    return EquivalenceReport(rows=rows, tol=tol)
+    return EquivalenceReport(rows=rows, tol=CONDITION_TOL)

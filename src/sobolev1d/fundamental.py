@@ -40,7 +40,8 @@ dense output carries r to about itol.  A floor of a few dozen ulps keeps
 roundoff from driving refinement; more than MAX_CELLS cells raise
 SolverError.  Off-mesh points are evaluated by a partial Magnus step from
 the mesh node on the stable side (forward from the left node for "-",
-backward from the right node for "+").
+backward from the right node for "+").  0 is a mesh node, so l(0) = 0
+exactly and a solve makes no off-mesh read.
 
 Bands.  The seeded flows stay in
 
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +96,18 @@ TOL_RANGE = (1e-14, 1e-6)
 MIN_DOMAIN_MARGIN = 20.0
 # Most mesh cells one side may use before the solver gives up.
 MAX_CELLS = 1 << 19
+# Spacing of the sample grid, in decay lengths 1/sqrt(v0).
+SAMPLE_SPACING = 0.025
+# Points of the Riccati residual check.
+RESIDUAL_POINTS = 201
+# Log-space slack of the envelope checks.
+ENVELOPE_SLACK = 1e-8
+# Samples per side and pointwise tolerance of the gluing check.
+GLUING_SAMPLES = 201
+GLUING_TOL = 1e-8
+# Grid size and log-space tolerance of the comparison check.
+COMPARISON_POINTS = 801
+COMPARISON_TOL = 1e-6
 
 # Gauss-Legendre nodes of a cell [x, x + h]: the midpoint and midpoint +- _GAUSS h.
 _GAUSS = math.sqrt(15.0) / 10.0
@@ -197,6 +209,19 @@ def _segment_edges(potential: Potential, x_min: float, x_max: float) -> list[flo
     return sorted({x_min, 0.0, *inner, x_max})
 
 
+def _sample_grid(solution: LogSolution) -> np.ndarray:
+    """The window at spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the breakpoints."""
+    potential = solution.potential
+    x_min, x_max = solution.window
+    spacing = SAMPLE_SPACING / math.sqrt(potential.lower_bound)
+    n = max(2, int(math.ceil((x_max - x_min) / spacing)))
+    grid = np.union1d(
+        np.linspace(x_min, x_max, n + 1), _segment_edges(potential, x_min, x_max)
+    )
+    keep = np.concatenate(([True], np.diff(grid) > 1e-12 * (x_max - x_min)))
+    return grid[keep]
+
+
 def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
     """Uniform nodes of spacing <= h0 on each piece between consecutive edges.
 
@@ -275,26 +300,22 @@ def _sweep(r0: float, cm1, P, Q, R) -> np.ndarray:
     return np.array(rs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogSolution:
-    """One decaying solution, stored as log phi and its derivative.
+    """One decaying solution: r = (log phi)' and l = log phi at its mesh nodes.
 
     Attributes:
         side: "+" (decays at +inf) or "-" (decays at -inf).
-        grid: strictly increasing sample positions spanning the window,
-            always containing 0 and the potential's interior breakpoints.
-        ell: log phi at the grid, normalized so ell vanishes at 0.
-        ell_prime: the log-derivative r at the grid.
         window: (x_min, x_max).
         domain_margin: sqrt(v0) * min(|x_min|, x_max).
         tol: the accuracy requested at construction.
         potential: the potential integrated against.
+
+    The mesh contains 0, where l is 0; r and l anywhere in the window come
+    from a partial Magnus step off the mesh (``_dense``).
     """
 
     side: str
-    grid: np.ndarray
-    ell: np.ndarray
-    ell_prime: np.ndarray
     window: tuple[float, float]
     domain_margin: float
     tol: float
@@ -302,7 +323,6 @@ class LogSolution:
     _mesh: np.ndarray = field(repr=False)
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
-    _shift: float = field(repr=False)
 
     def _check_window(self, x: np.ndarray) -> None:
         lo, hi = self.window
@@ -316,7 +336,7 @@ class LogSolution:
     def _dense(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(r, l) at x by a partial Magnus step from the node on the stable side.
 
-        l is shifted to vanish at 0.  Every read of r or l goes through here,
+        l vanishes at 0.  Every read of r or l goes through here,
         so a caller that needs both sides at many points reads each side once.
         """
         xs = np.asarray(x, dtype=float)
@@ -336,7 +356,7 @@ class LogSolution:
         P, Q, R = sign * P, sign * Q, sign * R
         du = cm1 + P + Q * r0
         r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
-        l = self._l[k] + np.log1p(du) - self._shift
+        l = self._l[k] + np.log1p(du)
         return r.reshape(xs.shape), l.reshape(xs.shape)
 
     def ell_at(self, x):
@@ -366,8 +386,6 @@ def solve_log_solution(
     x_min: float,
     x_max: float,
     tol: float = DEFAULT_TOL,
-    *,
-    grid_spacing: float | None = None,
 ) -> LogSolution:
     """Integrate the decaying branch of r' = V - r^2 across the window.
 
@@ -375,11 +393,9 @@ def solve_log_solution(
     forward from x_min seeded with +sqrt(V).  Each cell of an adaptive mesh
     (split at 0 and at the potential's breakpoints, refined by step
     doubling) is crossed by one sixth-order Magnus step applied to r as a
-    Moebius map; l = log phi gets the log of the map's denominator and is
-    shifted so that l(0) = 0.  See the module docstring for the error
-    control.  The returned solution samples r and l on ``grid`` (spacing
-    ``grid_spacing``, default 0.025/sqrt(v0), plus 0 and the breakpoints)
-    and evaluates them anywhere in the window.
+    Moebius map; l = log phi gets the log of the map's denominator, summed
+    outward from l(0) = 0.  See the module docstring for the error control.
+    The returned solution evaluates r and l anywhere in the window.
 
     Raises ValueError for a bad window (must satisfy x_min < 0 < x_max with
     decay margin sqrt(v0)*min(|x_min|, x_max) >= 20) or tolerance outside
@@ -432,37 +448,6 @@ def solve_log_solution(
     l[k0 + 1 :] = _compensated_cumsum(dl[k0:])
     l[:k0] = -_compensated_cumsum(dl[:k0][::-1])[::-1]
 
-    solution = LogSolution(
-        side=side,
-        grid=np.empty(0),
-        ell=np.empty(0),
-        ell_prime=np.empty(0),
-        window=(float(x_min), float(x_max)),
-        domain_margin=margin,
-        tol=float(tol),
-        potential=potential,
-        _mesh=mesh,
-        _r=r,
-        _l=l,
-        _shift=0.0,
-    )
-    # Normalize phi(0) = 1.
-    _, l0 = solution._dense(0.0)
-    solution._shift = float(l0)
-
-    if grid_spacing is None:
-        grid_spacing = 0.025 / math.sqrt(v0)
-    n = max(2, int(math.ceil((x_max - x_min) / grid_spacing)))
-    grid = np.linspace(x_min, x_max, n + 1)
-    grid = np.union1d(grid, edges)
-    keep = np.concatenate(([True], np.diff(grid) > 1e-12 * (x_max - x_min)))
-    grid = grid[keep]
-    r_grid, l_grid = solution._dense(grid)
-    solution.grid = grid
-    solution.ell = l_grid
-    solution.ell_prime = r_grid
-    solution.ell[grid == 0.0] = 0.0
-
     band_lo, band_hi = -v1 / math.sqrt(v0), -v0 / math.sqrt(v1)
     if side == "-":
         band_lo, band_hi = -band_hi, -band_lo
@@ -472,7 +457,16 @@ def solve_log_solution(
             f"log-derivative left the invariant band [{band_lo:.4g}, {band_hi:.4g}]; "
             "the declared potential bounds are not honest"
         )
-    return solution
+    return LogSolution(
+        side=side,
+        window=(float(x_min), float(x_max)),
+        domain_margin=margin,
+        tol=float(tol),
+        potential=potential,
+        _mesh=mesh,
+        _r=r,
+        _l=l,
+    )
 
 
 def _check_pair(
@@ -547,17 +541,12 @@ class ExtremalFunction:
 
 
 def extremal_function(
-    phi_plus: LogSolution,
-    phi_minus: LogSolution,
-    a: float,
-    *,
-    inset: float | None = None,
+    phi_plus: LogSolution, phi_minus: LogSolution, a: float
 ) -> ExtremalFunction:
-    """Assemble u_a from the two sides; a must sit well inside the window."""
+    """Assemble u_a from the two sides; a must sit one decay inset inside the window."""
     _check_pair(phi_plus, phi_minus, wronskian=False)
     lo, hi = phi_plus.window
-    if inset is None:
-        inset = decay_inset(phi_plus.potential)
+    inset = decay_inset(phi_plus.potential)
     if not (lo + inset <= a <= hi - inset):
         raise ValueError(
             f"center {a:g} too close to the window edges; keep it inside "
@@ -575,36 +564,28 @@ class ResidualReport:
     passed: bool
 
 
-def check_riccati_residual(
-    solution: LogSolution,
-    n_points: int = 201,
-    tolerance: float | None = None,
-) -> ResidualReport:
-    """Check |r' + r^2 - V| at interior points off the integration mesh.
+def check_riccati_residual(solution: LogSolution) -> ResidualReport:
+    """Check |r' + r^2 - V| at RESIDUAL_POINTS interior points off the mesh.
 
     r' is taken from the dense output by a five-point stencil whose own
     truncation error is negligible, so the residual measures interpolation
-    quality.  The default tolerance is max(10*tol, 2e-9) scaled by
-    max(1, v1).  The Magnus dense output is smooth inside each cell, and its
-    measured residual is about 1e-12 * max(1, v1) for tol <= 1e-10 (example,
-    logistic step, spline table and step potentials), so the default
-    tolerance flags a broken dense output, not roundoff.
+    quality; the stencil is read in one call.  The tolerance is
+    max(10*tol, 2e-9) scaled by max(1, v1).  The Magnus dense output is
+    smooth inside each cell, and its measured residual is about
+    1e-12 * max(1, v1) for tol <= 1e-10 (example, logistic step, spline
+    table and step potentials), so the tolerance flags a broken dense
+    output, not roundoff.
     """
     pot = solution.potential
-    if tolerance is None:
-        tolerance = max(10.0 * solution.tol, 2e-9) * max(1.0, pot.upper_bound)
+    tolerance = max(10.0 * solution.tol, 2e-9) * max(1.0, pot.upper_bound)
     lo, hi = solution.window
     h = 1e-3 / max(1.0, math.sqrt(pot.upper_bound))
-    xs = np.linspace(lo + 5 * h, hi - 5 * h, n_points)
+    xs = np.linspace(lo + 5 * h, hi - 5 * h, RESIDUAL_POINTS)
     for b in pot.breakpoints:
         xs = xs[np.abs(xs - b) > 3 * h]
-    r = np.asarray(solution.ell_prime_at(xs))
-    rp = (
-        -np.asarray(solution.ell_prime_at(xs + 2 * h))
-        + 8.0 * np.asarray(solution.ell_prime_at(xs + h))
-        - 8.0 * np.asarray(solution.ell_prime_at(xs - h))
-        + np.asarray(solution.ell_prime_at(xs - 2 * h))
-    ) / (12.0 * h)
+    stencil, _ = solution._dense(np.stack((xs, xs + 2 * h, xs + h, xs - h, xs - 2 * h)))
+    r, r_2h, r_h, r_mh, r_m2h = stencil
+    rp = (-r_2h + 8.0 * r_h - 8.0 * r_mh + r_m2h) / (12.0 * h)
     res = np.abs(rp + r * r - np.asarray(pot.evaluate(xs)))
     worst = float(res.max()) if res.size else 0.0
     return ResidualReport(worst, float(tolerance), worst <= tolerance)
@@ -623,29 +604,25 @@ class EnvelopeReport:
     passed: bool
 
 
-def check_envelope_bounds(
-    phi_plus: LogSolution,
-    phi_minus: LogSolution,
-    a_values: Sequence[float] | None = None,
-    slack: float = 1e-8,
-) -> EnvelopeReport:
+def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> EnvelopeReport:
     """Verify the exponential envelopes implied by the bounds v0 <= V <= v1.
 
-    Checked on the stored grids, all in log space with the given slack:
+    Checked on the sample grid (spacing SAMPLE_SPACING/sqrt(v0), plus 0 and
+    the breakpoints), all in log space with slack ENVELOPE_SLACK:
 
     * sqrt(v0/v1) e^{-max(s0 x, s1 x)} <= phi_plus(x) <= sqrt(v1/v0) e^{-min(s0 x, s1 x)}
       and the mirror image for phi_minus, where s0 = sqrt(v0), s1 = sqrt(v1);
-    * e^{-s1|x-a|} <= u_a(x) <= e^{-s0|x-a|} for each requested center a;
-    * (v0/s1) e^{-s1|x-a|} <= sgn(a-x) u_a'(x) <= (v1/s0) e^{-s0|x-a|}.
+    * e^{-s1|x-a|} <= u_a(x) <= e^{-s0|x-a|} and
+      (v0/s1) e^{-s1|x-a|} <= sgn(a-x) u_a'(x) <= (v1/s0) e^{-s0|x-a|}
+      for the centers a = 0 and a = +-r/2, where [-r, r] is the largest
+      interval about 0 one decay inset inside the window.
     """
     pot = phi_plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
     s0, s1 = math.sqrt(v0), math.sqrt(v1)
     lo, hi = phi_plus.window
-    if a_values is None:
-        inset = decay_inset(pot)
-        r = min(abs(lo + inset), hi - inset)
-        a_values = (-0.5 * r, 0.0, 0.5 * r)
+    inset = decay_inset(pot)
+    r = min(abs(lo + inset), hi - inset)
 
     worst: dict[str, float] = {}
 
@@ -653,16 +630,15 @@ def check_envelope_bounds(
         v = float(np.max(violation)) if np.size(violation) else 0.0
         worst[name] = max(worst.get(name, 0.0), v)
 
-    x = phi_plus.grid
-    lp = phi_plus.ell
+    x = _sample_grid(phi_plus)
+    _, lp = phi_plus._dense(x)
     record("phi_plus_upper", lp - (0.5 * math.log(v1 / v0) - np.minimum(s0 * x, s1 * x)))
     record("phi_plus_lower", (0.5 * math.log(v0 / v1) - np.maximum(s0 * x, s1 * x)) - lp)
-    xm = phi_minus.grid
-    lm = phi_minus.ell
-    record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * xm, s1 * xm)))
-    record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * xm, s1 * xm)) - lm)
+    _, lm = phi_minus._dense(x)
+    record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * x, s1 * x)))
+    record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * x, s1 * x)) - lm)
 
-    for a in a_values:
+    for a in (-0.5 * r, 0.0, 0.5 * r):
         u = extremal_function(phi_plus, phi_minus, a)
         xs = x[np.abs(x - a) > 1e-9]
         logu = np.asarray(u.log_value(xs))
@@ -677,8 +653,8 @@ def check_envelope_bounds(
         record("pinned_slope_upper", logd - (math.log(v1 / s0) - s0 * d))
         record("pinned_slope_lower", (math.log(v0 / s1) - s1 * d) - logd)
 
-    passed = all(v <= slack for v in worst.values())
-    return EnvelopeReport(violations=worst, slack=slack, passed=passed)
+    passed = all(v <= ENVELOPE_SLACK for v in worst.values())
+    return EnvelopeReport(violations=worst, slack=ENVELOPE_SLACK, passed=passed)
 
 
 @dataclass
@@ -692,27 +668,19 @@ class ComparisonReport:
 
 
 def check_comparison(
-    potential_low: Potential,
-    potential_high: Potential,
-    a: float,
-    grid: np.ndarray | None = None,
-    *,
-    window: tuple[float, float] | None = None,
-    tol: float = 1e-6,
+    potential_low: Potential, potential_high: Potential, a: float
 ) -> ComparisonReport:
     """Check the comparison principle between two ordered potentials.
 
     If V <= V_tilde pointwise, the pinned minimizers satisfy
-    u_a(x; V) >= u_a(x; V_tilde) everywhere.  A failed precondition
-    (potential_low above potential_high somewhere on the grid) is reported,
-    not silently passed.
+    u_a(x; V) >= u_a(x; V_tilde) everywhere.  Both sides are solved on
+    +-25/sqrt(v0) with the smaller v0, and the log-space margin is checked
+    to COMPARISON_TOL at COMPARISON_POINTS uniform points of that window.  A
+    failed precondition (potential_low above potential_high somewhere on the
+    grid) is reported, not silently passed.
     """
-    if window is None:
-        w = 25.0 / math.sqrt(min(potential_low.lower_bound, potential_high.lower_bound))
-        window = (-w, w)
-    if grid is None:
-        grid = np.linspace(window[0], window[1], 801)
-    grid = np.asarray(grid, dtype=float)
+    w = 25.0 / math.sqrt(min(potential_low.lower_bound, potential_high.lower_bound))
+    grid = np.linspace(-w, w, COMPARISON_POINTS)
 
     v_lo = np.asarray(potential_low.evaluate(grid))
     v_hi = np.asarray(potential_high.evaluate(grid))
@@ -721,8 +689,8 @@ def check_comparison(
 
     us = []
     for pot in (potential_low, potential_high):
-        plus = solve_log_solution(pot, "+", window[0], window[1])
-        minus = solve_log_solution(pot, "-", window[0], window[1])
+        plus = solve_log_solution(pot, "+", -w, w)
+        minus = solve_log_solution(pot, "-", -w, w)
         us.append(extremal_function(plus, minus, a))
     margin = np.asarray(us[0].log_value(grid)) - np.asarray(us[1].log_value(grid))
     min_margin = float(np.min(margin))
@@ -730,7 +698,7 @@ def check_comparison(
         precondition_ok=precondition_ok,
         precondition_violation=max(gap, 0.0),
         min_log_margin=min_margin,
-        passed=precondition_ok and min_margin >= -tol,
+        passed=precondition_ok and min_margin >= -COMPARISON_TOL,
     )
 
 
@@ -748,14 +716,13 @@ def check_gluing(
     phi_minus: LogSolution,
     a: float,
     b: float,
-    n_samples: int = 201,
-    tol: float = 1e-8,
 ) -> GluingReport:
     """Verify u_a(x) = u_b(x)/u_b(a) for x <= a and u_b(x) = u_a(x)/u_a(b) for x >= b.
 
     Both minimizers restrict to multiples of the same decaying solution
     outside [a, b]; inside the interval the two disagree, so only the outer
-    regions are sampled.  Requires a <= b.
+    regions are sampled, at GLUING_SAMPLES points each, to within GLUING_TOL.
+    Requires a <= b.
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a:g}, b={b:g}")
@@ -764,16 +731,16 @@ def check_gluing(
     lo, hi = phi_plus.window
     inset = decay_inset(phi_plus.potential)
 
-    xs_left = np.linspace(lo + inset, a, n_samples)
+    xs_left = np.linspace(lo + inset, a, GLUING_SAMPLES)
     res_left = np.abs(
         np.asarray(u_a(xs_left))
         - np.exp(np.asarray(u_b.log_value(xs_left)) - u_b.log_value(a))
     )
-    xs_right = np.linspace(b, hi - inset, n_samples)
+    xs_right = np.linspace(b, hi - inset, GLUING_SAMPLES)
     res_right = np.abs(
         np.asarray(u_b(xs_right))
         - np.exp(np.asarray(u_a.log_value(xs_right)) - u_a.log_value(b))
     )
     left = float(res_left.max())
     right = float(res_right.max())
-    return GluingReport(left, right, max(left, right) <= tol)
+    return GluingReport(left, right, max(left, right) <= GLUING_TOL)

@@ -13,8 +13,9 @@ harmless.  For V == v the closed form is e^{-sqrt(v)|x-y|} / (2 sqrt(v)).
 
     int( G(., y)' v' + V G(., y) v ) = v(y)
 
-for supplied test functions by composite quadrature split at the diagonal
-kink and at the potential's breakpoints.
+for supplied test functions by composite quadrature over the solved window,
+split at the diagonal kink and at the potential's breakpoints, to within
+RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
     "residual_check",
     "gaussian_test",
 ]
+
+# Largest residual of the weak identity that passes.
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass
@@ -113,20 +117,14 @@ def residual_check(
     green: GreenEvaluator,
     y: float,
     test_functions: Sequence[tuple[Callable, Callable]],
-    *,
-    window: tuple[float, float] | None = None,
-    tol: float = 1e-6,
-    order: int = 12,
 ) -> GreenResidualReport:
     """Check int(G(., y)' v' + V G(., y) v) = v(y) for each (v, v').
 
-    Meaningful for test functions negligible outside the window (the
-    identity is over the whole line).  Panels are split at y and at the
-    potential's breakpoints.
+    Integrates over the solved window, so it is meaningful for test
+    functions negligible outside it (the identity is over the whole line).
+    Panels are split at y and at the potential's breakpoints.
     """
-    if window is None:
-        window = green.window
-    lo, hi = window
+    lo, hi = green.window
     if not (lo < y < hi):
         raise ValueError(f"diagonal point {y:g} outside window [{lo:g}, {hi:g}]")
     pot = green.potential
@@ -147,11 +145,12 @@ def residual_check(
             hi,
             splits=[y, *pot.breakpoints],
             panel_length=panel,
-            order=order,
         )
         residuals.append(abs(total - float(v(y))))
     worst = max(residuals) if residuals else 0.0
-    return GreenResidualReport(residuals=residuals, tolerance=tol, passed=worst <= tol)
+    return GreenResidualReport(
+        residuals=residuals, tolerance=RESIDUAL_TOL, passed=worst <= RESIDUAL_TOL
+    )
 
 
 def gaussian_test(center: float, width: float) -> tuple[Callable, Callable]:

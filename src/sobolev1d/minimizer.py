@@ -21,12 +21,19 @@ no extremal exists.  ``minimize`` classifies accordingly, with an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fcurve import CriticalPoint, CriticalPointScan, FCurve, build_fcurve, find_critical_points
+from .fcurve import (
+    CONDITION_TOL,
+    ROOT_TOL,
+    CriticalPoint,
+    FCurve,
+    build_fcurve,
+    find_critical_points,
+)
 from .fundamental import (
     DEFAULT_TOL,
     ExtremalFunction,
@@ -49,6 +56,8 @@ __all__ = [
 
 # How far the default window reaches, in decay lengths 1/sqrt(v0).
 DEFAULT_WINDOW_FACTOR = 25.0
+# Decision band of the attained/empty/undetermined verdict.
+CLASSIFICATION_TOL = 1e-9
 
 
 def default_window(potential: Potential) -> tuple[float, float]:
@@ -59,23 +68,17 @@ def default_window(potential: Potential) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the minimization pipeline.
+    """Settings of the minimization pipeline.
 
     window: (x_min, x_max); None picks +-25/sqrt(v0).
     ode_tol: accuracy requested from the log-space integration.
-    grid_spacing / inset: forwarded to the solver and the curve builder.
-    root_tol: bracketing tolerance for critical-point polish.
-    condition_tol: shared tolerance of the minimality condition flags.
-    classification_tol: decision band for attained/empty/undetermined.
+
+    Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
+    in ``fcurve``, CLASSIFICATION_TOL here.
     """
 
     window: tuple[float, float] | None = None
     ode_tol: float = DEFAULT_TOL
-    grid_spacing: float | None = None
-    inset: float | None = None
-    root_tol: float = 1e-12
-    condition_tol: float = 1e-6
-    classification_tol: float = 1e-9
 
 
 def classify_attainment(
@@ -158,7 +161,16 @@ class MinimizationReport:
                 "domain": self.phi_plus.domain_margin,
             },
             "window": [self.window[0], self.window[1]],
-            "solver_config": asdict(self.config),
+            # Schema 1 lists every pipeline setting; grid_spacing and inset are null.
+            "solver_config": {
+                "window": self.config.window,
+                "ode_tol": self.config.ode_tol,
+                "grid_spacing": None,
+                "inset": None,
+                "root_tol": ROOT_TOL,
+                "condition_tol": CONDITION_TOL,
+                "classification_tol": CLASSIFICATION_TOL,
+            },
         }
 
 
@@ -181,21 +193,15 @@ def minimize(potential: Potential, config: SolverConfig | None = None) -> Minimi
         config = SolverConfig()
     window = config.window if config.window is not None else default_window(potential)
     x_min, x_max = window
-    phi_plus = solve_log_solution(
-        potential, "+", x_min, x_max, config.ode_tol, grid_spacing=config.grid_spacing
-    )
-    phi_minus = solve_log_solution(
-        potential, "-", x_min, x_max, config.ode_tol, grid_spacing=config.grid_spacing
-    )
-    curve = build_fcurve(phi_plus, phi_minus, inset=config.inset)
-    scan = find_critical_points(
-        curve, root_tol=config.root_tol, condition_tol=config.condition_tol
-    )
+    phi_plus = solve_log_solution(potential, "+", x_min, x_max, config.ode_tol)
+    phi_minus = solve_log_solution(potential, "-", x_min, x_max, config.ode_tol)
+    curve = build_fcurve(phi_plus, phi_minus)
+    scan = find_critical_points(curve)
     tail, tail_method = _tail_infimum(potential, curve)
 
     best: CriticalPoint | None = min(scan.points, key=lambda p: p.value, default=None)
     attainment, margin = classify_attainment(
-        tail, None if best is None else best.value, scan.flat, config.classification_tol
+        tail, None if best is None else best.value, scan.flat, CLASSIFICATION_TOL
     )
     candidates = [tail] + [p.value for p in scan.points]
     m_value = min(candidates)
@@ -233,9 +239,7 @@ def extremal(report: MinimizationReport) -> ExtremalFunction | None:
     """
     if report.a_star is None:
         return None
-    return extremal_function(
-        report.phi_plus, report.phi_minus, report.a_star, inset=report.config.inset
-    )
+    return extremal_function(report.phi_plus, report.phi_minus, report.a_star)
 
 
 def rayleigh_quotient(
@@ -245,7 +249,6 @@ def rayleigh_quotient(
     *,
     u_prime: Callable[[np.ndarray], np.ndarray] | None = None,
     kinks: Sequence[float] = (),
-    order: int = 12,
 ) -> float:
     """The quotient (||u'||_2^2 + int V u^2) / max|u|^2 over the window.
 
@@ -288,7 +291,7 @@ def rayleigh_quotient(
         return du * du + np.asarray(potential.evaluate(x)) * uu * uu
 
     total = composite_gauss_legendre(
-        integrand, window[0], window[1], splits=splits, panel_length=panel, order=order
+        integrand, window[0], window[1], splits=splits, panel_length=panel
     )
     if sup is None:
         xs = np.linspace(window[0], window[1], 4001)

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["composite_gauss_legendre"]
 
+# Gauss-Legendre points per panel.
+ORDER = 12
 
-@lru_cache(maxsize=8)
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+
+@cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(ORDER)
 
 
 def composite_gauss_legendre(
@@ -23,20 +25,19 @@ def composite_gauss_legendre(
     *,
     splits: Sequence[float] = (),
     panel_length: float = 0.25,
-    order: int = 12,
 ) -> float:
     """Integrate fun over [lo, hi], splitting panels at the given kinks.
 
     The integrand is evaluated vectorized on all panel nodes at once.  With
     smooth pieces and panels a fraction of the integrand's variation scale,
-    the order-12 rule is accurate to roundoff for everything in this
+    the ORDER-point rule is accurate to roundoff for everything in this
     package.
     """
     if hi <= lo:
         raise ValueError(f"empty integration range [{lo:g}, {hi:g}]")
     edges = [lo, hi] + [float(s) for s in splits if lo < s < hi]
     edges = sorted(set(edges))
-    nodes, weights = _rule(order)
+    nodes, weights = _rule()
     xs = []
     ws = []
     for a, b in zip(edges[:-1], edges[1:]):

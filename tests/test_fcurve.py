@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sobolev1d import (
     make_constant,
     make_example,
     make_monotone_step,
+    make_piecewise_constant,
     minimize,
     potential_from_spec,
     solve_log_solution,
@@ -171,6 +173,21 @@ def test_equivalence_flags_a2_as_non_minimum(example_curve):
     assert not row.balanced_slope
 
 
+def test_curve_grid_holds_zero_and_breakpoints():
+    pot = make_piecewise_constant([-6.0, -5.0, 5.0, 6.0], [4.0, 1.0, 4.0, 1.0, 4.0])
+    # On this window no uniform sample lands on 0 or on a breakpoint.
+    window = (-24.9, 25.3)
+    plus = solve_log_solution(pot, "+", *window)
+    minus = solve_log_solution(pot, "-", *window)
+    curve = build_fcurve(plus, minus)
+    lo, hi = curve.window
+    assert curve.grid[0] >= lo and curve.grid[-1] <= hi
+    for x in (0.0, *pot.breakpoints):
+        assert x in curve.grid
+    spacing = 0.025 / math.sqrt(pot.lower_bound)
+    assert np.max(np.diff(curve.grid)) <= spacing * (1.0 + 1e-9)
+
+
 def test_out_of_window_queries_raise(example_curve):
     _, curve = example_curve
     with pytest.raises(ValueError):
@@ -188,6 +205,9 @@ class _ArctanSlope:
 
     def curvature_at(self, x):
         return 0.0 if self.flat else 1.0 / (1.0 + (x - self.root) ** 2)
+
+    def _reads(self, x):
+        return SimpleNamespace(slope=self.slope_at(x), curvature=self.curvature_at(x))
 
 
 @pytest.mark.parametrize("flat", [False, True])

@@ -6,6 +6,7 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
+    LogSolution,
     SolverError,
     build_fcurve,
     build_green,
@@ -71,6 +72,30 @@ def test_example_matches_closed_forms(example_pair):
     assert np.max(np.abs(minus.ell_prime_at(xs) - cf.ell_minus_prime_exact(xs))) < 1e-8
     assert plus.phi_at(1.0) == pytest.approx(cf.PHI_PLUS_AT_1, rel=1e-9)
     assert minus.phi_at(1.0) == pytest.approx(cf.PHI_MINUS_AT_1, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pot, window",
+    [
+        (make_example(1.0, 2.0), WINDOW),
+        (make_piecewise_constant([0.0], [3.0, 1.0]), WINDOW),  # jump at 0
+        (make_example(1.0, 2.0), (-22.0, 31.0)),
+    ],
+    ids=["example", "jump-at-0", "asymmetric"],
+)
+def test_solve_makes_no_dense_read(pot, window, monkeypatch):
+    reads = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        reads.append(self.side)
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    sides = [solve_log_solution(pot, side, *window) for side in ("+", "-")]
+    assert reads == []
+    for sol in sides:
+        assert sol.ell_at(0.0) == 0.0
 
 
 def test_second_derivative_uses_riccati(example_pair):
