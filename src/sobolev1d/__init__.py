@@ -48,7 +48,6 @@ from .green import (
 )
 from .minimizer import (
     MinimizationReport,
-    SolverConfig,
     classify_attainment,
     default_window,
     extremal,
@@ -61,7 +60,6 @@ from .oracle import (
     discrete_minimize,
 )
 from .potential import (
-    ExamplePotentialParams,
     Potential,
     make_constant,
     make_example,
@@ -102,7 +100,6 @@ __all__ = [
     "gaussian_test",
     "residual_check",
     "MinimizationReport",
-    "SolverConfig",
     "classify_attainment",
     "default_window",
     "extremal",
@@ -111,7 +108,6 @@ __all__ = [
     "DiscreteRayleighProblem",
     "discrete_first_step",
     "discrete_minimize",
-    "ExamplePotentialParams",
     "Potential",
     "make_constant",
     "make_example",

@@ -5,14 +5,16 @@ Subcommands:
 * ``solve``  -- run the full minimization, emit a report (JSON or CSV).
 * ``scan``   -- tabulate a, F, F', F'', phi_+, phi_- over a pin grid (CSV/JSON).
 * ``green``  -- tabulate the Green function over an (x, y) lattice.
-* ``verify`` -- run the invariant suite and print one PASS/FAIL line per check.
+* ``verify`` -- run the invariant suite, one PASS/FAIL/SKIP line per check.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed potential
 spec, window out of range), 3 solver failure, 4 verification failure.
 
-Output is deterministic: identical configuration yields byte-identical
-artifacts.  Every float is rendered with 16 significant digits ("%.15e"), so
-reports can be re-verified offline without precision loss.
+Each command builds its whole artifact as text; ``main`` writes it once, to
+``--out`` when given, else to stdout.  Output is deterministic: identical
+configuration yields byte-identical artifacts.  Every float is rendered
+with 16 significant digits ("%.15e"), so reports can be re-verified offline
+without precision loss.
 """
 
 from __future__ import annotations
@@ -36,13 +38,22 @@ from .fundamental import (
     solve_log_solution,
 )
 from .green import build_green, gaussian_test, residual_check
-from .minimizer import SolverConfig, default_window, minimize
+from .minimizer import SCHEMA_VERSION, default_window, minimize
 from .oracle import DiscreteRayleighProblem, discrete_minimize
 from .potential import Potential, potential_from_spec
 
 __all__ = ["main", "RunConfig"]
 
-SCHEMA_VERSION = 1
+# The invariant suite of ``verify``, in the order it prints them.
+VERIFY_CHECKS = (
+    "bounds-declared",
+    "riccati-residual",
+    "envelope-bounds",
+    "wronskian-constancy",
+    "minimality-equivalence",
+    "green-weak-identity",
+    "oracle-agreement",
+)
 
 
 class ConfigError(ValueError):
@@ -140,13 +151,6 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        cfg.out.write_text(text, encoding="utf-8")
-
-
 def _csv_cell(v) -> str:
     return v if isinstance(v, str) else _fmt(v)
 
@@ -156,6 +160,18 @@ def _csv_rows(header: str, rows) -> str:
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _table(cfg: RunConfig, keys: tuple[str, ...], rows) -> str:
+    """Rows as CSV under a header of the keys, or as JSON objects with those keys."""
+    if cfg.fmt == "csv":
+        return _csv_rows(",".join(keys), rows)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "potential": cfg.potential.label,
+        "rows": [dict(zip(keys, row)) for row in rows],
+    }
+    return canonical_json(doc) + "\n"
 
 
 def _parse_linspace(spec: str, flag: str) -> np.ndarray:
@@ -173,12 +189,10 @@ def _parse_linspace(spec: str, flag: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
-    config = SolverConfig(window=cfg.window, ode_tol=cfg.tol)
-    report = minimize(cfg.potential, config)
-    doc = report.to_json_dict()
+def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
+    report = minimize(cfg.potential, cfg.window, cfg.tol)
     if cfg.fmt == "json":
-        _emit(cfg, canonical_json(doc) + "\n")
+        text = canonical_json(report.to_json_dict()) + "\n"
     else:
         rows = [
             ("m", report.m_value),
@@ -187,17 +201,17 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             ("a_star", report.a_star if report.a_star is not None else math.nan),
             ("n_critical_points", len(report.critical_points)),
         ]
-        _emit(cfg, _csv_rows("key,value", rows))
+        text = _csv_rows("key,value", rows)
     print(
         f"m = {report.m_value:.12g}, best constant C = {report.best_constant:.12g}, "
         f"attainment = {report.attainment}"
         + (f", a* = {report.a_star:.12g}" if report.a_star is not None else ""),
         file=sys.stderr,
     )
-    return 0
+    return 0, text
 
 
-def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     window = cfg.resolved_window()
     plus = solve_log_solution(cfg.potential, "+", window[0], window[1], cfg.tol)
     minus = solve_log_solution(cfg.potential, "-", window[0], window[1], cfg.tol)
@@ -223,29 +237,10 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
             map(math.exp, reads.l_minus.tolist()),
         )
     )
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_rows("a,F,dF,d2F,phi_plus,phi_minus", rows))
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "potential": cfg.potential.label,
-            "rows": [
-                {
-                    "a": r[0],
-                    "F": r[1],
-                    "dF": r[2],
-                    "d2F": r[3],
-                    "phi_plus": r[4],
-                    "phi_minus": r[5],
-                }
-                for r in rows
-            ],
-        }
-        _emit(cfg, canonical_json(doc) + "\n")
-    return 0
+    return 0, _table(cfg, ("a", "F", "dF", "d2F", "phi_plus", "phi_minus"), rows)
 
 
-def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     window = cfg.resolved_window()
     plus = solve_log_solution(cfg.potential, "+", window[0], window[1], cfg.tol)
     minus = solve_log_solution(cfg.potential, "-", window[0], window[1], cfg.tol)
@@ -262,19 +257,10 @@ def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
         for x, row in zip(xs.tolist(), lattice)
         for y, g in zip(ys.tolist(), row)
     ]
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv_rows("x,y,G", rows))
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "potential": cfg.potential.label,
-            "rows": [{"x": r[0], "y": r[1], "G": r[2]} for r in rows],
-        }
-        _emit(cfg, canonical_json(doc) + "\n")
-    return 0
+    return 0, _table(cfg, ("x", "y", "G"), rows)
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     pot = cfg.potential
     # Built first so that bad --oracle-L/--oracle-h flags fail before any solve.
     problem = DiscreteRayleighProblem.from_potential(pot, args.oracle_L, args.oracle_h)
@@ -299,17 +285,11 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"[{pot.lower_bound:.6g}, {pot.upper_bound:.6g}]",
     )
     if not bounds_ok:
-        for name in (
-            "riccati-residual",
-            "envelope-bounds",
-            "wronskian-constancy",
-            "minimality-equivalence",
-            "oracle-agreement",
-        ):
+        for name in VERIFY_CHECKS[len(lines) :]:
             record(name, None, "skipped: declared bounds are wrong")
         return _verify_emit(lines)
 
-    report = minimize(pot, SolverConfig(window=cfg.window, ode_tol=cfg.tol))
+    report = minimize(pot, cfg.window, cfg.tol)
     plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
     res_p = check_riccati_residual(plus)
     res_m = check_riccati_residual(minus)
@@ -367,12 +347,11 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _verify_emit(lines)
 
 
-def _verify_emit(lines: list[tuple[str, str, str]]) -> int:
-    failed = False
-    for status, name, detail in lines:
-        print(f"{status} {name}: {detail}")
-        failed = failed or status == "FAIL"
-    return 4 if failed else 0
+def _verify_emit(lines: list[tuple[str, str, str]]) -> tuple[int, str]:
+    """One 'STATUS name: detail' line per check; exit 4 if any failed."""
+    failed = any(status == "FAIL" for status, _, _ in lines)
+    text = "".join(f"{status} {name}: {detail}\n" for status, name, detail in lines)
+    return 4 if failed else 0, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,13 +416,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
-        return args.func(cfg, args)
+        code, text = args.func(cfg, args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    if cfg.out is None:
+        sys.stdout.write(text)
+    else:
+        cfg.out.write_text(text, encoding="utf-8")
+    return code
 
 
 if __name__ == "__main__":

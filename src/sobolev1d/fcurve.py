@@ -103,7 +103,8 @@ class FCurve:
     The grid is the solutions' sample grid inset from the window edges by
     the decay inset, where the seeding transient of both sides is far below
     every tolerance used here.  Every evaluator takes a pin or an array of pins
-    and reads each side once per call.
+    and reads each side once per call; ``grid_reads`` keeps the reads at the
+    grid that built the curve.
     """
 
     grid: np.ndarray
@@ -116,6 +117,7 @@ class FCurve:
     tol: float
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
+    grid_reads: PinReads = field(repr=False)
 
     def _reads(self, a) -> PinReads:
         arr = np.asarray(a, dtype=float)
@@ -151,9 +153,8 @@ class FCurve:
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
-        log_w = np.log(self.values) + np.asarray(
-            self.phi_plus.ell_at(self.grid)
-        ) + np.asarray(self.phi_minus.ell_at(self.grid))
+        reads = self.grid_reads
+        log_w = np.log(self.values) + reads.l_plus + reads.l_minus
         return float(np.max(np.abs(np.expm1(log_w - math.log(self.wronskian)))))
 
 
@@ -188,6 +189,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
         tol=max(phi_plus.tol, phi_minus.tol),
         phi_plus=phi_plus,
         phi_minus=phi_minus,
+        grid_reads=reads,
     )
 
 
@@ -217,16 +219,13 @@ class CriticalPointScan:
     -CURVATURE_SLACK * max(1, max F)); ``rejected`` the roots that failed
     the curvature test (local maxima).  ``flat`` marks a curve whose slope never exceeds
     the noise floor: every pin is then critical and ``points`` carries a
-    single representative at a = 0.  ``derivative_sign_based_only`` is set
-    for discontinuous potentials, where the product criteria are one-sided
-    and only the sign of F' is trustworthy.
+    single representative at a = 0.
     """
 
     points: list[CriticalPoint]
     rejected: list[CriticalPoint]
     flat: bool
     noise_floor: float
-    derivative_sign_based_only: bool
 
 
 def _condition_flags(
@@ -301,7 +300,6 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
     The minimality flags of each point use CONDITION_TOL.
     """
-    potential = curve.potential
     scale = max(1.0, float(np.max(np.abs(curve.values))))
     noise_floor = NOISE_FACTOR * curve.tol * scale
     curvature_slack = CURVATURE_SLACK * scale
@@ -313,7 +311,6 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
             rejected=[],
             flat=True,
             noise_floor=noise_floor,
-            derivative_sign_based_only=not potential.continuous,
         )
 
     roots: list[float] = []
@@ -343,7 +340,6 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
         rejected=rejected,
         flat=False,
         noise_floor=noise_floor,
-        derivative_sign_based_only=not potential.continuous,
     )
 
 

@@ -45,7 +45,6 @@ from .potential import Potential
 from .quadrature import composite_gauss_legendre
 
 __all__ = [
-    "SolverConfig",
     "MinimizationReport",
     "default_window",
     "minimize",
@@ -58,27 +57,14 @@ __all__ = [
 DEFAULT_WINDOW_FACTOR = 25.0
 # Decision band of the attained/empty/undetermined verdict.
 CLASSIFICATION_TOL = 1e-9
+# Version of every JSON document: the report and the CLI tables.
+SCHEMA_VERSION = 1
 
 
 def default_window(potential: Potential) -> tuple[float, float]:
     """Symmetric window wide enough for every tolerance used here."""
     w = DEFAULT_WINDOW_FACTOR / math.sqrt(potential.lower_bound)
     return (-w, w)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of the minimization pipeline.
-
-    window: (x_min, x_max); None picks +-25/sqrt(v0).
-    ode_tol: accuracy requested from the log-space integration.
-
-    Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
-    in ``fcurve``, CLASSIFICATION_TOL here.
-    """
-
-    window: tuple[float, float] | None = None
-    ode_tol: float = DEFAULT_TOL
 
 
 def classify_attainment(
@@ -112,7 +98,9 @@ class MinimizationReport:
 
     The JSON-facing fields are mirrored by ``to_json_dict``; phi_plus,
     phi_minus and curve are kept for reuse (extremal functions, Green
-    evaluators) and are not serialized.
+    evaluators) and are not serialized.  requested_window and ode_tol are
+    the window and tol arguments of ``minimize`` as passed; window is the
+    window actually solved on.
     """
 
     m_value: float
@@ -126,7 +114,8 @@ class MinimizationReport:
     rejected_candidates: list[CriticalPoint]
     flat: bool
     window: tuple[float, float]
-    config: SolverConfig
+    requested_window: tuple[float, float] | None
+    ode_tol: float
     potential_label: str
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
@@ -145,7 +134,7 @@ class MinimizationReport:
             }
 
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "potential": self.potential_label,
             "m": self.m_value,
             "best_constant": self.best_constant,
@@ -163,8 +152,8 @@ class MinimizationReport:
             "window": [self.window[0], self.window[1]],
             # Schema 1 lists every pipeline setting; grid_spacing and inset are null.
             "solver_config": {
-                "window": self.config.window,
-                "ode_tol": self.config.ode_tol,
+                "window": self.requested_window,
+                "ode_tol": self.ode_tol,
                 "grid_spacing": None,
                 "inset": None,
                 "root_tol": ROOT_TOL,
@@ -187,14 +176,22 @@ def _tail_infimum(potential: Potential, curve: FCurve) -> tuple[float, str]:
     return float(min(curve.values[0], curve.values[-1])), "edge-sampled"
 
 
-def minimize(potential: Potential, config: SolverConfig | None = None) -> MinimizationReport:
-    """Run the full two-stage minimization for a bounded potential."""
-    if config is None:
-        config = SolverConfig()
-    window = config.window if config.window is not None else default_window(potential)
-    x_min, x_max = window
-    phi_plus = solve_log_solution(potential, "+", x_min, x_max, config.ode_tol)
-    phi_minus = solve_log_solution(potential, "-", x_min, x_max, config.ode_tol)
+def minimize(
+    potential: Potential,
+    window: tuple[float, float] | None = None,
+    tol: float = DEFAULT_TOL,
+) -> MinimizationReport:
+    """Run the full two-stage minimization for a bounded potential.
+
+    window: (x_min, x_max); None picks +-25/sqrt(v0).
+    tol: accuracy requested from the log-space integration.
+
+    Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
+    in ``fcurve``, CLASSIFICATION_TOL here.
+    """
+    x_min, x_max = window if window is not None else default_window(potential)
+    phi_plus = solve_log_solution(potential, "+", x_min, x_max, tol)
+    phi_minus = solve_log_solution(potential, "-", x_min, x_max, tol)
     curve = build_fcurve(phi_plus, phi_minus)
     scan = find_critical_points(curve)
     tail, tail_method = _tail_infimum(potential, curve)
@@ -223,7 +220,8 @@ def minimize(potential: Potential, config: SolverConfig | None = None) -> Minimi
         rejected_candidates=scan.rejected,
         flat=scan.flat,
         window=(float(x_min), float(x_max)),
-        config=config,
+        requested_window=window,
+        ode_tol=tol,
         potential_label=potential.label,
         phi_plus=phi_plus,
         phi_minus=phi_minus,

@@ -109,10 +109,10 @@ def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, n
     return diag, _sweep(values, 1.0 / h2**2), _sweep(values[::-1], 1.0 / h2**2)[::-1]
 
 
-def discrete_first_step(
-    problem: DiscreteRayleighProblem, a_node: int
+def _pinned(
+    problem: DiscreteRayleighProblem, left: np.ndarray, right: np.ndarray, a_node: int
 ) -> tuple[np.ndarray, float]:
-    """Minimize the discrete energy with u[a_node] = 1; returns (u, energy).
+    """Pinned profile and energy at a_node from the pivots of _pivots.
 
     The profile is the Thomas back-substitution for a unit right-hand side at
     the pin: u_i = u_{i+1} / (h^2 d_i) left of it and u_i = u_{i-1} / (h^2 e_i)
@@ -121,15 +121,9 @@ def discrete_first_step(
     violation signals a mesh too coarse for the potential and raises
     SolverError.
     """
-    n = problem.nodes.size
-    if not (0 <= a_node < n):
-        raise IndexError(f"node index {a_node} out of range 0..{n - 1}")
-    if a_node in (0, n - 1):
-        raise IndexError("pin must be an interior node, not a boundary node")
-    _, left, right = _pivots(problem)
     h2 = problem.spacing**2
     k = a_node - 1
-    u = np.zeros(n)
+    u = np.zeros(problem.nodes.size)
     u[a_node] = 1.0
     u[1:a_node] = np.cumprod(1.0 / (h2 * left[:k][::-1]))[::-1]
     u[a_node + 1 : -1] = np.cumprod(1.0 / (h2 * right[k + 1 :]))
@@ -141,14 +135,31 @@ def discrete_first_step(
     return u, energy
 
 
+def discrete_first_step(
+    problem: DiscreteRayleighProblem, a_node: int
+) -> tuple[np.ndarray, float]:
+    """Minimize the discrete energy with u[a_node] = 1; returns (u, energy).
+
+    The profile must attain its maximum at the pin; a mesh too coarse for
+    the potential violates that and raises SolverError.
+    """
+    n = problem.nodes.size
+    if not (0 <= a_node < n):
+        raise IndexError(f"node index {a_node} out of range 0..{n - 1}")
+    if a_node in (0, n - 1):
+        raise IndexError("pin must be an interior node, not a boundary node")
+    _, left, right = _pivots(problem)
+    return _pinned(problem, left, right, a_node)
+
+
 def discrete_minimize(problem: DiscreteRayleighProblem) -> tuple[float, int]:
     """Smallest pinned discrete energy over every interior node.
 
     Returns (energy, node index); the node is the first one attaining the
-    minimum of h (d + e - a), and the energy is that of its pinned profile.
+    minimum of h (d + e - a), and the energy is that of its pinned profile,
+    checked a posteriori like discrete_first_step's.
     """
     diag, left, right = _pivots(problem)
     best_node = int(np.argmin(left + right - diag)) + 1
-    # A posteriori constraint check on the winner.
-    _, energy = discrete_first_step(problem, best_node)
+    _, energy = _pinned(problem, left, right, best_node)
     return energy, best_node

@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Potential",
-    "ExamplePotentialParams",
     "make_constant",
     "make_piecewise_constant",
     "make_monotone_step",
@@ -176,50 +175,25 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
     )
 
 
-@dataclass(frozen=True)
-class ExamplePotentialParams:
-    """Parameters of the closed-form family make_example.
+def make_example(A: float, B: float) -> Potential:
+    """The closed-form family V(x) = B^2 + 2Bx/(x^2+A^2) + (2x^2-A^2)/(x^2+A^2)^2.
 
     Positivity of the potential requires A*B > (1 + sqrt(5))/2.  The
     declared bounds are the term-wise estimates: the infimum bound
     (A^2 B^2 - A B - 1)/A^2 is sharp enough for the solver, and the
     supremum bound B^2 + B/A + 2/A^2 over-estimates the third term's true
     maximum 1/(3A^2) on purpose -- declared bounds only need to contain
-    the range.
+    the range.  Both tails tend to B^2.
     """
-
-    A: float
-    B: float
-
-    def __post_init__(self) -> None:
-        if not (self.A > 0.0 and self.B > 0.0):
-            raise ValueError(f"need A > 0 and B > 0, got A={self.A}, B={self.B}")
-        if not (self.A * self.B > _GOLDEN):
-            raise ValueError(
-                f"need A*B > (1+sqrt(5))/2 ~ {_GOLDEN:.6f} for positivity, "
-                f"got A*B = {self.A * self.B:.6f}"
-            )
-
-    @property
-    def lower_bound(self) -> float:
-        a, b = self.A, self.B
-        return (a * a * b * b - a * b - 1.0) / (a * a)
-
-    @property
-    def upper_bound(self) -> float:
-        a, b = self.A, self.B
-        return b * b + b / a + 2.0 / (a * a)
-
-    @property
-    def tail_value(self) -> float:
-        return self.B * self.B
-
-
-def make_example(A: float, B: float) -> Potential:
-    """The closed-form family V(x) = B^2 + 2Bx/(x^2+A^2) + (2x^2-A^2)/(x^2+A^2)^2."""
-    params = ExamplePotentialParams(float(A), float(B))
-    a2 = params.A * params.A
-    b = params.B
+    a, b = float(A), float(B)
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"need A > 0 and B > 0, got A={a}, B={b}")
+    if not (a * b > _GOLDEN):
+        raise ValueError(
+            f"need A*B > (1+sqrt(5))/2 ~ {_GOLDEN:.6f} for positivity, "
+            f"got A*B = {a * b:.6f}"
+        )
+    a2 = a * a
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -228,26 +202,28 @@ def make_example(A: float, B: float) -> Potential:
 
     return Potential(
         evaluate=evaluate,
-        lower_bound=params.lower_bound,
-        upper_bound=params.upper_bound,
-        tail_limits=(params.tail_value, params.tail_value),
+        lower_bound=(a * a * b * b - a * b - 1.0) / (a * a),
+        upper_bound=b * b + b / a + 2.0 / (a * a),
+        tail_limits=(b * b, b * b),
         continuous=True,
-        label=f"example(A={params.A:g}, B={params.B:g})",
+        label=f"example(A={a:g}, B={b:g})",
     )
 
 
-def _spline_potential(
-    grid: np.ndarray,
-    samples: np.ndarray,
-    label: str,
-    lower_bound: float | None = None,
-    upper_bound: float | None = None,
-) -> Potential:
+def _spline_potential(grid, samples, label: str) -> Potential:
     """Piecewise-cubic interpolant of positive samples, held constant outside the grid.
 
-    Unless given, the bounds are the exact range of the interpolant: the
-    extremes over the samples and the spline's interior critical points.
+    The grid must be 1-D and strictly increasing with at least 4 points, and
+    hold one sample per point.  The declared bounds are the exact range of
+    the interpolant: the extremes over the samples and the spline's interior
+    critical points, widened by a relative 1e-9.
     """
+    grid = np.asarray(grid, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0):
+        raise ValueError("table grid must be 1-D, strictly increasing, with >= 4 points")
+    if samples.shape != grid.shape:
+        raise ValueError("table samples must match the grid in length")
     # scipy.interpolate is imported on first use: it is slow to import and
     # only tabulated potentials need it.
     from scipy.interpolate import CubicSpline
@@ -270,12 +246,10 @@ def _spline_potential(
             f"interpolated potential dips to {vmin:.6g} <= 0; not admissible"
         )
     margin = 1e-9 * max(1.0, vmax)
-    v0 = lower_bound if lower_bound is not None else vmin - margin
-    v1 = upper_bound if upper_bound is not None else vmax + margin
     return Potential(
         evaluate=evaluate,
-        lower_bound=v0,
-        upper_bound=v1,
+        lower_bound=vmin - margin,
+        upper_bound=vmax + margin,
         tail_limits=(left, right),
         continuous=True,
         label=label,
@@ -293,21 +267,11 @@ def potential_from_log_derivative(
     samples of l' and l'' on a common grid determine V up to interpolation
     error.  The samples must produce a strictly positive potential.
     """
-    x = np.asarray(grid, dtype=float)
     lp = np.asarray(ell_prime, dtype=float)
     lpp = np.asarray(ell_double_prime, dtype=float)
-    if x.ndim != 1 or x.size < 4:
-        raise ValueError("need at least 4 grid points")
-    if lp.shape != x.shape or lpp.shape != x.shape:
-        raise ValueError("samples must share the grid's shape")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    v = lpp + lp * lp
-    if np.any(v <= 0.0):
-        raise ValueError(
-            f"reconstructed potential has min {v.min():.6g} <= 0; not admissible"
-        )
-    return _spline_potential(x, v, label="from log-derivative samples")
+    if lp.shape != lpp.shape:
+        raise ValueError("ell_prime and ell_double_prime must match in length")
+    return _spline_potential(grid, lpp + lp * lp, label="from log-derivative samples")
 
 
 def potential_from_spec(spec: dict) -> Potential:
@@ -342,27 +306,15 @@ def potential_from_spec(spec: dict) -> Potential:
     if kind == "piecewise_constant":
         return make_piecewise_constant(_arr(spec, "edges"), _arr(spec, "values"))
     if kind == "table":
-        x = np.asarray(_arr(spec, "x"), dtype=float)
+        x = _arr(spec, "x")
+        if "v" in spec:
+            pot = _spline_potential(x, _arr(spec, "v"), label="tabulated potential")
+        else:
+            pot = potential_from_log_derivative(
+                x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
+            )
         lb = spec.get("lower_bound")
         ub = spec.get("upper_bound")
-        if "v" in spec:
-            v = np.asarray(_arr(spec, "v"), dtype=float)
-            if v.shape != x.shape:
-                raise ValueError("table 'v' must match 'x' in length")
-            if x.ndim != 1 or x.size < 4 or np.any(np.diff(x) <= 0):
-                raise ValueError("table 'x' must be increasing with >= 4 points")
-            if np.any(v <= 0.0):
-                raise ValueError("table potential samples must be positive")
-            return _spline_potential(
-                x,
-                v,
-                label="tabulated potential",
-                lower_bound=None if lb is None else float(lb),
-                upper_bound=None if ub is None else float(ub),
-            )
-        pot = potential_from_log_derivative(
-            x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
-        )
         return replace(
             pot,
             lower_bound=pot.lower_bound if lb is None else float(lb),

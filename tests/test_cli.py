@@ -14,7 +14,7 @@ from sobolev1d import (
     potential_from_spec,
     solve_log_solution,
 )
-from sobolev1d.cli import _csv_rows, canonical_json, main
+from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, main
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
 CONSTANT = '{"kind": "constant", "v": 1}'
@@ -229,6 +229,40 @@ def test_verify_flags_dishonest_bounds(capsys):
     code, out, _ = run(capsys, "verify", "--potential", DISHONEST)
     assert code == 4
     assert out.splitlines()[0].startswith("FAIL bounds-declared")
+
+
+@pytest.mark.parametrize(
+    "spec, statuses",
+    [(CONSTANT, ["PASS"] * 7), (DISHONEST, ["FAIL"] + ["SKIP"] * 6)],
+    ids=["constant", "dishonest"],
+)
+def test_verify_prints_each_check_once_in_order(capsys, spec, statuses):
+    _, out, _ = run(
+        capsys, "verify", "--potential", spec, "--oracle-L", "25", "--oracle-h", "0.01"
+    )
+    heads = [line.split(":", 1)[0].split(" ") for line in out.splitlines()]
+    assert [name for _, name in heads] == list(VERIFY_CHECKS)
+    assert [status for status, _ in heads] == statuses
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--potential", CONSTANT),
+        ("scan", "--potential", CONSTANT, "--grid=-2:2:9"),
+        ("green", "--potential", CONSTANT, "--x=-1:1:3", "--y=0:0:1"),
+        ("verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"),
+        ("verify", "--potential", DISHONEST),
+    ],
+    ids=["solve", "scan", "green", "verify", "verify-failing"],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, expected, _ = run(capsys, *argv)
+    target = tmp_path / "artifact"
+    code_out, out, _ = run(capsys, *argv, "--out", str(target))
+    assert out == ""
+    assert code_out == code
+    assert target.read_bytes() == expected.encode("utf-8")
 
 
 def test_console_script_entry_point():

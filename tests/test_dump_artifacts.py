@@ -1,0 +1,23 @@
+"""tools/dump_artifacts.py writes one artifact file per command and spec."""
+
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_dump_one_spec(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    specs = {"constant": dump_artifacts.SPECS["constant"]}
+    written = dump_artifacts.dump(tmp_path, specs)
+    assert sorted(p.name for p in written) == sorted(
+        f"constant.{run}" for run in dump_artifacts.RUNS
+    )
+    for path in written:
+        assert path.read_text(encoding="utf-8").startswith("exit 0\n")
+    report = (tmp_path / "constant.solve.json").read_text(encoding="utf-8")
+    assert json.loads(report.split("\n", 1)[1])["attainment"] == "flat"
+    verify = (tmp_path / "constant.verify.txt").read_text(encoding="utf-8")
+    assert verify.count("\nPASS ") == 7

@@ -48,6 +48,27 @@ def test_wronskian_constancy(example_curve):
     assert curve.wronskian_drift() < 1e-8
 
 
+def test_wronskian_drift_reuses_the_grid_reads(example_curve, monkeypatch):
+    """The drift reads no side again, and equals the formula on fresh reads."""
+    _, curve = example_curve
+    log_w = (
+        np.log(curve.values)
+        + curve.phi_plus.ell_at(curve.grid)
+        + curve.phi_minus.ell_at(curve.grid)
+    )
+    expected = float(np.max(np.abs(np.expm1(log_w - math.log(curve.wronskian)))))
+    sides = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        sides.append(self.side)
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    assert curve.wronskian_drift() == expected
+    assert sides == []
+
+
 def test_slope_identity_both_products(example_curve):
     """F' = -F^2 (P+ + 1) = -F^2 (P- - 1) where P_s = 2 r_s / F."""
     _, curve = example_curve

@@ -5,7 +5,6 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    SolverConfig,
     classify_attainment,
     default_window,
     extremal,
@@ -73,9 +72,7 @@ def test_translation_equivariance(example_report):
 
 
 def test_explicit_window(example_report):
-    report = minimize(
-        make_example(cf.A, cf.B), SolverConfig(window=(-30.0, 30.0))
-    )
+    report = minimize(make_example(cf.A, cf.B), window=(-30.0, 30.0))
     assert abs(report.m_value - example_report.m_value) < 1e-9
     assert report.window == (-30.0, 30.0)
 
@@ -104,7 +101,7 @@ def test_report_json_shape(example_report):
 
 
 def test_report_solver_config_block():
-    report = minimize(make_constant(1.0), SolverConfig(window=(-30.0, 30.0)))
+    report = minimize(make_constant(1.0), window=(-30.0, 30.0))
     assert canonical_json(report.to_json_dict()["solver_config"]) == (
         "{\n"
         '  "window": [\n'

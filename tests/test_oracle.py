@@ -139,6 +139,23 @@ def test_pivot_energies_match_brute_force(pot):
     assert brute[best - 1] <= min(brute) * (1.0 + 1e-12)
 
 
+def test_minimize_sweeps_once(monkeypatch):
+    """One elimination sweep pair serves both the argmin and the winner's profile."""
+    from sobolev1d import oracle
+
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return _pivots(problem)
+
+    monkeypatch.setattr(oracle, "_pivots", counted)
+    problem = DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), 30.0, 0.005)
+    energy, node = discrete_minimize(problem)
+    assert len(calls) == 1
+    assert discrete_first_step(problem, node)[1] == energy
+
+
 @pytest.mark.parametrize(
     "tail, error", [(np.nan, ValueError), (np.inf, ValueError), (-5e4, SolverError)]
 )

@@ -5,7 +5,6 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    ExamplePotentialParams,
     make_constant,
     make_example,
     make_monotone_step,
@@ -74,10 +73,10 @@ def test_monotone_step_limits():
 
 
 def test_example_parameters():
-    params = ExamplePotentialParams(cf.A, cf.B)
-    assert params.lower_bound == pytest.approx(cf.LOWER_BOUND)
-    assert params.upper_bound == pytest.approx(cf.UPPER_BOUND)
-    assert params.tail_value == pytest.approx(cf.TAIL_VALUE)
+    pot = make_example(cf.A, cf.B)
+    assert pot.lower_bound == pytest.approx(cf.LOWER_BOUND)
+    assert pot.upper_bound == pytest.approx(cf.UPPER_BOUND)
+    assert pot.tail_limits == pytest.approx((cf.TAIL_VALUE, cf.TAIL_VALUE))
 
 
 def test_example_requires_ab_above_golden_ratio():

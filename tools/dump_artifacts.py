@@ -1,0 +1,91 @@
+"""Write every CLI artifact of a fixed spec list to a directory.
+
+Usage::
+
+    PYTHONPATH=src python tools/dump_artifacts.py OUT_DIR
+
+For each spec below, ``solve`` (json, csv), ``scan`` (csv, json on the pin
+grid -3:3:41), ``green`` (csv, json on the lattice -4:4:9 x -4:4:9) and
+``verify`` run in this process through ``sobolev1d.cli.main``. Each run
+leaves one file ``<spec>.<command>.<format>`` holding the line
+``exit <code>`` followed by everything the command wrote to stdout.
+Point ``PYTHONPATH`` at two source trees and compare the two directories
+with ``diff -r`` to check that a change keeps every artifact byte-identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+from sobolev1d.cli import main
+
+_GAUSS_X = [0.25 * k for k in range(-40, 41)]
+_LOG_X = [0.25 * k for k in range(-16, 17)]
+
+SPECS = {
+    "example": {"kind": "example", "A": 1, "B": 2},
+    "step": {"kind": "step", "v0": 1, "v1": 4},
+    "well": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1, 5, 1]},
+    "double_well": {
+        "kind": "piecewise_constant",
+        "edges": [-6, -5, 5, 6],
+        "values": [4, 1, 4, 1, 4],
+    },
+    "constant": {"kind": "constant", "v": 2},
+    "jump_at_0": {"kind": "piecewise_constant", "edges": [0], "values": [3, 1]},
+    "gaussian_table": {
+        "kind": "table",
+        "x": _GAUSS_X,
+        "v": [4.0 - 3.0 * math.exp(-0.5 * x * x) for x in _GAUSS_X],
+    },
+    "dishonest": {
+        "kind": "table",
+        "x": [-2, -1, 0, 1, 2],
+        "v": [1, 1, 1, 1, 1],
+        "lower_bound": 4,
+        "upper_bound": 5,
+    },
+    # l' = -2 - tanh(x)/2, so V = l'' + l'^2 >= 1.75.
+    "log_derivative_table": {
+        "kind": "table",
+        "x": _LOG_X,
+        "ell_prime": [-2.0 - 0.5 * math.tanh(x) for x in _LOG_X],
+        "ell_double_prime": [-0.5 / math.cosh(x) ** 2 for x in _LOG_X],
+    },
+}
+
+RUNS = {
+    "solve.json": ["solve", "--format", "json"],
+    "solve.csv": ["solve", "--format", "csv"],
+    "scan.csv": ["scan", "--format", "csv", "--grid=-3:3:41"],
+    "scan.json": ["scan", "--format", "json", "--grid=-3:3:41"],
+    "green.csv": ["green", "--format", "csv", "--x=-4:4:9", "--y=-4:4:9"],
+    "green.json": ["green", "--format", "json", "--x=-4:4:9", "--y=-4:4:9"],
+    "verify.txt": ["verify"],
+}
+
+
+def dump(out_dir: Path, specs: dict = SPECS) -> list[Path]:
+    """Run every command on every spec; returns the files written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, spec in specs.items():
+        for run, argv in RUNS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--potential", json.dumps(spec)])
+            path = out_dir / f"{name}.{run}"
+            path.write_text(f"exit {code}\n{out.getvalue()}", encoding="utf-8")
+            written.append(path)
+    return written
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: dump_artifacts.py OUT_DIR")
+    dump(Path(sys.argv[1]))
