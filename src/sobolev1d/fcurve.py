@@ -104,13 +104,11 @@ class FCurve:
     the decay inset, where the seeding transient of both sides is far below
     every tolerance used here.  Every evaluator takes a pin or an array of pins
     and reads each side once per call; ``grid_reads`` keeps the reads at the
-    grid that built the curve.
+    grid that built the curve, from which ``values``, ``slope`` and
+    ``curvature`` on the grid derive.
     """
 
     grid: np.ndarray
-    values: np.ndarray
-    slope: np.ndarray
-    curvature: np.ndarray
     wronskian: float
     window: tuple[float, float]
     potential: Potential
@@ -118,6 +116,21 @@ class FCurve:
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     grid_reads: PinReads = field(repr=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """F on the grid."""
+        return self.grid_reads.value
+
+    @property
+    def slope(self) -> np.ndarray:
+        """F' on the grid."""
+        return self.grid_reads.slope
+
+    @property
+    def curvature(self) -> np.ndarray:
+        """F'' on the grid."""
+        return self.grid_reads.curvature
 
     def _reads(self, a) -> PinReads:
         arr = np.asarray(a, dtype=float)
@@ -175,14 +188,10 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     grid = grid[(grid >= lo) & (grid <= hi)]
 
     reads = _read_pins(phi_plus, phi_minus, grid)
-    values = reads.value
-    if np.any(values <= 0.0):
+    if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(
         grid=grid,
-        values=values,
-        slope=reads.slope,
-        curvature=reads.curvature,
         wronskian=wronskian,
         window=(float(lo), float(hi)),
         potential=potential,

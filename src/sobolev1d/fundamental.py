@@ -30,8 +30,15 @@ sampled.
 
 Mesh and error control.  The initial mesh is uniform with spacing
 h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) / sqrt(v1), split at the window
-edges, at 0 and at the potential's breakpoints.  Every cell is checked by
-step doubling (one step against two half steps, all cells at once); the
+edges, at 0 and at the potential's breakpoints.  The first round samples V
+once, at the Gauss nodes of every initial cell and of its two halves.  A
+cell whose nine samples are one number c is flat.  Each maximal run of
+flat cells that share c and cross no edge is replaced by equal cells with
+theta = h sqrt(|c|) <= 20, laid out from the end nearer 0, when that takes
+fewer cells than the run had; their map is the exact one of constant V, so
+they need no check and no further sample.  Where one sample differs, the
+cell is treated as if no run existed.  Every other cell is checked by step
+doubling (one step against two half steps, all cells at once); the
 matrix difference is converted to r and l units with |r| <= sqrt(v1), and
 cells over their budget are bisected until all pass.  The budget is
 2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(1e-13,
@@ -113,6 +120,9 @@ COMPARISON_TOL = 1e-6
 _GAUSS = math.sqrt(15.0) / 10.0
 # Step-doubling estimates below this many ulps of the cell map are roundoff.
 _FLOOR_ULPS = 32.0 * np.finfo(float).eps
+# Largest theta = h sqrt(|V|) of a cell laid across a run of constant V; at
+# cosh(20) ~ 2.4e8 the entries of the exact map stay far from overflow.
+_THETA_MAX = 20.0
 
 
 class SolverError(RuntimeError):
@@ -136,21 +146,23 @@ def _match(x, values: np.ndarray):
     return values
 
 
-def _cell_maps(potential: Potential, lo: np.ndarray, h: np.ndarray):
-    """Sixth-order Magnus maps of u'' = V u over the cells [lo, lo + h].
-
-    Returns (cm1, P, Q, R) with exp(Omega) = (1 + cm1) I + [[P, Q], [R, -P]],
-    where Omega = [[p, q], [s, -p]] is the Magnus exponent built on V at the
-    three Gauss-Legendre nodes, cm1 = cosh(theta) - 1 and
-    (P, Q, R) = sinh(theta)/theta (p, q, s), theta^2 = p^2 + q s.  V is
-    sampled for all cells in one call.
-    """
+def _gauss_points(lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre nodes of the cells [lo, lo + h]: left nodes, midpoints, right nodes."""
     mid = lo + 0.5 * h
     off = _GAUSS * h
-    v = np.asarray(
-        potential.evaluate(np.concatenate((mid - off, mid, mid + off))), dtype=float
-    )
-    v1, v2, v3 = v.reshape(3, -1)
+    return np.concatenate((mid - off, mid, mid + off))
+
+
+def _magnus(v, h: np.ndarray):
+    """Sixth-order Magnus maps of u'' = V u over cells of length h.
+
+    v = (v1, v2, v3) holds V at each cell's three Gauss-Legendre nodes.
+    Returns (cm1, P, Q, R) with exp(Omega) = (1 + cm1) I + [[P, Q], [R, -P]],
+    where Omega = [[p, q], [s, -p]] is the Magnus exponent, cm1 =
+    cosh(theta) - 1 and (P, Q, R) = sinh(theta)/theta (p, q, s), theta^2 =
+    p^2 + q s.  For v1 = v2 = v3 the map is the exact one of constant V.
+    """
+    v1, v2, v3 = v
     d2 = (math.sqrt(15.0) / 3.0) * h * (v3 - v1)
     d3 = (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
     # Omega = a1 + a3/12 + [-20 a1 - a3 + [a1, a2], a2 - [a1, 2 a3 + [a1, a2]]/60]/240
@@ -169,6 +181,12 @@ def _cell_maps(potential: Potential, lo: np.ndarray, h: np.ndarray):
         shc = np.where(grow, np.sinh(t), np.sin(t)) / t
     shc = np.where(t > 0.0, shc, 1.0)
     return cm1, shc * p, shc * q, shc * s
+
+
+def _cell_maps(potential: Potential, lo: np.ndarray, h: np.ndarray):
+    """``_magnus`` maps of the cells [lo, lo + h], sampling V for all cells in one call."""
+    v = np.asarray(potential.evaluate(_gauss_points(lo, h)), dtype=float)
+    return _magnus(v.reshape(3, -1), h)
 
 
 def _doubling_error(full, left, right, s1: float):
@@ -236,9 +254,60 @@ def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
     return np.sort(np.concatenate(nodes))
 
 
-def _refine(potential: Potential, nodes: np.ndarray, per_length: float, s1: float):
-    """Bisect cells until each passes its step-doubling check.
+def _flat_runs(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, edges: list[float]):
+    """Cells laid across the runs of constant V, and the mask of the cells they replace.
 
+    v holds the first-round samples of each cell [lo, hi], one column per
+    cell.  A cell is flat when its samples are one number c.  Each maximal
+    run of adjacent flat cells that share c and cross no segment edge is
+    replaced by k equal cells with theta = h sqrt(|c|) <= _THETA_MAX, laid
+    out from the end nearer 0 as in ``_initial_mesh``, when k is fewer than
+    the cells of the run; a NaN sample is never equal to itself and an
+    infinite c needs infinitely many cells, so neither is replaced.
+    Returns the mask of the cells kept and (lo, hi, c) of the new cells, or
+    None when no run is replaced.
+    """
+    c = v[0]
+    flat = np.all(v == c, axis=0)
+    if not flat.any():
+        return None
+    joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
+    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+    counts = np.diff(np.append(starts, lo.size))
+    a, b, c = lo[starts], hi[starts + counts - 1], c[starts]
+    k = np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
+    merge = flat[starts] & (k < counts)
+    if not merge.any():
+        return None
+    a, b, c, k = a[merge], b[merge], c[merge], k[merge].astype(np.int64)
+    near, far = np.where(a >= 0.0, a, b), np.where(a >= 0.0, b, a)
+    # Node j = 0..k of each run, flattened run after run.
+    run = np.repeat(np.arange(k.size), k + 1)
+    first = np.cumsum(k + 1) - (k + 1)
+    j = np.arange(run.size) - first[run]
+    x = near[run] + (far - near)[run] * (j / k[run])
+    x = np.where(j == 0, near[run], np.where(j == k[run], far[run], x))
+    pair = np.delete(np.arange(run.size - 1), first[1:] - 1)
+    new_lo = np.minimum(x[pair], x[pair + 1])
+    new_hi = np.maximum(x[pair], x[pair + 1])
+    return ~np.repeat(merge, counts), new_lo, new_hi, c[run[pair]]
+
+
+def _halves(lo: np.ndarray, hi: np.ndarray):
+    """Midpoints of the cells [lo, hi], and (lo, h) of their halves, left halves first."""
+    mid = 0.5 * (lo + hi)
+    return mid, np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
+
+
+def _refine(
+    potential: Potential, nodes: np.ndarray, edges: list[float], per_length: float, s1: float
+):
+    """Cross runs of constant V in closed form; bisect other cells until each passes step doubling.
+
+    The first round samples V once, at the Gauss nodes of every initial cell
+    and of its two halves.  Runs of constant V get ``_flat_runs`` cells with
+    the exact constant-V map; the other cells are checked by step doubling
+    on those samples, and later rounds sample only the new halves.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     lo, hi = nodes[:-1], nodes[1:]
@@ -247,14 +316,20 @@ def _refine(potential: Potential, nodes: np.ndarray, per_length: float, s1: floa
             f"the initial mesh needs {lo.size} cells, more than {MAX_CELLS}; "
             "narrow the window or loosen the tolerance"
         )
-    maps = _cell_maps(potential, lo, hi - lo)
+    mid, half_lo, half_h = _halves(lo, hi)
+    points = np.concatenate((_gauss_points(lo, hi - lo), _gauss_points(half_lo, half_h)))
+    v = np.asarray(potential.evaluate(points), dtype=float).reshape(9, lo.size)
     done: list[tuple] = []
     n_done = 0
+    runs = _flat_runs(lo, hi, v, edges)
+    if runs is not None:
+        keep, run_lo, run_hi, c = runs
+        done.append((run_lo, run_hi, *_magnus((c, c, c), run_hi - run_lo)))
+        n_done = run_lo.size
+        lo, hi, mid, v = lo[keep], hi[keep], mid[keep], v[:, keep]
+    maps = _magnus(v[:3], hi - lo)
+    halves = _magnus(v[3:].reshape(3, -1), np.concatenate((mid - lo, hi - mid)))
     while lo.size:
-        mid = 0.5 * (lo + hi)
-        halves = _cell_maps(
-            potential, np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
-        )
         left = tuple(x[: lo.size] for x in halves)
         right = tuple(x[lo.size :] for x in halves)
         err, floor = _doubling_error(maps, left, right, s1)
@@ -275,6 +350,8 @@ def _refine(potential: Potential, nodes: np.ndarray, per_length: float, s1: floa
             )
         lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
         maps = tuple(np.concatenate((l[bad], r[bad])) for l, r in zip(left, right))
+        mid, half_lo, half_h = _halves(lo, hi)
+        halves = _cell_maps(potential, half_lo, half_h)
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
     return [col[order] for col in cells]
@@ -426,7 +503,7 @@ def solve_log_solution(
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
     edges = _segment_edges(potential, x_min, x_max)
     lo, hi, cm1, P, Q, R = _refine(
-        potential, _initial_mesh(edges, h0), 2.0 * math.sqrt(v0) * internal_tol, s1
+        potential, _initial_mesh(edges, h0), edges, 2.0 * math.sqrt(v0) * internal_tol, s1
     )
     mesh = np.append(lo, hi[-1])
 

@@ -7,6 +7,7 @@ import pytest
 import _closed_forms as cf
 from sobolev1d import (
     LogSolution,
+    Potential,
     SolverError,
     build_fcurve,
     build_green,
@@ -325,3 +326,70 @@ def test_mesh_cap_and_non_finite_potential_refused():
     )
     with pytest.raises(SolverError, match="non-finite"):
         solve_log_solution(holey, "-", *WINDOW)
+
+
+def test_infinite_potential_refused():
+    holey = Potential(
+        evaluate=lambda x: np.where(np.asarray(x) > 3.0, np.inf, 1.0),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_log_solution(holey, "-", *WINDOW)
+
+
+def test_constant_far_above_its_bound_refused_in_the_first_round():
+    """V = 1e12 declared as [1, 1]: a flat run that would need more cells is not merged."""
+    points = []
+
+    def evaluate(x):
+        points.append(np.size(x))
+        return np.full_like(np.asarray(x, dtype=float), 1e12)
+
+    with pytest.raises(SolverError):
+        solve_log_solution(Potential(evaluate, 1.0, 1.0), "+", *WINDOW)
+    # h0 = 0.05 on [-25, 25]: 1000 initial cells, 9 samples each, no bisection.
+    assert sum(points) <= 9 * 1000
+
+
+def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
+    pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
+    for side in ("+", "-"):
+        mesh = solve_log_solution(pot, side, -30.0, 30.0)._mesh
+        assert {-1.0, 0.0, 1.0} <= set(mesh.tolist())
+        assert np.array_equal(mesh, -mesh[::-1])
+        assert mesh.size < 50
+        h = np.diff(mesh)
+        assert np.all(h * np.sqrt(pot.evaluate(mesh[:-1] + 0.5 * h)) <= 20.0)
+
+
+def test_smooth_potential_keeps_the_initial_spacing():
+    pot = make_example(1.0, 2.0)
+    h0 = 0.05 / math.sqrt(pot.upper_bound)
+    for side in ("+", "-"):
+        mesh = solve_log_solution(pot, side, *WINDOW)._mesh
+        assert np.max(np.diff(mesh)) <= h0 * (1.0 + 1e-12)
+
+
+def test_undeclared_bump_blocks_the_merge():
+    lo, hi = 0.3137, 0.3337
+    declared = make_piecewise_constant([lo, hi], [1.0, 3.0, 1.0])
+    bump = Potential(evaluate=declared.evaluate, lower_bound=1.0, upper_bound=3.0)
+    h0 = 0.05 / math.sqrt(3.0)
+    mesh = solve_log_solution(bump, "+", *WINDOW)._mesh
+    crossing = (mesh[1:] > lo) & (mesh[:-1] < hi)
+    assert np.all(np.diff(mesh)[crossing] <= h0 * (1.0 + 1e-12))
+    assert abs(minimize(bump).m_value - minimize(declared).m_value) <= 1e-8
+
+
+def test_narrow_deep_well_keeps_its_minimum():
+    """A well narrower than every initial cell is found, although V = 100 around it."""
+    w = 1e-4
+    well = Potential(
+        evaluate=lambda x: 100.0 - 99.0 * np.exp(-((np.asarray(x) - 0.3137) ** 2) / (2 * w * w)),
+        lower_bound=1.0,
+        upper_bound=100.0,
+    )
+    report = minimize(well)
+    assert report.m_value == pytest.approx(19.975223916161923, rel=1e-12)
+    assert report.attainment == "attained"

@@ -36,6 +36,12 @@ SPECS = {
         "edges": [-6, -5, 5, 6],
         "values": [4, 1, 4, 1, 4],
     },
+    "high_contrast_well": {
+        "kind": "piecewise_constant",
+        "edges": [-1, 1],
+        "values": [100, 1, 100],
+    },
+    "jump_step": {"kind": "piecewise_constant", "edges": [0], "values": [1, 4]},
     "constant": {"kind": "constant", "v": 2},
     "jump_at_0": {"kind": "piecewise_constant", "edges": [0], "values": [3, 1]},
     "gaussian_table": {
