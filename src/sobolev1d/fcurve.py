@@ -32,6 +32,7 @@ import numpy as np
 from .fundamental import (
     LogSolution,
     SolverError,
+    _check_inside,
     _check_pair,
     _match,
     _sample_grid,
@@ -134,10 +135,7 @@ class FCurve:
 
     def _reads(self, a) -> PinReads:
         arr = np.asarray(a, dtype=float)
-        lo, hi = self.window
-        eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
-        if np.any(arr < lo - eps) or np.any(arr > hi + eps):
-            raise ValueError(f"pin location outside curve window [{lo:g}, {hi:g}]")
+        _check_inside(arr, self.window, "pin location outside curve window")
         return _read_pins(self.phi_plus, self.phi_minus, arr)
 
     def value_at(self, a):

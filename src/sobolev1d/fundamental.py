@@ -47,8 +47,12 @@ dense output carries r to about itol.  A floor of a few dozen ulps keeps
 roundoff from driving refinement; more than MAX_CELLS cells raise
 SolverError.  Off-mesh points are evaluated by a partial Magnus step from
 the mesh node on the stable side (forward from the left node for "-",
-backward from the right node for "+").  0 is a mesh node, so l(0) = 0
-exactly and a solve makes no off-mesh read.
+backward from the right node for "+"), on one of two paths: an array of
+points in one vectorized pass, a single point in float arithmetic, which
+skips numpy's per-call cost on one-element arrays.  Both paths share the
+Magnus exponent (``_omega``) and run the same operations in the same order,
+so a point reads bitwise the same either way.  0 is a mesh node, so
+l(0) = 0 exactly and a solve makes no off-mesh read.
 
 Bands.  The seeded flows stay in
 
@@ -139,6 +143,19 @@ def decay_inset(potential: Potential) -> float:
     return 12.0 / math.sqrt(potential.lower_bound)
 
 
+def _check_inside(x, window: tuple[float, float], what: str) -> None:
+    """Raise ValueError unless x (a point or an array) lies in the window; NaN never does."""
+    lo, hi = window
+    # Tiny slack for roundoff at the endpoints themselves.
+    eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    if isinstance(x, np.ndarray) and x.ndim:
+        inside = np.all((lo - eps <= x) & (x <= hi + eps))
+    else:
+        inside = lo - eps <= x <= hi + eps
+    if not inside:
+        raise ValueError(f"{what} [{lo:g}, {hi:g}]")
+
+
 def _match(x, values: np.ndarray):
     """Return values shaped like the original input (float for scalars)."""
     if np.ndim(x) == 0:
@@ -146,23 +163,24 @@ def _match(x, values: np.ndarray):
     return values
 
 
-def _gauss_points(lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _gauss_nodes(lo, h):
     """Gauss-Legendre nodes of the cells [lo, lo + h]: left nodes, midpoints, right nodes."""
     mid = lo + 0.5 * h
     off = _GAUSS * h
-    return np.concatenate((mid - off, mid, mid + off))
+    return mid - off, mid, mid + off
 
 
-def _magnus(v, h: np.ndarray):
-    """Sixth-order Magnus maps of u'' = V u over cells of length h.
+def _gauss_points(lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``_gauss_nodes`` of many cells in one array, left nodes first."""
+    return np.concatenate(_gauss_nodes(lo, h))
 
-    v = (v1, v2, v3) holds V at each cell's three Gauss-Legendre nodes.
-    Returns (cm1, P, Q, R) with exp(Omega) = (1 + cm1) I + [[P, Q], [R, -P]],
-    where Omega = [[p, q], [s, -p]] is the Magnus exponent, cm1 =
-    cosh(theta) - 1 and (P, Q, R) = sinh(theta)/theta (p, q, s), theta^2 =
-    p^2 + q s.  For v1 = v2 = v3 the map is the exact one of constant V.
+
+def _omega(v1, v2, v3, h):
+    """Entries (p, q, s) of the sixth-order Magnus exponent Omega = [[p, q], [s, -p]].
+
+    v1, v2, v3 are V at the Gauss-Legendre nodes of a cell of length h.
+    Only + - * / appear, so floats and arrays give bitwise the same entries.
     """
-    v1, v2, v3 = v
     d2 = (math.sqrt(15.0) / 3.0) * h * (v3 - v1)
     d3 = (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
     # Omega = a1 + a3/12 + [-20 a1 - a3 + [a1, a2], a2 - [a1, 2 a3 + [a1, a2]]/60]/240
@@ -173,6 +191,19 @@ def _magnus(v, h: np.ndarray):
     s = h * v2 + d3 / 12.0 + h * (
         d3 * (20.0 * h * v2 + d3) / 30.0 - d2 * d2 * (1.0 - h * h * v2 / 30.0)
     ) / 120.0
+    return p, q, s
+
+
+def _magnus(v, h: np.ndarray):
+    """Sixth-order Magnus maps of u'' = V u over cells of length h.
+
+    v = (v1, v2, v3) holds V at each cell's three Gauss-Legendre nodes.
+    Returns (cm1, P, Q, R) with exp(Omega) = (1 + cm1) I + [[P, Q], [R, -P]],
+    where (p, q, s) = ``_omega`` are the entries of the exponent, cm1 =
+    cosh(theta) - 1 and (P, Q, R) = sinh(theta)/theta (p, q, s), theta^2 =
+    p^2 + q s.  For v1 = v2 = v3 the map is the exact one of constant V.
+    """
+    p, q, s = _omega(*v, h)
     z = p * p + q * s
     t = np.sqrt(np.abs(z))
     grow = z >= 0.0
@@ -293,12 +324,23 @@ def _flat_runs(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, edges: list[float]
     return ~np.repeat(merge, counts), new_lo, new_hi, c[run[pair]]
 
 
+def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
+    """V at the points, refused when a sample is not finite."""
+    v = np.asarray(potential.evaluate(points), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise SolverError("the potential evaluated to a non-finite value")
+    return v
+
+
 def _halves(lo: np.ndarray, hi: np.ndarray):
     """Midpoints of the cells [lo, hi], and (lo, h) of their halves, left halves first."""
     mid = 0.5 * (lo + hi)
     return mid, np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
 
 
+# Finite samples far above the declared bound overflow the cell maps; the
+# finiteness test of the doubling error names that case, so it need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _refine(
     potential: Potential, nodes: np.ndarray, edges: list[float], per_length: float, s1: float
 ):
@@ -318,7 +360,7 @@ def _refine(
         )
     mid, half_lo, half_h = _halves(lo, hi)
     points = np.concatenate((_gauss_points(lo, hi - lo), _gauss_points(half_lo, half_h)))
-    v = np.asarray(potential.evaluate(points), dtype=float).reshape(9, lo.size)
+    v = _samples(potential, points).reshape(9, lo.size)
     done: list[tuple] = []
     n_done = 0
     runs = _flat_runs(lo, hi, v, edges)
@@ -334,7 +376,10 @@ def _refine(
         right = tuple(x[lo.size :] for x in halves)
         err, floor = _doubling_error(maps, left, right, s1)
         if not np.all(np.isfinite(err)):
-            raise SolverError("the potential evaluated to a non-finite value")
+            raise SolverError(
+                "the cell maps overflow on finite samples; the potential exceeds "
+                f"its declared upper bound {potential.upper_bound:g}"
+            )
         ok = err <= np.maximum(per_length * (hi - lo), floor)
         done.append((lo[ok], hi[ok], *(x[ok] for x in maps)))
         n_done += int(ok.sum())
@@ -351,7 +396,8 @@ def _refine(
         lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
         maps = tuple(np.concatenate((l[bad], r[bad])) for l, r in zip(left, right))
         mid, half_lo, half_h = _halves(lo, hi)
-        halves = _cell_maps(potential, half_lo, half_h)
+        v = _samples(potential, _gauss_points(half_lo, half_h))
+        halves = _magnus(v.reshape(3, -1), half_h)
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
     return [col[order] for col in cells]
@@ -401,23 +447,20 @@ class LogSolution:
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
 
-    def _check_window(self, x: np.ndarray) -> None:
-        lo, hi = self.window
-        # Tiny slack for roundoff at the endpoints themselves.
-        eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
-        if np.any(x < lo - eps) or np.any(x > hi + eps):
-            raise ValueError(
-                f"position outside solved window [{lo:g}, {hi:g}]"
-            )
-
     def _dense(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(r, l) at x by a partial Magnus step from the node on the stable side.
 
-        l vanishes at 0.  Every read of r or l goes through here,
-        so a caller that needs both sides at many points reads each side once.
+        l vanishes at 0.  Every read of r or l goes through here, so a caller
+        that needs both sides at many points reads each side once.  Two
+        paths, chosen by the rank of x: an array takes one ``_cell_maps``
+        call for all its points; a single point (a scalar or a 0-d array)
+        takes ``_dense_one``, in float arithmetic.  Both return arrays of
+        x's shape (0-d for a point) and agree bitwise.
         """
+        if np.ndim(x) == 0:
+            return self._dense_one(float(x))
         xs = np.asarray(x, dtype=float)
-        self._check_window(xs)
+        _check_inside(xs, self.window, "position outside solved window")
         mesh = self._mesh
         flat = np.clip(xs.ravel(), mesh[0], mesh[-1])
         if self.side == "-":
@@ -435,6 +478,42 @@ class LogSolution:
         r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
         l = self._l[k] + np.log1p(du)
         return r.reshape(xs.shape), l.reshape(xs.shape)
+
+    def _dense_one(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """``_dense`` at one point, with ``_magnus``'s exponential taken by one branch.
+
+        To stay bitwise equal to the array path, sinh, sin and log1p go
+        through numpy, whose loops can round differently from ``math``'s;
+        sqrt is correctly rounded either way, and squares are products, as
+        numpy's ``** 2`` is.
+        """
+        _check_inside(x, self.window, "position outside solved window")
+        mesh = self._mesh
+        x = min(max(x, float(mesh[0])), float(mesh[-1]))
+        if self.side == "-":
+            k = min(max(int(mesh.searchsorted(x, side="right")) - 1, 0), mesh.size - 2)
+            lo = float(mesh[k])
+            h, sign = x - lo, 1.0
+        else:
+            k = min(max(int(mesh.searchsorted(x, side="left")), 1), mesh.size - 1)
+            lo, h, sign = x, float(mesh[k]) - x, -1.0
+        v = np.asarray(self.potential.evaluate(np.array(_gauss_nodes(lo, h))), dtype=float)
+        p, q, s = _omega(*v.tolist(), h)
+        z = p * p + q * s
+        t = math.sqrt(abs(z))
+        if z >= 0.0:
+            half, whole = float(np.sinh(0.5 * t)), float(np.sinh(t))
+            cm1 = 2.0 * (half * half)
+        else:
+            half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
+            cm1 = -2.0 * (half * half)
+        shc = whole / t if t > 0.0 else 1.0
+        P, Q, R = sign * (shc * p), sign * (shc * q), sign * (shc * s)
+        r0 = float(self._r[k])
+        du = cm1 + P + Q * r0
+        r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
+        l = float(self._l[k]) + float(np.log1p(du))
+        return np.asarray(r), np.asarray(l)
 
     def ell_at(self, x):
         """log phi(x), normalized to vanish at 0."""

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _closed_forms as cf
 from sobolev1d import (
@@ -21,9 +24,12 @@ from sobolev1d import (
     make_example,
     make_monotone_step,
     make_piecewise_constant,
+    extremal,
     minimize,
+    potential_from_spec,
     solve_log_solution,
 )
+from sobolev1d import fundamental
 from sobolev1d.fundamental import _cell_maps
 from conftest import random_piecewise_constant
 
@@ -352,6 +358,26 @@ def test_constant_far_above_its_bound_refused_in_the_first_round():
     assert sum(points) <= 9 * 1000
 
 
+def test_finite_potential_above_its_bound_named_without_warnings():
+    """Finite samples whose cell maps overflow are named as a dishonest upper bound."""
+    far_above = Potential(
+        evaluate=lambda x: np.full_like(np.asarray(x, dtype=float), 1e12),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    infinite = Potential(
+        evaluate=lambda x: np.where(np.asarray(x) > 3.0, np.inf, 1.0),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="exceeds its declared upper bound 1"):
+            solve_log_solution(far_above, "+", *WINDOW)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_log_solution(infinite, "-", *WINDOW)
+
+
 def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
     pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
     for side in ("+", "-"):
@@ -393,3 +419,96 @@ def test_narrow_deep_well_keeps_its_minimum():
     report = minimize(well)
     assert report.m_value == pytest.approx(19.975223916161923, rel=1e-12)
     assert report.attainment == "attained"
+
+
+@pytest.mark.parametrize("pins", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_nan_pins_refused(example_pair, pins):
+    _, plus, minus = example_pair
+    curve = build_fcurve(plus, minus)
+    green = build_green(plus, minus)
+    u = extremal_function(plus, minus, 0.0)
+    reads = [
+        lambda: curve.value_at(pins),
+        lambda: curve.slope_at(pins),
+        lambda: plus.phi_at(pins),
+        lambda: minus.ell_prime_at(pins),
+        lambda: green.value(pins, 0.0),
+        lambda: green.value(0.0, pins),
+        lambda: u(pins),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="outside"):
+            read()
+
+
+# One family of each kind, all solved on WINDOW (v0 >= 1 keeps the decay margin).
+DENSE_FAMILIES = {
+    "example": lambda: make_example(1.0, 2.0),
+    "logistic": lambda: make_monotone_step(1.0, 30.0, width=0.5, center=0.3),
+    "piecewise": lambda: make_piecewise_constant([-1.0, 0.5, 2.0], [4.0, 1.0, 9.0, 2.0]),
+    "constant": lambda: make_constant(3.0),
+    "table": lambda: potential_from_spec(
+        {"kind": "table", "x": np.linspace(-3.0, 3.0, 13).tolist(),
+         "v": (2.0 + np.sin(np.linspace(-3.0, 3.0, 13))).tolist()}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def dense_sides():
+    sides = {}
+    for name, make in DENSE_FAMILIES.items():
+        pot = make()
+        for side in ("+", "-"):
+            sides[name, side] = solve_log_solution(pot, side, *WINDOW)
+    return sides
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("family", sorted(DENSE_FAMILIES))
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    free=st.lists(st.floats(*WINDOW), max_size=20),
+    nodes=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from([-1, 0, 1])), max_size=10),
+)
+def test_one_point_reads_match_array_reads_bitwise(dense_sides, family, side, free, nodes):
+    """A scalar read takes the float path and returns element i of the array read, bit for bit."""
+    sol = dense_sides[family, side]
+    mesh = sol._mesh
+    # Mesh nodes and their floating-point neighbours, clipped to the window.
+    at_nodes = [np.nextafter(mesh[i % mesh.size], math.inf * d) if d else mesh[i % mesh.size]
+                for i, d in nodes]
+    xs = np.clip(
+        np.array([*WINDOW, 0.0, -0.0, *sol.potential.breakpoints, *free, *at_nodes]), *WINDOW
+    )
+    r, l = sol._dense(xs)
+    for i, x in enumerate(xs.tolist()):
+        r_i, l_i = sol._dense(x)
+        assert r_i.shape == l_i.shape == ()
+        assert r_i.tobytes() == r[i].tobytes() and l_i.tobytes() == l[i].tobytes()
+    eps = 1e-12 * (1.0 + 2.0 * WINDOW[1])
+    for x in (WINDOW[0] - 2.0 * eps, WINDOW[1] + 2.0 * eps):
+        with pytest.raises(ValueError) as one:
+            sol._dense(x)
+        with pytest.raises(ValueError) as many:
+            sol._dense(np.array([0.0, x]))
+        assert str(one.value) == str(many.value)
+
+
+def test_scalar_reads_take_the_float_path(monkeypatch):
+    """With the array path's cell maps disabled, every scalar read still returns."""
+    report = minimize(make_example(1.0, 2.0))
+    u = extremal(report)
+    green = build_green(report.phi_plus, report.phi_minus)
+
+    def refuse(*args):
+        raise AssertionError("array path taken for a scalar read")
+
+    monkeypatch.setattr(fundamental, "_cell_maps", refuse)
+    a = report.a_star
+    assert report.curve.value_at(a) == pytest.approx(report.m_value, rel=1e-12)
+    assert math.isfinite(report.phi_plus.phi_at(0.3))
+    assert math.isfinite(green.value(0.3, -0.2))
+    assert u(a) == 1.0
+    with pytest.raises(AssertionError, match="array path"):
+        report.phi_plus.phi_at(np.array([0.3]))
