@@ -18,14 +18,13 @@ import sys
 
 import numpy as np
 
-from sobolev1d import (
+from sobolev1d import make_monotone_step, minimize
+from sobolev1d.fcurve import (
     build_fcurve,
     check_minimality_equivalence,
     find_critical_points,
-    make_monotone_step,
-    minimize,
-    solve_log_solution,
 )
+from sobolev1d.fundamental import solve_log_solution
 
 pot = make_monotone_step(1.0, 4.0, width=1.0)
 plus = solve_log_solution(pot, "+", -25.0, 25.0)

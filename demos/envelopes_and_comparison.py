@@ -14,15 +14,12 @@ import math
 
 import numpy as np
 
-from sobolev1d import (
+from sobolev1d import make_constant, make_example, make_piecewise_constant, minimize
+from sobolev1d.fundamental import (
     check_comparison,
     check_envelope_bounds,
     check_gluing,
     check_riccati_residual,
-    make_constant,
-    make_example,
-    make_piecewise_constant,
-    minimize,
     solve_log_solution,
 )
 

@@ -11,14 +11,10 @@ Run from the repository root:  python3 demos/green_function.py
 
 import numpy as np
 
-from sobolev1d import (
-    build_fcurve,
-    build_green,
-    gaussian_test,
-    make_piecewise_constant,
-    residual_check,
-    solve_log_solution,
-)
+from sobolev1d import build_green, make_piecewise_constant
+from sobolev1d.fcurve import build_fcurve
+from sobolev1d.fundamental import solve_log_solution
+from sobolev1d.green import gaussian_test, residual_check
 
 pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
 plus = solve_log_solution(pot, "+", -25.0, 25.0)

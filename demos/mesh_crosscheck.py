@@ -13,13 +13,8 @@ non-attainment.
 Run from the repository root:  python3 demos/mesh_crosscheck.py
 """
 
-from sobolev1d import (
-    DiscreteRayleighProblem,
-    discrete_minimize,
-    make_example,
-    make_monotone_step,
-    minimize,
-)
+from sobolev1d import make_example, make_monotone_step, minimize
+from sobolev1d.oracle import DiscreteRayleighProblem, discrete_minimize
 
 pot = make_example(1.0, 2.0)
 report = minimize(pot)

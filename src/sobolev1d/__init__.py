@@ -11,54 +11,15 @@ This package computes F and its derivatives from two one-sided
 logarithmic-derivative solutions, locates and classifies the minimizers,
 evaluates the associated Green function, and cross-checks everything
 against a direct finite-difference minimization.
+
+The top level exports the pipeline; the building blocks (side solves, the
+energy curve, checks and reports, the mesh oracle) are imported from their
+submodules: ``fundamental``, ``fcurve``, ``green``, ``minimizer``, ``oracle``.
 """
 
-from .fcurve import (
-    CriticalPoint,
-    CriticalPointScan,
-    EquivalenceReport,
-    EquivalenceRow,
-    FCurve,
-    build_fcurve,
-    check_minimality_equivalence,
-    find_critical_points,
-)
-from .fundamental import (
-    ComparisonReport,
-    EnvelopeReport,
-    ExtremalFunction,
-    GluingReport,
-    LogSolution,
-    ResidualReport,
-    SolverError,
-    check_comparison,
-    check_envelope_bounds,
-    check_gluing,
-    check_riccati_residual,
-    decay_inset,
-    extremal_function,
-    solve_log_solution,
-)
-from .green import (
-    GreenEvaluator,
-    GreenResidualReport,
-    build_green,
-    gaussian_test,
-    residual_check,
-)
-from .minimizer import (
-    MinimizationReport,
-    classify_attainment,
-    default_window,
-    extremal,
-    minimize,
-    rayleigh_quotient,
-)
-from .oracle import (
-    DiscreteRayleighProblem,
-    discrete_first_step,
-    discrete_minimize,
-)
+from .fundamental import SolverError
+from .green import build_green
+from .minimizer import extremal, minimize, rayleigh_quotient
 from .potential import (
     Potential,
     make_constant,
@@ -72,42 +33,10 @@ from .potential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CriticalPoint",
-    "CriticalPointScan",
-    "EquivalenceReport",
-    "EquivalenceRow",
-    "FCurve",
-    "build_fcurve",
-    "check_minimality_equivalence",
-    "find_critical_points",
-    "ComparisonReport",
-    "EnvelopeReport",
-    "ExtremalFunction",
-    "GluingReport",
-    "LogSolution",
-    "ResidualReport",
-    "SolverError",
-    "check_comparison",
-    "check_envelope_bounds",
-    "check_gluing",
-    "check_riccati_residual",
-    "decay_inset",
-    "extremal_function",
-    "solve_log_solution",
-    "GreenEvaluator",
-    "GreenResidualReport",
-    "build_green",
-    "gaussian_test",
-    "residual_check",
-    "MinimizationReport",
-    "classify_attainment",
-    "default_window",
-    "extremal",
     "minimize",
+    "extremal",
     "rayleigh_quotient",
-    "DiscreteRayleighProblem",
-    "discrete_first_step",
-    "discrete_minimize",
+    "build_green",
     "Potential",
     "make_constant",
     "make_example",
@@ -115,5 +44,6 @@ __all__ = [
     "make_piecewise_constant",
     "potential_from_log_derivative",
     "potential_from_spec",
+    "SolverError",
     "__version__",
 ]

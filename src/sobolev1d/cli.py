@@ -7,6 +7,11 @@ Subcommands:
 * ``green``  -- tabulate the Green function over an (x, y) lattice.
 * ``verify`` -- run the invariant suite, one PASS/FAIL/SKIP line per check.
 
+Every command takes ``--potential``, ``--window``, ``--tol`` and ``--out``.
+Only the three that write a table or report take ``--format``: ``solve``
+defaults to json, ``scan`` and ``green`` to csv.  ``verify`` always prints
+text; its oracle check passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
+
 Exit codes: 0 success, 2 configuration error (bad flags, malformed potential
 spec, window out of range), 3 solver failure, 4 verification failure.
 
@@ -23,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +44,12 @@ from .fundamental import (
 from .green import build_green, gaussian_test, residual_check
 from .minimizer import SCHEMA_VERSION, default_window, minimize
 from .oracle import DiscreteRayleighProblem, discrete_minimize
-from .potential import Potential, potential_from_spec
+from .potential import potential_from_spec
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
+
+# Largest |m_mesh - m| that the oracle check of ``verify`` passes.
+ORACLE_TOL = 1e-2
 
 # The invariant suite of ``verify``, in the order it prints them.
 VERIFY_CHECKS = (
@@ -60,56 +67,39 @@ class ConfigError(ValueError):
     """Bad flags or potential spec; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated command-line configuration."""
+def _configure(args: argparse.Namespace) -> None:
+    """Validate --potential, --window and --tol in place.
 
-    potential: Potential
-    window: tuple[float, float] | None
-    tol: float
-    fmt: str
-    out: Path | None
+    ``args.potential`` becomes a Potential and ``args.window`` a pair of
+    floats, or stays None for the default window +-25/sqrt(v0).
+    """
+    spec_text = args.potential
+    try:
+        if spec_text.lstrip().startswith("{"):
+            spec = json.loads(spec_text)
+        else:
+            spec = json.loads(Path(spec_text).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read potential spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed potential spec JSON: {exc}") from exc
+    try:
+        args.potential = potential_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        spec_text = args.potential
+    if args.window is not None:
+        parts = args.window.split(",")
+        if len(parts) != 2:
+            raise ConfigError("--window must be 'x_min,x_max'")
         try:
-            if spec_text.lstrip().startswith("{"):
-                spec = json.loads(spec_text)
-            else:
-                spec = json.loads(Path(spec_text).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read potential spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed potential spec JSON: {exc}") from exc
-        try:
-            potential = potential_from_spec(spec)
+            args.window = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-        window = None
-        if args.window is not None:
-            parts = args.window.split(",")
-            if len(parts) != 2:
-                raise ConfigError("--window must be 'x_min,x_max'")
-            try:
-                window = (float(parts[0]), float(parts[1]))
-            except ValueError as exc:
-                raise ConfigError("--window values must be numbers") from exc
-            if not (window[0] < 0.0 < window[1]):
-                raise ConfigError("--window must contain 0")
-        if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
-            raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-        return cls(
-            potential=potential,
-            window=window,
-            tol=args.tol,
-            fmt=args.format if args.format is not None else args.fmt_default,
-            out=None if args.out is None else Path(args.out),
-        )
-
-    def resolved_window(self) -> tuple[float, float]:
-        return self.window if self.window is not None else default_window(self.potential)
+            raise ConfigError("--window values must be numbers") from exc
+        if not (args.window[0] < 0.0 < args.window[1]):
+            raise ConfigError("--window must contain 0")
+    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
+        raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
 
 
 def _fmt(x) -> str:
@@ -162,13 +152,13 @@ def _csv_rows(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table(cfg: RunConfig, keys: tuple[str, ...], rows) -> str:
+def _table(args: argparse.Namespace, keys: tuple[str, ...], rows) -> str:
     """Rows as CSV under a header of the keys, or as JSON objects with those keys."""
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _csv_rows(",".join(keys), rows)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "potential": cfg.potential.label,
+        "potential": args.potential.label,
         "rows": [dict(zip(keys, row)) for row in rows],
     }
     return canonical_json(doc) + "\n"
@@ -189,9 +179,9 @@ def _parse_linspace(spec: str, flag: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    report = minimize(cfg.potential, cfg.window, cfg.tol)
-    if cfg.fmt == "json":
+def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
+    report = minimize(args.potential, args.window, args.tol)
+    if args.format == "json":
         text = canonical_json(report.to_json_dict()) + "\n"
     else:
         rows = [
@@ -211,10 +201,10 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     return 0, text
 
 
-def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    window = cfg.resolved_window()
-    plus = solve_log_solution(cfg.potential, "+", window[0], window[1], cfg.tol)
-    minus = solve_log_solution(cfg.potential, "-", window[0], window[1], cfg.tol)
+def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+    x_min, x_max = args.window or default_window(args.potential)
+    plus = solve_log_solution(args.potential, "+", x_min, x_max, args.tol)
+    minus = solve_log_solution(args.potential, "-", x_min, x_max, args.tol)
     curve = build_fcurve(plus, minus)
     if args.grid is None:
         grid = curve.grid
@@ -237,17 +227,16 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
             map(math.exp, reads.l_minus.tolist()),
         )
     )
-    return 0, _table(cfg, ("a", "F", "dF", "d2F", "phi_plus", "phi_minus"), rows)
+    return 0, _table(args, ("a", "F", "dF", "d2F", "phi_plus", "phi_minus"), rows)
 
 
-def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    window = cfg.resolved_window()
-    plus = solve_log_solution(cfg.potential, "+", window[0], window[1], cfg.tol)
-    minus = solve_log_solution(cfg.potential, "-", window[0], window[1], cfg.tol)
+def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
+    lo, hi = args.window or default_window(args.potential)
+    plus = solve_log_solution(args.potential, "+", lo, hi, args.tol)
+    minus = solve_log_solution(args.potential, "-", lo, hi, args.tol)
     green = build_green(plus, minus)
     xs = _parse_linspace(args.x, "--x")
     ys = _parse_linspace(args.y, "--y")
-    lo, hi = window
     for name, vals in (("--x", xs), ("--y", ys)):
         if np.any(vals < lo) or np.any(vals > hi):
             raise ConfigError(f"{name} lattice leaves the window [{lo:g}, {hi:g}]")
@@ -257,14 +246,14 @@ def cmd_green(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
         for x, row in zip(xs.tolist(), lattice)
         for y, g in zip(ys.tolist(), row)
     ]
-    return 0, _table(cfg, ("x", "y", "G"), rows)
+    return 0, _table(args, ("x", "y", "G"), rows)
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    pot = cfg.potential
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    pot = args.potential
     # Built first so that bad --oracle-L/--oracle-h flags fail before any solve.
     problem = DiscreteRayleighProblem.from_potential(pot, args.oracle_L, args.oracle_h)
-    window = cfg.resolved_window()
+    window = args.window or default_window(pot)
     lines: list[tuple[str, str, str]] = []
 
     def record(name: str, ok: bool | None, detail: str) -> None:
@@ -289,7 +278,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
             record(name, None, "skipped: declared bounds are wrong")
         return _verify_emit(lines)
 
-    report = minimize(pot, cfg.window, cfg.tol)
+    report = minimize(pot, args.window, args.tol)
     plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
     res_p = check_riccati_residual(plus)
     res_m = check_riccati_residual(minus)
@@ -340,9 +329,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     gap = abs(m_disc - report.m_value)
     record(
         "oracle-agreement",
-        gap <= args.oracle_tol,
+        gap <= ORACLE_TOL,
         f"|m_mesh - m| = {gap:.3e} at node x = {problem.nodes[node]:.6g} "
-        f"(tolerance {args.oracle_tol:g})",
+        f"(tolerance {ORACLE_TOL:g})",
     )
     return _verify_emit(lines)
 
@@ -352,6 +341,18 @@ def _verify_emit(lines: list[tuple[str, str, str]]) -> tuple[int, str]:
     failed = any(status == "FAIL" for status, _, _ in lines)
     text = "".join(f"{status} {name}: {detail}\n" for status, name, detail in lines)
     return 4 if failed else 0, text
+
+
+def _format_parent(default: str) -> argparse.ArgumentParser:
+    """--format for the commands that write an artifact, with their own default."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default=default,
+        help=f"artifact format (default: {default})",
+    )
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,57 +377,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve window 'x_min,x_max' (default: +-25/sqrt(v0))",
     )
     common.add_argument("--tol", type=float, default=1e-10, help="integration tolerance")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=None,
-        help="artifact format (default: json for solve, csv for scan/green)",
-    )
     common.add_argument("--out", default=None, help="write the artifact to this file")
+    as_json, as_csv = _format_parent("json"), _format_parent("csv")
 
-    p_solve = sub.add_parser("solve", parents=[common], help="full minimization report")
-    p_solve.set_defaults(func=cmd_solve, fmt_default="json")
+    p_solve = sub.add_parser("solve", parents=[common, as_json], help="full minimization report")
+    p_solve.set_defaults(func=cmd_solve)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="tabulate the energy curve")
+    p_scan = sub.add_parser("scan", parents=[common, as_csv], help="tabulate the energy curve")
     p_scan.add_argument(
         "--grid", default=None, help="pin lattice 'start:stop:count' (default: curve grid)"
     )
-    p_scan.set_defaults(func=cmd_scan, fmt_default="csv")
+    p_scan.set_defaults(func=cmd_scan)
 
-    p_green = sub.add_parser("green", parents=[common], help="tabulate the Green function")
+    p_green = sub.add_parser("green", parents=[common, as_csv], help="tabulate the Green function")
     p_green.add_argument("--x", required=True, help="x lattice 'start:stop:count'")
     p_green.add_argument("--y", required=True, help="y lattice 'start:stop:count'")
-    p_green.set_defaults(func=cmd_green, fmt_default="csv")
+    p_green.set_defaults(func=cmd_green)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
     p_verify.add_argument("--oracle-L", type=float, default=30.0, dest="oracle_L")
     p_verify.add_argument("--oracle-h", type=float, default=0.005, dest="oracle_h")
-    p_verify.add_argument(
-        "--oracle-tol",
-        type=float,
-        default=1e-2,
-        help="allowed |m_mesh - m| in the oracle check",
-    )
-    p_verify.set_defaults(func=cmd_verify, fmt_default="json")
+    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        code, text = args.func(cfg, args)
+        _configure(args)
+        code, text = args.func(args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        cfg.out.write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     return code
 
 

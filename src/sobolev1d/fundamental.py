@@ -625,22 +625,17 @@ def solve_log_solution(
     )
 
 
-def _check_pair(
-    phi_plus: LogSolution, phi_minus: LogSolution, *, wronskian: bool = True
-) -> float | None:
+def _check_pair(phi_plus: LogSolution, phi_minus: LogSolution) -> float:
     """Enforce the rules shared by every consumer of the two sides.
 
     The sides must come '+' then '-' and share one window (ValueError
-    otherwise).  With ``wronskian`` the Wronskian W = r_minus(0) - r_plus(0)
-    is returned; it costs two dense reads and must be positive (SolverError
-    otherwise).
+    otherwise).  The Wronskian W = r_minus(0) - r_plus(0) is returned; it
+    must be positive (SolverError otherwise).
     """
     if phi_plus.side != "+" or phi_minus.side != "-":
         raise ValueError("need a '+' solution and a '-' solution, in that order")
     if phi_plus.window != phi_minus.window:
         raise ValueError("the two sides were solved on different windows")
-    if not wronskian:
-        return None
     w = float(phi_minus.ell_prime_at(0.0) - phi_plus.ell_prime_at(0.0))
     if w <= 0.0:
         raise SolverError(f"nonpositive Wronskian {w:g}")
@@ -700,7 +695,7 @@ def extremal_function(
     phi_plus: LogSolution, phi_minus: LogSolution, a: float
 ) -> ExtremalFunction:
     """Assemble u_a from the two sides; a must sit one decay inset inside the window."""
-    _check_pair(phi_plus, phi_minus, wronskian=False)
+    _check_pair(phi_plus, phi_minus)
     lo, hi = phi_plus.window
     inset = decay_inset(phi_plus.potential)
     if not (lo + inset <= a <= hi - inset):
@@ -797,11 +792,11 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     for a in (-0.5 * r, 0.0, 0.5 * r):
         u = extremal_function(phi_plus, phi_minus, a)
         xs = x[np.abs(x - a) > 1e-9]
-        logu = np.asarray(u.log_value(xs))
+        logu, rate = u._reads(xs)
         d = np.abs(xs - a)
         record("pinned_upper", logu - (-s0 * d))
         record("pinned_lower", (-s1 * d) - logu)
-        du = np.asarray(u.derivative(xs))
+        du = np.exp(logu) * rate
         signed = np.sign(a - xs) * du
         if np.any(signed <= 0.0):
             record("pinned_slope_sign", 1.0)

@@ -59,29 +59,23 @@ class GreenEvaluator:
         return self.phi_plus.potential
 
     def _reads(self, x, y):
-        """(x, y, log G(x, y), r_minus(min(x, y)), r_plus(max(x, y))), broadcast.
+        """(log G(x, y), d/dx log G(x, y)), broadcast over x and y.
 
         One dense read per side: G needs phi_minus at the smaller argument
-        and phi_plus at the larger one, and so does its x-derivative.
+        and phi_plus at the larger one, and so does its x-derivative, whose
+        rate is r_minus left of the diagonal and r_plus from it on.
         """
-        xs, ys = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
-        rm, lm = self.phi_minus._dense(np.minimum(xs, ys))
-        rp, lp = self.phi_plus._dense(np.maximum(xs, ys))
-        return xs, ys, lm + lp - math.log(self.wronskian), rm, rp
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        rm, lm = self.phi_minus._dense(np.minimum(x, y))
+        rp, lp = self.phi_plus._dense(np.maximum(x, y))
+        return lm + lp - math.log(self.wronskian), np.where(x < y, rm, rp)
 
     def log_value(self, x, y):
-        out = self._reads(x, y)[2]
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return float(out.reshape(-1)[0])
-        return out
+        return _float_if_scalar(self._reads(x, y)[0])
 
     def value(self, x, y):
-        out = np.exp(self._reads(x, y)[2])
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return float(out.reshape(-1)[0])
-        return out
+        return _float_if_scalar(np.exp(self._reads(x, y)[0]))
 
     __call__ = value
 
@@ -89,13 +83,15 @@ class GreenEvaluator:
         """G(y, y) = 1/F(y)."""
         return self.value(y, y)
 
-    def section_derivative(self, x, y: float):
+    def section_derivative(self, x, y):
         """d/dx G(x, y) away from the diagonal (right-derivative at x = y)."""
-        xs, ys, log_g, rm, rp = self._reads(x, y)
-        out = np.exp(log_g) * np.where(xs < ys, rm, rp)
-        if np.ndim(x) == 0:
-            return float(out.reshape(-1)[0])
-        return out
+        log_g, rate = self._reads(x, y)
+        return _float_if_scalar(np.exp(log_g) * rate)
+
+
+def _float_if_scalar(out):
+    """A float when x and y were both scalars, else the broadcast array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def build_green(phi_plus: LogSolution, phi_minus: LogSolution) -> GreenEvaluator:
@@ -133,9 +129,9 @@ def residual_check(
     for v, v_prime in test_functions:
 
         def integrand(x):
-            g = np.asarray(green.value(x, y))
-            dg = np.asarray(green.section_derivative(x, y))
-            return dg * np.asarray(v_prime(x)) + np.asarray(
+            log_g, rate = green._reads(x, y)
+            g = np.exp(log_g)
+            return g * rate * np.asarray(v_prime(x)) + np.asarray(
                 pot.evaluate(x)
             ) * g * np.asarray(v(x))
 

@@ -38,15 +38,13 @@ def composite_gauss_legendre(
     edges = [lo, hi] + [float(s) for s in splits if lo < s < hi]
     edges = sorted(set(edges))
     nodes, weights = _rule()
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        n_sub = max(1, int(np.ceil((b - a) / panel_length)))
-        sub = np.linspace(a, b, n_sub + 1)
-        for c, d in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (d - c)
-            xs.append(0.5 * (c + d) + half * nodes)
-            ws.append(half * weights)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    cuts = [
+        np.linspace(a, b, max(1, int(np.ceil((b - a) / panel_length))) + 1)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    c = np.concatenate([sub[:-1] for sub in cuts])
+    d = np.concatenate([sub[1:] for sub in cuts])
+    mid, half = 0.5 * (c + d), 0.5 * (d - c)
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
     return float(np.dot(w, np.asarray(fun(x), dtype=float)))

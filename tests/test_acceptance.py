@@ -12,22 +12,18 @@ import numpy as np
 
 import _closed_forms as cf
 from sobolev1d import (
-    DiscreteRayleighProblem,
-    build_fcurve,
     build_green,
-    check_envelope_bounds,
-    check_minimality_equivalence,
-    discrete_minimize,
     extremal,
-    gaussian_test,
     make_constant,
     make_example,
     make_monotone_step,
     minimize,
     rayleigh_quotient,
-    residual_check,
-    solve_log_solution,
 )
+from sobolev1d.fcurve import build_fcurve, check_minimality_equivalence
+from sobolev1d.fundamental import check_envelope_bounds, solve_log_solution
+from sobolev1d.green import gaussian_test, residual_check
+from sobolev1d.oracle import DiscreteRayleighProblem, discrete_minimize
 from conftest import random_piecewise_constant
 
 

@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
-from sobolev1d import (
-    build_fcurve,
-    build_green,
-    default_window,
-    potential_from_spec,
-    solve_log_solution,
-)
+from sobolev1d import build_green, potential_from_spec
 from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, main
+from sobolev1d.fcurve import build_fcurve
+from sobolev1d.fundamental import solve_log_solution
+from sobolev1d.minimizer import default_window
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
 CONSTANT = '{"kind": "constant", "v": 1}'
@@ -223,6 +220,45 @@ def test_verify_bad_oracle_flags_exit_2_before_solving(capsys, monkeypatch, flag
     assert code == 2
     assert out == "" and "configuration error" in err
     assert sides == []
+
+
+def test_cli_exports_only_main():
+    from sobolev1d import cli
+
+    assert cli.__all__ == ["main"]
+
+
+@pytest.mark.parametrize("flags", [("--format", "csv"), ("--oracle-tol", "1")])
+def test_verify_refuses_format_and_oracle_tol(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--potential", CONSTANT, *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_oracle_tolerance_is_fixed(capsys):
+    _, out, _ = run(
+        capsys, "verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"
+    )
+    oracle = out.splitlines()[-1]
+    assert oracle.startswith("PASS oracle-agreement")
+    assert oracle.endswith("(tolerance 0.01)")
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (("solve",), "json"),
+        (("scan", "--grid=-2:2:9"), "csv"),
+        (("green", "--x=-1:1:3", "--y=0:0:1"), "csv"),
+    ],
+    ids=["solve", "scan", "green"],
+)
+def test_format_default_per_command(capsys, argv, fmt):
+    _, default, _ = run(capsys, *argv, "--potential", CONSTANT)
+    _, explicit, _ = run(capsys, *argv, "--potential", CONSTANT, "--format", fmt)
+    assert default == explicit
+    assert default.startswith("{") == (fmt == "json")
 
 
 def test_verify_flags_dishonest_bounds(capsys):

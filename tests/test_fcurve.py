@@ -6,21 +6,22 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    LogSolution,
-    build_fcurve,
     build_green,
-    check_minimality_equivalence,
-    extremal_function,
-    find_critical_points,
     make_constant,
     make_example,
     make_monotone_step,
     make_piecewise_constant,
     minimize,
     potential_from_spec,
-    solve_log_solution,
 )
-from sobolev1d.fcurve import _make_point, _polish_root
+from sobolev1d.fcurve import (
+    _make_point,
+    _polish_root,
+    build_fcurve,
+    check_minimality_equivalence,
+    find_critical_points,
+)
+from sobolev1d.fundamental import LogSolution, extremal_function, solve_log_solution
 
 WINDOW = (-25.0, 25.0)
 

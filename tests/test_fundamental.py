@@ -9,28 +9,30 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from sobolev1d import (
-    LogSolution,
     Potential,
     SolverError,
-    build_fcurve,
     build_green,
+    extremal,
+    make_constant,
+    make_example,
+    make_monotone_step,
+    make_piecewise_constant,
+    minimize,
+    potential_from_spec,
+)
+from sobolev1d.fcurve import build_fcurve
+from sobolev1d.fundamental import (
+    LogSolution,
+    _cell_maps,
     check_comparison,
     check_envelope_bounds,
     check_gluing,
     check_riccati_residual,
     decay_inset,
     extremal_function,
-    make_constant,
-    make_example,
-    make_monotone_step,
-    make_piecewise_constant,
-    extremal,
-    minimize,
-    potential_from_spec,
     solve_log_solution,
 )
 from sobolev1d import fundamental
-from sobolev1d.fundamental import _cell_maps
 from conftest import random_piecewise_constant
 
 WINDOW = (-25.0, 25.0)
@@ -395,6 +397,21 @@ def test_smooth_potential_keeps_the_initial_spacing():
     for side in ("+", "-"):
         mesh = solve_log_solution(pot, side, *WINDOW)._mesh
         assert np.max(np.diff(mesh)) <= h0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        make_example(1.0, 2.0),
+        make_monotone_step(1.0, 300.0, width=0.2),
+        make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+    ],
+    ids=["example", "logistic-step", "pwc-well"],
+)
+def test_both_sides_refine_to_the_same_mesh(pot):
+    """The side solves refine on identical arguments; one refinement could serve both."""
+    report = minimize(pot)
+    assert report.phi_plus._mesh.tobytes() == report.phi_minus._mesh.tobytes()
 
 
 def test_undeclared_bump_blocks_the_merge():

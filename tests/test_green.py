@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
-from sobolev1d import (
-    build_fcurve,
-    build_green,
-    gaussian_test,
-    make_constant,
-    make_example,
-    make_piecewise_constant,
-    residual_check,
-    solve_log_solution,
-)
+from sobolev1d import build_green, make_constant, make_example, make_piecewise_constant
+from sobolev1d.fcurve import build_fcurve
+from sobolev1d.fundamental import LogSolution, solve_log_solution
+from sobolev1d.green import gaussian_test, residual_check
 
 WINDOW = (-25.0, 25.0)
 
@@ -66,6 +60,37 @@ def test_derivative_jump_is_minus_one(example_green):
             y - 1e-13, y
         )
         assert jump == pytest.approx(-1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(0.5, np.linspace(-2.0, 2.0, 9)), (np.linspace(-2.0, 2.0, 9), 0.5), (0.5, 0.5)],
+    ids=["scalar-array", "array-scalar", "scalar-scalar"],
+)
+def test_section_derivative_broadcasts_like_value(x, y):
+    _, _, green = _green_for(make_constant(1.0))
+    d = np.subtract(x, y)
+    # On V = 1, G = e^{-|x-y|}/2; the right derivative at x = y is -1/2.
+    exact = np.where(d < 0, 1.0, -1.0) * np.exp(-np.abs(d)) / 2.0
+    got = green.section_derivative(x, y)
+    assert np.shape(got) == np.shape(exact)
+    assert isinstance(got, float) == (np.ndim(exact) == 0)
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_residual_check_reads_each_side_once_per_test_function(example_green, monkeypatch):
+    _, _, green = example_green
+    calls = []
+    original = LogSolution._dense
+
+    def counted(self, x):
+        calls.append(self.side)
+        return original(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    tests = [gaussian_test(c, 0.8) for c in (-1.0, 0.0, 1.0)]
+    assert residual_check(green, 0.7, tests).passed
+    assert sorted(calls) == ["+"] * 3 + ["-"] * 3
 
 
 def test_weak_identity_gaussians(example_green):

@@ -5,8 +5,6 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    classify_attainment,
-    default_window,
     extremal,
     make_constant,
     make_example,
@@ -15,6 +13,7 @@ from sobolev1d import (
     minimize,
     rayleigh_quotient,
 )
+from sobolev1d.minimizer import classify_attainment, default_window
 from sobolev1d.cli import canonical_json
 
 

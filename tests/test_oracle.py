@@ -5,18 +5,20 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    DiscreteRayleighProblem,
     Potential,
     SolverError,
-    discrete_first_step,
-    discrete_minimize,
     make_constant,
     make_example,
     make_monotone_step,
     make_piecewise_constant,
     minimize,
 )
-from sobolev1d.oracle import _pivots
+from sobolev1d.oracle import (
+    DiscreteRayleighProblem,
+    _pivots,
+    discrete_first_step,
+    discrete_minimize,
+)
 
 
 def test_problem_construction():

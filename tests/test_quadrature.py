@@ -1,8 +1,25 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sobolev1d.quadrature import composite_gauss_legendre
+from sobolev1d.quadrature import _rule, composite_gauss_legendre
+
+
+def _per_panel(fun, lo, hi, splits, panel_length):
+    """Reference: the nodes and weights built one panel at a time."""
+    edges = sorted(set([lo, hi] + [float(s) for s in splits if lo < s < hi]))
+    nodes, weights = _rule()
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        n_sub = max(1, int(np.ceil((b - a) / panel_length)))
+        sub = np.linspace(a, b, n_sub + 1)
+        for c, d in zip(sub[:-1], sub[1:]):
+            half = 0.5 * (d - c)
+            xs.append(0.5 * (c + d) + half * nodes)
+            ws.append(half * weights)
+    return float(np.dot(np.concatenate(ws), fun(np.concatenate(xs))))
 
 
 def test_smooth_integral():
@@ -35,3 +52,20 @@ def test_reversed_or_empty_interval_rejected():
         composite_gauss_legendre(np.sin, 1.0, 1.0)
     with pytest.raises(ValueError):
         composite_gauss_legendre(np.sin, 2.0, 1.0)
+
+
+finite = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lo=finite,
+    width=st.floats(1e-3, 60.0),
+    splits=st.lists(finite, max_size=6),
+    panel_length=st.floats(0.05, 5.0),
+    fun=st.sampled_from([np.sin, np.exp, np.abs, lambda x: np.exp(-x * x) * np.cos(3 * x)]),
+)
+def test_nodes_match_per_panel_reference_bitwise(lo, width, splits, panel_length, fun):
+    hi = lo + width
+    got = composite_gauss_legendre(fun, lo, hi, splits=splits, panel_length=panel_length)
+    assert got == _per_panel(fun, lo, hi, splits, panel_length)
