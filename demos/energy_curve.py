@@ -9,7 +9,8 @@ from differencing:
 
 The script tabulates the curve for a monotone step potential (where F is
 strictly increasing and the infimum escapes to the left), prints the
-invariants that hold along the way, and writes the table as CSV.
+invariants that hold along the way, and writes the table as CSV.  The pair
+(phi_+, phi_-) comes from one ``solve_log_solution`` call, on one mesh.
 
 Run from the repository root:  python3 demos/energy_curve.py [out.csv]
 """
@@ -27,8 +28,7 @@ from sobolev1d.fcurve import (
 from sobolev1d.fundamental import solve_log_solution
 
 pot = make_monotone_step(1.0, 4.0, width=1.0)
-plus = solve_log_solution(pot, "+", -25.0, 25.0)
-minus = solve_log_solution(pot, "-", -25.0, 25.0)
+plus, minus = solve_log_solution(pot, -25.0, 25.0)
 curve = build_fcurve(plus, minus)
 
 print(f"potential: {pot.label}, tails {pot.tail_limits}")

@@ -4,7 +4,8 @@ G(x, y) = phi_-(min) phi_+(max) / W inverts the operator: for any smooth
 compactly supported v, the weak identity int (G_y' v' + V G_y v) = v(y)
 holds, and the diagonal recovers the pinned energy via G(y, y) = 1/F(y).
 Both are demonstrated below for a square-well step potential, plus the
-kernel's symmetry and its unit derivative jump across the diagonal.
+kernel's symmetry and its unit derivative jump across the diagonal.  One
+``solve_log_solution`` call returns both decaying solutions, on one mesh.
 
 Run from the repository root:  python3 demos/green_function.py
 """
@@ -17,8 +18,7 @@ from sobolev1d.fundamental import solve_log_solution
 from sobolev1d.green import gaussian_test, residual_check
 
 pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-plus = solve_log_solution(pot, "+", -25.0, 25.0)
-minus = solve_log_solution(pot, "-", -25.0, 25.0)
+plus, minus = solve_log_solution(pot, -25.0, 25.0)
 green = build_green(plus, minus)
 curve = build_fcurve(plus, minus)
 

@@ -12,7 +12,7 @@ logarithmic-derivative solutions, locates and classifies the minimizers,
 evaluates the associated Green function, and cross-checks everything
 against a direct finite-difference minimization.
 
-The top level exports the pipeline; the building blocks (side solves, the
+The top level exports the pipeline; the building blocks (the pair solve, the
 energy curve, checks and reports, the mesh oracle) are imported from their
 submodules: ``fundamental``, ``fcurve``, ``green``, ``minimizer``, ``oracle``.
 """

@@ -96,8 +96,8 @@ def _configure(args: argparse.Namespace) -> None:
             args.window = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ConfigError("--window values must be numbers") from exc
-        if not (args.window[0] < 0.0 < args.window[1]):
-            raise ConfigError("--window must contain 0")
+        if not (-math.inf < args.window[0] < 0.0 < args.window[1] < math.inf):
+            raise ConfigError("--window must be finite and contain 0")
     if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
         raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
 
@@ -203,8 +203,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     x_min, x_max = args.window or default_window(args.potential)
-    plus = solve_log_solution(args.potential, "+", x_min, x_max, args.tol)
-    minus = solve_log_solution(args.potential, "-", x_min, x_max, args.tol)
+    plus, minus = solve_log_solution(args.potential, x_min, x_max, args.tol)
     curve = build_fcurve(plus, minus)
     if args.grid is None:
         grid = curve.grid
@@ -232,8 +231,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
     lo, hi = args.window or default_window(args.potential)
-    plus = solve_log_solution(args.potential, "+", lo, hi, args.tol)
-    minus = solve_log_solution(args.potential, "-", lo, hi, args.tol)
+    plus, minus = solve_log_solution(args.potential, lo, hi, args.tol)
     green = build_green(plus, minus)
     xs = _parse_linspace(args.x, "--x")
     ys = _parse_linspace(args.y, "--y")

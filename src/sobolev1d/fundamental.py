@@ -28,15 +28,18 @@ and summed with compensation.  The step is exact for piecewise constant V,
 and the Gauss nodes lie strictly inside each cell, so a jump is never
 sampled.
 
-Mesh and error control.  The initial mesh is uniform with spacing
-h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) / sqrt(v1), split at the window
-edges, at 0 and at the potential's breakpoints.  The first round samples V
-once, at the Gauss nodes of every initial cell and of its two halves.  A
-cell whose nine samples are one number c is flat.  Each maximal run of
-flat cells that share c and cross no edge is replaced by equal cells with
-theta = h sqrt(|c|) <= 20, laid out from the end nearer 0, when that takes
-fewer cells than the run had; their map is the exact one of constant V, so
-they need no check and no further sample.  Where one sample differs, the
+Mesh and error control.  The mesh depends on V, the window and tol, not
+on the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
+maps once per side; the two solutions share its node array.  The initial
+mesh is uniform with spacing h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
+sqrt(v1), split at the window edges, at 0 and at the potential's
+breakpoints.  The first round samples V once, at the Gauss nodes of every
+initial cell and of its two halves.  A cell whose nine samples are one
+number c is flat.  Each maximal run of flat cells that share c and cross no
+edge is replaced by equal cells with theta = h sqrt(|c|) <= 20, laid out
+from the end nearer 0, when that takes fewer cells than the run had; their
+map is the exact one of constant V, so they need no check and no further
+sample.  Where one sample differs, the
 cell is treated as if no run existed.  Every other cell is checked by step
 doubling (one step against two half steps, all cells at once); the
 matrix difference is converted to r and l units with |r| <= sqrt(v1), and
@@ -59,13 +62,9 @@ Bands.  The seeded flows stay in
     -sqrt(v1) <= r_plus <= -sqrt(v0),    sqrt(v0) <= r_minus <= sqrt(v1),
 
 (at r = +-sqrt(v1) and +-sqrt(v0) the Riccati field points inward), which
-is the bound the error conversion uses.  The solver checks the wider bands
-
-    -v1/sqrt(v0) <= r_plus <= -v0/sqrt(v1),
-     v0/sqrt(v1) <= r_minus <= v1/sqrt(v0),
-
-which any decaying solution obeys, and refuses when they fail: the declared
-bounds are then not honest.
+is the bound the error conversion uses.  The solver checks both sides
+against it, with slack 1e-8 max(1, sqrt(v1)), and refuses when either
+leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 assembled from the two sides without quadrature:
@@ -275,11 +274,18 @@ def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
     """Uniform nodes of spacing <= h0 on each piece between consecutive edges.
 
     Each piece is laid out from its end nearer 0, so the mesh of a window
-    symmetric about 0 is bitwise mirror-symmetric.
+    symmetric about 0 is bitwise mirror-symmetric.  More than MAX_CELLS
+    cells raise SolverError before any node is allocated.
     """
+    pieces = list(zip(edges[:-1], edges[1:]))
+    counts = [int(math.ceil((hi - lo) / h0)) for lo, hi in pieces]
+    if sum(counts) > MAX_CELLS:
+        raise SolverError(
+            f"the initial mesh needs {sum(counts)} cells, more than {MAX_CELLS}; "
+            "narrow the window or loosen the tolerance"
+        )
     nodes = [np.asarray(edges, dtype=float)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = int(math.ceil((hi - lo) / h0))
+    for (lo, hi), n in zip(pieces, counts):
         near, far = (lo, hi) if lo >= 0.0 else (hi, lo)
         nodes.append(near + (far - near) * (np.arange(1, n) / n))
     return np.sort(np.concatenate(nodes))
@@ -353,11 +359,6 @@ def _refine(
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     lo, hi = nodes[:-1], nodes[1:]
-    if lo.size > MAX_CELLS:
-        raise SolverError(
-            f"the initial mesh needs {lo.size} cells, more than {MAX_CELLS}; "
-            "narrow the window or loosen the tolerance"
-        )
     mid, half_lo, half_h = _halves(lo, hi)
     points = np.concatenate((_gauss_points(lo, hi - lo), _gauss_points(half_lo, half_h)))
     v = _samples(potential, points).reshape(9, lo.size)
@@ -434,8 +435,9 @@ class LogSolution:
         tol: the accuracy requested at construction.
         potential: the potential integrated against.
 
-    The mesh contains 0, where l is 0; r and l anywhere in the window come
-    from a partial Magnus step off the mesh (``_dense``).
+    The mesh contains 0, where l is 0, and is shared with the other side of
+    the same solve; r and l anywhere in the window come from a partial
+    Magnus step off the mesh (``_dense``).
     """
 
     side: str
@@ -538,35 +540,34 @@ class LogSolution:
 
 def solve_log_solution(
     potential: Potential,
-    side: str,
     x_min: float,
     x_max: float,
     tol: float = DEFAULT_TOL,
-) -> LogSolution:
-    """Integrate the decaying branch of r' = V - r^2 across the window.
+) -> tuple[LogSolution, LogSolution]:
+    """Integrate both decaying branches of r' = V - r^2 across the window.
 
-    Side "+" runs backward from x_max seeded with -sqrt(V) there; side "-"
-    forward from x_min seeded with +sqrt(V).  Each cell of an adaptive mesh
-    (split at 0 and at the potential's breakpoints, refined by step
-    doubling) is crossed by one sixth-order Magnus step applied to r as a
-    Moebius map; l = log phi gets the log of the map's denominator, summed
-    outward from l(0) = 0.  See the module docstring for the error control.
-    The returned solution evaluates r and l anywhere in the window.
+    Returns (phi_plus, phi_minus) on one adaptive mesh (split at 0 and at
+    the potential's breakpoints, refined by step doubling), which the two
+    solutions share.  Each cell is crossed by one sixth-order Magnus step
+    applied to r as a Moebius map: side "-" forward from x_min seeded with
+    +sqrt(V) there, side "+" backward from x_max seeded with -sqrt(V).
+    l = log phi gets the log of the map's denominator, summed outward from
+    l(0) = 0.  See the module docstring for the error control.  Each
+    solution evaluates r and l anywhere in the window.
 
-    Raises ValueError for a bad window (must satisfy x_min < 0 < x_max with
+    Raises ValueError for a bad window (finite, x_min < 0 < x_max, with
     decay margin sqrt(v0)*min(|x_min|, x_max) >= 20) or tolerance outside
-    [1e-14, 1e-6], and SolverError if the mesh refinement exceeds MAX_CELLS
-    cells or the log-derivative leaves its invariant band (declared bounds
+    [1e-14, 1e-6], and SolverError if the mesh needs more than MAX_CELLS
+    cells or a log-derivative leaves its invariant band (declared bounds
     not honest).
     """
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-    if not (x_min < 0.0 < x_max):
-        raise ValueError(f"window must contain 0, got [{x_min:g}, {x_max:g}]")
+    if not (-math.inf < x_min < 0.0 < x_max < math.inf):
+        raise ValueError(f"window must be finite and contain 0, got [{x_min:g}, {x_max:g}]")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     v0, v1 = potential.lower_bound, potential.upper_bound
-    margin = math.sqrt(v0) * min(abs(x_min), x_max)
+    s0, s1 = math.sqrt(v0), math.sqrt(v1)
+    margin = s0 * min(abs(x_min), x_max)
     if margin < MIN_DOMAIN_MARGIN:
         raise ValueError(
             f"decay margin sqrt(v0)*min(|x_min|, x_max) = {margin:.3f} < "
@@ -578,50 +579,51 @@ def solve_log_solution(
     # budget of 2 sqrt(v0) internal_tol per unit length keeps r within about
     # internal_tol.
     internal_tol = min(3e-10, max(1e-13, tol / 1000.0))
-    s1 = math.sqrt(v1)
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
     edges = _segment_edges(potential, x_min, x_max)
     lo, hi, cm1, P, Q, R = _refine(
-        potential, _initial_mesh(edges, h0), edges, 2.0 * math.sqrt(v0) * internal_tol, s1
+        potential, _initial_mesh(edges, h0), edges, 2.0 * s0 * internal_tol, s1
     )
     mesh = np.append(lo, hi[-1])
 
-    # Sweep in the attracting direction: forward for "-", backward for "+"
-    # (the inverse maps, last cell first).  The seed takes V at the Gauss
-    # node nearest the starting edge, which is never on a jump.
-    if side == "-":
-        start = lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])
-        r = _sweep(math.sqrt(float(potential.evaluate(start))), cm1, P, Q, R)
-        dl = np.log1p(cm1 + P + Q * r[:-1])
-    else:
-        start = hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])
-        seed = -math.sqrt(float(potential.evaluate(start)))
-        r = _sweep(seed, cm1[::-1], -P[::-1], -Q[::-1], -R[::-1])[::-1]
-        dl = -np.log1p(cm1 - P - Q * r[1:])
-    # l = 0 at the node x = 0, summed outward in both directions.
-    k0 = int(np.searchsorted(mesh, 0.0))
-    l = np.zeros(mesh.size)
-    l[k0 + 1 :] = _compensated_cumsum(dl[k0:])
-    l[:k0] = -_compensated_cumsum(dl[:k0][::-1])[::-1]
+    # Sweep in each side's attracting direction: forward for "-", backward
+    # for "+" (the inverse maps, last cell first).  The seeds take V at the
+    # Gauss node nearest the starting edge, which is never on a jump.
+    start = lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])
+    r_minus = _sweep(math.sqrt(float(potential.evaluate(start))), cm1, P, Q, R)
+    start = hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])
+    seed = -math.sqrt(float(potential.evaluate(start)))
+    r_plus = _sweep(seed, cm1[::-1], -P[::-1], -Q[::-1], -R[::-1])[::-1]
 
-    band_lo, band_hi = -v1 / math.sqrt(v0), -v0 / math.sqrt(v1)
-    if side == "-":
-        band_lo, band_hi = -band_hi, -band_lo
-    slack = 1e-6 * max(1.0, v1 / math.sqrt(v0))
-    if np.any(r < band_lo - slack) or np.any(r > band_hi + slack):
+    rates = np.concatenate((r_minus, -r_plus))
+    slack = 1e-8 * max(1.0, s1)
+    if not np.all((s0 - slack <= rates) & (rates <= s1 + slack)):
         raise SolverError(
-            f"log-derivative left the invariant band [{band_lo:.4g}, {band_hi:.4g}]; "
+            f"a log-derivative left its invariant band {s0:.4g} <= |r| <= {s1:.4g}; "
             "the declared potential bounds are not honest"
         )
-    return LogSolution(
-        side=side,
-        window=(float(x_min), float(x_max)),
-        domain_margin=margin,
-        tol=float(tol),
-        potential=potential,
-        _mesh=mesh,
-        _r=r,
-        _l=l,
+
+    # l = 0 at the node x = 0, summed outward in both directions.
+    k0 = int(np.searchsorted(mesh, 0.0))
+
+    def solution(side: str, r: np.ndarray, dl: np.ndarray) -> LogSolution:
+        l = np.zeros(mesh.size)
+        l[k0 + 1 :] = _compensated_cumsum(dl[k0:])
+        l[:k0] = -_compensated_cumsum(dl[:k0][::-1])[::-1]
+        return LogSolution(
+            side=side,
+            window=(float(x_min), float(x_max)),
+            domain_margin=margin,
+            tol=float(tol),
+            potential=potential,
+            _mesh=mesh,
+            _r=r,
+            _l=l,
+        )
+
+    return (
+        solution("+", r_plus, -np.log1p(cm1 - P - Q * r_plus[1:])),
+        solution("-", r_minus, np.log1p(cm1 + P + Q * r_minus[:-1])),
     )
 
 
@@ -838,11 +840,10 @@ def check_comparison(
     gap = float(np.max(v_lo - v_hi))
     precondition_ok = gap <= 1e-12 * max(1.0, float(np.max(np.abs(v_hi))))
 
-    us = []
-    for pot in (potential_low, potential_high):
-        plus = solve_log_solution(pot, "+", -w, w)
-        minus = solve_log_solution(pot, "-", -w, w)
-        us.append(extremal_function(plus, minus, a))
+    us = [
+        extremal_function(*solve_log_solution(pot, -w, w), a)
+        for pot in (potential_low, potential_high)
+    ]
     margin = np.asarray(us[0].log_value(grid)) - np.asarray(us[1].log_value(grid))
     min_margin = float(np.min(margin))
     return ComparisonReport(

@@ -190,8 +190,7 @@ def minimize(
     in ``fcurve``, CLASSIFICATION_TOL here.
     """
     x_min, x_max = window if window is not None else default_window(potential)
-    phi_plus = solve_log_solution(potential, "+", x_min, x_max, tol)
-    phi_minus = solve_log_solution(potential, "-", x_min, x_max, tol)
+    phi_plus, phi_minus = solve_log_solution(potential, x_min, x_max, tol)
     curve = build_fcurve(phi_plus, phi_minus)
     scan = find_critical_points(curve)
     tail, tail_method = _tail_infimum(potential, curve)

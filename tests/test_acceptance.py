@@ -36,8 +36,7 @@ def _solve_pair(pot, window=None):
     if window is None:
         w = 25.0 / math.sqrt(pot.lower_bound)
         window = (-w, w)
-    plus = solve_log_solution(pot, "+", *window)
-    minus = solve_log_solution(pot, "-", *window)
+    plus, minus = solve_log_solution(pot, *window)
     return plus, minus
 
 
@@ -114,8 +113,8 @@ def test_criterion_4_bounds_suite():
         pot = random_piecewise_constant(rng)
         report = minimize(pot)
         v0, v1 = pot.lower_bound, pot.upper_bound
-        lo = 2.0 * v0 / math.sqrt(v1)
-        hi = 2.0 * v1 / math.sqrt(v0)
+        lo = 2.0 * math.sqrt(v0)
+        hi = 2.0 * math.sqrt(v1)
         worst_low = max(worst_low, lo - report.m_value)
         worst_high = max(worst_high, report.m_value - hi)
         env = check_envelope_bounds(report.phi_plus, report.phi_minus)

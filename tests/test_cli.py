@@ -112,8 +112,7 @@ def test_green_lattice(capsys):
 def test_scan_and_green_match_scalar_reads(capsys, spec):
     """The tables equal rows built from one scalar read per pin and lattice point."""
     pot = potential_from_spec(json.loads(spec))
-    plus = solve_log_solution(pot, "+", *default_window(pot))
-    minus = solve_log_solution(pot, "-", *default_window(pot))
+    plus, minus = solve_log_solution(pot, *default_window(pot))
     curve = build_fcurve(plus, minus)
     green = build_green(plus, minus)
     scan = [
@@ -164,6 +163,16 @@ def test_dishonest_bounds_exit_3(capsys):
     assert "solver error" in err
 
 
+def test_window_must_be_finite_and_fit_the_mesh_cap(capsys):
+    code, out, err = run(capsys, "solve", "--potential", CONSTANT, "--window=-inf,inf")
+    assert (code, out) == (2, "")
+    assert "finite" in err
+    # 4e8 cells at h0 = 0.05: refused before the mesh is allocated.
+    code, out, err = run(capsys, "solve", "--potential", CONSTANT, "--window=-1e7,1e7")
+    assert (code, out) == (3, "")
+    assert "initial mesh needs 400000000 cells" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(
         capsys,
@@ -182,22 +191,30 @@ def test_verify_passes(capsys):
 
 
 def test_verify_solves_each_side_once(capsys, monkeypatch):
-    from sobolev1d import cli, minimizer
+    from sobolev1d import cli, fundamental, minimizer
 
-    sides = []
+    pairs = []
+    refines = []
     original = minimizer.solve_log_solution
+    refine = fundamental._refine
 
-    def counted(potential, side, *args, **kwargs):
-        sides.append(side)
-        return original(potential, side, *args, **kwargs)
+    def counted(*args, **kwargs):
+        pairs.append(args)
+        return original(*args, **kwargs)
+
+    def counted_refine(*args):
+        refines.append(args)
+        return refine(*args)
 
     monkeypatch.setattr(minimizer, "solve_log_solution", counted)
     monkeypatch.setattr(cli, "solve_log_solution", counted)
+    monkeypatch.setattr(fundamental, "_refine", counted_refine)
     code, _, _ = run(
         capsys, "verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"
     )
     assert code == 0
-    assert sorted(sides) == ["+", "-"]
+    assert len(pairs) == 1
+    assert len(refines) == 1
 
 
 @pytest.mark.parametrize(
@@ -207,19 +224,19 @@ def test_verify_solves_each_side_once(capsys, monkeypatch):
 def test_verify_bad_oracle_flags_exit_2_before_solving(capsys, monkeypatch, flags):
     from sobolev1d import cli, minimizer
 
-    sides = []
+    pairs = []
     original = minimizer.solve_log_solution
 
-    def counted(potential, side, *args, **kwargs):
-        sides.append(side)
-        return original(potential, side, *args, **kwargs)
+    def counted(*args, **kwargs):
+        pairs.append(args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(minimizer, "solve_log_solution", counted)
     monkeypatch.setattr(cli, "solve_log_solution", counted)
     code, out, err = run(capsys, "verify", "--potential", CONSTANT, *flags)
     assert code == 2
     assert out == "" and "configuration error" in err
-    assert sides == []
+    assert pairs == []
 
 
 def test_cli_exports_only_main():

@@ -29,8 +29,7 @@ WINDOW = (-25.0, 25.0)
 @pytest.fixture(scope="module")
 def example_curve():
     pot = make_example(cf.A, cf.B)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     return pot, build_fcurve(plus, minus)
 
 
@@ -136,8 +135,7 @@ def test_critical_points_example(example_curve):
 
 def test_flat_curve_constant():
     pot = make_constant(2.25)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     curve = build_fcurve(plus, minus)
     assert np.max(np.abs(curve.values - 3.0)) < 1e-10
     scan = find_critical_points(curve)
@@ -148,8 +146,7 @@ def test_flat_curve_constant():
 
 def test_monotone_step_has_no_roots():
     pot = make_monotone_step(1.0, 4.0)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     curve = build_fcurve(plus, minus)
     scan = find_critical_points(curve)
     assert not scan.flat
@@ -199,8 +196,7 @@ def test_curve_grid_holds_zero_and_breakpoints():
     pot = make_piecewise_constant([-6.0, -5.0, 5.0, 6.0], [4.0, 1.0, 4.0, 1.0, 4.0])
     # On this window no uniform sample lands on 0 or on a breakpoint.
     window = (-24.9, 25.3)
-    plus = solve_log_solution(pot, "+", *window)
-    minus = solve_log_solution(pot, "-", *window)
+    plus, minus = solve_log_solution(pot, *window)
     curve = build_fcurve(plus, minus)
     lo, hi = curve.window
     assert curve.grid[0] >= lo and curve.grid[-1] <= hi

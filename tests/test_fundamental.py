@@ -41,30 +41,28 @@ WINDOW = (-25.0, 25.0)
 @pytest.fixture(scope="module")
 def example_pair():
     pot = make_example(cf.A, cf.B)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     return pot, plus, minus
 
 
 def test_window_and_side_validation():
     pot = make_constant(1.0)
     with pytest.raises(ValueError):
-        solve_log_solution(pot, "up", -25, 25)
+        solve_log_solution(pot, 1.0, 25.0)  # window must contain 0
     with pytest.raises(ValueError):
-        solve_log_solution(pot, "+", 1.0, 25.0)  # window must contain 0
+        solve_log_solution(pot, -25.0, 25.0, tol=1e-3)  # out of range
     with pytest.raises(ValueError):
-        solve_log_solution(pot, "+", -25.0, 25.0, tol=1e-3)  # out of range
-    with pytest.raises(ValueError):
-        solve_log_solution(pot, "+", -5.0, 5.0)  # decay margin too small
+        solve_log_solution(pot, -5.0, 5.0)  # decay margin too small
+    with pytest.raises(ValueError, match="finite"):
+        solve_log_solution(pot, -math.inf, math.inf)
 
 
 def test_constant_solution_is_exact():
     pot = make_constant(4.0)
-    plus = solve_log_solution(pot, "+", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     xs = np.linspace(-24, 24, 97)
     assert np.max(np.abs(plus.ell_at(xs) + 2.0 * xs)) < 1e-12
     assert np.max(np.abs(plus.ell_prime_at(xs) + 2.0)) < 1e-12
-    minus = solve_log_solution(pot, "-", *WINDOW)
     assert np.max(np.abs(minus.ell_at(xs) - 2.0 * xs)) < 1e-12
     assert plus.ell_at(0.0) == 0.0
     assert plus.phi_at(0.0) == 1.0
@@ -101,7 +99,7 @@ def test_solve_makes_no_dense_read(pot, window, monkeypatch):
         return dense(self, x)
 
     monkeypatch.setattr(LogSolution, "_dense", counted)
-    sides = [solve_log_solution(pot, side, *window) for side in ("+", "-")]
+    sides = solve_log_solution(pot, *window)
     assert reads == []
     for sol in sides:
         assert sol.ell_at(0.0) == 0.0
@@ -124,21 +122,21 @@ def test_riccati_residual_example(example_pair):
 def test_riccati_residual_piecewise(rng):
     pot = random_piecewise_constant(rng)
     w = 25.0 / math.sqrt(pot.lower_bound)
-    plus = solve_log_solution(pot, "+", -w, w)
+    plus = solve_log_solution(pot, -w, w)[0]
     report = check_riccati_residual(plus)
     assert report.passed, report
 
 
 def test_tolerance_consistency(example_pair):
     pot, plus, _ = example_pair
-    loose = solve_log_solution(pot, "+", *WINDOW, tol=1e-8)
+    loose = solve_log_solution(pot, *WINDOW, tol=1e-8)[0]
     xs = np.linspace(-24.5, 24.5, 401)
     assert np.max(np.abs(loose.ell_at(xs) - plus.ell_at(xs))) < 1e-6
 
 
 def test_seeding_robustness(example_pair):
     pot, plus, _ = example_pair
-    wide = solve_log_solution(pot, "+", WINDOW[0], WINDOW[1] + 8.0)
+    wide = solve_log_solution(pot, WINDOW[0], WINDOW[1] + 8.0)[0]
     cut = WINDOW[1] - decay_inset(pot)
     xs = np.linspace(WINDOW[0] + 0.5, cut, 501)
     assert np.max(np.abs(wide.ell_at(xs) - plus.ell_at(xs))) < 1e-8
@@ -156,7 +154,12 @@ def test_dishonest_bounds_rejected():
         label="dishonest",
     )
     with pytest.raises(SolverError):
-        solve_log_solution(lying, "+", -12.0, 12.0)
+        solve_log_solution(lying, -12.0, 12.0)
+    # r_minus peaks at 2 < 3, inside the wide band [1/sqrt(3), 3] but above sqrt(3).
+    well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
+    understated = dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0)
+    with pytest.raises(SolverError, match="invariant band"):
+        solve_log_solution(understated, *WINDOW)
 
 
 def test_extremal_function_shape(example_pair):
@@ -178,9 +181,8 @@ def test_extremal_function_shape(example_pair):
 @pytest.fixture(scope="module")
 def constant_sides():
     pot = make_constant(1.0)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
-    wider_minus = solve_log_solution(pot, "-", WINDOW[0], WINDOW[1] + 5.0)
+    plus, minus = solve_log_solution(pot, *WINDOW)
+    wider_minus = solve_log_solution(pot, WINDOW[0], WINDOW[1] + 5.0)[1]
     return plus, minus, wider_minus
 
 
@@ -220,8 +222,7 @@ def test_envelope_bounds_random(rng):
     for _ in range(3):
         pot = random_piecewise_constant(rng)
         w = 25.0 / math.sqrt(pot.lower_bound)
-        plus = solve_log_solution(pot, "+", -w, w)
-        minus = solve_log_solution(pot, "-", -w, w)
+        plus, minus = solve_log_solution(pot, -w, w)
         report = check_envelope_bounds(plus, minus)
         assert report.passed, report.violations
 
@@ -249,8 +250,7 @@ def test_comparison_equal_potentials_tight():
 
 def test_gluing_constant_closed_form():
     pot = make_constant(1.0)
-    plus = solve_log_solution(pot, "+", *WINDOW)
-    minus = solve_log_solution(pot, "-", *WINDOW)
+    plus, minus = solve_log_solution(pot, *WINDOW)
     u0 = extremal_function(plus, minus, 0.0)
     assert u0(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
     report = check_gluing(plus, minus, -1.0, 1.0)
@@ -292,8 +292,7 @@ def test_example_accuracy_at_each_tolerance(tol):
     # The window keeps |x| <= 20 one decay inset (12/sqrt(v0)) from its edges,
     # so the seeding transient does not count against the integrator.
     pot = make_example(cf.A, cf.B)
-    plus = solve_log_solution(pot, "+", -32.0, 32.0, tol)
-    minus = solve_log_solution(pot, "-", -32.0, 32.0, tol)
+    plus, minus = solve_log_solution(pot, -32.0, 32.0, tol)
     xs = np.linspace(-20.0, 20.0, 4001)
     bound = max(tol, 1e-12)
     assert np.max(np.abs(plus.ell_prime_at(xs) - cf.ell_plus_prime_exact(xs))) <= bound
@@ -305,9 +304,9 @@ def test_sharp_step_converged(width):
     """A ramp far narrower than the initial mesh is resolved by refinement."""
     pot = make_monotone_step(1.0, 100.0, width=width)
     xs = np.concatenate((np.linspace(-24.0, 24.0, 2001), np.linspace(-0.05, 0.05, 2001)))
-    for side in ("+", "-"):
-        coarse = solve_log_solution(pot, side, *WINDOW, tol=1e-10)
-        fine = solve_log_solution(pot, side, *WINDOW, tol=1e-12)
+    for coarse, fine in zip(
+        solve_log_solution(pot, *WINDOW, tol=1e-10), solve_log_solution(pot, *WINDOW, tol=1e-12)
+    ):
         assert np.max(np.abs(coarse.ell_prime_at(xs) - fine.ell_prime_at(xs))) < 1e-9
 
 
@@ -325,7 +324,7 @@ def test_magnus_step_is_sixth_order():
 
 def test_mesh_cap_and_non_finite_potential_refused():
     with pytest.raises(SolverError, match="cells"):
-        solve_log_solution(make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6]), "+", *WINDOW)
+        solve_log_solution(make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6]), *WINDOW)
     base = make_constant(1.0)
     holey = type(base)(
         evaluate=lambda x: np.where(np.asarray(x) > 3.0, np.nan, 1.0),
@@ -333,7 +332,7 @@ def test_mesh_cap_and_non_finite_potential_refused():
         upper_bound=1.0,
     )
     with pytest.raises(SolverError, match="non-finite"):
-        solve_log_solution(holey, "-", *WINDOW)
+        solve_log_solution(holey, *WINDOW)
 
 
 def test_infinite_potential_refused():
@@ -343,7 +342,7 @@ def test_infinite_potential_refused():
         upper_bound=1.0,
     )
     with pytest.raises(SolverError, match="non-finite"):
-        solve_log_solution(holey, "-", *WINDOW)
+        solve_log_solution(holey, *WINDOW)
 
 
 def test_constant_far_above_its_bound_refused_in_the_first_round():
@@ -355,7 +354,7 @@ def test_constant_far_above_its_bound_refused_in_the_first_round():
         return np.full_like(np.asarray(x, dtype=float), 1e12)
 
     with pytest.raises(SolverError):
-        solve_log_solution(Potential(evaluate, 1.0, 1.0), "+", *WINDOW)
+        solve_log_solution(Potential(evaluate, 1.0, 1.0), *WINDOW)
     # h0 = 0.05 on [-25, 25]: 1000 initial cells, 9 samples each, no bisection.
     assert sum(points) <= 9 * 1000
 
@@ -375,15 +374,15 @@ def test_finite_potential_above_its_bound_named_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="exceeds its declared upper bound 1"):
-            solve_log_solution(far_above, "+", *WINDOW)
+            solve_log_solution(far_above, *WINDOW)
         with pytest.raises(SolverError, match="non-finite"):
-            solve_log_solution(infinite, "-", *WINDOW)
+            solve_log_solution(infinite, *WINDOW)
 
 
 def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
     pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    for side in ("+", "-"):
-        mesh = solve_log_solution(pot, side, -30.0, 30.0)._mesh
+    for sol in solve_log_solution(pot, -30.0, 30.0):
+        mesh = sol._mesh
         assert {-1.0, 0.0, 1.0} <= set(mesh.tolist())
         assert np.array_equal(mesh, -mesh[::-1])
         assert mesh.size < 50
@@ -394,9 +393,8 @@ def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
 def test_smooth_potential_keeps_the_initial_spacing():
     pot = make_example(1.0, 2.0)
     h0 = 0.05 / math.sqrt(pot.upper_bound)
-    for side in ("+", "-"):
-        mesh = solve_log_solution(pot, side, *WINDOW)._mesh
-        assert np.max(np.diff(mesh)) <= h0 * (1.0 + 1e-12)
+    for sol in solve_log_solution(pot, *WINDOW):
+        assert np.max(np.diff(sol._mesh)) <= h0 * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -408,10 +406,20 @@ def test_smooth_potential_keeps_the_initial_spacing():
     ],
     ids=["example", "logistic-step", "pwc-well"],
 )
-def test_both_sides_refine_to_the_same_mesh(pot):
-    """The side solves refine on identical arguments; one refinement could serve both."""
+def test_both_sides_refine_to_the_same_mesh(pot, monkeypatch):
+    """One refinement per pair: both sides share its mesh."""
+    calls = []
+    refine = fundamental._refine
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(fundamental, "_refine", counted)
     report = minimize(pot)
-    assert report.phi_plus._mesh.tobytes() == report.phi_minus._mesh.tobytes()
+    extremal(report)
+    assert len(calls) == 1
+    assert report.phi_plus._mesh is report.phi_minus._mesh
 
 
 def test_undeclared_bump_blocks_the_merge():
@@ -419,7 +427,7 @@ def test_undeclared_bump_blocks_the_merge():
     declared = make_piecewise_constant([lo, hi], [1.0, 3.0, 1.0])
     bump = Potential(evaluate=declared.evaluate, lower_bound=1.0, upper_bound=3.0)
     h0 = 0.05 / math.sqrt(3.0)
-    mesh = solve_log_solution(bump, "+", *WINDOW)._mesh
+    mesh = solve_log_solution(bump, *WINDOW)[0]._mesh
     crossing = (mesh[1:] > lo) & (mesh[:-1] < hi)
     assert np.all(np.diff(mesh)[crossing] <= h0 * (1.0 + 1e-12))
     assert abs(minimize(bump).m_value - minimize(declared).m_value) <= 1e-8
@@ -476,8 +484,7 @@ def dense_sides():
     sides = {}
     for name, make in DENSE_FAMILIES.items():
         pot = make()
-        for side in ("+", "-"):
-            sides[name, side] = solve_log_solution(pot, side, *WINDOW)
+        sides[name, "+"], sides[name, "-"] = solve_log_solution(pot, *WINDOW)
     return sides
 
 

@@ -13,8 +13,7 @@ WINDOW = (-25.0, 25.0)
 
 
 def _green_for(pot, window=WINDOW):
-    plus = solve_log_solution(pot, "+", *window)
-    minus = solve_log_solution(pot, "-", *window)
+    plus, minus = solve_log_solution(pot, *window)
     return plus, minus, build_green(plus, minus)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,16 @@ def test_example_attained(example_report):
     assert report.tail_infimum == pytest.approx(2.0 * math.sqrt(cf.TAIL_VALUE))
     assert report.tail_method == "declared-tail-limits"
     assert report.margin == pytest.approx(report.tail_infimum - report.m_value)
+
+
+def test_edge_sampled_tail_matches_declared_tail(example_report):
+    """Without tail_limits the tail is read off the curve's edges; the verdict is the same."""
+    report = minimize(dataclasses.replace(make_example(cf.A, cf.B), tail_limits=None))
+    assert report.tail_method == "edge-sampled"
+    assert report.tail_infimum >= report.m_value
+    assert report.m_value == example_report.m_value
+    assert report.a_star == example_report.a_star
+    assert report.attainment == example_report.attainment == "attained"
 
 
 def test_monotone_step_empty():
