@@ -37,6 +37,7 @@ from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/traci
 from .fundamental import (
     TOL_RANGE,
     SolverError,
+    _sorted_unique,
     check_envelope_bounds,
     check_riccati_residual,
     solve_log_solution,
@@ -259,7 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         lines.append((status, name, detail))
 
     xs = np.linspace(window[0], window[1], 4001)
-    xs = np.union1d(xs, [b for b in pot.breakpoints if window[0] < b < window[1]])
+    xs = _sorted_unique(xs, [b for b in pot.breakpoints if window[0] < b < window[1]])
     v = np.asarray(pot.evaluate(xs), dtype=float)
     slack = 1e-9 * max(1.0, pot.upper_bound)
     bounds_ok = bool(

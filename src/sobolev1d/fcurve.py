@@ -323,11 +323,9 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     roots: list[float] = []
     s = curve.slope
     g = curve.grid
-    for i in range(len(g) - 1):
-        if s[i] * s[i + 1] > 0.0:
-            continue
-        if max(abs(s[i]), abs(s[i + 1])) <= noise_floor:
-            continue
+    left, right = s[:-1], s[1:]
+    brackets = (left * right <= 0.0) & (np.maximum(np.abs(left), np.abs(right)) > noise_floor)
+    for i in np.flatnonzero(brackets).tolist():
         if s[i] == 0.0:
             root = float(g[i])
         elif s[i + 1] == 0.0:

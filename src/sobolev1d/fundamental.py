@@ -126,6 +126,9 @@ _FLOOR_ULPS = 32.0 * np.finfo(float).eps
 # Largest theta = h sqrt(|V|) of a cell laid across a run of constant V; at
 # cosh(20) ~ 2.4e8 the entries of the exact map stay far from overflow.
 _THETA_MAX = 20.0
+# Points per potential.evaluate call when the mesh is sampled: numpy
+# temporaries above ~16k points cost page faults on every call.
+_SAMPLE_BLOCK = 4096
 
 
 class SolverError(RuntimeError):
@@ -257,13 +260,19 @@ def _segment_edges(potential: Potential, x_min: float, x_max: float) -> list[flo
     return sorted({x_min, 0.0, *inner, x_max})
 
 
+def _sorted_unique(a, b) -> np.ndarray:
+    """The distinct values of a and b, sorted: ``np.union1d`` without loading ``numpy.ma``."""
+    x = np.sort(np.concatenate((np.ravel(a), np.ravel(b))))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _sample_grid(solution: LogSolution) -> np.ndarray:
     """The window at spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the breakpoints."""
     potential = solution.potential
     x_min, x_max = solution.window
     spacing = SAMPLE_SPACING / math.sqrt(potential.lower_bound)
     n = max(2, int(math.ceil((x_max - x_min) / spacing)))
-    grid = np.union1d(
+    grid = _sorted_unique(
         np.linspace(x_min, x_max, n + 1), _segment_edges(potential, x_min, x_max)
     )
     keep = np.concatenate(([True], np.diff(grid) > 1e-12 * (x_max - x_min)))
@@ -331,8 +340,11 @@ def _flat_runs(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, edges: list[float]
 
 
 def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
-    """V at the points, refused when a sample is not finite."""
-    v = np.asarray(potential.evaluate(points), dtype=float)
+    """V at the points, _SAMPLE_BLOCK at a time, refused when a sample is not finite."""
+    v = np.empty_like(points)
+    for start in range(0, points.size, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        v[block] = potential.evaluate(points[block])
     if not np.all(np.isfinite(v)):
         raise SolverError("the potential evaluated to a non-finite value")
     return v

@@ -38,6 +38,7 @@ from .fundamental import (
     DEFAULT_TOL,
     ExtremalFunction,
     LogSolution,
+    _sorted_unique,
     extremal_function,
     solve_log_solution,
 )
@@ -292,7 +293,7 @@ def rayleigh_quotient(
     )
     if sup is None:
         xs = np.linspace(window[0], window[1], 4001)
-        xs = np.union1d(xs, [s for s in splits if window[0] <= s <= window[1]])
+        xs = _sorted_unique(xs, [s for s in splits if window[0] <= s <= window[1]])
         sup = float(np.max(np.abs(np.asarray(u(xs)))))
         if sup == 0.0:
             raise ValueError("u vanishes on the sampled window")

@@ -210,13 +210,67 @@ def make_example(A: float, B: float) -> Potential:
     )
 
 
+def _not_a_knot(grid: np.ndarray, samples: np.ndarray):
+    """Coefficients (c0, c1, c2, c3) of the not-a-knot cubic interpolant, one per interval.
+
+    On [grid[k], grid[k+1]] the interpolant is c0 + c1 u + c2 u^2 + c3 u^3
+    with u = x - grid[k].  The knot slopes solve the tridiagonal not-a-knot
+    system (de Boor, A Practical Guide to Splines, ch. IV) in the form scipy's
+    CubicSpline uses, by one Thomas sweep; the grid has at least 4 points.
+    """
+    dx = np.diff(grid)
+    slope = np.diff(samples) / dx
+    d0, d1 = grid[2] - grid[0], grid[-1] - grid[-3]
+    # Row i reads lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i].
+    lower = np.concatenate(([0.0], dx[1:], [d1])).tolist()
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1], [0.0])).tolist()
+    rhs = np.concatenate((
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    )).tolist()
+    for i in range(1, len(diag)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    # Back substitution turns rhs into the knot slopes s, in place.
+    rhs[-1] /= diag[-1]
+    for i in range(len(rhs) - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    s = np.asarray(rhs)
+    # Hermite form of each interval from its end values and end slopes.
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return samples[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
+
+
+def _critical_points(grid: np.ndarray, coeffs) -> np.ndarray:
+    """The points of [grid[0], grid[-1]] where the piecewise cubic's derivative vanishes.
+
+    The derivative on each interval is the quadratic a u^2 + b u + c, whose
+    roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2.  A
+    linear derivative (a = 0) keeps its one root as c/q = -c/b.  Its other
+    root, and both roots of a constant derivative, come out infinite or NaN;
+    they are dropped with the complex roots and the roots outside the interval.
+    """
+    _, c, half_b, third_a = coeffs
+    a, b = 3.0 * third_a, 2.0 * half_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        u = np.concatenate((q / a, c / q))
+    h = np.tile(np.diff(grid), 2)
+    inside = (u >= 0.0) & (u <= h)
+    return np.tile(grid[:-1], 2)[inside] + u[inside]
+
+
 def _spline_potential(grid, samples, label: str) -> Potential:
-    """Piecewise-cubic interpolant of positive samples, held constant outside the grid.
+    """Not-a-knot cubic interpolant of positive samples, held at the end samples outside the grid.
 
     The grid must be 1-D and strictly increasing with at least 4 points, and
-    hold one sample per point.  The declared bounds are the exact range of
-    the interpolant: the extremes over the samples and the spline's interior
-    critical points, widened by a relative 1e-9.
+    hold one sample per point.  The interpolant is the one scipy's
+    CubicSpline builds, in numpy alone.  The declared bounds are the exact
+    range of the interpolant: the extremes over the samples and the
+    spline's interior critical points, widened by a relative 1e-9.
     """
     grid = np.asarray(grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -224,22 +278,31 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         raise ValueError("table grid must be 1-D, strictly increasing, with >= 4 points")
     if samples.shape != grid.shape:
         raise ValueError("table samples must match the grid in length")
-    # scipy.interpolate is imported on first use: it is slow to import and
-    # only tabulated potentials need it.
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(grid, samples, extrapolate=False)
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(samples))):
+        raise ValueError("table grid and samples must be finite")
+    coeffs = _not_a_knot(grid, samples)
     lo, hi = float(grid[0]), float(grid[-1])
     left, right = float(samples[0]), float(samples[-1])
+    # One more interval from hi on, on which the cubic is the constant right
+    # sample, so that points at or past hi read it exactly, as u = 0 at lo does.
+    c0, c1, c2, c3 = (np.append(c, end) for c, end in zip(coeffs, (right, 0.0, 0.0, 0.0)))
+    inner = grid[1:]
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = spline(np.clip(x, lo, hi))
-        return np.where(x < lo, left, np.where(x > hi, right, out))
+        xc = np.clip(np.asarray(x, dtype=float), lo, hi)
+        k = np.searchsorted(inner, xc, side="right")
+        u = xc - grid[k]
+        out = c3[k]
+        out *= u
+        out += c2[k]
+        out *= u
+        out += c1[k]
+        out *= u
+        out += c0[k]
+        return out
 
     # The spline can over/undershoot between nodes, only at roots of its derivative.
-    critical = spline.derivative().roots(extrapolate=False)
-    vals = np.concatenate((samples, spline(critical[np.isfinite(critical)])))
+    vals = np.concatenate((samples, evaluate(_critical_points(grid, coeffs))))
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     if vmin <= 0.0:
         raise ValueError(

@@ -347,8 +347,17 @@ def test_import_leaves_scipy_unloaded():
         f"code = main(['verify', '--potential', {CONSTANT!r}, "
         "'--oracle-L', '25', '--oracle-h', '0.01']); "
     )
+    xs = [0.5 * k for k in range(-12, 13)]
+    table = json.dumps(
+        {"kind": "table", "x": xs, "v": [4.0 - 3.0 * math.exp(-0.5 * x * x) for x in xs]}
+    )
+    solve = f"from sobolev1d.cli import main; code = main(['solve', '--potential', {table!r}]); "
     report = "print([m for m in sys.modules if m.startswith('scipy')]); "
-    for script in ("import sys, sobolev1d; code = 0; ", f"import sys; {verify}"):
+    for script in (
+        "import sys, sobolev1d; code = 0; ",
+        f"import sys; {verify}",
+        f"import sys; {solve}",
+    ):
         proc = subprocess.run(
             [sys.executable, "-c", script + report + "sys.exit(code)"],
             capture_output=True,
@@ -356,3 +365,25 @@ def test_import_leaves_scipy_unloaded():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    """The sorted unions of sample points do not pull in numpy.ma, as np.union1d does."""
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    if bare.stdout.strip() == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    specs = [CONSTANT, EXAMPLE, '{"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4]}']
+    script = (
+        "import sys; from sobolev1d.cli import main; "
+        f"codes = [main(['verify', '--potential', s, '--oracle-L', '25', '--oracle-h', '0.01']) "
+        f"for s in {specs!r}]; "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -359,6 +359,22 @@ def test_constant_far_above_its_bound_refused_in_the_first_round():
     assert sum(points) <= 9 * 1000
 
 
+def test_mesh_samples_are_read_in_blocks():
+    """V is sampled at most _SAMPLE_BLOCK points per call, and every block is checked."""
+    sizes = []
+
+    def evaluate(x):
+        sizes.append(np.size(x))
+        # Only the second block reads a NaN.
+        return np.full_like(np.asarray(x, dtype=float), np.nan if len(sizes) == 2 else 1.0)
+
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_log_solution(Potential(evaluate, 1.0, 1.0), *WINDOW)
+    # The first round: 1000 initial cells, 9 samples each, and no later round.
+    assert sum(sizes) == 9 * 1000
+    assert max(sizes) == fundamental._SAMPLE_BLOCK < 9 * 1000
+
+
 def test_finite_potential_above_its_bound_named_without_warnings():
     """Finite samples whose cell maps overflow are named as a dishonest upper bound."""
     far_above = Potential(

@@ -12,6 +12,7 @@ from sobolev1d import (
     potential_from_log_derivative,
     potential_from_spec,
 )
+from sobolev1d.potential import _critical_points, _not_a_knot
 
 
 def test_constant_basic():
@@ -160,3 +161,99 @@ def test_table_bounds_are_the_spline_range():
     fine = np.linspace(-10.5, 10.5, 200001)
     vals = np.asarray(pot(fine))
     assert np.all(vals >= pot.lower_bound) and np.all(vals <= pot.upper_bound)
+
+
+_GAUSS_X = [0.25 * k for k in range(-40, 41)]
+_LOG_X = [0.25 * k for k in range(-16, 17)]
+_NONUNIFORM_X = [-3.0, -2.2, -1.7, -0.9, -0.4, 0.15, 0.8, 1.1, 1.9, 2.3, 3.0]
+
+# Reference figures of scipy 1.17.1's CubicSpline (not-a-knot) on three
+# tables, written down once so that no test imports scipy: the declared
+# bounds, the roots of the spline's derivative, and the potential at points
+# before, inside and past each grid.  The two uniform tables are the ones
+# tools/dump_artifacts.py writes.
+SCIPY_SPLINES = {
+    "gaussian_table": (
+        {"kind": "table", "x": _GAUSS_X, "v": [4.0 - 3.0 * math.exp(-0.5 * x * x) for x in _GAUSS_X]},
+        (0.999999996, 4.000000004),
+        [-9.894337567297406, -9.605662432702594, -9.345916700026693, -9.095165085984815,
+         -8.845110903280531, -2.7755575615628914e-17, 8.845110903280531, 9.095165085984815,
+         9.345916700026693, 9.605662432702594, 9.894337567297406],
+        [-11.0, -10.0, -9.875, -0.3, 0.1, 1.37, 9.85, 10.0, 12.0],
+        [4.0, 4.0, 4.0, 1.1320290544928848, 1.0150492364827326, 2.8262379091757897,
+         4.0, 4.0, 4.0],
+    ),
+    "log_derivative_table": (
+        {
+            "kind": "table",
+            "x": _LOG_X,
+            "ell_prime": [-2.0 - 0.5 * math.tanh(x) for x in _LOG_X],
+            "ell_double_prime": [-0.5 / math.cosh(x) ** 2 for x in _LOG_X],
+        },
+        (2.250335681261944, 6.247652892713517),
+        [],
+        [-5.0, -4.0, -3.875, -0.3, 0.1, 1.37, 3.85, 4.0, 6.0],
+        [2.250335687509597, 2.250335687509597, 2.2504320476123847, 2.981052583552996,
+         3.7068545808918465, 5.836467052084906, 6.246826885390454, 6.247652886465864,
+         6.247652886465864],
+    ),
+    "nonuniform": (
+        {"kind": "table", "x": _NONUNIFORM_X,
+         "v": [3.0 + math.sin(2.0 * x) + 0.2 * x for x in _NONUNIFORM_X]},
+        (1.8365013339816827, 4.16314358898201),
+        [-2.3743084487480695, -0.8334477915246811, 0.8406720520543152, 2.3364213198617807],
+        [-4.0, -3.0, -2.6, -0.3, 0.1, 1.37, 2.4, 3.0, 5.0],
+        [2.6794154981989258, 2.6794154981989258, 3.4626018603050337, 2.37707221086395,
+         3.2206030049778214, 3.656292949759448, 2.471117537386996, 3.3205845018010742,
+         3.3205845018010742],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_SPLINES))
+def test_spline_matches_scipy_cubic_spline(name):
+    """The numpy not-a-knot spline reproduces scipy's to 1e-13 relative."""
+    spec, bounds, critical, xs, values = SCIPY_SPLINES[name]
+    pot = potential_from_spec(spec)
+    got = np.asarray(pot(np.array(xs)))
+    assert np.all(np.abs(got - values) <= 1e-13 * np.abs(values))
+    assert [float(pot(x)) for x in xs] == got.tolist()
+    assert pot.lower_bound == pytest.approx(bounds[0], rel=1e-13, abs=0.0)
+    assert pot.upper_bound == pytest.approx(bounds[1], rel=1e-13, abs=0.0)
+    grid = np.asarray(spec["x"])
+    if "v" in spec:
+        samples = np.asarray(spec["v"])
+    else:
+        samples = np.asarray(spec["ell_double_prime"]) + np.asarray(spec["ell_prime"]) ** 2
+    roots = np.sort(_critical_points(grid, _not_a_knot(grid, samples)))
+    assert roots.shape == (len(critical),)
+    assert np.all(np.abs(roots - critical) <= 1e-13 * np.maximum(1.0, np.abs(critical)))
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [
+        ([0, 1, 2, 3], [1, math.nan, 1, 1]),
+        ([0, 1, 2, 3], [1, math.inf, 1, 1]),
+        ([0, 1, math.nan, 3], [1, 1, 1, 1]),
+        ([0, 1, 2, math.inf], [1, 1, 1, 1]),
+    ],
+)
+def test_table_with_non_finite_entries_refused(x, v):
+    with pytest.raises(ValueError, match="finite"):
+        potential_from_spec({"kind": "table", "x": x, "v": v})
+
+
+def test_spline_interpolates_and_holds_the_end_samples():
+    """The spline meets every sample, a cubic exactly, and is constant past the grid."""
+    grid = np.array([-2.0, -1.3, -0.2, 0.4, 1.5, 2.0])
+    cubic = 5.0 + 0.5 * grid - 0.3 * grid**2 + 0.1 * grid**3
+    pot = potential_from_spec({"kind": "table", "x": grid.tolist(), "v": cubic.tolist()})
+    assert np.asarray(pot(grid)).tolist() == cubic.tolist()
+    fine = np.linspace(-2.0, 2.0, 101)
+    exact = 5.0 + 0.5 * fine - 0.3 * fine**2 + 0.1 * fine**3
+    assert np.max(np.abs(np.asarray(pot(fine)) - exact)) < 1e-13
+    assert np.asarray(pot([-np.inf, -7.0, 2.0, 9.0, np.inf])).tolist() == [
+        cubic[0], cubic[0], cubic[-1], cubic[-1], cubic[-1]
+    ]
+    assert math.isnan(pot(np.nan))
