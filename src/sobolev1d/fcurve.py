@@ -34,7 +34,8 @@ from .fundamental import (
     SolverError,
     _check_inside,
     _check_pair,
-    _match,
+    _exp,
+    _is_point,
     _sample_grid,
     decay_inset,
 )
@@ -63,13 +64,16 @@ CONDITION_TOL = 1e-6
 
 
 class PinReads(NamedTuple):
-    """r_±, l_± (l_±(0) = 0) and V at the same pins, with F, F', F'' from them."""
+    """r_±, l_± (l_±(0) = 0) and V at the same pins, with F, F', F'' from them.
 
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    l_plus: np.ndarray
-    l_minus: np.ndarray
-    v: np.ndarray
+    Floats for one pin, arrays for many; ``v`` is None where V was not read.
+    """
+
+    r_plus: np.ndarray | float
+    r_minus: np.ndarray | float
+    l_plus: np.ndarray | float
+    l_minus: np.ndarray | float
+    v: np.ndarray | float | None = None
 
     @property
     def value(self) -> np.ndarray:
@@ -87,14 +91,7 @@ class PinReads(NamedTuple):
     def product(self, side: str, wronskian: float) -> np.ndarray:
         """h_side' H_side = 2 r_side phi_plus phi_minus / W."""
         r = self.r_plus if side == "+" else self.r_minus
-        return 2.0 * r * np.exp(self.l_plus + self.l_minus) / wronskian
-
-
-def _read_pins(phi_plus: LogSolution, phi_minus: LogSolution, a: np.ndarray) -> PinReads:
-    """One dense read per side and one evaluation of V at the pins a."""
-    rp, lp = phi_plus._dense(a)
-    rm, lm = phi_minus._dense(a)
-    return PinReads(rp, rm, lp, lm, np.asarray(phi_plus.potential.evaluate(a), dtype=float))
+        return 2.0 * r * _exp(self.l_plus + self.l_minus) / wronskian
 
 
 @dataclass
@@ -133,24 +130,32 @@ class FCurve:
         """F'' on the grid."""
         return self.grid_reads.curvature
 
+    def _sides(self, a) -> PinReads:
+        """One dense read per side at a pin (kept a float) or an array of pins; V is not read."""
+        a = float(a) if _is_point(a) else np.asarray(a, dtype=float)
+        _check_inside(a, self.window, "pin location outside curve window")
+        (rp, lp), (rm, lm) = self.phi_plus._dense(a), self.phi_minus._dense(a)
+        return PinReads(rp, rm, lp, lm)
+
     def _reads(self, a) -> PinReads:
-        arr = np.asarray(a, dtype=float)
-        _check_inside(arr, self.window, "pin location outside curve window")
-        return _read_pins(self.phi_plus, self.phi_minus, arr)
+        """``_sides`` with V at the pins, for F'' and the minimality tests."""
+        reads = self._sides(a)
+        v = np.asarray(self.potential.evaluate(np.asarray(a, dtype=float)), dtype=float)
+        return reads._replace(v=float(v) if isinstance(reads.r_plus, float) else v)
 
     def value_at(self, a):
-        return _match(a, self._reads(a).value)
+        return self._sides(a).value
 
     def slope_at(self, a):
-        return _match(a, self._reads(a).slope)
+        return self._sides(a).slope
 
     def curvature_at(self, a):
-        return _match(a, self._reads(a).curvature)
+        return self._reads(a).curvature
 
     def log_phi_sum(self, a):
         """log(phi_plus(a) * phi_minus(a)); equals log(W/F(a)) identically."""
-        reads = self._reads(a)
-        return _match(a, reads.l_plus + reads.l_minus)
+        reads = self._sides(a)
+        return reads.l_plus + reads.l_minus
 
     def product_criterion(self, side: str, a):
         """h_side'(a) H_side(a), the one-sided minimality product.
@@ -160,7 +165,7 @@ class FCurve:
         """
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        return _match(a, self._reads(a).product(side, self.wronskian))
+        return self._sides(a).product(side, self.wronskian)
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
@@ -185,7 +190,8 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     grid = _sample_grid(phi_plus)
     grid = grid[(grid >= lo) & (grid <= hi)]
 
-    reads = _read_pins(phi_plus, phi_minus, grid)
+    (rp, lp), (rm, lm) = phi_plus._dense(grid), phi_minus._dense(grid)
+    reads = PinReads(rp, rm, lp, lm, np.asarray(potential.evaluate(grid), dtype=float))
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(
@@ -251,9 +257,9 @@ def _make_point(curve: FCurve, a: float, condition_tol: float) -> CriticalPoint:
     balanced, plus, minus = _condition_flags(reads, curve.wronskian, condition_tol)
     return CriticalPoint(
         location=float(a),
-        value=float(reads.value),
-        curvature=float(reads.curvature),
-        slope_residual=abs(float(reads.slope)),
+        value=reads.value,
+        curvature=reads.curvature,
+        slope_residual=abs(reads.slope),
         balanced_slope=bool(balanced),
         plus_side_product=bool(plus),
         minus_side_product=bool(minus),
@@ -274,14 +280,14 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
     step = prev_step = hi - lo
     for _ in range(100):
         reads = curve._reads(x)
-        f = float(reads.slope)
+        f = reads.slope
         if f == 0.0:
             return x
         if f < 0.0:
             neg = x
         else:
             pos = x
-        df = float(reads.curvature)
+        df = reads.curvature
         dx = f / df if df != 0.0 else math.inf
         if abs(dx) < 0.5 * abs(prev_step) and min(neg, pos) < x - dx < max(neg, pos):
             prev_step, step = step, dx

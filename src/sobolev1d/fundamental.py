@@ -53,9 +53,13 @@ the mesh node on the stable side (forward from the left node for "-",
 backward from the right node for "+"), on one of two paths: an array of
 points in one vectorized pass, a single point in float arithmetic, which
 skips numpy's per-call cost on one-element arrays.  Both paths share the
-Magnus exponent (``_omega``) and run the same operations in the same order,
-so a point reads bitwise the same either way.  0 is a mesh node, so
-l(0) = 0 exactly and a solve makes no off-mesh read.
+Magnus exponent (``_omega``) and run the same operations in the same order.
+0 is a mesh node, so l(0) = 0 exactly and a solve makes no off-mesh read.
+
+Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
+point (a float or a 0-d array), which gives Python floats all the way up, or
+an array, which gives arrays of its shape; element i is bitwise the point's
+(``phi_at`` aside, whose exponential rounds by ``math`` for a point).
 
 Bands.  The seeded flows stay in
 
@@ -158,11 +162,15 @@ def _check_inside(x, window: tuple[float, float], what: str) -> None:
         raise ValueError(f"{what} [{lo:g}, {hi:g}]")
 
 
-def _match(x, values: np.ndarray):
-    """Return values shaped like the original input (float for scalars)."""
-    if np.ndim(x) == 0:
-        return float(np.asarray(values).reshape(-1)[0])
-    return values
+def _is_point(x) -> bool:
+    """True for a float or a 0-d array (one point), False for an array or a list."""
+    # isinstance first: np.ndim costs over a microsecond on a float.
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _exp(x):
+    """np.exp of a float or an array; a float stays a float, rounded as np.exp rounds."""
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
 
 
 def _gauss_nodes(lo, h):
@@ -209,9 +217,14 @@ def _magnus(v, h: np.ndarray):
     z = p * p + q * s
     t = np.sqrt(np.abs(z))
     grow = z >= 0.0
-    cm1 = np.where(grow, 2.0 * np.sinh(0.5 * t) ** 2, -2.0 * np.sin(0.5 * t) ** 2)
+    if grow.all():
+        # Always so for V > 0: the sinh branch alone, as np.where would pick it.
+        cm1, sh = 2.0 * np.sinh(0.5 * t) ** 2, np.sinh(t)
+    else:
+        cm1 = np.where(grow, 2.0 * np.sinh(0.5 * t) ** 2, -2.0 * np.sin(0.5 * t) ** 2)
+        sh = np.where(grow, np.sinh(t), np.sin(t))
     with np.errstate(invalid="ignore", divide="ignore"):
-        shc = np.where(grow, np.sinh(t), np.sin(t)) / t
+        shc = sh / t
     shc = np.where(t > 0.0, shc, 1.0)
     return cm1, shc * p, shc * q, shc * s
 
@@ -461,17 +474,17 @@ class LogSolution:
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
 
-    def _dense(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def _dense(self, x):
         """(r, l) at x by a partial Magnus step from the node on the stable side.
 
         l vanishes at 0.  Every read of r or l goes through here, so a caller
         that needs both sides at many points reads each side once.  Two
         paths, chosen by the rank of x: an array takes one ``_cell_maps``
-        call for all its points; a single point (a scalar or a 0-d array)
-        takes ``_dense_one``, in float arithmetic.  Both return arrays of
-        x's shape (0-d for a point) and agree bitwise.
+        call for all its points and returns two arrays of x's shape; a point
+        (a float or a 0-d array) takes ``_dense_one``, in float arithmetic,
+        and returns two Python floats.  The two paths agree bitwise.
         """
-        if np.ndim(x) == 0:
+        if _is_point(x):
             return self._dense_one(float(x))
         xs = np.asarray(x, dtype=float)
         _check_inside(xs, self.window, "position outside solved window")
@@ -493,7 +506,7 @@ class LogSolution:
         l = self._l[k] + np.log1p(du)
         return r.reshape(xs.shape), l.reshape(xs.shape)
 
-    def _dense_one(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+    def _dense_one(self, x: float) -> tuple[float, float]:
         """``_dense`` at one point, with ``_magnus``'s exponential taken by one branch.
 
         To stay bitwise equal to the array path, sinh, sin and log1p go
@@ -527,27 +540,29 @@ class LogSolution:
         du = cm1 + P + Q * r0
         r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
         l = float(self._l[k]) + float(np.log1p(du))
-        return np.asarray(r), np.asarray(l)
+        return r, l
 
     def ell_at(self, x):
         """log phi(x), normalized to vanish at 0."""
-        _, l = self._dense(x)
-        return _match(x, np.asarray(l))
+        return self._dense(x)[1]
 
     def ell_prime_at(self, x):
         """Log-derivative r(x) = phi'(x)/phi(x)."""
-        r, _ = self._dense(x)
-        return _match(x, np.asarray(r))
+        return self._dense(x)[0]
 
     def ell_second_at(self, x):
         """l''(x) = V(x) - r(x)^2, algebraically from the Riccati equation."""
         r, _ = self._dense(x)
-        v = np.asarray(self.potential.evaluate(np.asarray(x, dtype=float)))
-        return _match(x, np.asarray(v - r * r))
+        v = np.asarray(self.potential.evaluate(np.asarray(x, dtype=float)), dtype=float)
+        return float(v) - r * r if isinstance(r, float) else v - r * r
 
     def phi_at(self, x):
-        """phi(x) = exp(ell(x)); phi(0) = 1."""
-        return np.exp(self.ell_at(x)) if np.ndim(x) else math.exp(self.ell_at(x))
+        """phi(x) = exp(ell(x)); phi(0) = 1.
+
+        math.exp for a point, np.exp for an array: the two may differ by an ulp.
+        """
+        l = self.ell_at(x)
+        return math.exp(l) if isinstance(l, float) else np.exp(l)
 
 
 def solve_log_solution(
@@ -685,24 +700,25 @@ class ExtremalFunction:
     def sup_norm(self) -> float:
         return 1.0
 
-    def _reads(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(log u, u'/u) at x, from one dense read per side."""
-        xs = np.asarray(x, dtype=float)
-        rp, lp = self.phi_plus._dense(xs)
-        rm, lm = self.phi_minus._dense(xs)
+    def _reads(self, x):
+        """(log u, u'/u) at x, from one dense read per side: floats for a point."""
+        rp, lp = self.phi_plus._dense(x)
+        rm, lm = self.phi_minus._dense(x)
         la_p, la_m = self._at_center
-        left = xs < self.center
+        if isinstance(rp, float):
+            return (lm - la_m, rm) if x < self.center else (lp - la_p, rp)
+        left = np.asarray(x, dtype=float) < self.center
         return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
 
     def log_value(self, x):
-        return _match(x, self._reads(x)[0])
+        return self._reads(x)[0]
 
     def __call__(self, x):
-        return _match(x, np.exp(self._reads(x)[0]))
+        return _exp(self._reads(x)[0])
 
     def derivative(self, x):
         log_u, rate = self._reads(x)
-        return _match(x, np.exp(log_u) * rate)
+        return _exp(log_u) * rate
 
 
 def extremal_function(

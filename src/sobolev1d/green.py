@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair
+from .fundamental import LogSolution, _check_pair, _exp, _is_point
 from .potential import Potential
 from .quadrature import composite_gauss_legendre
 
@@ -59,23 +59,31 @@ class GreenEvaluator:
         return self.phi_plus.potential
 
     def _reads(self, x, y):
-        """(log G(x, y), d/dx log G(x, y)), broadcast over x and y.
+        """(log G(x, y), d/dx log G(x, y)): floats for two points, else broadcast arrays.
 
         One dense read per side: G needs phi_minus at the smaller argument
         and phi_plus at the larger one, and so does its x-derivative, whose
         rate is r_minus left of the diagonal and r_plus from it on.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rm, lm = self.phi_minus._dense(np.minimum(x, y))
-        rp, lp = self.phi_plus._dense(np.maximum(x, y))
-        return lm + lp - math.log(self.wronskian), np.where(x < y, rm, rp)
+        if _is_point(x) and _is_point(y):
+            # One comparison orders the points; with a NaN it is False, and
+            # the NaN still reaches a read that refuses it.
+            left = x < y
+            rm, lm = self.phi_minus._dense(x if left else y)
+            rp, lp = self.phi_plus._dense(y if left else x)
+            rate = rm if left else rp
+        else:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            rm, lm = self.phi_minus._dense(np.minimum(x, y))
+            rp, lp = self.phi_plus._dense(np.maximum(x, y))
+            rate = np.where(x < y, rm, rp)
+        return lm + lp - math.log(self.wronskian), rate
 
     def log_value(self, x, y):
-        return _float_if_scalar(self._reads(x, y)[0])
+        return self._reads(x, y)[0]
 
     def value(self, x, y):
-        return _float_if_scalar(np.exp(self._reads(x, y)[0]))
+        return _exp(self._reads(x, y)[0])
 
     __call__ = value
 
@@ -86,12 +94,7 @@ class GreenEvaluator:
     def section_derivative(self, x, y):
         """d/dx G(x, y) away from the diagonal (right-derivative at x = y)."""
         log_g, rate = self._reads(x, y)
-        return _float_if_scalar(np.exp(log_g) * rate)
-
-
-def _float_if_scalar(out):
-    """A float when x and y were both scalars, else the broadcast array."""
-    return float(out) if np.ndim(out) == 0 else out
+        return _exp(log_g) * rate
 
 
 def build_green(phi_plus: LogSolution, phi_minus: LogSolution) -> GreenEvaluator:

@@ -63,7 +63,7 @@ class DiscreteRayleighProblem:
         v = np.asarray(potential.evaluate(nodes), dtype=float)
         if not np.all(np.isfinite(v)):
             bad = nodes[~np.isfinite(v)][0]
-            raise ValueError(f"potential is non-finite at mesh node x = {bad:g}")
+            raise SolverError(f"potential is non-finite at mesh node x = {bad:g}")
         return cls(
             half_width=float(half_width),
             spacing=float(spacing),

@@ -163,6 +163,23 @@ def test_dishonest_bounds_exit_3(capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_potential_exits_3_from_solve_and_verify(capsys, monkeypatch, bad):
+    """The side solve and verify's mesh oracle refuse the same potential alike."""
+    from sobolev1d import Potential, cli
+
+    holey = Potential(
+        evaluate=lambda x: np.where(np.abs(np.asarray(x) - 3.0) < 0.5, bad, 1.0),
+        lower_bound=1.0,
+        upper_bound=1.0,
+    )
+    monkeypatch.setattr(cli, "potential_from_spec", lambda spec: holey)
+    for command in ("solve", "verify"):
+        code, out, err = run(capsys, command, "--potential", CONSTANT)
+        assert (code, out) == (3, "")
+        assert "solver error" in err and "non-finite" in err
+
+
 def test_window_must_be_finite_and_fit_the_mesh_cap(capsys):
     code, out, err = run(capsys, "solve", "--potential", CONSTANT, "--window=-inf,inf")
     assert (code, out) == (2, "")

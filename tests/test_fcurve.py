@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -317,3 +318,30 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
         sides.clear()
         read()
         assert sorted(sides) == ["+", "-"]
+
+
+def test_only_the_curvature_reads_v_at_the_pin():
+    """One-pin F, F', log(phi_+ phi_-) and the products evaluate V only at Gauss nodes."""
+    calls = []
+    example = make_example(cf.A, cf.B)
+
+    def evaluate(x):
+        calls.append(np.size(x))
+        return example.evaluate(x)
+
+    pot = dataclasses.replace(example, evaluate=evaluate)
+    curve = build_fcurve(*solve_log_solution(pot, *WINDOW))
+    reads = [
+        curve.value_at,
+        curve.slope_at,
+        curve.log_phi_sum,
+        lambda a: curve.product_criterion("+", a),
+        lambda a: curve.product_criterion("-", a),
+    ]
+    for read in reads:
+        calls.clear()
+        read(0.3137)
+        assert calls == [3, 3]
+    calls.clear()
+    curve.curvature_at(0.3137)
+    assert calls == [3, 3, 1]

@@ -32,6 +32,7 @@ from sobolev1d.fundamental import (
     extremal_function,
     solve_log_solution,
 )
+from sobolev1d.minimizer import default_window
 from sobolev1d import fundamental
 from conftest import random_piecewise_constant
 
@@ -79,6 +80,22 @@ def test_example_matches_closed_forms(example_pair):
     assert np.max(np.abs(minus.ell_prime_at(xs) - cf.ell_minus_prime_exact(xs))) < 1e-8
     assert plus.phi_at(1.0) == pytest.approx(cf.PHI_PLUS_AT_1, rel=1e-9)
     assert minus.phi_at(1.0) == pytest.approx(cf.PHI_MINUS_AT_1, rel=1e-9)
+
+
+@pytest.mark.parametrize("cells", [[0, 2], [0, 1, 2, 3]], ids=["growing", "mixed"])
+def test_cell_map_of_constant_v_is_exact_on_either_branch(cells):
+    """Constant V > 0 gives cosh and sinh, V < 0 gives cos and sin, also side by side."""
+    v = np.array([4.0, -4.0, 0.25, -9.0])[cells]
+    h = np.array([0.3, 0.3, 1.0, 0.1])[cells]
+    cm1, P, Q, R = fundamental._magnus((v, v, v), h)
+    w = np.sqrt(np.abs(v)) * h
+    grow = v > 0.0
+    cosine = np.where(grow, np.cosh(w), np.cos(w))
+    sine = np.where(grow, np.sinh(w), np.sin(w)) / np.sqrt(np.abs(v))
+    np.testing.assert_allclose(1.0 + cm1, cosine, rtol=1e-14)
+    assert np.all(P == 0.0)
+    np.testing.assert_allclose(Q, sine, rtol=1e-14)
+    np.testing.assert_allclose(R, v * sine, rtol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -524,8 +541,9 @@ def test_one_point_reads_match_array_reads_bitwise(dense_sides, family, side, fr
     r, l = sol._dense(xs)
     for i, x in enumerate(xs.tolist()):
         r_i, l_i = sol._dense(x)
-        assert r_i.shape == l_i.shape == ()
-        assert r_i.tobytes() == r[i].tobytes() and l_i.tobytes() == l[i].tobytes()
+        assert type(r_i) is type(l_i) is float
+        assert np.float64(r_i).tobytes() == r[i].tobytes()
+        assert np.float64(l_i).tobytes() == l[i].tobytes()
     eps = 1e-12 * (1.0 + 2.0 * WINDOW[1])
     for x in (WINDOW[0] - 2.0 * eps, WINDOW[1] + 2.0 * eps):
         with pytest.raises(ValueError) as one:
@@ -533,6 +551,73 @@ def test_one_point_reads_match_array_reads_bitwise(dense_sides, family, side, fr
         with pytest.raises(ValueError) as many:
             sol._dense(np.array([0.0, x]))
         assert str(one.value) == str(many.value)
+
+
+# One spec of each kind; each pair is solved on its default window.
+FLOAT_PATH_SPECS = {
+    "example": {"kind": "example", "A": 1, "B": 2},
+    "step": {"kind": "step", "v0": 1, "v1": 4},
+    "pwc": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1, 5, 1]},
+    "table": {"kind": "table", "x": np.linspace(-3.0, 3.0, 13).tolist(),
+              "v": (2.0 + np.sin(np.linspace(-3.0, 3.0, 13))).tolist()},
+    "constant": {"kind": "constant", "v": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def float_path_readers():
+    readers = {}
+    for name, spec in FLOAT_PATH_SPECS.items():
+        pot = potential_from_spec(spec)
+        plus, minus = solve_log_solution(pot, *default_window(pot))
+        curve = build_fcurve(plus, minus)
+        readers[name] = (
+            curve, build_green(plus, minus), extremal_function(plus, minus, 0.5), plus, minus
+        )
+    return readers
+
+
+def _assert_float_is_element(one, many, i):
+    assert type(one) is float
+    assert np.float64(one).tobytes() == many[i].tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(FLOAT_PATH_SPECS))
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
+    float_path_readers, family, data
+):
+    """Each reader at one pin gives a Python float, bitwise element i of the array read."""
+    curve, green, u, plus, minus = float_path_readers[family]
+    pins = st.floats(*curve.window)
+    xs = data.draw(st.lists(pins, min_size=1, max_size=12))
+    xs = np.array([*xs, 0.0, u.center, *curve.potential.breakpoints])
+    # The last pins sit on the diagonal x = y, where the rate switches sides.
+    ys = np.array(data.draw(st.lists(pins, min_size=xs.size, max_size=xs.size)))
+    ys[-3:] = xs[-3:]
+    pin_readers = [curve.value_at, curve.slope_at, curve.curvature_at, curve.log_phi_sum,
+                   lambda a: curve.product_criterion("+", a),
+                   lambda a: curve.product_criterion("-", a),
+                   u, u.log_value, u.derivative]
+    for side in (plus, minus):
+        pin_readers += [side.ell_at, side.ell_prime_at, side.ell_second_at]
+    for read in pin_readers:
+        many = read(xs)
+        for i, x in enumerate(xs.tolist()):
+            _assert_float_is_element(read(x), many, i)
+    for read in (green.value, green.log_value, green.section_derivative):
+        many = read(xs, ys)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            _assert_float_is_element(read(x, y), many, i)
+    # phi_at takes math.exp for one pin (the scan artifacts' rounding) and
+    # np.exp for an array, which may round the other way by one ulp.
+    for side in (plus, minus):
+        many, logs = side.phi_at(xs), side.ell_at(xs)
+        for i, x in enumerate(xs.tolist()):
+            one = side.phi_at(x)
+            assert type(one) is float and one == math.exp(logs[i])
+            assert abs(one - many[i]) <= np.spacing(many[i])
 
 
 def test_scalar_reads_take_the_float_path(monkeypatch):

@@ -159,7 +159,7 @@ def test_minimize_sweeps_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "tail, error", [(np.nan, ValueError), (np.inf, ValueError), (-5e4, SolverError)]
+    "tail, error", [(np.nan, SolverError), (np.inf, SolverError), (-5e4, SolverError)]
 )
 def test_bad_tail_refused(tail, error):
     pot = Potential(
