@@ -26,7 +26,10 @@ attracting direction (the inverse map for side "+"), and the increment of
 l is log(a + b r), taken as log1p with cosh(theta) - 1 = 2 sinh(theta/2)^2
 and summed with compensation.  The step is exact for piecewise constant V,
 and the Gauss nodes lie strictly inside each cell, so a jump is never
-sampled.
+sampled.  r crosses at most _SWEEP_LEAF cells by a plain loop, one map per
+cell; longer meshes compose the maps in pairs, recursively (Kogge & Stone
+1973), which keeps r within a few dozen ulps of the exact recurrence of the
+same float maps and bitwise equal to the loop on short meshes.
 
 Mesh and error control.  The mesh depends on V, the window and tol, not
 on the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
@@ -133,6 +136,9 @@ _THETA_MAX = 20.0
 # Points per potential.evaluate call when the mesh is sampled: numpy
 # temporaries above ~16k points cost page faults on every call.
 _SAMPLE_BLOCK = 4096
+# Most cells ``_sweep`` crosses by its plain loop; above, composing cell maps
+# in pairs is faster (one level of pairs breaks even near 200 cells).
+_SWEEP_LEAF = 256
 
 
 class SolverError(RuntimeError):
@@ -439,14 +445,45 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
 
 
 def _sweep(r0: float, cm1, P, Q, R) -> np.ndarray:
-    """r at every node, applying r -> (R + (1 + cm1 - P) r)/(1 + cm1 + P + Q r) cell by cell."""
-    rs = [r0]
-    r = r0
-    a, d = (1.0 + cm1 + P).tolist(), (1.0 + cm1 - P).tolist()
-    for a_k, d_k, q_k, s_k in zip(a, d, Q.tolist(), R.tolist()):
-        r = (s_k + d_k * r) / (a_k + q_k * r)
-        rs.append(r)
-    return np.array(rs)
+    """r at every node, applying r -> (R + (1 + cm1 - P) r)/(1 + cm1 + P + Q r) cell by cell.
+
+    The plain loop up to _SWEEP_LEAF cells; above, ``_compose_sweep`` pairs the
+    maps, within a few dozen ulps of the exact recurrence of these float maps.
+    """
+    return _compose_sweep(r0, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
+
+
+def _compose_sweep(r0: float, a, q, s, d) -> np.ndarray:
+    """r at every node of the maps r -> (s + d r)/(a + q r), cell k taking node k to k + 1.
+
+    Cell k acts on (1, r) as N_k = [[a, q], [s, d]].  Above _SWEEP_LEAF cells
+    each pair N_{2j+1} N_{2j}, divided by its (1,1) entry to stay finite, is
+    one map of a half-length chain giving r at the even nodes; one more step
+    each gives the odd nodes.  Side "-" has positive entries and side "+" the
+    pattern [[+, -], [-, +]], which products keep: no entry is a difference.
+    """
+    n = a.size
+    if n <= _SWEEP_LEAF:
+        rs = [r0]
+        r = r0
+        for a_k, d_k, q_k, s_k in zip(a.tolist(), d.tolist(), q.tolist(), s.tolist()):
+            r = (s_k + d_k * r) / (a_k + q_k * r)
+            rs.append(r)
+        return np.array(rs)
+    m = n // 2
+    a0, q0, s0, d0 = a[: 2 * m : 2], q[: 2 * m : 2], s[: 2 * m : 2], d[: 2 * m : 2]
+    a1, q1, s1, d1 = a[1::2], q[1::2], s[1::2], d[1::2]
+    pa = a1 * a0 + q1 * s0
+    even = _compose_sweep(
+        r0, np.ones(m), (a1 * q0 + q1 * d0) / pa, (s1 * a0 + d1 * s0) / pa, (s1 * q0 + d1 * d0) / pa
+    )
+    r = np.empty(n + 1)
+    r[: 2 * m + 1 : 2] = even
+    r[1 : 2 * m : 2] = (s0 + d0 * even[:-1]) / (a0 + q0 * even[:-1])
+    if n > 2 * m:
+        # An odd last cell is left out of the pairs and stepped alone.
+        r[n] = (s[-1] + d[-1] * even[-1]) / (a[-1] + q[-1] * even[-1])
+    return r
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Closed-form reference values for the rational-weight example family.
+"""Closed-form reference values for two exactly solvable families.
 
-The family is V = ell'' + (ell')^2 for ell = log(A e^{-Bx}/sqrt(x^2+A^2)),
+The example family is V = ell'' + (ell')^2 for ell = log(A e^{-Bx}/sqrt(x^2+A^2)),
 which makes phi_+ available in closed form; phi_- follows from reduction of
-order.  Everything here is evaluated independently of the package (plain
-numpy expressions) so the tests have a fixed external reference.
+order.  The Poeschl-Teller well V = k^2 - lam (lam + 1) sech^2 x has a* = 0
+and m in closed form for every lam (Poeschl & Teller 1933), and F in closed
+form for lam = 1.  Everything here is evaluated independently of the package
+(plain numpy expressions and the standard library) so the tests have a fixed
+external reference.
 """
 
 from __future__ import annotations
@@ -100,3 +103,18 @@ def plus_product_exact(x, a=A, b=B):
 def minus_product_exact(x, a=A, b=B):
     """2 r_- phi_+ phi_- / W = 2 r_- / F; equals +1 at interior minimizers."""
     return 2.0 * ell_minus_prime_exact(x, a, b) / f_exact(x, a, b)
+
+
+def poschl_teller_m(k, lam):
+    """m = 4 G((k+lam+2)/2) G((k-lam+1)/2) / (G((k+lam+1)/2) G((k-lam)/2)), G = Gamma."""
+    g = math.lgamma
+    return 4.0 * math.exp(
+        g((k + lam + 2.0) / 2.0) + g((k - lam + 1.0) / 2.0)
+        - g((k + lam + 1.0) / 2.0) - g((k - lam) / 2.0)
+    )
+
+
+def poschl_teller_f_lambda_1(a, k):
+    """F(a) = 2k(k^2 - 1)/(k^2 - tanh^2 a) of the lam = 1 well, phi_+ = e^{-kx}(k + tanh x)."""
+    t = np.tanh(np.asarray(a, dtype=float))
+    return 2.0 * k * (k * k - 1.0) / (k * k - t * t)

@@ -177,6 +177,15 @@ def test_dishonest_bounds_rejected():
     understated = dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0)
     with pytest.raises(SolverError, match="invariant band"):
         solve_log_solution(understated, *WINDOW)
+    # A smooth bump: its mesh is far above the plain loop's cutoff, so the
+    # refusal comes from the composed sweep, without a warning.
+    bump = Potential(
+        evaluate=lambda x: 1.0 + 300.0 * np.exp(-np.square(x)), lower_bound=1.0, upper_bound=2.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="invariant band"):
+            solve_log_solution(bump, *WINDOW)
 
 
 def test_extremal_function_shape(example_pair):
@@ -325,6 +334,41 @@ def test_sharp_step_converged(width):
         solve_log_solution(pot, *WINDOW, tol=1e-10), solve_log_solution(pot, *WINDOW, tol=1e-12)
     ):
         assert np.max(np.abs(coarse.ell_prime_at(xs) - fine.ell_prime_at(xs))) < 1e-9
+
+
+def _loop_sweep(r0, cm1, P, Q, R):
+    rs = [r0]
+    for c, p, q, s in zip(cm1.tolist(), P.tolist(), Q.tolist(), R.tolist()):
+        rs.append((s + (1.0 + c - p) * rs[-1]) / (1.0 + c + p + q * rs[-1]))
+    return np.array(rs)
+
+
+@pytest.mark.parametrize("side", ["-", "+"])
+@pytest.mark.parametrize(
+    "cells",
+    [fundamental._SWEEP_LEAF, fundamental._SWEEP_LEAF + 1, 2 * fundamental._SWEEP_LEAF + 1, 10_000],
+)
+def test_composed_sweep_matches_the_loop(cells, side):
+    """Bitwise the loop up to the cutoff, within 64 ulps above it, across a run of theta = 20."""
+    rng = np.random.default_rng(cells)
+    v = rng.uniform(0.5, 5.0, size=(3, cells))
+    h = rng.uniform(1e-3, 0.05, size=cells) / np.sqrt(v[1])
+    run = slice(cells // 3, cells // 3 + 64)
+    v[:, run] = 2.0
+    h[run] = 20.0 / math.sqrt(2.0)
+    cm1, P, Q, R = fundamental._magnus(v, h)
+    if side == "-":
+        args = (math.sqrt(v[1, 0]), cm1, P, Q, R)
+    else:
+        args = (-math.sqrt(v[1, -1]), cm1[::-1], -P[::-1], -Q[::-1], -R[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = fundamental._sweep(*args)
+    ref = _loop_sweep(*args)
+    if cells <= fundamental._SWEEP_LEAF:
+        assert r.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(r - ref) / np.abs(ref)) <= 64 * np.finfo(float).eps
 
 
 def test_magnus_step_is_sixth_order():

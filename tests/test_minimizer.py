@@ -6,6 +6,7 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
+    Potential,
     extremal,
     make_constant,
     make_example,
@@ -73,6 +74,39 @@ def test_square_well_attained():
     assert report.attainment == "attained"
     assert abs(report.a_star) < 1e-8  # symmetric well pins at the center
     assert report.m_value < 2.0 * math.sqrt(pot.tail_limits[0])
+
+
+def _poschl_teller(k, lam):
+    """V = k^2 - lam (lam + 1) sech^2 x, with sech^2 written without cosh, which overflows."""
+    c = lam * (lam + 1.0)
+
+    def evaluate(x):
+        e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)))
+        return k * k - c * 4.0 * e / ((1.0 + e) * (1.0 + e))
+
+    return Potential(
+        evaluate=evaluate,
+        lower_bound=k * k - c,
+        upper_bound=k * k,
+        tail_limits=(k * k, k * k),
+        label=f"poschl-teller k={k:g} lambda={lam:g}",
+    )
+
+
+@pytest.mark.parametrize(
+    "k, lam", [(2.0, 1.0), (3.0, 2.0), (1.7, 1.2), (2.0, 1.5615)], ids=str
+)
+def test_poschl_teller_well_matches_its_closed_form(k, lam):
+    """m for every lam and F for lam = 1; (2, 1.5615) has contrast v1/v0 = 1.84e4."""
+    report = minimize(_poschl_teller(k, lam))
+    m = cf.poschl_teller_m(k, lam)
+    assert abs(report.m_value - m) <= 1e-12 * m
+    assert abs(report.a_star) <= 1e-9
+    assert report.attainment == "attained"
+    if lam == 1.0:
+        pins = np.linspace(*report.curve.window, 401)
+        exact = cf.poschl_teller_f_lambda_1(pins, k)
+        assert np.max(np.abs(report.curve.value_at(pins) / exact - 1.0)) <= 1e-12
 
 
 def test_translation_equivariance(example_report):
