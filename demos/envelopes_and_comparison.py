@@ -2,12 +2,11 @@
 
 Every solve is wrapped in falsifiable inequalities: the decaying solutions
 and pinned minimizers are squeezed between exponentials with the declared
-rates sqrt(v0) and sqrt(v1), raising the potential pointwise lowers the
-pinned minimizer pointwise, and minimizers pinned at different points agree
-up to scaling outside the interval between the pins.  The bounds suite on
-random step potentials exercises all of it, on the pair of decaying
-solutions that ``minimize`` solved (one ``solve_log_solution`` call, one
-mesh for both sides), and checks 2 sqrt(v0) <= m <= 2 sqrt(v1).
+rates sqrt(v0) and sqrt(v1), and raising the potential pointwise lowers the
+pinned minimizer pointwise.  The bounds suite on random step potentials
+exercises the envelopes on the pair of decaying solutions that ``minimize``
+solved (one ``solve_log_solution`` call, one mesh for both sides), and
+checks 2 sqrt(v0) <= m <= 2 sqrt(v1).
 
 Run from the repository root:  python3 demos/envelopes_and_comparison.py
 """
@@ -20,9 +19,7 @@ from sobolev1d import make_constant, make_example, make_piecewise_constant, mini
 from sobolev1d.fundamental import (
     check_comparison,
     check_envelope_bounds,
-    check_gluing,
     check_riccati_residual,
-    solve_log_solution,
 )
 
 rng = np.random.default_rng(7)
@@ -49,11 +46,3 @@ report = check_comparison(make_constant(1.0), make_example(1.0, 2.0), a=0.5)
 print(f"  precondition ok: {report.precondition_ok}")
 print(f"  min log margin (u_low above u_high): {report.min_log_margin:+.3e}")
 print(f"  passed: {report.passed}")
-
-print("\ngluing: pinned minimizers coincide up to scale outside [a, b]")
-pot = make_example(1.0, 2.0)
-plus, minus = solve_log_solution(pot, -25.0, 25.0)
-glue = check_gluing(plus, minus, -0.8, 0.9)
-print(f"  left residual  {glue.max_residual_left:.2e}")
-print(f"  right residual {glue.max_residual_right:.2e}")
-print(f"  passed: {glue.passed}")

@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fundamental import (
     LogSolution,
+    PinReads,
     SolverError,
     _check_inside,
     _check_pair,
-    _exp,
     _is_point,
+    _pair_reads,
     _sample_grid,
     decay_inset,
 )
@@ -61,37 +62,6 @@ CURVATURE_SLACK = 1e-8
 ROOT_TOL = 1e-12
 # Absolute tolerance shared by every local-minimality test.
 CONDITION_TOL = 1e-6
-
-
-class PinReads(NamedTuple):
-    """r_±, l_± (l_±(0) = 0) and V at the same pins, with F, F', F'' from them.
-
-    Floats for one pin, arrays for many; ``v`` is None where V was not read.
-    """
-
-    r_plus: np.ndarray | float
-    r_minus: np.ndarray | float
-    l_plus: np.ndarray | float
-    l_minus: np.ndarray | float
-    v: np.ndarray | float | None = None
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.r_minus - self.r_plus
-
-    @property
-    def slope(self) -> np.ndarray:
-        return -self.value * (self.r_plus + self.r_minus)
-
-    @property
-    def curvature(self) -> np.ndarray:
-        rp, rm = self.r_plus, self.r_minus
-        return 2.0 * self.value * (rp * rp + rp * rm + rm * rm - self.v)
-
-    def product(self, side: str, wronskian: float) -> np.ndarray:
-        """h_side' H_side = 2 r_side phi_plus phi_minus / W."""
-        r = self.r_plus if side == "+" else self.r_minus
-        return 2.0 * r * _exp(self.l_plus + self.l_minus) / wronskian
 
 
 @dataclass
@@ -131,11 +101,10 @@ class FCurve:
         return self.grid_reads.curvature
 
     def _sides(self, a) -> PinReads:
-        """One dense read per side at a pin (kept a float) or an array of pins; V is not read."""
+        """The pair read at x = y = a, a pin (kept a float) or an array of pins; V is not read."""
         a = float(a) if _is_point(a) else np.asarray(a, dtype=float)
         _check_inside(a, self.window, "pin location outside curve window")
-        (rp, lp), (rm, lm) = self.phi_plus._dense(a), self.phi_minus._dense(a)
-        return PinReads(rp, rm, lp, lm)
+        return _pair_reads(self.phi_plus, self.phi_minus, a, a)[0]
 
     def _reads(self, a) -> PinReads:
         """``_sides`` with V at the pins, for F'' and the minimality tests."""
@@ -190,8 +159,8 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     grid = _sample_grid(phi_plus)
     grid = grid[(grid >= lo) & (grid <= hi)]
 
-    (rp, lp), (rm, lm) = phi_plus._dense(grid), phi_minus._dense(grid)
-    reads = PinReads(rp, rm, lp, lm, np.asarray(potential.evaluate(grid), dtype=float))
+    reads = _pair_reads(phi_plus, phi_minus, grid, grid)[0]
+    reads = reads._replace(v=np.asarray(potential.evaluate(grid), dtype=float))
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(
@@ -199,7 +168,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
         wronskian=wronskian,
         window=(float(lo), float(hi)),
         potential=potential,
-        tol=max(phi_plus.tol, phi_minus.tol),
+        tol=phi_plus.tol,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
         grid_reads=reads,

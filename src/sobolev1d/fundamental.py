@@ -74,7 +74,8 @@ against it, with slack 1e-8 max(1, sqrt(v1)), and refuses when either
 leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
-assembled from the two sides without quadrature:
+u_a = G(., a)/G(a, a), read without quadrature through ``_pair_reads``, the
+one reader of the solved pair, which G and F = 1/G(a, a) use as well:
 
     u_a(x) = phi_minus(x)/phi_minus(a)  (x < a),
              phi_plus(x)/phi_plus(a)    (x >= a).
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +100,6 @@ __all__ = [
     "check_riccati_residual",
     "check_envelope_bounds",
     "check_comparison",
-    "check_gluing",
     "decay_inset",
     "DEFAULT_TOL",
     "MIN_DOMAIN_MARGIN",
@@ -119,9 +120,6 @@ SAMPLE_SPACING = 0.025
 RESIDUAL_POINTS = 201
 # Log-space slack of the envelope checks.
 ENVELOPE_SLACK = 1e-8
-# Samples per side and pointwise tolerance of the gluing check.
-GLUING_SAMPLES = 201
-GLUING_TOL = 1e-8
 # Grid size and log-space tolerance of the comparison check.
 COMPARISON_POINTS = 801
 COMPARISON_TOL = 1e-6
@@ -692,25 +690,75 @@ def solve_log_solution(
 
 
 def _check_pair(phi_plus: LogSolution, phi_minus: LogSolution) -> float:
-    """Enforce the rules shared by every consumer of the two sides.
+    """Enforce the rules shared by every consumer of the two sides; no side is read.
 
-    The sides must come '+' then '-' and share one window (ValueError
-    otherwise).  The Wronskian W = r_minus(0) - r_plus(0) is returned; it
-    must be positive (SolverError otherwise).
+    The sides must come '+' then '-' from one solve, which gives them one mesh
+    array (ValueError otherwise).  W = r_minus(0) - r_plus(0) is taken at the
+    mesh node 0 and returned; it must be positive (SolverError otherwise).
     """
     if phi_plus.side != "+" or phi_minus.side != "-":
         raise ValueError("need a '+' solution and a '-' solution, in that order")
-    if phi_plus.window != phi_minus.window:
-        raise ValueError("the two sides were solved on different windows")
-    w = float(phi_minus.ell_prime_at(0.0) - phi_plus.ell_prime_at(0.0))
+    if phi_plus._mesh is not phi_minus._mesh:
+        raise ValueError("the two sides were not solved together, e.g. on different windows")
+    k0 = int(np.searchsorted(phi_plus._mesh, 0.0))
+    w = float(phi_minus._r[k0] - phi_plus._r[k0])
     if w <= 0.0:
         raise SolverError(f"nonpositive Wronskian {w:g}")
     return w
 
 
+class PinReads(NamedTuple):
+    """r_±, l_± (l_±(0) = 0) and V at the same pins, with F, F', F'' from them.
+
+    Floats for one pin, arrays for many; ``v`` is None where V was not read.
+    """
+
+    r_plus: np.ndarray | float
+    r_minus: np.ndarray | float
+    l_plus: np.ndarray | float
+    l_minus: np.ndarray | float
+    v: np.ndarray | float | None = None
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.r_minus - self.r_plus
+
+    @property
+    def slope(self) -> np.ndarray:
+        return -self.value * (self.r_plus + self.r_minus)
+
+    @property
+    def curvature(self) -> np.ndarray:
+        rp, rm = self.r_plus, self.r_minus
+        return 2.0 * self.value * (rp * rp + rp * rm + rm * rm - self.v)
+
+    def product(self, side: str, wronskian: float) -> np.ndarray:
+        """h_side' H_side = 2 r_side phi_plus phi_minus / W."""
+        r = self.r_plus if side == "+" else self.r_minus
+        return 2.0 * r * _exp(self.l_plus + self.l_minus) / wronskian
+
+
+def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y):
+    """phi_minus read at min(x, y) and phi_plus at max(x, y), and the mask x < y.
+
+    One dense read per side; V is not read.  Floats for two points (one
+    comparison orders them; with a NaN it is False and the NaN still reaches
+    a read that refuses it), broadcast arrays otherwise.  At x = y both
+    sides are read at the same pins, which is what F needs.
+    """
+    if _is_point(x) and _is_point(y):
+        left = x < y
+        (rm, lm), (rp, lp) = phi_minus._dense(x if left else y), phi_plus._dense(y if left else x)
+    else:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        (rm, lm), (rp, lp) = phi_minus._dense(np.minimum(x, y)), phi_plus._dense(np.maximum(x, y))
+        left = x < y
+    return PinReads(rp, rm, lp, lm), left
+
+
 @dataclass
 class ExtremalFunction:
-    """The pinned minimizer u_a: u(a) = max|u| = 1, energy F(a).
+    """The pinned minimizer u_a = G(., a)/G(a, a): u(a) = max|u| = 1, energy F(a).
 
     u is assembled from the two decaying solutions, so its sup-norm is
     exactly 1, attained only at the center.  The derivative has a kink at
@@ -733,19 +781,13 @@ class ExtremalFunction:
     def window(self) -> tuple[float, float]:
         return self.phi_plus.window
 
-    @property
-    def sup_norm(self) -> float:
-        return 1.0
-
     def _reads(self, x):
-        """(log u, u'/u) at x, from one dense read per side: floats for a point."""
-        rp, lp = self.phi_plus._dense(x)
-        rm, lm = self.phi_minus._dense(x)
+        """(log u, u'/u) at x: the pair read at (x, a), less the center's logs."""
+        (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, self.center)
         la_p, la_m = self._at_center
-        if isinstance(rp, float):
-            return (lm - la_m, rm) if x < self.center else (lp - la_p, rp)
-        left = np.asarray(x, dtype=float) < self.center
-        return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
+        if isinstance(left, np.ndarray):
+            return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
+        return (lm - la_m, rm) if left else (lp - la_p, rp)
 
     def log_value(self, x):
         return self._reads(x)[0]
@@ -917,47 +959,3 @@ def check_comparison(
         min_log_margin=min_margin,
         passed=precondition_ok and min_margin >= -COMPARISON_TOL,
     )
-
-
-@dataclass
-class GluingReport:
-    """Consistency of pinned minimizers at two centers a <= b."""
-
-    max_residual_left: float
-    max_residual_right: float
-    passed: bool
-
-
-def check_gluing(
-    phi_plus: LogSolution,
-    phi_minus: LogSolution,
-    a: float,
-    b: float,
-) -> GluingReport:
-    """Verify u_a(x) = u_b(x)/u_b(a) for x <= a and u_b(x) = u_a(x)/u_a(b) for x >= b.
-
-    Both minimizers restrict to multiples of the same decaying solution
-    outside [a, b]; inside the interval the two disagree, so only the outer
-    regions are sampled, at GLUING_SAMPLES points each, to within GLUING_TOL.
-    Requires a <= b.
-    """
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a:g}, b={b:g}")
-    u_a = extremal_function(phi_plus, phi_minus, a)
-    u_b = extremal_function(phi_plus, phi_minus, b)
-    lo, hi = phi_plus.window
-    inset = decay_inset(phi_plus.potential)
-
-    xs_left = np.linspace(lo + inset, a, GLUING_SAMPLES)
-    res_left = np.abs(
-        np.asarray(u_a(xs_left))
-        - np.exp(np.asarray(u_b.log_value(xs_left)) - u_b.log_value(a))
-    )
-    xs_right = np.linspace(b, hi - inset, GLUING_SAMPLES)
-    res_right = np.abs(
-        np.asarray(u_b(xs_right))
-        - np.exp(np.asarray(u_a.log_value(xs_right)) - u_a.log_value(b))
-    )
-    left = float(res_left.max())
-    right = float(res_right.max())
-    return GluingReport(left, right, max(left, right) <= GLUING_TOL)

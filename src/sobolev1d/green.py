@@ -5,9 +5,11 @@ W = phi_minus' (0) - phi_plus'(0) their (constant) Wronskian,
 
     G(x, y) = phi_minus(min(x, y)) phi_plus(max(x, y)) / W,
 
-symmetric by construction and equal to u_y(x) / F(y).  Everything is
-evaluated in log space, so lattice spans that would overflow phi itself are
-harmless.  For V == v the closed form is e^{-sqrt(v)|x-y|} / (2 sqrt(v)).
+symmetric by construction and equal to u_y(x) / F(y).  G, the pinned
+minimizer u_y and the curve F all read the pair through one reader,
+``fundamental._pair_reads``.  Everything is evaluated in log space, so
+lattice spans that would overflow phi itself are harmless.  For V == v the
+closed form is e^{-sqrt(v)|x-y|} / (2 sqrt(v)).
 
 ``residual_check`` verifies the defining weak identity
 
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair, _exp, _is_point
+from .fundamental import LogSolution, _check_pair, _exp, _pair_reads
 from .potential import Potential
 from .quadrature import composite_gauss_legendre
 
@@ -48,7 +50,7 @@ class GreenEvaluator:
 
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
-    wronskian: float = 0.0
+    wronskian: float
 
     @property
     def window(self) -> tuple[float, float]:
@@ -61,22 +63,12 @@ class GreenEvaluator:
     def _reads(self, x, y):
         """(log G(x, y), d/dx log G(x, y)): floats for two points, else broadcast arrays.
 
-        One dense read per side: G needs phi_minus at the smaller argument
-        and phi_plus at the larger one, and so does its x-derivative, whose
-        rate is r_minus left of the diagonal and r_plus from it on.
+        ``_pair_reads`` gives phi_minus at the smaller argument and phi_plus
+        at the larger one, one dense read per side; the x-derivative's rate
+        is r_minus left of the diagonal and r_plus from it on.
         """
-        if _is_point(x) and _is_point(y):
-            # One comparison orders the points; with a NaN it is False, and
-            # the NaN still reaches a read that refuses it.
-            left = x < y
-            rm, lm = self.phi_minus._dense(x if left else y)
-            rp, lp = self.phi_plus._dense(y if left else x)
-            rate = rm if left else rp
-        else:
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            rm, lm = self.phi_minus._dense(np.minimum(x, y))
-            rp, lp = self.phi_plus._dense(np.maximum(x, y))
-            rate = np.where(x < y, rm, rp)
+        (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, y)
+        rate = np.where(left, rm, rp) if isinstance(left, np.ndarray) else (rm if left else rp)
         return lm + lp - math.log(self.wronskian), rate
 
     def log_value(self, x, y):
@@ -98,7 +90,7 @@ class GreenEvaluator:
 
 
 def build_green(phi_plus: LogSolution, phi_minus: LogSolution) -> GreenEvaluator:
-    """Assemble the evaluator; the sides must share the window."""
+    """Assemble the evaluator; the sides must come from one solve."""
     wronskian = _check_pair(phi_plus, phi_minus)
     return GreenEvaluator(phi_plus=phi_plus, phi_minus=phi_minus, wronskian=wronskian)
 

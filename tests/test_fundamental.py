@@ -26,7 +26,6 @@ from sobolev1d.fundamental import (
     _cell_maps,
     check_comparison,
     check_envelope_bounds,
-    check_gluing,
     check_riccati_residual,
     decay_inset,
     extremal_function,
@@ -191,7 +190,6 @@ def test_dishonest_bounds_rejected():
 def test_extremal_function_shape(example_pair):
     _, plus, minus = example_pair
     u = extremal_function(plus, minus, cf.A1_EXACT)
-    assert u.sup_norm == 1.0
     assert u(cf.A1_EXACT) == 1.0
     xs = np.linspace(-20, 20, 401)
     vals = np.asarray(u(xs))
@@ -238,6 +236,62 @@ def test_nonpositive_wronskian_is_a_solver_error(consumer, constant_sides):
         PAIR_CONSUMERS[consumer](plus, dataclasses.replace(plus, side="-"))
 
 
+@pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
+def test_sides_of_two_solves_on_one_window_are_refused(consumer):
+    """phi_+ of one potential with phi_- of another share the window but not the solve."""
+    plus = solve_log_solution(make_example(cf.A, cf.B), *WINDOW)[0]
+    minus = solve_log_solution(make_constant(4.0), *WINDOW)[1]
+    with pytest.raises(ValueError, match="not solved together"):
+        PAIR_CONSUMERS[consumer](plus, minus)
+
+
+@pytest.mark.parametrize(
+    "consumer, read",
+    [("build_green", []), ("build_fcurve", ["+", "-"]), ("extremal_function", ["+", "-"])],
+)
+def test_the_pair_check_reads_no_side(consumer, read, monkeypatch):
+    """W comes from the stored rates: only the curve grid and the extremal's center are read."""
+    example = make_example(cf.A, cf.B)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(np.size(x))
+        return example.evaluate(x)
+
+    plus, minus = solve_log_solution(dataclasses.replace(example, evaluate=evaluate), *WINDOW)
+    sides = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        sides.append(self.side)
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    evaluated.clear()
+    PAIR_CONSUMERS[consumer](plus, minus)
+    assert sorted(sides) == read
+    if not read:
+        assert evaluated == []
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "example", "A": 1, "B": 2},
+        {"kind": "step", "v0": 1, "v1": 4},
+        {"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4]},
+        {"kind": "constant", "v": 2.5},
+    ],
+    ids=["example", "step", "well", "constant"],
+)
+def test_node_wronskian_is_the_dense_read_at_zero(spec, tol):
+    """W taken from the stored rates at the node 0 is bitwise the dense read there."""
+    plus, minus = solve_log_solution(potential_from_spec(spec), -30.0, 30.0, tol)
+    dense = minus.ell_prime_at(0.0) - plus.ell_prime_at(0.0)
+    assert build_green(plus, minus).wronskian == dense
+
+
 def test_envelope_bounds_example(example_pair):
     _, plus, minus = example_pair
     report = check_envelope_bounds(plus, minus)
@@ -272,23 +326,6 @@ def test_comparison_equal_potentials_tight():
     report = check_comparison(make_constant(2.0), make_constant(2.0), a=-1.0)
     assert report.passed
     assert abs(report.min_log_margin) < 1e-10
-
-
-def test_gluing_constant_closed_form():
-    pot = make_constant(1.0)
-    plus, minus = solve_log_solution(pot, *WINDOW)
-    u0 = extremal_function(plus, minus, 0.0)
-    assert u0(-1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
-    report = check_gluing(plus, minus, -1.0, 1.0)
-    assert report.passed, report
-
-
-def test_gluing_example(example_pair):
-    _, plus, minus = example_pair
-    report = check_gluing(plus, minus, -0.5, 0.7)
-    assert report.passed, report
-    with pytest.raises(ValueError):
-        check_gluing(plus, minus, 1.0, -1.0)
 
 
 def test_gluing_fails_inside_the_interval(example_pair):

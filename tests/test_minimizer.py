@@ -7,6 +7,7 @@ import pytest
 import _closed_forms as cf
 from sobolev1d import (
     Potential,
+    build_green,
     extremal,
     make_constant,
     make_example,
@@ -107,6 +108,41 @@ def test_poschl_teller_well_matches_its_closed_form(k, lam):
         pins = np.linspace(*report.curve.window, 401)
         exact = cf.poschl_teller_f_lambda_1(pins, k)
         assert np.max(np.abs(report.curve.value_at(pins) / exact - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, lam", [(2.0, 1), (3.0, 1), (3.0, 2), (2.5, 2)], ids=str)
+def test_poschl_teller_pair_matches_its_closed_forms(k, lam):
+    """phi_+, phi_-, W, G and u_a to 1e-12 relative; F' and F'' to 1e-11 of their largest value.
+
+    The pins span the curve window, where the seeding transient is negligible.
+    """
+    report = minimize(_poschl_teller(k, lam))
+    plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
+    pins = np.linspace(*curve.window, 401)
+    exact = np.vectorize
+
+    for side, sol in (("+", plus), ("-", minus)):
+        phi = np.exp(exact(cf.poschl_teller_log_phi)(pins, k, lam, side))
+        assert np.max(np.abs(sol.phi_at(pins) / phi - 1.0)) <= 1e-12
+        assert abs(sol.phi_at(pins[7]) / phi[7] - 1.0) <= 1e-12
+
+    green = build_green(plus, minus)
+    assert abs(green.wronskian / cf.poschl_teller_wronskian(k, lam) - 1.0) <= 1e-12
+    lattice = np.linspace(*curve.window, 41)
+    x, y = lattice[:, None], lattice[None, :]
+    g = np.exp(exact(cf.poschl_teller_log_green)(x, y, k, lam))
+    assert np.max(np.abs(green.value(x, y) / g - 1.0)) <= 1e-12
+    for i, j in ((0, 40), (13, 13), (29, 4)):
+        assert abs(green.value(lattice[i], lattice[j]) / g[i, j] - 1.0) <= 1e-12
+
+    u = extremal(report)
+    u_exact = np.exp(exact(cf.poschl_teller_log_extremal)(pins, u.center, k, lam))
+    assert np.max(np.abs(u(pins) / u_exact - 1.0)) <= 1e-12
+
+    for got, f in ((curve.slope_at(pins), cf.poschl_teller_slope),
+                   (curve.curvature_at(pins), cf.poschl_teller_curvature)):
+        want = exact(f)(pins, k, lam)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_translation_equivariance(example_report):

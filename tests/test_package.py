@@ -36,12 +36,10 @@ SUBMODULE_NAMES = {
         "ComparisonReport",
         "EnvelopeReport",
         "ExtremalFunction",
-        "GluingReport",
         "LogSolution",
         "ResidualReport",
         "check_comparison",
         "check_envelope_bounds",
-        "check_gluing",
         "check_riccati_residual",
         "decay_inset",
         "extremal_function",
