@@ -8,12 +8,13 @@ Subcommands:
 * ``verify`` -- run the invariant suite, one PASS/FAIL/SKIP line per check.
 
 Every command takes ``--potential``, ``--window``, ``--tol`` and ``--out``.
-Only the three that write a table or report take ``--format``: ``solve``
-defaults to json, ``scan`` and ``green`` to csv.  ``verify`` always prints
-text; its oracle check passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
+The three that write a table or report also take ``--format``: ``solve``
+defaults to json, ``scan`` and ``green`` to csv.  ``verify`` prints text; its
+oracle check passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
 
-Exit codes: 0 success, 2 configuration error (bad flags, malformed potential
-spec, window out of range), 3 solver failure, 4 verification failure.
+Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
+window or tol the solve refuses; found before any solve), 3 solver failure,
+4 verification failure.
 
 Each command builds its whole artifact as text; ``main`` writes it once, to
 ``--out`` when given, else to stdout.  Output is deterministic: identical
@@ -35,8 +36,8 @@ import numpy as np
 from .fcurve import build_fcurve, check_minimality_equivalence
 from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
-    TOL_RANGE,
     SolverError,
+    _check_window,
     _sorted_unique,
     check_envelope_bounds,
     check_riccati_residual,
@@ -69,10 +70,10 @@ class ConfigError(ValueError):
 
 
 def _configure(args: argparse.Namespace) -> None:
-    """Validate --potential, --window and --tol in place.
+    """Validate --potential, --window and --tol in place, as the solve would.
 
     ``args.potential`` becomes a Potential and ``args.window`` a pair of
-    floats, or stays None for the default window +-25/sqrt(v0).
+    floats, or stays None for ``default_window``.
     """
     spec_text = args.potential
     try:
@@ -84,11 +85,6 @@ def _configure(args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot read potential spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed potential spec JSON: {exc}") from exc
-    try:
-        args.potential = potential_from_spec(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     if args.window is not None:
         parts = args.window.split(",")
         if len(parts) != 2:
@@ -97,10 +93,11 @@ def _configure(args: argparse.Namespace) -> None:
             args.window = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ConfigError("--window values must be numbers") from exc
-        if not (-math.inf < args.window[0] < 0.0 < args.window[1] < math.inf):
-            raise ConfigError("--window must be finite and contain 0")
-    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
-        raise ConfigError(f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+    try:
+        args.potential = potential_from_spec(spec)
+        _check_window(args.potential, *(args.window or default_window(args.potential)), args.tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(x) -> str:
@@ -142,14 +139,10 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_cell(v) -> str:
-    return v if isinstance(v, str) else _fmt(v)
-
-
 def _csv_rows(header: str, rows) -> str:
     lines = [header]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -250,8 +243,8 @@ def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     pot = args.potential
-    # Built first so that bad --oracle-L/--oracle-h flags fail before any solve.
-    problem = DiscreteRayleighProblem.from_potential(pot, args.oracle_L, args.oracle_h)
+    # Built first, so that a non-finite V exits 3 before the bounds check.
+    problem = DiscreteRayleighProblem.from_potential(pot)
     window = args.window or default_window(pot)
     lines: list[tuple[str, str, str]] = []
 
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--window",
         default=None,
-        help="solve window 'x_min,x_max' (default: +-25/sqrt(v0))",
+        help="solve window 'x_min,x_max' (default: +-25/sqrt(v0), wider past breakpoints)",
     )
     common.add_argument("--tol", type=float, default=1e-10, help="integration tolerance")
     common.add_argument("--out", default=None, help="write the artifact to this file")
@@ -394,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_green.set_defaults(func=cmd_green)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    p_verify.add_argument("--oracle-L", type=float, default=30.0, dest="oracle_L")
-    p_verify.add_argument("--oracle-h", type=float, default=0.005, dest="oracle_h")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -405,7 +396,7 @@ def main(argv=None) -> int:
     try:
         _configure(args)
         code, text = args.func(args)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -80,7 +80,6 @@ class FCurve:
     wronskian: float
     window: tuple[float, float]
     potential: Potential
-    tol: float
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     grid_reads: PinReads = field(repr=False)
@@ -168,7 +167,6 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
         wronskian=wronskian,
         window=(float(lo), float(hi)),
         potential=potential,
-        tol=phi_plus.tol,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
         grid_reads=reads,
@@ -278,12 +276,15 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     Sign changes whose bracket values both sit under the noise floor
     (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
     asymptotically flat region and are ignored; a curve whose slope never
-    exceeds the floor is classified flat (constant potentials).  Roots with
+    exceeds the floor is classified flat (constant potentials).  A well many
+    decay lengths wide keeps F' under the floor on both sides of its minimum,
+    so a grid minimum of F below both edge values by more than the floor,
+    with no root within one grid cell, is a candidate too.  Roots with
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
     The minimality flags of each point use CONDITION_TOL.
     """
     scale = max(1.0, float(np.max(np.abs(curve.values))))
-    noise_floor = NOISE_FACTOR * curve.tol * scale
+    noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
     curvature_slack = CURVATURE_SLACK * scale
 
     if float(np.max(np.abs(curve.slope))) <= noise_floor:
@@ -309,6 +310,10 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
             root = _polish_root(curve, float(g[i]), float(g[i + 1]), float(s[i]), ROOT_TOL)
         if not roots or abs(root - roots[-1]) > max(10 * ROOT_TOL, 1e-11):
             roots.append(root)
+    i, f = int(np.argmin(curve.values)), curve.values
+    if f[i] < min(f[0], f[-1]) - noise_floor:
+        if not any(g[max(i - 1, 0)] <= root <= g[min(i + 1, g.size - 1)] for root in roots):
+            roots = sorted(roots + [float(g[i])])
 
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []

@@ -74,8 +74,9 @@ against it, with slack 1e-8 max(1, sqrt(v1)), and refuses when either
 leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
-u_a = G(., a)/G(a, a), read without quadrature through ``_pair_reads``, the
-one reader of the solved pair, which G and F = 1/G(a, a) use as well:
+u_a = G(., a)/G(a, a), read without quadrature, each side only at the
+points on its own side of a (G and F = 1/G(a, a) read the pair through
+``_pair_reads``):
 
     u_a(x) = phi_minus(x)/phi_minus(a)  (x < a),
              phi_plus(x)/phi_plus(a)    (x >= a).
@@ -112,6 +113,8 @@ TOL_RANGE = (1e-14, 1e-6)
 # Required decay margin sqrt(v0) * min(|x_min|, x_max): truncating the line to
 # the window perturbs the solution by ~exp(-2 * margin).
 MIN_DOMAIN_MARGIN = 20.0
+# How far the default window reaches, in decay lengths 1/sqrt(v0).
+DEFAULT_WINDOW_FACTOR = 25.0
 # Most mesh cells one side may use before the solver gives up.
 MAX_CELLS = 1 << 19
 # Spacing of the sample grid, in decay lengths 1/sqrt(v0).
@@ -137,6 +140,7 @@ _SAMPLE_BLOCK = 4096
 # Most cells ``_sweep`` crosses by its plain loop; above, composing cell maps
 # in pairs is faster (one level of pairs breaks even near 200 cells).
 _SWEEP_LEAF = 256
+_NON_FINITE = "the potential evaluated to a non-finite value"
 
 
 class SolverError(RuntimeError):
@@ -151,6 +155,28 @@ def decay_inset(potential: Potential) -> float:
     d = 12/sqrt(v0) it is ~3.8e-11, below every tolerance used here.
     """
     return 12.0 / math.sqrt(potential.lower_bound)
+
+
+def default_window(potential: Potential) -> tuple[float, float]:
+    """+-25/sqrt(v0), or wider, so that the curve window reaches 1/sqrt(v0) past every jump."""
+    s0 = math.sqrt(potential.lower_bound)
+    reach = max(map(abs, potential.breakpoints), default=-math.inf) + 13.0 / s0
+    w = max(DEFAULT_WINDOW_FACTOR / s0, reach)
+    return (-w, w)
+
+
+def _check_window(potential: Potential, x_min: float, x_max: float, tol: float) -> None:
+    """Raise ValueError for a window or tol that the solve cannot honour."""
+    if not (-math.inf < x_min < 0.0 < x_max < math.inf):
+        raise ValueError(f"window must be finite and contain 0, got [{x_min:g}, {x_max:g}]")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+    margin = math.sqrt(potential.lower_bound) * min(abs(x_min), x_max)
+    if margin < MIN_DOMAIN_MARGIN:
+        raise ValueError(
+            f"decay margin sqrt(v0)*min(|x_min|, x_max) = {margin:.3f} < "
+            f"{MIN_DOMAIN_MARGIN:g}; widen the window"
+        )
 
 
 def _check_inside(x, window: tuple[float, float], what: str) -> None:
@@ -234,9 +260,8 @@ def _magnus(v, h: np.ndarray):
 
 
 def _cell_maps(potential: Potential, lo: np.ndarray, h: np.ndarray):
-    """``_magnus`` maps of the cells [lo, lo + h], sampling V for all cells in one call."""
-    v = np.asarray(potential.evaluate(_gauss_points(lo, h)), dtype=float)
-    return _magnus(v.reshape(3, -1), h)
+    """``_magnus`` maps of the cells [lo, lo + h], with V sampled by ``_samples``."""
+    return _magnus(_samples(potential, _gauss_points(lo, h)).reshape(3, -1), h)
 
 
 def _doubling_error(full, left, right, s1: float):
@@ -363,7 +388,7 @@ def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
         block = slice(start, start + _SAMPLE_BLOCK)
         v[block] = potential.evaluate(points[block])
     if not np.all(np.isfinite(v)):
-        raise SolverError("the potential evaluated to a non-finite value")
+        raise SolverError(_NON_FINITE)
     return v
 
 
@@ -442,22 +467,14 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     return s + np.cumsum(err)
 
 
-def _sweep(r0: float, cm1, P, Q, R) -> np.ndarray:
-    """r at every node, applying r -> (R + (1 + cm1 - P) r)/(1 + cm1 + P + Q r) cell by cell.
-
-    The plain loop up to _SWEEP_LEAF cells; above, ``_compose_sweep`` pairs the
-    maps, within a few dozen ulps of the exact recurrence of these float maps.
-    """
-    return _compose_sweep(r0, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
-
-
-def _compose_sweep(r0: float, a, q, s, d) -> np.ndarray:
+def _sweep(r0: float, a, q, s, d) -> np.ndarray:
     """r at every node of the maps r -> (s + d r)/(a + q r), cell k taking node k to k + 1.
 
-    Cell k acts on (1, r) as N_k = [[a, q], [s, d]].  Above _SWEEP_LEAF cells
-    each pair N_{2j+1} N_{2j}, divided by its (1,1) entry to stay finite, is
-    one map of a half-length chain giving r at the even nodes; one more step
-    each gives the odd nodes.  Side "-" has positive entries and side "+" the
+    Cell k acts on (1, r) as N_k = [[a, q], [s, d]].  Up to _SWEEP_LEAF cells
+    a plain loop; above, each pair N_{2j+1} N_{2j}, divided by its (1,1) entry
+    to stay finite, is one map of a half-length chain giving r at the even
+    nodes, and one more step each gives the odd nodes, within a few dozen ulps
+    of the loop.  Side "-" has positive entries and side "+" the
     pattern [[+, -], [-, +]], which products keep: no entry is a difference.
     """
     n = a.size
@@ -472,7 +489,7 @@ def _compose_sweep(r0: float, a, q, s, d) -> np.ndarray:
     a0, q0, s0, d0 = a[: 2 * m : 2], q[: 2 * m : 2], s[: 2 * m : 2], d[: 2 * m : 2]
     a1, q1, s1, d1 = a[1::2], q[1::2], s[1::2], d[1::2]
     pa = a1 * a0 + q1 * s0
-    even = _compose_sweep(
+    even = _sweep(
         r0, np.ones(m), (a1 * q0 + q1 * d0) / pa, (s1 * a0 + d1 * s0) / pa, (s1 * q0 + d1 * d0) / pa
     )
     r = np.empty(n + 1)
@@ -491,7 +508,6 @@ class LogSolution:
     Attributes:
         side: "+" (decays at +inf) or "-" (decays at -inf).
         window: (x_min, x_max).
-        domain_margin: sqrt(v0) * min(|x_min|, x_max).
         tol: the accuracy requested at construction.
         potential: the potential integrated against.
 
@@ -502,7 +518,6 @@ class LogSolution:
 
     side: str
     window: tuple[float, float]
-    domain_margin: float
     tol: float
     potential: Potential
     _mesh: np.ndarray = field(repr=False)
@@ -517,7 +532,8 @@ class LogSolution:
         paths, chosen by the rank of x: an array takes one ``_cell_maps``
         call for all its points and returns two arrays of x's shape; a point
         (a float or a 0-d array) takes ``_dense_one``, in float arithmetic,
-        and returns two Python floats.  The two paths agree bitwise.
+        and returns two Python floats.  The two paths agree bitwise, and
+        both refuse a non-finite V, as the solve does (SolverError).
         """
         if _is_point(x):
             return self._dense_one(float(x))
@@ -560,7 +576,10 @@ class LogSolution:
             k = min(max(int(mesh.searchsorted(x, side="left")), 1), mesh.size - 1)
             lo, h, sign = x, float(mesh[k]) - x, -1.0
         v = np.asarray(self.potential.evaluate(np.array(_gauss_nodes(lo, h))), dtype=float)
-        p, q, s = _omega(*v.tolist(), h)
+        v = v.tolist()
+        if not all(map(math.isfinite, v)):
+            raise SolverError(_NON_FINITE)
+        p, q, s = _omega(*v, h)
         z = p * p + q * s
         t = math.sqrt(abs(z))
         if z >= 0.0:
@@ -617,24 +636,12 @@ def solve_log_solution(
     l(0) = 0.  See the module docstring for the error control.  Each
     solution evaluates r and l anywhere in the window.
 
-    Raises ValueError for a bad window (finite, x_min < 0 < x_max, with
-    decay margin sqrt(v0)*min(|x_min|, x_max) >= 20) or tolerance outside
-    [1e-14, 1e-6], and SolverError if the mesh needs more than MAX_CELLS
-    cells or a log-derivative leaves its invariant band (declared bounds
-    not honest).
+    Raises ValueError for a window or tolerance that ``_check_window``
+    refuses, and SolverError if the mesh needs more than MAX_CELLS cells or
+    a log-derivative leaves its invariant band (declared bounds not honest).
     """
-    if not (-math.inf < x_min < 0.0 < x_max < math.inf):
-        raise ValueError(f"window must be finite and contain 0, got [{x_min:g}, {x_max:g}]")
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-    v0, v1 = potential.lower_bound, potential.upper_bound
-    s0, s1 = math.sqrt(v0), math.sqrt(v1)
-    margin = s0 * min(abs(x_min), x_max)
-    if margin < MIN_DOMAIN_MARGIN:
-        raise ValueError(
-            f"decay margin sqrt(v0)*min(|x_min|, x_max) = {margin:.3f} < "
-            f"{MIN_DOMAIN_MARGIN:g}; widen the window"
-        )
+    _check_window(potential, x_min, x_max, tol)
+    s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
 
     # Refine to a tolerance tighter than the one requested, so that it is met
     # with room.  Errors in r decay at rate 2 sqrt(v0) along the flow, so a
@@ -652,10 +659,12 @@ def solve_log_solution(
     # for "+" (the inverse maps, last cell first).  The seeds take V at the
     # Gauss node nearest the starting edge, which is never on a jump.
     start = lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])
-    r_minus = _sweep(math.sqrt(float(potential.evaluate(start))), cm1, P, Q, R)
+    seed = math.sqrt(float(potential.evaluate(start)))
+    r_minus = _sweep(seed, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
     start = hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])
     seed = -math.sqrt(float(potential.evaluate(start)))
-    r_plus = _sweep(seed, cm1[::-1], -P[::-1], -Q[::-1], -R[::-1])[::-1]
+    a, d = (1.0 + cm1 - P)[::-1], (1.0 + cm1 + P)[::-1]
+    r_plus = _sweep(seed, a, -Q[::-1], -R[::-1], d)[::-1]
 
     rates = np.concatenate((r_minus, -r_plus))
     slack = 1e-8 * max(1.0, s1)
@@ -675,7 +684,6 @@ def solve_log_solution(
         return LogSolution(
             side=side,
             window=(float(x_min), float(x_max)),
-            domain_margin=margin,
             tol=float(tol),
             potential=potential,
             _mesh=mesh,
@@ -782,12 +790,19 @@ class ExtremalFunction:
         return self.phi_plus.window
 
     def _reads(self, x):
-        """(log u, u'/u) at x: the pair read at (x, a), less the center's logs."""
-        (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, self.center)
+        """(log u, u'/u): phi_minus read where x < a, else phi_plus (which refuses a NaN)."""
         la_p, la_m = self._at_center
-        if isinstance(left, np.ndarray):
-            return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
-        return (lm - la_m, rm) if left else (lp - la_p, rp)
+        if _is_point(x):
+            side, la = (self.phi_minus, la_m) if x < self.center else (self.phi_plus, la_p)
+            r, l = side._dense(x)
+            return l - la, r
+        x = np.asarray(x, dtype=float)
+        left = x < self.center
+        log_u, rate = np.empty(x.shape), np.empty(x.shape)
+        for mask, side, la in ((left, self.phi_minus, la_m), (~left, self.phi_plus, la_p)):
+            rate[mask], l = side._dense(x[mask])
+            log_u[mask] = l - la
+        return log_u, rate
 
     def log_value(self, x):
         return self._reads(x)[0]
@@ -933,13 +948,13 @@ def check_comparison(
     """Check the comparison principle between two ordered potentials.
 
     If V <= V_tilde pointwise, the pinned minimizers satisfy
-    u_a(x; V) >= u_a(x; V_tilde) everywhere.  Both sides are solved on
-    +-25/sqrt(v0) with the smaller v0, and the log-space margin is checked
+    u_a(x; V) >= u_a(x; V_tilde) everywhere.  Both sides are solved on the
+    wider of the two default windows, and the log-space margin is checked
     to COMPARISON_TOL at COMPARISON_POINTS uniform points of that window.  A
     failed precondition (potential_low above potential_high somewhere on the
     grid) is reported, not silently passed.
     """
-    w = 25.0 / math.sqrt(min(potential_low.lower_bound, potential_high.lower_bound))
+    w = max(default_window(potential_low)[1], default_window(potential_high)[1])
     grid = np.linspace(-w, w, COMPARISON_POINTS)
 
     v_lo = np.asarray(potential_low.evaluate(grid))

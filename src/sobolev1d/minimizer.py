@@ -36,9 +36,11 @@ from .fcurve import (
 )
 from .fundamental import (
     DEFAULT_TOL,
+    DEFAULT_WINDOW_FACTOR,  # noqa: F401 -- re-exported with default_window
     ExtremalFunction,
     LogSolution,
     _sorted_unique,
+    default_window,
     extremal_function,
     solve_log_solution,
 )
@@ -54,18 +56,10 @@ __all__ = [
     "classify_attainment",
 ]
 
-# How far the default window reaches, in decay lengths 1/sqrt(v0).
-DEFAULT_WINDOW_FACTOR = 25.0
 # Decision band of the attained/empty/undetermined verdict.
 CLASSIFICATION_TOL = 1e-9
 # Version of every JSON document: the report and the CLI tables.
 SCHEMA_VERSION = 1
-
-
-def default_window(potential: Potential) -> tuple[float, float]:
-    """Symmetric window wide enough for every tolerance used here."""
-    w = DEFAULT_WINDOW_FACTOR / math.sqrt(potential.lower_bound)
-    return (-w, w)
 
 
 def classify_attainment(
@@ -99,9 +93,9 @@ class MinimizationReport:
 
     The JSON-facing fields are mirrored by ``to_json_dict``; phi_plus,
     phi_minus and curve are kept for reuse (extremal functions, Green
-    evaluators) and are not serialized.  requested_window and ode_tol are
-    the window and tol arguments of ``minimize`` as passed; window is the
-    window actually solved on.
+    evaluators) and are not serialized.  requested_window is the window
+    argument of ``minimize`` as passed; window is the window actually solved
+    on.  The label, tol and domain margin are read from phi_plus.
     """
 
     m_value: float
@@ -116,8 +110,6 @@ class MinimizationReport:
     flat: bool
     window: tuple[float, float]
     requested_window: tuple[float, float] | None
-    ode_tol: float
-    potential_label: str
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     curve: FCurve = field(repr=False)
@@ -134,9 +126,10 @@ class MinimizationReport:
                 "minus_side_product": p.minus_side_product,
             }
 
+        pot, (x_min, x_max) = self.phi_plus.potential, self.window
         return {
             "schema_version": SCHEMA_VERSION,
-            "potential": self.potential_label,
+            "potential": pot.label,
             "m": self.m_value,
             "best_constant": self.best_constant,
             "attainment": self.attainment,
@@ -148,13 +141,13 @@ class MinimizationReport:
             "tail_method": self.tail_method,
             "margins": {
                 "decision": self.margin,
-                "domain": self.phi_plus.domain_margin,
+                "domain": math.sqrt(pot.lower_bound) * min(abs(x_min), x_max),
             },
             "window": [self.window[0], self.window[1]],
             # Schema 1 lists every pipeline setting; grid_spacing and inset are null.
             "solver_config": {
                 "window": self.requested_window,
-                "ode_tol": self.ode_tol,
+                "ode_tol": self.phi_plus.tol,
                 "grid_spacing": None,
                 "inset": None,
                 "root_tol": ROOT_TOL,
@@ -184,7 +177,7 @@ def minimize(
 ) -> MinimizationReport:
     """Run the full two-stage minimization for a bounded potential.
 
-    window: (x_min, x_max); None picks +-25/sqrt(v0).
+    window: (x_min, x_max); None picks ``default_window``.
     tol: accuracy requested from the log-space integration.
 
     Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
@@ -221,8 +214,6 @@ def minimize(
         flat=scan.flat,
         window=(float(x_min), float(x_max)),
         requested_window=window,
-        ode_tol=tol,
-        potential_label=potential.label,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
         curve=curve,

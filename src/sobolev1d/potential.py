@@ -56,7 +56,6 @@ class Potential:
             their meshes here.  Empty for continuous potentials.
         tail_limits: (limit at -inf, limit at +inf) when the potential has
             genuine limits, else None.
-        continuous: False when V has jump discontinuities.
         label: short human-readable description used in reports.
     """
 
@@ -65,7 +64,6 @@ class Potential:
     upper_bound: float
     breakpoints: tuple[float, ...] = ()
     tail_limits: tuple[float, float] | None = None
-    continuous: bool = True
     label: str = "potential"
 
     def __post_init__(self) -> None:
@@ -77,6 +75,11 @@ class Potential:
             )
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+
+    @property
+    def continuous(self) -> bool:
+        """False when V may jump, i.e. when it has breakpoints."""
+        return not self.breakpoints
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         return self.evaluate(x)
@@ -90,7 +93,6 @@ class Potential:
             upper_bound=self.upper_bound,
             breakpoints=tuple(b + offset for b in self.breakpoints),
             tail_limits=self.tail_limits,
-            continuous=self.continuous,
             label=f"{self.label} shifted by {offset:g}",
         )
 
@@ -109,7 +111,6 @@ def make_constant(v: float) -> Potential:
         lower_bound=v,
         upper_bound=v,
         tail_limits=(v, v),
-        continuous=True,
         label=f"constant {v:g}",
     )
 
@@ -142,7 +143,6 @@ def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> 
         upper_bound=float(vals.max()),
         breakpoints=jumps,
         tail_limits=(float(vals[0]), float(vals[-1])),
-        continuous=not jumps,
         label=f"piecewise constant ({vals.size} pieces)",
     )
 
@@ -170,7 +170,6 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
         lower_bound=v0,
         upper_bound=v1,
         tail_limits=(v0, v1),
-        continuous=True,
         label=f"monotone step {v0:g} -> {v1:g} (width {width:g})",
     )
 
@@ -205,7 +204,6 @@ def make_example(A: float, B: float) -> Potential:
         lower_bound=(a * a * b * b - a * b - 1.0) / (a * a),
         upper_bound=b * b + b / a + 2.0 / (a * a),
         tail_limits=(b * b, b * b),
-        continuous=True,
         label=f"example(A={a:g}, B={b:g})",
     )
 
@@ -314,7 +312,6 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         lower_bound=vmin - margin,
         upper_bound=vmax + margin,
         tail_limits=(left, right),
-        continuous=True,
         label=label,
     )
 

@@ -1,10 +1,11 @@
-"""Closed-form reference values for two exactly solvable families.
+"""Closed-form reference values for three exactly solvable families.
 
 The example family is V = ell'' + (ell')^2 for ell = log(A e^{-Bx}/sqrt(x^2+A^2)),
 which makes phi_+ available in closed form; phi_- follows from reduction of
 order.  The Poeschl-Teller well V = k^2 - lam (lam + 1) sech^2 x has a* = 0
 and m in closed form for every lam (Poeschl & Teller 1933); for lam = 1 and
-2, phi_+ and phi_-, W, G, u_a, F' and F'' are closed forms too.
+2, phi_+ and phi_-, W, G, u_a, F' and F'' are closed forms too.  Every
+piecewise-constant V is solved exactly by ``pwc_exact``.
 Everything here is evaluated independently of the package (plain numpy
 expressions and the standard library) so the tests have a fixed external
 reference.
@@ -12,7 +13,9 @@ reference.
 
 from __future__ import annotations
 
+import bisect
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -190,3 +193,61 @@ def poschl_teller_curvature(a, k, lam):
         + 162.0 * tt**4 - 324.0 * tt**3 + 144.0 * tt**2 - 12.0 * tt - 2.0
     )
     return -12.0 * k * (kk - 4.0) * (kk - 1.0) * sech2 * n / q**3
+
+
+class PwcExact(NamedTuple):
+    """Exact m, a* (None unless attained), attainment and F of a piecewise-constant V."""
+
+    m: float
+    a_star: float | None
+    attainment: str
+    f: Callable[[float], float]
+
+
+def pwc_exact(edges, values) -> PwcExact:
+    """Exact answer for V = values[j] on [edges[j-1], edges[j]), at least one edge.
+
+    F = r_- - r_+, and on a piece V = k^2 the flow r' = k^2 - r^2 over a
+    length s is the Moebius map r -> k (r + k t)/(k + r t), t = tanh(k s).
+    r_- starts at +k on the first piece and rho = -r_+ at +k on the last, so
+    both are pure exponentials there (|r| = k, a fixed point of the map).
+    Inside a piece each side is k tanh or k coth of k times the distance to
+    its centre; F' vanishes only where both have one kind, at the midpoint of
+    the two centres: a maximum for tanh-tanh, a minimum for coth-coth.  So
+    inf F is the least of F at the edges, at the coth-coth midpoints inside
+    their piece, and the tail value 2 sqrt(min V(+-inf)).
+    """
+    edges, ks = list(map(float, edges)), [math.sqrt(v) for v in values]
+    n = len(edges)
+
+    def flow(k, r, s):
+        t = math.tanh(k * s)
+        return k * (r + k * t) / (k + r * t)
+
+    # r_- at each edge, swept from the left; rho = -r_+ at each edge, from the right.
+    left = [ks[0]]
+    for j in range(1, n):
+        left.append(flow(ks[j], left[-1], edges[j] - edges[j - 1]))
+    right = [ks[n]]
+    for j in range(n - 1, 0, -1):
+        right.append(flow(ks[j], right[-1], edges[j] - edges[j - 1]))
+    right.reverse()
+
+    def f(a):
+        j = bisect.bisect_right(edges, a)
+        r_minus = ks[0] if j == 0 else flow(ks[j], left[j - 1], a - edges[j - 1])
+        rho = ks[n] if j == n else flow(ks[j], right[j], edges[j] - a)
+        return r_minus + rho
+
+    tail = 2.0 * min(ks[0], ks[n])
+    candidates = [(f(e), e) for e in edges]
+    for j in range(1, n):
+        k, lo, hi = ks[j], edges[j - 1], edges[j]
+        if left[j - 1] > k and right[j] > k:
+            mid = 0.5 * (lo - math.atanh(k / left[j - 1]) / k + hi + math.atanh(k / right[j]) / k)
+            if lo < mid < hi:
+                candidates.append((f(mid), mid))
+    best, a_star = min(candidates)
+    if best < tail:
+        return PwcExact(best, a_star, "attained", f)
+    return PwcExact(tail, None, "empty", f)

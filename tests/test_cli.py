@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -191,16 +192,7 @@ def test_window_must_be_finite_and_fit_the_mesh_cap(capsys):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "--potential",
-        CONSTANT,
-        "--oracle-L",
-        "25",
-        "--oracle-h",
-        "0.01",
-    )
+    code, out, _ = run(capsys, "verify", "--potential", CONSTANT)
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert all(line.startswith(("PASS", "SKIP")) for line in lines)
@@ -226,34 +218,60 @@ def test_verify_solves_each_side_once(capsys, monkeypatch):
     monkeypatch.setattr(minimizer, "solve_log_solution", counted)
     monkeypatch.setattr(cli, "solve_log_solution", counted)
     monkeypatch.setattr(fundamental, "_refine", counted_refine)
-    code, _, _ = run(
-        capsys, "verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"
-    )
+    code, _, _ = run(capsys, "verify", "--potential", CONSTANT)
     assert code == 0
     assert len(pairs) == 1
     assert len(refines) == 1
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [("--oracle-h", "0"), ("--oracle-L", "-1"), ("--oracle-h", "0.007")],
+    "command, extra",
+    [
+        ("solve", {"--format"}),
+        ("scan", {"--format", "--grid"}),
+        ("green", {"--format", "--x", "--y"}),
+        ("verify", set()),
+    ],
 )
-def test_verify_bad_oracle_flags_exit_2_before_solving(capsys, monkeypatch, flags):
+def test_each_command_takes_the_documented_options(command, extra):
+    from sobolev1d.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert options - {"-h", "--help"} == {"--potential", "--window", "--tol", "--out"} | extra
+
+
+def test_a_value_error_inside_a_command_is_not_a_configuration_error(capsys, monkeypatch):
+    from sobolev1d import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the library")
+
+    monkeypatch.setattr(cli, "minimize", broken)
+    with pytest.raises(ValueError, match="raised inside the library"):
+        main(["solve", "--potential", CONSTANT])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve",), ("scan",), ("green", "--x=-1:1:3", "--y=0:0:1"), ("verify",)],
+    ids=["solve", "scan", "green", "verify"],
+)
+def test_a_window_the_solve_refuses_exits_2_before_solving(capsys, monkeypatch, argv):
     from sobolev1d import cli, minimizer
 
-    pairs = []
-    original = minimizer.solve_log_solution
+    calls = []
 
     def counted(*args, **kwargs):
-        pairs.append(args)
-        return original(*args, **kwargs)
+        calls.append(args)
+        raise AssertionError("solve_log_solution called")
 
     monkeypatch.setattr(minimizer, "solve_log_solution", counted)
     monkeypatch.setattr(cli, "solve_log_solution", counted)
-    code, out, err = run(capsys, "verify", "--potential", CONSTANT, *flags)
-    assert code == 2
-    assert out == "" and "configuration error" in err
-    assert pairs == []
+    code, out, err = run(capsys, *argv, "--potential", CONSTANT, "--window=-5,5")
+    assert (code, out) == (2, "")
+    assert "configuration error" in err and "decay margin" in err
+    assert calls == []
 
 
 def test_cli_exports_only_main():
@@ -271,9 +289,7 @@ def test_verify_refuses_format_and_oracle_tol(capsys, flags):
 
 
 def test_verify_oracle_tolerance_is_fixed(capsys):
-    _, out, _ = run(
-        capsys, "verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"
-    )
+    _, out, _ = run(capsys, "verify", "--potential", CONSTANT)
     oracle = out.splitlines()[-1]
     assert oracle.startswith("PASS oracle-agreement")
     assert oracle.endswith("(tolerance 0.01)")
@@ -307,9 +323,7 @@ def test_verify_flags_dishonest_bounds(capsys):
     ids=["constant", "dishonest"],
 )
 def test_verify_prints_each_check_once_in_order(capsys, spec, statuses):
-    _, out, _ = run(
-        capsys, "verify", "--potential", spec, "--oracle-L", "25", "--oracle-h", "0.01"
-    )
+    _, out, _ = run(capsys, "verify", "--potential", spec)
     heads = [line.split(":", 1)[0].split(" ") for line in out.splitlines()]
     assert [name for _, name in heads] == list(VERIFY_CHECKS)
     assert [status for status, _ in heads] == statuses
@@ -321,7 +335,7 @@ def test_verify_prints_each_check_once_in_order(capsys, spec, statuses):
         ("solve", "--potential", CONSTANT),
         ("scan", "--potential", CONSTANT, "--grid=-2:2:9"),
         ("green", "--potential", CONSTANT, "--x=-1:1:3", "--y=0:0:1"),
-        ("verify", "--potential", CONSTANT, "--oracle-L", "25", "--oracle-h", "0.01"),
+        ("verify", "--potential", CONSTANT),
         ("verify", "--potential", DISHONEST),
     ],
     ids=["solve", "scan", "green", "verify", "verify-failing"],
@@ -350,9 +364,7 @@ def test_verify_table_without_bounds(capsys):
     spec = json.dumps(
         {"kind": "table", "x": xs, "v": [4.0 - 3.0 * math.exp(-0.5 * x * x) for x in xs]}
     )
-    _, out, _ = run(
-        capsys, "verify", "--potential", spec, "--oracle-L", "25", "--oracle-h", "0.01"
-    )
+    _, out, _ = run(capsys, "verify", "--potential", spec)
     lines = out.splitlines()
     assert lines[0].startswith("PASS bounds-declared")
     assert lines[1].startswith("PASS riccati-residual")
@@ -361,8 +373,7 @@ def test_verify_table_without_bounds(capsys):
 def test_import_leaves_scipy_unloaded():
     verify = (
         "from sobolev1d.cli import main; "
-        f"code = main(['verify', '--potential', {CONSTANT!r}, "
-        "'--oracle-L', '25', '--oracle-h', '0.01']); "
+        f"code = main(['verify', '--potential', {CONSTANT!r}]); "
     )
     xs = [0.5 * k for k in range(-12, 13)]
     table = json.dumps(
@@ -397,7 +408,7 @@ def test_verify_leaves_numpy_ma_unloaded():
     specs = [CONSTANT, EXAMPLE, '{"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4]}']
     script = (
         "import sys; from sobolev1d.cli import main; "
-        f"codes = [main(['verify', '--potential', s, '--oracle-L', '25', '--oracle-h', '0.01']) "
+        f"codes = [main(['verify', '--potential', s]) "
         f"for s in {specs!r}]; "
         "print(codes, 'numpy.ma' in sys.modules)"
     )

@@ -22,7 +22,12 @@ from sobolev1d.fcurve import (
     check_minimality_equivalence,
     find_critical_points,
 )
-from sobolev1d.fundamental import LogSolution, extremal_function, solve_log_solution
+from sobolev1d.fundamental import (
+    LogSolution,
+    _pair_reads,
+    extremal_function,
+    solve_log_solution,
+)
 
 WINDOW = (-25.0, 25.0)
 
@@ -318,6 +323,30 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
         sides.clear()
         read()
         assert sorted(sides) == ["+", "-"]
+
+
+def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypatch):
+    """u reads phi_minus left of a and phi_plus from a on: each point once, same bits."""
+    _, curve = example_curve
+    plus, minus = curve.phi_plus, curve.phi_minus
+    u = extremal_function(plus, minus, cf.A1_EXACT)
+    xs = np.linspace(-6.0, 6.0, 209)
+    (_, _, lp, lm, _), left = _pair_reads(plus, minus, xs, u.center)
+    both = np.where(left, lm - minus.ell_at(u.center), lp - plus.ell_at(u.center))
+    points = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    assert u.log_value(xs).tobytes() == both.tobytes()
+    assert sum(points) == xs.size
+    for x in (-3.0, u.center, 3.0):
+        points.clear()
+        u(x)
+        assert points == [1]
 
 
 def test_only_the_curvature_reads_v_at_the_pin():

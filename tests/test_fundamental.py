@@ -166,7 +166,6 @@ def test_dishonest_bounds_rejected():
         upper_bound=5.0,
         breakpoints=(),
         tail_limits=(4.0, 5.0),
-        continuous=True,
         label="dishonest",
     )
     with pytest.raises(SolverError):
@@ -373,10 +372,10 @@ def test_sharp_step_converged(width):
         assert np.max(np.abs(coarse.ell_prime_at(xs) - fine.ell_prime_at(xs))) < 1e-9
 
 
-def _loop_sweep(r0, cm1, P, Q, R):
+def _loop_sweep(r0, a, q, s, d):
     rs = [r0]
-    for c, p, q, s in zip(cm1.tolist(), P.tolist(), Q.tolist(), R.tolist()):
-        rs.append((s + (1.0 + c - p) * rs[-1]) / (1.0 + c + p + q * rs[-1]))
+    for a_k, q_k, s_k, d_k in zip(a.tolist(), q.tolist(), s.tolist(), d.tolist()):
+        rs.append((s_k + d_k * rs[-1]) / (a_k + q_k * rs[-1]))
     return np.array(rs)
 
 
@@ -395,9 +394,10 @@ def test_composed_sweep_matches_the_loop(cells, side):
     h[run] = 20.0 / math.sqrt(2.0)
     cm1, P, Q, R = fundamental._magnus(v, h)
     if side == "-":
-        args = (math.sqrt(v[1, 0]), cm1, P, Q, R)
+        args = (math.sqrt(v[1, 0]), 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
     else:
-        args = (-math.sqrt(v[1, -1]), cm1[::-1], -P[::-1], -Q[::-1], -R[::-1])
+        a, d = (1.0 + cm1 - P)[::-1], (1.0 + cm1 + P)[::-1]
+        args = (-math.sqrt(v[1, -1]), a, -Q[::-1], -R[::-1], d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         r = fundamental._sweep(*args)
@@ -471,6 +471,29 @@ def test_mesh_samples_are_read_in_blocks():
     # The first round: 1000 initial cells, 9 samples each, and no later round.
     assert sum(sizes) == 9 * 1000
     assert max(sizes) == fundamental._SAMPLE_BLOCK < 9 * 1000
+
+
+def test_dense_reads_refuse_a_non_finite_potential_as_the_solve_does():
+    """A NaN sliver between the solve's Gauss nodes is refused by the reads that sample it."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((0.3137 < x) & (x < 0.3147), np.nan, 1.0 + 0.5 * np.exp(-x * x))
+
+    sides = solve_log_solution(Potential(evaluate, 1.0, 1.5), *WINDOW)
+    xs = np.linspace(0.1137, 0.5137, 4001)
+    for side in sides:
+        with pytest.raises(SolverError, match="non-finite"):
+            side._dense(xs)
+        refused = 0
+        for x in xs.tolist():
+            try:
+                r, l = side._dense(x)
+            except SolverError:
+                refused += 1
+            else:
+                assert math.isfinite(r) and math.isfinite(l)
+        assert refused > 0
 
 
 def test_finite_potential_above_its_bound_named_without_warnings():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -143,6 +144,41 @@ def test_poschl_teller_pair_matches_its_closed_forms(k, lam):
                    (curve.curvature_at(pins), cf.poschl_teller_curvature)):
         want = exact(f)(pins, k, lam)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def _pwc_cases():
+    """Seven fixed step potentials, two that once hid their minimum, 40 seeded random ones."""
+    cases = [
+        ([-1, 1], [1, 5, 1]),
+        ([-6, -5, 5, 6], [4, 1, 4, 1, 4]),
+        ([-1, 1], [100, 1, 100]),
+        ([0], [1, 4]),
+        ([0], [3, 1]),
+        ([-1, 1], [1e4, 1, 1e4]),
+        ([-1, 1], [4, 1, 4]),
+        # F' stays under the noise floor on both sides of the minimum at 0.
+        ([-8, 8], [4, 1, 4]),
+        # The well lies beyond +-25/sqrt(v0) less the decay inset.
+        ([2, 4], [100, 50, 100]),
+    ]
+    rng = random.Random(6)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        edges = sorted(rng.uniform(-4.0, 4.0) for _ in range(n))
+        cases.append((edges, [rng.uniform(1.0, 400.0) for _ in range(n + 1)]))
+    return cases
+
+
+@pytest.mark.parametrize("edges, values", _pwc_cases())
+def test_piecewise_constant_matches_the_exact_reference(edges, values):
+    exact = cf.pwc_exact(edges, values)
+    report = minimize(make_piecewise_constant(edges, values))
+    assert abs(report.m_value - exact.m) <= 1e-10 * exact.m
+    assert report.attainment == exact.attainment
+    assert (report.a_star is None) == (exact.a_star is None)
+    if report.a_star is not None:
+        # Wide wells leave F flat to 1e-15 over several decay lengths: compare F, not a*.
+        assert exact.f(report.a_star) <= exact.m * (1.0 + 1e-10)
 
 
 def test_translation_equivariance(example_report):
