@@ -51,7 +51,7 @@ print(f"m = {report.m_value:.9f} via {report.tail_method} "
       f"(2 sqrt(v_left) = 2), attainment = {report.attainment}")
 
 eq = check_minimality_equivalence(curve, np.linspace(-8, 8, 33))
-print(f"minimality conditions agree at {len(eq.rows)} sample pins "
+print(f"minimality conditions agree at {eq.locations.size} sample pins "
       f"({eq.n_disagree} disagreements)")
 
 out = sys.argv[1] if len(sys.argv) > 1 else None

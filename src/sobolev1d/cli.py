@@ -13,7 +13,8 @@ defaults to json, ``scan`` and ``green`` to csv.  ``verify`` prints text; its
 oracle check passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
-window or tol the solve refuses; found before any solve), 3 solver failure,
+window or tol the solve refuses, a --grid, --x or --y lattice that is
+malformed or leaves its window; found before any solve), 3 solver failure,
 4 verification failure.
 
 Each command builds its whole artifact as text; ``main`` writes it once, to
@@ -33,11 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fcurve import build_fcurve, check_minimality_equivalence
+from .fcurve import _default_samples, build_fcurve, check_minimality_equivalence
 from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
     SolverError,
     _check_window,
+    _curve_window,
     _sorted_unique,
     check_envelope_bounds,
     check_riccati_residual,
@@ -168,8 +170,6 @@ def _parse_linspace(spec: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag} values must be numeric") from exc
     if count < 1:
         raise ConfigError(f"{flag} count must be >= 1")
-    if count == 1:
-        return np.array([start])
     return np.linspace(start, stop, count)
 
 
@@ -196,18 +196,15 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
-    x_min, x_max = args.window or default_window(args.potential)
-    plus, minus = solve_log_solution(args.potential, x_min, x_max, args.tol)
-    curve = build_fcurve(plus, minus)
+    window = args.window or default_window(args.potential)
+    if args.grid is not None:
+        grid = _parse_linspace(args.grid, "--grid")
+        lo, hi = _curve_window(args.potential, window)
+        if not np.all((lo <= grid) & (grid <= hi)):  # NaN fails too
+            raise ConfigError(f"--grid must stay inside the curve window [{lo:g}, {hi:g}]")
+    curve = build_fcurve(*solve_log_solution(args.potential, *window, args.tol))
     if args.grid is None:
         grid = curve.grid
-    else:
-        grid = _parse_linspace(args.grid, "--grid")
-        lo, hi = curve.window
-        if np.any(grid < lo) or np.any(grid > hi):
-            raise ConfigError(
-                f"--grid must stay inside the curve window [{lo:g}, {hi:g}]"
-            )
     reads = curve._reads(grid)
     # math.exp per element, as phi_at does for one pin: np.exp can differ by an ulp.
     rows = list(
@@ -225,13 +222,12 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
     lo, hi = args.window or default_window(args.potential)
-    plus, minus = solve_log_solution(args.potential, lo, hi, args.tol)
-    green = build_green(plus, minus)
     xs = _parse_linspace(args.x, "--x")
     ys = _parse_linspace(args.y, "--y")
     for name, vals in (("--x", xs), ("--y", ys)):
-        if np.any(vals < lo) or np.any(vals > hi):
+        if not np.all((lo <= vals) & (vals <= hi)):
             raise ConfigError(f"{name} lattice leaves the window [{lo:g}, {hi:g}]")
+    green = build_green(*solve_log_solution(args.potential, lo, hi, args.tol))
     lattice = green.value(xs[:, None], ys[None, :]).tolist()
     rows = [
         (x, y, g)
@@ -288,19 +284,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     record("wronskian-constancy", drift <= 1e-8, f"relative drift {drift:.3e}")
 
     if pot.continuous:
-        roots = [p.location for p in report.critical_points + report.rejected_candidates]
-        step = max(1, curve.grid.size // 200)
-        samples = curve.grid[::step]
-        if roots and not report.flat:
-            keep = np.ones(samples.size, dtype=bool)
-            for root in roots:
-                keep &= np.abs(samples - root) > 0.02 / math.sqrt(pot.lower_bound)
-            samples = samples[keep]
+        samples = _default_samples(curve)
+        if not report.flat:
+            # Samples near a root sit in the tests' transition band.
+            roots = [p.location for p in report.critical_points + report.rejected_candidates]
+            far = np.abs(samples[:, None] - np.array(roots)) > 0.02 / math.sqrt(pot.lower_bound)
+            samples = samples[np.all(far, axis=1)]
         eq = check_minimality_equivalence(curve, samples)
         record(
             "minimality-equivalence",
             eq.all_agree,
-            f"{len(eq.rows)} samples, {eq.n_disagree} disagreements",
+            f"{eq.locations.size} samples, {eq.n_disagree} disagreements",
         )
     else:
         record(

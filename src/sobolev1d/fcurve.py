@@ -18,7 +18,10 @@ continuous V): the balanced-slope test  -l_+' = l_-' >= sqrt(V), and one
 one-sided product test per side,  h_+' H_+ = -1 with l_+'' <= 0  and its
 mirror image, where h_± = phi_±^2 and H_± is the decaying primitive that
 represents the opposite side through phi_∓ = W phi_± H_±.  Numerically the
-products reduce to  2 r_±(a) exp(l_+(a) + l_-(a)) / W.
+products reduce to  2 r_±(a) exp(l_+(a) + l_-(a)) / W.  One array function,
+``_verdicts``, decides these tests and the direct one for both consumers: the
+flags of every critical point and ``check_minimality_equivalence``, whose
+report keeps one bool array per test.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .fundamental import (
     SolverError,
     _check_inside,
     _check_pair,
+    _curve_window,
     _is_point,
     _pair_reads,
     _sample_grid,
-    decay_inset,
 )
 from .potential import Potential
 
@@ -46,7 +49,6 @@ __all__ = [
     "FCurve",
     "CriticalPoint",
     "CriticalPointScan",
-    "EquivalenceRow",
     "EquivalenceReport",
     "build_fcurve",
     "find_critical_points",
@@ -152,9 +154,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     """
     wronskian = _check_pair(phi_plus, phi_minus)
     potential = phi_plus.potential
-    inset = decay_inset(potential)
-    x_min, x_max = phi_plus.window
-    lo, hi = x_min + inset, x_max - inset
+    lo, hi = _curve_window(potential, phi_plus.window)
     grid = _sample_grid(phi_plus)
     grid = grid[(grid >= lo) & (grid <= hi)]
 
@@ -165,7 +165,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     return FCurve(
         grid=grid,
         wronskian=wronskian,
-        window=(float(lo), float(hi)),
+        window=(lo, hi),
         potential=potential,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
@@ -208,29 +208,19 @@ class CriticalPointScan:
     noise_floor: float
 
 
-def _condition_flags(
-    reads: PinReads, wronskian: float, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The balanced-slope and the two one-sided product tests at every pin."""
-    rp, rm, v = reads.r_plus, reads.r_minus, reads.v
+def _verdicts(curve: FCurve, pins) -> tuple[PinReads, tuple[np.ndarray, ...]]:
+    """The pair and V read at every pin in one call, and the four minimality tests there.
+
+    The tests, at the absolute CONDITION_TOL: the direct one (|F'| <= tol and
+    F'' >= -tol), the balanced slope and the two one-sided products.
+    """
+    reads = curve._reads(np.asarray(pins, dtype=float))
+    rp, rm, v, tol = reads.r_plus, reads.r_minus, reads.v, CONDITION_TOL
+    local_min = (np.abs(reads.slope) <= tol) & (reads.curvature >= -tol)
     balanced = (np.abs(rp + rm) <= tol) & (np.minimum(-rp, rm) >= np.sqrt(v) - tol)
-    plus = (np.abs(reads.product("+", wronskian) + 1.0) <= tol) & (v - rp * rp <= tol)
-    minus = (np.abs(reads.product("-", wronskian) - 1.0) <= tol) & (v - rm * rm <= tol)
-    return balanced, plus, minus
-
-
-def _make_point(curve: FCurve, a: float, condition_tol: float) -> CriticalPoint:
-    reads = curve._reads(a)
-    balanced, plus, minus = _condition_flags(reads, curve.wronskian, condition_tol)
-    return CriticalPoint(
-        location=float(a),
-        value=reads.value,
-        curvature=reads.curvature,
-        slope_residual=abs(reads.slope),
-        balanced_slope=bool(balanced),
-        plus_side_product=bool(plus),
-        minus_side_product=bool(minus),
-    )
+    plus = (np.abs(reads.product("+", curve.wronskian) + 1.0) <= tol) & (v - rp * rp <= tol)
+    minus = (np.abs(reads.product("-", curve.wronskian) - 1.0) <= tol) & (v - rm * rm <= tol)
+    return reads, (local_min, balanced, plus, minus)
 
 
 def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) -> float:
@@ -267,35 +257,8 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
     raise SolverError(f"root polish of F' did not converge in [{lo:g}, {hi:g}]")
 
 
-def find_critical_points(curve: FCurve) -> CriticalPointScan:
-    """Locate the candidate minimizers of F on the curve window.
-
-    Sign changes of the sampled slope are polished to within ROOT_TOL by
-    safeguarded Newton steps on the dense slope F' with the analytic F'',
-    one read of both sides per step.
-    Sign changes whose bracket values both sit under the noise floor
-    (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
-    asymptotically flat region and are ignored; a curve whose slope never
-    exceeds the floor is classified flat (constant potentials).  A well many
-    decay lengths wide keeps F' under the floor on both sides of its minimum,
-    so a grid minimum of F below both edge values by more than the floor,
-    with no root within one grid cell, is a candidate too.  Roots with
-    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
-    The minimality flags of each point use CONDITION_TOL.
-    """
-    scale = max(1.0, float(np.max(np.abs(curve.values))))
-    noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
-    curvature_slack = CURVATURE_SLACK * scale
-
-    if float(np.max(np.abs(curve.slope))) <= noise_floor:
-        rep = _make_point(curve, 0.0, CONDITION_TOL)
-        return CriticalPointScan(
-            points=[rep],
-            rejected=[],
-            flat=True,
-            noise_floor=noise_floor,
-        )
-
+def _slope_roots(curve: FCurve, noise_floor: float) -> list[float]:
+    """Polished sign changes of F' above the noise floor, and a wide well's grid minimum."""
     roots: list[float] = []
     s = curve.slope
     g = curve.grid
@@ -314,50 +277,72 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     if f[i] < min(f[0], f[-1]) - noise_floor:
         if not any(g[max(i - 1, 0)] <= root <= g[min(i + 1, g.size - 1)] for root in roots):
             roots = sorted(roots + [float(g[i])])
+    return roots
 
+
+def find_critical_points(curve: FCurve) -> CriticalPointScan:
+    """Locate the candidate minimizers of F on the curve window.
+
+    Sign changes of the sampled slope are polished to within ROOT_TOL by
+    safeguarded Newton steps on the dense slope F' with the analytic F'',
+    one read of both sides per step.
+    Sign changes whose bracket values both sit under the noise floor
+    (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
+    asymptotically flat region and are ignored; a curve whose slope never
+    exceeds the floor is classified flat (constant potentials).  A well many
+    decay lengths wide keeps F' under the floor on both sides of its minimum,
+    so a grid minimum of F below both edge values by more than the floor,
+    with no root within one grid cell, is a candidate too.  Roots with
+    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
+    Every point is read and classified by one ``_verdicts`` call over all roots.
+    """
+    scale = max(1.0, float(np.max(np.abs(curve.values))))
+    noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
+    curvature_slack = CURVATURE_SLACK * scale
+
+    flat = float(np.max(np.abs(curve.slope))) <= noise_floor
+    # A flat curve has one representative, at a = 0.
+    roots = [0.0] if flat else _slope_roots(curve, noise_floor)
+    if not roots:
+        return CriticalPointScan(points=[], rejected=[], flat=False, noise_floor=noise_floor)
+    reads, (_, *flags) = _verdicts(curve, roots)
+    columns = (reads.value, reads.curvature, np.abs(reads.slope), *flags)
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []
-    for root in roots:
-        pt = _make_point(curve, root, CONDITION_TOL)
-        (points if pt.curvature >= -curvature_slack else rejected).append(pt)
+    for row in zip(roots, *(c.tolist() for c in columns)):
+        pt = CriticalPoint(*row)
+        (points if flat or pt.curvature >= -curvature_slack else rejected).append(pt)
     return CriticalPointScan(
         points=points,
         rejected=rejected,
-        flat=False,
+        flat=flat,
         noise_floor=noise_floor,
     )
 
 
 @dataclass
-class EquivalenceRow:
-    location: float
-    local_min: bool
-    balanced_slope: bool
-    plus_side_product: bool
-    minus_side_product: bool
-
-    @property
-    def agree(self) -> bool:
-        return (
-            self.local_min
-            == self.balanced_slope
-            == self.plus_side_product
-            == self.minus_side_product
-        )
-
-
-@dataclass
 class EquivalenceReport:
-    rows: list[EquivalenceRow]
-    tol: float
+    """The four local-minimality tests at each sample location, one bool array each."""
+
+    locations: np.ndarray
+    local_min: np.ndarray
+    balanced_slope: np.ndarray
+    plus_side_product: np.ndarray
+    minus_side_product: np.ndarray
 
     @property
     def n_disagree(self) -> int:
-        return sum(not row.agree for row in self.rows)
+        others = (self.balanced_slope, self.plus_side_product, self.minus_side_product)
+        return int(np.count_nonzero(np.any(np.array(others) != self.local_min, axis=0)))
 
     @property
     def all_agree(self) -> bool:
         return self.n_disagree == 0
+
+
+def _default_samples(curve: FCurve) -> np.ndarray:
+    """About 200 evenly strided pins of the curve grid."""
+    return curve.grid[:: max(1, curve.grid.size // 200)]
 
 
 def check_minimality_equivalence(
@@ -368,17 +353,8 @@ def check_minimality_equivalence(
     At every location the direct test (|F'| <= tol and F'' >= -tol) must
     return the same truth value as the balanced-slope and the two one-sided
     product criteria; the shared tolerance is the absolute CONDITION_TOL.
-    Meaningful for continuous potentials.  All samples are read in one call.
+    Meaningful for continuous potentials.  All samples are read in one call;
+    by default they are ``_default_samples``.
     """
-    if samples is None:
-        step = max(1, curve.grid.size // 200)
-        samples = curve.grid[::step]
-    a = np.asarray(samples, dtype=float)
-    reads = curve._reads(a)
-    local_min = (np.abs(reads.slope) <= CONDITION_TOL) & (reads.curvature >= -CONDITION_TOL)
-    flags = _condition_flags(reads, curve.wronskian, CONDITION_TOL)
-    rows = [
-        EquivalenceRow(*row)
-        for row in zip(a.tolist(), local_min.tolist(), *(f.tolist() for f in flags))
-    ]
-    return EquivalenceReport(rows=rows, tol=CONDITION_TOL)
+    a = _default_samples(curve) if samples is None else np.asarray(samples, dtype=float)
+    return EquivalenceReport(a, *_verdicts(curve, a)[1])

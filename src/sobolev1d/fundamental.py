@@ -115,6 +115,9 @@ TOL_RANGE = (1e-14, 1e-6)
 MIN_DOMAIN_MARGIN = 20.0
 # How far the default window reaches, in decay lengths 1/sqrt(v0).
 DEFAULT_WINDOW_FACTOR = 25.0
+# How far past every breakpoint a window must reach, in decay lengths: the
+# decay inset plus one, so that the curve window holds each jump and its well.
+BREAKPOINT_REACH = 13.0
 # Most mesh cells one side may use before the solver gives up.
 MAX_CELLS = 1 << 19
 # Spacing of the sample grid, in decay lengths 1/sqrt(v0).
@@ -160,7 +163,7 @@ def decay_inset(potential: Potential) -> float:
 def default_window(potential: Potential) -> tuple[float, float]:
     """+-25/sqrt(v0), or wider, so that the curve window reaches 1/sqrt(v0) past every jump."""
     s0 = math.sqrt(potential.lower_bound)
-    reach = max(map(abs, potential.breakpoints), default=-math.inf) + 13.0 / s0
+    reach = max(map(abs, potential.breakpoints), default=-math.inf) + BREAKPOINT_REACH / s0
     w = max(DEFAULT_WINDOW_FACTOR / s0, reach)
     return (-w, w)
 
@@ -177,6 +180,19 @@ def _check_window(potential: Potential, x_min: float, x_max: float, tol: float) 
             f"decay margin sqrt(v0)*min(|x_min|, x_max) = {margin:.3f} < "
             f"{MIN_DOMAIN_MARGIN:g}; widen the window"
         )
+    reach = BREAKPOINT_REACH / math.sqrt(potential.lower_bound)
+    for b in potential.breakpoints:
+        if not (x_min <= b - reach and b + reach <= x_max):
+            raise ValueError(
+                f"breakpoint {b:g} needs the window to contain [{b - reach:g}, {b + reach:g}]"
+                f" ({BREAKPOINT_REACH:g}/sqrt(v0) on each side); widen the window"
+            )
+
+
+def _curve_window(potential: Potential, window: tuple[float, float]) -> tuple[float, float]:
+    """The window moved in by the decay inset at each end: where F and u_a are read."""
+    inset = decay_inset(potential)
+    return window[0] + inset, window[1] - inset
 
 
 def _check_inside(x, window: tuple[float, float], what: str) -> None:
@@ -820,12 +836,10 @@ def extremal_function(
 ) -> ExtremalFunction:
     """Assemble u_a from the two sides; a must sit one decay inset inside the window."""
     _check_pair(phi_plus, phi_minus)
-    lo, hi = phi_plus.window
-    inset = decay_inset(phi_plus.potential)
-    if not (lo + inset <= a <= hi - inset):
+    lo, hi = _curve_window(phi_plus.potential, phi_plus.window)
+    if not (lo <= a <= hi):
         raise ValueError(
-            f"center {a:g} too close to the window edges; keep it inside "
-            f"[{lo + inset:g}, {hi - inset:g}]"
+            f"center {a:g} too close to the window edges; keep it inside [{lo:g}, {hi:g}]"
         )
     return ExtremalFunction(center=float(a), phi_plus=phi_plus, phi_minus=phi_minus)
 
@@ -875,7 +889,6 @@ class EnvelopeReport:
     """
 
     violations: dict[str, float]
-    slack: float
     passed: bool
 
 
@@ -895,9 +908,8 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     pot = phi_plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
     s0, s1 = math.sqrt(v0), math.sqrt(v1)
-    lo, hi = phi_plus.window
-    inset = decay_inset(pot)
-    r = min(abs(lo + inset), hi - inset)
+    lo, hi = _curve_window(pot, phi_plus.window)
+    r = min(abs(lo), hi)
 
     worst: dict[str, float] = {}
 
@@ -929,7 +941,7 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
         record("pinned_slope_lower", (math.log(v0 / s1) - s1 * d) - logd)
 
     passed = all(v <= ENVELOPE_SLACK for v in worst.values())
-    return EnvelopeReport(violations=worst, slack=ENVELOPE_SLACK, passed=passed)
+    return EnvelopeReport(violations=worst, passed=passed)
 
 
 @dataclass
@@ -937,7 +949,6 @@ class ComparisonReport:
     """Pointwise comparison u_a(V) >= u_a(V_tilde) for V <= V_tilde."""
 
     precondition_ok: bool
-    precondition_violation: float
     min_log_margin: float
     passed: bool
 
@@ -970,7 +981,6 @@ def check_comparison(
     min_margin = float(np.min(margin))
     return ComparisonReport(
         precondition_ok=precondition_ok,
-        precondition_violation=max(gap, 0.0),
         min_log_margin=min_margin,
         passed=precondition_ok and min_margin >= -COMPARISON_TOL,
     )

@@ -100,7 +100,6 @@ class GreenResidualReport:
     """Residuals of the weak identity, one per test function."""
 
     residuals: list[float]
-    tolerance: float
     passed: bool
 
 
@@ -139,9 +138,7 @@ def residual_check(
         )
         residuals.append(abs(total - float(v(y))))
     worst = max(residuals) if residuals else 0.0
-    return GreenResidualReport(
-        residuals=residuals, tolerance=RESIDUAL_TOL, passed=worst <= RESIDUAL_TOL
-    )
+    return GreenResidualReport(residuals=residuals, passed=worst <= RESIDUAL_TOL)
 
 
 def gaussian_test(center: float, width: float) -> tuple[Callable, Callable]:

@@ -258,7 +258,7 @@ def test_criterion_9_minimality_equivalence():
         curve = build_fcurve(plus, minus)
         keep = np.abs(samples - cf.A1_EXACT) > 1e-4  # transition band of the tolerance
         report = check_minimality_equivalence(curve, samples[keep])
-        total += len(report.rows)
+        total += report.locations.size
         disagreements += report.n_disagree
         ok = ok and report.all_agree
 
@@ -266,15 +266,11 @@ def test_criterion_9_minimality_equivalence():
     plus, minus = _solve_pair(pot)
     curve = build_fcurve(plus, minus)
     ends = check_minimality_equivalence(curve, [cf.A1_EXACT, 0.0])
-    at_min, at_zero = ends.rows
-    all_true = all(
-        [at_min.local_min, at_min.balanced_slope,
-         at_min.plus_side_product, at_min.minus_side_product]
+    tests = np.array(
+        [ends.local_min, ends.balanced_slope, ends.plus_side_product, ends.minus_side_product]
     )
-    all_false = not any(
-        [at_zero.local_min, at_zero.balanced_slope,
-         at_zero.plus_side_product, at_zero.minus_side_product]
-    )
+    all_true = bool(tests[:, 0].all())
+    all_false = not tests[:, 1].any()
     total += 2
     ok = ok and all_true and all_false and ends.all_agree and total >= 200
     _report(

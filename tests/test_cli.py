@@ -1,8 +1,10 @@
 import argparse
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +276,50 @@ def test_a_window_the_solve_refuses_exits_2_before_solving(capsys, monkeypatch, 
     assert calls == []
 
 
+CUT_WELL = '{"kind": "piecewise_constant", "edges": [2, 4], "values": [100, 50, 100]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            ((command, *lattice, "--potential", CUT_WELL, "--window=-3.6,3.6"),
+             "breakpoint 2 needs the window to contain [0.161522, 3.83848]")
+            for command, lattice in (
+                ("solve", ()), ("scan", ()), ("green", ("--x=0:1:2", "--y=0:1:2")), ("verify", ())
+            )
+        ),
+        (("scan", "--potential", CONSTANT, "--grid=abc"), "--grid must be 'start:stop:count'"),
+        (("scan", "--potential", CONSTANT, "--grid=-30:30:5"),
+         "--grid must stay inside the curve window [-13, 13]"),
+        (("green", "--potential", CONSTANT, "--x=abc", "--y=0:1:2"),
+         "--x must be 'start:stop:count'"),
+        (("green", "--potential", CONSTANT, "--x=-100:0:3", "--y=0:1:2"),
+         "--x lattice leaves the window [-25, 25]"),
+        (("scan", "--potential", CONSTANT, "--grid=nan:0:3"),
+         "--grid must stay inside the curve window [-13, 13]"),
+        (("green", "--potential", CONSTANT, "--x=0:0:1", "--y=nan:0:3"),
+         "--y lattice leaves the window [-25, 25]"),
+    ],
+    ids=[
+        "solve-cut-window", "scan-cut-window", "green-cut-window", "verify-cut-window",
+        "scan-grid-syntax", "scan-grid-range", "green-x-syntax", "green-x-range",
+        "scan-grid-nan", "green-y-nan",
+    ],
+)
+def test_bad_window_or_lattice_exits_2_before_solving(capsys, monkeypatch, argv, message):
+    from sobolev1d import cli, minimizer
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_log_solution called")
+
+    monkeypatch.setattr(minimizer, "solve_log_solution", refused)
+    monkeypatch.setattr(cli, "solve_log_solution", refused)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"configuration error: {message}" in err
+
+
 def test_cli_exports_only_main():
     from sobolev1d import cli
 
@@ -317,16 +363,44 @@ def test_verify_flags_dishonest_bounds(capsys):
     assert out.splitlines()[0].startswith("FAIL bounds-declared")
 
 
-@pytest.mark.parametrize(
-    "spec, statuses",
-    [(CONSTANT, ["PASS"] * 7), (DISHONEST, ["FAIL"] + ["SKIP"] * 6)],
-    ids=["constant", "dishonest"],
-)
-def test_verify_prints_each_check_once_in_order(capsys, spec, statuses):
-    _, out, _ = run(capsys, "verify", "--potential", spec)
-    heads = [line.split(":", 1)[0].split(" ") for line in out.splitlines()]
-    assert [name for _, name in heads] == list(VERIFY_CHECKS)
-    assert [status for status, _ in heads] == statuses
+def _dump_specs() -> dict:
+    path = Path(__file__).resolve().parents[1] / "tools" / "dump_artifacts.py"
+    spec = importlib.util.spec_from_file_location("dump_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+DUMP_SPECS = _dump_specs()
+DISCONTINUOUS = "skipped: potential is discontinuous"
+# verify on every spec of tools/dump_artifacts.py: exit code, the status of each
+# check (P, F, S) and the minimality-equivalence detail.  step and both tables
+# FAIL minimality in their flat tails, where every test sits at its tolerance.
+VERIFY_TABLE = {
+    "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
+    "step": (4, "PPPPFPP", "209 samples, 12 disagreements"),
+    "well": (0, "PPPPSPP", DISCONTINUOUS),
+    "double_well": (0, "PPPPSPP", DISCONTINUOUS),
+    "high_contrast_well": (0, "PPPPSPP", DISCONTINUOUS),
+    "jump_step": (0, "PPPPSPP", DISCONTINUOUS),
+    "constant": (0, "PPPPPPP", "208 samples, 0 disagreements"),
+    "jump_at_0": (0, "PPPPSPP", DISCONTINUOUS),
+    "gaussian_table": (4, "PPPPFPP", "207 samples, 18 disagreements"),
+    "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
+    "log_derivative_table": (4, "PPPPFPP", "209 samples, 21 disagreements"),
+}
+
+
+@pytest.mark.parametrize("name", list(DUMP_SPECS))
+def test_verify_prints_each_check_once_in_order(capsys, name):
+    code, statuses, detail = VERIFY_TABLE[name]
+    got, out, _ = run(capsys, "verify", "--potential", json.dumps(DUMP_SPECS[name]))
+    lines = out.splitlines()
+    heads = [line.split(":", 1)[0].split(" ") for line in lines]
+    assert [check for _, check in heads] == list(VERIFY_CHECKS)
+    assert "".join(status[0] for status, _ in heads) == statuses
+    assert lines[VERIFY_CHECKS.index("minimality-equivalence")].split(": ", 1)[1] == detail
+    assert got == code
 
 
 @pytest.mark.parametrize(

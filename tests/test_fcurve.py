@@ -7,6 +7,7 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
+    Potential,
     build_green,
     make_constant,
     make_example,
@@ -16,8 +17,9 @@ from sobolev1d import (
     potential_from_spec,
 )
 from sobolev1d.fcurve import (
-    _make_point,
+    CONDITION_TOL,
     _polish_root,
+    _verdicts,
     build_fcurve,
     check_minimality_equivalence,
     find_critical_points,
@@ -177,25 +179,59 @@ def test_equivalence_example(example_curve):
         [np.linspace(-6, 6, 120), [cf.A1_EXACT, 0.0, cf.A2_EXACT]]
     )
     report = check_minimality_equivalence(curve, samples)
-    assert report.all_agree, [r for r in report.rows if not r.agree]
-    by_loc = {r.location: r for r in report.rows}
-    at_min = by_loc[cf.A1_EXACT]
-    assert at_min.local_min and at_min.balanced_slope
-    assert at_min.plus_side_product and at_min.minus_side_product
-    at_zero = by_loc[0.0]
-    assert not any(
-        [at_zero.local_min, at_zero.balanced_slope,
-         at_zero.plus_side_product, at_zero.minus_side_product]
+    tests = np.array(
+        [report.local_min, report.balanced_slope,
+         report.plus_side_product, report.minus_side_product]
     )
+    assert report.all_agree, report.locations[np.any(tests != tests[0], axis=0)]
+    at_min, at_zero = tests[:, -3], tests[:, -2]
+    assert report.locations[-3] == cf.A1_EXACT and report.locations[-2] == 0.0
+    assert at_min.all()
+    assert not at_zero.any()
 
 
 def test_equivalence_flags_a2_as_non_minimum(example_curve):
     pot, curve = example_curve
     report = check_minimality_equivalence(curve, [cf.A2_EXACT])
-    row = report.rows[0]
-    assert row.agree
-    assert not row.local_min  # curvature is negative there
-    assert not row.balanced_slope
+    assert report.all_agree
+    assert not report.local_min[0]  # curvature is negative there
+    assert not report.balanced_slope[0]
+
+
+def _sine_potential():
+    """2 + sin 3x: many equal wells and no declared tail limits."""
+    return Potential(
+        evaluate=lambda x: 2.0 + np.sin(3.0 * np.asarray(x, dtype=float)),
+        lower_bound=1.0,
+        upper_bound=3.0,
+        label="2 + sin 3x",
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_example(1.0, 2.0),
+        lambda: make_piecewise_constant([-6.0, -5.0, 5.0, 6.0], [4.0, 1.0, 4.0, 1.0, 4.0]),
+        _sine_potential,
+    ],
+    ids=["example", "double-well", "sine"],
+)
+def test_critical_points_read_as_the_equivalence_check_and_the_pin_readers(make):
+    """Each point's flags are the check's at its location; its reads are the one-pin reads."""
+    report = minimize(make())
+    curve = report.curve
+    points = report.critical_points + report.rejected_candidates
+    assert len(points) >= 2
+    eq = check_minimality_equivalence(curve, [p.location for p in points])
+    columns = (eq.balanced_slope, eq.plus_side_product, eq.minus_side_product)
+    for i, p in enumerate(points):
+        flags = (p.balanced_slope, p.plus_side_product, p.minus_side_product)
+        assert flags == tuple(bool(c[i]) for c in columns)
+        a = p.location
+        assert p.value.hex() == curve.value_at(a).hex()
+        assert p.curvature.hex() == curve.curvature_at(a).hex()
+        assert p.slope_residual.hex() == abs(curve.slope_at(a)).hex()
 
 
 def test_curve_grid_holds_zero_and_breakpoints():
@@ -289,11 +325,12 @@ def test_equivalence_matches_scalar_reads(make, disagreements):
     step = max(1, curve.grid.size // 200)
     samples = curve.grid[::step]
     report = check_minimality_equivalence(curve)
-    got = [
-        (r.location, r.local_min, r.balanced_slope, r.plus_side_product, r.minus_side_product)
-        for r in report.rows
-    ]
-    assert got == _scalar_rows(curve, samples, report.tol)
+    columns = (
+        report.locations, report.local_min, report.balanced_slope,
+        report.plus_side_product, report.minus_side_product,
+    )
+    got = list(zip(*(c.tolist() for c in columns)))
+    assert got == _scalar_rows(curve, samples, CONDITION_TOL)
     if disagreements is not None:
         assert report.n_disagree == disagreements
 
@@ -313,7 +350,8 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
     xs = np.linspace(-6.0, 6.0, 209)
     reads = [lambda n=n: check_minimality_equivalence(curve, xs[:n]) for n in (1, 7, 209)]
     reads += [
-        lambda: _make_point(curve, cf.A1_EXACT, 1e-6),
+        lambda: _verdicts(curve, [cf.A1_EXACT]),
+        lambda: _verdicts(curve, [cf.A2_EXACT, 0.0, cf.A1_EXACT]),
         lambda: u.log_value(xs),
         lambda: u.derivative(xs),
         lambda: green.value(xs[:, None], xs[None, :]),

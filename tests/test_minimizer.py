@@ -146,6 +146,57 @@ def test_poschl_teller_pair_matches_its_closed_forms(k, lam):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("k2, lam", [(6.0006, 2), (2.0002, 1)], ids=str)
+def test_poschl_teller_pair_at_contrast_1e4_in_log_space(k2, lam):
+    """Contrast v1/v0 = 1e4 on the default windows (+-1021, +-1768), where phi overflows.
+
+    Each bound is about five times the error measured when the test was written:
+    l+- 4.5e-13, log G 9.1e-13, log u 2.3e-13 (absolute, ~2 ulp of |l| ~ 1e3),
+    F' 1.5e-13 of its largest value, m 7.3e-15 relative, |a*| 1.3e-16.
+    """
+    k = math.sqrt(k2)
+    report = minimize(_poschl_teller(k, lam))
+    m = cf.poschl_teller_m(k, lam)
+    assert abs(report.m_value - m) <= 4e-14 * m
+    assert report.attainment == "attained"
+    assert abs(report.a_star) <= 7e-16
+    plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
+    pins = np.linspace(*curve.window, 801)
+    exact = np.vectorize
+
+    for side, sol in (("+", plus), ("-", minus)):
+        log_phi = exact(cf.poschl_teller_log_phi)(pins, k, lam, side)
+        assert np.max(np.abs(sol.ell_at(pins) - log_phi)) <= 2.5e-12
+
+    lattice = np.linspace(*curve.window, 41)
+    x, y = lattice[:, None], lattice[None, :]
+    log_g = exact(cf.poschl_teller_log_green)(x, y, k, lam)
+    assert np.max(np.abs(build_green(plus, minus).log_value(x, y) - log_g)) <= 5e-12
+
+    u = extremal(report)
+    log_u = exact(cf.poschl_teller_log_extremal)(pins, u.center, k, lam)
+    assert np.max(np.abs(u.log_value(pins) - log_u)) <= 1.2e-12
+
+    slope = exact(cf.poschl_teller_slope)(pins, k, lam)
+    assert np.max(np.abs(curve.slope_at(pins) - slope)) <= 7.5e-13 * np.max(np.abs(slope))
+
+
+def test_a_window_that_cuts_a_breakpoint_out_is_refused():
+    """The window must reach 13/sqrt(v0) past every breakpoint; at exactly that reach it solves."""
+    edges, values = [2.0, 4.0], [100.0, 50.0, 100.0]
+    pot = make_piecewise_constant(edges, values)
+    with pytest.raises(ValueError, match=r"breakpoint 2 needs the window to contain"):
+        minimize(pot, window=(-3.6, 3.6))
+    x_max = 4.0 + 13.0 / math.sqrt(50.0)
+    with pytest.raises(ValueError, match=r"breakpoint 4 needs"):
+        minimize(pot, window=(-3.0, math.nextafter(x_max, 0.0)))
+    exact = cf.pwc_exact(edges, values)
+    report = minimize(pot, window=(-3.0, x_max))
+    assert abs(report.m_value - exact.m) <= 1e-10 * exact.m
+    assert report.attainment == exact.attainment == "attained"
+    assert exact.f(report.a_star) <= exact.m * (1.0 + 1e-10)
+
+
 def _pwc_cases():
     """Seven fixed step potentials, two that once hid their minimum, 40 seeded random ones."""
     cases = [

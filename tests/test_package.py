@@ -26,7 +26,6 @@ SUBMODULE_NAMES = {
         "CriticalPoint",
         "CriticalPointScan",
         "EquivalenceReport",
-        "EquivalenceRow",
         "FCurve",
         "build_fcurve",
         "check_minimality_equivalence",
