@@ -101,30 +101,24 @@ class FCurve:
         """F'' on the grid."""
         return self.grid_reads.curvature
 
-    def _sides(self, a) -> PinReads:
-        """The pair read at x = y = a, a pin (kept a float) or an array of pins; V is not read."""
+    def _reads(self, a, v: bool = True) -> PinReads:
+        """The pair read at x = y = a, a pin (kept a float) or an array of pins; V there if v."""
         a = float(a) if _is_point(a) else np.asarray(a, dtype=float)
         _check_inside(a, self.window, "pin location outside curve window")
-        return _pair_reads(self.phi_plus, self.phi_minus, a, a)[0]
-
-    def _reads(self, a) -> PinReads:
-        """``_sides`` with V at the pins, for F'' and the minimality tests."""
-        reads = self._sides(a)
-        v = np.asarray(self.potential.evaluate(np.asarray(a, dtype=float)), dtype=float)
-        return reads._replace(v=float(v) if isinstance(reads.r_plus, float) else v)
+        return _pair_reads(self.phi_plus, self.phi_minus, a, a, v)[0]
 
     def value_at(self, a):
-        return self._sides(a).value
+        return self._reads(a, v=False).value
 
     def slope_at(self, a):
-        return self._sides(a).slope
+        return self._reads(a, v=False).slope
 
     def curvature_at(self, a):
         return self._reads(a).curvature
 
     def log_phi_sum(self, a):
         """log(phi_plus(a) * phi_minus(a)); equals log(W/F(a)) identically."""
-        reads = self._sides(a)
+        reads = self._reads(a, v=False)
         return reads.l_plus + reads.l_minus
 
     def product_criterion(self, side: str, a):
@@ -135,7 +129,7 @@ class FCurve:
         """
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        return self._sides(a).product(side, self.wronskian)
+        return self._reads(a, v=False).product(side, self.wronskian)
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
@@ -158,8 +152,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     grid = _sample_grid(phi_plus)
     grid = grid[(grid >= lo) & (grid <= hi)]
 
-    reads = _pair_reads(phi_plus, phi_minus, grid, grid)[0]
-    reads = reads._replace(v=np.asarray(potential.evaluate(grid), dtype=float))
+    reads = _pair_reads(phi_plus, phi_minus, grid, grid, v_at_x=True)[0]
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(
@@ -208,19 +201,18 @@ class CriticalPointScan:
     noise_floor: float
 
 
-def _verdicts(curve: FCurve, pins) -> tuple[PinReads, tuple[np.ndarray, ...]]:
-    """The pair and V read at every pin in one call, and the four minimality tests there.
+def _verdicts(curve: FCurve, reads: PinReads) -> tuple[np.ndarray, ...]:
+    """The four minimality tests on reads of the pair and V, one array each.
 
     The tests, at the absolute CONDITION_TOL: the direct one (|F'| <= tol and
     F'' >= -tol), the balanced slope and the two one-sided products.
     """
-    reads = curve._reads(np.asarray(pins, dtype=float))
     rp, rm, v, tol = reads.r_plus, reads.r_minus, reads.v, CONDITION_TOL
     local_min = (np.abs(reads.slope) <= tol) & (reads.curvature >= -tol)
     balanced = (np.abs(rp + rm) <= tol) & (np.minimum(-rp, rm) >= np.sqrt(v) - tol)
     plus = (np.abs(reads.product("+", curve.wronskian) + 1.0) <= tol) & (v - rp * rp <= tol)
     minus = (np.abs(reads.product("-", curve.wronskian) - 1.0) <= tol) & (v - rm * rm <= tol)
-    return reads, (local_min, balanced, plus, minus)
+    return local_min, balanced, plus, minus
 
 
 def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) -> float:
@@ -294,7 +286,8 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     so a grid minimum of F below both edge values by more than the floor,
     with no root within one grid cell, is a candidate too.  Roots with
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
-    Every point is read and classified by one ``_verdicts`` call over all roots.
+    Each root is read by the one-pin pair read, and all of them are
+    classified by one ``_verdicts`` call on the stacked reads.
     """
     scale = max(1.0, float(np.max(np.abs(curve.values))))
     noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
@@ -305,7 +298,8 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     roots = [0.0] if flat else _slope_roots(curve, noise_floor)
     if not roots:
         return CriticalPointScan(points=[], rejected=[], flat=False, noise_floor=noise_floor)
-    reads, (_, *flags) = _verdicts(curve, roots)
+    reads = PinReads.stack([curve._reads(x) for x in roots])
+    _, *flags = _verdicts(curve, reads)
     columns = (reads.value, reads.curvature, np.abs(reads.slope), *flags)
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []
@@ -357,4 +351,4 @@ def check_minimality_equivalence(
     by default they are ``_default_samples``.
     """
     a = _default_samples(curve) if samples is None else np.asarray(samples, dtype=float)
-    return EquivalenceReport(a, *_verdicts(curve, a)[1])
+    return EquivalenceReport(a, *_verdicts(curve, curve._reads(a)))

@@ -54,10 +54,15 @@ roundoff from driving refinement; more than MAX_CELLS cells raise
 SolverError.  Off-mesh points are evaluated by a partial Magnus step from
 the mesh node on the stable side (forward from the left node for "-",
 backward from the right node for "+"), on one of two paths: an array of
-points in one vectorized pass, a single point in float arithmetic, which
-skips numpy's per-call cost on one-element arrays.  Both paths share the
-Magnus exponent (``_omega``) and run the same operations in the same order.
-0 is a mesh node, so l(0) = 0 exactly and a solve makes no off-mesh read.
+points in one vectorized pass per side, or single points in float
+arithmetic (``_dense_one``), which skips numpy's per-call cost on
+one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
+run the same operations in the same order.  The float path locates each
+point's cell (``LogSolution._cell``), samples V at the Gauss nodes of every
+step in one potential.evaluate call, and steps from the node
+(``LogSolution._step``), so a read of both sides at one pin evaluates V
+once, not once per side.  0 is a mesh node, so l(0) = 0 exactly and a
+solve makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
@@ -543,16 +548,16 @@ class LogSolution:
     def _dense(self, x):
         """(r, l) at x by a partial Magnus step from the node on the stable side.
 
-        l vanishes at 0.  Every read of r or l goes through here, so a caller
-        that needs both sides at many points reads each side once.  Two
-        paths, chosen by the rank of x: an array takes one ``_cell_maps``
-        call for all its points and returns two arrays of x's shape; a point
-        (a float or a 0-d array) takes ``_dense_one``, in float arithmetic,
-        and returns two Python floats.  The two paths agree bitwise, and
-        both refuse a non-finite V, as the solve does (SolverError).
+        l vanishes at 0.  Every read of one side goes through here, and
+        ``_dense_one`` reads both sides at one point each.  Two paths,
+        chosen by the rank of x: an array takes one ``_cell_maps`` call for
+        all its points and returns two arrays of x's shape; a point (a float
+        or a 0-d array) takes ``_dense_one``, in float arithmetic, and
+        returns two Python floats.  The two paths agree bitwise, and both
+        refuse a non-finite V, as the solve does (SolverError).
         """
         if _is_point(x):
-            return self._dense_one(float(x))
+            return _dense_one(((self, float(x)),))[0][0]
         xs = np.asarray(x, dtype=float)
         _check_inside(xs, self.window, "position outside solved window")
         mesh = self._mesh
@@ -573,29 +578,28 @@ class LogSolution:
         l = self._l[k] + np.log1p(du)
         return r.reshape(xs.shape), l.reshape(xs.shape)
 
-    def _dense_one(self, x: float) -> tuple[float, float]:
-        """``_dense`` at one point, with ``_magnus``'s exponential taken by one branch.
-
-        To stay bitwise equal to the array path, sinh, sin and log1p go
-        through numpy, whose loops can round differently from ``math``'s;
-        sqrt is correctly rounded either way, and squares are products, as
-        numpy's ``** 2`` is.
-        """
+    def _cell(self, x: float) -> tuple[int, float, float]:
+        """``_dense``'s cell for one point: the node k it steps from and the step [lo, lo + h]."""
         _check_inside(x, self.window, "position outside solved window")
         mesh = self._mesh
         x = min(max(x, float(mesh[0])), float(mesh[-1]))
         if self.side == "-":
             k = min(max(int(mesh.searchsorted(x, side="right")) - 1, 0), mesh.size - 2)
             lo = float(mesh[k])
-            h, sign = x - lo, 1.0
-        else:
-            k = min(max(int(mesh.searchsorted(x, side="left")), 1), mesh.size - 1)
-            lo, h, sign = x, float(mesh[k]) - x, -1.0
-        v = np.asarray(self.potential.evaluate(np.array(_gauss_nodes(lo, h))), dtype=float)
-        v = v.tolist()
-        if not all(map(math.isfinite, v)):
-            raise SolverError(_NON_FINITE)
-        p, q, s = _omega(*v, h)
+            return k, lo, x - lo
+        k = min(max(int(mesh.searchsorted(x, side="left")), 1), mesh.size - 1)
+        return k, x, float(mesh[k]) - x
+
+    def _step(self, k: int, h: float, v1: float, v2: float, v3: float) -> tuple[float, float]:
+        """(r, l) after a step of length h from node k, in ``_dense``'s direction.
+
+        v1, v2, v3 are V at the step's Gauss nodes.  ``_magnus``'s
+        exponential is taken by one branch.  To stay bitwise equal to the
+        array path, sinh, sin and log1p go through numpy, whose loops can
+        round differently from ``math``'s; sqrt is correctly rounded either
+        way, and squares are products, as numpy's ``** 2`` is.
+        """
+        p, q, s = _omega(v1, v2, v3, h)
         z = p * p + q * s
         t = math.sqrt(abs(z))
         if z >= 0.0:
@@ -605,6 +609,7 @@ class LogSolution:
             half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
             cm1 = -2.0 * (half * half)
         shc = whole / t if t > 0.0 else 1.0
+        sign = 1.0 if self.side == "-" else -1.0
         P, Q, R = sign * (shc * p), sign * (shc * q), sign * (shc * s)
         r0 = float(self._r[k])
         du = cm1 + P + Q * r0
@@ -622,9 +627,11 @@ class LogSolution:
 
     def ell_second_at(self, x):
         """l''(x) = V(x) - r(x)^2, algebraically from the Riccati equation."""
+        if _is_point(x):
+            ((r, _),), v = _dense_one(((self, float(x)),), float(x))
+            return v - r * r
         r, _ = self._dense(x)
-        v = np.asarray(self.potential.evaluate(np.asarray(x, dtype=float)), dtype=float)
-        return float(v) - r * r if isinstance(r, float) else v - r * r
+        return np.asarray(self.potential.evaluate(np.asarray(x, dtype=float)), dtype=float) - r * r
 
     def phi_at(self, x):
         """phi(x) = exp(ell(x)); phi(0) = 1.
@@ -713,6 +720,32 @@ def solve_log_solution(
     )
 
 
+def _dense_one(reads, pin: float | None = None):
+    """``_dense`` of each (solution, point) in reads, in floats, with V sampled in one call.
+
+    Each point is located by ``_cell`` and stepped to by ``_step``; the
+    Gauss nodes of all the steps, and the pin after them when one is given,
+    go to one potential.evaluate call.  Returns the (r, l) floats of each
+    read and V at the pin (None without one).  A non-finite V at a Gauss
+    node raises SolverError, as the solve does.
+    """
+    cells, nodes = [], []
+    for solution, x in reads:
+        k, lo, h = solution._cell(x)
+        cells.append((solution, k, h))
+        nodes += _gauss_nodes(lo, h)
+    n = len(nodes)
+    if pin is not None:
+        nodes.append(pin)
+    v = np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
+    if not all(map(math.isfinite, v[:n])):
+        raise SolverError(_NON_FINITE)
+    steps = []
+    for j, (solution, k, h) in enumerate(cells):
+        steps.append(solution._step(k, h, v[3 * j], v[3 * j + 1], v[3 * j + 2]))
+    return steps, (v[n] if pin is not None else None)
+
+
 def _check_pair(phi_plus: LogSolution, phi_minus: LogSolution) -> float:
     """Enforce the rules shared by every consumer of the two sides; no side is read.
 
@@ -743,6 +776,11 @@ class PinReads(NamedTuple):
     l_minus: np.ndarray | float
     v: np.ndarray | float | None = None
 
+    @classmethod
+    def stack(cls, reads) -> PinReads:
+        """One-pin reads stacked into arrays, element i from reads[i]."""
+        return cls(*(np.array(column) for column in zip(*reads)))
+
     @property
     def value(self) -> np.ndarray:
         return self.r_minus - self.r_plus
@@ -762,22 +800,41 @@ class PinReads(NamedTuple):
         return 2.0 * r * _exp(self.l_plus + self.l_minus) / wronskian
 
 
-def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y):
-    """phi_minus read at min(x, y) and phi_plus at max(x, y), and the mask x < y.
+def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: bool = False):
+    """phi_minus read at min(x, y) and phi_plus at max(x, y), V at x if asked, and the mask x < y.
 
-    One dense read per side; V is not read.  Floats for two points (one
-    comparison orders them; with a NaN it is False and the NaN still reaches
-    a read that refuses it), broadcast arrays otherwise.  At x = y both
-    sides are read at the same pins, which is what F needs.
+    Each side is read once per call at each point it needs, never twice.
+    Floats for two points (one comparison orders them; with a NaN it is
+    False and the NaN still reaches a read that refuses it), by one
+    ``_dense_one`` call, which samples V for both sides and the pin at once.
+    Arrays otherwise, by one dense read per side: for a point y each side
+    reads only the x on its own side of y, and y itself once; for an array
+    y each side reads the broadcast min or max.  At x = y both sides are
+    read at the same pins, which is what F needs.
     """
     if _is_point(x) and _is_point(y):
+        x, y = float(x), float(y)
         left = x < y
-        (rm, lm), (rp, lp) = phi_minus._dense(x if left else y), phi_plus._dense(y if left else x)
-    else:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ((rm, lm), (rp, lp)), v = _dense_one(
+            ((phi_minus, x if left else y), (phi_plus, y if left else x)), x if v_at_x else None
+        )
+        return PinReads(rp, rm, lp, lm, v), left
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    left = x < y
+    if y.ndim:
         (rm, lm), (rp, lp) = phi_minus._dense(np.minimum(x, y)), phi_plus._dense(np.maximum(x, y))
-        left = x < y
-    return PinReads(rp, rm, lp, lm), left
+    else:
+
+        def spread(mask, read):
+            # A read at x[mask] and then at y, laid out on x: y's value off the mask.
+            out = np.full(mask.shape, read[-1])
+            out[mask] = read[:-1]
+            return out
+
+        rm, lm = (spread(left, c) for c in phi_minus._dense(np.append(x[left], y)))
+        rp, lp = (spread(~left, c) for c in phi_plus._dense(np.append(x[~left], y)))
+    v = np.asarray(phi_plus.potential.evaluate(x), dtype=float) if v_at_x else None
+    return PinReads(rp, rm, lp, lm, v), left
 
 
 @dataclass

@@ -243,8 +243,9 @@ def rayleigh_quotient(
 
     Composite Gauss-Legendre quadrature, with panels split at the integrand
     kinks (an ExtremalFunction contributes its center automatically, and the
-    potential its breakpoints).  An ExtremalFunction brings its analytic
-    derivative and exact sup-norm 1; for a bare callable the derivative is
+    potential its breakpoints).  An ExtremalFunction brings its exact
+    sup-norm 1 and, unless u_prime is supplied, its analytic derivative,
+    read with u in one pass per node; for a bare callable the derivative is
     taken by a five-point stencil unless supplied, and the sup-norm is the
     sampled maximum.  Always >= m(V) up to quadrature error.
     """
@@ -253,13 +254,11 @@ def rayleigh_quotient(
     if isinstance(u, ExtremalFunction):
         if window is None:
             window = u.window
-        if u_prime is None:
-            u_prime = u.derivative
         splits.append(u.center)
         sup = 1.0
     if window is None:
         raise ValueError("window is required for a bare callable")
-    if u_prime is None:
+    if u_prime is None and not isinstance(u, ExtremalFunction):
         h = 1e-4 / math.sqrt(potential.upper_bound)
 
         def u_prime(x, _u=u, _h=h):
@@ -275,8 +274,14 @@ def rayleigh_quotient(
     panel = 0.4 / math.sqrt(potential.upper_bound)
 
     def integrand(x):
-        du = np.asarray(u_prime(x), dtype=float)
-        uu = np.asarray(u(x), dtype=float)
+        if u_prime is None:
+            # (log u, u'/u) of the extremal, read once per node.
+            log_u, rate = u._reads(x)
+            uu = np.exp(log_u)
+            du = uu * rate
+        else:
+            du = np.asarray(u_prime(x), dtype=float)
+            uu = np.asarray(u(x), dtype=float)
         return du * du + np.asarray(potential.evaluate(x)) * uu * uu
 
     total = composite_gauss_legendre(

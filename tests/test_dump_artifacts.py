@@ -21,3 +21,15 @@ def test_dump_one_spec(tmp_path, monkeypatch):
     assert json.loads(report.split("\n", 1)[1])["attainment"] == "flat"
     verify = (tmp_path / "constant.verify.txt").read_text(encoding="utf-8")
     assert verify.count("\nPASS ") == 7
+
+
+def test_dump_demos_writes_one_file_per_demo(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    written = dump_artifacts.dump_demos(tmp_path)
+    demos = sorted(dump_artifacts.DEMOS.glob("*.py"))
+    assert demos
+    assert [p.name for p in written] == [f"demo.{d.stem}.txt" for d in demos]
+    for path in written:
+        assert path.read_text(encoding="utf-8").startswith("exit 0\n")

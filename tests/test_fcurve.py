@@ -26,6 +26,7 @@ from sobolev1d.fcurve import (
 )
 from sobolev1d.fundamental import (
     LogSolution,
+    PinReads,
     _pair_reads,
     extremal_function,
     solve_log_solution,
@@ -339,19 +340,22 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
     _, curve = example_curve
     u = extremal_function(curve.phi_plus, curve.phi_minus, cf.A1_EXACT)
     green = build_green(curve.phi_plus, curve.phi_minus)
-    sides = []
-    dense = LogSolution._dense
+    sides, steps = [], []
+    dense, step = LogSolution._dense, LogSolution._step
 
     def counted(self, x):
         sides.append(self.side)
         return dense(self, x)
 
+    def counted_step(self, *args):
+        steps.append(self.side)
+        return step(self, *args)
+
     monkeypatch.setattr(LogSolution, "_dense", counted)
+    monkeypatch.setattr(LogSolution, "_step", counted_step)
     xs = np.linspace(-6.0, 6.0, 209)
     reads = [lambda n=n: check_minimality_equivalence(curve, xs[:n]) for n in (1, 7, 209)]
     reads += [
-        lambda: _verdicts(curve, [cf.A1_EXACT]),
-        lambda: _verdicts(curve, [cf.A2_EXACT, 0.0, cf.A1_EXACT]),
         lambda: u.log_value(xs),
         lambda: u.derivative(xs),
         lambda: green.value(xs[:, None], xs[None, :]),
@@ -361,6 +365,14 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
         sides.clear()
         read()
         assert sorted(sides) == ["+", "-"]
+    # Critical points are read one root at a time by the one-pin pair read:
+    # no array read, one float step per side and root.
+    for roots in ([cf.A1_EXACT], [cf.A2_EXACT, 0.0, cf.A1_EXACT]):
+        sides.clear()
+        steps.clear()
+        _verdicts(curve, PinReads.stack([curve._reads(a) for a in roots]))
+        assert sides == []
+        assert sorted(steps) == ["+"] * len(roots) + ["-"] * len(roots)
 
 
 def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypatch):
@@ -387,8 +399,24 @@ def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypa
         assert points == [1]
 
 
+@pytest.mark.parametrize("y", [-0.7, 0.0, cf.A1_EXACT])
+def test_pair_reads_at_a_point_match_the_broadcast_read(example_curve, y):
+    """For a point y each side reads only its own x and y once; every element keeps its bits."""
+    _, curve = example_curve
+    plus, minus = curve.phi_plus, curve.phi_minus
+    xs = np.array([-6.0, -1.0, y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf), 0.0, 3.0])
+    at_point, left = _pair_reads(plus, minus, xs, y)
+    broadcast, left_b = _pair_reads(plus, minus, xs, np.full_like(xs, y))
+    assert left.tolist() == left_b.tolist()
+    for one, many in zip(at_point[:4], broadcast[:4]):
+        assert one.shape == xs.shape
+        assert one.tobytes() == many.tobytes()
+    grid = xs.reshape(7, 1)
+    assert _pair_reads(plus, minus, grid, y)[0].r_plus.shape == grid.shape
+
+
 def test_only_the_curvature_reads_v_at_the_pin():
-    """One-pin F, F', log(phi_+ phi_-) and the products evaluate V only at Gauss nodes."""
+    """One-pin readers evaluate V once: at both sides' Gauss nodes, and the pin for F''."""
     calls = []
     example = make_example(cf.A, cf.B)
 
@@ -408,7 +436,11 @@ def test_only_the_curvature_reads_v_at_the_pin():
     for read in reads:
         calls.clear()
         read(0.3137)
-        assert calls == [3, 3]
+        assert calls == [6]
     calls.clear()
     curve.curvature_at(0.3137)
-    assert calls == [3, 3, 1]
+    assert calls == [7]
+    for side in (curve.phi_plus, curve.phi_minus):
+        calls.clear()
+        side.ell_second_at(0.3137)
+        assert calls == [4]

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
-from sobolev1d import build_green, make_constant, make_example, make_piecewise_constant
+from sobolev1d import (
+    build_green,
+    make_constant,
+    make_example,
+    make_piecewise_constant,
+    potential_from_spec,
+)
 from sobolev1d.fcurve import build_fcurve
-from sobolev1d.fundamental import LogSolution, solve_log_solution
+from sobolev1d.fundamental import LogSolution, default_window, solve_log_solution
 from sobolev1d.green import gaussian_test, residual_check
+from sobolev1d.quadrature import composite_gauss_legendre
 
 WINDOW = (-25.0, 25.0)
 
@@ -77,7 +84,7 @@ def test_section_derivative_broadcasts_like_value(x, y):
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
-def test_residual_check_reads_each_side_once_per_test_function(example_green, monkeypatch):
+def test_residual_check_reads_each_side_once_for_all_test_functions(example_green, monkeypatch):
     _, _, green = example_green
     calls = []
     original = LogSolution._dense
@@ -89,7 +96,44 @@ def test_residual_check_reads_each_side_once_per_test_function(example_green, mo
     monkeypatch.setattr(LogSolution, "_dense", counted)
     tests = [gaussian_test(c, 0.8) for c in (-1.0, 0.0, 1.0)]
     assert residual_check(green, 0.7, tests).passed
-    assert sorted(calls) == ["+"] * 3 + ["-"] * 3
+    assert sorted(calls) == ["+", "-"]
+
+
+RESIDUAL_POTENTIALS = {
+    "example": lambda: make_example(cf.A, cf.B),
+    "pwc-well": lambda: make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+    "table": lambda: potential_from_spec(
+        {"kind": "table", "x": np.linspace(-3.0, 3.0, 13).tolist(),
+         "v": (2.0 + np.sin(np.linspace(-3.0, 3.0, 13))).tolist()}
+    ),
+}
+
+
+@pytest.mark.parametrize("n_tests", [1, 5])
+@pytest.mark.parametrize("name", sorted(RESIDUAL_POTENTIALS))
+def test_residual_check_matches_one_quadrature_per_test_function_bitwise(name, n_tests):
+    """Reading G, its rate and V once gives each residual the bits of its own quadrature."""
+    pot = RESIDUAL_POTENTIALS[name]()
+    _, _, green = _green_for(pot, default_window(pot))
+    y = 0.3
+    tests = [gaussian_test(c, 0.8) for c in np.linspace(-2.0, 2.0, n_tests)]
+    lo, hi = green.window
+    expected = []
+    for v, v_prime in tests:
+
+        def integrand(x, v=v, v_prime=v_prime):
+            log_g, rate = green._reads(x, np.full_like(x, y))
+            g = np.exp(log_g)
+            v_x = np.asarray(pot.evaluate(x))
+            return g * rate * np.asarray(v_prime(x)) + v_x * g * np.asarray(v(x))
+
+        total = composite_gauss_legendre(
+            integrand, lo, hi, splits=[y, *pot.breakpoints],
+            panel_length=0.4 / math.sqrt(pot.upper_bound),
+        )
+        expected.append(abs(total - float(v(y))))
+    got = residual_check(green, y, tests).residuals
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
 
 
 def test_weak_identity_gaussians(example_green):

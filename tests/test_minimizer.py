@@ -17,6 +17,7 @@ from sobolev1d import (
     minimize,
     rayleigh_quotient,
 )
+from sobolev1d import minimizer
 from sobolev1d.minimizer import classify_attainment, default_window
 from sobolev1d.cli import canonical_json
 
@@ -318,6 +319,32 @@ def test_rayleigh_quotient_of_extremal_matches_m(example_report):
     u = extremal(example_report)
     q = rayleigh_quotient(u, make_example(cf.A, cf.B))
     assert abs(q - example_report.m_value) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_example(cf.A, cf.B),
+        lambda: make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+    ],
+    ids=["example", "pwc-well"],
+)
+def test_rayleigh_quotient_reads_the_extremal_once_per_node_with_the_same_bits(
+    make, monkeypatch
+):
+    """Reading (log u, u'/u) once per node keeps the integrand's bits at every node."""
+    pot = make()
+    u = extremal(minimize(pot))
+    integrands = []
+    quadrature = minimizer.composite_gauss_legendre
+
+    def recorded(fun, *args, **kwargs):
+        return quadrature(lambda x: integrands.append(fun(x)) or integrands[-1], *args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "composite_gauss_legendre", recorded)
+    once = rayleigh_quotient(u, pot)
+    assert once.hex() == rayleigh_quotient(u, pot, u_prime=u.derivative).hex()
+    assert integrands[0].tobytes() == integrands[1].tobytes()
 
 
 def test_rayleigh_quotient_is_never_below_m(example_report):

@@ -9,8 +9,12 @@ grid -3:3:41), ``green`` (csv, json on the lattice -4:4:9 x -4:4:9) and
 ``verify`` run in this process through ``sobolev1d.cli.main``. Each run
 leaves one file ``<spec>.<command>.<format>`` holding the line
 ``exit <code>`` followed by everything the command wrote to stdout.
+``dump_demos`` then runs each ``demos/*.py`` as its own process, as the
+test suite does, against the same package, and leaves one file
+``demo.<name>.txt`` with the line ``exit <code>`` and the demo's stdout.
 Point ``PYTHONPATH`` at two source trees and compare the two directories
-with ``diff -r`` to check that a change keeps every artifact byte-identical.
+with ``diff -r`` to check that a change keeps every artifact and every demo
+output byte-identical.
 """
 
 from __future__ import annotations
@@ -19,10 +23,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import sobolev1d
 from sobolev1d.cli import main
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 _GAUSS_X = [0.25 * k for k in range(-40, 41)]
 _LOG_X = [0.25 * k for k in range(-16, 17)]
@@ -91,7 +100,23 @@ def dump(out_dir: Path, specs: dict = SPECS) -> list[Path]:
     return written
 
 
+def dump_demos(out_dir: Path) -> list[Path]:
+    """Run every demo against the imported package; returns the files written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(sobolev1d.__file__).resolve().parents[1]))
+    written = []
+    for demo in sorted(DEMOS.glob("*.py")):
+        done = subprocess.run(
+            [sys.executable, str(demo)], cwd=DEMOS.parent, env=env, capture_output=True, text=True
+        )
+        path = out_dir / f"demo.{demo.stem}.txt"
+        path.write_text(f"exit {done.returncode}\n{done.stdout}", encoding="utf-8")
+        written.append(path)
+    return written
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: dump_artifacts.py OUT_DIR")
     dump(Path(sys.argv[1]))
+    dump_demos(Path(sys.argv[1]))
