@@ -4,7 +4,7 @@ V_{A,B}(x) = B^2 + 2Bx/(x^2 + A^2) + (2x^2 - A^2)/(x^2 + A^2)^2 is built so
 that phi_+ = A e^{-Bx}/sqrt(x^2 + A^2) is known exactly, and with it the
 whole minimization: m = 2B(1 - 1/sqrt(1 + 4A^2B^2)) attained at
 a* = (1 - sqrt(1 + 4A^2B^2))/(2B).  The second root of F' is a local
-maximum and must be rejected by the curvature/log-concavity test.
+maximum and must be rejected by the curvature test.
 
 Run from the repository root:  python3 demos/example_family.py
 """
@@ -37,9 +37,7 @@ print(f"attainment    = {report.attainment} "
 print("\ncritical points of F:")
 for p in report.critical_points:
     print(f"  accepted a = {p.location:+.12f}  F = {p.value:.12f}  "
-          f"F'' = {p.curvature:+.6f}")
-    print(f"           balanced slope {p.balanced_slope}, "
-          f"side products ({p.plus_side_product}, {p.minus_side_product})")
+          f"F'' = {p.curvature:+.6f}  <- local minimum")
 for p in report.rejected_candidates:
     print(f"  rejected a = {p.location:+.12f}  F = {p.value:.12f}  "
           f"F'' = {p.curvature:+.6f}  <- local maximum")

@@ -12,16 +12,13 @@ so no differencing of F is ever needed.  The product F phi_plus phi_minus
 equals the Wronskian W = r_minus(0) - r_plus(0) identically; its constancy
 along the grid is a strong cross-check of the integration.
 
-Candidate minimizers of F are the critical points with nonnegative
-curvature.  Three equivalent local-minimality criteria are exposed (for
-continuous V): the balanced-slope test  -l_+' = l_-' >= sqrt(V), and one
-one-sided product test per side,  h_+' H_+ = -1 with l_+'' <= 0  and its
-mirror image, where h_± = phi_±^2 and H_± is the decaying primitive that
-represents the opposite side through phi_∓ = W phi_± H_±.  Numerically the
-products reduce to  2 r_±(a) exp(l_+(a) + l_-(a)) / W.  One array function,
-``_verdicts``, decides these tests and the direct one for both consumers: the
-flags of every critical point and ``check_minimality_equivalence``, whose
-report keeps one bool array per test.
+Candidate minimizers of F are the roots of F' with nonnegative curvature,
+within a slack; the other roots are rejected as local maxima.  The list a
+root lands in is its one minimality verdict: the balanced-slope test
+-l_+' = l_-' >= sqrt(V) and the one-sided products h_±' H_± = ∓1 (which
+reduce to 2 r_± phi_+ phi_- / W) restate the same predicate in other units.
+``check_minimality_equivalence`` tests the F' and F'' that the verdict is
+taken on against five-point differences of F.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .fundamental import (
     _check_inside,
     _check_pair,
     _curve_window,
+    _exp,
     _is_point,
     _pair_reads,
     _sample_grid,
@@ -62,8 +60,10 @@ NOISE_FACTOR = 100.0
 CURVATURE_SLACK = 1e-8
 # Newton polish of F' roots stops once a step is below ROOT_TOL.
 ROOT_TOL = 1e-12
-# Absolute tolerance shared by every local-minimality test.
+# Scaled tolerance of the F', F'' check against differences of F.
 CONDITION_TOL = 1e-6
+# The check's difference step, in units of 1/sqrt(v1).
+DIFFERENCE_STEP = 3e-3
 
 
 @dataclass
@@ -129,7 +129,9 @@ class FCurve:
         """
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        return self._reads(a, v=False).product(side, self.wronskian)
+        reads = self._reads(a, v=False)
+        r = reads.r_plus if side == "+" else reads.r_minus
+        return 2.0 * r * _exp(reads.l_plus + reads.l_minus) / self.wronskian
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
@@ -168,20 +170,12 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
 
 @dataclass
 class CriticalPoint:
-    """A polished root of F' with its local-minimality diagnostics.
-
-    ``balanced_slope``: -l_+'(a) = l_-'(a) >= sqrt(V(a)) within tolerance.
-    ``plus_side_product``: h_+'(a) H_+(a) = -1 and l_+''(a) <= 0.
-    ``minus_side_product``: h_-'(a) H_-(a) = +1 and l_-''(a) <= 0.
-    """
+    """A polished root of F': F, F'' and |F'| there, from one one-pin read."""
 
     location: float
     value: float
     curvature: float
     slope_residual: float
-    balanced_slope: bool
-    plus_side_product: bool
-    minus_side_product: bool
 
 
 @dataclass
@@ -190,7 +184,8 @@ class CriticalPointScan:
 
     ``points`` hold the accepted candidates (F' root, curvature above
     -CURVATURE_SLACK * max(1, max F)); ``rejected`` the roots that failed
-    the curvature test (local maxima).  ``flat`` marks a curve whose slope never exceeds
+    the curvature test (local maxima).  The list a root is in is its
+    minimality verdict.  ``flat`` marks a curve whose slope never exceeds
     the noise floor: every pin is then critical and ``points`` carries a
     single representative at a = 0.
     """
@@ -199,20 +194,6 @@ class CriticalPointScan:
     rejected: list[CriticalPoint]
     flat: bool
     noise_floor: float
-
-
-def _verdicts(curve: FCurve, reads: PinReads) -> tuple[np.ndarray, ...]:
-    """The four minimality tests on reads of the pair and V, one array each.
-
-    The tests, at the absolute CONDITION_TOL: the direct one (|F'| <= tol and
-    F'' >= -tol), the balanced slope and the two one-sided products.
-    """
-    rp, rm, v, tol = reads.r_plus, reads.r_minus, reads.v, CONDITION_TOL
-    local_min = (np.abs(reads.slope) <= tol) & (reads.curvature >= -tol)
-    balanced = (np.abs(rp + rm) <= tol) & (np.minimum(-rp, rm) >= np.sqrt(v) - tol)
-    plus = (np.abs(reads.product("+", curve.wronskian) + 1.0) <= tol) & (v - rp * rp <= tol)
-    minus = (np.abs(reads.product("-", curve.wronskian) - 1.0) <= tol) & (v - rm * rm <= tol)
-    return local_min, balanced, plus, minus
 
 
 def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) -> float:
@@ -286,8 +267,7 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     so a grid minimum of F below both edge values by more than the floor,
     with no root within one grid cell, is a candidate too.  Roots with
     curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
-    Each root is read by the one-pin pair read, and all of them are
-    classified by one ``_verdicts`` call on the stacked reads.
+    Each root is read once, by the one-pin pair read.
     """
     scale = max(1.0, float(np.max(np.abs(curve.values))))
     noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
@@ -298,13 +278,11 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     roots = [0.0] if flat else _slope_roots(curve, noise_floor)
     if not roots:
         return CriticalPointScan(points=[], rejected=[], flat=False, noise_floor=noise_floor)
-    reads = PinReads.stack([curve._reads(x) for x in roots])
-    _, *flags = _verdicts(curve, reads)
-    columns = (reads.value, reads.curvature, np.abs(reads.slope), *flags)
     points: list[CriticalPoint] = []
     rejected: list[CriticalPoint] = []
-    for row in zip(roots, *(c.tolist() for c in columns)):
-        pt = CriticalPoint(*row)
+    for x in roots:
+        reads = curve._reads(x)
+        pt = CriticalPoint(x, reads.value, reads.curvature, abs(reads.slope))
         (points if flat or pt.curvature >= -curvature_slack else rejected).append(pt)
     return CriticalPointScan(
         points=points,
@@ -316,18 +294,21 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
 
 @dataclass
 class EquivalenceReport:
-    """The four local-minimality tests at each sample location, one bool array each."""
+    """The analytic F' and F'' against five-point differences of F, at each kept pin.
+
+    ``slope_gap`` is |F' - D1F| / (F max(1, sqrt(v1))) and ``curvature_gap``
+    is |F'' - D2F| / (F max(1, v1)); a pin disagrees when either gap is over
+    CONDITION_TOL (or NaN).
+    """
 
     locations: np.ndarray
-    local_min: np.ndarray
-    balanced_slope: np.ndarray
-    plus_side_product: np.ndarray
-    minus_side_product: np.ndarray
+    slope_gap: np.ndarray
+    curvature_gap: np.ndarray
 
     @property
     def n_disagree(self) -> int:
-        others = (self.balanced_slope, self.plus_side_product, self.minus_side_product)
-        return int(np.count_nonzero(np.any(np.array(others) != self.local_min, axis=0)))
+        worst = np.maximum(self.slope_gap, self.curvature_gap)
+        return int(np.count_nonzero(~(worst <= CONDITION_TOL)))
 
     @property
     def all_agree(self) -> bool:
@@ -342,13 +323,30 @@ def _default_samples(curve: FCurve) -> np.ndarray:
 def check_minimality_equivalence(
     curve: FCurve, samples: Sequence[float] | None = None
 ) -> EquivalenceReport:
-    """Evaluate the four local-minimality tests at each sample and compare.
+    """Check the F' and F'' that critical points are classified on against F itself.
 
-    At every location the direct test (|F'| <= tol and F'' >= -tol) must
-    return the same truth value as the balanced-slope and the two one-sided
-    product criteria; the shared tolerance is the absolute CONDITION_TOL.
-    Meaningful for continuous potentials.  All samples are read in one call;
-    by default they are ``_default_samples``.
+    At each sample a, the analytic F'(a) and F''(a) are compared with the
+    five-point differences of F at a +- h and a +- 2h, where
+    h = DIFFERENCE_STEP/sqrt(v1), on the scales of EquivalenceReport.  Samples within 2h of a curve window
+    edge or of a breakpoint are dropped: there the stencil leaves the window
+    or straddles a jump of F''.  The samples (by default ``_default_samples``)
+    must lie in the curve window; every pin of every stencil is read in one call.
     """
     a = _default_samples(curve) if samples is None else np.asarray(samples, dtype=float)
-    return EquivalenceReport(a, *_verdicts(curve, curve._reads(a)))
+    _check_inside(a, curve.window, "sample outside curve window")
+    v1 = curve.potential.upper_bound
+    h = DIFFERENCE_STEP / math.sqrt(v1)
+    lo, hi = curve.window
+    cuts = np.array(curve.potential.breakpoints)
+    keep = (lo + 2.0 * h <= a) & (a <= hi - 2.0 * h)
+    keep &= np.all(np.abs(np.subtract.outer(a, cuts)) > 2.0 * h, axis=-1)
+    a = a[keep]
+    reads = curve._reads(a + np.array([0.0, -2.0 * h, -h, h, 2.0 * h])[:, None])
+    f = reads.value
+    d1 = (f[1] - f[4] + 8.0 * (f[3] - f[2])) / (12.0 * h)
+    d2 = (16.0 * (f[2] + f[3]) - (f[1] + f[4]) - 30.0 * f[0]) / (12.0 * h * h)
+    return EquivalenceReport(
+        a,
+        np.abs(reads.slope[0] - d1) / (f[0] * max(1.0, math.sqrt(v1))),
+        np.abs(reads.curvature[0] - d2) / (f[0] * max(1.0, v1)),
+    )

@@ -776,11 +776,6 @@ class PinReads(NamedTuple):
     l_minus: np.ndarray | float
     v: np.ndarray | float | None = None
 
-    @classmethod
-    def stack(cls, reads) -> PinReads:
-        """One-pin reads stacked into arrays, element i from reads[i]."""
-        return cls(*(np.array(column) for column in zip(*reads)))
-
     @property
     def value(self) -> np.ndarray:
         return self.r_minus - self.r_plus
@@ -793,11 +788,6 @@ class PinReads(NamedTuple):
     def curvature(self) -> np.ndarray:
         rp, rm = self.r_plus, self.r_minus
         return 2.0 * self.value * (rp * rp + rp * rm + rm * rm - self.v)
-
-    def product(self, side: str, wronskian: float) -> np.ndarray:
-        """h_side' H_side = 2 r_side phi_plus phi_minus / W."""
-        r = self.r_plus if side == "+" else self.r_minus
-        return 2.0 * r * _exp(self.l_plus + self.l_minus) / wronskian
 
 
 def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: bool = False):

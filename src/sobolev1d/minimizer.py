@@ -115,15 +115,15 @@ class MinimizationReport:
     curve: FCurve = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        def point(p: CriticalPoint) -> dict:
+        def point(p: CriticalPoint, minimal: bool) -> dict:
+            # Schema 1's three minimality flags all state the list a root is in.
+            flags = ("balanced_slope", "plus_side_product", "minus_side_product")
             return {
                 "a": p.location,
                 "F": p.value,
                 "curvature": p.curvature,
                 "slope_residual": p.slope_residual,
-                "balanced_slope": p.balanced_slope,
-                "plus_side_product": p.plus_side_product,
-                "minus_side_product": p.minus_side_product,
+                **dict.fromkeys(flags, minimal),
             }
 
         pot, (x_min, x_max) = self.phi_plus.potential, self.window
@@ -134,8 +134,8 @@ class MinimizationReport:
             "best_constant": self.best_constant,
             "attainment": self.attainment,
             "a_star": self.a_star,
-            "critical_points": [point(p) for p in self.critical_points],
-            "rejected_candidates": [point(p) for p in self.rejected_candidates],
+            "critical_points": [point(p, True) for p in self.critical_points],
+            "rejected_candidates": [point(p, False) for p in self.rejected_candidates],
             "flat": self.flat,
             "tail_estimate": self.tail_infimum,
             "tail_method": self.tail_method,

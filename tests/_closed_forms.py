@@ -196,12 +196,13 @@ def poschl_teller_curvature(a, k, lam):
 
 
 class PwcExact(NamedTuple):
-    """Exact m, a* (None unless attained), attainment and F of a piecewise-constant V."""
+    """Exact m, a* (None unless attained), attainment, F and the local maxima of F inside pieces."""
 
     m: float
     a_star: float | None
     attainment: str
     f: Callable[[float], float]
+    maxima: list[float]
 
 
 def pwc_exact(edges, values) -> PwcExact:
@@ -215,7 +216,8 @@ def pwc_exact(edges, values) -> PwcExact:
     its centre; F' vanishes only where both have one kind, at the midpoint of
     the two centres: a maximum for tanh-tanh, a minimum for coth-coth.  So
     inf F is the least of F at the edges, at the coth-coth midpoints inside
-    their piece, and the tail value 2 sqrt(min V(+-inf)).
+    their piece, and the tail value 2 sqrt(min V(+-inf)); the tanh-tanh
+    midpoints inside their piece are ``maxima``.
     """
     edges, ks = list(map(float, edges)), [math.sqrt(v) for v in values]
     n = len(edges)
@@ -223,6 +225,10 @@ def pwc_exact(edges, values) -> PwcExact:
     def flow(k, r, s):
         t = math.tanh(k * s)
         return k * (r + k * t) / (k + r * t)
+
+    def reach(k, r):
+        # Distance from an edge to its side's centre: r is k coth (r > k) or k tanh of k times it.
+        return math.atanh(min(r, k) / max(r, k)) / k
 
     # r_- at each edge, swept from the left; rho = -r_+ at each edge, from the right.
     left = [ks[0]]
@@ -240,14 +246,18 @@ def pwc_exact(edges, values) -> PwcExact:
         return r_minus + rho
 
     tail = 2.0 * min(ks[0], ks[n])
-    candidates = [(f(e), e) for e in edges]
+    candidates, maxima = [(f(e), e) for e in edges], []
     for j in range(1, n):
-        k, lo, hi = ks[j], edges[j - 1], edges[j]
-        if left[j - 1] > k and right[j] > k:
-            mid = 0.5 * (lo - math.atanh(k / left[j - 1]) / k + hi + math.atanh(k / right[j]) / k)
-            if lo < mid < hi:
+        k, lo, hi, r_lo, rho_hi = ks[j], edges[j - 1], edges[j], left[j - 1], right[j]
+        if (r_lo - k) * (rho_hi - k) <= 0.0:
+            continue  # one side tanh, the other coth (or exponential): no root of F'
+        mid = 0.5 * (lo - reach(k, r_lo) + hi + reach(k, rho_hi))
+        if lo < mid < hi:
+            if r_lo > k:
                 candidates.append((f(mid), mid))
+            else:
+                maxima.append(mid)
     best, a_star = min(candidates)
     if best < tail:
-        return PwcExact(best, a_star, "attained", f)
-    return PwcExact(tail, None, "empty", f)
+        return PwcExact(best, a_star, "attained", f, maxima)
+    return PwcExact(tail, None, "empty", f, maxima)

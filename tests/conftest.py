@@ -15,6 +15,23 @@ def random_piecewise_constant(rng: np.random.Generator, n_pieces: int | None = N
     return make_piecewise_constant(edges, values)
 
 
+def poschl_teller(k: float, lam: float) -> Potential:
+    """V = k^2 - lam (lam + 1) sech^2 x, with sech^2 written without cosh, which overflows."""
+    c = lam * (lam + 1.0)
+
+    def evaluate(x):
+        e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)))
+        return k * k - c * 4.0 * e / ((1.0 + e) * (1.0 + e))
+
+    return Potential(
+        evaluate=evaluate,
+        lower_bound=k * k - c,
+        upper_bound=k * k,
+        tail_limits=(k * k, k * k),
+        label=f"poschl-teller k={k:g} lambda={lam:g}",
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)

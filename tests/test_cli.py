@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,11 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
-from sobolev1d import build_green, potential_from_spec
-from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, main
-from sobolev1d.fcurve import build_fcurve
-from sobolev1d.fundamental import solve_log_solution
+from conftest import poschl_teller
+from sobolev1d import Potential, build_green, make_example, minimizer, potential_from_spec
+from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, cmd_verify, main
+from sobolev1d.fcurve import build_fcurve, find_critical_points
+from sobolev1d.fundamental import PinReads, solve_log_solution
 from sobolev1d.minimizer import default_window
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
@@ -372,22 +375,21 @@ def _dump_specs() -> dict:
 
 
 DUMP_SPECS = _dump_specs()
-DISCONTINUOUS = "skipped: potential is discontinuous"
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
-# check (P, F, S) and the minimality-equivalence detail.  step and both tables
-# FAIL minimality in their flat tails, where every test sits at its tolerance.
+# check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
+# table fails, on its declared bounds.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
-    "step": (4, "PPPPFPP", "209 samples, 12 disagreements"),
-    "well": (0, "PPPPSPP", DISCONTINUOUS),
-    "double_well": (0, "PPPPSPP", DISCONTINUOUS),
-    "high_contrast_well": (0, "PPPPSPP", DISCONTINUOUS),
-    "jump_step": (0, "PPPPSPP", DISCONTINUOUS),
-    "constant": (0, "PPPPPPP", "208 samples, 0 disagreements"),
-    "jump_at_0": (0, "PPPPSPP", DISCONTINUOUS),
-    "gaussian_table": (4, "PPPPFPP", "207 samples, 18 disagreements"),
+    "step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
+    "well": (0, "PPPPPPP", "206 samples, 0 disagreements"),
+    "double_well": (0, "PPPPPPP", "205 samples, 0 disagreements"),
+    "high_contrast_well": (0, "PPPPPPP", "206 samples, 0 disagreements"),
+    "jump_step": (0, "PPPPPPP", "206 samples, 0 disagreements"),
+    "constant": (0, "PPPPPPP", "209 samples, 0 disagreements"),
+    "jump_at_0": (0, "PPPPPPP", "206 samples, 0 disagreements"),
+    "gaussian_table": (0, "PPPPPPP", "208 samples, 0 disagreements"),
     "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
-    "log_derivative_table": (4, "PPPPFPP", "209 samples, 21 disagreements"),
+    "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
 }
 
 
@@ -442,6 +444,105 @@ def test_verify_table_without_bounds(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("PASS bounds-declared")
     assert lines[1].startswith("PASS riccati-residual")
+
+
+def _benchmark_style_specs(seed: int) -> list[dict]:
+    """Seeded monotone steps and Gaussian well and bump tables, drawn as the benchmark draws them.
+
+    Steps: v0 log-uniform in [0.5, 2], width in [0.8, 1.25], centre in
+    [-1, 1].  Tables: the Gaussian exp(-((x - c)/w)^2/2), c in [-0.5, 0.5],
+    w in [1, 1.25], sampled every 0.25 on [-8, 8], as a v1 - (v1 - v0) g well
+    or a v0 + (v1 - v0) g bump, with bounds widened by 3%.
+    """
+    rng = random.Random(seed)
+
+    def v0():
+        return math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+
+    specs = []
+    for contrast in (1.5, 5.0, 30.0, 300.0):
+        low = v0()
+        specs.append({
+            "kind": "step", "v0": low, "v1": low * contrast,
+            "width": rng.uniform(0.8, 1.25), "center": rng.uniform(-1.0, 1.0),
+        })
+    xs = [-8.0 + 0.25 * i for i in range(65)]
+    for contrast, well in ((1.5, False), (10.0, True), (30.0, True), (30.0, False)):
+        low = v0()
+        high = low * contrast
+        center, width = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.25)
+        g = [math.exp(-0.5 * ((x - center) / width) ** 2) for x in xs]
+        specs.append({
+            "kind": "table", "x": xs,
+            "v": [high - (high - low) * t if well else low + (high - low) * t for t in g],
+            "lower_bound": 0.97 * low, "upper_bound": 1.03 * high,
+        })
+    return specs
+
+
+@pytest.mark.parametrize("seed", [1, 13, 29])
+def test_verify_passes_on_steps_and_tables(capsys, seed):
+    """Every check passes on the steps and tables the benchmark draws, flat tails included."""
+    for spec in _benchmark_style_specs(seed):
+        code, out, _ = run(capsys, "verify", "--potential", json.dumps(spec))
+        assert code == 0, (spec["kind"], out)
+        assert out.count("PASS ") == len(VERIFY_CHECKS)
+
+
+def _two_well() -> Potential:
+    """4 - 3 exp(-(x - 3)^2) - 3 exp(-(x + 3)^2): continuous, two equal wells."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return 4.0 - 3.0 * np.exp(-((x - 3.0) ** 2)) - 3.0 * np.exp(-((x + 3.0) ** 2))
+
+    return Potential(evaluate, 1.0, 4.0, tail_limits=(4.0, 4.0), label="two-well")
+
+
+def _verify_lines(pot: Potential) -> dict[str, str]:
+    """verify's status per check on a potential no spec kind describes."""
+    code, text = cmd_verify(argparse.Namespace(potential=pot, window=None, tol=1e-10))
+    statuses = {line.split(":")[0].split(" ")[1]: line.split(" ")[0] for line in text.splitlines()}
+    assert (code == 4) == ("FAIL" in statuses.values())
+    return statuses
+
+
+def _curvature_without_cross_term(self):
+    rp, rm = self.r_plus, self.r_minus
+    return 2.0 * self.value * (rp * rp + rm * rm - self.v)
+
+
+def _slope_sign_flipped(self):
+    return self.value * (self.r_plus + self.r_minus)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: make_example(1.0, 2.0), lambda: poschl_teller(2.0, 1.0), _two_well],
+    ids=["example", "poschl-teller", "two-well"],
+)
+@pytest.mark.parametrize(
+    "name, broken",
+    [("curvature", _curvature_without_cross_term), ("slope", _slope_sign_flipped)],
+    ids=["curvature", "slope"],
+)
+def test_minimality_check_fails_when_the_analytic_derivatives_are_wrong(
+    monkeypatch, make, name, broken
+):
+    pot = make()
+    assert set(_verify_lines(pot).values()) == {"PASS"}
+    monkeypatch.setattr(PinReads, name, property(broken))
+    assert _verify_lines(pot)["minimality-equivalence"] == "FAIL"
+
+
+def test_verify_fails_when_roots_are_classified_the_wrong_way(monkeypatch):
+    """Accepting the maximum and rejecting the minimum moves m; the mesh oracle sees it."""
+
+    def flipped(curve):
+        scan = find_critical_points(curve)
+        return dataclasses.replace(scan, points=scan.rejected, rejected=scan.points)
+
+    monkeypatch.setattr(minimizer, "find_critical_points", flipped)
+    assert _verify_lines(make_example(1.0, 2.0))["oracle-agreement"] == "FAIL"
 
 
 def test_import_leaves_scipy_unloaded():

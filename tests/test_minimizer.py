@@ -7,7 +7,6 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
-    Potential,
     build_green,
     extremal,
     make_constant,
@@ -20,6 +19,7 @@ from sobolev1d import (
 from sobolev1d import minimizer
 from sobolev1d.minimizer import classify_attainment, default_window
 from sobolev1d.cli import canonical_json
+from conftest import poschl_teller
 
 
 @pytest.fixture(scope="module")
@@ -79,29 +79,12 @@ def test_square_well_attained():
     assert report.m_value < 2.0 * math.sqrt(pot.tail_limits[0])
 
 
-def _poschl_teller(k, lam):
-    """V = k^2 - lam (lam + 1) sech^2 x, with sech^2 written without cosh, which overflows."""
-    c = lam * (lam + 1.0)
-
-    def evaluate(x):
-        e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)))
-        return k * k - c * 4.0 * e / ((1.0 + e) * (1.0 + e))
-
-    return Potential(
-        evaluate=evaluate,
-        lower_bound=k * k - c,
-        upper_bound=k * k,
-        tail_limits=(k * k, k * k),
-        label=f"poschl-teller k={k:g} lambda={lam:g}",
-    )
-
-
 @pytest.mark.parametrize(
     "k, lam", [(2.0, 1.0), (3.0, 2.0), (1.7, 1.2), (2.0, 1.5615)], ids=str
 )
 def test_poschl_teller_well_matches_its_closed_form(k, lam):
     """m for every lam and F for lam = 1; (2, 1.5615) has contrast v1/v0 = 1.84e4."""
-    report = minimize(_poschl_teller(k, lam))
+    report = minimize(poschl_teller(k, lam))
     m = cf.poschl_teller_m(k, lam)
     assert abs(report.m_value - m) <= 1e-12 * m
     assert abs(report.a_star) <= 1e-9
@@ -118,7 +101,7 @@ def test_poschl_teller_pair_matches_its_closed_forms(k, lam):
 
     The pins span the curve window, where the seeding transient is negligible.
     """
-    report = minimize(_poschl_teller(k, lam))
+    report = minimize(poschl_teller(k, lam))
     plus, minus, curve = report.phi_plus, report.phi_minus, report.curve
     pins = np.linspace(*curve.window, 401)
     exact = np.vectorize
@@ -156,7 +139,7 @@ def test_poschl_teller_pair_at_contrast_1e4_in_log_space(k2, lam):
     F' 1.5e-13 of its largest value, m 7.3e-15 relative, |a*| 1.3e-16.
     """
     k = math.sqrt(k2)
-    report = minimize(_poschl_teller(k, lam))
+    report = minimize(poschl_teller(k, lam))
     m = cf.poschl_teller_m(k, lam)
     assert abs(report.m_value - m) <= 4e-14 * m
     assert report.attainment == "attained"
@@ -198,8 +181,17 @@ def test_a_window_that_cuts_a_breakpoint_out_is_refused():
     assert exact.f(report.a_star) <= exact.m * (1.0 + 1e-10)
 
 
+# Barriers whose tanh-tanh maximum of F at 0 has |F''| under 1.2e-5: a
+# rejected root that sits close to the acceptance rule's slack.
+_TANH_TANH_AT_0 = [
+    ([-5.5, -4.5, 4.5, 5.5], [3, 1, 3, 1, 3]),
+    ([-4.75, -3.75, 3.75, 4.75], [4, 1, 4, 1, 4]),
+]
+
+
 def _pwc_cases():
-    """Seven fixed step potentials, two that once hid their minimum, 40 seeded random ones."""
+    """Seven fixed step potentials, two that once hid their minimum, 40 seeded random ones,
+    and the two _TANH_TANH_AT_0 barriers."""
     cases = [
         ([-1, 1], [1, 5, 1]),
         ([-6, -5, 5, 6], [4, 1, 4, 1, 4]),
@@ -218,7 +210,7 @@ def _pwc_cases():
         n = rng.randint(1, 8)
         edges = sorted(rng.uniform(-4.0, 4.0) for _ in range(n))
         cases.append((edges, [rng.uniform(1.0, 400.0) for _ in range(n + 1)]))
-    return cases
+    return cases + _TANH_TANH_AT_0
 
 
 @pytest.mark.parametrize("edges, values", _pwc_cases())
@@ -231,6 +223,22 @@ def test_piecewise_constant_matches_the_exact_reference(edges, values):
     if report.a_star is not None:
         # Wide wells leave F flat to 1e-15 over several decay lengths: compare F, not a*.
         assert exact.f(report.a_star) <= exact.m * (1.0 + 1e-10)
+    curve = report.curve
+    exact_f = np.array([exact.f(a) for a in curve.grid.tolist()])
+    assert np.max(np.abs(curve.value_at(curve.grid) / exact_f - 1.0)) <= 1e-10
+    # Each rejected root is a tanh-tanh maximum; a flat top under the noise
+    # floor may go unreported, which leaves m and a* as they are.
+    doc = report.to_json_dict()
+    flags = ("balanced_slope", "plus_side_product", "minus_side_product")
+    for p, row in zip(report.rejected_candidates, doc["rejected_candidates"]):
+        assert any(abs(p.location - b) <= 1e-6 for b in exact.maxima)
+        assert [row[k] for k in flags] == [False, False, False]
+    for row in doc["critical_points"]:
+        assert [row[k] for k in flags] == [True, True, True]
+    if (edges, values) in _TANH_TANH_AT_0:
+        assert [p.location for p in report.rejected_candidates] == [0.0]
+        assert report.rejected_candidates[0].curvature < 0.0
+        assert exact.maxima == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_translation_equivariance(example_report):
