@@ -11,9 +11,10 @@ Every command takes ``--potential``, ``--window``, ``--tol`` and ``--out``.
 The three that write a table or report also take ``--format``: ``solve``
 defaults to json, ``scan`` and ``green`` to csv.  ``verify`` prints text; its
 minimality check tests F' and F'' against differences of F at the default
-curve samples and every root, and its oracle check passes when
-|m_mesh - m| <= ORACLE_TOL (1e-2).  Checks are skipped only after the
-declared bounds fail.
+curve samples and every root; its mesh oracle spans [-L, L], L = max(-x_min,
+x_max) of the solved window, in ORACLE_CELLS cells, whose samples of V the
+bounds check also reads, and passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
+Checks are skipped only after the declared bounds fail.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
 window or tol the solve refuses, a --grid, --x or --y lattice that is
@@ -43,7 +44,6 @@ from .fundamental import (
     SolverError,
     _check_window,
     _curve_window,
-    _sorted_unique,
     check_envelope_bounds,
     check_riccati_residual,
     solve_log_solution,
@@ -55,7 +55,8 @@ from .potential import potential_from_spec
 
 __all__ = ["main"]
 
-# Largest |m_mesh - m| that the oracle check of ``verify`` passes.
+# verify's mesh oracle: its cells over the solved window, and the largest |m_mesh - m| it passes.
+ORACLE_CELLS = 12_000
 ORACLE_TOL = 1e-2
 
 # The invariant suite of ``verify``, in the order it prints them.
@@ -242,22 +243,21 @@ def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     pot = args.potential
-    # Built first, so that a non-finite V exits 3 before the bounds check.
-    problem = DiscreteRayleighProblem.from_potential(pot)
     window = args.window or default_window(pot)
+    half = max(-window[0], window[1])
+    # Built first, so that a non-finite V exits 3 before the bounds check.
+    problem = DiscreteRayleighProblem.from_potential(pot, half, 2.0 * half / ORACLE_CELLS)
     lines: list[tuple[str, str, str]] = []
 
     def record(name: str, ok: bool | None, detail: str) -> None:
         status = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
         lines.append((status, name, detail))
 
-    xs = np.linspace(window[0], window[1], 4001)
-    xs = _sorted_unique(xs, [b for b in pot.breakpoints if window[0] < b < window[1]])
-    v = np.asarray(pot.evaluate(xs), dtype=float)
+    inside = (window[0] <= problem.nodes) & (problem.nodes <= window[1])
+    breaks = np.array([b for b in pot.breakpoints if window[0] < b < window[1]], dtype=float)
+    v = np.append(problem.v_samples[inside], pot.evaluate(breaks))
     slack = 1e-9 * max(1.0, pot.upper_bound)
-    bounds_ok = bool(
-        np.all(v >= pot.lower_bound - slack) and np.all(v <= pot.upper_bound + slack)
-    )
+    bounds_ok = bool(np.all((v >= pot.lower_bound - slack) & (v <= pot.upper_bound + slack)))
     record(
         "bounds-declared",
         bounds_ok,

@@ -184,10 +184,10 @@ class CriticalPointScan:
 
     ``points`` hold the accepted candidates (F' root, curvature above
     -CURVATURE_SLACK * max(1, max F)); ``rejected`` the roots that failed
-    the curvature test (local maxima).  The list a root is in is its
-    minimality verdict.  ``flat`` marks a curve whose slope never exceeds
-    the noise floor: every pin is then critical and ``points`` carries a
-    single representative at a = 0.
+    the curvature test (local maxima; one whose slope stays under the noise
+    floor is not listed).  The list a root is in is its minimality verdict.
+    ``flat`` marks a curve whose slope never exceeds the noise floor: every
+    pin is then critical and ``points`` carries a single representative at 0.
     """
 
     points: list[CriticalPoint]
@@ -266,8 +266,9 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     decay lengths wide keeps F' under the floor on both sides of its minimum,
     so a grid minimum of F below both edge values by more than the floor,
     with no root within one grid cell, is a candidate too.  Roots with
-    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected.
-    Each root is read once, by the one-pin pair read.
+    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected;
+    a maximum whose slope stays under the floor is not.  Each root is read
+    once, by the one-pin pair read.
     """
     scale = max(1.0, float(np.max(np.abs(curve.values))))
     noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale

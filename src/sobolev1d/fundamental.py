@@ -950,7 +950,9 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     * e^{-s1|x-a|} <= u_a(x) <= e^{-s0|x-a|} and
       (v0/s1) e^{-s1|x-a|} <= sgn(a-x) u_a'(x) <= (v1/s0) e^{-s0|x-a|}
       for the centers a = 0 and a = +-r/2, where [-r, r] is the largest
-      interval about 0 one decay inset inside the window.
+      interval about 0 one decay inset inside the window.  The slope is
+      checked as log|u_a'| = log u_a + log|u_a'/u_a|, its sign from the
+      rate u_a'/u_a alone, so no u_a underflows at high contrast.
     """
     pot = phi_plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
@@ -979,11 +981,9 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
         d = np.abs(xs - a)
         record("pinned_upper", logu - (-s0 * d))
         record("pinned_lower", (-s1 * d) - logu)
-        du = np.exp(logu) * rate
-        signed = np.sign(a - xs) * du
-        if np.any(signed <= 0.0):
+        if np.any(np.sign(a - xs) * rate <= 0.0):
             record("pinned_slope_sign", 1.0)
-        logd = np.log(np.maximum(signed, 1e-300))
+        logd = logu + np.log(np.abs(rate))
         record("pinned_slope_upper", logd - (math.log(v1 / s0) - s0 * d))
         record("pinned_slope_lower", (math.log(v0 / s1) - s1 * d) - logd)
 

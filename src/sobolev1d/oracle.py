@@ -48,8 +48,12 @@ class DiscreteRayleighProblem:
 
     @classmethod
     def from_potential(
-        cls, potential: Potential, half_width: float = 30.0, spacing: float = 0.005
+        cls, potential: Potential, half_width: float, spacing: float
     ) -> "DiscreteRayleighProblem":
+        """V at the nodes of [-L, L], L = half_width, whose spacing must divide 2L.
+
+        The caller sizes the mesh: ``verify`` spreads a fixed cell count over its window.
+        """
         if not (half_width > 0 and spacing > 0):
             raise ValueError("half_width and spacing must be positive")
         n = int(round(2.0 * half_width / spacing))
@@ -64,12 +68,7 @@ class DiscreteRayleighProblem:
         if not np.all(np.isfinite(v)):
             bad = nodes[~np.isfinite(v)][0]
             raise SolverError(f"potential is non-finite at mesh node x = {bad:g}")
-        return cls(
-            half_width=float(half_width),
-            spacing=float(spacing),
-            nodes=nodes,
-            v_samples=v,
-        )
+        return cls(float(half_width), float(spacing), nodes, v)
 
     @property
     def n_interior(self) -> int:

@@ -18,6 +18,7 @@ from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, cmd_verify, 
 from sobolev1d.fcurve import build_fcurve, find_critical_points
 from sobolev1d.fundamental import PinReads, solve_log_solution
 from sobolev1d.minimizer import default_window
+from sobolev1d.oracle import DiscreteRayleighProblem
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
 CONSTANT = '{"kind": "constant", "v": 1}'
@@ -89,6 +90,17 @@ def test_scan_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["F"] == pytest.approx(cf.F_AT_0, abs=1e-9)
+
+
+def test_scan_defaults_to_the_curve_grid(capsys):
+    code, out, _ = run(capsys, "scan", "--potential", EXAMPLE)
+    assert code == 0
+    pot = make_example(1.0, 2.0)
+    curve = build_fcurve(*solve_log_solution(pot, *default_window(pot)))
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == curve.grid.size
+    assert [row[0] for row in rows] == [f"{a:.15e}" for a in curve.grid.tolist()]
+    assert [row[1] for row in rows] == [f"{f:.15e}" for f in curve.values.tolist()]
 
 
 def test_scan_grid_outside_window(capsys):
@@ -390,6 +402,8 @@ VERIFY_TABLE = {
     "gaussian_table": (0, "PPPPPPP", "208 samples, 0 disagreements"),
     "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
     "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
+    "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
+    "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
 }
 
 
@@ -403,6 +417,48 @@ def test_verify_prints_each_check_once_in_order(capsys, name):
     assert "".join(status[0] for status, _ in heads) == statuses
     assert lines[VERIFY_CHECKS.index("minimality-equivalence")].split(": ", 1)[1] == detail
     assert got == code
+
+
+# Honest potentials whose solve is exact: a well past x = 30 and very small or
+# very large V, which only an oracle on the solved window resolves, and contrast
+# 1e3 and above, where u_a underflows inside the window and only a slope check
+# in log space holds.
+HONEST_SPECS = {
+    "far-well": {"kind": "piecewise_constant", "edges": [39, 41], "values": [4, 1, 4]},
+    "constant-1e-4": {"kind": "constant", "v": 1e-4},
+    "constant-1e3": {"kind": "constant", "v": 1e3},
+    "constant-4e4": {"kind": "constant", "v": 4e4},
+    "step-0.01-1": {"kind": "step", "v0": 0.01, "v1": 1},
+    "step-1-1e4": {"kind": "step", "v0": 1, "v1": 1e4},
+    "step-1-1e3-narrow": {"kind": "step", "v0": 1, "v1": 1e3, "width": 0.1},
+    "well-1e3": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1e3, 1, 1e3]},
+    "well-1e4": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1e4, 1, 1e4]},
+}
+
+
+@pytest.mark.parametrize("name", list(HONEST_SPECS))
+def test_verify_passes_on_far_wells_extreme_scales_and_high_contrast(capsys, name):
+    code, out, _ = run(capsys, "verify", "--potential", json.dumps(HONEST_SPECS[name]))
+    assert code == 0, out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"PASS {check}" for check in VERIFY_CHECKS
+    ]
+
+
+def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
+    """The mesh spans [-L, L], L = max(-x_min, x_max), in 12 000 cells."""
+    build = DiscreteRayleighProblem.from_potential.__func__
+    calls = []
+
+    def spy(cls, pot, half_width, spacing):
+        calls.append((half_width, spacing))
+        return build(cls, pot, half_width, spacing)
+
+    monkeypatch.setattr(DiscreteRayleighProblem, "from_potential", classmethod(spy))
+    run(capsys, "verify", "--potential", EXAMPLE, "--window=-30,400")
+    [(half_width, spacing)] = calls
+    assert half_width == 400.0
+    assert round(2.0 * half_width / spacing) == 12_000
 
 
 @pytest.mark.parametrize(

@@ -306,6 +306,41 @@ def test_envelope_bounds_random(rng):
         assert report.passed, report.violations
 
 
+def _side_minus_corrupted(monkeypatch, corrupt):
+    """Every read of a side "-" returns corrupt(r, l) in place of (r, l)."""
+    dense = LogSolution._dense
+
+    def read(self, x):
+        r, l = dense(self, x)
+        return corrupt(r, l) if self.side == "-" else (r, l)
+
+    monkeypatch.setattr(LogSolution, "_dense", read)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "example", "A": 1, "B": 2}, {"kind": "step", "v0": 1, "v1": 1e4}],
+    ids=["example", "step-1e4"],
+)
+def test_envelope_bounds_fail_on_a_corrupted_pair(monkeypatch, spec):
+    """A wrong rate fails the slope-sign test, a wrong l the pinned bounds, at contrast 1e4 too."""
+    pot = potential_from_spec(spec)
+    plus, minus = solve_log_solution(pot, *default_window(pot))
+    clean = check_envelope_bounds(plus, minus)
+    assert clean.passed and "pinned_slope_sign" not in clean.violations
+    with monkeypatch.context() as patch:
+        _side_minus_corrupted(patch, lambda r, l: (-r, l))
+        report = check_envelope_bounds(plus, minus)
+    assert not report.passed
+    assert report.violations["pinned_slope_sign"] > fundamental.ENVELOPE_SLACK
+    with monkeypatch.context() as patch:
+        _side_minus_corrupted(patch, lambda r, l: (r, 0.5 * l))
+        report = check_envelope_bounds(plus, minus)
+    assert not report.passed
+    pinned = max(report.violations["pinned_upper"], report.violations["pinned_lower"])
+    assert pinned > fundamental.ENVELOPE_SLACK
+
+
 def test_comparison_constant_below_example():
     low = make_constant(1.0)
     high = make_example(cf.A, cf.B)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _closed_forms as cf
 from sobolev1d import (
@@ -239,6 +241,37 @@ def test_piecewise_constant_matches_the_exact_reference(edges, values):
         assert [p.location for p in report.rejected_candidates] == [0.0]
         assert report.rejected_candidates[0].curvature < 0.0
         assert exact.maxima == [pytest.approx(0.0, abs=1e-12)]
+
+
+def _pwc_edges_and_values(n_edges: int):
+    # Edges at least 1e-9 apart, so that a shift by up to 3 keeps them distinct.
+    edges = st.lists(st.floats(-4.0, 4.0), min_size=n_edges, max_size=n_edges).map(sorted)
+    edges = edges.filter(lambda e: all(b - a >= 1e-9 for a, b in zip(e, e[1:])))
+    values = st.lists(st.floats(1.0, 400.0), min_size=n_edges + 1, max_size=n_edges + 1)
+    return st.tuples(edges, values)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    piecewise=st.integers(1, 6).flatmap(_pwc_edges_and_values),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piecewise, shift):
+    edges, values = piecewise
+    pot = make_piecewise_constant(edges, values)
+    exact = cf.pwc_exact(edges, values)
+    report = minimize(pot)
+    m = report.m_value
+    assert 2.0 * math.sqrt(min(values)) * (1.0 - 1e-12) <= m
+    assert m <= 2.0 * math.sqrt(max(values)) * (1.0 + 1e-12)
+    assert abs(m - exact.m) <= 1e-10 * exact.m
+    # pwc_exact tells attained from empty only; V with one value is flat.
+    assert report.attainment == ("flat" if min(values) == max(values) else exact.attainment)
+    moved = minimize(pot.shifted(shift))
+    assert abs(moved.m_value - m) <= 1e-9 * m
+    if moved.a_star is not None:
+        # Near-ties can move a*: compare F there, not a* itself.
+        assert exact.f(moved.a_star - shift) <= m * (1.0 + 1e-10)
 
 
 def test_translation_equivariance(example_report):

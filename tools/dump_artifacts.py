@@ -72,6 +72,10 @@ SPECS = {
         "ell_prime": [-2.0 - 0.5 * math.tanh(x) for x in _LOG_X],
         "ell_double_prime": [-0.5 / math.cosh(x) ** 2 for x in _LOG_X],
     },
+    # Contrast 1e4: u_a underflows within the window, which only log space survives.
+    "high_contrast_step": {"kind": "step", "v0": 1, "v1": 1e4},
+    # A well past x = 30, inside the window the solve widens to reach it.
+    "far_well": {"kind": "piecewise_constant", "edges": [39, 41], "values": [4, 1, 4]},
 }
 
 RUNS = {
