@@ -12,8 +12,10 @@ The three that write a table or report also take ``--format``: ``solve``
 defaults to json, ``scan`` and ``green`` to csv.  ``verify`` prints text; its
 minimality check tests F' and F'' against differences of F at the default
 curve samples and every root; its mesh oracle spans [-L, L], L = max(-x_min,
-x_max) of the solved window, in ORACLE_CELLS cells, whose samples of V the
-bounds check also reads, and passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
+x_max) of the solved window, in ORACLE_CELLS cells, or at the default
+window's spacing when L is wider than its half-width (at most MAX_CELLS
+cells); the bounds check reads its samples of V, and it passes when
+|m_mesh - m| <= ORACLE_TOL (1e-2).
 Checks are skipped only after the declared bounds fail.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
@@ -41,6 +43,7 @@ import numpy as np
 from .fcurve import _default_samples, build_fcurve, check_minimality_equivalence
 from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
+    MAX_CELLS,
     SolverError,
     _check_window,
     _curve_window,
@@ -55,7 +58,8 @@ from .potential import potential_from_spec
 
 __all__ = ["main"]
 
-# verify's mesh oracle: its cells over the solved window, and the largest |m_mesh - m| it passes.
+# verify's mesh oracle: its cells over the default window (a wider window gets
+# proportionally more, up to MAX_CELLS), and the largest |m_mesh - m| it passes.
 ORACLE_CELLS = 12_000
 ORACLE_TOL = 1e-2
 
@@ -245,8 +249,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     pot = args.potential
     window = args.window or default_window(pot)
     half = max(-window[0], window[1])
+    # The default window's spacing, kept on wider windows: the oracle's gap grows
+    # like the spacing squared.
+    cells = min(MAX_CELLS, math.ceil(ORACLE_CELLS * max(1.0, half / default_window(pot)[1])))
     # Built first, so that a non-finite V exits 3 before the bounds check.
-    problem = DiscreteRayleighProblem.from_potential(pot, half, 2.0 * half / ORACLE_CELLS)
+    problem = DiscreteRayleighProblem.from_potential(pot, half, 2.0 * half / cells)
     lines: list[tuple[str, str, str]] = []
 
     def record(name: str, ok: bool | None, detail: str) -> None:

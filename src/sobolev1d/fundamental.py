@@ -37,14 +37,19 @@ maps once per side; the two solutions share its node array.  The initial
 mesh is uniform with spacing h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
 sqrt(v1), split at the window edges, at 0 and at the potential's
 breakpoints.  The first round samples V once, at the Gauss nodes of every
-initial cell and of its two halves.  A cell whose nine samples are one
-number c is flat.  Each maximal run of flat cells that share c and cross no
-edge is replaced by equal cells with theta = h sqrt(|c|) <= 20, laid out
-from the end nearer 0, when that takes fewer cells than the run had; their
-map is the exact one of constant V, so they need no check and no further
-sample.  Where one sample differs, the
-cell is treated as if no run existed.  Every other cell is checked by step
-doubling (one step against two half steps, all cells at once); the
+initial cell and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells,
+so that no array of the round grows with the mesh: an array over ~128 KB
+comes from fresh pages, a page fault per 4 KB, up to ~1 500 per solve on
+a high-contrast mesh.  Every block is sampled before any map is built,
+so a non-finite sample is refused wherever it lies.  A cell whose nine
+samples are one number c is flat.  Each maximal run of flat cells that
+share c and cross no edge (they may cross blocks) is replaced by equal cells
+with theta = h sqrt(|c|) <= 20, laid out from the end nearer 0, when that
+takes fewer cells than the run had; their map is the exact one of
+constant V, so they need no check and no further sample.  Where one
+sample differs, the cell is treated as if no run existed.  Every other
+cell is checked by step doubling (one step against two half steps, three
+blocks at a time in the first round, all cells at once later); the
 matrix difference is converted to r and l units with |r| <= sqrt(v1), and
 cells over their budget are bisected until all pass.  The budget is
 2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(1e-13,
@@ -142,8 +147,11 @@ _FLOOR_ULPS = 32.0 * np.finfo(float).eps
 # Largest theta = h sqrt(|V|) of a cell laid across a run of constant V; at
 # cosh(20) ~ 2.4e8 the entries of the exact map stay far from overflow.
 _THETA_MAX = 20.0
-# Points per potential.evaluate call when the mesh is sampled: numpy
-# temporaries above ~16k points cost page faults on every call.
+# Points per potential.evaluate call when the mesh is sampled, and three times
+# the initial cells per block of the first refinement round: a block's nine
+# samples per cell fill three calls in a 96 KB array, and so do the samples at
+# one Gauss node of the three blocks checked together.  An array over ~128 KB
+# comes from fresh pages, a page fault per 4 KB, each time one is made.
 _SAMPLE_BLOCK = 4096
 # Most cells ``_sweep`` crosses by its plain loop; above, composing cell maps
 # in pairs is faster (one level of pairs breaks even near 200 cells).
@@ -363,12 +371,14 @@ def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
     return np.sort(np.concatenate(nodes))
 
 
-def _flat_runs(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, edges: list[float]):
+def _flat_runs(
+    lo: np.ndarray, hi: np.ndarray, flat: np.ndarray, c: np.ndarray, edges: list[float]
+):
     """Cells laid across the runs of constant V, and the mask of the cells they replace.
 
-    v holds the first-round samples of each cell [lo, hi], one column per
-    cell.  A cell is flat when its samples are one number c.  Each maximal
-    run of adjacent flat cells that share c and cross no segment edge is
+    flat marks each cell [lo, hi] whose nine first-round samples are one
+    number, and c holds that cell's first sample.  Each maximal run of
+    adjacent flat cells that share c and cross no segment edge is
     replaced by k equal cells with theta = h sqrt(|c|) <= _THETA_MAX, laid
     out from the end nearer 0 as in ``_initial_mesh``, when k is fewer than
     the cells of the run; a NaN sample is never equal to itself and an
@@ -376,8 +386,6 @@ def _flat_runs(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, edges: list[float]
     Returns the mask of the cells kept and (lo, hi, c) of the new cells, or
     None when no run is replaced.
     """
-    c = v[0]
-    flat = np.all(v == c, axis=0)
     if not flat.any():
         return None
     joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
@@ -414,9 +422,32 @@ def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
 
 
 def _halves(lo: np.ndarray, hi: np.ndarray):
-    """Midpoints of the cells [lo, hi], and (lo, h) of their halves, left halves first."""
+    """(lo, h) of the halves of the cells [lo, hi], left halves first."""
     mid = 0.5 * (lo + hi)
-    return mid, np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
+    return np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
+
+
+def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, halves, per_length, s1):
+    """Step doubling of the cells [lo, hi] against the maps of their halves, left halves first.
+
+    Returns the accepted cells (lo, hi, *maps) and the rejected ones with
+    the maps of their halves (lo, hi, *left, *right).  Raises SolverError
+    when a map overflows.
+    """
+    left = tuple(x[: lo.size] for x in halves)
+    right = tuple(x[lo.size :] for x in halves)
+    err, floor = _doubling_error(maps, left, right, s1)
+    if not np.all(np.isfinite(err)):
+        raise SolverError(
+            "the cell maps overflow on finite samples; the potential exceeds "
+            f"its declared upper bound {potential.upper_bound:g}"
+        )
+    ok = err <= np.maximum(per_length * (hi - lo), floor)
+    bad = ~ok
+    return (
+        (lo[ok], hi[ok], *(x[ok] for x in maps)),
+        (lo[bad], hi[bad], *(x[bad] for x in left), *(x[bad] for x in right)),
+    )
 
 
 # Finite samples far above the declared bound overflow the cell maps; the
@@ -428,52 +459,72 @@ def _refine(
     """Cross runs of constant V in closed form; bisect other cells until each passes step doubling.
 
     The first round samples V once, at the Gauss nodes of every initial cell
-    and of its two halves.  Runs of constant V get ``_flat_runs`` cells with
-    the exact constant-V map; the other cells are checked by step doubling
-    on those samples, and later rounds sample only the new halves.
+    and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells, and takes
+    every sample before it builds any map.  Runs of constant V get
+    ``_flat_runs`` cells with the exact constant-V map; the other cells are
+    checked by step doubling on those samples, three blocks at a time, and
+    later rounds sample only the new halves, all at once.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     lo, hi = nodes[:-1], nodes[1:]
-    mid, half_lo, half_h = _halves(lo, hi)
-    points = np.concatenate((_gauss_points(lo, hi - lo), _gauss_points(half_lo, half_h)))
-    v = _samples(potential, points).reshape(9, lo.size)
+    size = _SAMPLE_BLOCK // 3
+    blocks = [slice(i, i + size) for i in range(0, lo.size, size)]
+    # samples[i][j, g, k]: V at Gauss node j of cell k of block i (g = 0),
+    # or of its left (g = 1) or right (g = 2) half.
+    samples = []
+    for b in blocks:
+        h = hi[b] - lo[b]
+        half_lo, half_h = _halves(lo[b], hi[b])
+        points = _gauss_points(np.concatenate((lo[b], half_lo)), np.concatenate((h, half_h)))
+        samples.append(_samples(potential, points).reshape(3, 3, -1))
     done: list[tuple] = []
-    n_done = 0
-    runs = _flat_runs(lo, hi, v, edges)
+    keep = None
+    runs = _flat_runs(
+        lo,
+        hi,
+        np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
+        np.concatenate([v[0, 0] for v in samples]),
+        edges,
+    )
     if runs is not None:
         keep, run_lo, run_hi, c = runs
         done.append((run_lo, run_hi, *_magnus((c, c, c), run_hi - run_lo)))
-        n_done = run_lo.size
-        lo, hi, mid, v = lo[keep], hi[keep], mid[keep], v[:, keep]
-    maps = _magnus(v[:3], hi - lo)
-    halves = _magnus(v[3:].reshape(3, -1), np.concatenate((mid - lo, hi - mid)))
-    while lo.size:
-        left = tuple(x[: lo.size] for x in halves)
-        right = tuple(x[lo.size :] for x in halves)
-        err, floor = _doubling_error(maps, left, right, s1)
-        if not np.all(np.isfinite(err)):
-            raise SolverError(
-                "the cell maps overflow on finite samples; the potential exceeds "
-                f"its declared upper bound {potential.upper_bound:g}"
-            )
-        ok = err <= np.maximum(per_length * (hi - lo), floor)
-        done.append((lo[ok], hi[ok], *(x[ok] for x in maps)))
-        n_done += int(ok.sum())
-        bad = ~ok
-        if not bad.any():
+    # Step doubling three blocks at a time: V at Gauss node j of their cells and
+    # halves then fills one 96 KB row.
+    checked = []
+    for i in range(0, len(blocks), 3):
+        group = slice(blocks[i].start, blocks[i].start + 3 * size)
+        cell_lo, cell_hi, parts = lo[group], hi[group], samples[i : i + 3]
+        if keep is not None:
+            if not keep[group].any():
+                continue
+            cell_lo, cell_hi = cell_lo[keep[group]], cell_hi[keep[group]]
+            parts = [v[:, :, keep[b]] for b, v in zip(blocks[i : i + 3], parts)]
+        n = cell_lo.size
+        h = np.concatenate((cell_hi - cell_lo, _halves(cell_lo, cell_hi)[1]))
+        rows = [np.concatenate([v[j, g] for g in range(3) for v in parts]) for j in range(3)]
+        maps = _magnus(rows, h)
+        cell_maps, halves = tuple(x[:n] for x in maps), tuple(x[n:] for x in maps)
+        checked.append(_double(potential, cell_lo, cell_hi, cell_maps, halves, per_length, s1))
+    while checked:
+        done.extend(ok for ok, _ in checked)
+        lo, hi, *half_maps = (np.concatenate(col) for col in zip(*(bad for _, bad in checked)))
+        if not lo.size:
             break
-        if n_done + 2 * int(bad.sum()) > MAX_CELLS or np.any(
-            (mid[bad] <= lo[bad]) | (mid[bad] >= hi[bad])
+        mid = 0.5 * (lo + hi)
+        if sum(cells[0].size for cells in done) + 2 * lo.size > MAX_CELLS or np.any(
+            (mid <= lo) | (mid >= hi)
         ):
             raise SolverError(
                 f"step-doubling refinement exceeded {MAX_CELLS} cells; "
                 "the potential is too rough for the requested tolerance"
             )
-        lo, hi = np.concatenate((lo[bad], mid[bad])), np.concatenate((mid[bad], hi[bad]))
-        maps = tuple(np.concatenate((l[bad], r[bad])) for l, r in zip(left, right))
-        mid, half_lo, half_h = _halves(lo, hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        maps = tuple(np.concatenate((l, r)) for l, r in zip(half_maps[:4], half_maps[4:]))
+        half_lo, half_h = _halves(lo, hi)
         v = _samples(potential, _gauss_points(half_lo, half_h))
         halves = _magnus(v.reshape(3, -1), half_h)
+        checked = [_double(potential, lo, hi, maps, halves, per_length, s1)]
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
     return [col[order] for col in cells]

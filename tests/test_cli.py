@@ -446,7 +446,8 @@ def test_verify_passes_on_far_wells_extreme_scales_and_high_contrast(capsys, nam
 
 
 def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
-    """The mesh spans [-L, L], L = max(-x_min, x_max), in 12 000 cells."""
+    """The mesh spans [-L, L], L = max(-x_min, x_max), in 12 000 cells, or at the
+    default window's spacing (L = 25 here) on a wider window."""
     build = DiscreteRayleighProblem.from_potential.__func__
     calls = []
 
@@ -456,9 +457,18 @@ def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
 
     monkeypatch.setattr(DiscreteRayleighProblem, "from_potential", classmethod(spy))
     run(capsys, "verify", "--potential", EXAMPLE, "--window=-30,400")
-    [(half_width, spacing)] = calls
-    assert half_width == 400.0
-    assert round(2.0 * half_width / spacing) == 12_000
+    run(capsys, "verify", "--potential", EXAMPLE)
+    [(wide, wide_spacing), (default, default_spacing)] = calls
+    assert (wide, default) == (400.0, 25.0)
+    assert round(2.0 * wide / wide_spacing) == 12_000 * 16
+    assert round(2.0 * default / default_spacing) == 12_000
+
+
+def test_verify_oracle_agrees_on_a_window_far_wider_than_the_default(capsys):
+    """At 12 000 cells on [-1000, 1000] the oracle's gap was 2.4e-2, over its tolerance."""
+    code, out, _ = run(capsys, "verify", "--potential", EXAMPLE, "--window=-1000,1000")
+    assert code == 0, out
+    assert out.splitlines()[-1].startswith("PASS oracle-agreement")
 
 
 @pytest.mark.parametrize(

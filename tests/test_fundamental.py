@@ -776,3 +776,45 @@ def test_scalar_reads_take_the_float_path(monkeypatch):
     assert u(a) == 1.0
     with pytest.raises(AssertionError, match="array path"):
         report.phi_plus.phi_at(np.array([0.3]))
+
+
+# The first refinement round runs in blocks of _SAMPLE_BLOCK // 3 initial cells.
+# Besides the dense families: a sharp step, whose first round bisects cells, and
+# a deep well, whose flat runs cross many blocks.
+BLOCK_FAMILIES = {
+    **DENSE_FAMILIES,
+    "logistic-1-300": lambda: make_monotone_step(1.0, 300.0, width=0.2),
+    "well-1e4": lambda: make_piecewise_constant([-1.0, 1.0], [1e4, 1.0, 1e4]),
+}
+
+
+@pytest.mark.parametrize("family", list(BLOCK_FAMILIES))
+def test_first_round_blocks_leave_every_bit(family, monkeypatch):
+    """Blocks of four cells, of the default size and over the whole mesh give one mesh, r and l."""
+    pot = BLOCK_FAMILIES[family]()
+    solved = []
+    for block in (12, fundamental._SAMPLE_BLOCK, 1 << 40):
+        monkeypatch.setattr(fundamental, "_SAMPLE_BLOCK", block)
+        solved.append(solve_log_solution(pot, *WINDOW))
+    for pair in solved[1:]:
+        for side, first in zip(pair, solved[0]):
+            for name in ("_mesh", "_r", "_l"):
+                assert getattr(side, name).tobytes() == getattr(first, name).tobytes()
+
+
+def test_a_non_finite_sample_is_named_before_an_earlier_block_overflows(monkeypatch):
+    """Every block is sampled before any map is built, so a NaN right of x = 10 is
+    refused as non-finite although the maps left of x = -10 overflow first."""
+    monkeypatch.setattr(fundamental, "_SAMPLE_BLOCK", 12)
+
+    def potential(nan: bool) -> Potential:
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < -10.0, 1e300, np.where((x > 10.0) & nan, np.nan, 1.0))
+
+        return Potential(evaluate, 1.0, 1.0)
+
+    with pytest.raises(SolverError, match="exceeds its declared upper bound"):
+        solve_log_solution(potential(nan=False), *WINDOW)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_log_solution(potential(nan=True), *WINDOW)
