@@ -14,8 +14,9 @@ minimality check tests F' and F'' against differences of F at the default
 curve samples and every root; its mesh oracle spans [-L, L], L = max(-x_min,
 x_max) of the solved window, in ORACLE_CELLS cells, or at the default
 window's spacing when L is wider than its half-width (at most MAX_CELLS
-cells); the bounds check reads its samples of V, and it passes when
-|m_mesh - m| <= ORACLE_TOL (1e-2).
+cells); the bounds check reads its samples of V, and, when the potential
+declares its pieces, compares each sample off a breakpoint with its piece;
+the oracle passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
 Checks are skipped only after the declared bounds fail.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
@@ -265,12 +266,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     v = np.append(problem.v_samples[inside], pot.evaluate(breaks))
     slack = 1e-9 * max(1.0, pot.upper_bound)
     bounds_ok = bool(np.all((v >= pot.lower_bound - slack) & (v <= pot.upper_bound + slack)))
-    record(
-        "bounds-declared",
-        bounds_ok,
+    detail = (
         f"sampled range [{v.min():.6g}, {v.max():.6g}] vs declared "
-        f"[{pot.lower_bound:.6g}, {pot.upper_bound:.6g}]",
+        f"[{pot.lower_bound:.6g}, {pot.upper_bound:.6g}]"
     )
+    if pot.pieces is not None:
+        # Declared pieces are trusted by the solve: every oracle node off a breakpoint checks them.
+        piece = np.searchsorted(pot.breakpoints, problem.nodes, side="right")
+        off = (problem.v_samples != np.asarray(pot.pieces)[piece]) & ~np.isin(
+            problem.nodes, pot.breakpoints
+        )
+        if off.any():
+            bounds_ok = False
+            detail += (
+                f"; {int(off.sum())} samples differ from the declared pieces, "
+                f"first at x = {problem.nodes[off][0]:.6g}"
+            )
+    record("bounds-declared", bounds_ok, detail)
     if not bounds_ok:
         for name in VERIFY_CHECKS[len(lines) :]:
             record(name, None, "skipped: declared bounds are wrong")

@@ -36,9 +36,15 @@ on the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
 maps once per side; the two solutions share its node array.  The initial
 mesh is uniform with spacing h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
 sqrt(v1), split at the window edges, at 0 and at the potential's
-breakpoints.  The first round samples V once, at the Gauss nodes of every
-initial cell and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells,
-so that no array of the round grows with the mesh: an array over ~128 KB
+breakpoints.  A potential that declares its pieces (``Potential.pieces``)
+is constant on each segment between these edges: the first round reads V
+once, at the segment midpoints, and raises SolverError unless each reads
+its declared piece c.  Each segment is then one run of flat cells with c,
+handled as below, and the cells of a segment too short to merge take c as
+their samples; no other point is sampled.  The first round samples any
+other potential once, at the Gauss nodes of every initial cell and of its
+two halves, in blocks of _SAMPLE_BLOCK // 3 cells, so that no array of
+the round grows with the mesh: an array over ~128 KB
 comes from fresh pages, a page fault per 4 KB, up to ~1 500 per solve on
 a high-contrast mesh.  Every block is sampled before any map is built,
 so a non-finite sample is refused wherever it lies.  A cell whose nine
@@ -371,29 +377,17 @@ def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
     return np.sort(np.concatenate(nodes))
 
 
-def _flat_runs(
-    lo: np.ndarray, hi: np.ndarray, flat: np.ndarray, c: np.ndarray, edges: list[float]
-):
-    """Cells laid across the runs of constant V, and the mask of the cells they replace.
+def _lay_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, counts: np.ndarray):
+    """Equal cells with theta = h sqrt(|c|) <= _THETA_MAX across runs [a, b] of constant V = c.
 
-    flat marks each cell [lo, hi] whose nine first-round samples are one
-    number, and c holds that cell's first sample.  Each maximal run of
-    adjacent flat cells that share c and cross no segment edge is
-    replaced by k equal cells with theta = h sqrt(|c|) <= _THETA_MAX, laid
-    out from the end nearer 0 as in ``_initial_mesh``, when k is fewer than
-    the cells of the run; a NaN sample is never equal to itself and an
-    infinite c needs infinitely many cells, so neither is replaced.
-    Returns the mask of the cells kept and (lo, hi, c) of the new cells, or
-    None when no run is replaced.
+    A run of counts cells is replaced by k such cells, laid out from the end
+    nearer 0 as in ``_initial_mesh``, when k is fewer than counts; a NaN c
+    is never replaced, and an infinite c needs infinitely many cells.
+    Returns the mask of the cells kept, over the runs' cells in order, and
+    (lo, hi, c) of the new cells, or None when no run is replaced.
     """
-    if not flat.any():
-        return None
-    joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
-    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-    counts = np.diff(np.append(starts, lo.size))
-    a, b, c = lo[starts], hi[starts + counts - 1], c[starts]
     k = np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
-    merge = flat[starts] & (k < counts)
+    merge = k < counts
     if not merge.any():
         return None
     a, b, c, k = a[merge], b[merge], c[merge], k[merge].astype(np.int64)
@@ -408,6 +402,52 @@ def _flat_runs(
     new_lo = np.minimum(x[pair], x[pair + 1])
     new_hi = np.maximum(x[pair], x[pair + 1])
     return ~np.repeat(merge, counts), new_lo, new_hi, c[run[pair]]
+
+
+def _flat_runs(
+    lo: np.ndarray, hi: np.ndarray, flat: np.ndarray, c: np.ndarray, edges: list[float]
+):
+    """Cells laid across the runs of constant V, and the mask of the cells they replace.
+
+    flat marks each cell [lo, hi] whose nine first-round samples are one
+    number, and c holds that cell's first sample.  Each maximal run of
+    adjacent flat cells that share c and cross no segment edge goes to
+    ``_lay_runs``; a cell that is not flat is a run of one, never replaced.
+    Returns what ``_lay_runs`` returns.
+    """
+    if not flat.any():
+        return None
+    joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
+    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+    counts = np.diff(np.append(starts, lo.size))
+    return _lay_runs(lo[starts], hi[starts + counts - 1], c[starts], counts)
+
+
+def _declared_runs(potential: Potential, nodes: np.ndarray, edges: list[float], blocks):
+    """``_refine``'s first round from the declared pieces: V is read at the segment midpoints only.
+
+    Each segment between consecutive edges lies in one piece, whose value c
+    it takes.  Segments that ``_lay_runs`` replaces need no sample; the
+    cells of the others get c at all nine Gauss points of each cell and its
+    halves, which is what sampling V there gives.  Returns the samples per
+    block, in the sampled round's layout, and what ``_lay_runs`` returns.
+    Raises SolverError unless V reads the declared piece at every segment
+    midpoint.
+    """
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    mid = 0.5 * (a + b)
+    c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]
+    v = np.asarray(potential.evaluate(mid), dtype=float)
+    if not np.array_equal(v, c):
+        k = int(np.flatnonzero(v != c)[0])
+        raise SolverError(
+            f"V({mid[k]:g}) = {v[k]:g}, but the potential declares {c[k]:g} on that piece; "
+            "the declared pieces are not honest"
+        )
+    counts = np.diff(np.searchsorted(nodes, edges))
+    per_cell = np.repeat(c, counts)
+    samples = [np.broadcast_to(per_cell[blk], (3, 3, per_cell[blk].size)) for blk in blocks]
+    return samples, _lay_runs(a, b, c, counts)
 
 
 def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
@@ -458,12 +498,14 @@ def _refine(
 ):
     """Cross runs of constant V in closed form; bisect other cells until each passes step doubling.
 
-    The first round samples V once, at the Gauss nodes of every initial cell
-    and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells, and takes
-    every sample before it builds any map.  Runs of constant V get
-    ``_flat_runs`` cells with the exact constant-V map; the other cells are
-    checked by step doubling on those samples, three blocks at a time, and
-    later rounds sample only the new halves, all at once.
+    The first round takes declared pieces from ``_declared_runs``, which
+    reads V at the segment midpoints only.  Otherwise it samples V once, at
+    the Gauss nodes of every initial cell and of its two halves, in blocks
+    of _SAMPLE_BLOCK // 3 cells, and takes every sample before it builds any
+    map.  Runs of constant V get ``_lay_runs`` cells with the exact
+    constant-V map; the other cells are checked by step doubling on their
+    samples, three blocks at a time, and later rounds sample only the new
+    halves, all at once.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     lo, hi = nodes[:-1], nodes[1:]
@@ -471,21 +513,24 @@ def _refine(
     blocks = [slice(i, i + size) for i in range(0, lo.size, size)]
     # samples[i][j, g, k]: V at Gauss node j of cell k of block i (g = 0),
     # or of its left (g = 1) or right (g = 2) half.
-    samples = []
-    for b in blocks:
-        h = hi[b] - lo[b]
-        half_lo, half_h = _halves(lo[b], hi[b])
-        points = _gauss_points(np.concatenate((lo[b], half_lo)), np.concatenate((h, half_h)))
-        samples.append(_samples(potential, points).reshape(3, 3, -1))
+    if potential.pieces is None:
+        samples = []
+        for b in blocks:
+            h = hi[b] - lo[b]
+            half_lo, half_h = _halves(lo[b], hi[b])
+            points = _gauss_points(np.concatenate((lo[b], half_lo)), np.concatenate((h, half_h)))
+            samples.append(_samples(potential, points).reshape(3, 3, -1))
+        runs = _flat_runs(
+            lo,
+            hi,
+            np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
+            np.concatenate([v[0, 0] for v in samples]),
+            edges,
+        )
+    else:
+        samples, runs = _declared_runs(potential, nodes, edges, blocks)
     done: list[tuple] = []
     keep = None
-    runs = _flat_runs(
-        lo,
-        hi,
-        np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
-        np.concatenate([v[0, 0] for v in samples]),
-        edges,
-    )
     if runs is not None:
         keep, run_lo, run_hi, c = runs
         done.append((run_lo, run_hi, *_magnus((c, c, c), run_hi - run_lo)))

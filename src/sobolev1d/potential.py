@@ -3,7 +3,8 @@
 Everything downstream works with essentially bounded potentials
 0 < v0 <= V(x) <= v1 < inf.  A :class:`Potential` bundles the evaluation
 callable with the declared bounds, the list of discontinuity locations,
-and (when known) the limits of V at -inf and +inf.  The declared data is
+(when known) the limits of V at -inf and +inf, and, for a V constant
+between its breakpoints, the value on each piece.  The declared data is
 trusted by the integrators, so the constructors in this module validate
 whatever can be validated cheaply.
 
@@ -57,6 +58,16 @@ class Potential:
         tail_limits: (limit at -inf, limit at +inf) when the potential has
             genuine limits, else None.
         label: short human-readable description used in reports.
+        pieces: the value of V on each interval between consecutive
+            breakpoints, left to right (len(breakpoints) + 1 values), when V
+            is constant between its breakpoints; None when not declared.
+            The side solve trusts a declaration: it lays the cells of each
+            piece from this table without sampling V inside it, and checks
+            only that V at the midpoint of each mesh segment reads the
+            declared value (SolverError otherwise).  A table that V
+            contradicts elsewhere gives a wrong m unless ``sobolev1d
+            verify`` is run, whose bounds check compares it with V at every
+            mesh-oracle node.
     """
 
     evaluate: Callable[[np.ndarray | float], np.ndarray | float]
@@ -65,6 +76,7 @@ class Potential:
     breakpoints: tuple[float, ...] = ()
     tail_limits: tuple[float, float] | None = None
     label: str = "potential"
+    pieces: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not (self.lower_bound > 0.0):
@@ -75,6 +87,18 @@ class Potential:
             )
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if self.pieces is not None:
+            if len(self.pieces) != len(self.breakpoints) + 1:
+                raise ValueError(
+                    f"{len(self.breakpoints)} breakpoints need {len(self.breakpoints) + 1} "
+                    f"pieces, got {len(self.pieces)}"
+                )
+            for v in self.pieces:
+                if not (self.lower_bound <= v <= self.upper_bound):
+                    raise ValueError(
+                        f"piece value {v:g} outside the declared bounds "
+                        f"[{self.lower_bound:g}, {self.upper_bound:g}]"
+                    )
 
     @property
     def continuous(self) -> bool:
@@ -94,6 +118,7 @@ class Potential:
             breakpoints=tuple(b + offset for b in self.breakpoints),
             tail_limits=self.tail_limits,
             label=f"{self.label} shifted by {offset:g}",
+            pieces=self.pieces,
         )
 
 
@@ -112,6 +137,7 @@ def make_constant(v: float) -> Potential:
         upper_bound=v,
         tail_limits=(v, v),
         label=f"constant {v:g}",
+        pieces=(v,),
     )
 
 
@@ -134,16 +160,15 @@ def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> 
         idx = np.searchsorted(edges_arr, np.asarray(x, dtype=float), side="right")
         return vals[idx]
 
-    jumps = tuple(
-        float(e) for e, lo, hi in zip(edges_arr, vals[:-1], vals[1:]) if lo != hi
-    )
+    jump = vals[:-1] != vals[1:]
     return Potential(
         evaluate=evaluate,
         lower_bound=float(vals.min()),
         upper_bound=float(vals.max()),
-        breakpoints=jumps,
+        breakpoints=tuple(edges_arr[jump].tolist()),
         tail_limits=(float(vals[0]), float(vals[-1])),
         label=f"piecewise constant ({vals.size} pieces)",
+        pieces=(float(vals[0]), *vals[1:][jump].tolist()),
     )
 
 

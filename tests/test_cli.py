@@ -378,6 +378,33 @@ def test_verify_flags_dishonest_bounds(capsys):
     assert out.splitlines()[0].startswith("FAIL bounds-declared")
 
 
+def test_verify_flags_pieces_that_v_contradicts_between_midpoints(capsys, monkeypatch):
+    """The solve reads V only at segment midpoints (0.5 in the well); a dip on [0.2, 0.4]
+    inside the bounds passes the range test, but not the check of the declared pieces."""
+    from sobolev1d import cli
+
+    honest = cli.potential_from_spec(
+        {"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4]}
+    )
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((0.2 <= x) & (x <= 0.4), 2.0, honest.evaluate(x))
+
+    lying = dataclasses.replace(honest, evaluate=evaluate)
+    solve_log_solution(lying, *default_window(lying))
+    monkeypatch.setattr(cli, "potential_from_spec", lambda spec: lying)
+    code, out, _ = run(capsys, "verify", "--potential", CONSTANT)
+    assert code == 4
+    first = out.splitlines()[0]
+    assert first.startswith("FAIL bounds-declared: sampled range [1, 4] vs declared [1, 4]; ")
+    assert "samples differ from the declared pieces, first at x = 0.2" in first
+    monkeypatch.setattr(cli, "potential_from_spec", lambda spec: honest)
+    code, out, _ = run(capsys, "verify", "--potential", CONSTANT)
+    assert code == 0
+    assert out.splitlines()[0] == "PASS bounds-declared: sampled range [1, 4] vs declared [1, 4]"
+
+
 def _dump_specs() -> dict:
     path = Path(__file__).resolve().parents[1] / "tools" / "dump_artifacts.py"
     spec = importlib.util.spec_from_file_location("dump_artifacts", path)

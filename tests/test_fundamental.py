@@ -172,7 +172,10 @@ def test_dishonest_bounds_rejected():
         solve_log_solution(lying, -12.0, 12.0)
     # r_minus peaks at 2 < 3, inside the wide band [1/sqrt(3), 3] but above sqrt(3).
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    understated = dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0)
+    # Its declared pieces would name the lie at construction; without them the solve does.
+    with pytest.raises(ValueError, match="outside the declared bounds"):
+        dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0)
+    understated = dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0, pieces=None)
     with pytest.raises(SolverError, match="invariant band"):
         solve_log_solution(understated, *WINDOW)
     # A smooth bump: its mesh is far above the plain loop's cutoff, so the
@@ -552,14 +555,16 @@ def test_finite_potential_above_its_bound_named_without_warnings():
 
 
 def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
-    pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    for sol in solve_log_solution(pot, -30.0, 30.0):
-        mesh = sol._mesh
-        assert {-1.0, 0.0, 1.0} <= set(mesh.tolist())
-        assert np.array_equal(mesh, -mesh[::-1])
-        assert mesh.size < 50
-        h = np.diff(mesh)
-        assert np.all(h * np.sqrt(pot.evaluate(mesh[:-1] + 0.5 * h)) <= 20.0)
+    """The same mesh from the declared pieces and, without them, from samples of V."""
+    declared = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
+    for pot in (declared, dataclasses.replace(declared, pieces=None)):
+        for sol in solve_log_solution(pot, -30.0, 30.0):
+            mesh = sol._mesh
+            assert {-1.0, 0.0, 1.0} <= set(mesh.tolist())
+            assert np.array_equal(mesh, -mesh[::-1])
+            assert mesh.size < 50
+            h = np.diff(mesh)
+            assert np.all(h * np.sqrt(pot.evaluate(mesh[:-1] + 0.5 * h)) <= 20.0)
 
 
 def test_smooth_potential_keeps_the_initial_spacing():
@@ -575,8 +580,9 @@ def test_smooth_potential_keeps_the_initial_spacing():
         make_example(1.0, 2.0),
         make_monotone_step(1.0, 300.0, width=0.2),
         make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+        dataclasses.replace(make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]), pieces=None),
     ],
-    ids=["example", "logistic-step", "pwc-well"],
+    ids=["example", "logistic-step", "pwc-well", "pwc-well-sampled"],
 )
 def test_both_sides_refine_to_the_same_mesh(pot, monkeypatch):
     """One refinement per pair: both sides share its mesh."""
@@ -592,6 +598,45 @@ def test_both_sides_refine_to_the_same_mesh(pot, monkeypatch):
     extremal(report)
     assert len(calls) == 1
     assert report.phi_plus._mesh is report.phi_minus._mesh
+
+
+def test_declared_pieces_are_read_at_the_segment_midpoints_only():
+    """A piecewise-constant V of contrast 302 (five pieces, six segments on its window):
+    V is read once per segment and at the two seeds, not at every initial cell."""
+    pot = make_piecewise_constant(
+        [-3.7755802158614706, -2.656024391697904, -1.049925191047997, 3.8060110803688323],
+        [9.973667544907764, 0.7152951714500524, 216.08678005579335, 2.511426080821351,
+         5.66518514493727],
+    )
+    window = default_window(pot)
+    segments = len(fundamental._segment_edges(pot, *window)) - 1
+
+    def points_and_mesh(p):
+        sizes = []
+
+        def evaluate(x):
+            sizes.append(np.size(x))
+            return p.evaluate(x)
+
+        plus, _ = solve_log_solution(dataclasses.replace(p, evaluate=evaluate), *window)
+        return sum(sizes), plus._mesh.size
+
+    points, nodes = points_and_mesh(pot)
+    assert segments == 6 and points <= segments + 2 and nodes == 15
+    assert points_and_mesh(dataclasses.replace(pot, pieces=None)) == (156_458, 15)
+
+
+def test_declared_pieces_that_v_contradicts_at_a_midpoint_are_refused():
+    well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
+    swapped = dataclasses.replace(well, pieces=(1.0, 4.0, 1.0))
+    with pytest.raises(SolverError, match=r"V\(-13\) = 4, but the potential declares 1"):
+        solve_log_solution(swapped, *WINDOW)
+    # A NaN at the midpoint of [0, 1] is no declared piece either.
+    holed = dataclasses.replace(
+        well, evaluate=lambda x: np.where(np.asarray(x) == 0.5, np.nan, well.evaluate(x))
+    )
+    with pytest.raises(SolverError, match=r"V\(0.5\) = nan, but the potential declares 1"):
+        solve_log_solution(holed, *WINDOW)
 
 
 def test_undeclared_bump_blocks_the_merge():
@@ -785,6 +830,16 @@ BLOCK_FAMILIES = {
     **DENSE_FAMILIES,
     "logistic-1-300": lambda: make_monotone_step(1.0, 300.0, width=0.2),
     "well-1e4": lambda: make_piecewise_constant([-1.0, 1.0], [1e4, 1.0, 1e4]),
+}
+
+
+def _undeclared(make):
+    return lambda: dataclasses.replace(make(), pieces=None)
+
+
+# Declared pieces skip the sampled first round; their undeclared twins keep it under test.
+BLOCK_FAMILIES |= {
+    f"{n}-sampled": _undeclared(BLOCK_FAMILIES[n]) for n in ("piecewise", "constant", "well-1e4")
 }
 
 

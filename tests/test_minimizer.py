@@ -274,6 +274,49 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
         assert exact.f(moved.a_star - shift) <= m * (1.0 + 1e-10)
 
 
+def _solved_bits(pot) -> list:
+    """Mesh, r and l of both sides, m, a* and every critical point, exactly."""
+    report = minimize(pot)
+    sides = (report.phi_plus, report.phi_minus)
+    arrays = [getattr(s, name).tobytes() for s in sides for name in ("_mesh", "_r", "_l")]
+    return arrays + [repr((report.m_value, report.a_star, report.attainment)),
+                     repr(report.critical_points + report.rejected_candidates)]
+
+
+def _assert_declared_pieces_leave_every_bit(pot) -> None:
+    """The declared pieces skip the first round's samples, not a bit of the result."""
+    assert pot.pieces is not None
+    assert _solved_bits(pot) == _solved_bits(dataclasses.replace(pot, pieces=None))
+
+
+@pytest.mark.parametrize("edges, values", _pwc_cases())
+def test_declared_pieces_leave_every_bit(edges, values):
+    _assert_declared_pieces_leave_every_bit(make_piecewise_constant(edges, values))
+
+
+def test_declared_pieces_of_constant_shifted_and_one_cell_pieces_leave_every_bit():
+    _assert_declared_pieces_leave_every_bit(make_constant(2.7))
+    well = make_piecewise_constant([-1.0, 0.5, 2.0], [4.0, 1.0, 9.0, 2.0])
+    _assert_declared_pieces_leave_every_bit(well.shifted(0.3137))
+    _assert_declared_pieces_leave_every_bit(well.shifted(-2.0))
+    # Segments [-1, -0.999] and [0, 5e-4] are shorter than one initial cell
+    # (h0 = 0.05/3): they are not merged, and step doubling checks them.
+    short = make_piecewise_constant([-1.0, -0.999, 5e-4], [4.0, 9.0, 1.0, 2.0])
+    _assert_declared_pieces_leave_every_bit(short)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    piecewise=st.integers(1, 6).flatmap(_pwc_edges_and_values),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_random_declared_pieces_leave_every_bit(piecewise, shift):
+    """Draws of the translation-invariance test's strategy, declared and undeclared."""
+    pot = make_piecewise_constant(*piecewise)
+    _assert_declared_pieces_leave_every_bit(pot)
+    _assert_declared_pieces_leave_every_bit(pot.shifted(shift))
+
+
 def test_translation_equivariance(example_report):
     shifted = minimize(make_example(cf.A, cf.B).shifted(3.0))
     assert abs(shifted.m_value - example_report.m_value) < 1e-9
