@@ -31,33 +31,36 @@ cell; longer meshes compose the maps in pairs, recursively (Kogge & Stone
 1973), which keeps r within a few dozen ulps of the exact recurrence of the
 same float maps and bitwise equal to the loop on short meshes.
 
-Mesh and error control.  The mesh depends on V, the window and tol, not
-on the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
-maps once per side; the two solutions share its node array.  The initial
-mesh is uniform with spacing h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
-sqrt(v1), split at the window edges, at 0 and at the potential's
-breakpoints.  A potential that declares its pieces (``Potential.pieces``)
-is constant on each segment between these edges: the first round reads V
-once, at the segment midpoints, and raises SolverError unless each reads
-its declared piece c.  Each segment is then one run of flat cells with c,
-handled as below, and the cells of a segment too short to merge take c as
-their samples; no other point is sampled.  The first round samples any
-other potential once, at the Gauss nodes of every initial cell and of its
-two halves, in blocks of _SAMPLE_BLOCK // 3 cells, so that no array of
-the round grows with the mesh: an array over ~128 KB
-comes from fresh pages, a page fault per 4 KB, up to ~1 500 per solve on
-a high-contrast mesh.  Every block is sampled before any map is built,
-so a non-finite sample is refused wherever it lies.  A cell whose nine
-samples are one number c is flat.  Each maximal run of flat cells that
-share c and cross no edge (they may cross blocks) is replaced by equal cells
-with theta = h sqrt(|c|) <= 20, laid out from the end nearer 0, when that
-takes fewer cells than the run had; their map is the exact one of
-constant V, so they need no check and no further sample.  Where one
-sample differs, the cell is treated as if no run existed.  Every other
+Mesh and error control.  The mesh depends on V, the window and tol, not on
+the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
+maps once per side; the two solutions share its node array.  The window is
+split at 0 and at the potential's breakpoints into segments, and every cell
+is laid by one rule (``_lay``): k equal cells on a segment or run, laid out
+from the end nearer 0 with exact ends, so the mesh of a window symmetric
+about 0 is bitwise mirror-symmetric.  A segment [a, b] needs
+ceil((b - a)/h0) initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
+sqrt(v1); more than MAX_CELLS raise SolverError before V is read.  Across a
+stretch of constant V = c, equal cells with theta = h sqrt(|c|) <= 20 and
+the exact map of constant V need no check, and are used when they take
+fewer cells than the initial ones.  A potential that declares its pieces
+(``Potential.pieces``) is constant on each segment: V is read once, at the
+segment midpoints, SolverError is raised unless each reads its declared
+piece c, and each segment gets the theta <= 20 cells of c with the exact
+map (never more than its initial cells); that is the whole mesh.
+Any other potential is sampled once, at the Gauss nodes of every initial
+cell and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells, so that
+no array of the round grows with the mesh: an array over ~128 KB comes from
+fresh pages, a page fault per 4 KB, up to ~1 500 per solve on a
+high-contrast mesh.  Every block is sampled before any map is built, so a
+non-finite sample is refused wherever it lies.  A cell whose nine samples
+are one number c is flat.  Each maximal run of flat cells that share c and
+cross no edge (they may cross blocks) is one stretch of constant V, laid as
+above when that takes fewer cells than the run had.  Where one sample
+differs, the cell is treated as if no run existed.  Every other sampled
 cell is checked by step doubling (one step against two half steps, three
-blocks at a time in the first round, all cells at once later); the
-matrix difference is converted to r and l units with |r| <= sqrt(v1), and
-cells over their budget are bisected until all pass.  The budget is
+blocks at a time in the first round, all cells at once later); the matrix
+difference is converted to r and l units with |r| <= sqrt(v1), and cells
+over their budget are bisected until all pass.  The budget is
 2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(1e-13,
 tol/1000)): errors in r decay at rate 2 sqrt(v0) along the flow, so the
 dense output carries r to about itol.  A floor of a few dozen ulps keeps
@@ -72,8 +75,8 @@ run the same operations in the same order.  The float path locates each
 point's cell (``LogSolution._cell``), samples V at the Gauss nodes of every
 step in one potential.evaluate call, and steps from the node
 (``LogSolution._step``), so a read of both sides at one pin evaluates V
-once, not once per side.  0 is a mesh node, so l(0) = 0 exactly and a
-solve makes no off-mesh read.
+once, not once per side.  0 is a mesh node, so l(0) = 0 exactly and a solve
+makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
@@ -356,98 +359,53 @@ def _sample_grid(solution: LogSolution) -> np.ndarray:
     return grid[keep]
 
 
-def _initial_mesh(edges: list[float], h0: float) -> np.ndarray:
-    """Uniform nodes of spacing <= h0 on each piece between consecutive edges.
+def _lay(a: np.ndarray, b: np.ndarray, k: np.ndarray):
+    """(lo, hi) of k[i] equal cells on each [a[i], b[i]], in increasing order.
 
-    Each piece is laid out from its end nearer 0, so the mesh of a window
-    symmetric about 0 is bitwise mirror-symmetric.  More than MAX_CELLS
-    cells raise SolverError before any node is allocated.
+    Each interval is laid out from its end nearer 0, with its ends exact, so
+    the mesh of a window symmetric about 0 is bitwise mirror-symmetric.
     """
-    pieces = list(zip(edges[:-1], edges[1:]))
-    counts = [int(math.ceil((hi - lo) / h0)) for lo, hi in pieces]
-    if sum(counts) > MAX_CELLS:
-        raise SolverError(
-            f"the initial mesh needs {sum(counts)} cells, more than {MAX_CELLS}; "
-            "narrow the window or loosen the tolerance"
-        )
-    nodes = [np.asarray(edges, dtype=float)]
-    for (lo, hi), n in zip(pieces, counts):
-        near, far = (lo, hi) if lo >= 0.0 else (hi, lo)
-        nodes.append(near + (far - near) * (np.arange(1, n) / n))
-    return np.sort(np.concatenate(nodes))
+    nodes = []
+    for near, far, n in zip(a.tolist(), b.tolist(), k.tolist()):
+        flip = near < 0.0
+        if flip:
+            near, far = far, near
+        x = near + (far - near) * (np.arange(n + 1) / n)
+        x[0], x[-1] = near, far
+        nodes.append(x[::-1] if flip else x)
+    return np.concatenate([x[:-1] for x in nodes]), np.concatenate([x[1:] for x in nodes])
 
 
-def _lay_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, counts: np.ndarray):
-    """Equal cells with theta = h sqrt(|c|) <= _THETA_MAX across runs [a, b] of constant V = c.
-
-    A run of counts cells is replaced by k such cells, laid out from the end
-    nearer 0 as in ``_initial_mesh``, when k is fewer than counts; a NaN c
-    is never replaced, and an infinite c needs infinitely many cells.
-    Returns the mask of the cells kept, over the runs' cells in order, and
-    (lo, hi, c) of the new cells, or None when no run is replaced.
-    """
-    k = np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
-    merge = k < counts
-    if not merge.any():
-        return None
-    a, b, c, k = a[merge], b[merge], c[merge], k[merge].astype(np.int64)
-    near, far = np.where(a >= 0.0, a, b), np.where(a >= 0.0, b, a)
-    # Node j = 0..k of each run, flattened run after run.
-    run = np.repeat(np.arange(k.size), k + 1)
-    first = np.cumsum(k + 1) - (k + 1)
-    j = np.arange(run.size) - first[run]
-    x = near[run] + (far - near)[run] * (j / k[run])
-    x = np.where(j == 0, near[run], np.where(j == k[run], far[run], x))
-    pair = np.delete(np.arange(run.size - 1), first[1:] - 1)
-    new_lo = np.minimum(x[pair], x[pair + 1])
-    new_hi = np.maximum(x[pair], x[pair + 1])
-    return ~np.repeat(merge, counts), new_lo, new_hi, c[run[pair]]
+def _theta_cells(a, b, c) -> np.ndarray:
+    """Fewest equal cells with theta = h sqrt(|c|) <= _THETA_MAX on [a, b] at V = c, as floats."""
+    return np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
 
 
 def _flat_runs(
     lo: np.ndarray, hi: np.ndarray, flat: np.ndarray, c: np.ndarray, edges: list[float]
 ):
-    """Cells laid across the runs of constant V, and the mask of the cells they replace.
+    """Cells laid across the runs of constant V, and the mask of the cells left in place.
 
     flat marks each cell [lo, hi] whose nine first-round samples are one
     number, and c holds that cell's first sample.  Each maximal run of
-    adjacent flat cells that share c and cross no segment edge goes to
-    ``_lay_runs``; a cell that is not flat is a run of one, never replaced.
-    Returns what ``_lay_runs`` returns.
+    adjacent flat cells that share c and cross no segment edge is replaced
+    by ``_theta_cells`` cells, laid by ``_lay``, when that takes fewer cells
+    than the run had; a cell that is not flat is a run of one, never
+    replaced.  Returns the mask of the cells kept and (lo, hi, c) of the new
+    cells, or None when no run is replaced.
     """
     if not flat.any():
         return None
     joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
     starts = np.flatnonzero(np.concatenate(([True], ~joined)))
     counts = np.diff(np.append(starts, lo.size))
-    return _lay_runs(lo[starts], hi[starts + counts - 1], c[starts], counts)
-
-
-def _declared_runs(potential: Potential, nodes: np.ndarray, edges: list[float], blocks):
-    """``_refine``'s first round from the declared pieces: V is read at the segment midpoints only.
-
-    Each segment between consecutive edges lies in one piece, whose value c
-    it takes.  Segments that ``_lay_runs`` replaces need no sample; the
-    cells of the others get c at all nine Gauss points of each cell and its
-    halves, which is what sampling V there gives.  Returns the samples per
-    block, in the sampled round's layout, and what ``_lay_runs`` returns.
-    Raises SolverError unless V reads the declared piece at every segment
-    midpoint.
-    """
-    a, b = np.array(edges[:-1]), np.array(edges[1:])
-    mid = 0.5 * (a + b)
-    c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]
-    v = np.asarray(potential.evaluate(mid), dtype=float)
-    if not np.array_equal(v, c):
-        k = int(np.flatnonzero(v != c)[0])
-        raise SolverError(
-            f"V({mid[k]:g}) = {v[k]:g}, but the potential declares {c[k]:g} on that piece; "
-            "the declared pieces are not honest"
-        )
-    counts = np.diff(np.searchsorted(nodes, edges))
-    per_cell = np.repeat(c, counts)
-    samples = [np.broadcast_to(per_cell[blk], (3, 3, per_cell[blk].size)) for blk in blocks]
-    return samples, _lay_runs(a, b, c, counts)
+    a, b, c = lo[starts], hi[starts + counts - 1], c[starts]
+    k = _theta_cells(a, b, c)
+    merge = k < counts
+    if not merge.any():
+        return None
+    k = k[merge].astype(np.int64)
+    return ~np.repeat(merge, counts), *_lay(a[merge], b[merge], k), np.repeat(c[merge], k)
 
 
 def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
@@ -493,42 +451,62 @@ def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, halves, 
 # Finite samples far above the declared bound overflow the cell maps; the
 # finiteness test of the doubling error names that case, so it need not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def _refine(
-    potential: Potential, nodes: np.ndarray, edges: list[float], per_length: float, s1: float
-):
-    """Cross runs of constant V in closed form; bisect other cells until each passes step doubling.
+def _refine(potential: Potential, edges: list[float], h0: float, per_length: float, s1: float):
+    """Lay the mesh of the segments between edges and refine it until each cell passes.
 
-    The first round takes declared pieces from ``_declared_runs``, which
-    reads V at the segment midpoints only.  Otherwise it samples V once, at
-    the Gauss nodes of every initial cell and of its two halves, in blocks
-    of _SAMPLE_BLOCK // 3 cells, and takes every sample before it builds any
-    map.  Runs of constant V get ``_lay_runs`` cells with the exact
-    constant-V map; the other cells are checked by step doubling on their
-    samples, three blocks at a time, and later rounds sample only the new
-    halves, all at once.
+    Each segment [a, b] needs ceil((b - a)/h0) initial cells; more than
+    MAX_CELLS in all raise SolverError before V is read.  Declared pieces
+    are read at the segment midpoints only: each segment then gets
+    ``_theta_cells`` cells of its piece c, with the exact constant-V map,
+    and the mesh is done; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, these are
+    never more than its initial cells.  Any other potential is sampled
+    once, at the Gauss nodes of every initial cell and of its two halves,
+    in blocks of _SAMPLE_BLOCK // 3 cells, and every sample is taken before
+    any map is built.  Runs of constant V get
+    ``_flat_runs`` cells with the exact constant-V map; the other cells are
+    checked by step doubling on their samples, three blocks at a time, and
+    later rounds sample only the new halves, all at once.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
-    lo, hi = nodes[:-1], nodes[1:]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    counts = np.ceil((b - a) / h0)
+    if counts.sum() > MAX_CELLS:
+        raise SolverError(
+            f"the initial mesh needs {counts.sum():.0f} cells, more than {MAX_CELLS}; "
+            "narrow the window or loosen the tolerance"
+        )
+    if potential.pieces is not None:
+        mid = 0.5 * (a + b)
+        c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]
+        v = np.asarray(potential.evaluate(mid), dtype=float)
+        if not np.array_equal(v, c):
+            i = int(np.flatnonzero(v != c)[0])
+            raise SolverError(
+                f"V({mid[i]:g}) = {v[i]:g}, but the potential declares {c[i]:g} on that piece; "
+                "the declared pieces are not honest"
+            )
+        k = _theta_cells(a, b, c).astype(np.int64)
+        lo, hi = _lay(a, b, k)
+        c = np.repeat(c, k)
+        return [lo, hi, *_magnus((c, c, c), hi - lo)]
+    lo, hi = _lay(a, b, counts.astype(np.int64))
     size = _SAMPLE_BLOCK // 3
     blocks = [slice(i, i + size) for i in range(0, lo.size, size)]
     # samples[i][j, g, k]: V at Gauss node j of cell k of block i (g = 0),
     # or of its left (g = 1) or right (g = 2) half.
-    if potential.pieces is None:
-        samples = []
-        for b in blocks:
-            h = hi[b] - lo[b]
-            half_lo, half_h = _halves(lo[b], hi[b])
-            points = _gauss_points(np.concatenate((lo[b], half_lo)), np.concatenate((h, half_h)))
-            samples.append(_samples(potential, points).reshape(3, 3, -1))
-        runs = _flat_runs(
-            lo,
-            hi,
-            np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
-            np.concatenate([v[0, 0] for v in samples]),
-            edges,
-        )
-    else:
-        samples, runs = _declared_runs(potential, nodes, edges, blocks)
+    samples = []
+    for blk in blocks:
+        h = hi[blk] - lo[blk]
+        half_lo, half_h = _halves(lo[blk], hi[blk])
+        points = _gauss_points(np.concatenate((lo[blk], half_lo)), np.concatenate((h, half_h)))
+        samples.append(_samples(potential, points).reshape(3, 3, -1))
+    runs = _flat_runs(
+        lo,
+        hi,
+        np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
+        np.concatenate([v[0, 0] for v in samples]),
+        edges,
+    )
     done: list[tuple] = []
     keep = None
     if runs is not None:
@@ -747,8 +725,8 @@ def solve_log_solution(
     """Integrate both decaying branches of r' = V - r^2 across the window.
 
     Returns (phi_plus, phi_minus) on one adaptive mesh (split at 0 and at
-    the potential's breakpoints, refined by step doubling), which the two
-    solutions share.  Each cell is crossed by one sixth-order Magnus step
+    the potential's breakpoints, refined by step doubling where V varies),
+    which the two solutions share.  Each cell is crossed by one sixth-order Magnus step
     applied to r as a Moebius map: side "-" forward from x_min seeded with
     +sqrt(V) there, side "+" backward from x_max seeded with -sqrt(V).
     l = log phi gets the log of the map's denominator, summed outward from
@@ -769,9 +747,7 @@ def solve_log_solution(
     internal_tol = min(3e-10, max(1e-13, tol / 1000.0))
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
     edges = _segment_edges(potential, x_min, x_max)
-    lo, hi, cm1, P, Q, R = _refine(
-        potential, _initial_mesh(edges, h0), edges, 2.0 * s0 * internal_tol, s1
-    )
+    lo, hi, cm1, P, Q, R = _refine(potential, edges, h0, 2.0 * s0 * internal_tol, s1)
     mesh = np.append(lo, hi[-1])
 
     # Sweep in each side's attracting direction: forward for "-", backward

@@ -47,12 +47,12 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class Potential:
-    """A bounded potential 0 < lower_bound <= V <= upper_bound.
+    """A bounded potential 0 < lower_bound <= V <= upper_bound < inf.
 
     Attributes:
         evaluate: vectorized callable, float or ndarray in, same shape out.
-        lower_bound: declared essential infimum v0 (> 0).
-        upper_bound: declared essential supremum v1 (>= v0).
+        lower_bound: declared essential infimum v0 (> 0, finite).
+        upper_bound: declared essential supremum v1 (>= v0, finite).
         breakpoints: sorted locations where V may jump; integrators split
             their meshes here.  Empty for continuous potentials.
         tail_limits: (limit at -inf, limit at +inf) when the potential has
@@ -79,6 +79,10 @@ class Potential:
     pieces: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
+            raise ValueError(
+                f"declared bounds must be finite, got [{self.lower_bound}, {self.upper_bound}]"
+            )
         if not (self.lower_bound > 0.0):
             raise ValueError(f"lower bound must be positive, got {self.lower_bound}")
         if not (self.upper_bound >= self.lower_bound):

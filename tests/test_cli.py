@@ -335,6 +335,21 @@ def test_bad_window_or_lattice_exits_2_before_solving(capsys, monkeypatch, argv,
     assert f"configuration error: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind": "piecewise_constant", "edges": [0], "values": [1, 1e400]}',
+        '{"kind": "step", "v0": 1, "v1": 1e400}',
+        '{"kind": "table", "x": [0, 1, 2, 3], "v": [1, 1, 1, 1], "upper_bound": 1e400}',
+    ],
+    ids=["piecewise", "step", "table"],
+)
+def test_infinite_bound_is_a_configuration_error(capsys, spec):
+    code, out, err = run(capsys, "solve", "--potential", spec)
+    assert (code, out) == (2, "")
+    assert "configuration error: declared bounds must be finite" in err
+
+
 def test_cli_exports_only_main():
     from sobolev1d import cli
 

@@ -857,6 +857,63 @@ def test_first_round_blocks_leave_every_bit(family, monkeypatch):
                 assert getattr(side, name).tobytes() == getattr(first, name).tobytes()
 
 
+def _assert_solved_as_undeclared(pot):
+    """Declared pieces give the mesh, r and l that sampling V gives, bit for bit."""
+    window = default_window(pot)
+    sampled = solve_log_solution(dataclasses.replace(pot, pieces=None), *window)
+    for side, twin in zip(solve_log_solution(pot, *window), sampled):
+        for name in ("_mesh", "_r", "_l"):
+            assert getattr(side, name).tobytes() == getattr(twin, name).tobytes()
+
+
+DECLARED_FAMILIES = {
+    "constant-1e-4": lambda: make_constant(1e-4),
+    "constant-1": lambda: make_constant(1.0),
+    "constant-4e4": lambda: make_constant(4e4),
+    **{name: BLOCK_FAMILIES[name] for name in ("piecewise", "constant", "well-1e4")},
+}
+
+
+@pytest.mark.parametrize("family", list(DECLARED_FAMILIES))
+def test_declared_pieces_lay_the_mesh_that_sampling_refines(family):
+    _assert_solved_as_undeclared(DECLARED_FAMILIES[family]())
+
+
+def test_declared_random_steps_lay_the_mesh_that_sampling_refines():
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        _assert_solved_as_undeclared(random_piecewise_constant(rng))
+
+
+def test_declared_pieces_take_no_step_doubling(monkeypatch):
+    """One-cell segments get their piece's exact map; an oversized mesh is refused unread."""
+    doubled = []
+    double = fundamental._double
+
+    def counted(*args):
+        doubled.append(args[1].size)
+        return double(*args)
+
+    monkeypatch.setattr(fundamental, "_double", counted)
+    for pot in (
+        make_piecewise_constant([0.3137, 0.3147], [1.0, 4.0, 1.0]),
+        make_piecewise_constant([0.3137, 0.3147], [4.0, 1.0, 4.0]),
+        make_constant(2.0),
+    ):
+        solve_log_solution(pot, *default_window(pot))
+    assert doubled == []
+    wall = make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6])
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(np.size(x))
+        return wall.evaluate(x)
+
+    with pytest.raises(SolverError, match="cells"):
+        solve_log_solution(dataclasses.replace(wall, evaluate=evaluate), *WINDOW)
+    assert evaluated == [] and doubled == []
+
+
 def test_a_non_finite_sample_is_named_before_an_earlier_block_overflows(monkeypatch):
     """Every block is sampled before any map is built, so a NaN right of x = 10 is
     refused as non-finite although the maps left of x = -10 overflow first."""

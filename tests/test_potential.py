@@ -6,6 +6,7 @@ import pytest
 
 import _closed_forms as cf
 from sobolev1d import (
+    Potential,
     make_constant,
     make_example,
     make_monotone_step,
@@ -86,6 +87,17 @@ def test_declared_pieces_are_checked_against_the_breakpoints_and_bounds():
         dataclasses.replace(pot, pieces=(4.0, math.nan, 4.0))
     with pytest.raises(ValueError, match=r"piece value 1 outside the declared bounds \[2, 4\]"):
         dataclasses.replace(pot, lower_bound=2.0)
+
+
+def test_non_finite_bounds_refused():
+    with pytest.raises(ValueError, match=r"declared bounds must be finite, got \[1.0, inf\]"):
+        Potential(lambda x: x, 1.0, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        Potential(lambda x: x, math.nan, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        make_constant(math.inf)
+    with pytest.raises(ValueError, match=r"finite, got \[inf, inf\]"):
+        make_example(1.0, 1e200)
 
 
 def test_monotone_step_limits():
