@@ -71,11 +71,12 @@ backward from the right node for "+"), on one of two paths: an array of
 points in one vectorized pass per side, or single points in float
 arithmetic (``_dense_one``), which skips numpy's per-call cost on
 one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
-run the same operations in the same order.  The float path locates each
-point's cell (``LogSolution._cell``), samples V at the Gauss nodes of every
-step in one potential.evaluate call, and steps from the node
-(``LogSolution._step``), so a read of both sides at one pin evaluates V
-once, not once per side.  0 is a mesh node, so l(0) = 0 exactly and a solve
+run the same operations in the same order.  The float path makes one pass
+over its reads: it checks each point against the window, locates its cell
+by ``bisect`` on a memoryview of the mesh, whose items are floats, samples
+V at the Gauss nodes of every step in one potential.evaluate call, and
+steps from each node, so a read of both sides at one pin evaluates V once,
+not once per side.  0 is a mesh node, so l(0) = 0 exactly and a solve
 makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
@@ -103,6 +104,7 @@ points on its own side of a (G and F = 1/G(a, a) read the pair through
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -217,17 +219,22 @@ def _curve_window(potential: Potential, window: tuple[float, float]) -> tuple[fl
     return window[0] + inset, window[1] - inset
 
 
+def _slack(window: tuple[float, float]) -> tuple[float, float]:
+    """The window widened by a tiny slack for roundoff at the endpoints themselves."""
+    lo, hi = window
+    eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    return lo - eps, hi + eps
+
+
 def _check_inside(x, window: tuple[float, float], what: str) -> None:
     """Raise ValueError unless x (a point or an array) lies in the window; NaN never does."""
-    lo, hi = window
-    # Tiny slack for roundoff at the endpoints themselves.
-    eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    lo, hi = _slack(window)
     if isinstance(x, np.ndarray) and x.ndim:
-        inside = np.all((lo - eps <= x) & (x <= hi + eps))
+        inside = np.all((lo <= x) & (x <= hi))
     else:
-        inside = lo - eps <= x <= hi + eps
+        inside = lo <= x <= hi
     if not inside:
-        raise ValueError(f"{what} [{lo:g}, {hi:g}]")
+        raise ValueError(f"{what} [{window[0]:g}, {window[1]:g}]")
 
 
 def _is_point(x) -> bool:
@@ -618,6 +625,16 @@ class LogSolution:
     _mesh: np.ndarray = field(repr=False)
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
+    # What ``_dense_one`` reads: the window widened by ``_slack``, the mesh
+    # ends as floats, and memoryviews of the mesh, r and l, whose items are
+    # Python floats and which ``bisect`` searches as ``searchsorted`` does.
+    _floats: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        mesh = self._mesh
+        floats = (*_slack(self.window), float(mesh[0]), float(mesh[-1]),
+                  *map(memoryview, (mesh, self._r, self._l)))
+        object.__setattr__(self, "_floats", floats)
 
     def _dense(self, x):
         """(r, l) at x by a partial Magnus step from the node on the stable side.
@@ -652,45 +669,6 @@ class LogSolution:
         l = self._l[k] + np.log1p(du)
         return r.reshape(xs.shape), l.reshape(xs.shape)
 
-    def _cell(self, x: float) -> tuple[int, float, float]:
-        """``_dense``'s cell for one point: the node k it steps from and the step [lo, lo + h]."""
-        _check_inside(x, self.window, "position outside solved window")
-        mesh = self._mesh
-        x = min(max(x, float(mesh[0])), float(mesh[-1]))
-        if self.side == "-":
-            k = min(max(int(mesh.searchsorted(x, side="right")) - 1, 0), mesh.size - 2)
-            lo = float(mesh[k])
-            return k, lo, x - lo
-        k = min(max(int(mesh.searchsorted(x, side="left")), 1), mesh.size - 1)
-        return k, x, float(mesh[k]) - x
-
-    def _step(self, k: int, h: float, v1: float, v2: float, v3: float) -> tuple[float, float]:
-        """(r, l) after a step of length h from node k, in ``_dense``'s direction.
-
-        v1, v2, v3 are V at the step's Gauss nodes.  ``_magnus``'s
-        exponential is taken by one branch.  To stay bitwise equal to the
-        array path, sinh, sin and log1p go through numpy, whose loops can
-        round differently from ``math``'s; sqrt is correctly rounded either
-        way, and squares are products, as numpy's ``** 2`` is.
-        """
-        p, q, s = _omega(v1, v2, v3, h)
-        z = p * p + q * s
-        t = math.sqrt(abs(z))
-        if z >= 0.0:
-            half, whole = float(np.sinh(0.5 * t)), float(np.sinh(t))
-            cm1 = 2.0 * (half * half)
-        else:
-            half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
-            cm1 = -2.0 * (half * half)
-        shc = whole / t if t > 0.0 else 1.0
-        sign = 1.0 if self.side == "-" else -1.0
-        P, Q, R = sign * (shc * p), sign * (shc * q), sign * (shc * s)
-        r0 = float(self._r[k])
-        du = cm1 + P + Q * r0
-        r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
-        l = float(self._l[k]) + float(np.log1p(du))
-        return r, l
-
     def ell_at(self, x):
         """log phi(x), normalized to vanish at 0."""
         return self._dense(x)[1]
@@ -700,12 +678,16 @@ class LogSolution:
         return self._dense(x)[0]
 
     def ell_second_at(self, x):
-        """l''(x) = V(x) - r(x)^2, algebraically from the Riccati equation."""
+        """l''(x) = V(x) - r(x)^2, algebraically from the Riccati equation.
+
+        A non-finite V(x) raises SolverError, for a point and for an array.
+        """
         if _is_point(x):
             ((r, _),), v = _dense_one(((self, float(x)),), float(x))
             return v - r * r
         r, _ = self._dense(x)
-        return np.asarray(self.potential.evaluate(np.asarray(x, dtype=float)), dtype=float) - r * r
+        x = np.asarray(x, dtype=float)
+        return _samples(self.potential, x.ravel()).reshape(x.shape) - r * r
 
     def phi_at(self, x):
         """phi(x) = exp(ell(x)); phi(0) = 1.
@@ -793,29 +775,61 @@ def solve_log_solution(
 
 
 def _dense_one(reads, pin: float | None = None):
-    """``_dense`` of each (solution, point) in reads, in floats, with V sampled in one call.
+    """``_dense`` of each (solution, point) in reads, in float arithmetic, V sampled in one call.
 
-    Each point is located by ``_cell`` and stepped to by ``_step``; the
-    Gauss nodes of all the steps, and the pin after them when one is given,
-    go to one potential.evaluate call.  Returns the (r, l) floats of each
-    read and V at the pin (None without one).  A non-finite V at a Gauss
-    node raises SolverError, as the solve does.
+    Each point is checked against its window and located as the array path
+    locates it; the Gauss nodes of all the steps, and the pin after them
+    when one is given, go to one potential.evaluate call; then each read
+    steps from its node, taking ``_magnus``'s exponential by one branch.  To
+    stay bitwise equal to the array path, sinh, sin and log1p go through
+    numpy, whose loops can round differently from ``math``'s; sqrt is
+    correctly rounded either way, and squares are products, as numpy's
+    ``** 2`` is.  Returns the (r, l) floats of each read and V at the pin
+    (None without one).  A non-finite V, at a Gauss node or at the pin,
+    raises SolverError, as the solve does.
     """
     cells, nodes = [], []
     for solution, x in reads:
-        k, lo, h = solution._cell(x)
-        cells.append((solution, k, h))
+        inside_lo, inside_hi, first, last, mesh, rs, ls = solution._floats
+        if not inside_lo <= x <= inside_hi:
+            _check_inside(x, solution.window, "position outside solved window")
+        # Clamped to the mesh ends, x can fall off only one end of the cells.
+        x = min(max(x, first), last)
+        if solution.side == "-":
+            # Forward from the left node of the cell holding x.
+            k = min(bisect.bisect_right(mesh, x) - 1, len(mesh) - 2)
+            lo = mesh[k]
+            h = x - lo
+        else:
+            # Backward from the right node of the cell holding x.
+            k = max(bisect.bisect_left(mesh, x), 1)
+            lo, h = x, mesh[k] - x
+        cells.append((solution.side, rs[k], ls[k], h))
         nodes += _gauss_nodes(lo, h)
-    n = len(nodes)
     if pin is not None:
         nodes.append(pin)
     v = np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
-    if not all(map(math.isfinite, v[:n])):
+    if not all(map(math.isfinite, v)):
         raise SolverError(_NON_FINITE)
     steps = []
-    for j, (solution, k, h) in enumerate(cells):
-        steps.append(solution._step(k, h, v[3 * j], v[3 * j + 1], v[3 * j + 2]))
-    return steps, (v[n] if pin is not None else None)
+    for j, (side, r0, l0, h) in enumerate(cells):
+        p, q, s = _omega(v[3 * j], v[3 * j + 1], v[3 * j + 2], h)
+        z = p * p + q * s
+        t = math.sqrt(abs(z))
+        if z >= 0.0:
+            half, whole = float(np.sinh(0.5 * t)), float(np.sinh(t))
+            cm1 = 2.0 * (half * half)
+        else:
+            half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
+            cm1 = -2.0 * (half * half)
+        shc = whole / t if t > 0.0 else 1.0
+        P, Q, R = shc * p, shc * q, shc * s
+        if side == "+":
+            P, Q, R = -P, -Q, -R
+        du = cm1 + P + Q * r0
+        r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
+        steps.append((r, l0 + float(np.log1p(du))))
+    return steps, (v[-1] if pin is not None else None)
 
 
 def _check_pair(phi_plus: LogSolution, phi_minus: LogSolution) -> float:
@@ -872,7 +886,8 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: boo
     Arrays otherwise, by one dense read per side: for a point y each side
     reads only the x on its own side of y, and y itself once; for an array
     y each side reads the broadcast min or max.  At x = y both sides are
-    read at the same pins, which is what F needs.
+    read at the same pins, which is what F needs.  A non-finite V at x
+    raises SolverError on either path, as one at a Gauss node does.
     """
     if _is_point(x) and _is_point(y):
         x, y = float(x), float(y)
@@ -895,7 +910,7 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: boo
 
         rm, lm = (spread(left, c) for c in phi_minus._dense(np.append(x[left], y)))
         rp, lp = (spread(~left, c) for c in phi_plus._dense(np.append(x[~left], y)))
-    v = np.asarray(phi_plus.potential.evaluate(x), dtype=float) if v_at_x else None
+    v = _samples(phi_plus.potential, x.ravel()).reshape(x.shape) if v_at_x else None
     return PinReads(rp, rm, lp, lm, v), left
 
 
@@ -1025,6 +1040,10 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
       interval about 0 one decay inset inside the window.  The slope is
       checked as log|u_a'| = log u_a + log|u_a'/u_a|, its sign from the
       rate u_a'/u_a alone, so no u_a underflows at high contrast.
+
+    Each side is read once on the grid.  Each u_a's log u_a and u_a'/u_a
+    come from those two reads and ``ExtremalFunction._at_center``, bitwise
+    what ``ExtremalFunction._reads`` gives at the same points.
     """
     pot = phi_plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
@@ -1039,17 +1058,20 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
         worst[name] = max(worst.get(name, 0.0), v)
 
     x = _sample_grid(phi_plus)
-    _, lp = phi_plus._dense(x)
+    rp, lp = phi_plus._dense(x)
     record("phi_plus_upper", lp - (0.5 * math.log(v1 / v0) - np.minimum(s0 * x, s1 * x)))
     record("phi_plus_lower", (0.5 * math.log(v0 / v1) - np.maximum(s0 * x, s1 * x)) - lp)
-    _, lm = phi_minus._dense(x)
+    rm, lm = phi_minus._dense(x)
     record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * x, s1 * x)))
     record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * x, s1 * x)) - lm)
 
     for a in (-0.5 * r, 0.0, 0.5 * r):
-        u = extremal_function(phi_plus, phi_minus, a)
-        xs = x[np.abs(x - a) > 1e-9]
-        logu, rate = u._reads(xs)
+        la_p, la_m = extremal_function(phi_plus, phi_minus, a)._at_center
+        off = np.abs(x - a) > 1e-9
+        xs = x[off]
+        left = xs < a
+        logu = np.where(left, lm[off] - la_m, lp[off] - la_p)
+        rate = np.where(left, rm[off], rp[off])
         d = np.abs(xs - a)
         record("pinned_upper", logu - (-s0 * d))
         record("pinned_lower", (-s1 * d) - logu)

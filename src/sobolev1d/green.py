@@ -51,6 +51,11 @@ class GreenEvaluator:
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     wronskian: float
+    # log W, taken once: every read of G subtracts it.
+    _log_w: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._log_w = math.log(self.wronskian)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -69,7 +74,7 @@ class GreenEvaluator:
         """
         (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, y)
         rate = np.where(left, rm, rp) if isinstance(left, np.ndarray) else (rm if left else rp)
-        return lm + lp - math.log(self.wronskian), rate
+        return lm + lp - self._log_w, rate
 
     def log_value(self, x, y):
         return self._reads(x, y)[0]

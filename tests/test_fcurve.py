@@ -16,6 +16,7 @@ from sobolev1d import (
     minimize,
     potential_from_spec,
 )
+from sobolev1d import fundamental
 from sobolev1d.fcurve import (
     CONDITION_TOL,
     DIFFERENCE_STEP,
@@ -327,19 +328,19 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
     _, curve = example_curve
     u = extremal_function(curve.phi_plus, curve.phi_minus, cf.A1_EXACT)
     green = build_green(curve.phi_plus, curve.phi_minus)
-    sides, steps = [], []
-    dense, step = LogSolution._dense, LogSolution._step
+    sides, one_pin = [], []
+    dense, dense_one = LogSolution._dense, fundamental._dense_one
 
     def counted(self, x):
         sides.append(self.side)
         return dense(self, x)
 
-    def counted_step(self, *args):
-        steps.append(self.side)
-        return step(self, *args)
+    def counted_one(reads, pin=None):
+        one_pin.extend(solution.side for solution, _ in reads)
+        return dense_one(reads, pin)
 
     monkeypatch.setattr(LogSolution, "_dense", counted)
-    monkeypatch.setattr(LogSolution, "_step", counted_step)
+    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
     xs = np.linspace(-6.0, 6.0, 209)
     reads = [lambda n=n: check_minimality_equivalence(curve, xs[:n]) for n in (1, 7, 209)]
     reads += [
@@ -353,12 +354,12 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
         read()
         assert sorted(sides) == ["+", "-"]
     # Roots are polished and classified one pin at a time by the one-pin pair
-    # read: no array read, one float step per side and read.
+    # read: no array read, one float read per side and pin.
     sides.clear()
-    steps.clear()
+    one_pin.clear()
     find_critical_points(curve)
     assert sides == []
-    assert steps and steps.count("+") == steps.count("-")
+    assert one_pin and one_pin.count("+") == one_pin.count("-")
 
 
 def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypatch):

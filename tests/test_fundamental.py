@@ -534,6 +534,33 @@ def test_dense_reads_refuse_a_non_finite_potential_as_the_solve_does():
         assert refused > 0
 
 
+def test_reads_of_v_at_the_pin_refuse_a_non_finite_v(example_pair):
+    """V NaN at exactly one pin, finite at every Gauss node: each read of V there raises."""
+    pot, plus, minus = example_pair
+    pin = 0.5
+    curve = build_fcurve(plus, minus)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == pin, math.nan, pot.evaluate(x))
+
+    bad = dataclasses.replace(pot, evaluate=evaluate)
+    plus, minus = (dataclasses.replace(side, potential=bad) for side in (plus, minus))
+    curve = dataclasses.replace(curve, potential=bad, phi_plus=plus, phi_minus=minus)
+    reads = [
+        lambda: curve.curvature_at(pin),
+        lambda: curve.curvature_at(np.array([0.25, pin])),
+        lambda: plus.ell_second_at(pin),
+        lambda: minus.ell_second_at(pin),
+        lambda: plus.ell_second_at(np.array([pin, 0.25])),
+    ]
+    for read in reads:
+        with pytest.raises(SolverError, match="non-finite"):
+            read()
+    # The sides themselves read finite numbers at the pin.
+    assert math.isfinite(curve.value_at(pin)) and math.isfinite(curve.curvature_at(0.25))
+
+
 def test_finite_potential_above_its_bound_named_without_warnings():
     """Finite samples whose cell maps overflow are named as a dishonest upper bound."""
     far_above = Potential(
@@ -821,6 +848,66 @@ def test_scalar_reads_take_the_float_path(monkeypatch):
     assert u(a) == 1.0
     with pytest.raises(AssertionError, match="array path"):
         report.phi_plus.phi_at(np.array([0.3]))
+
+
+def _envelope_by_extremal_reads(plus, minus) -> dict:
+    """check_envelope_bounds' violations with each u_a read by its own ``_reads`` pass."""
+    pot = plus.potential
+    v0, v1 = pot.lower_bound, pot.upper_bound
+    s0, s1 = math.sqrt(v0), math.sqrt(v1)
+    lo, hi = fundamental._curve_window(pot, plus.window)
+    r = min(abs(lo), hi)
+    worst = {}
+
+    def record(name, violation):
+        v = float(np.max(violation)) if np.size(violation) else 0.0
+        worst[name] = max(worst.get(name, 0.0), v)
+
+    x = fundamental._sample_grid(plus)
+    _, lp = plus._dense(x)
+    record("phi_plus_upper", lp - (0.5 * math.log(v1 / v0) - np.minimum(s0 * x, s1 * x)))
+    record("phi_plus_lower", (0.5 * math.log(v0 / v1) - np.maximum(s0 * x, s1 * x)) - lp)
+    _, lm = minus._dense(x)
+    record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * x, s1 * x)))
+    record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * x, s1 * x)) - lm)
+    for a in (-0.5 * r, 0.0, 0.5 * r):
+        xs = x[np.abs(x - a) > 1e-9]
+        logu, rate = extremal_function(plus, minus, a)._reads(xs)
+        d = np.abs(xs - a)
+        record("pinned_upper", logu - (-s0 * d))
+        record("pinned_lower", (-s1 * d) - logu)
+        if np.any(np.sign(a - xs) * rate <= 0.0):
+            record("pinned_slope_sign", 1.0)
+        logd = logu + np.log(np.abs(rate))
+        record("pinned_slope_upper", logd - (math.log(v1 / s0) - s0 * d))
+        record("pinned_slope_lower", (math.log(v0 / s1) - s1 * d) - logd)
+    return worst
+
+
+ENVELOPE_SPECS = {
+    **FLOAT_PATH_SPECS,
+    "well-1e4": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1e4, 1, 1e4]},
+}
+
+
+@pytest.mark.parametrize("family", list(ENVELOPE_SPECS))
+def test_envelope_check_reads_each_side_once(family, monkeypatch):
+    """Two array reads give the violations of one ``_reads`` pass per center, bit for bit."""
+    pot = potential_from_spec(ENVELOPE_SPECS[family])
+    plus, minus = solve_log_solution(pot, *default_window(pot))
+    expected = _envelope_by_extremal_reads(plus, minus)
+    arrays = []
+    dense = LogSolution._dense
+
+    def counted(self, x):
+        if not fundamental._is_point(x):
+            arrays.append(self.side)
+        return dense(self, x)
+
+    monkeypatch.setattr(LogSolution, "_dense", counted)
+    report = check_envelope_bounds(plus, minus)
+    assert report.violations == expected
+    assert sorted(arrays) == ["+", "-"]
 
 
 # The first refinement round runs in blocks of _SAMPLE_BLOCK // 3 initial cells.
