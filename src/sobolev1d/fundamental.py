@@ -926,14 +926,14 @@ class ExtremalFunction:
     center: float
     phi_plus: LogSolution
     phi_minus: LogSolution
-    # (l_plus, l_minus) at the center, read once.
+    # (l_plus, l_minus) at the center, read once, V sampled in one call.
     _at_center: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._at_center = (
-            self.phi_plus.ell_at(self.center),
-            self.phi_minus.ell_at(self.center),
-        )
+        (_, l_plus), (_, l_minus) = _dense_one(
+            ((self.phi_plus, self.center), (self.phi_minus, self.center))
+        )[0]
+        self._at_center = (l_plus, l_minus)
 
     @property
     def window(self) -> tuple[float, float]:

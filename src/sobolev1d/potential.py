@@ -14,9 +14,9 @@ Builtin families:
 * ``make_piecewise_constant(...)``-- step potentials with declared jumps
 * ``make_monotone_step(...)``     -- smooth logistic ramp from v0 to v1
 * ``make_example(A, B)``          -- the rational-times-exponential family
-  V(x) = B^2 + 2Bx/(x^2+A^2) + (2x^2-A^2)/(x^2+A^2)^2, positive iff
+  V(x) = B^2 + 2Bx/(x^2+A^2) + (2x^2-A^2)/(x^2+A^2)^2 on the domain
   A*B > (1+sqrt(5))/2, for which the decaying solutions are known in
-  closed form (useful as a regression target).
+  closed form (useful as a regression target), with its exact range declared.
 
 Sampled data enters through ``potential_from_log_derivative`` (build V from
 samples of log phi' and log phi'' via V = l'' + (l')^2) and through the JSON
@@ -41,7 +41,9 @@ __all__ = [
     "potential_from_spec",
 ]
 
-# Positivity of make_example requires A*B strictly above the golden ratio.
+# The domain of make_example: A*B above the golden ratio, where the term-wise
+# lower bound (A^2 B^2 - A B - 1)/A^2 of V is positive.  The bounds it declares
+# are the exact range of V.
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -206,19 +208,20 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
 def make_example(A: float, B: float) -> Potential:
     """The closed-form family V(x) = B^2 + 2Bx/(x^2+A^2) + (2x^2-A^2)/(x^2+A^2)^2.
 
-    Positivity of the potential requires A*B > (1 + sqrt(5))/2.  The
-    declared bounds are the term-wise estimates: the infimum bound
-    (A^2 B^2 - A B - 1)/A^2 is sharp enough for the solver, and the
-    supremum bound B^2 + B/A + 2/A^2 over-estimates the third term's true
-    maximum 1/(3A^2) on purpose -- declared bounds only need to contain
-    the range.  Both tails tend to B^2.
+    The family's domain is A*B > (1 + sqrt(5))/2, where the term-wise lower
+    bound (A^2 B^2 - A B - 1)/A^2 is positive (V stays positive somewhat
+    below it too).  The declared bounds are the exact range of V: with
+    t = x/A and p = A*B, V = B^2 + g(t)/A^2, and g' vanishes only at the
+    roots of N(t) = p t^4 + 2t^3 - 4t - p, one in (-1, 0) (the minimum of V)
+    and one in (1, 2) (the maximum).  Both are found by bisection, and the
+    two values widened by 1e-9 times the maximum.  Both tails tend to B^2.
     """
     a, b = float(A), float(B)
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"need A > 0 and B > 0, got A={a}, B={b}")
     if not (a * b > _GOLDEN):
         raise ValueError(
-            f"need A*B > (1+sqrt(5))/2 ~ {_GOLDEN:.6f} for positivity, "
+            f"need A*B > (1+sqrt(5))/2 ~ {_GOLDEN:.6f}, the family's domain, "
             f"got A*B = {a * b:.6f}"
         )
     a2 = a * a
@@ -228,13 +231,35 @@ def make_example(A: float, B: float) -> Potential:
         q = x * x + a2
         return b * b + 2.0 * b * x / q + (2.0 * x * x - a2) / (q * q)
 
+    p = a * b
+
+    def n(t):
+        return ((p * t + 2.0) * t * t - 4.0) * t - p
+
+    vmin, vmax = (float(evaluate(a * _bisect(n, lo, lo + 1.0))) for lo in (-1.0, 1.0))
+    # Every term of V is at most vmax in size, so is its rounding error.  An
+    # infinite vmax stays unwidened (inf - inf would be NaN) for Potential to refuse.
+    margin = 1e-9 * vmax if math.isfinite(vmax) else 0.0
     return Potential(
         evaluate=evaluate,
-        lower_bound=(a * a * b * b - a * b - 1.0) / (a * a),
-        upper_bound=b * b + b / a + 2.0 / (a * a),
+        lower_bound=vmin - margin,
+        upper_bound=vmax + margin,
         tail_limits=(b * b, b * b),
         label=f"example(A={a:g}, B={b:g})",
     )
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign, to the last bit."""
+    lo_negative = f(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _not_a_knot(grid: np.ndarray, samples: np.ndarray):

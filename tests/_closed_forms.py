@@ -7,8 +7,8 @@ and m in closed form for every lam (Poeschl & Teller 1933); for lam = 1 and
 2, phi_+ and phi_-, W, G, u_a, F' and F'' are closed forms too.  Every
 piecewise-constant V is solved exactly by ``pwc_exact``.
 Everything here is evaluated independently of the package (plain numpy
-expressions and the standard library) so the tests have a fixed external
-reference.
+expressions, the standard library and mpmath) so the tests have a fixed
+external reference.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import bisect
 import math
 from typing import Callable, NamedTuple
 
+import mpmath
 import numpy as np
 
 A = 1.0
@@ -34,8 +35,21 @@ R_PLUS_AT_0 = -2.0
 R_MINUS_AT_0 = 14.0 / 9.0
 PHI_PLUS_AT_1 = math.exp(-2.0) / math.sqrt(2.0)
 PHI_MINUS_AT_1 = 13.0 * math.exp(2.0) / (9.0 * math.sqrt(2.0))
-LOWER_BOUND = 1.0
-UPPER_BOUND = 8.0
+
+
+def _example_range() -> tuple[float, float]:
+    """min and max of V for (A, B) = (1, 2), by mpmath at 30 digits.
+
+    V = 4 + 4x/(1+x^2) + (2x^2-1)/(1+x^2)^2 has V' = 0 only at the two real
+    roots of x^4 + x^3 - 2x - 1, its minimum and maximum.
+    """
+    with mpmath.workdps(30):
+        roots = [t for t in mpmath.polyroots([1, 1, 0, -2, -1]) if mpmath.im(t) == 0]
+        values = [4 + 4 * t / (1 + t * t) + (2 * t * t - 1) / (1 + t * t) ** 2 for t in roots]
+        return float(min(values)), float(max(values))
+
+
+LOWER_BOUND, UPPER_BOUND = _example_range()  # 2.077779664670823, 6.285610316579002
 TAIL_VALUE = 4.0
 
 

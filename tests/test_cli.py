@@ -489,7 +489,7 @@ def test_verify_passes_on_far_wells_extreme_scales_and_high_contrast(capsys, nam
 
 def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
     """The mesh spans [-L, L], L = max(-x_min, x_max), in 12 000 cells, or at the
-    default window's spacing (L = 25 here) on a wider window."""
+    default window's spacing (L = 25/sqrt(v0) = 17.34 here) on a wider window."""
     build = DiscreteRayleighProblem.from_potential.__func__
     calls = []
 
@@ -501,8 +501,8 @@ def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
     run(capsys, "verify", "--potential", EXAMPLE, "--window=-30,400")
     run(capsys, "verify", "--potential", EXAMPLE)
     [(wide, wide_spacing), (default, default_spacing)] = calls
-    assert (wide, default) == (400.0, 25.0)
-    assert round(2.0 * wide / wide_spacing) == 12_000 * 16
+    assert (wide, default) == (400.0, pytest.approx(25.0 / math.sqrt(cf.LOWER_BOUND), rel=1e-8))
+    assert round(2.0 * wide / wide_spacing) == 276_759  # ceil(12 000 * 400 / 17.34)
     assert round(2.0 * default / default_spacing) == 12_000
 
 

@@ -262,18 +262,41 @@ def test_the_pair_check_reads_no_side(consumer, read, monkeypatch):
 
     plus, minus = solve_log_solution(dataclasses.replace(example, evaluate=evaluate), *WINDOW)
     sides = []
-    dense = LogSolution._dense
+    dense, dense_one = LogSolution._dense, fundamental._dense_one
 
     def counted(self, x):
-        sides.append(self.side)
+        # A point read goes on to _dense_one, which counts it.
+        if not fundamental._is_point(x):
+            sides.append(self.side)
         return dense(self, x)
 
+    def counted_one(reads, pin=None):
+        sides.extend(solution.side for solution, _ in reads)
+        return dense_one(reads, pin)
+
     monkeypatch.setattr(LogSolution, "_dense", counted)
+    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
     evaluated.clear()
     PAIR_CONSUMERS[consumer](plus, minus)
     assert sorted(sides) == read
     if not read:
         assert evaluated == []
+
+
+def test_extremal_samples_v_once_at_its_center():
+    """Both sides' steps to the center share one call, at their 3 + 3 Gauss nodes."""
+    example = make_example(cf.A, cf.B)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(np.size(x))
+        return example.evaluate(x)
+
+    plus, minus = solve_log_solution(dataclasses.replace(example, evaluate=evaluate), *WINDOW)
+    evaluated.clear()
+    u = extremal_function(plus, minus, cf.A1_EXACT)
+    assert evaluated == [6]
+    assert u._at_center == (plus.ell_at(cf.A1_EXACT), minus.ell_at(cf.A1_EXACT))
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import _closed_forms as cf
 from sobolev1d import (
@@ -117,6 +119,26 @@ def test_example_parameters():
     assert pot.lower_bound == pytest.approx(cf.LOWER_BOUND)
     assert pot.upper_bound == pytest.approx(cf.UPPER_BOUND)
     assert pot.tail_limits == pytest.approx((cf.TAIL_VALUE, cf.TAIL_VALUE))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(a=st.floats(0.2, 5.0), p=st.floats((1.0 + math.sqrt(5.0)) / 2.0, 50.0, exclude_min=True))
+def test_example_declares_its_exact_range(a, p):
+    """The bounds contain V on +-60A and miss its extremes by at most 2e-9 max(1, v1).
+
+    The extremes lie at x/A in (-1, 0) and (1, 2); a 1e-5 A lattice there puts
+    the sampled extremes within 1e-10 v1 of the true ones."""
+    assume(a * (p / a) > (1.0 + math.sqrt(5.0)) / 2.0)
+    pot = make_example(a, p / a)
+    x = a * np.concatenate((
+        np.linspace(-60.0, 60.0, 24_001),
+        np.linspace(-1.0, 0.0, 100_001),
+        np.linspace(1.0, 2.0, 100_001),
+    ))
+    v = pot(x)
+    slack = 2e-9 * max(1.0, pot.upper_bound)
+    assert pot.lower_bound <= v.min() <= pot.lower_bound + slack
+    assert pot.upper_bound - slack <= v.max() <= pot.upper_bound
 
 
 def test_example_requires_ab_above_golden_ratio():

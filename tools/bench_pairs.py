@@ -11,8 +11,11 @@ package.  Both trees are first compiled with ``python -m compileall -q src``,
 so no run pays for bytecode the other finds written.  Pair k runs the parent
 first when k is odd and the change first when k is even.  For each metric of
 the last run's output this prints the median and the inclusive quartiles of
-each side and the pairs the change wins (ties count for neither), with
-"better" read from the change tree's BENCHMARK.json (lower when not listed).
+each side, the pairs the change wins (ties count for neither), with
+"better" read from the change tree's BENCHMARK.json (lower when not listed),
+and whether a claimed gain on that metric would hold: "claim holds" when the
+change wins at least 9 in 10 of the pairs and its median beats the parent's
+by more than the parent's quartile spread, else "claim fails".
 ``--out`` appends one JSON line per run: pair, side, workload, seed, metrics.
 Standard library only.
 """
@@ -73,14 +76,18 @@ def main() -> int:
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs")
     for name in runs["parent"][-1]:
         line = [f"  {name}:"]
+        quartiles = {}
         for side in ("parent", "change"):
             values = [r[name] for r in runs[side]]
-            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(
-                values) > 1 else values * 3
+            q1, med, q3 = quartiles[side] = statistics.quantiles(
+                values, n=4, method="inclusive") if len(values) > 1 else values * 3
             line.append(f"{side} {med:.6g} [{q1:.6g}, {q3:.6g}]")
         sign = 1.0 if lower.get(name, True) else -1.0
         wins = sum(sign * (c[name] - p[name]) < 0 for p, c in zip(runs["parent"], runs["change"]))
-        line.append(f"change wins {wins}/{args.pairs}")
+        q1, med, q3 = quartiles["parent"]
+        gap = sign * (med - quartiles["change"][1])
+        holds = 10 * wins >= 9 * args.pairs and gap > q3 - q1
+        line.append(f"change wins {wins}/{args.pairs}; claim {'holds' if holds else 'fails'}")
         print(" ".join(line))
     return 0
 
