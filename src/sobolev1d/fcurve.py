@@ -68,14 +68,14 @@ DIFFERENCE_STEP = 3e-3
 
 @dataclass
 class FCurve:
-    """Samples and dense evaluators of F, F', F'' on a truncation-safe window.
+    """Samples of F, F' and dense evaluators of F, F', F'' on a truncation-safe window.
 
     The grid is the solutions' sample grid inset from the window edges by
     the decay inset, where the seeding transient of both sides is far below
     every tolerance used here.  Every evaluator takes a pin or an array of pins
     and reads each side once per call; ``grid_reads`` keeps the reads at the
-    grid that built the curve, from which ``values``, ``slope`` and
-    ``curvature`` on the grid derive.
+    grid that built the curve (V is not read there), from which ``values``
+    and ``slope`` on the grid derive; F'' is read at pins, by ``curvature_at``.
     """
 
     grid: np.ndarray
@@ -95,11 +95,6 @@ class FCurve:
     def slope(self) -> np.ndarray:
         """F' on the grid."""
         return self.grid_reads.slope
-
-    @property
-    def curvature(self) -> np.ndarray:
-        """F'' on the grid."""
-        return self.grid_reads.curvature
 
     def _reads(self, a, v: bool = True) -> PinReads:
         """The pair read at x = y = a, a pin (kept a float) or an array of pins; V there if v."""
@@ -147,6 +142,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     is their sample grid (spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the
     breakpoints) restricted to [x_min + inset, x_max - inset] with the decay
     inset 12/sqrt(v0).  The solver's decay margin of 20 keeps 0 inside.
+    Each side is read once on the grid, and V nowhere.
     """
     wronskian = _check_pair(phi_plus, phi_minus)
     potential = phi_plus.potential
@@ -154,7 +150,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     grid = _sample_grid(phi_plus)
     grid = grid[(grid >= lo) & (grid <= hi)]
 
-    reads = _pair_reads(phi_plus, phi_minus, grid, grid, v_at_x=True)[0]
+    reads = _pair_reads(phi_plus, phi_minus, grid, grid)[0]
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(

@@ -121,7 +121,6 @@ __all__ = [
     "extremal_function",
     "check_riccati_residual",
     "check_envelope_bounds",
-    "check_comparison",
     "decay_inset",
     "DEFAULT_TOL",
     "MIN_DOMAIN_MARGIN",
@@ -147,9 +146,6 @@ SAMPLE_SPACING = 0.025
 RESIDUAL_POINTS = 201
 # Log-space slack of the envelope checks.
 ENVELOPE_SLACK = 1e-8
-# Grid size and log-space tolerance of the comparison check.
-COMPARISON_POINTS = 801
-COMPARISON_TOL = 1e-6
 
 # Gauss-Legendre nodes of a cell [x, x + h]: the midpoint and midpoint +- _GAUSS h.
 _GAUSS = math.sqrt(15.0) / 10.0
@@ -1041,10 +1037,11 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
       checked as log|u_a'| = log u_a + log|u_a'/u_a|, its sign from the
       rate u_a'/u_a alone, so no u_a underflows at high contrast.
 
-    Each side is read once on the grid.  Each u_a's log u_a and u_a'/u_a
-    come from those two reads and ``ExtremalFunction._at_center``, bitwise
-    what ``ExtremalFunction._reads`` gives at the same points.
+    Each side (checked by ``_check_pair``) is read once on the grid, and both
+    at the three centers by one ``_dense_one`` call, as ``ExtremalFunction``
+    reads its center: each log u_a and u_a'/u_a is bitwise its ``_reads``.
     """
+    _check_pair(phi_plus, phi_minus)
     pot = phi_plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
     s0, s1 = math.sqrt(v0), math.sqrt(v1)
@@ -1065,8 +1062,9 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * x, s1 * x)))
     record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * x, s1 * x)) - lm)
 
-    for a in (-0.5 * r, 0.0, 0.5 * r):
-        la_p, la_m = extremal_function(phi_plus, phi_minus, a)._at_center
+    centers = (-0.5 * r, 0.0, 0.5 * r)
+    reads = _dense_one([(side, a) for a in centers for side in (phi_plus, phi_minus)])[0]
+    for a, (_, la_p), (_, la_m) in zip(centers, reads[::2], reads[1::2]):
         off = np.abs(x - a) > 1e-9
         xs = x[off]
         left = xs < a
@@ -1083,45 +1081,3 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
 
     passed = all(v <= ENVELOPE_SLACK for v in worst.values())
     return EnvelopeReport(violations=worst, passed=passed)
-
-
-@dataclass
-class ComparisonReport:
-    """Pointwise comparison u_a(V) >= u_a(V_tilde) for V <= V_tilde."""
-
-    precondition_ok: bool
-    min_log_margin: float
-    passed: bool
-
-
-def check_comparison(
-    potential_low: Potential, potential_high: Potential, a: float
-) -> ComparisonReport:
-    """Check the comparison principle between two ordered potentials.
-
-    If V <= V_tilde pointwise, the pinned minimizers satisfy
-    u_a(x; V) >= u_a(x; V_tilde) everywhere.  Both sides are solved on the
-    wider of the two default windows, and the log-space margin is checked
-    to COMPARISON_TOL at COMPARISON_POINTS uniform points of that window.  A
-    failed precondition (potential_low above potential_high somewhere on the
-    grid) is reported, not silently passed.
-    """
-    w = max(default_window(potential_low)[1], default_window(potential_high)[1])
-    grid = np.linspace(-w, w, COMPARISON_POINTS)
-
-    v_lo = np.asarray(potential_low.evaluate(grid))
-    v_hi = np.asarray(potential_high.evaluate(grid))
-    gap = float(np.max(v_lo - v_hi))
-    precondition_ok = gap <= 1e-12 * max(1.0, float(np.max(np.abs(v_hi))))
-
-    us = [
-        extremal_function(*solve_log_solution(pot, -w, w), a)
-        for pot in (potential_low, potential_high)
-    ]
-    margin = np.asarray(us[0].log_value(grid)) - np.asarray(us[1].log_value(grid))
-    min_margin = float(np.min(margin))
-    return ComparisonReport(
-        precondition_ok=precondition_ok,
-        min_log_margin=min_margin,
-        passed=precondition_ok and min_margin >= -COMPARISON_TOL,
-    )

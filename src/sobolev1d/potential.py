@@ -403,7 +403,8 @@ def potential_from_spec(spec: dict) -> Potential:
         {"kind": "piecewise_constant", "edges": [...], "values": [...]}
 
     ``width``/``center`` default to 1.0/0.0.  A table spec may override the
-    declared bounds with explicit "lower_bound"/"upper_bound" entries.
+    declared bounds with explicit "lower_bound"/"upper_bound" entries.  An
+    optional entry that is absent or null takes its default.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"potential spec must be an object, got {type(spec).__name__}")
@@ -416,8 +417,8 @@ def potential_from_spec(spec: dict) -> Potential:
         return make_monotone_step(
             _num(spec, "v0"),
             _num(spec, "v1"),
-            width=float(spec.get("width", 1.0)),
-            center=float(spec.get("center", 0.0)),
+            width=_num(spec, "width", 1.0),
+            center=_num(spec, "center", 0.0),
         )
     if kind == "piecewise_constant":
         return make_piecewise_constant(_arr(spec, "edges"), _arr(spec, "values"))
@@ -429,17 +430,18 @@ def potential_from_spec(spec: dict) -> Potential:
             pot = potential_from_log_derivative(
                 x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
             )
-        lb = spec.get("lower_bound")
-        ub = spec.get("upper_bound")
         return replace(
             pot,
-            lower_bound=pot.lower_bound if lb is None else float(lb),
-            upper_bound=pot.upper_bound if ub is None else float(ub),
+            lower_bound=_num(spec, "lower_bound", pot.lower_bound),
+            upper_bound=_num(spec, "upper_bound", pot.upper_bound),
         )
     raise ValueError(f"unknown potential kind: {kind!r}")
 
 
-def _num(spec: dict, key: str) -> float:
+def _num(spec: dict, key: str, default: float | None = None) -> float:
+    """spec[key] as a float; an entry with a default may be absent or null."""
+    if default is not None and spec.get(key) is None:
+        return default
     if key not in spec:
         raise ValueError(f"potential spec of kind {spec.get('kind')!r} needs {key!r}")
     try:

@@ -350,6 +350,19 @@ def test_infinite_bound_is_a_configuration_error(capsys, spec):
     assert "configuration error: declared bounds must be finite" in err
 
 
+def test_optional_spec_entries_take_their_default_or_exit_2(capsys):
+    """A null optional entry is absent; any other non-number names itself, with exit 2."""
+    step = '{"kind": "step", "v0": 1, "v1": 4'
+    code, out, _ = run(capsys, "solve", "--potential", step + ', "width": null}')
+    assert code == 0 and (code, out) == run(capsys, "solve", "--potential", step + "}")[:2]
+    table = '{"kind": "table", "x": [0, 1, 2, 3], "v": [1, 2, 2, 1]'
+    for spec, key in ((step + ', "center": [0]}', "center"),
+                      (table + ', "lower_bound": [1]}', "lower_bound")):
+        code, out, err = run(capsys, "solve", "--potential", spec)
+        assert (code, out) == (2, "")
+        assert f"configuration error: potential spec entry {key!r} is not a number" in err
+
+
 def test_cli_exports_only_main():
     from sobolev1d import cli
 

@@ -31,6 +31,7 @@ from sobolev1d.fundamental import (
     extremal_function,
     solve_log_solution,
 )
+from sobolev1d.minimizer import default_window
 
 WINDOW = (-25.0, 25.0)
 
@@ -431,3 +432,20 @@ def test_only_the_curvature_reads_v_at_the_pin():
         calls.clear()
         side.ell_second_at(0.3137)
         assert calls == [4]
+
+
+def test_the_curve_samples_v_only_at_the_gauss_nodes_of_its_two_reads():
+    """The grid carries F and F', not F'': one call per side at 3 nodes per pin, none at the pins."""
+    calls = []
+    example = make_example(cf.A, cf.B)
+
+    def evaluate(x):
+        calls.append(np.size(x))
+        return example.evaluate(x)
+
+    plus, minus = solve_log_solution(
+        dataclasses.replace(example, evaluate=evaluate), *default_window(example)
+    )
+    calls.clear()
+    curve = build_fcurve(plus, minus)
+    assert calls == [3 * curve.grid.size] * 2

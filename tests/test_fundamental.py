@@ -24,7 +24,6 @@ from sobolev1d.fcurve import build_fcurve
 from sobolev1d.fundamental import (
     LogSolution,
     _cell_maps,
-    check_comparison,
     check_envelope_bounds,
     check_riccati_residual,
     decay_inset,
@@ -215,6 +214,7 @@ def constant_sides():
 PAIR_CONSUMERS = {
     "build_fcurve": build_fcurve,
     "build_green": build_green,
+    "check_envelope_bounds": check_envelope_bounds,
     "extremal_function": lambda plus, minus: extremal_function(plus, minus, 0.0),
 }
 
@@ -367,25 +367,31 @@ def test_envelope_bounds_fail_on_a_corrupted_pair(monkeypatch, spec):
     assert pinned > fundamental.ENVELOPE_SLACK
 
 
-def test_comparison_constant_below_example():
-    low = make_constant(1.0)
-    high = make_example(cf.A, cf.B)
-    report = check_comparison(low, high, a=0.5)
-    assert report.precondition_ok
-    assert report.passed
-    assert report.min_log_margin >= -1e-6
+# Pairs V_low <= V_high pointwise.  example(1, B) rises with B wherever
+# dV/dB = 2B + 2x/(x^2 + A^2) > 0, which holds everywhere once AB > 1/2.
+ORDERED_PAIRS = {
+    "example": (make_example(1.0, 2.0), make_example(1.0, 2.5)),
+    "step": (make_monotone_step(1.0, 4.0), make_monotone_step(1.0, 4.0).shifted(-1.0)),
+    "well": (
+        make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+        make_piecewise_constant([-1.0, 1.0], [4.0, 2.0, 4.0]),
+    ),
+}
 
 
-def test_comparison_detects_bad_precondition():
-    report = check_comparison(make_constant(2.0), make_constant(1.0), a=0.0)
-    assert not report.precondition_ok
-    assert not report.passed
-
-
-def test_comparison_equal_potentials_tight():
-    report = check_comparison(make_constant(2.0), make_constant(2.0), a=-1.0)
-    assert report.passed
-    assert abs(report.min_log_margin) < 1e-10
+@pytest.mark.parametrize("a", [-1.0, 0.0, 0.7])
+@pytest.mark.parametrize("pair", list(ORDERED_PAIRS))
+def test_raising_the_potential_lowers_the_pinned_minimizer(pair, a):
+    """Comparison principle: V_low <= V_high gives u_a(V_low) >= u_a(V_high) everywhere."""
+    low, high = ORDERED_PAIRS[pair]
+    w = max(default_window(low)[1], default_window(high)[1])
+    grid = np.linspace(-w, w, 801)
+    assert np.all(low.evaluate(grid) <= high.evaluate(grid))
+    log_u = [
+        extremal_function(*solve_log_solution(pot, -w, w), a).log_value(grid)
+        for pot in (low, high)
+    ]
+    assert np.min(log_u[0] - log_u[1]) >= -1e-12
 
 
 def test_gluing_fails_inside_the_interval(example_pair):
@@ -931,6 +937,37 @@ def test_envelope_check_reads_each_side_once(family, monkeypatch):
     report = check_envelope_bounds(plus, minus)
     assert report.violations == expected
     assert sorted(arrays) == ["+", "-"]
+
+
+def test_envelope_check_reads_its_three_centers_in_one_call(monkeypatch):
+    """Both sides at the three centers in one ``_dense_one`` call, V once at 18 nodes."""
+    example = make_example(cf.A, cf.B)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(np.size(x))
+        return example.evaluate(x)
+
+    plus, minus = solve_log_solution(
+        dataclasses.replace(example, evaluate=evaluate), *default_window(example)
+    )
+    one_pin = []
+    dense_one = fundamental._dense_one
+
+    def counted_one(reads, pin=None):
+        one_pin.append([solution.side for solution, _ in reads])
+        return dense_one(reads, pin)
+
+    def built(self):
+        raise AssertionError("the envelope check built an ExtremalFunction")
+
+    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
+    monkeypatch.setattr(fundamental.ExtremalFunction, "__post_init__", built)
+    evaluated.clear()
+    assert check_envelope_bounds(plus, minus).passed
+    assert one_pin == [["+", "-"] * 3]
+    grid = fundamental._sample_grid(plus)
+    assert evaluated[-1] == 18 and sum(evaluated[:-1]) == 2 * 3 * grid.size
 
 
 # The first refinement round runs in blocks of _SAMPLE_BLOCK // 3 initial cells.

@@ -16,6 +16,7 @@ from sobolev1d import (
     make_monotone_step,
     make_piecewise_constant,
     minimize,
+    potential_from_spec,
     rayleigh_quotient,
 )
 from sobolev1d import minimizer
@@ -272,6 +273,47 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
     if moved.a_star is not None:
         # Near-ties can move a*: compare F there, not a* itself.
         assert exact.f(moved.a_star - shift) <= m * (1.0 + 1e-10)
+
+
+# The tabulated Gaussian wells of the benchmark: the grid -8:0.25:8.
+TABLE_GRID = [-8.0 + 0.25 * i for i in range(65)]
+SMOOTH = {"v0": st.floats(0.5, 4.0), "width": st.floats(0.05, 3.0), "center": st.floats(-3.0, 3.0)}
+
+
+def _assert_bounded_with_a_constant_wronskian(report):
+    """2 sqrt(v0) <= m <= 2 sqrt(v1), and F phi_+ phi_- = W at 199 pins off the curve grid."""
+    curve = report.curve
+    v0, v1 = curve.potential.lower_bound, curve.potential.upper_bound
+    assert 2.0 * math.sqrt(v0) <= report.m_value <= 2.0 * math.sqrt(v1)
+    lo, hi = curve.window
+    pins = np.linspace(lo, hi, 201)[1:-1] + 1e-3
+    log_w = np.log(curve.value_at(pins)) + curve.log_phi_sum(pins) - math.log(curve.wronskian)
+    assert np.max(np.abs(np.expm1(log_w))) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(contrast=st.floats(1.5, 300.0), **SMOOTH)
+def test_random_logistic_step_is_empty_at_its_lower_tail(v0, contrast, width, center):
+    report = minimize(make_monotone_step(v0, v0 * contrast, width=width, center=center))
+    assert report.m_value == 2.0 * math.sqrt(v0)
+    assert report.attainment == "empty"
+    _assert_bounded_with_a_constant_wronskian(report)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(contrast=st.floats(1.5, 50.0), shift=st.floats(-3.0, 3.0), **SMOOTH)
+def test_random_gaussian_well_table_is_attained_and_translation_invariant(
+    v0, contrast, width, center, shift
+):
+    v1 = v0 * contrast
+    v = [v1 - (v1 - v0) * math.exp(-0.5 * ((x - center) / width) ** 2) for x in TABLE_GRID]
+    pot = potential_from_spec({"kind": "table", "x": TABLE_GRID, "v": v})
+    report = minimize(pot)
+    assert report.attainment == "attained"
+    _assert_bounded_with_a_constant_wronskian(report)
+    moved = minimize(pot.shifted(shift))
+    assert abs(moved.m_value - report.m_value) <= 1e-10 * report.m_value
+    assert abs(moved.a_star - shift - report.a_star) <= 1e-8
 
 
 def _solved_bits(pot) -> list:

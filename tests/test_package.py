@@ -32,12 +32,10 @@ SUBMODULE_NAMES = {
         "find_critical_points",
     ],
     "fundamental": [
-        "ComparisonReport",
         "EnvelopeReport",
         "ExtremalFunction",
         "LogSolution",
         "ResidualReport",
-        "check_comparison",
         "check_envelope_bounds",
         "check_riccati_residual",
         "decay_inset",
