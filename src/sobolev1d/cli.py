@@ -21,8 +21,8 @@ Checks are skipped only after the declared bounds fail.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
 window or tol the solve refuses, a --grid, --x or --y lattice that is
-malformed or leaves its window; found before any solve), 3 solver failure,
-4 verification failure.
+malformed or leaves its window, all found before any solve; an --out file
+that cannot be written), 3 solver failure, 4 verification failure.
 
 Each command builds its whole artifact as text; ``main`` writes it once, to
 ``--out`` when given, else to stdout.  Output is deterministic: identical
@@ -410,8 +410,12 @@ def main(argv=None) -> int:
         return 3
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"configuration error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -8,15 +8,16 @@ solutions it is purely algebraic:
     F'(a)  = -F(a) (r_plus(a) + r_minus(a)),
     F''(a) = 2 F(a) (r_plus^2 + r_plus r_minus + r_minus^2 - V(a)),
 
-so no differencing of F is ever needed.  The product F phi_plus phi_minus
+so no differencing of F is ever needed, and F and F' at the mesh nodes come
+from the r_± both sides store there.  The product F phi_plus phi_minus
 equals the Wronskian W = r_minus(0) - r_plus(0) identically; its constancy
 along the grid is a strong cross-check of the integration.
 
-Candidate minimizers of F are the roots of F' with nonnegative curvature,
-within a slack; the other roots are rejected as local maxima.  The list a
-root lands in is its one minimality verdict: the balanced-slope test
--l_+' = l_-' >= sqrt(V) and the one-sided products h_±' H_± = ∓1 (which
-reduce to 2 r_± phi_+ phi_- / W) restate the same predicate in other units.
+A root of F' where it turns from - to + is a candidate minimizer, one where
+it turns from + to - a rejected local maximum.  The list a root lands in is
+its one minimality verdict: the balanced-slope test -l_+' = l_-' >= sqrt(V)
+and the one-sided products h_±' H_± = ∓1 (which reduce to
+2 r_± phi_+ phi_- / W) restate the same predicate in other units.
 ``check_minimality_equivalence`` tests the F' and F'' that the verdict is
 taken on against five-point differences of F.
 """
@@ -53,10 +54,9 @@ __all__ = [
     "check_minimality_equivalence",
 ]
 
-# Slope sign changes whose bracket values both sit under
-# NOISE_FACTOR * tol * max(1, max F) are integrator noise.
+# Nodes where |F'| is at most NOISE_FACTOR * tol * max(1, max F) are undecided.
 NOISE_FACTOR = 100.0
-# Roots with curvature below -CURVATURE_SLACK * max(1, max F) are rejected.
+# Maxima with curvature below -CURVATURE_SLACK * max(1, max F) are rejected.
 CURVATURE_SLACK = 1e-8
 # Newton polish of F' roots stops once a step is below ROOT_TOL.
 ROOT_TOL = 1e-12
@@ -68,14 +68,16 @@ DIFFERENCE_STEP = 3e-3
 
 @dataclass
 class FCurve:
-    """Samples of F, F' and dense evaluators of F, F', F'' on a truncation-safe window.
+    """F and F' at the mesh nodes, and F, F', F'' anywhere, on a truncation-safe window.
 
-    The grid is the solutions' sample grid inset from the window edges by
-    the decay inset, where the seeding transient of both sides is far below
-    every tolerance used here.  Every evaluator takes a pin or an array of pins
-    and reads each side once per call; ``grid_reads`` keeps the reads at the
-    grid that built the curve (V is not read there), from which ``values``
-    and ``slope`` on the grid derive; F'' is read at pins, by ``curvature_at``.
+    The window is the solved window less the decay inset at each end, where
+    the seeding transient of both sides is far below every tolerance used
+    here.  ``node_reads`` are the r_± and l_± both sides store at ``nodes``,
+    the mesh nodes in the window; critical points are found on them.
+    ``grid`` is the solutions' sample grid in the window, the pin lattice of
+    reports: ``values``, ``slope`` and ``wronskian_drift`` read the pair
+    there when called.  Every evaluator takes a pin or an array of pins and
+    reads each side once per call; F'' is read at pins, by ``curvature_at``.
     """
 
     grid: np.ndarray
@@ -84,17 +86,18 @@ class FCurve:
     potential: Potential
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
-    grid_reads: PinReads = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+    node_reads: PinReads = field(repr=False)
 
     @property
     def values(self) -> np.ndarray:
         """F on the grid."""
-        return self.grid_reads.value
+        return self.value_at(self.grid)
 
     @property
     def slope(self) -> np.ndarray:
         """F' on the grid."""
-        return self.grid_reads.slope
+        return self.slope_at(self.grid)
 
     def _reads(self, a, v: bool = True) -> PinReads:
         """The pair read at x = y = a, a pin (kept a float) or an array of pins; V there if v."""
@@ -130,37 +133,38 @@ class FCurve:
 
     def wronskian_drift(self) -> float:
         """max |F phi_+ phi_- / W - 1| over the grid (should be ~roundoff)."""
-        reads = self.grid_reads
-        log_w = np.log(self.values) + reads.l_plus + reads.l_minus
+        reads = self._reads(self.grid, v=False)
+        log_w = np.log(reads.value) + reads.l_plus + reads.l_minus
         return float(np.max(np.abs(np.expm1(log_w - math.log(self.wronskian)))))
 
 
 def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     """Assemble the energy curve from the two decaying solutions.
 
-    The solutions must have been produced on the same window; the curve grid
-    is their sample grid (spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the
-    breakpoints) restricted to [x_min + inset, x_max - inset] with the decay
-    inset 12/sqrt(v0).  The solver's decay margin of 20 keeps 0 inside.
-    Each side is read once on the grid, and V nowhere.
+    The solutions must have been produced on the same window; the curve
+    window is that window less the decay inset 12/sqrt(v0) at each end, and
+    the solver's decay margin of 20 keeps 0 inside.  The node reads are the
+    values both sides hold at their mesh nodes there: no side is read and V
+    is sampled nowhere.  The grid is the sample grid (spacing
+    SAMPLE_SPACING/sqrt(v0), plus 0 and the breakpoints) in the window.
     """
     wronskian = _check_pair(phi_plus, phi_minus)
     potential = phi_plus.potential
     lo, hi = _curve_window(potential, phi_plus.window)
     grid = _sample_grid(phi_plus)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-
-    reads = _pair_reads(phi_plus, phi_minus, grid, grid)[0]
+    inside = (phi_plus._mesh >= lo) & (phi_plus._mesh <= hi)
+    reads = PinReads(*(a[inside] for a in (phi_plus._r, phi_minus._r, phi_plus._l, phi_minus._l)))
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
     return FCurve(
-        grid=grid,
+        grid=grid[(grid >= lo) & (grid <= hi)],
         wronskian=wronskian,
         window=(lo, hi),
         potential=potential,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
-        grid_reads=reads,
+        nodes=phi_plus._mesh[inside],
+        node_reads=reads,
     )
 
 
@@ -178,12 +182,13 @@ class CriticalPoint:
 class CriticalPointScan:
     """Outcome of the critical-point search.
 
-    ``points`` hold the accepted candidates (F' root, curvature above
-    -CURVATURE_SLACK * max(1, max F)); ``rejected`` the roots that failed
-    the curvature test (local maxima; one whose slope stays under the noise
-    floor is not listed).  The list a root is in is its minimality verdict.
-    ``flat`` marks a curve whose slope never exceeds the noise floor: every
-    pin is then critical and ``points`` carries a single representative at 0.
+    ``points`` hold the candidates (roots where F' turns from - to +);
+    ``rejected`` the roots where F' turns from + to - and F'' is below
+    -CURVATURE_SLACK * max(1, max F) (local maxima; a top flatter than that
+    is not listed).  The list a root is in is its minimality verdict.
+    ``flat`` marks a curve whose slope stays under the noise floor at every
+    node: every pin is then critical and ``points`` carries a single
+    representative at 0.
     """
 
     points: list[CriticalPoint]
@@ -226,67 +231,42 @@ def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) 
     raise SolverError(f"root polish of F' did not converge in [{lo:g}, {hi:g}]")
 
 
-def _slope_roots(curve: FCurve, noise_floor: float) -> list[float]:
-    """Polished sign changes of F' above the noise floor, and a wide well's grid minimum."""
-    roots: list[float] = []
-    s = curve.slope
-    g = curve.grid
-    left, right = s[:-1], s[1:]
-    brackets = (left * right <= 0.0) & (np.maximum(np.abs(left), np.abs(right)) > noise_floor)
-    for i in np.flatnonzero(brackets).tolist():
-        if s[i] == 0.0:
-            root = float(g[i])
-        elif s[i + 1] == 0.0:
-            root = float(g[i + 1])
-        else:
-            root = _polish_root(curve, float(g[i]), float(g[i + 1]), float(s[i]), ROOT_TOL)
-        if not roots or abs(root - roots[-1]) > max(10 * ROOT_TOL, 1e-11):
-            roots.append(root)
-    i, f = int(np.argmin(curve.values)), curve.values
-    if f[i] < min(f[0], f[-1]) - noise_floor:
-        if not any(g[max(i - 1, 0)] <= root <= g[min(i + 1, g.size - 1)] for root in roots):
-            roots = sorted(roots + [float(g[i])])
-    return roots
+def _critical_point(curve: FCurve, a: float) -> CriticalPoint:
+    reads = curve._reads(a)
+    return CriticalPoint(a, reads.value, reads.curvature, abs(reads.slope))
 
 
 def find_critical_points(curve: FCurve) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
-    Sign changes of the sampled slope are polished to within ROOT_TOL by
-    safeguarded Newton steps on the dense slope F' with the analytic F'',
-    one read of both sides per step.
-    Sign changes whose bracket values both sit under the noise floor
-    (NOISE_FACTOR * tol * max(1, max F)) are integrator noise in an
-    asymptotically flat region and are ignored; a curve whose slope never
-    exceeds the floor is classified flat (constant potentials).  A well many
-    decay lengths wide keeps F' under the floor on both sides of its minimum,
-    so a grid minimum of F below both edge values by more than the floor,
-    with no root within one grid cell, is a candidate too.  Roots with
-    curvature below -CURVATURE_SLACK * max(1, max F) are reported as rejected;
-    a maximum whose slope stays under the floor is not.  Each root is read
-    once, by the one-pin pair read.
+    A node is decided where |F'| clears the noise floor
+    NOISE_FACTOR * tol * max(1, max F) over the nodes; a curve with no decided
+    node is flat (constant potentials).  Each two consecutive decided nodes
+    whose F' differ in sign bracket one root, undecided nodes between them or
+    not, so a well many decay lengths wide, where F' stays under the floor,
+    is bracketed as any other.  The root is polished to within ROOT_TOL by
+    safeguarded Newton steps on the dense F' with the analytic F'', one read
+    of both sides per step.  Where F' turns from - to + the root is a
+    candidate; where it turns from + to - it is rejected if its curvature is
+    below -CURVATURE_SLACK * max(1, max F), and is not listed otherwise.
+    Each root is read once more, by the one-pin pair read.
     """
-    scale = max(1.0, float(np.max(np.abs(curve.values))))
+    scale = max(1.0, float(np.max(curve.node_reads.value)))
     noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
-    curvature_slack = CURVATURE_SLACK * scale
-
-    flat = float(np.max(np.abs(curve.slope))) <= noise_floor
-    # A flat curve has one representative, at a = 0.
-    roots = [0.0] if flat else _slope_roots(curve, noise_floor)
-    if not roots:
-        return CriticalPointScan(points=[], rejected=[], flat=False, noise_floor=noise_floor)
-    points: list[CriticalPoint] = []
-    rejected: list[CriticalPoint] = []
-    for x in roots:
-        reads = curve._reads(x)
-        pt = CriticalPoint(x, reads.value, reads.curvature, abs(reads.slope))
-        (points if flat or pt.curvature >= -curvature_slack else rejected).append(pt)
-    return CriticalPointScan(
-        points=points,
-        rejected=rejected,
-        flat=flat,
-        noise_floor=noise_floor,
-    )
+    s = curve.node_reads.slope
+    decided = np.abs(s) > noise_floor
+    if not decided.any():
+        # A flat curve has one representative, at a = 0.
+        return CriticalPointScan([_critical_point(curve, 0.0)], [], True, noise_floor)
+    x, s = curve.nodes[decided].tolist(), s[decided].tolist()
+    points, rejected = [], []
+    for i in np.flatnonzero(np.diff(np.signbit(s))).tolist():
+        pt = _critical_point(curve, _polish_root(curve, x[i], x[i + 1], s[i], ROOT_TOL))
+        if s[i] < 0.0:
+            points.append(pt)
+        elif pt.curvature < -CURVATURE_SLACK * scale:
+            rejected.append(pt)
+    return CriticalPointScan(points, rejected, False, noise_floor)
 
 
 @dataclass

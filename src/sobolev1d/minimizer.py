@@ -167,7 +167,7 @@ def _tail_infimum(potential: Potential, curve: FCurve) -> tuple[float, str]:
     if potential.tail_limits is not None:
         v = min(potential.tail_limits)
         return 2.0 * math.sqrt(v), "declared-tail-limits"
-    return float(min(curve.values[0], curve.values[-1])), "edge-sampled"
+    return float(np.min(curve.value_at(curve.grid[[0, -1]]))), "edge-sampled"
 
 
 def minimize(

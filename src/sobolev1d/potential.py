@@ -26,6 +26,7 @@ spec loader ``potential_from_spec``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -438,22 +439,26 @@ def potential_from_spec(spec: dict) -> Potential:
     raise ValueError(f"unknown potential kind: {kind!r}")
 
 
+def _real(value, what: str) -> float:
+    """value as a float if it is a real number (a numpy float too), never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"potential spec entry {what} is not a number")
+    return float(value)
+
+
 def _num(spec: dict, key: str, default: float | None = None) -> float:
     """spec[key] as a float; an entry with a default may be absent or null."""
     if default is not None and spec.get(key) is None:
         return default
     if key not in spec:
         raise ValueError(f"potential spec of kind {spec.get('kind')!r} needs {key!r}")
-    try:
-        return float(spec[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"potential spec entry {key!r} is not a number") from exc
+    return _real(spec[key], repr(key))
 
 
-def _arr(spec: dict, key: str) -> list:
+def _arr(spec: dict, key: str) -> list[float]:
     if key not in spec:
         raise ValueError(f"potential spec of kind {spec.get('kind')!r} needs {key!r}")
     val = spec[key]
     if not isinstance(val, (list, tuple)):
         raise ValueError(f"potential spec entry {key!r} must be an array")
-    return list(val)
+    return [_real(v, f"{key!r}[{i}]") for i, v in enumerate(val)]

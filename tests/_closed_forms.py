@@ -210,13 +210,15 @@ def poschl_teller_curvature(a, k, lam):
 
 
 class PwcExact(NamedTuple):
-    """Exact m, a* (None unless attained), attainment, F and the local maxima of F inside pieces."""
+    """Exact m, a* (None unless attained), attainment, F and the local minima and maxima of F
+    inside pieces."""
 
     m: float
     a_star: float | None
     attainment: str
     f: Callable[[float], float]
     maxima: list[float]
+    minima: list[float]
 
 
 def pwc_exact(edges, values) -> PwcExact:
@@ -230,8 +232,9 @@ def pwc_exact(edges, values) -> PwcExact:
     its centre; F' vanishes only where both have one kind, at the midpoint of
     the two centres: a maximum for tanh-tanh, a minimum for coth-coth.  So
     inf F is the least of F at the edges, at the coth-coth midpoints inside
-    their piece, and the tail value 2 sqrt(min V(+-inf)); the tanh-tanh
-    midpoints inside their piece are ``maxima``.
+    their piece, and the tail value 2 sqrt(min V(+-inf)); those coth-coth
+    midpoints are ``minima`` and the tanh-tanh midpoints inside their piece
+    are ``maxima``.
     """
     edges, ks = list(map(float, edges)), [math.sqrt(v) for v in values]
     n = len(edges)
@@ -260,7 +263,7 @@ def pwc_exact(edges, values) -> PwcExact:
         return r_minus + rho
 
     tail = 2.0 * min(ks[0], ks[n])
-    candidates, maxima = [(f(e), e) for e in edges], []
+    candidates, maxima, minima = [(f(e), e) for e in edges], [], []
     for j in range(1, n):
         k, lo, hi, r_lo, rho_hi = ks[j], edges[j - 1], edges[j], left[j - 1], right[j]
         if (r_lo - k) * (rho_hi - k) <= 0.0:
@@ -269,9 +272,10 @@ def pwc_exact(edges, values) -> PwcExact:
         if lo < mid < hi:
             if r_lo > k:
                 candidates.append((f(mid), mid))
+                minima.append(mid)
             else:
                 maxima.append(mid)
     best, a_star = min(candidates)
     if best < tail:
-        return PwcExact(best, a_star, "attained", f, maxima)
-    return PwcExact(tail, None, "empty", f, maxima)
+        return PwcExact(best, a_star, "attained", f, maxima, minima)
+    return PwcExact(tail, None, "empty", f, maxima, minima)

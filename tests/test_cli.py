@@ -70,6 +70,13 @@ def test_solve_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["schema_version"] == 1
 
 
+def test_an_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "solve", "--potential", CONSTANT, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert f"configuration error: cannot write --out {target}" in err
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--potential", EXAMPLE, "--grid=-2:2:9")
     assert code == 0
@@ -363,6 +370,23 @@ def test_optional_spec_entries_take_their_default_or_exit_2(capsys):
         assert f"configuration error: potential spec entry {key!r} is not a number" in err
 
 
+@pytest.mark.parametrize(
+    "spec, entry",
+    [
+        ({"kind": "constant", "v": True}, "'v'"),
+        ({"kind": "constant", "v": "4"}, "'v'"),
+        ({"kind": "piecewise_constant", "edges": [0], "values": [1, "4"]}, "'values'[1]"),
+        ({"kind": "piecewise_constant", "edges": [True], "values": [1, 4]}, "'edges'[0]"),
+        ({"kind": "step", "v0": 1, "v1": 4, "width": "2"}, "'width'"),
+    ],
+    ids=["bool", "string", "string-element", "bool-element", "optional-string"],
+)
+def test_booleans_and_numeric_strings_in_a_spec_exit_2(capsys, spec, entry):
+    code, out, err = run(capsys, "solve", "--potential", json.dumps(spec))
+    assert (code, out) == (2, "")
+    assert f"configuration error: potential spec entry {entry} is not a number" in err
+
+
 def test_cli_exports_only_main():
     from sobolev1d import cli
 
@@ -449,7 +473,7 @@ VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
     "step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "well": (0, "PPPPPPP", "206 samples, 0 disagreements"),
-    "double_well": (0, "PPPPPPP", "205 samples, 0 disagreements"),
+    "double_well": (0, "PPPPPPP", "206 samples, 0 disagreements"),
     "high_contrast_well": (0, "PPPPPPP", "206 samples, 0 disagreements"),
     "jump_step": (0, "PPPPPPP", "206 samples, 0 disagreements"),
     "constant": (0, "PPPPPPP", "209 samples, 0 disagreements"),
@@ -459,6 +483,7 @@ VERIFY_TABLE = {
     "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
+    "shelf": (0, "PPPPPPP", "198 samples, 0 disagreements"),
 }
 
 

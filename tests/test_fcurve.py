@@ -58,8 +58,8 @@ def test_wronskian_constancy(example_curve):
     assert curve.wronskian_drift() < 1e-8
 
 
-def test_wronskian_drift_reuses_the_grid_reads(example_curve, monkeypatch):
-    """The drift reads no side again, and equals the formula on fresh reads."""
+def test_wronskian_drift_reads_each_side_once_on_the_grid(example_curve, monkeypatch):
+    """The drift reads each side once, at the grid, and equals the formula on separate reads."""
     _, curve = example_curve
     log_w = (
         np.log(curve.values)
@@ -71,12 +71,12 @@ def test_wronskian_drift_reuses_the_grid_reads(example_curve, monkeypatch):
     dense = LogSolution._dense
 
     def counted(self, x):
-        sides.append(self.side)
+        sides.append((self.side, np.size(x)))
         return dense(self, x)
 
     monkeypatch.setattr(LogSolution, "_dense", counted)
     assert curve.wronskian_drift() == expected
-    assert sides == []
+    assert sorted(sides) == [("+", curve.grid.size), ("-", curve.grid.size)]
 
 
 def test_slope_identity_both_products(example_curve):
@@ -434,8 +434,8 @@ def test_only_the_curvature_reads_v_at_the_pin():
         assert calls == [4]
 
 
-def test_the_curve_samples_v_only_at_the_gauss_nodes_of_its_two_reads():
-    """The grid carries F and F', not F'': one call per side at 3 nodes per pin, none at the pins."""
+def test_the_curve_samples_v_nowhere():
+    """The curve takes F and F' at the nodes from the stored rates: V is not sampled."""
     calls = []
     example = make_example(cf.A, cf.B)
 
@@ -447,5 +447,5 @@ def test_the_curve_samples_v_only_at_the_gauss_nodes_of_its_two_reads():
         dataclasses.replace(example, evaluate=evaluate), *default_window(example)
     )
     calls.clear()
-    curve = build_fcurve(plus, minus)
-    assert calls == [3 * curve.grid.size] * 2
+    build_fcurve(plus, minus)
+    assert calls == []

@@ -249,10 +249,10 @@ def test_sides_of_two_solves_on_one_window_are_refused(consumer):
 
 @pytest.mark.parametrize(
     "consumer, read",
-    [("build_green", []), ("build_fcurve", ["+", "-"]), ("extremal_function", ["+", "-"])],
+    [("build_green", []), ("build_fcurve", []), ("extremal_function", ["+", "-"])],
 )
 def test_the_pair_check_reads_no_side(consumer, read, monkeypatch):
-    """W comes from the stored rates: only the curve grid and the extremal's center are read."""
+    """W and the curve's nodes come from the stored rates: only the extremal's center is read."""
     example = make_example(cf.A, cf.B)
     evaluated = []
 

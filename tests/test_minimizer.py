@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import random
@@ -216,6 +217,16 @@ def _pwc_cases():
     return cases + _TANH_TANH_AT_0
 
 
+def _assert_the_candidates_are_the_exact_minima(report, exact, edges):
+    """One candidate per coth-coth midpoint in the curve window, in order, in its piece, F to 1e-10."""
+    lo, hi = report.curve.window
+    minima = [a for a in exact.minima if lo <= a <= hi]
+    assert len(report.critical_points) == len(minima)
+    for p, a in zip(report.critical_points, minima):
+        assert bisect.bisect(edges, p.location) == bisect.bisect(edges, a)
+        assert abs(p.value - exact.f(a)) <= 1e-10 * exact.f(a)
+
+
 @pytest.mark.parametrize("edges, values", _pwc_cases())
 def test_piecewise_constant_matches_the_exact_reference(edges, values):
     exact = cf.pwc_exact(edges, values)
@@ -229,8 +240,9 @@ def test_piecewise_constant_matches_the_exact_reference(edges, values):
     curve = report.curve
     exact_f = np.array([exact.f(a) for a in curve.grid.tolist()])
     assert np.max(np.abs(curve.value_at(curve.grid) / exact_f - 1.0)) <= 1e-10
-    # Each rejected root is a tanh-tanh maximum; a flat top under the noise
-    # floor may go unreported, which leaves m and a* as they are.
+    _assert_the_candidates_are_the_exact_minima(report, exact, edges)
+    # Each rejected root is a tanh-tanh maximum; a top flatter than the
+    # curvature slack may go unreported, which leaves m and a* as they are.
     doc = report.to_json_dict()
     flags = ("balanced_slope", "plus_side_product", "minus_side_product")
     for p, row in zip(report.rejected_candidates, doc["rejected_candidates"]):
@@ -242,6 +254,17 @@ def test_piecewise_constant_matches_the_exact_reference(edges, values):
         assert [p.location for p in report.rejected_candidates] == [0.0]
         assert report.rejected_candidates[0].curvature < 0.0
         assert exact.maxima == [pytest.approx(0.0, abs=1e-12)]
+
+
+def test_the_double_well_rejects_its_flat_topped_maximum_at_0():
+    """The tanh-tanh top at 0 has |F'| under the noise floor at every node near it, and
+    F'' = -7.7e-8, below the curvature slack: it is bracketed by the nodes +-5 and rejected."""
+    edges, values = [-6.0, -5.0, 5.0, 6.0], [4.0, 1.0, 4.0, 1.0, 4.0]
+    report = minimize(make_piecewise_constant(edges, values))
+    (top,) = report.rejected_candidates
+    assert top.location == 0.0 and top.value == 3.999999995174893
+    assert top.curvature == pytest.approx(-7.7e-8, rel=0.01)
+    assert cf.pwc_exact(edges, values).maxima == [pytest.approx(0.0, abs=1e-12)]
 
 
 def _pwc_edges_and_values(n_edges: int):
@@ -268,6 +291,8 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
     assert abs(m - exact.m) <= 1e-10 * exact.m
     # pwc_exact tells attained from empty only; V with one value is flat.
     assert report.attainment == ("flat" if min(values) == max(values) else exact.attainment)
+    if not report.flat:
+        _assert_the_candidates_are_the_exact_minima(report, exact, edges)
     moved = minimize(pot.shifted(shift))
     assert abs(moved.m_value - m) <= 1e-9 * m
     if moved.a_star is not None:

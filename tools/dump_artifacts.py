@@ -76,6 +76,13 @@ SPECS = {
     "high_contrast_step": {"kind": "step", "v0": 1, "v1": 1e4},
     # A well past x = 30, inside the window the solve widens to reach it.
     "far_well": {"kind": "piecewise_constant", "edges": [39, 41], "values": [4, 1, 4]},
+    # A flat-bottomed V = 4 well beside the deeper V = 1 well: F' stays under the
+    # noise floor across the shelf's bottom, and the top between the wells is flat.
+    "shelf": {
+        "kind": "piecewise_constant",
+        "edges": [-24, -4, 2, 3],
+        "values": [9, 4, 9, 1, 9],
+    },
 }
 
 RUNS = {
