@@ -187,8 +187,8 @@ class CriticalPointScan:
     -CURVATURE_SLACK * max(1, max F) (local maxima; a top flatter than that
     is not listed).  The list a root is in is its minimality verdict.
     ``flat`` marks a curve whose slope stays under the noise floor at every
-    node: every pin is then critical and ``points`` carries a single
-    representative at 0.
+    node and whose declaration confines F within that floor: every pin is
+    then critical and ``points`` carries a single representative at 0.
     """
 
     points: list[CriticalPoint]
@@ -240,8 +240,12 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
     A node is decided where |F'| clears the noise floor
-    NOISE_FACTOR * tol * max(1, max F) over the nodes; a curve with no decided
-    node is flat (constant potentials).  Each two consecutive decided nodes
+    NOISE_FACTOR * tol * max(1, max F) over the nodes.  A curve with no decided
+    node is flat only when the declaration proves it: F lies in
+    [2 sqrt(v0), 2 sqrt(v1)] at every pin, so 2 (sqrt(v1) - sqrt(v0)) at most
+    the floor does, and so do declared pieces of one value.  Any other such
+    curve is refused with SolverError: the nodes did not see V vary, which
+    does not show that it is constant.  Each two consecutive decided nodes
     whose F' differ in sign bracket one root, undecided nodes between them or
     not, so a well many decay lengths wide, where F' stays under the floor,
     is bracketed as any other.  The root is polished to within ROOT_TOL by
@@ -256,6 +260,16 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     s = curve.node_reads.slope
     decided = np.abs(s) > noise_floor
     if not decided.any():
+        pot = curve.potential
+        v0, v1 = pot.lower_bound, pot.upper_bound
+        one_piece = pot.pieces is not None and min(pot.pieces) == max(pot.pieces)
+        if not one_piece and 2.0 * (math.sqrt(v1) - math.sqrt(v0)) > noise_floor:
+            raise SolverError(
+                f"F' is under the noise floor {noise_floor:.3g} at every node of the curve window "
+                f"[{curve.window[0]:g}, {curve.window[1]:g}], but the declared bounds "
+                f"[{v0:g}, {v1:g}] do not make F flat: widen the window, declare the pieces "
+                "or tighten the bounds"
+            )
         # A flat curve has one representative, at a = 0.
         return CriticalPointScan([_critical_point(curve, 0.0)], [], True, noise_floor)
     x, s = curve.nodes[decided].tolist(), s[decided].tolist()

@@ -5,9 +5,10 @@ W = phi_minus' (0) - phi_plus'(0) their (constant) Wronskian,
 
     G(x, y) = phi_minus(min(x, y)) phi_plus(max(x, y)) / W,
 
-symmetric by construction and equal to u_y(x) / F(y).  G, the pinned
-minimizer u_y and the curve F all read the pair through one reader,
-``fundamental._pair_reads``.  Everything is evaluated in log space, so
+symmetric by construction and equal to u_y(x) / F(y).  G and the curve F
+read the pair through one reader, ``fundamental._pair_reads``; the pinned
+minimizer u_y reads each side only at the points on its own side of y
+(``ExtremalFunction._reads``).  Everything is evaluated in log space, so
 lattice spans that would overflow phi itself are harmless.  For V == v the
 closed form is e^{-sqrt(v)|x-y|} / (2 sqrt(v)).
 

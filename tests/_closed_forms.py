@@ -222,7 +222,7 @@ class PwcExact(NamedTuple):
 
 
 def pwc_exact(edges, values) -> PwcExact:
-    """Exact answer for V = values[j] on [edges[j-1], edges[j]), at least one edge.
+    """Exact answer for V = values[j] on [edges[j-1], edges[j]).
 
     F = r_- - r_+, and on a piece V = k^2 the flow r' = k^2 - r^2 over a
     length s is the Moebius map r -> k (r + k t)/(k + r t), t = tanh(k s).
@@ -234,10 +234,18 @@ def pwc_exact(edges, values) -> PwcExact:
     inf F is the least of F at the edges, at the coth-coth midpoints inside
     their piece, and the tail value 2 sqrt(min V(+-inf)); those coth-coth
     midpoints are ``minima`` and the tanh-tanh midpoints inside their piece
-    are ``maxima``.
+    are ``maxima``.  Equal neighbouring values merge first, as in
+    ``make_piecewise_constant``, so no trivial edge splits a piece; a V left
+    with one value has F equal to its tail value everywhere.
     """
-    edges, ks = list(map(float, edges)), [math.sqrt(v) for v in values]
-    n = len(edges)
+    merged, vs = [], [values[0]]
+    for e, v in zip(edges, values[1:]):
+        if v != vs[-1]:
+            merged.append(float(e))
+            vs.append(v)
+    edges, ks, n = merged, [math.sqrt(v) for v in vs], len(merged)
+    if n == 0:
+        return PwcExact(2.0 * ks[0], None, "empty", lambda a: 2.0 * ks[0], [], [])
 
     def flow(k, r, s):
         t = math.tanh(k * s)

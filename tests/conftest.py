@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,36 @@ def poschl_teller(k: float, lam: float) -> Potential:
         tail_limits=(k * k, k * k),
         label=f"poschl-teller k={k:g} lambda={lam:g}",
     )
+
+
+def spy(monkeypatch, owners, name, record) -> list:
+    """Wrap the callable ``name`` once and install that one wrapper on every owner.
+
+    ``owners`` are the modules or classes that look ``name`` up, for example
+    ``(minimizer, cli)`` for ``solve_log_solution``.  Each call appends
+    ``record(*args, **kwargs)`` to the returned list and then runs the original.
+    """
+    original = getattr(owners[0], name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def counting(potential: Potential) -> tuple[Potential, list]:
+    """``potential`` with the size of every ``evaluate`` call appended to ``sizes``."""
+    sizes = []
+
+    def evaluate(x):
+        sizes.append(np.size(x))
+        return potential.evaluate(x)
+
+    return dataclasses.replace(potential, evaluate=evaluate), sizes
 
 
 @pytest.fixture

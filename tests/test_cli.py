@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
-from conftest import poschl_teller
+from conftest import poschl_teller, spy
 from sobolev1d import Potential, build_green, make_example, minimizer, potential_from_spec
 from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, cmd_verify, main
 from sobolev1d.fcurve import build_fcurve, find_critical_points
@@ -54,6 +54,13 @@ def test_solve_csv(capsys):
     assert lines[0] == "key,value"
     table = dict(line.split(",", 1) for line in lines[1:])
     assert abs(float(table["m"]) - 2.0) < 1e-10
+
+
+def test_solve_csv_writes_null_for_a_pin_that_is_not_attained(capsys):
+    step = '{"kind": "step", "v0": 1, "v1": 4}'
+    code, out, _ = run(capsys, "solve", "--potential", step, "--format", "csv")
+    assert code == 0
+    assert "a_star,null" in out.splitlines()
 
 
 def test_solve_deterministic(capsys):
@@ -226,22 +233,8 @@ def test_verify_passes(capsys):
 def test_verify_solves_each_side_once(capsys, monkeypatch):
     from sobolev1d import cli, fundamental, minimizer
 
-    pairs = []
-    refines = []
-    original = minimizer.solve_log_solution
-    refine = fundamental._refine
-
-    def counted(*args, **kwargs):
-        pairs.append(args)
-        return original(*args, **kwargs)
-
-    def counted_refine(*args):
-        refines.append(args)
-        return refine(*args)
-
-    monkeypatch.setattr(minimizer, "solve_log_solution", counted)
-    monkeypatch.setattr(cli, "solve_log_solution", counted)
-    monkeypatch.setattr(fundamental, "_refine", counted_refine)
+    pairs = spy(monkeypatch, (minimizer, cli), "solve_log_solution", lambda *a, **k: a)
+    refines = spy(monkeypatch, (fundamental,), "_refine", lambda *a: a)
     code, _, _ = run(capsys, "verify", "--potential", CONSTANT)
     assert code == 0
     assert len(pairs) == 1
@@ -296,6 +289,68 @@ def test_a_window_the_solve_refuses_exits_2_before_solving(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     assert "configuration error" in err and "decay margin" in err
     assert calls == []
+
+
+FAR_STEP = '{"kind": "step", "v0": 1, "v1": 4, "center": 100}'
+
+
+def test_a_step_no_node_sees_exits_3_not_flat(capsys):
+    """V > 1 everywhere, so m = 2 is not attained; on the default window [-25, 25] the
+    solve sees V = 1 only, and the declared bounds [1, 4] do not make F flat."""
+    for command in ("solve", "verify"):
+        code, out, err = run(capsys, command, "--potential", FAR_STEP)
+        assert (code, out) == (3, "")
+        assert "solver error" in err and "declared bounds [1, 4]" in err
+        assert "widen the window, declare the pieces or tighten the bounds" in err
+    code, out, _ = run(capsys, "solve", "--potential", FAR_STEP, "--window=-25,125")
+    assert code == 0
+    assert json.loads(out)["attainment"] == "empty"
+
+
+def _table(**entries) -> str:
+    return json.dumps({"kind": "table", "x": [0, 1, 2, 3], "v": [1, 1, 1, 1], **entries})
+
+
+@pytest.mark.parametrize(
+    "argv, spec, message",
+    [
+        (("solve", "--window", "1,2,3"), CONSTANT, "--window must be 'x_min,x_max'"),
+        (("solve", "--window", "a,b"), CONSTANT, "--window values must be numbers"),
+        (("scan", "--grid=a:b:3"), CONSTANT, "--grid values must be numeric"),
+        (("scan", "--grid=0:1:0"), CONSTANT, "--grid count must be >= 1"),
+        (("solve",), "[]", "potential spec must be an object, got list"),
+        (("solve",), '{"kind": "piecewise_constant", "edges": 3, "values": [1, 2]}',
+         "potential spec entry 'edges' must be an array"),
+        (("solve",), '{"kind": "piecewise_constant", "values": [1, 2]}',
+         "potential spec of kind 'piecewise_constant' needs 'edges'"),
+        (("solve",), '{"kind": "step", "v0": 4, "v1": 1}', "need 0 < v0 <= v1"),
+        (("solve",), '{"kind": "step", "v0": 1, "v1": 4, "width": 0}',
+         "transition width must be positive"),
+        (("solve",), '{"kind": "example", "A": -1, "B": 2}', "need A > 0 and B > 0"),
+        (("solve",), _table(x=[0, 1, 2], v=[1, 1, 1]),
+         "table grid must be 1-D, strictly increasing, with >= 4 points"),
+        (("solve",), _table(v=[1, 1, 1]), "table samples must match the grid in length"),
+        (("solve",),
+         json.dumps({"kind": "table", "x": [0, 1, 2, 3], "ell_prime": [-1, -1, -1, -1],
+                     "ell_double_prime": [0, 0, 0]}),
+         "ell_prime and ell_double_prime must match in length"),
+        (("solve",), _table(lower_bound=0), "lower bound must be positive"),
+        (("solve",), _table(lower_bound=3, upper_bound=2), "upper bound 2.0 below lower bound 3.0"),
+    ],
+    ids=[
+        "window-three-values", "window-not-numbers", "grid-not-numbers", "grid-count-0",
+        "spec-not-object", "edges-not-array", "edges-missing", "step-v0-above-v1", "step-width-0",
+        "example-negative-A", "table-3-points", "table-v-short", "table-ell-double-prime-short",
+        "table-lower-bound-0", "table-bounds-crossed",
+    ],
+)
+def test_malformed_options_and_specs_exit_2(capsys, tmp_path, argv, spec, message):
+    """Each refusal exits 2 with its message; the spec is read from a file."""
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--potential", str(path))
+    assert (code, out) == (2, "")
+    assert f"configuration error: {message}" in err
 
 
 CUT_WELL = '{"kind": "piecewise_constant", "edges": [2, 4], "values": [100, 50, 100]}'
@@ -468,7 +523,7 @@ def _dump_specs() -> dict:
 DUMP_SPECS = _dump_specs()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
 # check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
-# table fails, on its declared bounds.
+# table fails, on its declared bounds; the far step is refused before any check.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
     "step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
@@ -484,6 +539,7 @@ VERIFY_TABLE = {
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
     "shelf": (0, "PPPPPPP", "198 samples, 0 disagreements"),
+    "far_step": (3, "", None),
 }
 
 
@@ -491,6 +547,9 @@ VERIFY_TABLE = {
 def test_verify_prints_each_check_once_in_order(capsys, name):
     code, statuses, detail = VERIFY_TABLE[name]
     got, out, _ = run(capsys, "verify", "--potential", json.dumps(DUMP_SPECS[name]))
+    if not statuses:
+        assert (got, out) == (code, "")
+        return
     lines = out.splitlines()
     heads = [line.split(":", 1)[0].split(" ") for line in lines]
     assert [check for _, check in heads] == list(VERIFY_CHECKS)
@@ -528,14 +587,10 @@ def test_verify_passes_on_far_wells_extreme_scales_and_high_contrast(capsys, nam
 def test_verify_builds_its_oracle_on_the_window_it_solves(capsys, monkeypatch):
     """The mesh spans [-L, L], L = max(-x_min, x_max), in 12 000 cells, or at the
     default window's spacing (L = 25/sqrt(v0) = 17.34 here) on a wider window."""
-    build = DiscreteRayleighProblem.from_potential.__func__
-    calls = []
-
-    def spy(cls, pot, half_width, spacing):
-        calls.append((half_width, spacing))
-        return build(cls, pot, half_width, spacing)
-
-    monkeypatch.setattr(DiscreteRayleighProblem, "from_potential", classmethod(spy))
+    calls = spy(
+        monkeypatch, (DiscreteRayleighProblem,), "from_potential",
+        lambda pot, half_width, spacing: (half_width, spacing),
+    )
     run(capsys, "verify", "--potential", EXAMPLE, "--window=-30,400")
     run(capsys, "verify", "--potential", EXAMPLE)
     [(wide, wide_spacing), (default, default_spacing)] = calls

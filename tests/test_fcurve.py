@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -32,6 +31,7 @@ from sobolev1d.fundamental import (
     solve_log_solution,
 )
 from sobolev1d.minimizer import default_window
+from conftest import counting, spy
 
 WINDOW = (-25.0, 25.0)
 
@@ -67,14 +67,7 @@ def test_wronskian_drift_reads_each_side_once_on_the_grid(example_curve, monkeyp
         + curve.phi_minus.ell_at(curve.grid)
     )
     expected = float(np.max(np.abs(np.expm1(log_w - math.log(curve.wronskian)))))
-    sides = []
-    dense = LogSolution._dense
-
-    def counted(self, x):
-        sides.append((self.side, np.size(x)))
-        return dense(self, x)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
+    sides = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: (self.side, np.size(x)))
     assert curve.wronskian_drift() == expected
     assert sorted(sides) == [("+", curve.grid.size), ("-", curve.grid.size)]
 
@@ -329,19 +322,11 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
     _, curve = example_curve
     u = extremal_function(curve.phi_plus, curve.phi_minus, cf.A1_EXACT)
     green = build_green(curve.phi_plus, curve.phi_minus)
-    sides, one_pin = [], []
-    dense, dense_one = LogSolution._dense, fundamental._dense_one
-
-    def counted(self, x):
-        sides.append(self.side)
-        return dense(self, x)
-
-    def counted_one(reads, pin=None):
-        one_pin.extend(solution.side for solution, _ in reads)
-        return dense_one(reads, pin)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
-    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
+    sides = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: self.side)
+    one_pin = spy(
+        monkeypatch, (fundamental,), "_dense_one",
+        lambda reads, pin=None: [solution.side for solution, _ in reads],
+    )
     xs = np.linspace(-6.0, 6.0, 209)
     reads = [lambda n=n: check_minimality_equivalence(curve, xs[:n]) for n in (1, 7, 209)]
     reads += [
@@ -360,7 +345,8 @@ def test_one_dense_read_per_side(example_curve, monkeypatch):
     one_pin.clear()
     find_critical_points(curve)
     assert sides == []
-    assert one_pin and one_pin.count("+") == one_pin.count("-")
+    pins = [side for call in one_pin for side in call]
+    assert pins and pins.count("+") == pins.count("-")
 
 
 def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypatch):
@@ -371,14 +357,7 @@ def test_extremal_reads_each_side_only_at_its_own_points(example_curve, monkeypa
     xs = np.linspace(-6.0, 6.0, 209)
     (_, _, lp, lm, _), left = _pair_reads(plus, minus, xs, u.center)
     both = np.where(left, lm - minus.ell_at(u.center), lp - plus.ell_at(u.center))
-    points = []
-    dense = LogSolution._dense
-
-    def counted(self, x):
-        points.append(np.size(x))
-        return dense(self, x)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
+    points = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: np.size(x))
     assert u.log_value(xs).tobytes() == both.tobytes()
     assert sum(points) == xs.size
     for x in (-3.0, u.center, 3.0):
@@ -405,14 +384,7 @@ def test_pair_reads_at_a_point_match_the_broadcast_read(example_curve, y):
 
 def test_only_the_curvature_reads_v_at_the_pin():
     """One-pin readers evaluate V once: at both sides' Gauss nodes, and the pin for F''."""
-    calls = []
-    example = make_example(cf.A, cf.B)
-
-    def evaluate(x):
-        calls.append(np.size(x))
-        return example.evaluate(x)
-
-    pot = dataclasses.replace(example, evaluate=evaluate)
+    pot, calls = counting(make_example(cf.A, cf.B))
     curve = build_fcurve(*solve_log_solution(pot, *WINDOW))
     reads = [
         curve.value_at,
@@ -436,16 +408,8 @@ def test_only_the_curvature_reads_v_at_the_pin():
 
 def test_the_curve_samples_v_nowhere():
     """The curve takes F and F' at the nodes from the stored rates: V is not sampled."""
-    calls = []
-    example = make_example(cf.A, cf.B)
-
-    def evaluate(x):
-        calls.append(np.size(x))
-        return example.evaluate(x)
-
-    plus, minus = solve_log_solution(
-        dataclasses.replace(example, evaluate=evaluate), *default_window(example)
-    )
+    pot, calls = counting(make_example(cf.A, cf.B))
+    plus, minus = solve_log_solution(pot, *default_window(pot))
     calls.clear()
     build_fcurve(plus, minus)
     assert calls == []

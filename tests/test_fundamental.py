@@ -32,7 +32,7 @@ from sobolev1d.fundamental import (
 )
 from sobolev1d.minimizer import default_window
 from sobolev1d import fundamental
-from conftest import random_piecewise_constant
+from conftest import counting, random_piecewise_constant, spy
 
 WINDOW = (-25.0, 25.0)
 
@@ -106,14 +106,7 @@ def test_cell_map_of_constant_v_is_exact_on_either_branch(cells):
     ids=["example", "jump-at-0", "asymmetric"],
 )
 def test_solve_makes_no_dense_read(pot, window, monkeypatch):
-    reads = []
-    dense = LogSolution._dense
-
-    def counted(self, x):
-        reads.append(self.side)
-        return dense(self, x)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
+    reads = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: self.side)
     sides = solve_log_solution(pot, *window)
     assert reads == []
     for sol in sides:
@@ -253,46 +246,28 @@ def test_sides_of_two_solves_on_one_window_are_refused(consumer):
 )
 def test_the_pair_check_reads_no_side(consumer, read, monkeypatch):
     """W and the curve's nodes come from the stored rates: only the extremal's center is read."""
-    example = make_example(cf.A, cf.B)
-    evaluated = []
-
-    def evaluate(x):
-        evaluated.append(np.size(x))
-        return example.evaluate(x)
-
-    plus, minus = solve_log_solution(dataclasses.replace(example, evaluate=evaluate), *WINDOW)
-    sides = []
-    dense, dense_one = LogSolution._dense, fundamental._dense_one
-
-    def counted(self, x):
-        # A point read goes on to _dense_one, which counts it.
-        if not fundamental._is_point(x):
-            sides.append(self.side)
-        return dense(self, x)
-
-    def counted_one(reads, pin=None):
-        sides.extend(solution.side for solution, _ in reads)
-        return dense_one(reads, pin)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
-    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
+    pot, evaluated = counting(make_example(cf.A, cf.B))
+    plus, minus = solve_log_solution(pot, *WINDOW)
+    # A point read goes on to _dense_one, which counts it.
+    arrays = spy(
+        monkeypatch, (LogSolution,), "_dense",
+        lambda self, x: [] if fundamental._is_point(x) else [self.side],
+    )
+    one_pin = spy(
+        monkeypatch, (fundamental,), "_dense_one",
+        lambda reads, pin=None: [solution.side for solution, _ in reads],
+    )
     evaluated.clear()
     PAIR_CONSUMERS[consumer](plus, minus)
-    assert sorted(sides) == read
+    assert sorted(side for call in arrays + one_pin for side in call) == read
     if not read:
         assert evaluated == []
 
 
 def test_extremal_samples_v_once_at_its_center():
     """Both sides' steps to the center share one call, at their 3 + 3 Gauss nodes."""
-    example = make_example(cf.A, cf.B)
-    evaluated = []
-
-    def evaluate(x):
-        evaluated.append(np.size(x))
-        return example.evaluate(x)
-
-    plus, minus = solve_log_solution(dataclasses.replace(example, evaluate=evaluate), *WINDOW)
+    pot, evaluated = counting(make_example(cf.A, cf.B))
+    plus, minus = solve_log_solution(pot, *WINDOW)
     evaluated.clear()
     u = extremal_function(plus, minus, cf.A1_EXACT)
     assert evaluated == [6]
@@ -512,14 +487,11 @@ def test_infinite_potential_refused():
 
 def test_constant_far_above_its_bound_refused_in_the_first_round():
     """V = 1e12 declared as [1, 1]: a flat run that would need more cells is not merged."""
-    points = []
-
-    def evaluate(x):
-        points.append(np.size(x))
-        return np.full_like(np.asarray(x, dtype=float), 1e12)
-
+    pot, points = counting(
+        Potential(lambda x: np.full_like(np.asarray(x, dtype=float), 1e12), 1.0, 1.0)
+    )
     with pytest.raises(SolverError):
-        solve_log_solution(Potential(evaluate, 1.0, 1.0), *WINDOW)
+        solve_log_solution(pot, *WINDOW)
     # h0 = 0.05 on [-25, 25]: 1000 initial cells, 9 samples each, no bisection.
     assert sum(points) <= 9 * 1000
 
@@ -561,6 +533,26 @@ def test_dense_reads_refuse_a_non_finite_potential_as_the_solve_does():
             else:
                 assert math.isfinite(r) and math.isfinite(l)
         assert refused > 0
+
+
+def test_a_point_read_keeps_its_bits_where_its_step_crosses_negative_v(monkeypatch):
+    """V = -50 on a sliver between the solve's Gauss nodes: the one-pin steps that sample
+    it take _dense_one's sin branch, and each still equals its array element."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((0.3137 < x) & (x < 0.3147), -50.0, 1.0 + 0.5 * np.exp(-x * x))
+
+    sides = solve_log_solution(Potential(evaluate, 1.0, 1.5), *WINDOW)
+    xs = np.linspace(0.30, 0.33, 301)
+    arrays = [side._dense(xs) for side in sides]
+    negative = spy(
+        monkeypatch, (fundamental,), "_omega", lambda v1, v2, v3, h: min(v1, v2, v3) < 0.0
+    )
+    for side, (rs, ls) in zip(sides, arrays):
+        for x, r, l in zip(xs.tolist(), rs.tolist(), ls.tolist()):
+            assert [y.hex() for y in side._dense(x)] == [r.hex(), l.hex()]
+    assert any(negative)
 
 
 def test_reads_of_v_at_the_pin_refuse_a_non_finite_v(example_pair):
@@ -642,14 +634,7 @@ def test_smooth_potential_keeps_the_initial_spacing():
 )
 def test_both_sides_refine_to_the_same_mesh(pot, monkeypatch):
     """One refinement per pair: both sides share its mesh."""
-    calls = []
-    refine = fundamental._refine
-
-    def counted(*args):
-        calls.append(1)
-        return refine(*args)
-
-    monkeypatch.setattr(fundamental, "_refine", counted)
+    calls = spy(monkeypatch, (fundamental,), "_refine", lambda *args: 1)
     report = minimize(pot)
     extremal(report)
     assert len(calls) == 1
@@ -668,13 +653,8 @@ def test_declared_pieces_are_read_at_the_segment_midpoints_only():
     segments = len(fundamental._segment_edges(pot, *window)) - 1
 
     def points_and_mesh(p):
-        sizes = []
-
-        def evaluate(x):
-            sizes.append(np.size(x))
-            return p.evaluate(x)
-
-        plus, _ = solve_log_solution(dataclasses.replace(p, evaluate=evaluate), *window)
+        counted, sizes = counting(p)
+        plus, _ = solve_log_solution(counted, *window)
         return sum(sizes), plus._mesh.size
 
     points, nodes = points_and_mesh(pot)
@@ -706,17 +686,33 @@ def test_undeclared_bump_blocks_the_merge():
     assert abs(minimize(bump).m_value - minimize(declared).m_value) <= 1e-8
 
 
-def test_narrow_deep_well_keeps_its_minimum():
-    """A well narrower than every initial cell is found, although V = 100 around it."""
-    w = 1e-4
-    well = Potential(
-        evaluate=lambda x: 100.0 - 99.0 * np.exp(-((np.asarray(x) - 0.3137) ** 2) / (2 * w * w)),
+def _narrow_well(center: float, w: float) -> Potential:
+    """V = 100 - 99 exp(-(x - center)^2 / (2 w^2)), declared [1, 100]."""
+    return Potential(
+        evaluate=lambda x: 100.0 - 99.0 * np.exp(-((np.asarray(x) - center) ** 2) / (2 * w * w)),
         lower_bound=1.0,
         upper_bound=100.0,
     )
-    report = minimize(well)
+
+
+def test_narrow_deep_well_keeps_its_minimum():
+    """A well narrower than every initial cell is found, although V = 100 around it."""
+    report = minimize(_narrow_well(0.3137, 1e-4))
     assert report.m_value == pytest.approx(19.975223916161923, rel=1e-12)
     assert report.attainment == "attained"
+
+
+def test_a_curve_no_node_decides_is_flat_only_where_the_declaration_says_so():
+    """F lies in [2 sqrt(v0), 2 sqrt(v1)]: bounds of one value (a table of equal samples
+    widened by 2e-9) make F flat; a well of width 1e-5 that no node sees is refused."""
+    report = minimize(_narrow_well(0.3137, 1e-5))
+    assert report.m_value == pytest.approx(19.99751883465477, rel=1e-12)
+    assert report.attainment == "attained"
+    with pytest.raises(SolverError, match=r"noise floor 2e-07 .* bounds \[1, 100\]"):
+        minimize(_narrow_well(1.2345, 1e-5))
+    table = potential_from_spec({"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1] * 5})
+    assert table.upper_bound - table.lower_bound == pytest.approx(2e-9)
+    assert minimize(table).attainment == "flat"
 
 
 @pytest.mark.parametrize("pins", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
@@ -925,43 +921,27 @@ def test_envelope_check_reads_each_side_once(family, monkeypatch):
     pot = potential_from_spec(ENVELOPE_SPECS[family])
     plus, minus = solve_log_solution(pot, *default_window(pot))
     expected = _envelope_by_extremal_reads(plus, minus)
-    arrays = []
-    dense = LogSolution._dense
-
-    def counted(self, x):
-        if not fundamental._is_point(x):
-            arrays.append(self.side)
-        return dense(self, x)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
+    arrays = spy(
+        monkeypatch, (LogSolution,), "_dense",
+        lambda self, x: [] if fundamental._is_point(x) else [self.side],
+    )
     report = check_envelope_bounds(plus, minus)
     assert report.violations == expected
-    assert sorted(arrays) == ["+", "-"]
+    assert sorted(side for call in arrays for side in call) == ["+", "-"]
 
 
 def test_envelope_check_reads_its_three_centers_in_one_call(monkeypatch):
     """Both sides at the three centers in one ``_dense_one`` call, V once at 18 nodes."""
-    example = make_example(cf.A, cf.B)
-    evaluated = []
-
-    def evaluate(x):
-        evaluated.append(np.size(x))
-        return example.evaluate(x)
-
-    plus, minus = solve_log_solution(
-        dataclasses.replace(example, evaluate=evaluate), *default_window(example)
+    pot, evaluated = counting(make_example(cf.A, cf.B))
+    plus, minus = solve_log_solution(pot, *default_window(pot))
+    one_pin = spy(
+        monkeypatch, (fundamental,), "_dense_one",
+        lambda reads, pin=None: [solution.side for solution, _ in reads],
     )
-    one_pin = []
-    dense_one = fundamental._dense_one
-
-    def counted_one(reads, pin=None):
-        one_pin.append([solution.side for solution, _ in reads])
-        return dense_one(reads, pin)
 
     def built(self):
         raise AssertionError("the envelope check built an ExtremalFunction")
 
-    monkeypatch.setattr(fundamental, "_dense_one", counted_one)
     monkeypatch.setattr(fundamental.ExtremalFunction, "__post_init__", built)
     evaluated.clear()
     assert check_envelope_bounds(plus, minus).passed
@@ -1034,14 +1014,7 @@ def test_declared_random_steps_lay_the_mesh_that_sampling_refines():
 
 def test_declared_pieces_take_no_step_doubling(monkeypatch):
     """One-cell segments get their piece's exact map; an oversized mesh is refused unread."""
-    doubled = []
-    double = fundamental._double
-
-    def counted(*args):
-        doubled.append(args[1].size)
-        return double(*args)
-
-    monkeypatch.setattr(fundamental, "_double", counted)
+    doubled = spy(monkeypatch, (fundamental,), "_double", lambda pot, lo, *rest: lo.size)
     for pot in (
         make_piecewise_constant([0.3137, 0.3147], [1.0, 4.0, 1.0]),
         make_piecewise_constant([0.3137, 0.3147], [4.0, 1.0, 4.0]),
@@ -1049,15 +1022,9 @@ def test_declared_pieces_take_no_step_doubling(monkeypatch):
     ):
         solve_log_solution(pot, *default_window(pot))
     assert doubled == []
-    wall = make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6])
-    evaluated = []
-
-    def evaluate(x):
-        evaluated.append(np.size(x))
-        return wall.evaluate(x)
-
+    wall, evaluated = counting(make_piecewise_constant([-1.0, 1.0], [1e6, 1.0, 1e6]))
     with pytest.raises(SolverError, match="cells"):
-        solve_log_solution(dataclasses.replace(wall, evaluate=evaluate), *WINDOW)
+        solve_log_solution(wall, *WINDOW)
     assert evaluated == [] and doubled == []
 
 

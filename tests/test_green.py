@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _closed_forms as cf
+from conftest import spy
 from sobolev1d import (
     build_green,
     make_constant,
@@ -86,14 +87,7 @@ def test_section_derivative_broadcasts_like_value(x, y):
 
 def test_residual_check_reads_each_side_once_for_all_test_functions(example_green, monkeypatch):
     _, _, green = example_green
-    calls = []
-    original = LogSolution._dense
-
-    def counted(self, x):
-        calls.append(self.side)
-        return original(self, x)
-
-    monkeypatch.setattr(LogSolution, "_dense", counted)
+    calls = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: self.side)
     tests = [gaussian_test(c, 0.8) for c in (-1.0, 0.0, 1.0)]
     assert residual_check(green, 0.7, tests).passed
     assert sorted(calls) == ["+", "-"]

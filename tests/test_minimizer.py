@@ -195,7 +195,7 @@ _TANH_TANH_AT_0 = [
 
 def _pwc_cases():
     """Seven fixed step potentials, two that once hid their minimum, 40 seeded random ones,
-    and the two _TANH_TANH_AT_0 barriers."""
+    the two _TANH_TANH_AT_0 barriers, and one with a trivial edge."""
     cases = [
         ([-1, 1], [1, 5, 1]),
         ([-6, -5, 5, 6], [4, 1, 4, 1, 4]),
@@ -214,7 +214,8 @@ def _pwc_cases():
         n = rng.randint(1, 8)
         edges = sorted(rng.uniform(-4.0, 4.0) for _ in range(n))
         cases.append((edges, [rng.uniform(1.0, 400.0) for _ in range(n + 1)]))
-    return cases + _TANH_TANH_AT_0
+    # The trivial edge 8.627 splits the V = 2 piece, whose minimum F rounds to the tail.
+    return cases + _TANH_TANH_AT_0 + [([-26.577, -12.444, 8.627, 28.846], [2, 9, 2, 2, 5])]
 
 
 def _assert_the_candidates_are_the_exact_minima(report, exact, edges):
@@ -230,9 +231,14 @@ def _assert_the_candidates_are_the_exact_minima(report, exact, edges):
 @pytest.mark.parametrize("edges, values", _pwc_cases())
 def test_piecewise_constant_matches_the_exact_reference(edges, values):
     exact = cf.pwc_exact(edges, values)
-    report = minimize(make_piecewise_constant(edges, values))
+    pot = make_piecewise_constant(edges, values)
+    report = minimize(pot)
     assert abs(report.m_value - exact.m) <= 1e-10 * exact.m
-    assert report.attainment == exact.attainment
+    if report.attainment == "undetermined":
+        # Only where the exact best interior value is within the decision band of the tail.
+        assert min(map(exact.f, exact.minima)) - exact.m <= minimizer.CLASSIFICATION_TOL
+    else:
+        assert report.attainment == exact.attainment
     assert (report.a_star is None) == (exact.a_star is None)
     if report.a_star is not None:
         # Wide wells leave F flat to 1e-15 over several decay lengths: compare F, not a*.
@@ -240,7 +246,7 @@ def test_piecewise_constant_matches_the_exact_reference(edges, values):
     curve = report.curve
     exact_f = np.array([exact.f(a) for a in curve.grid.tolist()])
     assert np.max(np.abs(curve.value_at(curve.grid) / exact_f - 1.0)) <= 1e-10
-    _assert_the_candidates_are_the_exact_minima(report, exact, edges)
+    _assert_the_candidates_are_the_exact_minima(report, exact, pot.breakpoints)
     # Each rejected root is a tanh-tanh maximum; a top flatter than the
     # curvature slack may go unreported, which leaves m and a* as they are.
     doc = report.to_json_dict()
@@ -292,7 +298,7 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
     # pwc_exact tells attained from empty only; V with one value is flat.
     assert report.attainment == ("flat" if min(values) == max(values) else exact.attainment)
     if not report.flat:
-        _assert_the_candidates_are_the_exact_minima(report, exact, edges)
+        _assert_the_candidates_are_the_exact_minima(report, exact, pot.breakpoints)
     moved = minimize(pot.shifted(shift))
     assert abs(moved.m_value - m) <= 1e-9 * m
     if moved.a_star is not None:

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 import _closed_forms as cf
+from conftest import spy
 from sobolev1d import (
     Potential,
     SolverError,
@@ -145,13 +144,7 @@ def test_minimize_sweeps_once(monkeypatch):
     """One elimination sweep pair serves both the argmin and the winner's profile."""
     from sobolev1d import oracle
 
-    calls = []
-
-    def counted(problem):
-        calls.append(problem)
-        return _pivots(problem)
-
-    monkeypatch.setattr(oracle, "_pivots", counted)
+    calls = spy(monkeypatch, (oracle,), "_pivots", lambda problem: problem)
     problem = DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), 30.0, 0.005)
     energy, node = discrete_minimize(problem)
     assert len(calls) == 1

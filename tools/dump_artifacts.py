@@ -83,6 +83,9 @@ SPECS = {
         "edges": [-24, -4, 2, 3],
         "values": [9, 4, 9, 1, 9],
     },
+    # A step past the default window: no node sees V vary, and the bounds [1, 4] do
+    # not make F flat, so solve and verify refuse it (exit 3); scan and green run.
+    "far_step": {"kind": "step", "v0": 1, "v1": 4, "center": 100},
 }
 
 RUNS = {
