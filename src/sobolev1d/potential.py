@@ -323,7 +323,9 @@ def _spline_potential(grid, samples, label: str) -> Potential:
     hold one sample per point.  The interpolant is the one scipy's
     CubicSpline builds, in numpy alone.  The declared bounds are the exact
     range of the interpolant: the extremes over the samples and the
-    spline's interior critical points, widened by a relative 1e-9.
+    spline's interior critical points, widened by a relative 1e-9.  Equal
+    samples give zero coefficients past the constant, so that spline reads
+    the sample bit for bit everywhere and its bounds are not widened.
     """
     grid = np.asarray(grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -363,7 +365,7 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         raise ValueError(
             f"interpolated potential dips to {vmin:.6g} <= 0; not admissible"
         )
-    margin = 1e-9 * max(1.0, vmax)
+    margin = 0.0 if vmin == vmax else 1e-9 * max(1.0, vmax)
     return Potential(
         evaluate=evaluate,
         lower_bound=vmin - margin,

@@ -296,12 +296,12 @@ FAR_STEP = '{"kind": "step", "v0": 1, "v1": 4, "center": 100}'
 
 def test_a_step_no_node_sees_exits_3_not_flat(capsys):
     """V > 1 everywhere, so m = 2 is not attained; on the default window [-25, 25] the
-    solve sees V = 1 only, and the declared bounds [1, 4] do not make F flat."""
-    for command in ("solve", "verify"):
-        code, out, err = run(capsys, command, "--potential", FAR_STEP)
-        assert (code, out) == (3, "")
-        assert "solver error" in err and "declared bounds [1, 4]" in err
-        assert "widen the window, declare the pieces or tighten the bounds" in err
+    solve sees V = 1 only, and the declared bounds [1, 4] do not make F flat.  verify
+    refuses it too (VERIFY_TABLE["far_step"])."""
+    code, out, err = run(capsys, "solve", "--potential", FAR_STEP)
+    assert (code, out) == (3, "")
+    assert "solver error" in err and "declared bounds [1, 4]" in err
+    assert "widen the window, declare the pieces or tighten the bounds" in err
     code, out, _ = run(capsys, "solve", "--potential", FAR_STEP, "--window=-25,125")
     assert code == 0
     assert json.loads(out)["attainment"] == "empty"
@@ -523,7 +523,8 @@ def _dump_specs() -> dict:
 DUMP_SPECS = _dump_specs()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
 # check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
-# table fails, on its declared bounds; the far step is refused before any check.
+# table fails, on its declared bounds; the far step is refused before any check,
+# with the detail in the error message.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
     "step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
@@ -539,16 +540,17 @@ VERIFY_TABLE = {
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
     "shelf": (0, "PPPPPPP", "198 samples, 0 disagreements"),
-    "far_step": (3, "", None),
+    "far_step": (3, "", "declared bounds [1, 4] do not make F flat"),
 }
 
 
 @pytest.mark.parametrize("name", list(DUMP_SPECS))
 def test_verify_prints_each_check_once_in_order(capsys, name):
     code, statuses, detail = VERIFY_TABLE[name]
-    got, out, _ = run(capsys, "verify", "--potential", json.dumps(DUMP_SPECS[name]))
+    got, out, err = run(capsys, "verify", "--potential", json.dumps(DUMP_SPECS[name]))
     if not statuses:
         assert (got, out) == (code, "")
+        assert "solver error" in err and detail in err
         return
     lines = out.splitlines()
     heads = [line.split(":", 1)[0].split(" ") for line in lines]

@@ -703,16 +703,25 @@ def test_narrow_deep_well_keeps_its_minimum():
 
 
 def test_a_curve_no_node_decides_is_flat_only_where_the_declaration_says_so():
-    """F lies in [2 sqrt(v0), 2 sqrt(v1)]: bounds of one value (a table of equal samples
-    widened by 2e-9) make F flat; a well of width 1e-5 that no node sees is refused."""
+    """F lies in [2 sqrt(v0), 2 sqrt(v1)]: a well of width 1e-5 that no node sees is
+    refused under bounds [1, 100], and pieces of one value make F flat whatever the bounds."""
     report = minimize(_narrow_well(0.3137, 1e-5))
     assert report.m_value == pytest.approx(19.99751883465477, rel=1e-12)
     assert report.attainment == "attained"
     with pytest.raises(SolverError, match=r"noise floor 2e-07 .* bounds \[1, 100\]"):
         minimize(_narrow_well(1.2345, 1e-5))
-    table = potential_from_spec({"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1] * 5})
-    assert table.upper_bound - table.lower_bound == pytest.approx(2e-9)
-    assert minimize(table).attainment == "flat"
+    loose = dataclasses.replace(make_constant(2.0), lower_bound=1.0, upper_bound=4.0)
+    report = minimize(loose)
+    assert (report.attainment, report.m_value) == ("flat", 2.0 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("v, tol", [(1.0, 1e-10), (0.01, 1e-10), (1.0, 1e-12)])
+def test_a_table_of_equal_samples_declares_one_value_and_is_flat(v, tol):
+    """The spline of equal samples is that value bit for bit, so its bounds are exact
+    and prove F flat at any v and tol."""
+    table = potential_from_spec({"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [v] * 5})
+    assert table.lower_bound == table.upper_bound == v
+    assert minimize(table, tol=tol).attainment == "flat"
 
 
 @pytest.mark.parametrize("pins", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
