@@ -44,7 +44,7 @@ for a in a_grid:
 scan = find_critical_points(curve)
 print(f"\ninterior critical points: {len(scan.points)} "
       f"(flat = {scan.flat}, noise floor {scan.noise_floor:.1e})")
-print("F' > 0 everywhere:", bool(np.all(curve.slope > 0.0)))
+print("F' > 0 everywhere:", bool(np.all(curve.slope_at(curve.grid) > 0.0)))
 
 report = minimize(pot)
 print(f"m = {report.m_value:.9f} via {report.tail_method} "

@@ -43,7 +43,7 @@ print(f"derivative jump across the diagonal: {jump:+.12f} (should be -1)")
 
 print("\ndiagonal inverts the pinned energy, G(y,y) F(y) = 1:")
 for y in (-1.5, 0.0, 1.5):
-    print(f"  y = {y:+.1f}: {green.diagonal(y) * curve.value_at(y):.12f}")
+    print(f"  y = {y:+.1f}: {green.value(y, y) * curve.value_at(y):.12f}")
 
 tests = [gaussian_test(c, 0.9) for c in (-1.0, 0.0, 1.4)]
 report = residual_check(green, 0.3, tests)

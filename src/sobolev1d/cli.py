@@ -21,8 +21,9 @@ Checks are skipped only after the declared bounds fail.
 
 Exit codes: 0 success, 2 configuration error (bad flags, malformed spec, a
 window or tol the solve refuses, a --grid, --x or --y lattice that is
-malformed or leaves its window, all found before any solve; an --out file
-that cannot be written), 3 solver failure, 4 verification failure.
+malformed, leaves its window or has more than MAX_CELLS points (the green
+lattice counted as --x times --y), all found before any solve; an --out
+file that cannot be written), 3 solver failure, 4 verification failure.
 
 Each command builds its whole artifact as text; ``main`` writes it once, to
 ``--out`` when given, else to stdout.  Output is deterministic: identical
@@ -44,6 +45,7 @@ import numpy as np
 from .fcurve import _default_samples, build_fcurve, check_minimality_equivalence
 from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
+    DEFAULT_TOL,
     MAX_CELLS,
     SolverError,
     _check_window,
@@ -179,6 +181,8 @@ def _parse_linspace(spec: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag} values must be numeric") from exc
     if count < 1:
         raise ConfigError(f"{flag} count must be >= 1")
+    if count > MAX_CELLS:
+        raise ConfigError(f"{flag} count must be at most MAX_CELLS = {MAX_CELLS}")
     return np.linspace(start, stop, count)
 
 
@@ -233,6 +237,11 @@ def cmd_green(args: argparse.Namespace) -> tuple[int, str]:
     lo, hi = args.window or default_window(args.potential)
     xs = _parse_linspace(args.x, "--x")
     ys = _parse_linspace(args.y, "--y")
+    points = xs.size * ys.size
+    if points > MAX_CELLS:
+        raise ConfigError(
+            f"--x and --y lattice has {points} points, more than MAX_CELLS = {MAX_CELLS}"
+        )
     for name, vals in (("--x", xs), ("--y", ys)):
         if not np.all((lo <= vals) & (vals <= hi)):
             raise ConfigError(f"{name} lattice leaves the window [{lo:g}, {hi:g}]")
@@ -309,7 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     eq = check_minimality_equivalence(curve, np.append(_default_samples(curve), roots))
     record(
         "minimality-equivalence",
-        eq.all_agree,
+        eq.n_disagree == 0,
         f"{eq.locations.size} samples, {eq.n_disagree} disagreements",
     )
 
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="solve window 'x_min,x_max' (default: +-25/sqrt(v0), wider past breakpoints)",
     )
-    common.add_argument("--tol", type=float, default=1e-10, help="integration tolerance")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="integration tolerance")
     common.add_argument("--out", default=None, help="write the artifact to this file")
     as_json, as_csv = _format_parent("json"), _format_parent("csv")
 

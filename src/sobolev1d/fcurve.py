@@ -75,9 +75,9 @@ class FCurve:
     here.  ``node_reads`` are the r_± and l_± both sides store at ``nodes``,
     the mesh nodes in the window; critical points are found on them.
     ``grid`` is the solutions' sample grid in the window, the pin lattice of
-    reports: ``values``, ``slope`` and ``wronskian_drift`` read the pair
-    there when called.  Every evaluator takes a pin or an array of pins and
-    reads each side once per call; F'' is read at pins, by ``curvature_at``.
+    reports: ``wronskian_drift`` reads the pair there when called.  Every
+    evaluator takes a pin or an array of pins and reads each side once per
+    call; F'' is read at pins, by ``curvature_at``.
     """
 
     grid: np.ndarray
@@ -88,16 +88,6 @@ class FCurve:
     phi_minus: LogSolution = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     node_reads: PinReads = field(repr=False)
-
-    @property
-    def values(self) -> np.ndarray:
-        """F on the grid."""
-        return self.value_at(self.grid)
-
-    @property
-    def slope(self) -> np.ndarray:
-        """F' on the grid."""
-        return self.slope_at(self.grid)
 
     def _reads(self, a, v: bool = True) -> PinReads:
         """The pair read at x = y = a, a pin (kept a float) or an array of pins; V there if v."""
@@ -300,10 +290,6 @@ class EquivalenceReport:
     def n_disagree(self) -> int:
         worst = np.maximum(self.slope_gap, self.curvature_gap)
         return int(np.count_nonzero(~(worst <= CONDITION_TOL)))
-
-    @property
-    def all_agree(self) -> bool:
-        return self.n_disagree == 0
 
 
 def _default_samples(curve: FCurve) -> np.ndarray:

@@ -85,10 +85,6 @@ class GreenEvaluator:
 
     __call__ = value
 
-    def diagonal(self, y):
-        """G(y, y) = 1/F(y)."""
-        return self.value(y, y)
-
     def section_derivative(self, x, y):
         """d/dx G(x, y) away from the diagonal (right-derivative at x = y)."""
         log_g, rate = self._reads(x, y)

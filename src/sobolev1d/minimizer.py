@@ -107,7 +107,6 @@ class MinimizationReport:
     tail_method: str
     critical_points: list[CriticalPoint]
     rejected_candidates: list[CriticalPoint]
-    flat: bool
     window: tuple[float, float]
     requested_window: tuple[float, float] | None
     phi_plus: LogSolution = field(repr=False)
@@ -136,7 +135,7 @@ class MinimizationReport:
             "a_star": self.a_star,
             "critical_points": [point(p, True) for p in self.critical_points],
             "rejected_candidates": [point(p, False) for p in self.rejected_candidates],
-            "flat": self.flat,
+            "flat": self.attainment == "flat",
             "tail_estimate": self.tail_infimum,
             "tail_method": self.tail_method,
             "margins": {
@@ -211,7 +210,6 @@ def minimize(
         tail_method=tail_method,
         critical_points=scan.points,
         rejected_candidates=scan.rejected,
-        flat=scan.flat,
         window=(float(x_min), float(x_max)),
         requested_window=window,
         phi_plus=phi_plus,

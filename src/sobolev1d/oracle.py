@@ -70,10 +70,6 @@ class DiscreteRayleighProblem:
             raise SolverError(f"potential is non-finite at mesh node x = {bad:g}")
         return cls(float(half_width), float(spacing), nodes, v)
 
-    @property
-    def n_interior(self) -> int:
-        return self.nodes.size - 2
-
     def energy(self, u: np.ndarray) -> float:
         """The discrete energy of a mesh function (boundary values included)."""
         h = self.spacing

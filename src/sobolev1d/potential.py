@@ -2,7 +2,7 @@
 
 Everything downstream works with essentially bounded potentials
 0 < v0 <= V(x) <= v1 < inf.  A :class:`Potential` bundles the evaluation
-callable with the declared bounds, the list of discontinuity locations,
+callable with the declared bounds, the locations where V or V' may jump,
 (when known) the limits of V at -inf and +inf, and, for a V constant
 between its breakpoints, the value on each piece.  The declared data is
 trusted by the integrators, so the constructors in this module validate
@@ -56,8 +56,9 @@ class Potential:
         evaluate: vectorized callable, float or ndarray in, same shape out.
         lower_bound: declared essential infimum v0 (> 0, finite).
         upper_bound: declared essential supremum v1 (>= v0, finite).
-        breakpoints: sorted locations where V may jump; integrators split
-            their meshes here.  Empty for continuous potentials.
+        breakpoints: sorted locations where V or V' may jump; integrators
+            split their meshes here, and difference stencils stay clear of
+            them.  Empty for potentials that are smooth everywhere.
         tail_limits: (limit at -inf, limit at +inf) when the potential has
             genuine limits, else None.
         label: short human-readable description used in reports.
@@ -109,7 +110,7 @@ class Potential:
 
     @property
     def continuous(self) -> bool:
-        """False when V may jump, i.e. when it has breakpoints."""
+        """False when V or V' may jump, i.e. when it has breakpoints."""
         return not self.breakpoints
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
@@ -325,7 +326,9 @@ def _spline_potential(grid, samples, label: str) -> Potential:
     range of the interpolant: the extremes over the samples and the
     spline's interior critical points, widened by a relative 1e-9.  Equal
     samples give zero coefficients past the constant, so that spline reads
-    the sample bit for bit everywhere and its bounds are not widened.
+    the sample bit for bit everywhere and its bounds are not widened.  The
+    grid ends are declared as breakpoints: V' jumps there to the zero slope
+    of the held end samples.
     """
     grid = np.asarray(grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -370,6 +373,7 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         evaluate=evaluate,
         lower_bound=vmin - margin,
         upper_bound=vmax + margin,
+        breakpoints=(lo, hi),
         tail_limits=(left, right),
         label=label,
     )

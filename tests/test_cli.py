@@ -114,7 +114,7 @@ def test_scan_defaults_to_the_curve_grid(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == curve.grid.size
     assert [row[0] for row in rows] == [f"{a:.15e}" for a in curve.grid.tolist()]
-    assert [row[1] for row in rows] == [f"{f:.15e}" for f in curve.values.tolist()]
+    assert [row[1] for row in rows] == [f"{f:.15e}" for f in curve.value_at(curve.grid).tolist()]
 
 
 def test_scan_grid_outside_window(capsys):
@@ -377,11 +377,19 @@ CUT_WELL = '{"kind": "piecewise_constant", "edges": [2, 4], "values": [100, 50, 
          "--grid must stay inside the curve window [-13, 13]"),
         (("green", "--potential", CONSTANT, "--x=0:0:1", "--y=nan:0:3"),
          "--y lattice leaves the window [-25, 25]"),
+        # Refused before np.linspace would try to allocate the lattice.
+        (("scan", "--potential", CONSTANT, "--grid=0:1:1000000000000"),
+         "--grid count must be at most MAX_CELLS = 524288"),
+        (("green", "--potential", CONSTANT, "--x=0:1:3", "--y=0:1:1000000000000"),
+         "--y count must be at most MAX_CELLS = 524288"),
+        (("green", "--potential", CONSTANT, "--x=0:1:1000", "--y=0:1:1000"),
+         "--x and --y lattice has 1000000 points, more than MAX_CELLS = 524288"),
     ],
     ids=[
         "solve-cut-window", "scan-cut-window", "green-cut-window", "verify-cut-window",
         "scan-grid-syntax", "scan-grid-range", "green-x-syntax", "green-x-range",
-        "scan-grid-nan", "green-y-nan",
+        "scan-grid-nan", "green-y-nan", "scan-grid-over-cap", "green-y-over-cap",
+        "green-lattice-over-cap",
     ],
 )
 def test_bad_window_or_lattice_exits_2_before_solving(capsys, monkeypatch, argv, message):
@@ -541,6 +549,7 @@ VERIFY_TABLE = {
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
     "shelf": (0, "PPPPPPP", "198 samples, 0 disagreements"),
     "far_step": (3, "", "declared bounds [1, 4] do not make F flat"),
+    "ramp_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
 }
 
 
@@ -563,7 +572,9 @@ def test_verify_prints_each_check_once_in_order(capsys, name):
 # Honest potentials whose solve is exact: a well past x = 30 and very small or
 # very large V, which only an oracle on the solved window resolves, and contrast
 # 1e3 and above, where u_a underflows inside the window and only a slope check
-# in log space holds.
+# in log space holds.  Tables are held constant outside their grid, so V' jumps
+# at both grid ends: a hill, a dip, and the dump's log-derivative table with
+# every x moved off the 0.25 lattice (its l' and l'' samples kept).
 HONEST_SPECS = {
     "far-well": {"kind": "piecewise_constant", "edges": [39, 41], "values": [4, 1, 4]},
     "constant-1e-4": {"kind": "constant", "v": 1e-4},
@@ -574,6 +585,12 @@ HONEST_SPECS = {
     "step-1-1e3-narrow": {"kind": "step", "v0": 1, "v1": 1e3, "width": 0.1},
     "well-1e3": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1e3, 1, 1e3]},
     "well-1e4": {"kind": "piecewise_constant", "edges": [-1, 1], "values": [1e4, 1, 1e4]},
+    "table-hill": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1, 2, 3, 2, 1]},
+    "table-dip": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [3, 2, 1, 2, 3]},
+    "table-shifted-log-derivative": {
+        **DUMP_SPECS["log_derivative_table"],
+        "x": [x + 0.002739 for x in DUMP_SPECS["log_derivative_table"]["x"]],
+    },
 }
 
 

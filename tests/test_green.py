@@ -38,7 +38,7 @@ def test_constant_closed_form():
     exact = np.exp(-np.abs(gx - gy)) / 2.0
     got = green.value(gx, gy)
     assert np.max(np.abs(got - exact)) < 1e-12
-    assert green.diagonal(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert green.value(0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert green.value(1.0, 0.0) == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_diagonal_inverts_energy_curve(example_green):
     curve = build_fcurve(plus, minus)
     ys = np.linspace(-6, 6, 25)
     for y in ys:
-        assert green.diagonal(y) == pytest.approx(1.0 / curve.value_at(y), rel=1e-10)
+        assert green.value(y, y) == pytest.approx(1.0 / curve.value_at(y), rel=1e-10)
 
 
 def test_derivative_jump_is_minus_one(example_green):

