@@ -96,9 +96,16 @@ def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, n
     """Diagonal a and the left and right elimination pivots d, e of A.
 
     All pivots positive is exactly positive definiteness of A; a pivot <= 0
-    raises SolverError.
+    raises SolverError, and so does a spacing h whose h^4 or 1/h^4 leaves
+    the float range (checked as a product, which does not raise).
     """
-    h2 = problem.spacing**2
+    h = problem.spacing
+    h4 = h * h * h * h
+    if not (0.0 < h4 < math.inf and 1.0 / h4 < math.inf):
+        raise SolverError(
+            f"oracle mesh spacing h = {h:g} puts h^4 = {h4:g} outside the float range"
+        )
+    h2 = h**2
     diag = 2.0 / h2 + problem.v_samples[1:-1]
     values = diag.tolist()
     return diag, _sweep(values, 1.0 / h2**2), _sweep(values[::-1], 1.0 / h2**2)[::-1]

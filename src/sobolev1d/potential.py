@@ -56,7 +56,7 @@ class Potential:
         evaluate: vectorized callable, float or ndarray in, same shape out.
         lower_bound: declared essential infimum v0 (> 0, finite).
         upper_bound: declared essential supremum v1 (>= v0, finite).
-        breakpoints: sorted locations where V or V' may jump; integrators
+        breakpoints: sorted finite locations where V or V' may jump; integrators
             split their meshes here, and difference stencils stay clear of
             them.  Empty for potentials that are smooth everywhere.
         tail_limits: (limit at -inf, limit at +inf) when the potential has
@@ -93,6 +93,8 @@ class Potential:
             raise ValueError(
                 f"upper bound {self.upper_bound} below lower bound {self.lower_bound}"
             )
+        if not all(math.isfinite(b) for b in self.breakpoints):
+            raise ValueError(f"breakpoints must be finite, got {self.breakpoints}")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if self.pieces is not None:
@@ -159,6 +161,8 @@ def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> 
     vals = np.asarray(values, dtype=float)
     if edges_arr.ndim != 1 or vals.ndim != 1 or vals.size != edges_arr.size + 1:
         raise ValueError("need len(values) == len(edges) + 1")
+    if not np.all(np.isfinite(edges_arr)):
+        raise ValueError(f"edges must be finite, got {edges_arr.tolist()}")
     if edges_arr.size and np.any(np.diff(edges_arr) <= 0):
         raise ValueError("edges must be strictly increasing")
     if np.any(vals <= 0.0):
@@ -191,6 +195,8 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
         raise ValueError(f"need 0 < v0 <= v1, got v0={v0}, v1={v1}")
     if not (width > 0.0):
         raise ValueError(f"transition width must be positive, got {width}")
+    if not (math.isfinite(width) and math.isfinite(center)):
+        raise ValueError(f"width and center must be finite, got width={width}, center={center}")
     v0, v1, width, center = float(v0), float(v1), float(width), float(center)
 
     def evaluate(x):
@@ -221,6 +227,8 @@ def make_example(A: float, B: float) -> Potential:
     a, b = float(A), float(B)
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"need A > 0 and B > 0, got A={a}, B={b}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"need finite A and B, got A={a}, B={b}")
     if not (a * b > _GOLDEN):
         raise ValueError(
             f"need A*B > (1+sqrt(5))/2 ~ {_GOLDEN:.6f}, the family's domain, "

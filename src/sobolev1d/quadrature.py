@@ -1,8 +1,15 @@
-"""Composite Gauss-Legendre quadrature with hard splits at known kinks."""
+"""Composite Gauss-Legendre quadrature with hard splits at known kinks.
+
+The 12-point rule is held as constants: the six positive nodes and their
+weights are the shortest float literals that round-trip the output of
+``numpy.polynomial.legendre.leggauss(12)``, which is exactly symmetric, so
+the mirrored arrays equal that output bit for bit without importing
+``numpy.polynomial``.  ``tests/test_quadrature.py`` pins this against
+``leggauss(ORDER)``.
+"""
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -13,9 +20,16 @@ __all__ = ["composite_gauss_legendre", "composite_rule"]
 ORDER = 12
 
 
-@cache
-def _rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(ORDER)
+_HALF_NODES = np.array([
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_HALF_WEIGHTS = np.array([
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
+NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
 def composite_rule(
@@ -30,7 +44,6 @@ def composite_rule(
         raise ValueError(f"empty integration range [{lo:g}, {hi:g}]")
     edges = [lo, hi] + [float(s) for s in splits if lo < s < hi]
     edges = sorted(set(edges))
-    nodes, weights = _rule()
     cuts = [
         np.linspace(a, b, max(1, int(np.ceil((b - a) / panel_length))) + 1)
         for a, b in zip(edges[:-1], edges[1:])
@@ -38,7 +51,7 @@ def composite_rule(
     c = np.concatenate([sub[:-1] for sub in cuts])
     d = np.concatenate([sub[1:] for sub in cuts])
     mid, half = 0.5 * (c + d), 0.5 * (d - c)
-    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+    return (mid[:, None] + half[:, None] * NODES).ravel(), (half[:, None] * WEIGHTS).ravel()
 
 
 def composite_gauss_legendre(

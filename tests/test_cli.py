@@ -353,6 +353,25 @@ def test_malformed_options_and_specs_exit_2(capsys, tmp_path, argv, spec, messag
     assert f"configuration error: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"kind": "step", "v0": 1, "v1": 4, "center": NaN}', "center=nan"),
+        ('{"kind": "step", "v0": 1, "v1": 4, "center": Infinity}', "center=inf"),
+        ('{"kind": "piecewise_constant", "edges": [NaN], "values": [1, 2]}',
+         "edges must be finite, got [nan]"),
+        ('{"kind": "example", "A": Infinity, "B": 2}', "A=inf"),
+    ],
+    ids=["step-center-nan", "step-center-inf", "edges-nan", "example-A-inf"],
+)
+def test_non_finite_declarations_exit_2(capsys, recwarn, spec, message):
+    """json reads NaN and Infinity; each is refused, naming itself, before V is evaluated."""
+    code, out, err = run(capsys, "solve", "--potential", spec)
+    assert (code, out) == (2, "")
+    assert "configuration error:" in err and message in err
+    assert "Warning" not in err and not recwarn.list
+
+
 CUT_WELL = '{"kind": "piecewise_constant", "edges": [2, 4], "values": [100, 50, 100]}'
 
 
@@ -791,22 +810,53 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_verify_leaves_numpy_ma_unloaded():
-    """The sorted unions of sample points do not pull in numpy.ma, as np.union1d does."""
+    """verify and the Rayleigh quotient load no numpy subpackage beyond bare numpy.
+
+    The sorted unions of sample points do not pull in numpy.ma, as np.union1d
+    does, and the Gauss-Legendre rule is held as constants, so
+    numpy.polynomial stays unloaded too.
+    """
+    modules = ["numpy.ma", "numpy.polynomial"]
     bare = subprocess.run(
-        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, numpy; print([m in sys.modules for m in {modules!r}])"],
         capture_output=True,
         text=True,
         check=True,
     )
-    if bare.stdout.strip() == "True":
-        pytest.skip("this numpy loads numpy.ma on import")
+    if bare.stdout.strip() != "[False, False]":
+        pytest.skip("this numpy loads numpy.ma or numpy.polynomial on import")
     specs = [CONSTANT, EXAMPLE, '{"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4]}']
     script = (
         "import sys; from sobolev1d.cli import main; "
+        "from sobolev1d import make_example, minimize; "
+        "from sobolev1d.minimizer import extremal, rayleigh_quotient; "
         f"codes = [main(['verify', '--potential', s]) "
         f"for s in {specs!r}]; "
-        "print(codes, 'numpy.ma' in sys.modules)"
+        "pot = make_example(1.0, 2.0); "
+        "rayleigh_quotient(extremal(minimize(pot)), pot); "
+        f"print(codes, [m in sys.modules for m in {modules!r}])"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [False, False]"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind": "constant", "v": 1e-300}',
+        '{"kind": "example", "A": 1e150, "B": 1e-149}',
+        '{"kind": "constant", "v": 1e300}',
+    ],
+    ids=["constant-1e-300", "example-1e150", "constant-1e300"],
+)
+def test_verify_refuses_an_oracle_mesh_whose_h4_leaves_the_float_range(spec):
+    """h^4 overflows or underflows at these scales: a solver error, not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sobolev1d.cli", "verify", "--potential", spec],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "solver error: oracle mesh spacing" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -318,3 +318,21 @@ def test_spline_interpolates_and_holds_the_end_samples():
         cubic[0], cubic[0], cubic[-1], cubic[-1], cubic[-1]
     ]
     assert math.isnan(pot(np.nan))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_piecewise_constant([math.nan], [1.0, 2.0]),
+        lambda: make_piecewise_constant([0.0, math.inf], [1.0, 2.0, 3.0]),
+        lambda: make_monotone_step(1.0, 4.0, center=math.nan),
+        lambda: make_monotone_step(1.0, 4.0, width=math.inf),
+        lambda: make_example(math.inf, 2.0),
+        lambda: dataclasses.replace(make_constant(1.0), breakpoints=(math.nan,)),
+    ],
+    ids=["edge-nan", "edge-inf", "step-center-nan", "step-width-inf", "example-A-inf",
+         "breakpoint-nan"],
+)
+def test_non_finite_declarations_are_refused(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()

@@ -13,8 +13,10 @@ and |F'| there).  For a ``query`` op it also covers what the op reads of
 the solved pair, as the benchmark times it: ``scan`` reads F, F', F'' and
 phi_± at SCAN_PINS pins one pin at a time, ``green`` reads G on the
 LATTICE x LATTICE lattice one pair of points at a time, ``rayleigh`` the
-Rayleigh quotient of the extremal, and ``checks`` the envelope report and,
-for a continuous potential, the minimality-equivalence gaps.  Point
+Rayleigh quotient of the extremal, and ``checks`` the envelope report and
+the minimality-equivalence gaps.  The benchmark's ``checks`` op runs the
+minimality check only on a potential without breakpoints; the digest
+covers it on every pair, as ``sobolev1d verify`` runs it.  Point
 ``PYTHONPATH`` at two source trees and ``diff`` the two outputs to check
 that a change leaves every side solve, verdict and read bitwise unchanged.
 ``perfbench/specs.py`` is loaded from its file, read only, and nothing is
@@ -65,10 +67,8 @@ def query_reads(read: str, pot, report) -> tuple:
     if read == "rayleigh":
         return (rayleigh_quotient(extremal(report), pot),)
     env = check_envelope_bounds(plus, minus)
-    gaps = ()
-    if pot.continuous:
-        eq = check_minimality_equivalence(curve)
-        gaps = tuple(a.tobytes() for a in (eq.locations, eq.slope_gap, eq.curvature_gap))
+    eq = check_minimality_equivalence(curve)
+    gaps = tuple(a.tobytes() for a in (eq.locations, eq.slope_gap, eq.curvature_gap))
     return sorted(env.violations.items()), env.passed, gaps
 
 
