@@ -35,29 +35,28 @@ Mesh and error control.  The mesh depends on V, the window and tol, not on
 the side, so ``solve_log_solution`` refines one mesh and sweeps its cell
 maps once per side; the two solutions share its node array.  The window is
 split at 0 and at the potential's breakpoints into segments, and every cell
-is laid by one rule (``_lay``): k equal cells on a segment or run, laid out
-from the end nearer 0 with exact ends, so the mesh of a window symmetric
-about 0 is bitwise mirror-symmetric.  A segment [a, b] needs
+is laid by one rule (``_lay``): k equal cells on a segment or stretch, laid
+out from the end nearer 0 with exact ends, so the mesh of a window
+symmetric about 0 is bitwise mirror-symmetric.  A segment [a, b] needs
 ceil((b - a)/h0) initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
-sqrt(v1); more than MAX_CELLS raise SolverError before V is read.  Across a
-stretch of constant V = c, equal cells with theta = h sqrt(|c|) <= 20 and
-the exact map of constant V need no check, and are used when they take
-fewer cells than the initial ones.  A potential that declares its pieces
-(``Potential.pieces``) is constant on each segment: V is read once, at the
+sqrt(v1); more than MAX_CELLS raise SolverError before V is read.  Every
+stretch of constant V = c is laid by ``_constant_cells``: the fewest equal
+cells with theta = h sqrt(|c|) <= 20, each with the exact map of constant
+V, which needs no check.  A potential that declares its pieces
+(``Potential.pieces``) makes each segment a stretch: V is read once, at the
 segment midpoints, SolverError is raised unless each reads its declared
-piece c, and each segment gets the theta <= 20 cells of c with the exact
-map (never more than its initial cells); that is the whole mesh.
-Any other potential is sampled once, at the Gauss nodes of every initial
-cell and of its two halves, in blocks of _SAMPLE_BLOCK // 3 cells, so that
-no array of the round grows with the mesh: an array over ~128 KB comes from
-fresh pages, a page fault per 4 KB, up to ~1 500 per solve on a
-high-contrast mesh.  Every block is sampled before any map is built, so a
-non-finite sample is refused wherever it lies.  A cell whose nine samples
-are one number c is flat.  Each maximal run of flat cells that share c and
-cross no edge (they may cross blocks) is one stretch of constant V, laid as
-above when that takes fewer cells than the run had.  Where one sample
-differs, the cell is treated as if no run existed.  Every other sampled
-cell is checked by step doubling (one step against two half steps, three
+piece, and the stretches are the whole mesh (never more cells than the
+initial ones, as h0 sqrt(v1) < 20).  Any other potential is sampled once,
+at the Gauss nodes of every initial cell and of its two halves, in blocks
+of _SAMPLE_BLOCK // 3 cells, so that no array of the round grows with the
+mesh: an array over ~128 KB comes from fresh pages, a page fault per 4 KB,
+up to ~1 500 per solve on a high-contrast mesh.  Every block is sampled
+before any map is built, so a non-finite sample is refused wherever it
+lies.  A cell whose nine samples are one number c is flat, and a cell with
+one sample apart ends a run.  Each maximal run of flat cells that share c
+and cross no edge (they may cross blocks) becomes a stretch when that
+takes fewer cells than the run had.  Every other sampled cell is
+checked by step doubling (one step against two half steps, three
 blocks at a time in the first round, all cells at once later); the matrix
 difference is converted to r and l units with |r| <= sqrt(v1), and cells
 over their budget are bisected until all pass.  The budget is
@@ -384,31 +383,16 @@ def _theta_cells(a, b, c) -> np.ndarray:
     return np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
 
 
-def _flat_runs(
-    lo: np.ndarray, hi: np.ndarray, flat: np.ndarray, c: np.ndarray, edges: list[float]
-):
-    """Cells laid across the runs of constant V, and the mask of the cells left in place.
+def _constant_cells(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """(lo, hi, *map) of the cells laid across each stretch [a[i], b[i]] of constant V = c[i].
 
-    flat marks each cell [lo, hi] whose nine first-round samples are one
-    number, and c holds that cell's first sample.  Each maximal run of
-    adjacent flat cells that share c and cross no segment edge is replaced
-    by ``_theta_cells`` cells, laid by ``_lay``, when that takes fewer cells
-    than the run had; a cell that is not flat is a run of one, never
-    replaced.  Returns the mask of the cells kept and (lo, hi, c) of the new
-    cells, or None when no run is replaced.
+    Each stretch gets its ``_theta_cells`` cells, laid by ``_lay``, and each
+    cell the exact map of constant V.
     """
-    if not flat.any():
-        return None
-    joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
-    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-    counts = np.diff(np.append(starts, lo.size))
-    a, b, c = lo[starts], hi[starts + counts - 1], c[starts]
-    k = _theta_cells(a, b, c)
-    merge = k < counts
-    if not merge.any():
-        return None
-    k = k[merge].astype(np.int64)
-    return ~np.repeat(merge, counts), *_lay(a[merge], b[merge], k), np.repeat(c[merge], k)
+    k = _theta_cells(a, b, c).astype(np.int64)
+    lo, hi = _lay(a, b, k)
+    c = np.repeat(c, k)
+    return lo, hi, *_magnus((c, c, c), hi - lo)
 
 
 def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
@@ -458,17 +442,17 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     """Lay the mesh of the segments between edges and refine it until each cell passes.
 
     Each segment [a, b] needs ceil((b - a)/h0) initial cells; more than
-    MAX_CELLS in all raise SolverError before V is read.  Declared pieces
-    are read at the segment midpoints only: each segment then gets
-    ``_theta_cells`` cells of its piece c, with the exact constant-V map,
-    and the mesh is done; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, these are
-    never more than its initial cells.  Any other potential is sampled
+    MAX_CELLS in all raise SolverError before V is read.  Every stretch of
+    constant V gets ``_constant_cells``, whose exact maps need no check.
+    Declared pieces make each segment a stretch, read at its midpoint only,
+    and that is the whole mesh; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, it is
+    never more cells than the initial ones.  Any other potential is sampled
     once, at the Gauss nodes of every initial cell and of its two halves,
     in blocks of _SAMPLE_BLOCK // 3 cells, and every sample is taken before
-    any map is built.  Runs of constant V get
-    ``_flat_runs`` cells with the exact constant-V map; the other cells are
-    checked by step doubling on their samples, three blocks at a time, and
-    later rounds sample only the new halves, all at once.
+    any map is built.  A maximal run of flat cells becomes a stretch when
+    that takes fewer cells than the run had; the other cells are checked by
+    step doubling on their samples, three blocks at a time, and later
+    rounds sample only the new halves, all at once.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     a, b = np.array(edges[:-1]), np.array(edges[1:])
@@ -488,10 +472,7 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
                 f"V({mid[i]:g}) = {v[i]:g}, but the potential declares {c[i]:g} on that piece; "
                 "the declared pieces are not honest"
             )
-        k = _theta_cells(a, b, c).astype(np.int64)
-        lo, hi = _lay(a, b, k)
-        c = np.repeat(c, k)
-        return [lo, hi, *_magnus((c, c, c), hi - lo)]
+        return _constant_cells(a, b, c)
     lo, hi = _lay(a, b, counts.astype(np.int64))
     size = _SAMPLE_BLOCK // 3
     blocks = [slice(i, i + size) for i in range(0, lo.size, size)]
@@ -503,18 +484,24 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         half_lo, half_h = _halves(lo[blk], hi[blk])
         points = _gauss_points(np.concatenate((lo[blk], half_lo)), np.concatenate((h, half_h)))
         samples.append(_samples(potential, points).reshape(3, 3, -1))
-    runs = _flat_runs(
-        lo,
-        hi,
-        np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples]),
-        np.concatenate([v[0, 0] for v in samples]),
-        edges,
-    )
+    flat = np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples])
     done: list[tuple] = []
     keep = None
-    if runs is not None:
-        keep, run_lo, run_hi, c = runs
-        done.append((run_lo, run_hi, *_magnus((c, c, c), run_hi - run_lo)))
+    if flat.any():
+        # Maximal runs of flat cells that share c and cross no edge; a cell that
+        # is not flat is a run of one, which never takes fewer cells.
+        c = np.concatenate([v[0, 0] for v in samples])
+        joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
+        starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+        counts = np.diff(np.append(starts, lo.size))
+        a, b, c = lo[starts], hi[starts + counts - 1], c[starts]
+        merge = _theta_cells(a, b, c) < counts
+        if merge.any():
+            keep = ~np.repeat(merge, counts)
+            done.append(_constant_cells(a[merge], b[merge], c[merge]))
+        # Where V varies each cell is a run, so these are as long as the mesh: freed
+        # before step doubling, which sets the solve's peak memory.
+        del joined, starts, counts, a, b, c, merge
     # Step doubling three blocks at a time: V at Gauss node j of their cells and
     # halves then fills one 96 KB row.
     checked = []

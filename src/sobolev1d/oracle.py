@@ -53,9 +53,17 @@ class DiscreteRayleighProblem:
         """V at the nodes of [-L, L], L = half_width, whose spacing must divide 2L.
 
         The caller sizes the mesh: ``verify`` spreads a fixed cell count over its window.
+        A spacing h whose h^4 or 1/h^4 leaves the float range (checked as a
+        product, which does not raise) raises SolverError before V is read.
         """
         if not (half_width > 0 and spacing > 0):
             raise ValueError("half_width and spacing must be positive")
+        h = float(spacing)
+        h4 = h * h * h * h
+        if not (0.0 < h4 < math.inf and 1.0 / h4 < math.inf):
+            raise SolverError(
+                f"oracle mesh spacing h = {h:g} puts h^4 = {h4:g} outside the float range"
+            )
         n = int(round(2.0 * half_width / spacing))
         if abs(n * spacing - 2.0 * half_width) > 1e-9 * half_width:
             raise ValueError(
@@ -96,16 +104,9 @@ def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, n
     """Diagonal a and the left and right elimination pivots d, e of A.
 
     All pivots positive is exactly positive definiteness of A; a pivot <= 0
-    raises SolverError, and so does a spacing h whose h^4 or 1/h^4 leaves
-    the float range (checked as a product, which does not raise).
+    raises SolverError.
     """
-    h = problem.spacing
-    h4 = h * h * h * h
-    if not (0.0 < h4 < math.inf and 1.0 / h4 < math.inf):
-        raise SolverError(
-            f"oracle mesh spacing h = {h:g} puts h^4 = {h4:g} outside the float range"
-        )
-    h2 = h**2
+    h2 = problem.spacing**2
     diag = 2.0 / h2 + problem.v_samples[1:-1]
     values = diag.tolist()
     return diag, _sweep(values, 1.0 / h2**2), _sweep(values[::-1], 1.0 / h2**2)[::-1]

@@ -405,6 +405,16 @@ def potential_from_log_derivative(
     return _spline_potential(grid, lpp + lp * lp, label="from log-derivative samples")
 
 
+# The entries each kind of spec reads, besides "kind"; any other is refused.
+_SPEC_ENTRIES = {
+    "constant": ("v",),
+    "example": ("A", "B"),
+    "step": ("v0", "v1", "width", "center"),
+    "piecewise_constant": ("edges", "values"),
+    "table": ("x", "v", "ell_prime", "ell_double_prime", "lower_bound", "upper_bound"),
+}
+
+
 def potential_from_spec(spec: dict) -> Potential:
     """Build a potential from a JSON-style dict.
 
@@ -419,11 +429,19 @@ def potential_from_spec(spec: dict) -> Potential:
 
     ``width``/``center`` default to 1.0/0.0.  A table spec may override the
     declared bounds with explicit "lower_bound"/"upper_bound" entries.  An
-    optional entry that is absent or null takes its default.
+    optional entry that is absent or null takes its default.  An entry its
+    kind does not read, or a table with both "v" and the log-derivative
+    samples, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"potential spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
+    entries = _SPEC_ENTRIES.get(kind) if isinstance(kind, str) else None
+    if entries is None:
+        raise ValueError(f"unknown potential kind: {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in entries:
+            raise ValueError(f"potential spec of kind {kind!r} has no entry {key!r}")
     if kind == "constant":
         return make_constant(_num(spec, "v"))
     if kind == "example":
@@ -437,20 +455,24 @@ def potential_from_spec(spec: dict) -> Potential:
         )
     if kind == "piecewise_constant":
         return make_piecewise_constant(_arr(spec, "edges"), _arr(spec, "values"))
-    if kind == "table":
-        x = _arr(spec, "x")
-        if "v" in spec:
-            pot = _spline_potential(x, _arr(spec, "v"), label="tabulated potential")
-        else:
-            pot = potential_from_log_derivative(
-                x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
+    # The one kind left is "table".
+    x = _arr(spec, "x")
+    if "v" in spec:
+        if "ell_prime" in spec or "ell_double_prime" in spec:
+            raise ValueError(
+                "potential spec of kind 'table' takes 'v' or 'ell_prime' and "
+                "'ell_double_prime', not both"
             )
-        return replace(
-            pot,
-            lower_bound=_num(spec, "lower_bound", pot.lower_bound),
-            upper_bound=_num(spec, "upper_bound", pot.upper_bound),
+        pot = _spline_potential(x, _arr(spec, "v"), label="tabulated potential")
+    else:
+        pot = potential_from_log_derivative(
+            x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
         )
-    raise ValueError(f"unknown potential kind: {kind!r}")
+    return replace(
+        pot,
+        lower_bound=_num(spec, "lower_bound", pot.lower_bound),
+        upper_bound=_num(spec, "upper_bound", pot.upper_bound),
+    )
 
 
 def _real(value, what: str) -> float:

@@ -336,12 +336,22 @@ def _table(**entries) -> str:
          "ell_prime and ell_double_prime must match in length"),
         (("solve",), _table(lower_bound=0), "lower bound must be positive"),
         (("solve",), _table(lower_bound=3, upper_bound=2), "upper bound 2.0 below lower bound 3.0"),
+        (("scan",), '{"kind": "step", "v0": 1, "v1": 4, "widht": 0.1}',
+         "potential spec of kind 'step' has no entry 'widht'"),
+        (("solve",),
+         '{"kind": "piecewise_constant", "edges": [-1, 1], "values": [4, 1, 4],'
+         ' "lower_bound": 2, "upper_bound": 3}',
+         "potential spec of kind 'piecewise_constant' has no entry 'lower_bound'"),
+        (("solve",), _table(ell_prime=[-1, -1, -1, -1]),
+         "potential spec of kind 'table' takes 'v' or 'ell_prime' and 'ell_double_prime', "
+         "not both"),
     ],
     ids=[
         "window-three-values", "window-not-numbers", "grid-not-numbers", "grid-count-0",
         "spec-not-object", "edges-not-array", "edges-missing", "step-v0-above-v1", "step-width-0",
         "example-negative-A", "table-3-points", "table-v-short", "table-ell-double-prime-short",
-        "table-lower-bound-0", "table-bounds-crossed",
+        "table-lower-bound-0", "table-bounds-crossed", "step-misspelt-entry",
+        "piecewise-bounds", "table-v-and-ell-prime",
     ],
 )
 def test_malformed_options_and_specs_exit_2(capsys, tmp_path, argv, spec, message):
@@ -860,3 +870,18 @@ def test_verify_refuses_an_oracle_mesh_whose_h4_leaves_the_float_range(spec):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "solver error: oracle mesh spacing" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if '"constant"' in spec:
+        # Refused before the solve, whose checks overflow at this scale.
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("v", [1e300, 1e-300])
+def test_verify_refuses_an_out_of_range_oracle_mesh_before_it_solves(capsys, monkeypatch, v):
+    from sobolev1d import cli
+
+    solves = spy(monkeypatch, (cli,), "minimize", lambda *a, **k: a)
+    code, out, err = run(capsys, "verify", "--potential", json.dumps({"kind": "constant", "v": v}))
+    assert (code, out) == (3, "")
+    assert err.startswith("solver error: oracle mesh spacing")
+    assert solves == []
