@@ -3,7 +3,6 @@ import dataclasses
 import importlib.util
 import json
 import math
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -549,15 +548,15 @@ def test_verify_flags_pieces_that_v_contradicts_between_midpoints(capsys, monkey
     assert out.splitlines()[0] == "PASS bounds-declared: sampled range [1, 4] vs declared [1, 4]"
 
 
-def _dump_specs() -> dict:
+def _dump_artifacts():
     path = Path(__file__).resolve().parents[1] / "tools" / "dump_artifacts.py"
     spec = importlib.util.spec_from_file_location("dump_artifacts", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPECS
+    return module
 
 
-DUMP_SPECS = _dump_specs()
+DUMP = _dump_artifacts()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
 # check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
 # table fails, on its declared bounds; the far step is refused before any check,
@@ -582,10 +581,10 @@ VERIFY_TABLE = {
 }
 
 
-@pytest.mark.parametrize("name", list(DUMP_SPECS))
+@pytest.mark.parametrize("name", list(DUMP.SPECS))
 def test_verify_prints_each_check_once_in_order(capsys, name):
     code, statuses, detail = VERIFY_TABLE[name]
-    got, out, err = run(capsys, "verify", "--potential", json.dumps(DUMP_SPECS[name]))
+    got, out, err = run(capsys, "verify", "--potential", json.dumps(DUMP.SPECS[name]))
     if not statuses:
         assert (got, out) == (code, "")
         assert "solver error" in err and detail in err
@@ -617,8 +616,8 @@ HONEST_SPECS = {
     "table-hill": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1, 2, 3, 2, 1]},
     "table-dip": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [3, 2, 1, 2, 3]},
     "table-shifted-log-derivative": {
-        **DUMP_SPECS["log_derivative_table"],
-        "x": [x + 0.002739 for x in DUMP_SPECS["log_derivative_table"]["x"]],
+        **DUMP.SPECS["log_derivative_table"],
+        "x": [x + 0.002739 for x in DUMP.SPECS["log_derivative_table"]["x"]],
     },
 }
 
@@ -695,46 +694,19 @@ def test_verify_table_without_bounds(capsys):
     assert lines[1].startswith("PASS riccati-residual")
 
 
-def _benchmark_style_specs(seed: int) -> list[dict]:
-    """Seeded monotone steps and Gaussian well and bump tables, drawn as the benchmark draws them.
-
-    Steps: v0 log-uniform in [0.5, 2], width in [0.8, 1.25], centre in
-    [-1, 1].  Tables: the Gaussian exp(-((x - c)/w)^2/2), c in [-0.5, 0.5],
-    w in [1, 1.25], sampled every 0.25 on [-8, 8], as a v1 - (v1 - v0) g well
-    or a v0 + (v1 - v0) g bump, with bounds widened by 3%.
-    """
-    rng = random.Random(seed)
-
-    def v0():
-        return math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-
-    specs = []
-    for contrast in (1.5, 5.0, 30.0, 300.0):
-        low = v0()
-        specs.append({
-            "kind": "step", "v0": low, "v1": low * contrast,
-            "width": rng.uniform(0.8, 1.25), "center": rng.uniform(-1.0, 1.0),
-        })
-    xs = [-8.0 + 0.25 * i for i in range(65)]
-    for contrast, well in ((1.5, False), (10.0, True), (30.0, True), (30.0, False)):
-        low = v0()
-        high = low * contrast
-        center, width = rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.25)
-        g = [math.exp(-0.5 * ((x - center) / width) ** 2) for x in xs]
-        specs.append({
-            "kind": "table", "x": xs,
-            "v": [high - (high - low) * t if well else low + (high - low) * t for t in g],
-            "lower_bound": 0.97 * low, "upper_bound": 1.03 * high,
-        })
-    return specs
-
-
 @pytest.mark.parametrize("seed", [1, 13, 29])
 def test_verify_passes_on_steps_and_tables(capsys, seed):
     """Every check passes on the steps and tables the benchmark draws, flat tails included."""
-    for spec in _benchmark_style_specs(seed):
-        code, out, _ = run(capsys, "verify", "--potential", json.dumps(spec))
-        assert code == 0, (spec["kind"], out)
+    specs = DUMP.load_perfbench("specs")
+    drawn = {
+        json.dumps(op["spec"], sort_keys=True)
+        for workload in specs.WORKLOADS
+        for op in specs.op_list(workload, seed)
+        if op["family"] in ("step", "table")
+    }
+    for spec in sorted(drawn):
+        code, out, _ = run(capsys, "verify", "--potential", spec)
+        assert code == 0, (spec[:30], out)
         assert out.count("PASS ") == len(VERIFY_CHECKS)
 
 

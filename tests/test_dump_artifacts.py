@@ -33,3 +33,14 @@ def test_dump_demos_writes_one_file_per_demo(tmp_path, monkeypatch):
     assert [p.name for p in written] == [f"demo.{d.stem}.txt" for d in demos]
     for path in written:
         assert path.read_text(encoding="utf-8").startswith("exit 0\n")
+
+
+def test_digest_of_one_workload_is_repeatable(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    lines = dump_artifacts.digest_lines(13, ["cli_verify"])
+    ops = dump_artifacts.load_perfbench("specs").op_list("cli_verify", 13)
+    assert [line.split()[0] for line in lines] == [op["id"] for op in ops]
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert dump_artifacts.digest_lines(13, ["cli_verify"]) == lines

@@ -1,4 +1,4 @@
-"""Write every CLI artifact of a fixed spec list to a directory.
+"""Write every CLI artifact, every demo output and a digest of every benchmark op to a directory.
 
 Usage::
 
@@ -12,14 +12,20 @@ leaves one file ``<spec>.<command>.<format>`` holding the line
 ``dump_demos`` then runs each ``demos/*.py`` as its own process, as the
 test suite does, against the same package, and leaves one file
 ``demo.<name>.txt`` with the line ``exit <code>`` and the demo's stdout.
+``dump_digests`` leaves one file ``digest.<seed>.txt`` per seed of SEEDS,
+with one line ``<op id> <sha256>`` per op of ``perfbench/specs.py``'s
+``op_list`` over all three workloads; ``digest_lines`` says what each hash covers.
 Point ``PYTHONPATH`` at two source trees and compare the two directories
-with ``diff -r`` to check that a change keeps every artifact and every demo
-output byte-identical.
+with ``diff -r`` to check that a change keeps every artifact, every demo
+output and every benchmark op's solve, verdict and reads bitwise the same.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -28,10 +34,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sobolev1d
 from sobolev1d.cli import main
+from sobolev1d.fcurve import check_minimality_equivalence
+from sobolev1d.minimizer import minimize
+from sobolev1d.potential import potential_from_spec
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+SEEDS = (1, 13, 29)
 
 _GAUSS_X = [0.25 * k for k in range(-40, 41)]
 _LOG_X = [0.25 * k for k in range(-16, 17)]
@@ -132,8 +145,77 @@ def dump_demos(out_dir: Path) -> list[Path]:
     return written
 
 
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file; nothing joins ``sys.path``."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def exact(value) -> bytes:
+    """Every bit of a value: floats by ``hex``, arrays by dtype, shape and bytes, and
+    dataclasses field by field."""
+    if isinstance(value, float):
+        return value.hex().encode()
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    if isinstance(value, memoryview):
+        return value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return b"(" + b",".join(map(exact, value)) + b")"
+    if isinstance(value, dict):
+        return exact(sorted(value.items()))
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return type(value).__name__.encode() + exact(fields)
+    if callable(value):
+        return value.__qualname__.encode()
+    if value is None or isinstance(value, (int, str)):
+        return repr(value).encode()
+    raise TypeError(f"no exact form for {type(value).__name__}")
+
+
+def digest_lines(seed: int, workloads=None) -> list[str]:
+    """One line ``<op id> <sha256>`` per op of the workloads (all three when None).
+
+    Each op runs through ``perfbench/ops.py``'s own workload class
+    (``cli_verify`` in this process), and its hash covers ``minimize`` on
+    the op's potential (both sides' mesh, r and l, m, a*, the verdict and
+    every accepted and rejected critical point among the report's fields),
+    the minimality check on a ``checks`` op's pair as ``verify`` runs it,
+    and the op's own return value.
+    """
+    specs, ops = load_perfbench("specs"), load_perfbench("ops")
+    lines = []
+    for workload in workloads or specs.WORKLOADS:
+        op_list = specs.op_list(workload, seed)
+        kwargs = {"in_process": True} if workload == "cli_verify" else {}
+        bench = ops.WORKLOAD_CLASSES[workload](op_list, **kwargs)
+        for i, op in enumerate(op_list):
+            report = minimize(potential_from_spec(op["spec"]))
+            parts = [report, bench.run(i)]
+            if op.get("read") == "checks":
+                parts.append(check_minimality_equivalence(report.curve))
+            lines.append(f"{op['id']} {hashlib.sha256(exact(parts)).hexdigest()}")
+    return lines
+
+
+def dump_digests(out_dir: Path) -> list[Path]:
+    """Write ``digest.<seed>.txt`` for each seed of SEEDS; returns the files written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for seed in SEEDS:
+        path = out_dir / f"digest.{seed}.txt"
+        path.write_text("".join(f"{line}\n" for line in digest_lines(seed)), encoding="utf-8")
+        written.append(path)
+    return written
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: dump_artifacts.py OUT_DIR")
     dump(Path(sys.argv[1]))
     dump_demos(Path(sys.argv[1]))
+    dump_digests(Path(sys.argv[1]))
