@@ -70,13 +70,14 @@ backward from the right node for "+"), on one of two paths: an array of
 points in one vectorized pass per side, or single points in float
 arithmetic (``_dense_one``), which skips numpy's per-call cost on
 one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
-run the same operations in the same order.  The float path makes one pass
-over its reads: it checks each point against the window, locates its cell
-by ``bisect`` on a memoryview of the mesh, whose items are floats, samples
-V at the Gauss nodes of every step in one potential.evaluate call, and
-steps from each node, so a read of both sides at one pin evaluates V once,
-not once per side.  0 is a mesh node, so l(0) = 0 exactly and a solve
-makes no off-mesh read.
+run the same operations in the same order.  Each side keeps in ``_floats``
+the window widened by ``_slack``, the mesh ends as floats, and memoryviews
+of the mesh, r and l, whose items are floats; the float path checks and
+clamps each point by plain comparisons, finds by ``bisect`` the cell that
+``searchsorted`` finds, samples V at the Gauss nodes of every step in one
+potential.evaluate call, and steps from each node, so a read of both sides
+at one pin evaluates V once.  0 is a mesh node, so l(0) = 0 exactly and a
+solve makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
@@ -94,8 +95,8 @@ leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 u_a = G(., a)/G(a, a), read without quadrature, each side only at the
-points on its own side of a (G and F = 1/G(a, a) read the pair through
-``_pair_reads``):
+points on its own side of a (G and F = 1/G(a, a) read arrays of the pair
+through ``_pair_reads``):
 
     u_a(x) = phi_minus(x)/phi_minus(a)  (x < a),
              phi_plus(x)/phi_plus(a)    (x >= a).
@@ -608,9 +609,7 @@ class LogSolution:
     _mesh: np.ndarray = field(repr=False)
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
-    # What ``_dense_one`` reads: the window widened by ``_slack``, the mesh
-    # ends as floats, and memoryviews of the mesh, r and l, whose items are
-    # Python floats and which ``bisect`` searches as ``searchsorted`` does.
+    # What ``_dense_one`` reads (see the module docstring).
     _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -620,14 +619,11 @@ class LogSolution:
         object.__setattr__(self, "_floats", floats)
 
     def _dense(self, x):
-        """(r, l) at x by a partial Magnus step from the node on the stable side.
+        """(r, l) at x by a partial Magnus step from the node on the stable side; l(0) = 0.
 
-        l vanishes at 0.  Every read of one side goes through here, and
-        ``_dense_one`` reads both sides at one point each.  Two paths,
-        chosen by the rank of x: an array takes one ``_cell_maps`` call for
-        all its points and returns two arrays of x's shape; a point (a float
-        or a 0-d array) takes ``_dense_one``, in float arithmetic, and
-        returns two Python floats.  The two paths agree bitwise, and both
+        An array takes one ``_cell_maps`` call for all its points and gives
+        two arrays of x's shape; a point (a float or a 0-d array) takes
+        ``_dense_one`` and gives two Python floats, bitwise the same.  Both
         refuse a non-finite V, as the solve does (SolverError).
         """
         if _is_point(x):
@@ -677,8 +673,9 @@ class LogSolution:
 
         math.exp for a point, np.exp for an array: the two may differ by an ulp.
         """
-        l = self.ell_at(x)
-        return math.exp(l) if isinstance(l, float) else np.exp(l)
+        if _is_point(x):
+            return math.exp(_dense_one(((self, float(x)),))[0][0][1])
+        return np.exp(self._dense(x)[1])
 
 
 def solve_log_solution(
@@ -777,17 +774,17 @@ def _dense_one(reads, pin: float | None = None):
         if not inside_lo <= x <= inside_hi:
             _check_inside(x, solution.window, "position outside solved window")
         # Clamped to the mesh ends, x can fall off only one end of the cells.
-        x = min(max(x, first), last)
-        if solution.side == "-":
-            # Forward from the left node of the cell holding x.
-            k = min(bisect.bisect_right(mesh, x) - 1, len(mesh) - 2)
-            lo = mesh[k]
-            h = x - lo
-        else:
+        x = first if x < first else last if x > last else x
+        plus = solution.side == "+"
+        if plus:
             # Backward from the right node of the cell holding x.
-            k = max(bisect.bisect_left(mesh, x), 1)
+            k = bisect.bisect_left(mesh, x) or 1
             lo, h = x, mesh[k] - x
-        cells.append((solution.side, rs[k], ls[k], h))
+        else:
+            # Forward from the left node of the cell holding x; x = last is in the last cell.
+            k = bisect.bisect_right(mesh, x) - 1 if x < last else len(mesh) - 2
+            lo, h = mesh[k], x - mesh[k]
+        cells.append((plus, rs[k], ls[k], h))
         nodes += _gauss_nodes(lo, h)
     if pin is not None:
         nodes.append(pin)
@@ -795,7 +792,7 @@ def _dense_one(reads, pin: float | None = None):
     if not all(map(math.isfinite, v)):
         raise SolverError(_NON_FINITE)
     steps = []
-    for j, (side, r0, l0, h) in enumerate(cells):
+    for j, (plus, r0, l0, h) in enumerate(cells):
         p, q, s = _omega(v[3 * j], v[3 * j + 1], v[3 * j + 2], h)
         z = p * p + q * s
         t = math.sqrt(abs(z))
@@ -806,9 +803,9 @@ def _dense_one(reads, pin: float | None = None):
             half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
             cm1 = -2.0 * (half * half)
         shc = whole / t if t > 0.0 else 1.0
+        # Side "+" steps backward: its sign goes into sinh(theta)/theta once.
+        shc = -shc if plus else shc
         P, Q, R = shc * p, shc * q, shc * s
-        if side == "+":
-            P, Q, R = -P, -Q, -R
         du = cm1 + P + Q * r0
         r = (R + (1.0 + cm1 - P) * r0) / (1.0 + du)
         steps.append((r, l0 + float(np.log1p(du))))
@@ -862,23 +859,11 @@ class PinReads(NamedTuple):
 def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: bool = False):
     """phi_minus read at min(x, y) and phi_plus at max(x, y), V at x if asked, and the mask x < y.
 
-    Each side is read once per call at each point it needs, never twice.
-    Floats for two points (one comparison orders them; with a NaN it is
-    False and the NaN still reaches a read that refuses it), by one
-    ``_dense_one`` call, which samples V for both sides and the pin at once.
-    Arrays otherwise, by one dense read per side: for a point y each side
-    reads only the x on its own side of y, and y itself once; for an array
-    y each side reads the broadcast min or max.  At x = y both sides are
-    read at the same pins, which is what F needs.  A non-finite V at x
-    raises SolverError on either path, as one at a Gauss node does.
+    Arrays (two points go to ``_dense_one``), one dense read per side at the
+    points it needs: for a point y the x on its side of y, and y; for an array
+    y the broadcast min or max.  At x = y both sides read the same pins, as F
+    needs.  A non-finite V at x raises SolverError, as at a Gauss node.
     """
-    if _is_point(x) and _is_point(y):
-        x, y = float(x), float(y)
-        left = x < y
-        ((rm, lm), (rp, lp)), v = _dense_one(
-            ((phi_minus, x if left else y), (phi_plus, y if left else x)), x if v_at_x else None
-        )
-        return PinReads(rp, rm, lp, lm, v), left
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     left = x < y
     if y.ndim:

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair, _exp, _pair_reads
+from . import fundamental  # one-pin reads call fundamental._dense_one, which tests may replace
+from .fundamental import LogSolution, _check_pair, _exp, _is_point, _pair_reads
 from .potential import Potential
 from .quadrature import composite_rule
 
@@ -69,13 +70,20 @@ class GreenEvaluator:
     def _reads(self, x, y):
         """(log G(x, y), d/dx log G(x, y)): floats for two points, else broadcast arrays.
 
-        ``_pair_reads`` gives phi_minus at the smaller argument and phi_plus
-        at the larger one, one dense read per side; the x-derivative's rate
-        is r_minus left of the diagonal and r_plus from it on.
+        phi_minus at the smaller argument and phi_plus at the larger, two points
+        by one ``_dense_one`` call (with a NaN, x < y is False and the NaN still
+        reaches a read that refuses it), arrays by ``_pair_reads``; the rate is
+        r_minus left of the diagonal and r_plus from it on.
         """
+        if _is_point(x) and _is_point(y):
+            x, y = float(x), float(y)
+            left = x < y
+            ((rm, lm), (rp, lp)), _ = fundamental._dense_one(
+                ((self.phi_minus, x if left else y), (self.phi_plus, y if left else x))
+            )
+            return lm + lp - self._log_w, rm if left else rp
         (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, y)
-        rate = np.where(left, rm, rp) if isinstance(left, np.ndarray) else (rm if left else rp)
-        return lm + lp - self._log_w, rate
+        return lm + lp - self._log_w, np.where(left, rm, rp)
 
     def log_value(self, x, y):
         return self._reads(x, y)[0]

@@ -21,6 +21,7 @@ answer a genuinely independent check of the analytic pipeline.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,11 @@ class DiscreteRayleighProblem:
         return float(np.sum(np.diff(u) ** 2) / h + h * np.sum(self.v_samples * u * u))
 
 
-def _sweep(diag: list[float], coupling: float) -> np.ndarray:
+def _sweep(diag: memoryview, coupling: float) -> np.ndarray:
     # Pivots p_i = diag_i - coupling / p_{i-1} of Gaussian elimination
-    # (p_0 = inf, so p_1 = diag_1).
-    pivots = []
+    # (p_0 = inf, so p_1 = diag_1), in float arithmetic on the items of a
+    # memoryview, kept as C doubles: no list of Python floats as long as the mesh.
+    pivots = array("d")
     p = math.inf
     for a in diag:
         p = a - coupling / p
@@ -97,7 +99,7 @@ def _sweep(diag: list[float], coupling: float) -> np.ndarray:
                 "(the potential is too negative for this mesh)"
             )
         pivots.append(p)
-    return np.array(pivots)
+    return np.frombuffer(pivots)
 
 
 def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,8 +110,8 @@ def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, n
     """
     h2 = problem.spacing**2
     diag = 2.0 / h2 + problem.v_samples[1:-1]
-    values = diag.tolist()
-    return diag, _sweep(values, 1.0 / h2**2), _sweep(values[::-1], 1.0 / h2**2)[::-1]
+    coupling = 1.0 / h2**2
+    return diag, _sweep(memoryview(diag), coupling), _sweep(memoryview(diag[::-1]), coupling)[::-1]
 
 
 def _pinned(

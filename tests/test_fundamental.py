@@ -833,7 +833,11 @@ def _assert_float_is_element(one, many, i):
 def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
     float_path_readers, family, data
 ):
-    """Each reader at one pin gives a Python float, bitwise element i of the array read."""
+    """Each reader at one pin gives a Python float, bitwise element i of the array read.
+
+    A pin may come as a Python float, an np.float64 (an element of
+    ``np.linspace``) or a 0-d array; all three give the same bits.
+    """
     curve, green, u, plus, minus = float_path_readers[family]
     pins = st.floats(*curve.window)
     xs = data.draw(st.lists(pins, min_size=1, max_size=12))
@@ -847,14 +851,17 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
                    u, u.log_value, u.derivative]
     for side in (plus, minus):
         pin_readers += [side.ell_at, side.ell_prime_at, side.ell_second_at]
+    pin_types = (float, np.float64, np.array)
     for read in pin_readers:
         many = read(xs)
         for i, x in enumerate(xs.tolist()):
-            _assert_float_is_element(read(x), many, i)
+            for pin in pin_types:
+                _assert_float_is_element(read(pin(x)), many, i)
     for read in (green.value, green.log_value, green.section_derivative):
         many = read(xs, ys)
         for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-            _assert_float_is_element(read(x, y), many, i)
+            for pin in pin_types:
+                _assert_float_is_element(read(pin(x), pin(y)), many, i)
     # phi_at takes math.exp for one pin (the scan artifacts' rounding) and
     # np.exp for an array, which may round the other way by one ulp.
     for side in (plus, minus):
@@ -863,6 +870,9 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
             one = side.phi_at(x)
             assert type(one) is float and one == math.exp(logs[i])
             assert abs(one - many[i]) <= np.spacing(many[i])
+            for pin in pin_types[1:]:
+                other = side.phi_at(pin(x))
+                assert type(other) is float and other.hex() == one.hex()
 
 
 def test_scalar_reads_take_the_float_path(monkeypatch):
