@@ -273,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     inside = (window[0] <= problem.nodes) & (problem.nodes <= window[1])
     breaks = np.array([b for b in pot.breakpoints if window[0] < b < window[1]], dtype=float)
     v = np.append(problem.v_samples[inside], pot.evaluate(breaks))
-    slack = 1e-9 * max(1.0, pot.upper_bound)
+    slack = 1e-9 * pot.upper_bound
     bounds_ok = bool(np.all((v >= pot.lower_bound - slack) & (v <= pot.upper_bound + slack)))
     detail = (
         f"sampled range [{v.min():.6g}, {v.max():.6g}] vs declared "

@@ -55,9 +55,9 @@ __all__ = [
     "check_minimality_equivalence",
 ]
 
-# Nodes where |F'| is at most NOISE_FACTOR * tol * max(1, max F) are undecided.
+# Nodes where |F'| is at most NOISE_FACTOR * tol * max F are undecided.
 NOISE_FACTOR = 100.0
-# Maxima with curvature below -CURVATURE_SLACK * max(1, max F) are rejected.
+# Maxima with curvature below -CURVATURE_SLACK * max F are rejected.
 CURVATURE_SLACK = 1e-8
 # Newton polish of F' roots stops once a step is below ROOT_TOL.
 ROOT_TOL = 1e-12
@@ -181,7 +181,7 @@ class CriticalPointScan:
 
     ``points`` hold the candidates (roots where F' turns from - to +);
     ``rejected`` the roots where F' turns from + to - and F'' is below
-    -CURVATURE_SLACK * max(1, max F) (local maxima; a top flatter than that
+    -CURVATURE_SLACK * max F (local maxima; a top flatter than that
     is not listed).  The list a root is in is its minimality verdict.
     ``flat`` marks a curve whose slope stays under the noise floor at every
     node and whose declaration confines F within that floor: every pin is
@@ -237,7 +237,7 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
     A node is decided where |F'| clears the noise floor
-    NOISE_FACTOR * tol * max(1, max F) over the nodes.  A curve with no decided
+    NOISE_FACTOR * tol * max F over the nodes.  A curve with no decided
     node is flat only when the declaration proves it: F lies in
     [2 sqrt(v0), 2 sqrt(v1)] at every pin, so 2 (sqrt(v1) - sqrt(v0)) at most
     the floor does, and so do declared pieces of one value.  Any other such
@@ -249,10 +249,10 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     safeguarded Newton steps on the dense F' with the analytic F'', one read
     of both sides per step.  Where F' turns from - to + the root is a
     candidate; where it turns from + to - it is rejected if its curvature is
-    below -CURVATURE_SLACK * max(1, max F), and is not listed otherwise.
+    below -CURVATURE_SLACK * max F, and is not listed otherwise.
     Each root is read once more, by the one-pin pair read.
     """
-    scale = max(1.0, float(np.max(curve.node_reads.value)))
+    scale = float(np.max(curve.node_reads.value))
     noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
     s = curve.node_reads.slope
     decided = np.abs(s) > noise_floor
@@ -284,9 +284,9 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
 class EquivalenceReport:
     """The analytic F' and F'' against five-point differences of F, at each kept pin.
 
-    ``slope_gap`` is |F' - D1F| / (F max(1, sqrt(v1))) and ``curvature_gap``
-    is |F'' - D2F| / (F max(1, v1)); a pin disagrees when either gap is over
-    CONDITION_TOL (or NaN).
+    ``slope_gap`` is |F' - D1F| / (F sqrt(v1)) and ``curvature_gap`` is
+    |F'' - D2F| / (F v1), both free of units; a pin disagrees when either gap
+    is over CONDITION_TOL (or NaN).
     """
 
     locations: np.ndarray
@@ -331,6 +331,6 @@ def check_minimality_equivalence(
     d2 = (16.0 * (f[2] + f[3]) - (f[1] + f[4]) - 30.0 * f[0]) / (12.0 * h * h)
     return EquivalenceReport(
         a,
-        np.abs(reads.slope[0] - d1) / (f[0] * max(1.0, math.sqrt(v1))),
-        np.abs(reads.curvature[0] - d2) / (f[0] * max(1.0, v1)),
+        np.abs(reads.slope[0] - d1) / (f[0] * math.sqrt(v1)),
+        np.abs(reads.curvature[0] - d2) / (f[0] * v1),
     )

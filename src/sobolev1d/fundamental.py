@@ -60,8 +60,8 @@ checked by step doubling (one step against two half steps, three
 blocks at a time in the first round, all cells at once later); the matrix
 difference is converted to r and l units with |r| <= sqrt(v1), and cells
 over their budget are bisected until all pass.  The budget is
-2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(1e-13,
-tol/1000)): errors in r decay at rate 2 sqrt(v0) along the flow, so the
+2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(tol/1000,
+1e-13)): errors in r decay at rate 2 sqrt(v0) along the flow, so the
 dense output carries r to about itol.  A floor of a few dozen ulps keeps
 roundoff from driving refinement; more than MAX_CELLS cells raise
 SolverError.  Off-mesh points are evaluated by a partial Magnus step from
@@ -90,7 +90,7 @@ Bands.  The seeded flows stay in
 
 (at r = +-sqrt(v1) and +-sqrt(v0) the Riccati field points inward), which
 is the bound the error conversion uses.  The solver checks both sides
-against it, with slack 1e-8 max(1, sqrt(v1)), and refuses when either
+against it, with slack 1e-8 sqrt(v1), and refuses when either
 leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
@@ -706,7 +706,7 @@ def solve_log_solution(
     # with room.  Errors in r decay at rate 2 sqrt(v0) along the flow, so a
     # budget of 2 sqrt(v0) internal_tol per unit length keeps r within about
     # internal_tol.
-    internal_tol = min(3e-10, max(1e-13, tol / 1000.0))
+    internal_tol = min(3e-10, max(tol / 1000.0, 1e-13))
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
     edges = _segment_edges(potential, x_min, x_max)
     lo, hi, cm1, P, Q, R = _refine(potential, edges, h0, 2.0 * s0 * internal_tol, s1)
@@ -724,7 +724,7 @@ def solve_log_solution(
     r_plus = _sweep(seed, a, -Q[::-1], -R[::-1], d)[::-1]
 
     rates = np.concatenate((r_minus, -r_plus))
-    slack = 1e-8 * max(1.0, s1)
+    slack = 1e-8 * s1
     if not np.all((s0 - slack <= rates) & (rates <= s1 + slack)):
         raise SolverError(
             f"a log-derivative left its invariant band {s0:.4g} <= |r| <= {s1:.4g}; "
@@ -960,17 +960,17 @@ def check_riccati_residual(solution: LogSolution) -> ResidualReport:
 
     r' is taken from the dense output by a five-point stencil whose own
     truncation error is negligible, so the residual measures interpolation
-    quality; the stencil is read in one call.  The tolerance is
-    max(10*tol, 2e-9) scaled by max(1, v1).  The Magnus dense output is
-    smooth inside each cell, and its measured residual is about
-    1e-12 * max(1, v1) for tol <= 1e-10 (example, logistic step, spline
-    table and step potentials), so the tolerance flags a broken dense
-    output, not roundoff.
+    quality; the stencil is read in one call, with step 1e-3/sqrt(v1).  The
+    tolerance is max(2e-9, 10*tol) * v1, as r' + r^2 - V is an energy.  The
+    Magnus dense output is smooth inside each cell, and its measured
+    residual is about 1e-12 * v1 for tol <= 1e-10 (example, logistic step,
+    spline table and step potentials), so the tolerance flags a broken
+    dense output, not roundoff.
     """
     pot = solution.potential
-    tolerance = max(10.0 * solution.tol, 2e-9) * max(1.0, pot.upper_bound)
+    tolerance = max(2e-9, 10.0 * solution.tol) * pot.upper_bound
     lo, hi = solution.window
-    h = 1e-3 / max(1.0, math.sqrt(pot.upper_bound))
+    h = 1e-3 / math.sqrt(pot.upper_bound)
     xs = np.linspace(lo + 5 * h, hi - 5 * h, RESIDUAL_POINTS)
     for b in pot.breakpoints:
         xs = xs[np.abs(xs - b) > 3 * h]

@@ -190,7 +190,8 @@ def minimize(
     tol: accuracy requested from the log-space integration.
 
     Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
-    in ``fcurve``, CLASSIFICATION_TOL here.
+    in ``fcurve``, CLASSIFICATION_TOL here.  Raises SolverError when the
+    curve is not flat and F at one of its nodes is below m (1 - 1e-9).
     """
     x_min, x_max = window if window is not None else default_window(potential)
     phi_plus, phi_minus = solve_log_solution(potential, x_min, x_max, tol)
@@ -204,6 +205,14 @@ def minimize(
     )
     candidates = [tail] + [p.value for p in scan.points]
     m_value = min(candidates)
+    # m is the infimum of F, so a node below it is a minimum no critical point resolved.
+    f = curve.node_reads.value
+    k = int(np.argmin(f))
+    if not scan.flat and f[k] < m_value * (1.0 - 1e-9):
+        raise SolverError(
+            f"F = {f[k]:.10g} at the node {curve.nodes[k]:.10g} is below m = {m_value:.10g}: "
+            "a minimum went unresolved among the undecided nodes"
+        )
     if attainment == "attained":
         a_star: float | None = best.location
     elif attainment == "flat":

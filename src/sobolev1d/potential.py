@@ -376,7 +376,7 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         raise ValueError(
             f"interpolated potential dips to {vmin:.6g} <= 0; not admissible"
         )
-    margin = 0.0 if vmin == vmax else 1e-9 * max(1.0, vmax)
+    margin = 0.0 if vmin == vmax else 1e-9 * vmax
     return Potential(
         evaluate=evaluate,
         lower_bound=vmin - margin,

@@ -34,6 +34,25 @@ def poschl_teller(k: float, lam: float) -> Potential:
     )
 
 
+def dilated(potential: Potential, s: float) -> Potential:
+    """V_s(x) = V(x/s)/s^2, with every declaration scaled to match; s = -1 reflects V.
+
+    m(V_s) = m(V)/|s|, a*(V_s) = s a*(V) and the verdict is the same.
+    """
+    base, scale = potential.evaluate, 1.0 / (s * s)
+    order = slice(None, None, 1 if s > 0 else -1)
+    return dataclasses.replace(
+        potential,
+        evaluate=lambda x: np.asarray(base(np.asarray(x, dtype=float) / s)) * scale,
+        lower_bound=potential.lower_bound * scale,
+        upper_bound=potential.upper_bound * scale,
+        breakpoints=tuple(b * s for b in potential.breakpoints[order]),
+        tail_limits=potential.tail_limits and tuple(t * scale for t in potential.tail_limits[order]),
+        pieces=potential.pieces and tuple(p * scale for p in potential.pieces[order]),
+        label=f"{potential.label} dilated by {s:g}",
+    )
+
+
 def spy(monkeypatch, owners, name, record) -> list:
     """Wrap the callable ``name`` once and install that one wrapper on every owner.
 

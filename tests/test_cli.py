@@ -13,11 +13,24 @@ import pytest
 import _closed_forms as cf
 from conftest import poschl_teller, spy
 from sobolev1d import Potential, build_green, make_example, minimizer, potential_from_spec
-from sobolev1d.cli import VERIFY_CHECKS, _csv_rows, canonical_json, cmd_verify, main
-from sobolev1d.fcurve import build_fcurve, find_critical_points
-from sobolev1d.fundamental import PinReads, solve_log_solution
+from sobolev1d.cli import (
+    ORACLE_CELLS,
+    ORACLE_TOL,
+    VERIFY_CHECKS,
+    _csv_rows,
+    canonical_json,
+    cmd_verify,
+    main,
+)
+from sobolev1d.fcurve import (
+    _default_samples,
+    build_fcurve,
+    check_minimality_equivalence,
+    find_critical_points,
+)
+from sobolev1d.fundamental import PinReads, SolverError, solve_log_solution
 from sobolev1d.minimizer import default_window
-from sobolev1d.oracle import DiscreteRayleighProblem
+from sobolev1d.oracle import DiscreteRayleighProblem, discrete_minimize
 
 EXAMPLE = '{"kind": "example", "A": 1, "B": 2}'
 CONSTANT = '{"kind": "constant", "v": 1}'
@@ -559,8 +572,8 @@ def _dump_artifacts():
 DUMP = _dump_artifacts()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
 # check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
-# table fails, on its declared bounds; the far step is refused before any check,
-# with the detail in the error message.
+# table fails, on its declared bounds; the far step and the tiny example are
+# refused before any check, with the detail in the error message.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
     "step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
@@ -578,6 +591,8 @@ VERIFY_TABLE = {
     "shelf": (0, "PPPPPPP", "198 samples, 0 disagreements"),
     "far_step": (3, "", "declared bounds [1, 4] do not make F flat"),
     "ramp_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
+    "small_example": (0, "PPPPPPP", "208 samples, 0 disagreements"),
+    "tiny_example": (3, "", "declared bounds [9.02353e-17, 1.10261e-16] do not make F flat"),
 }
 
 
@@ -749,21 +764,45 @@ def _slope_sign_flipped(self):
 def test_minimality_check_fails_when_the_analytic_derivatives_are_wrong(
     monkeypatch, make, name, broken
 ):
+    """The minimality check, on verify's samples of an unpatched solve, sees either mutant.
+
+    Under verify, a wrong F'' fails the check; a flipped F' swaps minima and
+    maxima, and minimize refuses first: F at a node is below the m it reads.
+    """
     pot = make()
     assert set(_verify_lines(pot).values()) == {"PASS"}
+    report = minimizer.minimize(pot)
+    roots = [p.location for p in report.critical_points + report.rejected_candidates]
+    samples = np.append(_default_samples(report.curve), roots)
     monkeypatch.setattr(PinReads, name, property(broken))
-    assert _verify_lines(pot)["minimality-equivalence"] == "FAIL"
+    assert check_minimality_equivalence(report.curve, samples).n_disagree > 0
+    if name == "curvature":
+        assert _verify_lines(pot)["minimality-equivalence"] == "FAIL"
+    else:
+        with pytest.raises(SolverError, match="is below m = .*a minimum went unresolved"):
+            _verify_lines(pot)
 
 
 def test_verify_fails_when_roots_are_classified_the_wrong_way(monkeypatch):
-    """Accepting the maximum and rejecting the minimum moves m; the mesh oracle sees it."""
+    """Accepting the maximum and rejecting the minimum moves m past the mesh oracle's
+    tolerance, and leaves F at a node below that m, which minimize refuses."""
+    pot = make_example(1.0, 2.0)
+    report = minimizer.minimize(pot)
+    swapped = min([report.tail_infimum] + [p.value for p in report.rejected_candidates])
+    lo, hi = default_window(pot)
+    half = max(-lo, hi)
+    m_disc, _ = discrete_minimize(
+        DiscreteRayleighProblem.from_potential(pot, half, 2.0 * half / ORACLE_CELLS)
+    )
+    assert abs(m_disc - report.m_value) <= ORACLE_TOL < abs(m_disc - swapped)
 
     def flipped(curve):
         scan = find_critical_points(curve)
         return dataclasses.replace(scan, points=scan.rejected, rejected=scan.points)
 
     monkeypatch.setattr(minimizer, "find_critical_points", flipped)
-    assert _verify_lines(make_example(1.0, 2.0))["oracle-agreement"] == "FAIL"
+    with pytest.raises(SolverError, match="is below m = .*a minimum went unresolved"):
+        _verify_lines(pot)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -286,8 +286,8 @@ def _scalar_rows(curve, samples):
         rows.append(
             (
                 a,
-                abs(curve.slope_at(a) - d1) / (f * max(1.0, math.sqrt(v1))),
-                abs(curve.curvature_at(a) - d2) / (f * max(1.0, v1)),
+                abs(curve.slope_at(a) - d1) / (f * math.sqrt(v1)),
+                abs(curve.curvature_at(a) - d2) / (f * v1),
             )
         )
     return rows
@@ -301,8 +301,10 @@ def _scalar_rows(curve, samples):
         # Flat tails: F' and F'' sit near roundoff over most samples.
         lambda: make_monotone_step(1.0, 4.0),
         _gaussian_well_table,
+        # example(1, 2) dilated by 1e4: the gaps' scales v1 and sqrt(v1) are below 1.
+        lambda: make_example(1e4, 2e-4),
     ],
-    ids=["example", "constant", "step", "gaussian-table"],
+    ids=["example", "constant", "step", "gaussian-table", "small-example"],
 )
 def test_equivalence_matches_scalar_reads(make):
     curve = minimize(make()).curve

@@ -1,4 +1,5 @@
-"""Confident wrong answers the solver gives today, each held as a strict xfail.
+"""Confident wrong answers: those the solver gives today, each held as a strict xfail,
+and those it once gave, unmarked.
 
 A case passes when the answer is right or the solver refuses: a
 ``SolverError`` or an ``undetermined`` verdict passes, and any other
@@ -51,14 +52,50 @@ def _slow_bump_with_dip() -> Potential:
     return Potential(evaluate=evaluate, lower_bound=0.7, upper_bound=2.0)
 
 
+def _inset_well() -> Potential:
+    """4 - 2 exp(-x^2) - 3 exp(-(x - 20)^2) on [1, 4], tails (4, 4).
+
+    The deeper well sits in the decay inset of the default window, which the
+    curve window cuts: the default window reads 3.0074208468385795 at 0.
+    """
+
+    def evaluate(x):
+        x = np.asarray(x)
+        return 4.0 - 2.0 * np.exp(-x * x) - 3.0 * np.exp(-((x - 20.0) ** 2))
+
+    return Potential(evaluate=evaluate, lower_bound=1.0, upper_bound=4.0, tail_limits=(4.0, 4.0))
+
+
+def _example_m(a: float, b: float) -> float:
+    """m of example(A, B): 2B(1 - 1/sqrt(1 + 4 A^2 B^2)), attained."""
+    return 2.0 * b * (1.0 - 1.0 / math.sqrt(1.0 + 4.0 * (a * b) ** 2))
+
+
 @pytest.mark.parametrize(
     "build, m, attainment",
     [
-        # example(A s, B/s) is example(A, B) dilated by s: m = 2B(1 - 1/sqrt(401)) at A B = 10.
+        # example(A s, B/s) is example(A, B) dilated by s, so m scales by 1/s.
         pytest.param(
-            lambda: make_example(1e4, 1e-3), 2e-3 * (1.0 - 1.0 / math.sqrt(401.0)), "attained",
-            marks=WRONG, id="dilated_example",
+            lambda: make_example(1e4, 1e-3), _example_m(1e4, 1e-3), "attained",
+            id="dilated_example",
         ),
+        # example(1, 2) dilated by 1e4; once read 4e-4 empty.
+        pytest.param(
+            lambda: make_example(1e4, 2e-4), 3.029857499854668e-4, "attained",
+            id="small_example",
+        ),
+        # example(1, 10) dilated by 1e9; once read flat.
+        pytest.param(
+            lambda: make_example(1e9, 1e-8), _example_m(1e9, 1e-8), "attained", id="tiny_example"
+        ),
+        # example(10, 1) dilated by 3.16e5: a well no decided node brackets, refused
+        # because F at a node is below the tail value m would otherwise read.
+        pytest.param(
+            lambda: make_example(3.16e6, 1 / 3.16e5), _example_m(3.16e6, 1 / 3.16e5), "attained",
+            id="unresolved_example",
+        ),
+        # The +-150 and +-200 windows agree to 7e-16.
+        pytest.param(_inset_well, 2.4280040324105174, "attained", marks=WRONG, id="inset_well"),
         # The mpmath value; the same well centred at 0.3137 reads 19.975223916161646.
         pytest.param(
             _narrow_well, 19.97522391616165332, "attained", marks=WRONG, id="narrow_deep_well"

@@ -124,7 +124,7 @@ def test_example_parameters():
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
 @given(a=st.floats(0.2, 5.0), p=st.floats((1.0 + math.sqrt(5.0)) / 2.0, 50.0, exclude_min=True))
 def test_example_declares_its_exact_range(a, p):
-    """The bounds contain V on +-60A and miss its extremes by at most 2e-9 max(1, v1).
+    """The bounds contain V on +-60A and miss its extremes by at most 2e-9 v1.
 
     The extremes lie at x/A in (-1, 0) and (1, 2); a 1e-5 A lattice there puts
     the sampled extremes within 1e-10 v1 of the true ones."""
@@ -136,7 +136,7 @@ def test_example_declares_its_exact_range(a, p):
         np.linspace(1.0, 2.0, 100_001),
     ))
     v = pot(x)
-    slack = 2e-9 * max(1.0, pot.upper_bound)
+    slack = 2e-9 * pot.upper_bound
     assert pot.lower_bound <= v.min() <= pot.lower_bound + slack
     assert pot.upper_bound - slack <= v.max() <= pot.upper_bound
 

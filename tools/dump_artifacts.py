@@ -102,6 +102,12 @@ SPECS = {
     # A table held constant outside its grid: V' jumps at both grid ends, which
     # the table declares as breakpoints.
     "ramp_table": {"kind": "table", "x": [-2, -1, 0, 1, 2], "v": [1, 1.5, 2, 2.5, 3]},
+    # example(1, 2) dilated by 1e4: v1 and every F below 1, where a threshold
+    # clipped at 1 would turn absolute.
+    "small_example": {"kind": "example", "A": 1e4, "B": 2e-4},
+    # example(1, 10) dilated by 1e9: F' stays under the noise floor at every node,
+    # and the bounds do not make F flat, so solve and verify refuse it (exit 3).
+    "tiny_example": {"kind": "example", "A": 1e9, "B": 1e-8},
 }
 
 RUNS = {
