@@ -71,13 +71,18 @@ points in one vectorized pass per side, or single points in float
 arithmetic (``_dense_one``), which skips numpy's per-call cost on
 one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
 run the same operations in the same order.  Each side keeps in ``_floats``
-the window widened by ``_slack``, the mesh ends as floats, and memoryviews
-of the mesh, r and l, whose items are floats; the float path checks and
-clamps each point by plain comparisons, finds by ``bisect`` the cell that
-``searchsorted`` finds, samples V at the Gauss nodes of every step in one
-potential.evaluate call, and steps from each node, so a read of both sides
-at one pin evaluates V once.  0 is a mesh node, so l(0) = 0 exactly and a
-solve makes no off-mesh read.
+the window widened by ``_slack``, the mesh ends as floats, memoryviews of
+the mesh, r and l, whose items are floats, and, when the potential
+declares its pieces, a memoryview of each cell's piece (no cell straddles
+a breakpoint); the float path checks and clamps each point by plain
+comparisons and finds by ``bisect`` the cell that ``searchsorted`` finds.
+A step in a declared piece c takes the exact map of V = c, as the solve
+does, and samples no V (the float path writes _omega(c, c, c, h) as
+(0, h, h c), exact but for the sign of the zero p, which no step reads);
+any other step samples V at its Gauss nodes, all in one potential.evaluate
+call, so a read of both sides at one pin evaluates V at most once.  V at a
+pin (``ell_second_at``, F'') is always read from evaluate.  0 is a mesh
+node, so l(0) = 0 exactly and a solve makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
@@ -613,16 +618,20 @@ class LogSolution:
     _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mesh = self._mesh
+        mesh, pot = self._mesh, self.potential
+        # V on each cell when the potential declares its pieces: no cell straddles a breakpoint.
+        pieces = pot.pieces and memoryview(np.array(pot.pieces)[
+            np.searchsorted(pot.breakpoints, 0.5 * (mesh[:-1] + mesh[1:]), side="right")])
         floats = (*_slack(self.window), float(mesh[0]), float(mesh[-1]),
-                  *map(memoryview, (mesh, self._r, self._l)))
+                  *map(memoryview, (mesh, self._r, self._l)), pieces)
         object.__setattr__(self, "_floats", floats)
 
     def _dense(self, x):
         """(r, l) at x by a partial Magnus step from the node on the stable side; l(0) = 0.
 
-        An array takes one ``_cell_maps`` call for all its points and gives
-        two arrays of x's shape; a point (a float or a 0-d array) takes
+        An array takes one ``_cell_maps`` call for all its points (``_magnus``
+        on its cells' declared pieces instead, when there are pieces) and
+        gives two arrays of x's shape; a point (a float or a 0-d array) takes
         ``_dense_one`` and gives two Python floats, bitwise the same.  Both
         refuse a non-finite V, as the solve does (SolverError).
         """
@@ -635,12 +644,16 @@ class LogSolution:
         if self.side == "-":
             # Forward from the left node of the cell holding x.
             k = np.clip(np.searchsorted(mesh, flat, side="right") - 1, 0, mesh.size - 2)
-            lo, h, sign = mesh[k], flat - mesh[k], 1.0
+            lo, h, sign, cell = mesh[k], flat - mesh[k], 1.0, k
         else:
             # Backward from the right node of the cell holding x.
             k = np.clip(np.searchsorted(mesh, flat, side="left"), 1, mesh.size - 1)
-            lo, h, sign = flat, mesh[k] - flat, -1.0
-        cm1, P, Q, R = _cell_maps(self.potential, lo, h)
+            lo, h, sign, cell = flat, mesh[k] - flat, -1.0, k - 1
+        pieces = self._floats[-1]
+        if pieces is None:
+            cm1, P, Q, R = _cell_maps(self.potential, lo, h)
+        else:
+            cm1, P, Q, R = _magnus((np.asarray(pieces)[cell],) * 3, h)
         r0 = self._r[k]
         P, Q, R = sign * P, sign * Q, sign * R
         du = cm1 + P + Q * r0
@@ -757,20 +770,22 @@ def solve_log_solution(
 def _dense_one(reads, pin: float | None = None):
     """``_dense`` of each (solution, point) in reads, in float arithmetic, V sampled in one call.
 
-    Each point is checked against its window and located as the array path
-    locates it; the Gauss nodes of all the steps, and the pin after them
-    when one is given, go to one potential.evaluate call; then each read
-    steps from its node, taking ``_magnus``'s exponential by one branch.  To
-    stay bitwise equal to the array path, sinh, sin and log1p go through
-    numpy, whose loops can round differently from ``math``'s; sqrt is
-    correctly rounded either way, and squares are products, as numpy's
-    ``** 2`` is.  Returns the (r, l) floats of each read and V at the pin
-    (None without one).  A non-finite V, at a Gauss node or at the pin,
-    raises SolverError, as the solve does.
+    The reads share one potential.  Each point is checked against its window
+    and located as the array path locates it.  When the potential declares
+    its pieces, each step takes V from its cell's piece and only the pin, if
+    given, goes to potential.evaluate; otherwise the Gauss nodes of all the
+    steps, and the pin after them, go to one call.  Then each read steps
+    from its node, taking ``_magnus``'s exponential by one branch.  To stay
+    bitwise equal to the array path, sinh, sin and log1p go through numpy,
+    whose loops can round differently from ``math``'s; sqrt is correctly
+    rounded either way, and squares are products, as numpy's ``** 2`` is.
+    Returns the (r, l) floats of each read and V at the pin (None without
+    one).  A non-finite V, at a Gauss node or at the pin, raises
+    SolverError, as the solve does.
     """
-    cells, nodes = [], []
+    cells, nodes, v = [], [], []
     for solution, x in reads:
-        inside_lo, inside_hi, first, last, mesh, rs, ls = solution._floats
+        inside_lo, inside_hi, first, last, mesh, rs, ls, pieces = solution._floats
         if not inside_lo <= x <= inside_hi:
             _check_inside(x, solution.window, "position outside solved window")
         # Clamped to the mesh ends, x can fall off only one end of the cells.
@@ -779,21 +794,29 @@ def _dense_one(reads, pin: float | None = None):
         if plus:
             # Backward from the right node of the cell holding x.
             k = bisect.bisect_left(mesh, x) or 1
-            lo, h = x, mesh[k] - x
+            lo, h, cell = x, mesh[k] - x, k - 1
         else:
             # Forward from the left node of the cell holding x; x = last is in the last cell.
             k = bisect.bisect_right(mesh, x) - 1 if x < last else len(mesh) - 2
-            lo, h = mesh[k], x - mesh[k]
+            lo, h, cell = mesh[k], x - mesh[k], k
         cells.append((plus, rs[k], ls[k], h))
-        nodes += _gauss_nodes(lo, h)
+        if pieces is None:
+            nodes += _gauss_nodes(lo, h)
+        else:
+            v.append(pieces[cell])
     if pin is not None:
         nodes.append(pin)
-    v = np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
-    if not all(map(math.isfinite, v)):
-        raise SolverError(_NON_FINITE)
+    if nodes:
+        v += np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
+        if not all(map(math.isfinite, v)):
+            raise SolverError(_NON_FINITE)
     steps = []
     for j, (plus, r0, l0, h) in enumerate(cells):
-        p, q, s = _omega(v[3 * j], v[3 * j + 1], v[3 * j + 2], h)
+        if pieces is None:
+            p, q, s = _omega(v[3 * j], v[3 * j + 1], v[3 * j + 2], h)
+        else:
+            # _omega(c, c, c, h) to the bit, but for the sign of p = 0, which no step reads.
+            p, q, s = 0.0, h, h * v[j]
         z = p * p + q * s
         t = math.sqrt(abs(z))
         if z >= 0.0:

@@ -68,10 +68,11 @@ class Potential:
             The side solve trusts a declaration: it lays the cells of each
             piece from this table without sampling V inside it, and checks
             only that V at the midpoint of each mesh segment reads the
-            declared value (SolverError otherwise).  A table that V
-            contradicts elsewhere gives a wrong m unless ``sobolev1d
-            verify`` is run, whose bounds check compares it with V at every
-            mesh-oracle node.
+            declared value (SolverError otherwise).  Off-mesh reads trust
+            it too: a partial cell steps at its piece's value, and V is
+            read only at a pin that needs it.  A table that V contradicts
+            elsewhere gives a wrong m unless ``sobolev1d verify`` is run,
+            whose bounds check compares it with V at every mesh-oracle node.
     """
 
     evaluate: Callable[[np.ndarray | float], np.ndarray | float]

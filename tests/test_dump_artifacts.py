@@ -1,7 +1,13 @@
 """tools/dump_artifacts.py writes one artifact file per command and spec."""
 
+import dataclasses
 import json
 from pathlib import Path
+
+import numpy as np
+
+from sobolev1d import make_constant
+from sobolev1d.fundamental import solve_log_solution
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -44,3 +50,25 @@ def test_digest_of_one_workload_is_repeatable(monkeypatch):
     assert [line.split()[0] for line in lines] == [op["id"] for op in ops]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert dump_artifacts.digest_lines(13, ["cli_verify"]) == lines
+
+
+def test_exact_leaves_out_the_derived_caches(monkeypatch):
+    """Two LogSolutions that differ only in ``_floats``, a cache derived in
+    ``__post_init__``, hash the same."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    plus, _ = solve_log_solution(make_constant(2.0), -20.0, 20.0)
+    other = dataclasses.replace(plus)
+    object.__setattr__(other, "_floats", other._floats[:-1])
+    assert dump_artifacts.exact(other) == dump_artifacts.exact(plus)
+
+
+def test_exact_sees_one_flipped_bit_of_a_stored_rate(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    plus, _ = solve_log_solution(make_constant(2.0), -20.0, 20.0)
+    r = plus._r.copy()
+    r.view(np.uint64)[3] ^= 1
+    assert dump_artifacts.exact(dataclasses.replace(plus, _r=r)) != dump_artifacts.exact(plus)

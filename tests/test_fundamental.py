@@ -662,6 +662,47 @@ def test_declared_pieces_are_read_at_the_segment_midpoints_only():
     assert points_and_mesh(dataclasses.replace(pot, pieces=None)) == (156_458, 15)
 
 
+@pytest.mark.parametrize(
+    "base",
+    [make_constant(2.0), make_piecewise_constant([-6, -5, 5, 6], [4, 1, 4, 1, 4])],
+    ids=["constant", "double_well"],
+)
+def test_declared_pieces_are_read_without_sampling_v(base):
+    """Off-mesh reads step each partial cell at its declared piece: no V is sampled but
+    at a pin, and every read is bitwise the read of a twin pair that samples V."""
+    points = []
+    recorded = dataclasses.replace(
+        base, evaluate=lambda x: points.append(np.array(x)) or base.evaluate(x)
+    )
+    pot, sizes = counting(recorded)
+    plus, minus = solve_log_solution(pot, *default_window(pot))
+    sampled = dataclasses.replace(base, pieces=None)
+    twin = [
+        LogSolution(s.side, s.window, s.tol, sampled, s._mesh, s._r, s._l) for s in (plus, minus)
+    ]
+    mesh = plus._mesh
+    pins = np.concatenate(([-6.0, -5.5, -5.0, -0.7, 0.0, 0.3, 5.0, 5.25, 6.0], mesh[abs(mesh) < 7]))
+
+    def reads(p, m):
+        curve, green, u = build_fcurve(p, m), build_green(p, m), extremal_function(p, m, 0.3)
+        out = []
+        for x in (pins, *pins.tolist()):
+            out += [curve.value_at(x), curve.slope_at(x), u(x)]
+            out += [green.value(x, 0.3), green.value(0.3, x)]
+            out += [side.phi_at(x) for side in (p, m)] + [side.ell_at(x) for side in (p, m)]
+        return [np.asarray(v).tobytes() for v in out], curve
+
+    sizes.clear()
+    declared, curve = reads(plus, minus)
+    assert sizes == []
+    expected, twin_curve = reads(*twin)
+    assert declared == expected
+    for a in pins.tolist():
+        sizes.clear(), points.clear()
+        assert curve.curvature_at(a).hex() == twin_curve.curvature_at(a).hex()
+        assert sizes == [1] and points[0].tolist() == [a]
+
+
 def test_declared_pieces_that_v_contradicts_at_a_midpoint_are_refused():
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
     swapped = dataclasses.replace(well, pieces=(1.0, 4.0, 1.0))

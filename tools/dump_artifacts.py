@@ -162,7 +162,8 @@ def load_perfbench(name: str):
 
 def exact(value) -> bytes:
     """Every bit of a value: floats by ``hex``, arrays by dtype, shape and bytes, and
-    dataclasses field by field."""
+    dataclasses by their ``init`` fields (a field set in ``__post_init__`` is derived
+    from those, so a change of its layout moves no hash)."""
     if isinstance(value, float):
         return value.hex().encode()
     if isinstance(value, np.ndarray):
@@ -174,7 +175,7 @@ def exact(value) -> bytes:
     if isinstance(value, dict):
         return exact(sorted(value.items()))
     if dataclasses.is_dataclass(value):
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
         return type(value).__name__.encode() + exact(fields)
     if callable(value):
         return value.__qualname__.encode()
