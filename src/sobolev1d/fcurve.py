@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fundamental  # one-pin reads call fundamental._dense_one, which tests may replace
 from .fundamental import (
     LogSolution,
     PinReads,
@@ -91,16 +90,10 @@ class FCurve:
     node_reads: PinReads = field(repr=False)
 
     def _reads(self, a, v: bool = True) -> PinReads:
-        """The pair read at x = y = a, a pin (in floats, by ``_dense_one``) or an array; V if v."""
-        point = _is_point(a)
-        a = float(a) if point else np.asarray(a, dtype=float)
+        """The pair read at x = y = a, a pin (in floats) or an array, by ``_pair_reads``; V if v."""
+        a = a if _is_point(a) else np.asarray(a, dtype=float)
         _check_inside(a, self.window, "pin location outside curve window")
-        if not point:
-            return _pair_reads(self.phi_plus, self.phi_minus, a, a, v)[0]
-        ((rm, lm), (rp, lp)), v_pin = fundamental._dense_one(
-            ((self.phi_minus, a), (self.phi_plus, a)), a if v else None
-        )
-        return PinReads(rp, rm, lp, lm, v_pin)
+        return _pair_reads(self.phi_plus, self.phi_minus, a, a, v)[0]
 
     def value_at(self, a):
         return self._reads(a, v=False).value

@@ -87,7 +87,9 @@ node, so l(0) = 0 exactly and a solve makes no off-mesh read.
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
 an array, which gives arrays of its shape; element i is bitwise the point's
-(``phi_at`` aside, whose exponential rounds by ``math`` for a point).
+(``phi_at`` aside, whose exponential rounds by ``math`` for a point).  The
+pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y) and
+phi_plus at max(x, y), two points by one ``_dense_one`` call.
 
 Bands.  The seeded flows stay in
 
@@ -100,8 +102,8 @@ leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 u_a = G(., a)/G(a, a), read without quadrature, each side only at the
-points on its own side of a (G and F = 1/G(a, a) read arrays of the pair
-through ``_pair_reads``):
+points on its own side of a (G, F = 1/G(a, a) and u_a's center and arrays
+read the pair through ``_pair_reads``):
 
     u_a(x) = phi_minus(x)/phi_minus(a)  (x < a),
              phi_plus(x)/phi_plus(a)    (x >= a).
@@ -229,11 +231,12 @@ def _slack(window: tuple[float, float]) -> tuple[float, float]:
 
 def _check_inside(x, window: tuple[float, float], what: str) -> None:
     """Raise ValueError unless x (a point or an array) lies in the window; NaN never does."""
+    point = not (isinstance(x, np.ndarray) and x.ndim)
+    if point and window[0] <= x <= window[1]:
+        # Inside the window itself: no slack to build.
+        return
     lo, hi = _slack(window)
-    if isinstance(x, np.ndarray) and x.ndim:
-        inside = np.all((lo <= x) & (x <= hi))
-    else:
-        inside = lo <= x <= hi
+    inside = lo <= x <= hi if point else np.all((lo <= x) & (x <= hi))
     if not inside:
         raise ValueError(f"{what} [{window[0]:g}, {window[1]:g}]")
 
@@ -882,25 +885,30 @@ class PinReads(NamedTuple):
 def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: bool = False):
     """phi_minus read at min(x, y) and phi_plus at max(x, y), V at x if asked, and the mask x < y.
 
-    Arrays (two points go to ``_dense_one``), one dense read per side at the
-    points it needs: for a point y the x on its side of y, and y; for an array
-    y the broadcast min or max.  At x = y both sides read the same pins, as F
-    needs.  A non-finite V at x raises SolverError, as at a Gauss node.
+    Two points take one ``_dense_one`` call and give floats and a bool (with
+    a NaN, x < y is False and the NaN still reaches a read that refuses it).
+    For an array x and a point y, each side's ``_dense`` reads only the x on
+    its side of y; y, read as two points, fills the other entries.  For an
+    array y, one dense read per side at the broadcast min or max.  At x = y
+    both sides read the same pins, as F needs.  A non-finite V at x raises
+    SolverError, as at a Gauss node.
     """
+    if _is_point(x) and _is_point(y):
+        x, y = float(x), float(y)
+        left = x < y
+        ((rm, lm), (rp, lp)), v = _dense_one(
+            ((phi_minus, x if left else y), (phi_plus, y if left else x)), x if v_at_x else None
+        )
+        return PinReads(rp, rm, lp, lm, v), left
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     left = x < y
     if y.ndim:
         (rm, lm), (rp, lp) = phi_minus._dense(np.minimum(x, y)), phi_plus._dense(np.maximum(x, y))
     else:
-
-        def spread(mask, read):
-            # A read at x[mask] and then at y, laid out on x: y's value off the mask.
-            out = np.full(mask.shape, read[-1])
-            out[mask] = read[:-1]
-            return out
-
-        rm, lm = (spread(left, c) for c in phi_minus._dense(np.append(x[left], y)))
-        rp, lp = (spread(~left, c) for c in phi_plus._dense(np.append(x[~left], y)))
+        at_y = _pair_reads(phi_plus, phi_minus, y, y)[0]
+        rp, rm, lp, lm = (np.full(x.shape, c) for c in at_y[:4])
+        rm[left], lm[left] = phi_minus._dense(x[left])
+        rp[~left], lp[~left] = phi_plus._dense(x[~left])
     v = _samples(phi_plus.potential, x.ravel()).reshape(x.shape) if v_at_x else None
     return PinReads(rp, rm, lp, lm, v), left
 
@@ -921,10 +929,8 @@ class ExtremalFunction:
     _at_center: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        (_, l_plus), (_, l_minus) = _dense_one(
-            ((self.phi_plus, self.center), (self.phi_minus, self.center))
-        )[0]
-        self._at_center = (l_plus, l_minus)
+        at = _pair_reads(self.phi_plus, self.phi_minus, self.center, self.center)[0]
+        self._at_center = (at.l_plus, at.l_minus)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -937,13 +943,8 @@ class ExtremalFunction:
             side, la = (self.phi_minus, la_m) if x < self.center else (self.phi_plus, la_p)
             r, l = side._dense(x)
             return l - la, r
-        x = np.asarray(x, dtype=float)
-        left = x < self.center
-        log_u, rate = np.empty(x.shape), np.empty(x.shape)
-        for mask, side, la in ((left, self.phi_minus, la_m), (~left, self.phi_plus, la_p)):
-            rate[mask], l = side._dense(x[mask])
-            log_u[mask] = l - la
-        return log_u, rate
+        (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, self.center)
+        return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
 
     def log_value(self, x):
         return self._reads(x)[0]
@@ -1032,9 +1033,10 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
       checked as log|u_a'| = log u_a + log|u_a'/u_a|, its sign from the
       rate u_a'/u_a alone, so no u_a underflows at high contrast.
 
-    Each side (checked by ``_check_pair``) is read once on the grid, and both
-    at the three centers by one ``_dense_one`` call, as ``ExtremalFunction``
-    reads its center: each log u_a and u_a'/u_a is bitwise its ``_reads``.
+    The pair (checked by ``_check_pair``) is read on the grid by one
+    ``_pair_reads`` call, one dense read per side, and both sides at the
+    three centers by one ``_dense_one`` call, as ``ExtremalFunction`` reads
+    its center: each log u_a and u_a'/u_a is bitwise its ``_reads``.
     """
     _check_pair(phi_plus, phi_minus)
     pot = phi_plus.potential
@@ -1050,10 +1052,9 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
         worst[name] = max(worst.get(name, 0.0), v)
 
     x = _sample_grid(phi_plus)
-    rp, lp = phi_plus._dense(x)
+    (rp, rm, lp, lm, _), _ = _pair_reads(phi_plus, phi_minus, x, x)
     record("phi_plus_upper", lp - (0.5 * math.log(v1 / v0) - np.minimum(s0 * x, s1 * x)))
     record("phi_plus_lower", (0.5 * math.log(v0 / v1) - np.maximum(s0 * x, s1 * x)) - lp)
-    rm, lm = phi_minus._dense(x)
     record("phi_minus_upper", lm - (0.5 * math.log(v1 / v0) + np.maximum(s0 * x, s1 * x)))
     record("phi_minus_lower", (0.5 * math.log(v0 / v1) + np.minimum(s0 * x, s1 * x)) - lm)
 

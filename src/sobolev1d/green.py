@@ -5,10 +5,10 @@ W = phi_minus' (0) - phi_plus'(0) their (constant) Wronskian,
 
     G(x, y) = phi_minus(min(x, y)) phi_plus(max(x, y)) / W,
 
-symmetric by construction and equal to u_y(x) / F(y).  G and the curve F
-read the pair through one reader, ``fundamental._pair_reads``; the pinned
-minimizer u_y reads each side only at the points on its own side of y
-(``ExtremalFunction._reads``).  Everything is evaluated in log space, so
+symmetric by construction and equal to u_y(x) / F(y).  G, the curve F and
+the pinned minimizer u_y read the pair through one reader,
+``fundamental._pair_reads``, which reads each side only at the points on its
+own side of a point y.  Everything is evaluated in log space, so
 lattice spans that would overflow phi itself are harmless.  For V == v the
 closed form is e^{-sqrt(v)|x-y|} / (2 sqrt(v)).
 
@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fundamental  # one-pin reads call fundamental._dense_one, which tests may replace
-from .fundamental import LogSolution, _check_pair, _exp, _is_point, _pair_reads
+from .fundamental import LogSolution, _check_pair, _exp, _pair_reads
 from .potential import Potential
 from .quadrature import composite_rule
 
@@ -53,11 +52,6 @@ class GreenEvaluator:
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     wronskian: float
-    # log W, taken once: every read of G subtracts it.
-    _log_w: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._log_w = math.log(self.wronskian)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -70,20 +64,13 @@ class GreenEvaluator:
     def _reads(self, x, y):
         """(log G(x, y), d/dx log G(x, y)): floats for two points, else broadcast arrays.
 
-        phi_minus at the smaller argument and phi_plus at the larger, two points
-        by one ``_dense_one`` call (with a NaN, x < y is False and the NaN still
-        reaches a read that refuses it), arrays by ``_pair_reads``; the rate is
-        r_minus left of the diagonal and r_plus from it on.
+        One ``_pair_reads`` call: phi_minus at the smaller argument and
+        phi_plus at the larger; the rate is r_minus left of the diagonal and
+        r_plus from it on.
         """
-        if _is_point(x) and _is_point(y):
-            x, y = float(x), float(y)
-            left = x < y
-            ((rm, lm), (rp, lp)), _ = fundamental._dense_one(
-                ((self.phi_minus, x if left else y), (self.phi_plus, y if left else x))
-            )
-            return lm + lp - self._log_w, rm if left else rp
         (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, y)
-        return lm + lp - self._log_w, np.where(left, rm, rp)
+        rate = (rm if left else rp) if isinstance(left, bool) else np.where(left, rm, rp)
+        return lm + lp - math.log(self.wronskian), rate
 
     def log_value(self, x, y):
         return self._reads(x, y)[0]

@@ -24,6 +24,7 @@ from sobolev1d.fcurve import build_fcurve
 from sobolev1d.fundamental import (
     LogSolution,
     _cell_maps,
+    _pair_reads,
     check_envelope_bounds,
     check_riccati_residual,
     decay_inset,
@@ -914,6 +915,44 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
             for pin in pin_types[1:]:
                 other = side.phi_at(pin(x))
                 assert type(other) is float and other.hex() == one.hex()
+
+
+@pytest.mark.parametrize("family", ["example", "pwc", "table"])
+def test_pair_reads_reads_each_side_once_at_its_own_points(float_path_readers, family, monkeypatch):
+    """Two points: one ``_dense_one`` call, floats and a bool, each bitwise its array element.
+
+    An array x with a point y: each side's ``_dense`` receives only the x on
+    its own side of y, and y is read once, by one ``_dense_one`` call.
+    """
+    curve, _, _, plus, minus = float_path_readers[family]
+    y = 0.5
+    xs = np.array([*curve.window, -1.3, 0.0, y, np.nextafter(y, -1.0), np.nextafter(y, 1.0), 2.2])
+    many, left_many = _pair_reads(plus, minus, xs, np.full_like(xs, y), True)
+    arrays = spy(
+        monkeypatch, (LogSolution,), "_dense",
+        lambda self, x: (self.side, np.array(x, dtype=float).tolist()),
+    )
+    one_pin = spy(
+        monkeypatch, (fundamental,), "_dense_one",
+        lambda reads, pin=None: ([(sol.side, x) for sol, x in reads], pin),
+    )
+    for i, x in enumerate(xs.tolist()):
+        arrays.clear()
+        one_pin.clear()
+        reads, left = _pair_reads(plus, minus, x, y, True)
+        assert type(left) is bool and left == left_many[i]
+        assert arrays == []
+        assert one_pin == [([("-", min(x, y)), ("+", max(x, y))], x)]
+        for one, col in zip(reads, many):
+            _assert_float_is_element(one, col, i)
+    arrays.clear()
+    one_pin.clear()
+    at_point, left = _pair_reads(plus, minus, xs, y)
+    assert left.tolist() == left_many.tolist()
+    assert sorted(arrays) == [("+", xs[xs >= y].tolist()), ("-", xs[xs < y].tolist())]
+    assert one_pin == [([("-", y), ("+", y)], None)]
+    for one, col in zip(at_point[:4], many[:4]):
+        assert one.tobytes() == col.tobytes()
 
 
 def test_scalar_reads_take_the_float_path(monkeypatch):

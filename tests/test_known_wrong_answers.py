@@ -94,6 +94,17 @@ def _example_m(a: float, b: float) -> float:
             lambda: make_example(3.16e6, 1 / 3.16e5), _example_m(3.16e6, 1 / 3.16e5), "attained",
             id="unresolved_example",
         ),
+        # example(1, 2) moved left by 10: the default window centres on 0 and the
+        # curve window misses the well, reading 4.0 empty; a (-60, 60) window is right.
+        pytest.param(
+            lambda: make_example(1, 2).shifted(-10), _example_m(1, 2), "attained",
+            marks=WRONG, id="translated_example",
+        ),
+        # Moved right by 10: refused, as F at a node is below the tail value m would read.
+        pytest.param(
+            lambda: make_example(1, 2).shifted(10), _example_m(1, 2), "attained",
+            id="translated_example_right",
+        ),
         # The +-150 and +-200 windows agree to 7e-16.
         pytest.param(_inset_well, 2.4280040324105174, "attained", marks=WRONG, id="inset_well"),
         # The mpmath value; the same well centred at 0.3137 reads 19.975223916161646.
