@@ -54,7 +54,7 @@ __all__ = [
     "check_minimality_equivalence",
 ]
 
-# Nodes where |F'| is at most NOISE_FACTOR * tol * max F are undecided.
+# Nodes where |F'| is at most NOISE_FACTOR * tol * max F * sqrt(v1) are undecided.
 NOISE_FACTOR = 100.0
 # Maxima with curvature below -CURVATURE_SLACK * max F are rejected.
 CURVATURE_SLACK = 1e-8
@@ -177,8 +177,8 @@ class CriticalPointScan:
     -CURVATURE_SLACK * max F (local maxima; a top flatter than that
     is not listed).  The list a root is in is its minimality verdict.
     ``flat`` marks a curve whose slope stays under the noise floor at every
-    node and whose declaration confines F within that floor: every pin is
-    then critical and ``points`` carries a single representative at 0.
+    node and whose declaration confines F within NOISE_FACTOR * tol * max F:
+    every pin is then critical and ``points`` carries one representative at 0.
     """
 
     points: list[CriticalPoint]
@@ -229,31 +229,34 @@ def _critical_point(curve: FCurve, a: float) -> CriticalPoint:
 def find_critical_points(curve: FCurve) -> CriticalPointScan:
     """Locate the candidate minimizers of F on the curve window.
 
-    A node is decided where |F'| clears the noise floor
-    NOISE_FACTOR * tol * max F over the nodes.  A curve with no decided
-    node is flat only when the declaration proves it: F lies in
-    [2 sqrt(v0), 2 sqrt(v1)] at every pin, so 2 (sqrt(v1) - sqrt(v0)) at most
-    the floor does, and so do declared pieces of one value.  Any other such
-    curve is refused with SolverError: the nodes did not see V vary, which
-    does not show that it is constant.  Each two consecutive decided nodes
-    whose F' differ in sign bracket one root, undecided nodes between them or
-    not, so a well many decay lengths wide, where F' stays under the floor,
-    is bracketed as any other.  The root is polished to within ROOT_TOL by
-    safeguarded Newton steps on the dense F' with the analytic F'', one read
-    of both sides per step.  Where F' turns from - to + the root is a
-    candidate; where it turns from + to - it is rejected if its curvature is
-    below -CURVATURE_SLACK * max F, and is not listed otherwise.
+    A node is decided where |F'| clears the noise floor NOISE_FACTOR * tol *
+    max F * sqrt(v1) over the nodes, as F' = -F (r_plus + r_minus) is F times
+    a rate.  A curve with no decided node is flat only when the declaration
+    proves it: F lies in [2 sqrt(v0), 2 sqrt(v1)] at every pin, so
+    2 (sqrt(v1) - sqrt(v0)) at most the floor of F, NOISE_FACTOR * tol *
+    max F, does, and so do declared pieces of one value.  Any other such curve is refused with SolverError: the
+    nodes did not see V vary, which does not show that it is constant.  Each
+    two consecutive decided nodes whose F' differ in sign bracket one root,
+    undecided nodes between them or not, so a well many decay lengths wide,
+    where F' stays under the floor, is bracketed as any other.  The root is
+    polished to within ROOT_TOL by safeguarded Newton steps on the dense F'
+    with the analytic F'', one read of both sides per step.  Where F' turns
+    from - to + the root is a candidate; where it turns from + to - it is
+    rejected if its curvature is below -CURVATURE_SLACK * max F, and is not
+    listed otherwise.
     Each root is read once more, by the one-pin pair read.
     """
+    pot = curve.potential
+    v0, v1 = pot.lower_bound, pot.upper_bound
     scale = float(np.max(curve.node_reads.value))
-    noise_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
+    # The floor of F itself; F' is F times a rate, so its floor is sqrt(v1) times that.
+    f_floor = NOISE_FACTOR * curve.phi_plus.tol * scale
+    noise_floor = f_floor * math.sqrt(v1)
     s = curve.node_reads.slope
     decided = np.abs(s) > noise_floor
     if not decided.any():
-        pot = curve.potential
-        v0, v1 = pot.lower_bound, pot.upper_bound
         one_piece = pot.pieces is not None and min(pot.pieces) == max(pot.pieces)
-        if not one_piece and 2.0 * (math.sqrt(v1) - math.sqrt(v0)) > noise_floor:
+        if not one_piece and 2.0 * (math.sqrt(v1) - math.sqrt(v0)) > f_floor:
             raise SolverError(
                 f"F' is under the noise floor {noise_floor:.3g} at every node of the curve window "
                 f"[{curve.window[0]:g}, {curve.window[1]:g}], but the declared bounds "

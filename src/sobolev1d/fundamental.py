@@ -102,8 +102,8 @@ leaves it: the declared bounds are then not honest.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 u_a = G(., a)/G(a, a), read without quadrature, each side only at the
-points on its own side of a (G, F = 1/G(a, a) and u_a's center and arrays
-read the pair through ``_pair_reads``):
+points on its own side of a.  u_a and G are two views of the pair
+(``_PairReader``), and u_a hands its center's reads to ``_pair_reads``:
 
     u_a(x) = phi_minus(x)/phi_minus(a)  (x < a),
              phi_plus(x)/phi_plus(a)    (x >= a).
@@ -689,9 +689,8 @@ class LogSolution:
 
         math.exp for a point, np.exp for an array: the two may differ by an ulp.
         """
-        if _is_point(x):
-            return math.exp(_dense_one(((self, float(x)),))[0][0][1])
-        return np.exp(self._dense(x)[1])
+        l = self._dense(x)[1]
+        return math.exp(l) if isinstance(l, float) else np.exp(l)
 
 
 def solve_log_solution(
@@ -730,14 +729,13 @@ def solve_log_solution(
 
     # Sweep in each side's attracting direction: forward for "-", backward
     # for "+" (the inverse maps, last cell first).  The seeds take V at the
-    # Gauss node nearest the starting edge, which is never on a jump.
-    start = lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])
-    seed = math.sqrt(float(potential.evaluate(start)))
-    r_minus = _sweep(seed, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
-    start = hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])
-    seed = -math.sqrt(float(potential.evaluate(start)))
+    # Gauss node nearest the starting edge, which is never on a jump; a
+    # negative V there gives a NaN seed, which the band check refuses.
+    v = float(potential.evaluate(lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])))
+    r_minus = _sweep(math.sqrt(v) if v >= 0.0 else math.nan, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
+    v = float(potential.evaluate(hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])))
     a, d = (1.0 + cm1 - P)[::-1], (1.0 + cm1 + P)[::-1]
-    r_plus = _sweep(seed, a, -Q[::-1], -R[::-1], d)[::-1]
+    r_plus = _sweep(-math.sqrt(v) if v >= 0.0 else math.nan, a, -Q[::-1], -R[::-1], d)[::-1]
 
     rates = np.concatenate((r_minus, -r_plus))
     slack = 1e-8 * s1
@@ -882,16 +880,17 @@ class PinReads(NamedTuple):
         return 2.0 * self.value * (rp * rp + rp * rm + rm * rm - self.v)
 
 
-def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: bool = False):
+def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x=False, at_y=None):
     """phi_minus read at min(x, y) and phi_plus at max(x, y), V at x if asked, and the mask x < y.
 
     Two points take one ``_dense_one`` call and give floats and a bool (with
     a NaN, x < y is False and the NaN still reaches a read that refuses it).
     For an array x and a point y, each side's ``_dense`` reads only the x on
-    its side of y; y, read as two points, fills the other entries.  For an
-    array y, one dense read per side at the broadcast min or max.  At x = y
-    both sides read the same pins, as F needs.  A non-finite V at x raises
-    SolverError, as at a Gauss node.
+    its side of y; the reads at y fill the other entries: ``at_y``, the
+    ``PinReads`` of a caller that already holds them, or else y read as two
+    points.  For an array y, one dense read per side at the broadcast min or
+    max.  At x = y both sides read the same pins, as F needs.  A non-finite
+    V at x raises SolverError, as at a Gauss node.
     """
     if _is_point(x) and _is_point(y):
         x, y = float(x), float(y)
@@ -905,7 +904,8 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: boo
     if y.ndim:
         (rm, lm), (rp, lp) = phi_minus._dense(np.minimum(x, y)), phi_plus._dense(np.maximum(x, y))
     else:
-        at_y = _pair_reads(phi_plus, phi_minus, y, y)[0]
+        if at_y is None:
+            at_y = _pair_reads(phi_plus, phi_minus, y, y)[0]
         rp, rm, lp, lm = (np.full(x.shape, c) for c in at_y[:4])
         rm[left], lm[left] = phi_minus._dense(x[left])
         rp[~left], lp[~left] = phi_plus._dense(x[~left])
@@ -913,48 +913,56 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x: boo
     return PinReads(rp, rm, lp, lm, v), left
 
 
-@dataclass
-class ExtremalFunction:
-    """The pinned minimizer u_a = G(., a)/G(a, a): u(a) = max|u| = 1, energy F(a).
-
-    u is assembled from the two decaying solutions, so its sup-norm is
-    exactly 1, attained only at the center.  The derivative has a kink at
-    the center; ``derivative`` returns the right-hand value there.
-    """
-
-    center: float
-    phi_plus: LogSolution
-    phi_minus: LogSolution
-    # (l_plus, l_minus) at the center, read once, V sampled in one call.
-    _at_center: tuple[float, float] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        at = _pair_reads(self.phi_plus, self.phi_minus, self.center, self.center)[0]
-        self._at_center = (at.l_plus, at.l_minus)
+class _PairReader:
+    """A view f of the solved pair, read through its ``_reads(*at) -> (log f, f'/f)``."""
 
     @property
     def window(self) -> tuple[float, float]:
         return self.phi_plus.window
 
+    def log_value(self, *at):
+        return self._reads(*at)[0]
+
+    def __call__(self, *at):
+        return _exp(self._reads(*at)[0])
+
+    def _derivative(self, *at):
+        """d/dx f, x the first argument; the right-hand value at the kink."""
+        log_f, rate = self._reads(*at)
+        return _exp(log_f) * rate
+
+
+@dataclass
+class ExtremalFunction(_PairReader):
+    """The pinned minimizer u_a = G(., a)/G(a, a): u(a) = max|u| = 1, energy F(a).
+
+    u is assembled from the two decaying solutions, so its sup-norm is
+    exactly 1, attained only at the center, whose reads it keeps.  The
+    derivative has a kink there; ``derivative`` returns the right-hand value.
+    """
+
+    center: float
+    phi_plus: LogSolution
+    phi_minus: LogSolution
+    # Both sides at the center, read once, V sampled in one call.
+    _at_center: PinReads = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._at_center = _pair_reads(self.phi_plus, self.phi_minus, self.center, self.center)[0]
+
     def _reads(self, x):
         """(log u, u'/u): phi_minus read where x < a, else phi_plus (which refuses a NaN)."""
-        la_p, la_m = self._at_center
+        at = self._at_center
         if _is_point(x):
-            side, la = (self.phi_minus, la_m) if x < self.center else (self.phi_plus, la_p)
+            side, la = (self.phi_minus, at.l_minus) if x < self.center else (self.phi_plus, at.l_plus)
             r, l = side._dense(x)
             return l - la, r
-        (rp, rm, lp, lm, _), left = _pair_reads(self.phi_plus, self.phi_minus, x, self.center)
-        return np.where(left, lm - la_m, lp - la_p), np.where(left, rm, rp)
+        (rp, rm, lp, lm, _), left = _pair_reads(
+            self.phi_plus, self.phi_minus, x, self.center, at_y=at
+        )
+        return np.where(left, lm - at.l_minus, lp - at.l_plus), np.where(left, rm, rp)
 
-    def log_value(self, x):
-        return self._reads(x)[0]
-
-    def __call__(self, x):
-        return _exp(self._reads(x)[0])
-
-    def derivative(self, x):
-        log_u, rate = self._reads(x)
-        return _exp(log_u) * rate
+    derivative = _PairReader._derivative
 
 
 def extremal_function(
@@ -962,11 +970,8 @@ def extremal_function(
 ) -> ExtremalFunction:
     """Assemble u_a from the two sides; a must sit one decay inset inside the window."""
     _check_pair(phi_plus, phi_minus)
-    lo, hi = _curve_window(phi_plus.potential, phi_plus.window)
-    if not (lo <= a <= hi):
-        raise ValueError(
-            f"center {a:g} too close to the window edges; keep it inside [{lo:g}, {hi:g}]"
-        )
+    window = _curve_window(phi_plus.potential, phi_plus.window)
+    _check_inside(a, window, f"center {a:g} too close to the window edges; keep it inside")
     return ExtremalFunction(center=float(a), phi_plus=phi_plus, phi_minus=phi_minus)
 
 

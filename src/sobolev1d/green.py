@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair, _exp, _pair_reads
+from .fundamental import LogSolution, _check_pair, _pair_reads, _PairReader
 from .potential import Potential
 from .quadrature import composite_rule
 
@@ -46,16 +46,12 @@ RESIDUAL_TOL = 1e-6
 
 
 @dataclass
-class GreenEvaluator:
-    """Vectorized evaluator of G on the solved window."""
+class GreenEvaluator(_PairReader):
+    """Vectorized evaluator of G on the solved window: G(x, y), its log and d/dx G."""
 
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     wronskian: float
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return self.phi_plus.window
 
     @property
     def potential(self) -> Potential:
@@ -72,18 +68,8 @@ class GreenEvaluator:
         rate = (rm if left else rp) if isinstance(left, bool) else np.where(left, rm, rp)
         return lm + lp - math.log(self.wronskian), rate
 
-    def log_value(self, x, y):
-        return self._reads(x, y)[0]
-
-    def value(self, x, y):
-        return _exp(self._reads(x, y)[0])
-
-    __call__ = value
-
-    def section_derivative(self, x, y):
-        """d/dx G(x, y) away from the diagonal (right-derivative at x = y)."""
-        log_g, rate = self._reads(x, y)
-        return _exp(log_g) * rate
+    value = _PairReader.__call__
+    section_derivative = _PairReader._derivative
 
 
 def build_green(phi_plus: LogSolution, phi_minus: LogSolution) -> GreenEvaluator:

@@ -33,7 +33,7 @@ from sobolev1d.fundamental import (
 )
 from sobolev1d.minimizer import default_window
 from sobolev1d import fundamental
-from conftest import counting, random_piecewise_constant, spy
+from conftest import counting, dilated, random_piecewise_constant, spy
 
 WINDOW = (-25.0, 25.0)
 
@@ -182,6 +182,28 @@ def test_dishonest_bounds_rejected():
             solve_log_solution(bump, *WINDOW)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x: np.where(np.asarray(x, dtype=float) < -20.0, -1.0, 1.0),
+        lambda x: np.full(np.shape(x), -1.0),
+    ],
+    ids=["negative-left-seed", "negative-everywhere"],
+)
+def test_negative_v_at_a_seed_is_a_solver_error(evaluate):
+    """sqrt(V) of a negative seed is NaN, which the band check refuses."""
+    with pytest.raises(SolverError, match="declared potential bounds are not honest"):
+        minimize(Potential(evaluate, 1.0, 1.0))
+
+
+def test_refinement_past_max_cells_is_refused(monkeypatch):
+    """An initial mesh within MAX_CELLS whose step doubling would pass it."""
+    monkeypatch.setattr(fundamental, "MAX_CELLS", 2000)
+    rough = Potential(lambda x: 2.0 + np.sin(40.0 * np.asarray(x, dtype=float)), 1.0, 3.0)
+    with pytest.raises(SolverError, match="refinement exceeded 2000 cells"):
+        solve_log_solution(rough, -25.0, 25.0)
+
+
 def test_extremal_function_shape(example_pair):
     _, plus, minus = example_pair
     u = extremal_function(plus, minus, cf.A1_EXACT)
@@ -272,7 +294,19 @@ def test_extremal_samples_v_once_at_its_center():
     evaluated.clear()
     u = extremal_function(plus, minus, cf.A1_EXACT)
     assert evaluated == [6]
-    assert u._at_center == (plus.ell_at(cf.A1_EXACT), minus.ell_at(cf.A1_EXACT))
+    at = u._at_center
+    assert (at.l_plus, at.l_minus) == (plus.ell_at(cf.A1_EXACT), minus.ell_at(cf.A1_EXACT))
+
+
+def test_extremal_array_reads_its_center_from_construction(monkeypatch):
+    """An array read of u_a takes one dense read per side and reads no point."""
+    plus, minus = solve_log_solution(make_example(cf.A, cf.B), *WINDOW)
+    u = extremal_function(plus, minus, cf.A1_EXACT)
+    arrays = spy(monkeypatch, (LogSolution,), "_dense", lambda self, x: self.side)
+    one_pin = spy(monkeypatch, (fundamental,), "_dense_one", lambda reads, pin=None: reads)
+    u.log_value(np.linspace(-10.0, 10.0, 41))
+    assert sorted(arrays) == ["+", "-"]
+    assert one_pin == []
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-6])
@@ -746,12 +780,16 @@ def test_narrow_deep_well_keeps_its_minimum():
 
 def test_a_curve_no_node_decides_is_flat_only_where_the_declaration_says_so():
     """F lies in [2 sqrt(v0), 2 sqrt(v1)]: a well of width 1e-5 that no node sees is
-    refused under bounds [1, 100], and pieces of one value make F flat whatever the bounds."""
+    refused under bounds [1, 100], dilated or not, and pieces of one value make F flat
+    whatever the bounds.  The declared range of F is held to the floor of F, which
+    dilates like F, not to the floor of F', which dilates like F sqrt(v1)."""
     report = minimize(_narrow_well(0.3137, 1e-5))
     assert report.m_value == pytest.approx(19.99751883465477, rel=1e-12)
     assert report.attainment == "attained"
-    with pytest.raises(SolverError, match=r"noise floor 2e-07 .* bounds \[1, 100\]"):
+    with pytest.raises(SolverError, match=r"noise floor 2e-06 .* bounds \[1, 100\]"):
         minimize(_narrow_well(1.2345, 1e-5))
+    with pytest.raises(SolverError, match="do not make F flat"):
+        minimize(dilated(_narrow_well(1.2345, 1e-5), 1e-3), tol=1e-6)
     loose = dataclasses.replace(make_constant(2.0), lower_bound=1.0, upper_bound=4.0)
     report = minimize(loose)
     assert (report.attainment, report.m_value) == ("flat", 2.0 * math.sqrt(2.0))

@@ -455,6 +455,11 @@ def test_rayleigh_quotient_kinked_exponential():
     assert abs(q - 2.0) < 1e-9
 
 
+def test_rayleigh_quotient_refuses_a_vanishing_callable():
+    with pytest.raises(ValueError, match="u vanishes on the sampled window"):
+        rayleigh_quotient(lambda x: np.zeros(np.shape(x)), make_example(1.0, 2.0), (-5.0, 5.0))
+
+
 def test_rayleigh_quotient_gaussian():
     pot = make_constant(1.0)
 

@@ -35,6 +35,19 @@ def test_problem_validation():
         DiscreteRayleighProblem.from_potential(make_constant(1.0), 0.1, 0.01)
 
 
+def test_problem_refuses_a_negative_half_width():
+    with pytest.raises(ValueError, match="must be positive"):
+        DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), -1.0, 0.1)
+
+
+def test_first_step_refuses_a_profile_over_its_pin():
+    """V < 0 makes the pinned profile grow away from the pin: the mesh check names it."""
+    negative = Potential(lambda x: np.full(np.shape(x), -0.01), 1.0, 1.0)
+    problem = DiscreteRayleighProblem.from_potential(negative, 10.0, 0.1)
+    with pytest.raises(SolverError, match="exceeds 1 in modulus"):
+        discrete_first_step(problem, 2)
+
+
 def test_first_step_pins_and_bounds():
     problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 30.0, 0.01)
     j = problem.nodes.size // 2

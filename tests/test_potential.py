@@ -65,6 +65,11 @@ def test_piecewise_constant_validation():
         make_piecewise_constant([0.0], [1.0, -2.0])  # nonpositive value
 
 
+def test_potential_refuses_breakpoints_out_of_order():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Potential(lambda x: np.ones(np.shape(x)), 1.0, 2.0, breakpoints=(1.0, 0.0))
+
+
 def test_constant_potentials_declare_their_pieces():
     assert make_constant(4.0).pieces == (4.0,)
     # One value per interval between jumps: the trivial jump at 0 merges two pieces.
