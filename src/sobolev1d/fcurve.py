@@ -58,7 +58,7 @@ __all__ = [
 NOISE_FACTOR = 100.0
 # Maxima with curvature below -CURVATURE_SLACK * max F are rejected.
 CURVATURE_SLACK = 1e-8
-# Newton polish of F' roots stops once a step is below ROOT_TOL.
+# Newton polish of F' roots stops once a step is below ROOT_TOL / sqrt(v1).
 ROOT_TOL = 1e-12
 # Scaled tolerance of the F', F'' check against differences of F.
 CONDITION_TOL = 1e-6
@@ -239,7 +239,7 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     two consecutive decided nodes whose F' differ in sign bracket one root,
     undecided nodes between them or not, so a well many decay lengths wide,
     where F' stays under the floor, is bracketed as any other.  The root is
-    polished to within ROOT_TOL by safeguarded Newton steps on the dense F'
+    polished to ROOT_TOL/sqrt(v1) by safeguarded Newton steps on the dense F'
     with the analytic F'', one read of both sides per step.  Where F' turns
     from - to + the root is a candidate; where it turns from + to - it is
     rejected if its curvature is below -CURVATURE_SLACK * max F, and is not
@@ -266,9 +266,9 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
         # A flat curve has one representative, at a = 0.
         return CriticalPointScan([_critical_point(curve, 0.0)], [], True, noise_floor)
     x, s = curve.nodes[decided].tolist(), s[decided].tolist()
-    points, rejected = [], []
+    points, rejected, xtol = [], [], ROOT_TOL / math.sqrt(v1)
     for i in np.flatnonzero(np.diff(np.signbit(s))).tolist():
-        pt = _critical_point(curve, _polish_root(curve, x[i], x[i + 1], s[i], ROOT_TOL))
+        pt = _critical_point(curve, _polish_root(curve, x[i], x[i + 1], s[i], xtol))
         if s[i] < 0.0:
             points.append(pt)
         elif pt.curvature < -CURVATURE_SLACK * scale:

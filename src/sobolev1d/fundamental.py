@@ -223,9 +223,9 @@ def _curve_window(potential: Potential, window: tuple[float, float]) -> tuple[fl
 
 
 def _slack(window: tuple[float, float]) -> tuple[float, float]:
-    """The window widened by a tiny slack for roundoff at the endpoints themselves."""
+    """The window widened for roundoff at its ends by 1e-12 of |lo| + |hi| (> 0: 0 is inside)."""
     lo, hi = window
-    eps = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    eps = 1e-12 * (abs(lo) + abs(hi))
     return lo - eps, hi + eps
 
 
@@ -1034,7 +1034,8 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     * e^{-s1|x-a|} <= u_a(x) <= e^{-s0|x-a|} and
       (v0/s1) e^{-s1|x-a|} <= sgn(a-x) u_a'(x) <= (v1/s0) e^{-s0|x-a|}
       for the centers a = 0 and a = +-r/2, where [-r, r] is the largest
-      interval about 0 one decay inset inside the window.  The slope is
+      interval about 0 one decay inset inside the window, at the grid
+      points over 1e-9/s1 from the center.  The slope is
       checked as log|u_a'| = log u_a + log|u_a'/u_a|, its sign from the
       rate u_a'/u_a alone, so no u_a underflows at high contrast.
 
@@ -1066,7 +1067,7 @@ def check_envelope_bounds(phi_plus: LogSolution, phi_minus: LogSolution) -> Enve
     centers = (-0.5 * r, 0.0, 0.5 * r)
     reads = _dense_one([(side, a) for a in centers for side in (phi_plus, phi_minus)])[0]
     for a, (_, la_p), (_, la_m) in zip(centers, reads[::2], reads[1::2]):
-        off = np.abs(x - a) > 1e-9
+        off = np.abs(x - a) > 1e-9 / s1
         xs = x[off]
         left = xs < a
         logu = np.where(left, lm[off] - la_m, lp[off] - la_p)

@@ -36,7 +36,7 @@ from .fcurve import (
 )
 from .fundamental import (
     DEFAULT_TOL,
-    DEFAULT_WINDOW_FACTOR,  # noqa: F401 -- re-exported with default_window
+    DEFAULT_WINDOW_FACTOR,  # noqa: F401 -- perfbench/selftest.py reads it from here
     ExtremalFunction,
     LogSolution,
     SolverError,
@@ -57,7 +57,7 @@ __all__ = [
     "classify_attainment",
 ]
 
-# Decision band of the attained/empty/undetermined verdict.
+# Decision band of the attained/empty/undetermined verdict, relative to m.
 CLASSIFICATION_TOL = 1e-9
 # Version of every JSON document: the report and the CLI tables.
 SCHEMA_VERSION = 1
@@ -67,23 +67,23 @@ def classify_attainment(
     tail_infimum: float,
     best_candidate: float | None,
     flat: bool,
-    tol: float,
 ) -> tuple[str, float | None]:
     """Attainment verdict and decision margin (tail - best candidate).
 
     flat        -> "flat" (every pin attains; constant potentials)
     no interior candidate, or tail below all candidates -> "empty"
     candidate strictly below the tail value -> "attained"
-    |margin| <= tol -> "undetermined"
+    |margin| <= CLASSIFICATION_TOL * m, m = min(tail, best) -> "undetermined"
     """
     if flat:
         return "flat", None
     if best_candidate is None:
         return "empty", None
     margin = tail_infimum - best_candidate
-    if margin > tol:
+    band = CLASSIFICATION_TOL * min(tail_infimum, best_candidate)
+    if margin > band:
         return "attained", margin
-    if margin < -tol:
+    if margin < -band:
         return "empty", margin
     return "undetermined", margin
 
@@ -189,9 +189,10 @@ def minimize(
     window: (x_min, x_max); None picks ``default_window``.
     tol: accuracy requested from the log-space integration.
 
-    Every other tolerance is a module constant: ROOT_TOL and CONDITION_TOL
-    in ``fcurve``, CLASSIFICATION_TOL here.  Raises SolverError when the
-    curve is not flat and F at one of its nodes is below m (1 - 1e-9).
+    Every other tolerance is a module constant relative to the potential:
+    ROOT_TOL and CONDITION_TOL in ``fcurve``, CLASSIFICATION_TOL here.  Its
+    band CLASSIFICATION_TOL * m decides the verdict, and F below m (1 -
+    CLASSIFICATION_TOL) at a node of a curve that is not flat raises SolverError.
     """
     x_min, x_max = window if window is not None else default_window(potential)
     phi_plus, phi_minus = solve_log_solution(potential, x_min, x_max, tol)
@@ -200,25 +201,18 @@ def minimize(
     tail, tail_method = _tail_infimum(potential, curve)
 
     best: CriticalPoint | None = min(scan.points, key=lambda p: p.value, default=None)
-    attainment, margin = classify_attainment(
-        tail, None if best is None else best.value, scan.flat, CLASSIFICATION_TOL
-    )
-    candidates = [tail] + [p.value for p in scan.points]
-    m_value = min(candidates)
+    attainment, margin = classify_attainment(tail, None if best is None else best.value, scan.flat)
+    m_value = tail if best is None else min(tail, best.value)
     # m is the infimum of F, so a node below it is a minimum no critical point resolved.
     f = curve.node_reads.value
     k = int(np.argmin(f))
-    if not scan.flat and f[k] < m_value * (1.0 - 1e-9):
+    if not scan.flat and f[k] < m_value * (1.0 - CLASSIFICATION_TOL):
         raise SolverError(
             f"F = {f[k]:.10g} at the node {curve.nodes[k]:.10g} is below m = {m_value:.10g}: "
             "a minimum went unresolved among the undecided nodes"
         )
-    if attainment == "attained":
-        a_star: float | None = best.location
-    elif attainment == "flat":
-        a_star = 0.0
-    else:
-        a_star = None
+    # A flat scan's one candidate is its representative at 0.
+    a_star = best.location if attainment in ("attained", "flat") else None
     return MinimizationReport(
         m_value=m_value,
         best_constant=m_value ** -0.5,

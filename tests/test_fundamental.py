@@ -57,6 +57,17 @@ def test_window_and_side_validation():
         solve_log_solution(pot, -math.inf, math.inf)
 
 
+def test_the_window_slack_is_relative_to_the_window():
+    """example(10, 1) dilated by 1e-9: its window is about 1e-8 wide, so a point
+    1e-6 of x_max past the end is outside, and no absolute slack lets it in."""
+    pot = make_example(1e-8, 1e9)
+    plus, _ = solve_log_solution(pot, *default_window(pot))
+    x_max = plus.window[1]
+    plus.ell_at(x_max)
+    with pytest.raises(ValueError, match="outside solved window"):
+        plus.ell_at(x_max * (1.0 + 1e-6))
+
+
 def test_constant_solution_is_exact():
     pot = make_constant(4.0)
     plus, minus = solve_log_solution(pot, *WINDOW)

@@ -410,11 +410,15 @@ def test_default_window_scales():
 
 
 def test_classify_attainment_paths():
-    assert classify_attainment(4.0, 3.0, False, 1e-9) == ("attained", 1.0)
-    assert classify_attainment(2.0, None, False, 1e-9)[0] == "empty"
-    assert classify_attainment(2.0, 2.5, False, 1e-9)[0] == "empty"
-    assert classify_attainment(2.0, 2.0 + 1e-12, False, 1e-9)[0] == "undetermined"
-    assert classify_attainment(2.0, 2.0, True, 1e-9)[0] == "flat"
+    assert classify_attainment(4.0, 3.0, False) == ("attained", 1.0)
+    assert classify_attainment(2.0, None, False)[0] == "empty"
+    assert classify_attainment(2.0, 2.5, False)[0] == "empty"
+    assert classify_attainment(2.0, 2.0 + 1e-12, False)[0] == "undetermined"
+    assert classify_attainment(2.0, 2.0, True)[0] == "flat"
+    # The band is relative to m: a margin of 1e-6 m decides at any scale,
+    # and one of 5e-11 m does not.
+    assert classify_attainment(2e-8, 2e-8 * (1.0 - 1e-6), False)[0] == "attained"
+    assert classify_attainment(2e3, 2e3 - 1e-7, False)[0] == "undetermined"
 
 
 def test_report_json_shape(example_report):

@@ -66,14 +66,16 @@ def test_dilation_keeps_the_answer_or_refuses(name, exponent):
         assert abs(report.a_star / s - ref.a_star) <= 1e-8 / math.sqrt(pot.upper_bound)
 
 
-@pytest.mark.parametrize("s", [1e6, 1e7])
+@pytest.mark.parametrize("s", [1e-9, 1e-8, 1e6, 1e7, 1e8, 1e9])
 def test_noise_floor_dilates_with_the_potential(s):
     """example(10, 1) dilated by s, read right: F' = -F (r_plus + r_minus) shrinks
-    like 1/s^2, and so does a noise floor in units of F sqrt(v1)."""
+    like 1/s^2, and so does a noise floor in units of F sqrt(v1); the verdict band
+    is relative to m and the root polish works in units of 1/sqrt(v1)."""
     report = minimize(make_example(10.0 * s, 1.0 / s))
     # m of example(A, B) is 2B (1 - 1/sqrt(1 + 4 A^2 B^2)), here with AB = 10.
     assert report.m_value == pytest.approx(2.0 / s * (1.0 - 1.0 / math.sqrt(401.0)), rel=1e-12)
     assert report.attainment == "attained"
+    assert report.a_star == pytest.approx(s * (1.0 - math.sqrt(401.0)) / 2.0, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -105,8 +105,8 @@ SPECS = {
     # example(1, 2) dilated by 1e4: v1 and every F below 1, where a threshold
     # clipped at 1 would turn absolute.
     "small_example": {"kind": "example", "A": 1e4, "B": 2e-4},
-    # example(1, 10) dilated by 1e9: F' stays under the noise floor at every node,
-    # and the bounds do not make F flat, so solve and verify refuse it (exit 3).
+    # example(10, 1) dilated by 1e8: every threshold is relative to the potential,
+    # so solve reads it attained and verify passes every check (exit 0).
     "tiny_example": {"kind": "example", "A": 1e9, "B": 1e-8},
 }
 
