@@ -265,11 +265,12 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
             )
         # A flat curve has one representative, at a = 0.
         return CriticalPointScan([_critical_point(curve, 0.0)], [], True, noise_floor)
-    x, s = curve.nodes[decided].tolist(), s[decided].tolist()
+    x, s = curve.nodes[decided], s[decided]
     points, rejected, xtol = [], [], ROOT_TOL / math.sqrt(v1)
     for i in np.flatnonzero(np.diff(np.signbit(s))).tolist():
-        pt = _critical_point(curve, _polish_root(curve, x[i], x[i + 1], s[i], xtol))
-        if s[i] < 0.0:
+        lo, hi, s_lo = float(x[i]), float(x[i + 1]), float(s[i])
+        pt = _critical_point(curve, _polish_root(curve, lo, hi, s_lo, xtol))
+        if s_lo < 0.0:
             points.append(pt)
         elif pt.curvature < -CURVATURE_SLACK * scale:
             rejected.append(pt)

@@ -47,10 +47,11 @@ V, which needs no check.  A potential that declares its pieces
 segment midpoints, SolverError is raised unless each reads its declared
 piece, and the stretches are the whole mesh (never more cells than the
 initial ones, as h0 sqrt(v1) < 20).  Any other potential is sampled once,
-at the Gauss nodes of every initial cell and of its two halves, in blocks
-of _SAMPLE_BLOCK // 3 cells, so that no array of the round grows with the
-mesh: an array over ~128 KB comes from fresh pages, a page fault per 4 KB,
-up to ~1 500 per solve on a high-contrast mesh.  Every block is sampled
+into samples[j, g, k]: V at Gauss node j of initial cell k (g = 0) or of
+its left (g = 1) or right (g = 2) half.  It is filled a block of
+_SAMPLE_BLOCK // 3 cells at a time, so that each potential.evaluate call's
+points and each step-doubling row stay block-sized: an array over ~128 KB
+comes from fresh pages, a page fault per 4 KB.  Every block is sampled
 before any map is built, so a non-finite sample is refused wherever it
 lies.  A cell whose nine samples are one number c is flat, and a cell with
 one sample apart ends a run.  Each maximal run of flat cells that share c
@@ -456,12 +457,12 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     Declared pieces make each segment a stretch, read at its midpoint only,
     and that is the whole mesh; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, it is
     never more cells than the initial ones.  Any other potential is sampled
-    once, at the Gauss nodes of every initial cell and of its two halves,
-    in blocks of _SAMPLE_BLOCK // 3 cells, and every sample is taken before
-    any map is built.  A maximal run of flat cells becomes a stretch when
-    that takes fewer cells than the run had; the other cells are checked by
-    step doubling on their samples, three blocks at a time, and later
-    rounds sample only the new halves, all at once.
+    once, into samples[j, g, k] (module docstring), a block of cells at a
+    time, before any map is built.  A maximal run of flat cells becomes a
+    stretch when that takes fewer cells than the run had; the other cells
+    are checked by step doubling, three blocks at a time, each group's rows
+    taken from samples by one index of its kept cells, and later rounds
+    sample only the new halves, all at once.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     a, b = np.array(edges[:-1]), np.array(edges[1:])
@@ -484,22 +485,21 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         return _constant_cells(a, b, c)
     lo, hi = _lay(a, b, counts.astype(np.int64))
     size = _SAMPLE_BLOCK // 3
-    blocks = [slice(i, i + size) for i in range(0, lo.size, size)]
-    # samples[i][j, g, k]: V at Gauss node j of cell k of block i (g = 0),
-    # or of its left (g = 1) or right (g = 2) half.
-    samples = []
-    for blk in blocks:
-        h = hi[blk] - lo[blk]
+    # samples[j, g, k]: V at Gauss node j of cell k (g = 0), or of its left (g = 1)
+    # or right (g = 2) half: nine floats a cell, the round's largest array.
+    samples = np.empty((3, 3, lo.size))
+    for blk in (slice(i, i + size) for i in range(0, lo.size, size)):
         half_lo, half_h = _halves(lo[blk], hi[blk])
-        points = _gauss_points(np.concatenate((lo[blk], half_lo)), np.concatenate((h, half_h)))
-        samples.append(_samples(potential, points).reshape(3, 3, -1))
-    flat = np.concatenate([np.all(v == v[0, 0], axis=(0, 1)) for v in samples])
+        h = np.concatenate((hi[blk] - lo[blk], half_h))
+        points = _gauss_points(np.concatenate((lo[blk], half_lo)), h)
+        samples[:, :, blk] = _samples(potential, points).reshape(3, 3, -1)
+    flat = np.all(samples == samples[0, 0], axis=(0, 1))
     done: list[tuple] = []
-    keep = None
+    keep = np.ones(lo.size, dtype=bool)
     if flat.any():
         # Maximal runs of flat cells that share c and cross no edge; a cell that
         # is not flat is a run of one, which never takes fewer cells.
-        c = np.concatenate([v[0, 0] for v in samples])
+        c = samples[0, 0]
         joined = flat[1:] & flat[:-1] & (c[1:] == c[:-1]) & ~np.isin(lo[1:], edges)
         starts = np.flatnonzero(np.concatenate(([True], ~joined)))
         counts = np.diff(np.append(starts, lo.size))
@@ -511,23 +511,21 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         # Where V varies each cell is a run, so these are as long as the mesh: freed
         # before step doubling, which sets the solve's peak memory.
         del joined, starts, counts, a, b, c, merge
-    # Step doubling three blocks at a time: V at Gauss node j of their cells and
-    # halves then fills one 96 KB row.
+    # Step doubling three blocks at a time: V at Gauss node j of their kept cells
+    # and halves, samples[j][:, k], then fills one 96 KB row.
     checked = []
-    for i in range(0, len(blocks), 3):
-        group = slice(blocks[i].start, blocks[i].start + 3 * size)
-        cell_lo, cell_hi, parts = lo[group], hi[group], samples[i : i + 3]
-        if keep is not None:
-            if not keep[group].any():
-                continue
-            cell_lo, cell_hi = cell_lo[keep[group]], cell_hi[keep[group]]
-            parts = [v[:, :, keep[b]] for b, v in zip(blocks[i : i + 3], parts)]
-        n = cell_lo.size
-        h = np.concatenate((cell_hi - cell_lo, _halves(cell_lo, cell_hi)[1]))
-        rows = [np.concatenate([v[j, g] for g in range(3) for v in parts]) for j in range(3)]
-        maps = _magnus(rows, h)
-        cell_maps, halves = tuple(x[:n] for x in maps), tuple(x[n:] for x in maps)
+    for i in range(0, lo.size, 3 * size):
+        k = i + np.flatnonzero(keep[i : i + 3 * size])
+        if not k.size:
+            continue
+        cell_lo, cell_hi = lo[k], hi[k]
+        mid = 0.5 * (cell_lo + cell_hi)
+        h = np.concatenate((cell_hi - cell_lo, mid - cell_lo, cell_hi - mid))
+        maps = _magnus([v[:, k].ravel() for v in samples], h)
+        cell_maps, halves = tuple(x[: k.size] for x in maps), tuple(x[k.size :] for x in maps)
         checked.append(_double(potential, cell_lo, cell_hi, cell_maps, halves, per_length, s1))
+        # Freed before the next group's maps are built: both at once set the round's peak.
+        del maps, cell_maps, halves
     while checked:
         done.extend(ok for ok, _ in checked)
         lo, hi, *half_maps = (np.concatenate(col) for col in zip(*(bad for _, bad in checked)))

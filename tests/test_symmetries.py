@@ -73,7 +73,9 @@ def test_noise_floor_dilates_with_the_potential(s):
     is relative to m and the root polish works in units of 1/sqrt(v1)."""
     report = minimize(make_example(10.0 * s, 1.0 / s))
     # m of example(A, B) is 2B (1 - 1/sqrt(1 + 4 A^2 B^2)), here with AB = 10.
-    assert report.m_value == pytest.approx(2.0 / s * (1.0 - 1.0 / math.sqrt(401.0)), rel=1e-12)
+    assert report.m_value == pytest.approx(
+        2.0 / s * (1.0 - 1.0 / math.sqrt(401.0)), rel=1e-12, abs=0.0
+    )
     assert report.attainment == "attained"
     assert report.a_star == pytest.approx(s * (1.0 - math.sqrt(401.0)) / 2.0, rel=1e-12, abs=0.0)
 

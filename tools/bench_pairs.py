@@ -15,7 +15,9 @@ each side, the pairs the change wins (ties count for neither), with
 "better" read from the change tree's BENCHMARK.json (lower when not listed),
 and whether a claimed gain on that metric would hold: "claim holds" when the
 change wins at least 9 in 10 of the pairs and its median beats the parent's
-by more than the parent's quartile spread, else "claim fails".
+by more than the parent's quartile spread, else "claim fails".  Each
+end-to-end metric, one with a ``bound`` in BENCHMARK.json, also gets its
+no-regression verdict (``verdict``): "worse", "unresolved" or "within bound".
 ``--out`` appends one JSON line per run: pair, side, workload, seed, metrics.
 Standard library only.
 """
@@ -40,10 +42,36 @@ def run_once(tree: Path, args) -> dict:
     return metrics
 
 
-def better_lower(tree: Path) -> dict:
+def declared_metrics(tree: Path) -> dict:
+    """BENCHMARK.json's rows by metric name: end-to-end ones carry a ``bound``."""
     declared = json.loads((tree / "BENCHMARK.json").read_text())
     rows = declared.get("end_to_end", []) + declared.get("per_layer", [])
-    return {row["name"]: row["better"] == "lower" for row in rows}
+    return {row["name"]: row for row in rows}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3], inclusive; one run is its own three quartiles."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """The no-regression verdict on one end-to-end metric from the runs of each side.
+
+    "worse" when the change's median is worse than the parent's by more
+    than bound times the parent's median; else "unresolved" when the
+    parent's quartile spread is wider than that, unless every change run
+    beats every parent run; else "within bound".
+    """
+    sign = 1.0 if lower else -1.0
+    q1, med, q3 = quartiles(parent)
+    allowed = bound * abs(med)
+    if sign * (quartiles(change)[1] - med) > allowed:
+        return "worse"
+    if q3 - q1 > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
 
 
 def main() -> int:
@@ -72,22 +100,24 @@ def main() -> int:
                 with args.out.open("a", encoding="utf-8") as f:
                     f.write(json.dumps(row) + "\n")
 
-    lower = better_lower(trees["change"])
+    declared = declared_metrics(trees["change"])
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs")
     for name in runs["parent"][-1]:
         line = [f"  {name}:"]
-        quartiles = {}
+        values = {side: [r[name] for r in runs[side]] for side in runs}
         for side in ("parent", "change"):
-            values = [r[name] for r in runs[side]]
-            q1, med, q3 = quartiles[side] = statistics.quantiles(
-                values, n=4, method="inclusive") if len(values) > 1 else values * 3
+            q1, med, q3 = quartiles(values[side])
             line.append(f"{side} {med:.6g} [{q1:.6g}, {q3:.6g}]")
-        sign = 1.0 if lower.get(name, True) else -1.0
-        wins = sum(sign * (c[name] - p[name]) < 0 for p, c in zip(runs["parent"], runs["change"]))
-        q1, med, q3 = quartiles["parent"]
-        gap = sign * (med - quartiles["change"][1])
+        row = declared.get(name, {})
+        lower = row.get("better", "lower") == "lower"
+        sign = 1.0 if lower else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        q1, med, q3 = quartiles(values["parent"])
+        gap = sign * (med - quartiles(values["change"])[1])
         holds = 10 * wins >= 9 * args.pairs and gap > q3 - q1
         line.append(f"change wins {wins}/{args.pairs}; claim {'holds' if holds else 'fails'}")
+        if "bound" in row:
+            line[-1] += f"; {verdict(values['parent'], values['change'], row['bound'], lower)}"
         print(" ".join(line))
     return 0
 
