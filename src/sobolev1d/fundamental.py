@@ -57,16 +57,17 @@ lies.  A cell whose nine samples are one number c is flat, and a cell with
 one sample apart ends a run.  Each maximal run of flat cells that share c
 and cross no edge (they may cross blocks) becomes a stretch when that
 takes fewer cells than the run had.  Every other sampled cell is
-checked by step doubling (one step against two half steps, three
-blocks at a time in the first round, all cells at once later); the matrix
-difference is converted to r and l units with |r| <= sqrt(v1), and cells
-over their budget are bisected until all pass.  The budget is
-2 sqrt(v0) * itol per unit length, with itol = min(3e-10, max(tol/1000,
-1e-13)): errors in r decay at rate 2 sqrt(v0) along the flow, so the
-dense output carries r to about itol.  A floor of a few dozen ulps keeps
-roundoff from driving refinement; more than MAX_CELLS cells raise
-SolverError.  Off-mesh points are evaluated by a partial Magnus step from
-the mesh node on the stable side (forward from the left node for "-",
+checked by step doubling (``_double``: one step against two half steps,
+whose maps it builds from V at the halves' Gauss nodes, three blocks at a
+time in the first round, all cells at once later); the matrix difference
+is converted to r and l units with |r| <= sqrt(v1), and a cell over its
+budget comes back bisected, each half with its map, until all pass.  The
+budget is 2 sqrt(v0) * itol per unit length, with itol = min(3e-10,
+max(tol/1000, 1e-13)): errors in r decay at rate 2 sqrt(v0) along the
+flow, so the dense output carries r to about itol.  A floor of a few dozen
+ulps keeps roundoff from driving refinement; more than MAX_CELLS cells
+raise SolverError.  Off-mesh points are evaluated by a partial Magnus step
+from the mesh node on the stable side (forward from the left node for "-",
 backward from the right node for "+"), on one of two paths: an array of
 points in one vectorized pass per side, or single points in float
 arithmetic (``_dense_one``), which skips numpy's per-call cost on
@@ -422,26 +423,28 @@ def _halves(lo: np.ndarray, hi: np.ndarray):
     return np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
 
 
-def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, halves, per_length, s1):
-    """Step doubling of the cells [lo, hi] against the maps of their halves, left halves first.
+def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
+    """Step doubling of the cells [lo, hi], with their maps, against their halves.
 
-    Returns the accepted cells (lo, hi, *maps) and the rejected ones with
-    the maps of their halves (lo, hi, *left, *right).  Raises SolverError
-    when a map overflows.
+    v[j] holds V at Gauss node j of each half, left halves first, from which
+    the halves' maps are built.  Returns the accepted cells (lo, hi, *maps)
+    and the rejected ones bisected, each half with its map, in the same
+    layout, left halves first.  Raises SolverError when a map overflows.
     """
-    left = tuple(x[: lo.size] for x in halves)
-    right = tuple(x[lo.size :] for x in halves)
-    err, floor = _doubling_error(maps, left, right, s1)
+    n, mid = lo.size, 0.5 * (lo + hi)
+    halves = _magnus(v, np.concatenate((mid - lo, hi - mid)))
+    err, floor = _doubling_error(maps, [x[:n] for x in halves], [x[n:] for x in halves], s1)
     if not np.all(np.isfinite(err)):
         raise SolverError(
             "the cell maps overflow on finite samples; the potential exceeds "
             f"its declared upper bound {potential.upper_bound:g}"
         )
     ok = err <= np.maximum(per_length * (hi - lo), floor)
-    bad = ~ok
-    return (
-        (lo[ok], hi[ok], *(x[ok] for x in maps)),
-        (lo[bad], hi[bad], *(x[bad] for x in left), *(x[bad] for x in right)),
+    bad = np.tile(~ok, 2)
+    return (lo[ok], hi[ok], *(x[ok] for x in maps)), (
+        np.concatenate((lo, mid))[bad],
+        np.concatenate((mid, hi))[bad],
+        *(x[bad] for x in halves),
     )
 
 
@@ -460,9 +463,10 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     once, into samples[j, g, k] (module docstring), a block of cells at a
     time, before any map is built.  A maximal run of flat cells becomes a
     stretch when that takes fewer cells than the run had; the other cells
-    are checked by step doubling, three blocks at a time, each group's rows
-    taken from samples by one index of its kept cells, and later rounds
-    sample only the new halves, all at once.
+    go to ``_double`` three blocks at a time, with maps from samples[:, 0, k]
+    and their halves' V from samples[:, 1:, k], k the group's kept cells.
+    Each later round samples V at the halves of the bisected cells
+    ``_double`` handed back, all at once, and doubles them again.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     a, b = np.array(edges[:-1]), np.array(edges[1:])
@@ -511,40 +515,28 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         # Where V varies each cell is a run, so these are as long as the mesh: freed
         # before step doubling, which sets the solve's peak memory.
         del joined, starts, counts, a, b, c, merge
-    # Step doubling three blocks at a time: V at Gauss node j of their kept cells
-    # and halves, samples[j][:, k], then fills one 96 KB row.
+    # Step doubling three blocks at a time: each group's maps from samples[:, 0, k] and
+    # its halves' V as one 64 KB row per node j, samples[j, 1:, k], freed before the
+    # next group's are built: both at once would set the round's peak.
     checked = []
     for i in range(0, lo.size, 3 * size):
         k = i + np.flatnonzero(keep[i : i + 3 * size])
-        if not k.size:
-            continue
-        cell_lo, cell_hi = lo[k], hi[k]
-        mid = 0.5 * (cell_lo + cell_hi)
-        h = np.concatenate((cell_hi - cell_lo, mid - cell_lo, cell_hi - mid))
-        maps = _magnus([v[:, k].ravel() for v in samples], h)
-        cell_maps, halves = tuple(x[: k.size] for x in maps), tuple(x[k.size :] for x in maps)
-        checked.append(_double(potential, cell_lo, cell_hi, cell_maps, halves, per_length, s1))
-        # Freed before the next group's maps are built: both at once set the round's peak.
-        del maps, cell_maps, halves
+        if k.size:
+            maps, v = _magnus(samples[:, 0, k], hi[k] - lo[k]), [x[1:, k].ravel() for x in samples]
+            checked.append(_double(potential, lo[k], hi[k], maps, v, per_length, s1))
+            del maps, v
     while checked:
         done.extend(ok for ok, _ in checked)
-        lo, hi, *half_maps = (np.concatenate(col) for col in zip(*(bad for _, bad in checked)))
+        lo, hi, *maps = (np.concatenate(col) for col in zip(*(bad for _, bad in checked)))
         if not lo.size:
             break
-        mid = 0.5 * (lo + hi)
-        if sum(cells[0].size for cells in done) + 2 * lo.size > MAX_CELLS or np.any(
-            (mid <= lo) | (mid >= hi)
-        ):
+        if sum(cells[0].size for cells in done) + lo.size > MAX_CELLS or np.any(lo >= hi):
             raise SolverError(
                 f"step-doubling refinement exceeded {MAX_CELLS} cells; "
                 "the potential is too rough for the requested tolerance"
             )
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        maps = tuple(np.concatenate((l, r)) for l, r in zip(half_maps[:4], half_maps[4:]))
-        half_lo, half_h = _halves(lo, hi)
-        v = _samples(potential, _gauss_points(half_lo, half_h))
-        halves = _magnus(v.reshape(3, -1), half_h)
-        checked = [_double(potential, lo, hi, maps, halves, per_length, s1)]
+        v = _samples(potential, _gauss_points(*_halves(lo, hi)))
+        checked = [_double(potential, lo, hi, maps, v.reshape(3, -1), per_length, s1)]
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
     return [col[order] for col in cells]

@@ -215,6 +215,19 @@ def test_refinement_past_max_cells_is_refused(monkeypatch):
         solve_log_solution(rough, -25.0, 25.0)
 
 
+def test_refinement_cap_is_exact(monkeypatch):
+    """A cap of the solve's final cell count passes; one cell less is refused."""
+    for pot in (make_example(1.0, 2.0), make_monotone_step(1.0, 40.0, width=3.0)):
+        window = default_window(pot)
+        cells = solve_log_solution(pot, *window)[0]._mesh.size - 1
+        monkeypatch.setattr(fundamental, "MAX_CELLS", cells)
+        solve_log_solution(pot, *window)
+        monkeypatch.setattr(fundamental, "MAX_CELLS", cells - 1)
+        with pytest.raises(SolverError, match=f"refinement exceeded {cells - 1} cells"):
+            solve_log_solution(pot, *window)
+        monkeypatch.undo()
+
+
 def test_extremal_function_shape(example_pair):
     _, plus, minus = example_pair
     u = extremal_function(plus, minus, cf.A1_EXACT)

@@ -66,6 +66,20 @@ def _inset_well() -> Potential:
     return Potential(evaluate=evaluate, lower_bound=1.0, upper_bound=4.0, tail_limits=(4.0, 4.0))
 
 
+def _far_well() -> Potential:
+    """4 - 2 exp(-x^2) - 3 exp(-(x - 40)^2) on [1, 4], tails (4, 4).
+
+    ``_inset_well``'s deeper well moved past the default window (-25, 25),
+    which never samples it: the default window reads 3.007420846838579 at 0.
+    """
+
+    def evaluate(x):
+        x = np.asarray(x)
+        return 4.0 - 2.0 * np.exp(-x * x) - 3.0 * np.exp(-((x - 40.0) ** 2))
+
+    return Potential(evaluate=evaluate, lower_bound=1.0, upper_bound=4.0, tail_limits=(4.0, 4.0))
+
+
 def _example_m(a: float, b: float) -> float:
     """m of example(A, B): 2B(1 - 1/sqrt(1 + 4 A^2 B^2)), attained."""
     return 2.0 * b * (1.0 - 1.0 / math.sqrt(1.0 + 4.0 * (a * b) ** 2))
@@ -107,6 +121,8 @@ def _example_m(a: float, b: float) -> float:
         ),
         # The +-150 and +-200 windows agree to 7e-16.
         pytest.param(_inset_well, 2.4280040324105174, "attained", marks=WRONG, id="inset_well"),
+        # The (-150, 150) window, at a* = 40; the (-200, 200) window agrees to 7e-16.
+        pytest.param(_far_well, 2.428004032410519, "attained", marks=WRONG, id="far_well"),
         # The mpmath value; the same well centred at 0.3137 reads 19.975223916161646.
         pytest.param(
             _narrow_well, 19.97522391616165332, "attained", marks=WRONG, id="narrow_deep_well"
