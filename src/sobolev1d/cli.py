@@ -48,6 +48,7 @@ from .fundamental import (
     DEFAULT_TOL,
     MAX_CELLS,
     SolverError,
+    _bounds,
     _check_window,
     _curve_window,
     check_envelope_bounds,
@@ -273,8 +274,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     inside = (window[0] <= problem.nodes) & (problem.nodes <= window[1])
     breaks = np.array([b for b in pot.breakpoints if window[0] < b < window[1]], dtype=float)
     v = np.append(problem.v_samples[inside], pot.evaluate(breaks))
-    slack = 1e-9 * pot.upper_bound
-    bounds_ok = bool(np.all((v >= pot.lower_bound - slack) & (v <= pot.upper_bound + slack)))
+    lo, hi = _bounds(pot)
+    bounds_ok = bool(np.all((lo <= v) & (v <= hi)))
     detail = (
         f"sampled range [{v.min():.6g}, {v.max():.6g}] vs declared "
         f"[{pot.lower_bound:.6g}, {pot.upper_bound:.6g}]"

@@ -51,17 +51,16 @@ into samples[j, g, k]: V at Gauss node j of initial cell k (g = 0) or of
 its left (g = 1) or right (g = 2) half.  It is filled a block of
 _SAMPLE_BLOCK // 3 cells at a time, so that each potential.evaluate call's
 points and each step-doubling row stay block-sized: an array over ~128 KB
-comes from fresh pages, a page fault per 4 KB.  Every block is sampled
-before any map is built, so a non-finite sample is refused wherever it
-lies.  A cell whose nine samples are one number c is flat, and a cell with
-one sample apart ends a run.  Each maximal run of flat cells that share c
-and cross no edge (they may cross blocks) becomes a stretch when that
-takes fewer cells than the run had.  Every other sampled cell is
-checked by step doubling (``_double``: one step against two half steps,
-whose maps it builds from V at the halves' Gauss nodes, three blocks at a
-time in the first round, all cells at once later); the matrix difference
-is converted to r and l units with |r| <= sqrt(v1), and a cell over its
-budget comes back bisected, each half with its map, until all pass.  The
+comes from fresh pages, a page fault per 4 KB.  A cell whose nine samples
+are one number c is flat, and a cell with one sample apart ends a run.
+Each maximal run of flat cells that share c and cross no edge (they may
+cross blocks) becomes a stretch when that takes fewer cells than the run
+had.  Every other sampled cell is checked by step doubling (``_double``:
+one step against two half steps, whose maps it builds from V at the
+halves' Gauss nodes, three blocks at a time in the first round, all cells
+at once later); the matrix difference is converted to r and l units
+with |r| <= sqrt(v1), and a cell over its budget comes back bisected,
+each half with its map, until all pass.  The
 budget is 2 sqrt(v0) * itol per unit length, with itol = min(3e-10,
 max(tol/1000, 1e-13)): errors in r decay at rate 2 sqrt(v0) along the
 flow, so the dense output carries r to about itol.  A floor of a few dozen
@@ -93,14 +92,17 @@ an array, which gives arrays of its shape; element i is bitwise the point's
 pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y) and
 phi_plus at max(x, y), two points by one ``_dense_one`` call.
 
-Bands.  The seeded flows stay in
+Bounds and bands.  Every V the solver reads (samples, seeds, off-mesh
+steps, pins) must pass ``_honest`` (declared pieces do by construction),
+so theta^2 >= h^2 v0 on every cell and theta <= 20 overflows no map.  The
+seeded flows then stay in
 
     -sqrt(v1) <= r_plus <= -sqrt(v0),    sqrt(v0) <= r_minus <= sqrt(v1),
 
 (at r = +-sqrt(v1) and +-sqrt(v0) the Riccati field points inward), which
 is the bound the error conversion uses.  The solver checks both sides
-against it, with slack 1e-8 sqrt(v1), and refuses when either
-leaves it: the declared bounds are then not honest.
+against it, with slack 1e-8 sqrt(v1), as a numerical safety net: the
+declared bounds are not honest when either leaves it.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 u_a = G(., a)/G(a, a), read without quadrature, each side only at the
@@ -155,6 +157,8 @@ SAMPLE_SPACING = 0.025
 RESIDUAL_POINTS = 201
 # Log-space slack of the envelope checks.
 ENVELOPE_SLACK = 1e-8
+# Relative slack of the declared bounds on every V the solver reads (``_bounds``).
+BOUNDS_SLACK = 1e-9
 
 # Gauss-Legendre nodes of a cell [x, x + h]: the midpoint and midpoint +- _GAUSS h.
 _GAUSS = math.sqrt(15.0) / 10.0
@@ -172,7 +176,6 @@ _SAMPLE_BLOCK = 4096
 # Most cells ``_sweep`` crosses by its plain loop; above, composing cell maps
 # in pairs is faster (one level of pairs breaks even near 200 cells).
 _SWEEP_LEAF = 256
-_NON_FINITE = "the potential evaluated to a non-finite value"
 
 
 class SolverError(RuntimeError):
@@ -292,27 +295,17 @@ def _magnus(v, h: np.ndarray):
     Returns (cm1, P, Q, R) with exp(Omega) = (1 + cm1) I + [[P, Q], [R, -P]],
     where (p, q, s) = ``_omega`` are the entries of the exponent, cm1 =
     cosh(theta) - 1 and (P, Q, R) = sinh(theta)/theta (p, q, s), theta^2 =
-    p^2 + q s.  For v1 = v2 = v3 the map is the exact one of constant V.
+    p^2 + q s >= h^2 v0.  For v1 = v2 = v3 the map is the exact one of constant V.
     """
     p, q, s = _omega(*v, h)
-    z = p * p + q * s
-    t = np.sqrt(np.abs(z))
-    grow = z >= 0.0
-    if grow.all():
-        # Always so for V > 0: the sinh branch alone, as np.where would pick it.
-        cm1, sh = 2.0 * np.sinh(0.5 * t) ** 2, np.sinh(t)
-    else:
-        cm1 = np.where(grow, 2.0 * np.sinh(0.5 * t) ** 2, -2.0 * np.sin(0.5 * t) ** 2)
-        sh = np.where(grow, np.sinh(t), np.sin(t))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shc = sh / t
-    shc = np.where(t > 0.0, shc, 1.0)
-    return cm1, shc * p, shc * q, shc * s
+    t = np.sqrt(p * p + q * s)
+    shc = np.divide(np.sinh(t), t, out=np.ones_like(t), where=t > 0.0)
+    return 2.0 * np.sinh(0.5 * t) ** 2, shc * p, shc * q, shc * s
 
 
 def _cell_maps(potential: Potential, lo: np.ndarray, h: np.ndarray):
     """``_magnus`` maps of the cells [lo, lo + h], with V sampled by ``_samples``."""
-    return _magnus(_samples(potential, _gauss_points(lo, h)).reshape(3, -1), h)
+    return _magnus(_honest(potential, _gauss_points(lo, h)).reshape(3, -1), h)
 
 
 def _doubling_error(full, left, right, s1: float):
@@ -342,8 +335,8 @@ def _doubling_error(full, left, right, s1: float):
         return np.maximum(ec + s1 * (ea + ed) + s1 * s1 * eb, ea + ed + s1 * eb)
 
     size = (
-        np.abs(x) + np.abs(y) + np.abs(z)
-        for x, y, z in zip((a, b, c, d), (la, lb, lc, ld), (ra, rb, rc, rd))
+        np.abs(f) + np.abs(fl) + np.abs(fr)
+        for f, fl, fr in zip((a, b, c, d), (la, lb, lc, ld), (ra, rb, rc, rd))
     )
     return units(da, db, dc, dd), _FLOOR_ULPS * units(*size)
 
@@ -390,8 +383,8 @@ def _lay(a: np.ndarray, b: np.ndarray, k: np.ndarray):
 
 
 def _theta_cells(a, b, c) -> np.ndarray:
-    """Fewest equal cells with theta = h sqrt(|c|) <= _THETA_MAX on [a, b] at V = c, as floats."""
-    return np.maximum(1.0, np.ceil((b - a) * np.sqrt(np.abs(c)) / _THETA_MAX))
+    """Fewest equal cells with theta = h sqrt(c) <= _THETA_MAX on [a, b] at V = c, as floats."""
+    return np.maximum(1.0, np.ceil((b - a) * np.sqrt(c) / _THETA_MAX))
 
 
 def _constant_cells(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -406,14 +399,38 @@ def _constant_cells(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return lo, hi, *_magnus((c, c, c), hi - lo)
 
 
+def _bounds(potential: Potential) -> tuple[float, float]:
+    """[v0 (1 - BOUNDS_SLACK), v1 (1 + BOUNDS_SLACK)]: where every V the solver reads must lie."""
+    return potential.lower_bound * (1 - BOUNDS_SLACK), potential.upper_bound * (1 + BOUNDS_SLACK)
+
+
+def _honest(potential: Potential, x, v=None) -> np.ndarray:
+    """V at the points x (by ``_samples`` unless given as v), refused unless all in ``_bounds``.
+
+    SolverError names x and V(x) at the first non-finite value, or else the
+    first outside; x has v's shape, or builds it when called.
+    """
+    lo, hi = _bounds(potential)
+    v = np.asarray(_samples(potential, np.ravel(x)).reshape(np.shape(x)) if v is None else v, float)
+    inside = (lo <= v) & (v <= hi)
+    if inside.all():
+        return v
+    finite = np.isfinite(v)
+    i = int(np.argmin(inside if finite.all() else finite))
+    at = f"V({np.ravel(x() if callable(x) else x)[i]:g}) = {v.flat[i]:g}"
+    if not finite.flat[i]:
+        raise SolverError(f"the potential evaluated to a non-finite value, {at}")
+    side = "exceeds its declared upper" if v.flat[i] > hi else "is below its declared lower"
+    bound = potential.upper_bound if v.flat[i] > hi else potential.lower_bound
+    raise SolverError(f"{at} {side} bound {bound:g}; the declared potential bounds are not honest")
+
+
 def _samples(potential: Potential, points: np.ndarray) -> np.ndarray:
-    """V at the points, _SAMPLE_BLOCK at a time, refused when a sample is not finite."""
+    """V at the points, _SAMPLE_BLOCK at a time, unchecked (``_honest`` checks it)."""
     v = np.empty_like(points)
     for start in range(0, points.size, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         v[block] = potential.evaluate(points[block])
-    if not np.all(np.isfinite(v)):
-        raise SolverError(_NON_FINITE)
     return v
 
 
@@ -423,22 +440,17 @@ def _halves(lo: np.ndarray, hi: np.ndarray):
     return np.concatenate((lo, mid)), np.concatenate((mid - lo, hi - mid))
 
 
-def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
+def _double(lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
     """Step doubling of the cells [lo, hi], with their maps, against their halves.
 
     v[j] holds V at Gauss node j of each half, left halves first, from which
     the halves' maps are built.  Returns the accepted cells (lo, hi, *maps)
     and the rejected ones bisected, each half with its map, in the same
-    layout, left halves first.  Raises SolverError when a map overflows.
+    layout, left halves first.
     """
     n, mid = lo.size, 0.5 * (lo + hi)
     halves = _magnus(v, np.concatenate((mid - lo, hi - mid)))
     err, floor = _doubling_error(maps, [x[:n] for x in halves], [x[n:] for x in halves], s1)
-    if not np.all(np.isfinite(err)):
-        raise SolverError(
-            "the cell maps overflow on finite samples; the potential exceeds "
-            f"its declared upper bound {potential.upper_bound:g}"
-        )
     ok = err <= np.maximum(per_length * (hi - lo), floor)
     bad = np.tile(~ok, 2)
     return (lo[ok], hi[ok], *(x[ok] for x in maps)), (
@@ -448,9 +460,6 @@ def _double(potential: Potential, lo: np.ndarray, hi: np.ndarray, maps, v, per_l
     )
 
 
-# Finite samples far above the declared bound overflow the cell maps; the
-# finiteness test of the doubling error names that case, so it need not warn.
-@np.errstate(over="ignore", invalid="ignore")
 def _refine(potential: Potential, edges: list[float], h0: float, per_length: float, s1: float):
     """Lay the mesh of the segments between edges and refine it until each cell passes.
 
@@ -461,10 +470,11 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     and that is the whole mesh; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, it is
     never more cells than the initial ones.  Any other potential is sampled
     once, into samples[j, g, k] (module docstring), a block of cells at a
-    time, before any map is built.  A maximal run of flat cells becomes a
-    stretch when that takes fewer cells than the run had; the other cells
-    go to ``_double`` three blocks at a time, with maps from samples[:, 0, k]
-    and their halves' V from samples[:, 1:, k], k the group's kept cells.
+    time, and ``_honest`` checks it before any map is built.  A maximal run
+    of flat cells becomes a stretch when that takes fewer cells than the run
+    had; the other cells go to ``_double`` three blocks at a time, with maps
+    from samples[:, 0, k] and their halves' V from samples[:, 1:, k], k the
+    group's kept cells.
     Each later round samples V at the halves of the bisected cells
     ``_double`` handed back, all at once, and doubles them again.
     Returns the accepted cells (lo, hi) in increasing order with their maps.
@@ -492,11 +502,14 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     # samples[j, g, k]: V at Gauss node j of cell k (g = 0), or of its left (g = 1)
     # or right (g = 2) half: nine floats a cell, the round's largest array.
     samples = np.empty((3, 3, lo.size))
-    for blk in (slice(i, i + size) for i in range(0, lo.size, size)):
+
+    def points(blk=slice(None)):
         half_lo, half_h = _halves(lo[blk], hi[blk])
-        h = np.concatenate((hi[blk] - lo[blk], half_h))
-        points = _gauss_points(np.concatenate((lo[blk], half_lo)), h)
-        samples[:, :, blk] = _samples(potential, points).reshape(3, 3, -1)
+        return _gauss_points(np.append(lo[blk], half_lo), np.append(hi[blk] - lo[blk], half_h))
+
+    for blk in (slice(i, i + size) for i in range(0, lo.size, size)):
+        samples[:, :, blk] = _samples(potential, points(blk)).reshape(3, 3, -1)
+    _honest(potential, points, samples)
     flat = np.all(samples == samples[0, 0], axis=(0, 1))
     done: list[tuple] = []
     keep = np.ones(lo.size, dtype=bool)
@@ -523,7 +536,7 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         k = i + np.flatnonzero(keep[i : i + 3 * size])
         if k.size:
             maps, v = _magnus(samples[:, 0, k], hi[k] - lo[k]), [x[1:, k].ravel() for x in samples]
-            checked.append(_double(potential, lo[k], hi[k], maps, v, per_length, s1))
+            checked.append(_double(lo[k], hi[k], maps, v, per_length, s1))
             del maps, v
     while checked:
         done.extend(ok for ok, _ in checked)
@@ -535,8 +548,8 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
                 f"step-doubling refinement exceeded {MAX_CELLS} cells; "
                 "the potential is too rough for the requested tolerance"
             )
-        v = _samples(potential, _gauss_points(*_halves(lo, hi)))
-        checked = [_double(potential, lo, hi, maps, v.reshape(3, -1), per_length, s1)]
+        v = _honest(potential, _gauss_points(*_halves(lo, hi)))
+        checked = [_double(lo, hi, maps, v.reshape(3, -1), per_length, s1)]
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
     return [col[order] for col in cells]
@@ -616,7 +629,7 @@ class LogSolution:
         pieces = pot.pieces and memoryview(np.array(pot.pieces)[
             np.searchsorted(pot.breakpoints, 0.5 * (mesh[:-1] + mesh[1:]), side="right")])
         floats = (*_slack(self.window), float(mesh[0]), float(mesh[-1]),
-                  *map(memoryview, (mesh, self._r, self._l)), pieces)
+                  *map(memoryview, (mesh, self._r, self._l)), *_bounds(pot), pieces)
         object.__setattr__(self, "_floats", floats)
 
     def _dense(self, x):
@@ -626,7 +639,7 @@ class LogSolution:
         on its cells' declared pieces instead, when there are pieces) and
         gives two arrays of x's shape; a point (a float or a 0-d array) takes
         ``_dense_one`` and gives two Python floats, bitwise the same.  Both
-        refuse a non-finite V, as the solve does (SolverError).
+        refuse a V outside the declared bounds, as the solve does (SolverError).
         """
         if _is_point(x):
             return _dense_one(((self, float(x)),))[0][0]
@@ -665,14 +678,13 @@ class LogSolution:
     def ell_second_at(self, x):
         """l''(x) = V(x) - r(x)^2, algebraically from the Riccati equation.
 
-        A non-finite V(x) raises SolverError, for a point and for an array.
+        A V(x) that ``_honest`` refuses raises SolverError, for a point and for an array.
         """
         if _is_point(x):
             ((r, _),), v = _dense_one(((self, float(x)),), float(x))
             return v - r * r
         r, _ = self._dense(x)
-        x = np.asarray(x, dtype=float)
-        return _samples(self.potential, x.ravel()).reshape(x.shape) - r * r
+        return _honest(self.potential, np.asarray(x, dtype=float)) - r * r
 
     def phi_at(self, x):
         """phi(x) = exp(ell(x)); phi(0) = 1.
@@ -701,8 +713,8 @@ def solve_log_solution(
     solution evaluates r and l anywhere in the window.
 
     Raises ValueError for a window or tolerance that ``_check_window``
-    refuses, and SolverError if the mesh needs more than MAX_CELLS cells or
-    a log-derivative leaves its invariant band (declared bounds not honest).
+    refuses, and SolverError if the mesh needs more than MAX_CELLS cells, if
+    ``_honest`` refuses a V, or if a log-derivative leaves its invariant band.
     """
     _check_window(potential, x_min, x_max, tol)
     s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
@@ -719,13 +731,12 @@ def solve_log_solution(
 
     # Sweep in each side's attracting direction: forward for "-", backward
     # for "+" (the inverse maps, last cell first).  The seeds take V at the
-    # Gauss node nearest the starting edge, which is never on a jump; a
-    # negative V there gives a NaN seed, which the band check refuses.
-    v = float(potential.evaluate(lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0])))
-    r_minus = _sweep(math.sqrt(v) if v >= 0.0 else math.nan, 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
-    v = float(potential.evaluate(hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])))
+    # Gauss node nearest the starting edge, which is never on a jump.
+    seeds = [lo[0] + (0.5 - _GAUSS) * (hi[0] - lo[0]), hi[-1] - (0.5 - _GAUSS) * (hi[-1] - lo[-1])]
+    v = _honest(potential, np.array(seeds))
+    r_minus = _sweep(math.sqrt(v[0]), 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
     a, d = (1.0 + cm1 - P)[::-1], (1.0 + cm1 + P)[::-1]
-    r_plus = _sweep(-math.sqrt(v) if v >= 0.0 else math.nan, a, -Q[::-1], -R[::-1], d)[::-1]
+    r_plus = _sweep(-math.sqrt(v[1]), a, -Q[::-1], -R[::-1], d)[::-1]
 
     rates = np.concatenate((r_minus, -r_plus))
     slack = 1e-8 * s1
@@ -766,17 +777,16 @@ def _dense_one(reads, pin: float | None = None):
     its pieces, each step takes V from its cell's piece and only the pin, if
     given, goes to potential.evaluate; otherwise the Gauss nodes of all the
     steps, and the pin after them, go to one call.  Then each read steps
-    from its node, taking ``_magnus``'s exponential by one branch.  To stay
-    bitwise equal to the array path, sinh, sin and log1p go through numpy,
-    whose loops can round differently from ``math``'s; sqrt is correctly
-    rounded either way, and squares are products, as numpy's ``** 2`` is.
-    Returns the (r, l) floats of each read and V at the pin (None without
-    one).  A non-finite V, at a Gauss node or at the pin, raises
-    SolverError, as the solve does.
+    from its node, taking ``_magnus``'s exponential.  To stay bitwise equal
+    to the array path, sinh and log1p go through numpy, whose loops can
+    round differently from ``math``'s; sqrt is correctly rounded either way,
+    and squares are products, as numpy's ``** 2`` is.  Returns the (r, l)
+    floats of each read and V at the pin (None without one).  A V outside
+    the bounds in ``_floats``, at a node or the pin, is refused by ``_honest``.
     """
     cells, nodes, v = [], [], []
     for solution, x in reads:
-        inside_lo, inside_hi, first, last, mesh, rs, ls, pieces = solution._floats
+        inside_lo, inside_hi, first, last, mesh, rs, ls, v_lo, v_hi, pieces = solution._floats
         if not inside_lo <= x <= inside_hi:
             _check_inside(x, solution.window, "position outside solved window")
         # Clamped to the mesh ends, x can fall off only one end of the cells.
@@ -798,9 +808,10 @@ def _dense_one(reads, pin: float | None = None):
     if pin is not None:
         nodes.append(pin)
     if nodes:
-        v += np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
-        if not all(map(math.isfinite, v)):
-            raise SolverError(_NON_FINITE)
+        sampled = np.asarray(reads[0][0].potential.evaluate(np.array(nodes)), dtype=float).tolist()
+        if not (math.isfinite(sum(sampled)) and v_lo <= min(sampled) and max(sampled) <= v_hi):
+            _honest(reads[0][0].potential, nodes, sampled)
+        v += sampled
     steps = []
     for j, (plus, r0, l0, h) in enumerate(cells):
         if pieces is None:
@@ -808,14 +819,9 @@ def _dense_one(reads, pin: float | None = None):
         else:
             # _omega(c, c, c, h) to the bit, but for the sign of p = 0, which no step reads.
             p, q, s = 0.0, h, h * v[j]
-        z = p * p + q * s
-        t = math.sqrt(abs(z))
-        if z >= 0.0:
-            half, whole = float(np.sinh(0.5 * t)), float(np.sinh(t))
-            cm1 = 2.0 * (half * half)
-        else:
-            half, whole = float(np.sin(0.5 * t)), float(np.sin(t))
-            cm1 = -2.0 * (half * half)
+        t = math.sqrt(p * p + q * s)
+        half, whole = float(np.sinh(0.5 * t)), float(np.sinh(t))
+        cm1 = 2.0 * (half * half)
         shc = whole / t if t > 0.0 else 1.0
         # Side "+" steps backward: its sign goes into sinh(theta)/theta once.
         shc = -shc if plus else shc
@@ -879,8 +885,8 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x=Fals
     its side of y; the reads at y fill the other entries: ``at_y``, the
     ``PinReads`` of a caller that already holds them, or else y read as two
     points.  For an array y, one dense read per side at the broadcast min or
-    max.  At x = y both sides read the same pins, as F needs.  A non-finite
-    V at x raises SolverError, as at a Gauss node.
+    max.  At x = y both sides read the same pins, as F needs.  A V at x
+    that ``_honest`` refuses raises SolverError, as at a Gauss node.
     """
     if _is_point(x) and _is_point(y):
         x, y = float(x), float(y)
@@ -899,7 +905,7 @@ def _pair_reads(phi_plus: LogSolution, phi_minus: LogSolution, x, y, v_at_x=Fals
         rp, rm, lp, lm = (np.full(x.shape, c) for c in at_y[:4])
         rm[left], lm[left] = phi_minus._dense(x[left])
         rp[~left], lp[~left] = phi_plus._dense(x[~left])
-    v = _samples(phi_plus.potential, x.ravel()).reshape(x.shape) if v_at_x else None
+    v = _honest(phi_plus.potential, x) if v_at_x else None
     return PinReads(rp, rm, lp, lm, v), left
 
 

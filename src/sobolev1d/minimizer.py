@@ -163,19 +163,9 @@ def _tail_infimum(potential: Potential, curve: FCurve) -> tuple[float, str]:
     With declared tail limits the exact value 2 sqrt(min limit) is used;
     otherwise the curve is sampled at its window edges, which is a flagged
     heuristic (fine when the window is wide enough for F to have settled).
-    Declared limits that are not finite or leave the declared bounds are
-    refused: 2 sqrt(v0) bounds every candidate from below.  The check runs
-    after the solve, which refuses dishonest bounds first.
     """
     if potential.tail_limits is not None:
-        lo, hi = potential.lower_bound, potential.upper_bound
-        if not all(lo <= t <= hi for t in potential.tail_limits):
-            raise SolverError(
-                f"declared tail limits {potential.tail_limits} must be finite "
-                f"and within the declared bounds [{lo:g}, {hi:g}]"
-            )
-        v = min(potential.tail_limits)
-        return 2.0 * math.sqrt(v), "declared-tail-limits"
+        return 2.0 * math.sqrt(min(potential.tail_limits)), "declared-tail-limits"
     return float(np.min(curve.value_at(curve.grid[[0, -1]]))), "edge-sampled"
 
 

@@ -60,7 +60,7 @@ class Potential:
             split their meshes here, and difference stencils stay clear of
             them.  Empty for potentials that are smooth everywhere.
         tail_limits: (limit at -inf, limit at +inf) when the potential has
-            genuine limits, else None.
+            genuine limits, else None; both must lie within the bounds.
         label: short human-readable description used in reports.
         pieces: the value of V on each interval between consecutive
             breakpoints, left to right (len(breakpoints) + 1 values), when V
@@ -110,6 +110,9 @@ class Potential:
                         f"piece value {v:g} outside the declared bounds "
                         f"[{self.lower_bound:g}, {self.upper_bound:g}]"
                     )
+        tails = self.tail_limits or ()
+        if not all(self.lower_bound <= t <= self.upper_bound for t in tails):
+            raise ValueError(f"declared tail limits {tails} must lie within the declared bounds")
 
     @property
     def continuous(self) -> bool:
@@ -469,11 +472,10 @@ def potential_from_spec(spec: dict) -> Potential:
         pot = potential_from_log_derivative(
             x, _arr(spec, "ell_prime"), _arr(spec, "ell_double_prime")
         )
-    return replace(
-        pot,
-        lower_bound=_num(spec, "lower_bound", pot.lower_bound),
-        upper_bound=_num(spec, "upper_bound", pot.upper_bound),
-    )
+    lo, hi = _num(spec, "lower_bound", pot.lower_bound), _num(spec, "upper_bound", pot.upper_bound)
+    # End samples outside explicit bounds are no tail limits: the solve refuses V there.
+    tails = pot.tail_limits if all(lo <= t <= hi for t in pot.tail_limits) else None
+    return replace(pot, lower_bound=lo, upper_bound=hi, tail_limits=tails)
 
 
 def _real(value, what: str) -> float:

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,20 @@ def test_dishonest_bounds_exit_3(capsys):
     code, _, err = run(capsys, "solve", "--potential", DISHONEST)
     assert code == 3
     assert "solver error" in err
+
+
+def test_a_table_over_its_explicit_upper_bound_is_refused_by_solve_and_flagged_by_verify(capsys):
+    """The table peaks at 2 over [0.5, 1.9]: solve names the first sample above 1.9."""
+    spec = (
+        '{"kind": "table", "x": [-2,-1,0,1,2], "v": [1,1,2,1,1],'
+        ' "lower_bound": 0.5, "upper_bound": 1.9}'
+    )
+    code, out, err = run(capsys, "solve", "--potential", spec)
+    assert (code, out) == (3, "")
+    assert re.search(r"V\(-?[\d.e-]+\) = [\d.]+ exceeds its declared upper bound 1\.9", err), err
+    code, out, _ = run(capsys, "verify", "--potential", spec)
+    assert code == 4
+    assert out.splitlines()[0].startswith("FAIL bounds-declared")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -571,8 +586,8 @@ def _dump_artifacts():
 
 DUMP = _dump_artifacts()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
-# check (P, F, S) and the minimality-equivalence detail.  Only the dishonest
-# table fails, on its declared bounds; the far step is refused before any
+# check (P, F, S) and the minimality-equivalence detail.  Only the two tables
+# that leave their declared bounds fail, on those bounds; the far step is refused before any
 # check, with the detail in the error message.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
@@ -585,6 +600,7 @@ VERIFY_TABLE = {
     "jump_at_0": (0, "PPPPPPP", "206 samples, 0 disagreements"),
     "gaussian_table": (0, "PPPPPPP", "208 samples, 0 disagreements"),
     "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
+    "over_bound_table": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
     "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),

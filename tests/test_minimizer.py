@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import _closed_forms as cf
 from sobolev1d import (
-    SolverError,
     build_green,
     extremal,
     make_constant,
@@ -534,6 +533,5 @@ def test_rayleigh_quotient_requires_window_for_callables():
 @pytest.mark.parametrize("tails", [(0.25, 4.0), (math.nan, 4.0)], ids=["below-v0", "nan"])
 def test_tail_limits_outside_the_declared_bounds_are_refused(tails):
     """2 sqrt(v0) bounds every candidate, so a tail below v0 would report a wrong m."""
-    pot = dataclasses.replace(make_monotone_step(1.0, 4.0), tail_limits=tails)
-    with pytest.raises(SolverError, match="declared tail limits"):
-        minimize(pot)
+    with pytest.raises(ValueError, match="declared tail limits"):
+        dataclasses.replace(make_monotone_step(1.0, 4.0), tail_limits=tails)

@@ -78,6 +78,15 @@ SPECS = {
         "lower_bound": 4,
         "upper_bound": 5,
     },
+    # Its explicit upper bound sits 5% under its own peak V = 2: solve, scan and
+    # green refuse the first sample above it (exit 3), verify FAILs bounds-declared (exit 4).
+    "over_bound_table": {
+        "kind": "table",
+        "x": [-2, -1, 0, 1, 2],
+        "v": [1, 1, 2, 1, 1],
+        "lower_bound": 0.5,
+        "upper_bound": 1.9,
+    },
     # l' = -2 - tanh(x)/2, so V = l'' + l'^2 >= 1.75.
     "log_derivative_table": {
         "kind": "table",
