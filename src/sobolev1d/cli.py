@@ -351,18 +351,6 @@ def _verify_emit(lines: list[tuple[str, str, str]]) -> tuple[int, str]:
     return 4 if failed else 0, text
 
 
-def _format_parent(default: str) -> argparse.ArgumentParser:
-    """--format for the commands that write an artifact, with their own default."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=default,
-        help=f"artifact format (default: {default})",
-    )
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev1d",
@@ -386,18 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="integration tolerance")
     common.add_argument("--out", default=None, help="write the artifact to this file")
-    as_json, as_csv = _format_parent("json"), _format_parent("csv")
+    format_kwargs = dict(choices=("json", "csv"), help="artifact format (default: %(default)s)")
 
-    p_solve = sub.add_parser("solve", parents=[common, as_json], help="full minimization report")
+    p_solve = sub.add_parser("solve", parents=[common], help="full minimization report")
+    p_solve.add_argument("--format", default="json", **format_kwargs)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_scan = sub.add_parser("scan", parents=[common, as_csv], help="tabulate the energy curve")
+    p_scan = sub.add_parser("scan", parents=[common], help="tabulate the energy curve")
+    p_scan.add_argument("--format", default="csv", **format_kwargs)
     p_scan.add_argument(
         "--grid", default=None, help="pin lattice 'start:stop:count' (default: curve grid)"
     )
     p_scan.set_defaults(func=cmd_scan)
 
-    p_green = sub.add_parser("green", parents=[common, as_csv], help="tabulate the Green function")
+    p_green = sub.add_parser("green", parents=[common], help="tabulate the Green function")
+    p_green.add_argument("--format", default="csv", **format_kwargs)
     p_green.add_argument("--x", required=True, help="x lattice 'start:stop:count'")
     p_green.add_argument("--y", required=True, help="y lattice 'start:stop:count'")
     p_green.set_defaults(func=cmd_green)

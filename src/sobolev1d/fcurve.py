@@ -142,7 +142,8 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     potential = phi_plus.potential
     lo, hi = _curve_window(potential, phi_plus.window)
     grid = _sample_grid(phi_plus)
-    inside = (phi_plus._mesh >= lo) & (phi_plus._mesh <= hi)
+    mesh = phi_plus._mesh
+    inside = slice(np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right"))
     reads = PinReads(*(a[inside] for a in (phi_plus._r, phi_minus._r, phi_plus._l, phi_minus._l)))
     if np.any(reads.value <= 0.0):
         raise SolverError("energy curve is not positive; integration is unusable")
@@ -153,7 +154,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
         potential=potential,
         phi_plus=phi_plus,
         phi_minus=phi_minus,
-        nodes=phi_plus._mesh[inside],
+        nodes=mesh[inside],
         node_reads=reads,
     )
 
@@ -187,14 +188,15 @@ class CriticalPointScan:
     noise_floor: float
 
 
-def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float, xtol: float) -> float:
+def _polish_root(curve: FCurve, lo: float, hi: float, s_lo: float) -> float:
     """Root of F' in [lo, hi], where F' changes sign; s_lo is F'(lo).
 
     Newton's method on F' with the analytic F'', safeguarded by the sign
     bracket: a step that would leave the bracket, or is not below half the
     step before last, is replaced by bisection.  Stops once a step is below
-    xtol.
+    ROOT_TOL/sqrt(v1).
     """
+    xtol = ROOT_TOL / math.sqrt(curve.potential.upper_bound)
     # Orient the bracket so that F' < 0 at neg and F' > 0 at pos.
     neg, pos = (lo, hi) if s_lo < 0.0 else (hi, lo)
     x = 0.5 * (lo + hi)
@@ -266,10 +268,10 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
         # A flat curve has one representative, at a = 0.
         return CriticalPointScan([_critical_point(curve, 0.0)], [], True, noise_floor)
     x, s = curve.nodes[decided], s[decided]
-    points, rejected, xtol = [], [], ROOT_TOL / math.sqrt(v1)
+    points, rejected = [], []
     for i in np.flatnonzero(np.diff(np.signbit(s))).tolist():
         lo, hi, s_lo = float(x[i]), float(x[i + 1]), float(s[i])
-        pt = _critical_point(curve, _polish_root(curve, lo, hi, s_lo, xtol))
+        pt = _critical_point(curve, _polish_root(curve, lo, hi, s_lo))
         if s_lo < 0.0:
             points.append(pt)
         elif pt.curvature < -CURVATURE_SLACK * scale:

@@ -92,10 +92,12 @@ an array, which gives arrays of its shape; element i is bitwise the point's
 pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y) and
 phi_plus at max(x, y), two points by one ``_dense_one`` call.
 
-Bounds and bands.  Every V the solver reads (samples, seeds, off-mesh
-steps, pins) must pass ``_honest`` (declared pieces do by construction),
-so theta^2 >= h^2 v0 on every cell and theta <= 20 overflows no map.  The
-seeded flows then stay in
+Bounds and bands.  Every V the package reads (samples, piece midpoints,
+seeds, off-mesh steps, pins, and the points of the Riccati residual, Green
+and Rayleigh checks) must pass ``_honest`` (declared pieces do by
+construction); only ``cli.cmd_verify``'s bounds check and the mesh oracle
+read V to report it.  So theta^2 >= h^2 v0 on every cell and theta <= 20
+overflows no map.  The seeded flows then stay in
 
     -sqrt(v1) <= r_plus <= -sqrt(v0),    sqrt(v0) <= r_minus <= sqrt(v1),
 
@@ -448,15 +450,14 @@ def _double(lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
     and the rejected ones bisected, each half with its map, in the same
     layout, left halves first.
     """
-    n, mid = lo.size, 0.5 * (lo + hi)
-    halves = _magnus(v, np.concatenate((mid - lo, hi - mid)))
+    n, (half_lo, half_h) = lo.size, _halves(lo, hi)
+    halves = _magnus(v, half_h)
     err, floor = _doubling_error(maps, [x[:n] for x in halves], [x[n:] for x in halves], s1)
     ok = err <= np.maximum(per_length * (hi - lo), floor)
     bad = np.tile(~ok, 2)
+    # half_lo[n:] are the midpoints, where the left halves end.
     return (lo[ok], hi[ok], *(x[ok] for x in maps)), (
-        np.concatenate((lo, mid))[bad],
-        np.concatenate((mid, hi))[bad],
-        *(x[bad] for x in halves),
+        half_lo[bad], np.concatenate((half_lo[n:], hi))[bad], *(x[bad] for x in halves)
     )
 
 
@@ -489,7 +490,7 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     if potential.pieces is not None:
         mid = 0.5 * (a + b)
         c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]
-        v = np.asarray(potential.evaluate(mid), dtype=float)
+        v = _honest(potential, mid)
         if not np.array_equal(v, c):
             i = int(np.flatnonzero(v != c)[0])
             raise SolverError(
@@ -990,7 +991,8 @@ def check_riccati_residual(solution: LogSolution) -> ResidualReport:
     Magnus dense output is smooth inside each cell, and its measured
     residual is about 1e-12 * v1 for tol <= 1e-10 (example, logistic step,
     spline table and step potentials), so the tolerance flags a broken
-    dense output, not roundoff.
+    dense output, not roundoff.  V at the points is read by ``_honest``: one
+    outside the declared bounds raises SolverError.
     """
     pot = solution.potential
     tolerance = max(2e-9, 10.0 * solution.tol) * pot.upper_bound
@@ -1002,7 +1004,7 @@ def check_riccati_residual(solution: LogSolution) -> ResidualReport:
     stencil, _ = solution._dense(np.stack((xs, xs + 2 * h, xs + h, xs - h, xs - 2 * h)))
     r, r_2h, r_h, r_mh, r_m2h = stencil
     rp = (-r_2h + 8.0 * r_h - 8.0 * r_mh + r_m2h) / (12.0 * h)
-    res = np.abs(rp + r * r - np.asarray(pot.evaluate(xs)))
+    res = np.abs(rp + r * r - _honest(pot, xs))
     worst = float(res.max()) if res.size else 0.0
     return ResidualReport(worst, float(tolerance), worst <= tolerance)
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair, _pair_reads, _PairReader
+from .fundamental import LogSolution, _check_pair, _honest, _pair_reads, _PairReader
 from .potential import Potential
 from .quadrature import composite_rule
 
@@ -97,7 +97,8 @@ def residual_check(
     functions negligible outside it (the identity is over the whole line).
     Panels are split at y and at the potential's breakpoints.  G(., y), its
     rate and V are read at the quadrature nodes once, for all test
-    functions (one dense read per side); each residual is then one dot
+    functions (one dense read per side), V by ``_honest``, which raises
+    SolverError outside the declared bounds; each residual is then one dot
     product with the weights.
     """
     lo, hi = green.window
@@ -109,7 +110,7 @@ def residual_check(
     )
     log_g, rate = green._reads(x, y)
     g = np.exp(log_g)
-    g_rate, v_g = g * rate, np.asarray(pot.evaluate(x)) * g
+    g_rate, v_g = g * rate, _honest(pot, x) * g
     residuals = []
     for v, v_prime in test_functions:
         integrand = g_rate * np.asarray(v_prime(x)) + v_g * np.asarray(v(x))

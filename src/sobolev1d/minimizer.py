@@ -40,6 +40,7 @@ from .fundamental import (
     ExtremalFunction,
     LogSolution,
     SolverError,
+    _honest,
     _sorted_unique,
     default_window,
     extremal_function,
@@ -248,7 +249,8 @@ def rayleigh_quotient(
     sup-norm 1 and, unless u_prime is supplied, its analytic derivative,
     read with u in one pass per node; for a bare callable the derivative is
     taken by a five-point stencil unless supplied, and the sup-norm is the
-    sampled maximum.  Always >= m(V) up to quadrature error.
+    sampled maximum.  V at the nodes is read by ``_honest`` (SolverError
+    outside the declared bounds).  Always >= m(V) up to quadrature error.
     """
     splits = list(kinks)
     sup: float | None = None
@@ -283,7 +285,7 @@ def rayleigh_quotient(
         else:
             du = np.asarray(u_prime(x), dtype=float)
             uu = np.asarray(u(x), dtype=float)
-        return du * du + np.asarray(potential.evaluate(x)) * uu * uu
+        return du * du + _honest(potential, x) * uu * uu
 
     total = composite_gauss_legendre(
         integrand, window[0], window[1], splits=splits, panel_length=panel

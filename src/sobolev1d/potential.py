@@ -125,14 +125,11 @@ class Potential:
     def shifted(self, offset: float) -> "Potential":
         """The translated potential x -> V(x - offset)."""
         base = self.evaluate
-        return Potential(
+        return replace(
+            self,
             evaluate=lambda x: base(np.asarray(x, dtype=float) - offset),
-            lower_bound=self.lower_bound,
-            upper_bound=self.upper_bound,
             breakpoints=tuple(b + offset for b in self.breakpoints),
-            tail_limits=self.tail_limits,
             label=f"{self.label} shifted by {offset:g}",
-            pieces=self.pieces,
         )
 
 

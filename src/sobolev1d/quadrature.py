@@ -42,8 +42,7 @@ def composite_rule(
     """Nodes and weights of the ORDER-point rule on panels of [lo, hi] split at the kinks."""
     if hi <= lo:
         raise ValueError(f"empty integration range [{lo:g}, {hi:g}]")
-    edges = [lo, hi] + [float(s) for s in splits if lo < s < hi]
-    edges = sorted(set(edges))
+    edges = sorted({lo, hi, *(float(s) for s in splits if lo < s < hi)})
     cuts = [
         np.linspace(a, b, max(1, int(np.ceil((b - a) / panel_length))) + 1)
         for a, b in zip(edges[:-1], edges[1:])

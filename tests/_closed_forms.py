@@ -74,11 +74,6 @@ def phi_plus_exact(x, a=A, b=B):
     return a * np.exp(-b * x) / np.sqrt(_s(x, a))
 
 
-def ell_plus_exact(x, a=A, b=B):
-    x = np.asarray(x, dtype=float)
-    return math.log(a) - b * x - 0.5 * np.log(_s(x, a))
-
-
 def ell_plus_prime_exact(x, a=A, b=B):
     x = np.asarray(x, dtype=float)
     return -b - x / _s(x, a)
@@ -99,10 +94,6 @@ def phi_minus_exact(x, a=A, b=B):
 def ell_minus_prime_exact(x, a=A, b=B):
     x = np.asarray(x, dtype=float)
     return b + (4.0 * b * b * x - 2.0 * b) / _q(x, a, b) - x / _s(x, a)
-
-
-def wronskian_exact(a=A, b=B):
-    return 4.0 * a * a * b**3 / (2.0 * a * a * b * b + 1.0)
 
 
 def f_exact(x, a=A, b=B):

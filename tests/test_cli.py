@@ -543,6 +543,14 @@ def test_format_default_per_command(capsys, argv, fmt):
     assert default.startswith("{") == (fmt == "json")
 
 
+def test_canonical_json_writes_an_empty_object_and_refuses_what_it_cannot_write():
+    assert canonical_json({}) == "{}"
+    with pytest.raises(TypeError, match="not a scalar: bytes"):
+        _csv_rows("key,value", [("m", b"1")])
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        canonical_json({"points": {1.0}})
+
+
 def test_verify_flags_dishonest_bounds(capsys):
     code, out, _ = run(capsys, "verify", "--potential", DISHONEST)
     assert code == 4

@@ -246,6 +246,8 @@ def test_out_of_window_queries_raise(example_curve):
 class _ArctanSlope:
     """F' = atan(x - root): plain Newton diverges from |x - root| > 1.4."""
 
+    potential = SimpleNamespace(upper_bound=1.0)
+
     def __init__(self, root, flat=False):
         self.root, self.flat = root, flat
 
@@ -262,7 +264,7 @@ class _ArctanSlope:
 @pytest.mark.parametrize("flat", [False, True])
 def test_root_polish_falls_back_to_bisection(flat):
     curve = _ArctanSlope(0.3, flat)
-    root = _polish_root(curve, -20.0, 40.0, curve.slope_at(-20.0), 1e-12)
+    root = _polish_root(curve, -20.0, 40.0, curve.slope_at(-20.0))
     assert abs(root - 0.3) <= 1e-12
 
 

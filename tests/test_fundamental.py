@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from sobolev1d.fundamental import (
     extremal_function,
     solve_log_solution,
 )
-from sobolev1d.minimizer import default_window
+from sobolev1d.green import gaussian_test, residual_check
+from sobolev1d.minimizer import default_window, rayleigh_quotient
+from sobolev1d.quadrature import composite_rule
 from sobolev1d import fundamental
 from conftest import counting, dilated, random_piecewise_constant, spy
 
@@ -217,6 +221,72 @@ def test_a_gaussian_that_leaves_its_declared_bounds_is_refused(evaluate, words):
     """V peaks at 2.1, or dips to 0.99, near 0: minimize used to answer for both."""
     with pytest.raises(SolverError, match=r"V\(-?[\d.e-]+\) = [\d.]+ " + words):
         minimize(Potential(evaluate, 1.0, 2.0))
+
+
+def _checked_point(check: str, pot: Potential) -> float:
+    """A quadrature or residual point at which only the check reads V, never the solve."""
+    lo, hi = WINDOW
+    h = 1e-3 / math.sqrt(pot.upper_bound)
+    if check == "riccati":
+        return float(np.linspace(lo + 5 * h, hi - 5 * h, fundamental.RESIDUAL_POINTS)[37])
+    # The nodes of green.residual_check at y = 0.5 and of rayleigh_quotient centered at 0.5.
+    x = composite_rule(lo, hi, splits=[0.5], panel_length=0.4 / math.sqrt(pot.upper_bound))[0]
+    return float(x[x.size // 3])
+
+
+@pytest.mark.parametrize("check", ["riccati", "green", "rayleigh"])
+def test_a_check_that_reads_v_over_its_declared_bound_is_refused(check):
+    """V is 2 v1 at one point the check reads and the solve does not: the check refuses it."""
+    pot = make_example(cf.A, cf.B)
+    x_star = _checked_point(check, pot)
+    v1 = pot.upper_bound
+    liar = dataclasses.replace(
+        pot, evaluate=lambda x: np.where(np.asarray(x) == x_star, 2.0 * v1, pot.evaluate(x))
+    )
+    plus, minus = solve_log_solution(liar, *WINDOW)
+    runs = {
+        "riccati": lambda: check_riccati_residual(plus),
+        "green": lambda: residual_check(build_green(plus, minus), 0.5, [gaussian_test(0.0, 1.0)]),
+        "rayleigh": lambda: rayleigh_quotient(extremal_function(plus, minus, 0.5), liar),
+    }
+    words = f"V({x_star:g}) = {2.0 * v1:g} exceeds its declared upper bound {v1:g}"
+    with pytest.raises(SolverError, match=re.escape(words)):
+        runs[check]()
+
+
+# The only functions that call .evaluate: the door (_samples), the float path that hands any
+# refusal to _honest, the two readers that report V rather than refuse it, and __call__.
+EVALUATE_CALLERS = {
+    "_samples",
+    "_dense_one",
+    "cmd_verify",
+    "DiscreteRayleighProblem.from_potential",
+    "Potential.__call__",
+}
+
+
+def _evaluate_calls(node: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every ``.evaluate(...)`` call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    calls = []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "evaluate":
+            calls.append((scope, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        calls += _evaluate_calls(child, scope)
+    return calls
+
+
+def test_v_is_read_only_through_its_doors():
+    """Every other reader of V samples it through ``_honest``, which holds it to the bounds."""
+    stray = [
+        f"{path.name}:{line} in {scope or 'module'}"
+        for path in sorted(Path(fundamental.__file__).parent.glob("*.py"))
+        for scope, line in _evaluate_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if scope not in EVALUATE_CALLERS
+    ]
+    assert not stray
 
 
 @pytest.mark.parametrize(
@@ -804,7 +874,7 @@ def test_declared_pieces_that_v_contradicts_at_a_midpoint_are_refused():
     holed = dataclasses.replace(
         well, evaluate=lambda x: np.where(np.asarray(x) == 0.5, np.nan, well.evaluate(x))
     )
-    with pytest.raises(SolverError, match=r"V\(0.5\) = nan, but the potential declares 1"):
+    with pytest.raises(SolverError, match=r"non-finite value, V\(0.5\) = nan"):
         solve_log_solution(holed, *WINDOW)
 
 
