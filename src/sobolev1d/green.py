@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fundamental import LogSolution, _check_pair, _honest, _pair_reads, _PairReader
-from .potential import Potential
 from .quadrature import composite_rule
 
 __all__ = [
@@ -52,10 +51,6 @@ class GreenEvaluator(_PairReader):
     phi_plus: LogSolution = field(repr=False)
     phi_minus: LogSolution = field(repr=False)
     wronskian: float
-
-    @property
-    def potential(self) -> Potential:
-        return self.phi_plus.potential
 
     def _reads(self, x, y):
         """(log G(x, y), d/dx log G(x, y)): floats for two points, else broadcast arrays.
@@ -104,7 +99,7 @@ def residual_check(
     lo, hi = green.window
     if not (lo < y < hi):
         raise ValueError(f"diagonal point {y:g} outside window [{lo:g}, {hi:g}]")
-    pot = green.potential
+    pot = green.phi_plus.potential
     x, w = composite_rule(
         lo, hi, splits=[y, *pot.breakpoints], panel_length=0.4 / math.sqrt(pot.upper_bound)
     )

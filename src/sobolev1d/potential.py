@@ -5,12 +5,12 @@ Everything downstream works with essentially bounded potentials
 callable with the declared bounds, the locations where V or V' may jump,
 (when known) the limits of V at -inf and +inf, and, for a V constant
 between its breakpoints, the value on each piece.  The declared data is
-trusted by the integrators, so the constructors in this module validate
-whatever can be validated cheaply.
+trusted by the integrators: :class:`Potential` refuses a non-positive or
+non-finite bound, and each constructor checks only what it alone can.
 
 Builtin families:
 
-* ``make_constant(v)``            -- V == v
+* ``make_constant(v)``            -- V == v, the step with one piece
 * ``make_piecewise_constant(...)``-- step potentials with declared jumps
 * ``make_monotone_step(...)``     -- smooth logistic ramp from v0 to v1
 * ``make_example(A, B)``          -- the rational-times-exponential family
@@ -134,22 +134,8 @@ class Potential:
 
 
 def make_constant(v: float) -> Potential:
-    """The constant potential V == v, v > 0."""
-    if not (v > 0.0):
-        raise ValueError(f"constant potential must be positive, got {v}")
-    v = float(v)
-
-    def evaluate(x):
-        return np.full_like(np.asarray(x, dtype=float), v)
-
-    return Potential(
-        evaluate=evaluate,
-        lower_bound=v,
-        upper_bound=v,
-        tail_limits=(v, v),
-        label=f"constant {v:g}",
-        pieces=(v,),
-    )
+    """The constant potential V == v, v > 0: the step with one piece and no edges."""
+    return replace(make_piecewise_constant((), (v,)), label=f"constant {float(v):g}")
 
 
 def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> Potential:
@@ -166,8 +152,6 @@ def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> 
         raise ValueError(f"edges must be finite, got {edges_arr.tolist()}")
     if edges_arr.size and np.any(np.diff(edges_arr) <= 0):
         raise ValueError("edges must be strictly increasing")
-    if np.any(vals <= 0.0):
-        raise ValueError("all piece values must be positive")
 
     def evaluate(x):
         idx = np.searchsorted(edges_arr, np.asarray(x, dtype=float), side="right")
@@ -313,14 +297,18 @@ def _critical_points(grid: np.ndarray, coeffs) -> np.ndarray:
     The derivative on each interval is the quadratic a u^2 + b u + c, whose
     roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2.  A
     linear derivative (a = 0) keeps its one root as c/q = -c/b.  Its other
-    root, and both roots of a constant derivative, come out infinite or NaN;
-    they are dropped with the complex roots and the roots outside the interval.
+    root, both roots of a constant derivative and a root past the float range
+    come out infinite or NaN; they are dropped with the complex roots and the
+    roots outside the interval.  An overflowing b^2 - 4ac hides them: ValueError.
     """
     _, c, half_b, third_a = coeffs
     a, b = 3.0 * third_a, 2.0 * half_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
         u = np.concatenate((q / a, c / q))
+    if not np.all(np.isfinite(disc)):
+        raise ValueError("the spline's slopes overflow: its extremes cannot be found")
     h = np.tile(np.diff(grid), 2)
     inside = (u >= 0.0) & (u <= h)
     return np.tile(grid[:-1], 2)[inside] + u[inside]

@@ -334,6 +334,16 @@ def test_a_step_no_node_sees_exits_3_not_flat(capsys):
     assert json.loads(out)["attainment"] == "empty"
 
 
+@pytest.mark.parametrize("command", ["solve", "scan", "verify"])
+def test_a_constant_prints_what_the_one_piece_step_prints(capsys, command):
+    """Apart from its label, the constant's output is the one-piece step's, byte for byte."""
+    code, constant, _ = run(capsys, command, "--potential", '{"kind": "constant", "v": 2}')
+    step_spec = '{"kind": "piecewise_constant", "edges": [], "values": [2]}'
+    step_code, step, _ = run(capsys, command, "--potential", step_spec)
+    assert code == step_code == 0
+    assert step.replace("piecewise constant (1 pieces)", "constant 2") == constant
+
+
 def _table(**entries) -> str:
     return json.dumps({"kind": "table", "x": [0, 1, 2, 3], "v": [1, 1, 1, 1], **entries})
 
@@ -595,7 +605,8 @@ def _dump_artifacts():
 DUMP = _dump_artifacts()
 # verify on every spec of tools/dump_artifacts.py: exit code, the status of each
 # check (P, F, S) and the minimality-equivalence detail.  Only the two tables
-# that leave their declared bounds fail, on those bounds; the far step is refused before any
+# that leave their declared bounds fail, on those bounds; the far step (a solver
+# error) and the overflowing table (a configuration error) are refused before any
 # check, with the detail in the error message.
 VERIFY_TABLE = {
     "example": (0, "PPPPPPP", "209 samples, 0 disagreements"),
@@ -609,6 +620,7 @@ VERIFY_TABLE = {
     "gaussian_table": (0, "PPPPPPP", "208 samples, 0 disagreements"),
     "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
     "over_bound_table": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
+    "overflow_table": (2, "", "the spline's slopes overflow"),
     "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
@@ -626,7 +638,7 @@ def test_verify_prints_each_check_once_in_order(capsys, name):
     got, out, err = run(capsys, "verify", "--potential", json.dumps(DUMP.SPECS[name]))
     if not statuses:
         assert (got, out) == (code, "")
-        assert "solver error" in err and detail in err
+        assert {2: "configuration error", 3: "solver error"}[code] in err and detail in err
         return
     lines = out.splitlines()
     heads = [line.split(":", 1)[0].split(" ") for line in lines]

@@ -44,6 +44,23 @@ def test_constant_potentials(v):
     assert np.max(np.abs(u(xs) - np.exp(-math.sqrt(v) * np.abs(xs)))) < 1e-8
 
 
+@pytest.mark.parametrize("v", [1e-4, 2.0, 4e4])
+def test_a_constant_is_the_one_piece_step(v):
+    """make_constant(v) declares what the step with one piece declares, and minimize
+    reads both to the last bit: m, a*, the verdict and every node read."""
+    constant, step = make_constant(v), make_piecewise_constant((), (v,))
+    declared = ("lower_bound", "upper_bound", "breakpoints", "tail_limits", "pieces")
+    assert [getattr(constant, k) for k in declared] == [getattr(step, k) for k in declared]
+    assert constant.label == f"constant {v:g}"
+    ours, theirs = minimize(constant), minimize(step)
+    assert ours.m_value.hex() == theirs.m_value.hex()
+    assert (ours.a_star, ours.attainment) == (theirs.a_star, theirs.attainment)
+    assert ours.curve.nodes.tobytes() == theirs.curve.nodes.tobytes()
+    for mine, other in zip(ours.curve.node_reads, theirs.curve.node_reads):
+        assert (mine is None) == (other is None)
+        assert mine is None or np.asarray(mine).tobytes() == np.asarray(other).tobytes()
+
+
 def test_example_attained(example_report):
     report = example_report
     assert report.attainment == "attained"

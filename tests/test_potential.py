@@ -310,6 +310,16 @@ def test_table_with_non_finite_entries_refused(x, v):
         potential_from_spec({"kind": "table", "x": x, "v": v})
 
 
+@pytest.mark.parametrize(
+    "v", [[1, 1e300, 1, 1, 1], [1e160, 3e160, 1e160, 1e160, 1e160], [1, 1e300, 1e300, 1, 1]]
+)
+def test_a_table_whose_spline_slopes_overflow_is_refused_by_name(v):
+    """b^2 - 4ac of the spline's derivative overflows: its interior extremes, and so
+    its bounds, are unknown, and the table is refused without a numpy warning."""
+    with pytest.raises(ValueError, match="the spline's slopes overflow"):
+        potential_from_spec({"kind": "table", "x": [0, 1, 2, 3, 4], "v": v})
+
+
 def test_spline_interpolates_and_holds_the_end_samples():
     """The spline meets every sample, a cubic exactly, and is constant past the grid."""
     grid = np.array([-2.0, -1.3, -0.2, 0.4, 1.5, 2.0])

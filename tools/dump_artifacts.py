@@ -87,6 +87,13 @@ SPECS = {
         "lower_bound": 0.5,
         "upper_bound": 1.9,
     },
+    # b^2 - 4ac of its spline's derivative overflows, so the spline's extremes between
+    # samples, and with them its bounds, are unknown: every command refuses it (exit 2).
+    "overflow_table": {
+        "kind": "table",
+        "x": [0, 1, 2, 3, 4],
+        "v": [1e160, 3e160, 1e160, 1e160, 1e160],
+    },
     # l' = -2 - tanh(x)/2, so V = l'' + l'^2 >= 1.75.
     "log_derivative_table": {
         "kind": "table",
