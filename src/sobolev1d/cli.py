@@ -184,7 +184,8 @@ def _parse_linspace(spec: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag} count must be >= 1")
     if count > MAX_CELLS:
         raise ConfigError(f"{flag} count must be at most MAX_CELLS = {MAX_CELLS}")
-    return np.linspace(start, stop, count)
+    with np.errstate(invalid="ignore", over="ignore"):  # the window checks refuse inf and NaN
+        return np.linspace(start, stop, count)
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
@@ -262,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     half = max(-window[0], window[1])
     # The default window's spacing, kept on wider windows: the oracle's gap grows
     # like the spacing squared.
-    cells = min(MAX_CELLS, math.ceil(ORACLE_CELLS * max(1.0, half / default_window(pot)[1])))
+    cells = math.ceil(min(MAX_CELLS, ORACLE_CELLS * max(1.0, half / default_window(pot)[1])))
     # Built first, so that a non-finite V exits 3 before the bounds check.
     problem = DiscreteRayleighProblem.from_potential(pot, half, 2.0 * half / cells)
     lines: list[tuple[str, str, str]] = []

@@ -481,12 +481,13 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     Returns the accepted cells (lo, hi) in increasing order with their maps.
     """
     a, b = np.array(edges[:-1]), np.array(edges[1:])
-    counts = np.ceil((b - a) / h0)
-    if counts.sum() > MAX_CELLS:
-        raise SolverError(
-            f"the initial mesh needs {counts.sum():.0f} cells, more than {MAX_CELLS}; "
-            "narrow the window or loosen the tolerance"
-        )
+    with np.errstate(over="ignore"):  # an overflowing count is inf, which the cap refuses
+        counts = np.ceil((b - a) / h0)
+        if counts.sum() > MAX_CELLS:
+            raise SolverError(
+                f"the initial mesh needs {counts.sum():.0f} cells, more than {MAX_CELLS}; "
+                "narrow the window or loosen the tolerance"
+            )
     if potential.pieces is not None:
         mid = 0.5 * (a + b)
         c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]

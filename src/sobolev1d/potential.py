@@ -176,8 +176,6 @@ def make_monotone_step(v0: float, v1: float, width: float = 1.0, center: float =
     tails are reached exponentially fast, |V(x) - v0| <= (v1-v0) e^{x/width}
     for x << center.  v0 == v1 degenerates to the constant potential.
     """
-    if not (0.0 < v0 <= v1):
-        raise ValueError(f"need 0 < v0 <= v1, got v0={v0}, v1={v1}")
     if not (width > 0.0):
         raise ValueError(f"transition width must be positive, got {width}")
     if not (math.isfinite(width) and math.isfinite(center)):
@@ -302,8 +300,8 @@ def _critical_points(grid: np.ndarray, coeffs) -> np.ndarray:
     roots outside the interval.  An overflowing b^2 - 4ac hides them: ValueError.
     """
     _, c, half_b, third_a = coeffs
-    a, b = 3.0 * third_a, 2.0 * half_b
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b = 3.0 * third_a, 2.0 * half_b
         disc = b * b - 4.0 * a * c
         q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
         u = np.concatenate((q / a, c / q))
@@ -335,7 +333,8 @@ def _spline_potential(grid, samples, label: str) -> Potential:
         raise ValueError("table samples must match the grid in length")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(samples))):
         raise ValueError("table grid and samples must be finite")
-    coeffs = _not_a_knot(grid, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # _critical_points refuses what overflows
+        coeffs = _not_a_knot(grid, samples)
     lo, hi = float(grid[0]), float(grid[-1])
     left, right = float(samples[0]), float(samples[-1])
     # One more interval from hi on, on which the cubic is the constant right
@@ -416,11 +415,11 @@ def potential_from_spec(spec: dict) -> Potential:
         {"kind": "table", "x": [...], "ell_prime": [...], "ell_double_prime": [...]}
         {"kind": "piecewise_constant", "edges": [...], "values": [...]}
 
-    ``width``/``center`` default to 1.0/0.0.  A table spec may override the
-    declared bounds with explicit "lower_bound"/"upper_bound" entries.  An
-    optional entry that is absent or null takes its default.  An entry its
-    kind does not read, or a table with both "v" and the log-derivative
-    samples, raises ValueError.
+    ``width``/``center`` take ``make_monotone_step``'s defaults.  A table
+    spec may override the declared bounds with explicit "lower_bound"/
+    "upper_bound" entries.  An optional entry that is absent or null takes
+    its default.  An entry its kind does not read, or a table with both "v"
+    and the log-derivative samples, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"potential spec must be an object, got {type(spec).__name__}")
@@ -436,12 +435,9 @@ def potential_from_spec(spec: dict) -> Potential:
     if kind == "example":
         return make_example(_num(spec, "A"), _num(spec, "B"))
     if kind == "step":
-        return make_monotone_step(
-            _num(spec, "v0"),
-            _num(spec, "v1"),
-            width=_num(spec, "width", 1.0),
-            center=_num(spec, "center", 0.0),
-        )
+        v0, v1 = _num(spec, "v0"), _num(spec, "v1")
+        shape = {key: _num(spec, key) for key in ("width", "center") if spec.get(key) is not None}
+        return make_monotone_step(v0, v1, **shape)
     if kind == "piecewise_constant":
         return make_piecewise_constant(_arr(spec, "edges"), _arr(spec, "values"))
     # The one kind left is "table".

@@ -249,6 +249,30 @@ def test_window_must_be_finite_and_fit_the_mesh_cap(capsys):
     assert "initial mesh needs 400000000 cells" in err
 
 
+HUGE_CONTRAST_PWC = (
+    '{"kind": "piecewise_constant", "edges": [0, 1, 1e300], "values": [1e300, 1, 1, 0.001]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--potential", HUGE_CONTRAST_PWC),
+        ("scan", "--potential", HUGE_CONTRAST_PWC),
+        ("green", "--potential", HUGE_CONTRAST_PWC, "--x=0:1:3", "--y=0:1:3"),
+        ("solve", "--potential", CONSTANT, "--window=-1e308,1e308"),
+        ("solve", "--potential", CONSTANT, "--window=-6e306,6e306"),
+    ],
+    ids=["solve-pwc", "scan-pwc", "green-pwc", "solve-wide-window", "solve-count-sum"],
+)
+def test_an_initial_cell_count_past_the_float_range_is_refused_by_the_cap(capsys, argv):
+    """The count (b - a)/h0, or the sum of the segments' counts, overflows to inf,
+    which the MAX_CELLS cap refuses, unwarned."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "solver error: the initial mesh needs inf cells" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--potential", CONSTANT)
     assert code == 0
@@ -360,7 +384,8 @@ def _table(**entries) -> str:
          "potential spec entry 'edges' must be an array"),
         (("solve",), '{"kind": "piecewise_constant", "values": [1, 2]}',
          "potential spec of kind 'piecewise_constant' needs 'edges'"),
-        (("solve",), '{"kind": "step", "v0": 4, "v1": 1}', "need 0 < v0 <= v1"),
+        (("solve",), '{"kind": "step", "v0": 4, "v1": 1}',
+         "upper bound 1.0 below lower bound 4.0"),
         (("solve",), '{"kind": "step", "v0": 1, "v1": 4, "width": 0}',
          "transition width must be positive"),
         (("solve",), '{"kind": "example", "A": -1, "B": 2}', "need A > 0 and B > 0"),
@@ -450,12 +475,19 @@ CUT_WELL = '{"kind": "piecewise_constant", "edges": [2, 4], "values": [100, 50, 
          "--y count must be at most MAX_CELLS = 524288"),
         (("green", "--potential", CONSTANT, "--x=0:1:1000", "--y=0:1:1000"),
          "--x and --y lattice has 1000000 points, more than MAX_CELLS = 524288"),
+        # Lattices whose np.linspace steps are inf or NaN: the window checks refuse them.
+        (("scan", "--potential", CONSTANT, "--grid=-inf:inf:3"),
+         "--grid must stay inside the curve window [-13, 13]"),
+        (("scan", "--potential", CONSTANT, "--grid=1e308:-1e308:5"),
+         "--grid must stay inside the curve window [-13, 13]"),
+        (("green", "--potential", CONSTANT, "--x=0:1:3", "--y=-1e308:1e308:2"),
+         "--y lattice leaves the window [-25, 25]"),
     ],
     ids=[
         "solve-cut-window", "scan-cut-window", "green-cut-window", "verify-cut-window",
         "scan-grid-syntax", "scan-grid-range", "green-x-syntax", "green-x-range",
         "scan-grid-nan", "green-y-nan", "scan-grid-over-cap", "green-y-over-cap",
-        "green-lattice-over-cap",
+        "green-lattice-over-cap", "scan-grid-inf", "scan-grid-overflow", "green-y-overflow",
     ],
 )
 def test_bad_window_or_lattice_exits_2_before_solving(capsys, monkeypatch, argv, message):
@@ -621,6 +653,8 @@ VERIFY_TABLE = {
     "dishonest": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
     "over_bound_table": (4, "FSSSSSS", "skipped: declared bounds are wrong"),
     "overflow_table": (2, "", "the spline's slopes overflow"),
+    "overflow_sample_table": (2, "", "the spline's slopes overflow"),
+    "huge_contrast_pwc": (3, "", "oracle mesh spacing"),
     "log_derivative_table": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "high_contrast_step": (0, "PPPPPPP", "207 samples, 0 disagreements"),
     "far_well": (0, "PPPPPPP", "210 samples, 0 disagreements"),
@@ -923,12 +957,22 @@ def test_verify_refuses_an_oracle_mesh_whose_h4_leaves_the_float_range(spec):
         assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("v", [1e300, 1e-300])
-def test_verify_refuses_an_out_of_range_oracle_mesh_before_it_solves(capsys, monkeypatch, v):
+@pytest.mark.parametrize(
+    "v, flags",
+    # On the window, 12 000 cells per default half-width overflow to inf cells:
+    # capped at MAX_CELLS, whose spacing puts h^4 past the float range.
+    [(1e300, ()), (1e-300, ()), (2, ("--window=-1e306,1e306",))],
+    ids=["1e+300", "1e-300", "window-1e306"],
+)
+def test_verify_refuses_an_out_of_range_oracle_mesh_before_it_solves(
+    capsys, monkeypatch, v, flags
+):
     from sobolev1d import cli
 
     solves = spy(monkeypatch, (cli,), "minimize", lambda *a, **k: a)
-    code, out, err = run(capsys, "verify", "--potential", json.dumps({"kind": "constant", "v": v}))
+    code, out, err = run(
+        capsys, "verify", "--potential", json.dumps({"kind": "constant", "v": v}), *flags
+    )
     assert (code, out) == (3, "")
     assert err.startswith("solver error: oracle mesh spacing")
     assert solves == []

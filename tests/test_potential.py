@@ -107,6 +107,21 @@ def test_non_finite_bounds_refused():
         make_example(1.0, 1e200)
 
 
+@pytest.mark.parametrize(
+    "v0, v1, message",
+    [
+        (4.0, 1.0, r"upper bound 1.0 below lower bound 4.0"),
+        (0.0, 1.0, r"lower bound must be positive, got 0.0"),
+        (math.nan, 1.0, r"declared bounds must be finite, got \[nan, 1.0\]"),
+    ],
+    ids=["v0-above-v1", "v0-zero", "v0-nan"],
+)
+def test_step_levels_are_refused_as_its_declared_bounds(v0, v1, message):
+    """v0 and v1 are the step's declared bounds, so Potential refuses them."""
+    with pytest.raises(ValueError, match=message):
+        make_monotone_step(v0, v1)
+
+
 def test_monotone_step_limits():
     pot = make_monotone_step(1.0, 4.0)
     assert pot.tail_limits == (1.0, 4.0)
@@ -311,13 +326,28 @@ def test_table_with_non_finite_entries_refused(x, v):
 
 
 @pytest.mark.parametrize(
-    "v", [[1, 1e300, 1, 1, 1], [1e160, 3e160, 1e160, 1e160, 1e160], [1, 1e300, 1e300, 1, 1]]
+    "x, v",
+    [
+        ([0, 1, 2, 3, 4], [1, 1e300, 1, 1, 1]),
+        ([0, 1, 2, 3, 4], [1e160, 3e160, 1e160, 1e160, 1e160]),
+        ([0, 1, 2, 3, 4], [1, 1e300, 1e300, 1, 1]),
+        # Each overflows first at its own step of the build: the not-a-knot
+        # right-hand side (two), the Hermite add and divide, the derivative's 3a.
+        ([0, 1, 2, 3, 4], [1, 1.7e308, 1, 1, 1]),
+        ([0, 0.001, 2000, 3000], [1, 1e300, 1e-300, 0.001]),
+        ([0, 0.001, 0.002, 3000], [1e300, 1e-300, 1000, 2]),
+        ([0, 0.001, 0.002, 0.003], [0.001, 4, 1e300, 1e-300]),
+        ([0, 0.001, 0.002, 3000, 4000], [1e300, 0, 1e12, 1e12, -1]),
+    ],
+    ids=["v0", "v1", "v2", "rhs-peak", "rhs-wide-grid", "hermite-add", "hermite-divide",
+         "derivative-3a"],
 )
-def test_a_table_whose_spline_slopes_overflow_is_refused_by_name(v):
+def test_a_table_whose_spline_slopes_overflow_is_refused_by_name(x, v):
     """b^2 - 4ac of the spline's derivative overflows: its interior extremes, and so
-    its bounds, are unknown, and the table is refused without a numpy warning."""
+    its bounds, are unknown, and the table is refused without a numpy warning,
+    wherever in the build the overflow starts."""
     with pytest.raises(ValueError, match="the spline's slopes overflow"):
-        potential_from_spec({"kind": "table", "x": [0, 1, 2, 3, 4], "v": v})
+        potential_from_spec({"kind": "table", "x": x, "v": v})
 
 
 def test_spline_interpolates_and_holds_the_end_samples():

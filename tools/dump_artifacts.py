@@ -94,6 +94,17 @@ SPECS = {
         "x": [0, 1, 2, 3, 4],
         "v": [1e160, 3e160, 1e160, 1e160, 1e160],
     },
+    # The not-a-knot build overflows on its 1.7e308 sample: the spline's slopes are
+    # refused by name as above (exit 2), with no numpy warning ahead of that refusal.
+    "overflow_sample_table": {"kind": "table", "x": [0, 1, 2, 3, 4], "v": [1, 1.7e308, 1, 1, 1]},
+    # Contrast 1e303: the initial cell count overflows to inf, which the MAX_CELLS cap
+    # refuses (exit 3); verify's oracle spacing over the window to the edge at 1e300
+    # puts h^4 past the float range (exit 3).
+    "huge_contrast_pwc": {
+        "kind": "piecewise_constant",
+        "edges": [0, 1, 1e300],
+        "values": [1e300, 1, 1, 0.001],
+    },
     # l' = -2 - tanh(x)/2, so V = l'' + l'^2 >= 1.75.
     "log_derivative_table": {
         "kind": "table",
