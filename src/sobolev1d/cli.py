@@ -15,7 +15,8 @@ curve samples and every root; its mesh oracle spans [-L, L], L = max(-x_min,
 x_max) of the solved window, in ORACLE_CELLS cells, or at the default
 window's spacing when L is wider than its half-width (at most MAX_CELLS
 cells); the bounds check reads its samples of V, and, when the potential
-declares its pieces, compares each sample off a breakpoint with its piece;
+is piecewise constant, compares each sample off a breakpoint with V at the
+midpoint of its piece within [-L, L];
 the oracle passes when |m_mesh - m| <= ORACLE_TOL (1e-2).
 Checks are skipped only after the declared bounds fail.
 
@@ -281,12 +282,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         f"sampled range [{v.min():.6g}, {v.max():.6g}] vs declared "
         f"[{pot.lower_bound:.6g}, {pot.upper_bound:.6g}]"
     )
-    if pot.pieces is not None:
-        # Declared pieces are trusted by the solve: every oracle node off a breakpoint checks them.
-        piece = np.searchsorted(pot.breakpoints, problem.nodes, side="right")
-        off = (problem.v_samples != np.asarray(pot.pieces)[piece]) & ~np.isin(
-            problem.nodes, pot.breakpoints
-        )
+    if pot.piecewise_constant:
+        # The solve reads each piece at one point: every oracle node off a breakpoint checks it.
+        inner = np.array([b for b in pot.breakpoints if -half < b < half], dtype=float)
+        edges = np.concatenate(([-half], inner, [half]))
+        piece = np.asarray(pot.evaluate(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        at = np.searchsorted(inner, problem.nodes, side="right")
+        off = (problem.v_samples != piece[at]) & ~np.isin(problem.nodes, pot.breakpoints)
         if off.any():
             bounds_ok = False
             detail += (

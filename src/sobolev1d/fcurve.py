@@ -236,17 +236,17 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     a rate.  A curve with no decided node is flat only when the declaration
     proves it: F lies in [2 sqrt(v0), 2 sqrt(v1)] at every pin, so
     2 (sqrt(v1) - sqrt(v0)) at most the floor of F, NOISE_FACTOR * tol *
-    max F, does, and so do declared pieces of one value.  Any other such curve is refused with SolverError: the
-    nodes did not see V vary, which does not show that it is constant.  Each
-    two consecutive decided nodes whose F' differ in sign bracket one root,
-    undecided nodes between them or not, so a well many decay lengths wide,
-    where F' stays under the floor, is bracketed as any other.  The root is
-    polished to ROOT_TOL/sqrt(v1) by safeguarded Newton steps on the dense F'
-    with the analytic F'', one read of both sides per step.  Where F' turns
-    from - to + the root is a candidate; where it turns from + to - it is
-    rejected if its curvature is below -CURVATURE_SLACK * max F, and is not
-    listed otherwise.
-    Each root is read once more, by the one-pin pair read.
+    max F, does, and so does a piecewise-constant V with no breakpoints.  Any
+    other such curve is refused with SolverError: the nodes did not see V
+    vary, which does not show that it is constant.  Each two consecutive
+    decided nodes whose F' differ in sign bracket one root, undecided nodes
+    between them or not, so a well many decay lengths wide, where F' stays
+    under the floor, is bracketed as any other.  The root is polished to
+    ROOT_TOL/sqrt(v1) by safeguarded Newton steps on the dense F' with the
+    analytic F'', one read of both sides per step.  Where F' turns from - to
+    + the root is a candidate; where it turns from + to - it is rejected if
+    its curvature is below -CURVATURE_SLACK * max F, and is not listed
+    otherwise.  Each root is read once more, by the one-pin pair read.
     """
     pot = curve.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
@@ -257,7 +257,7 @@ def find_critical_points(curve: FCurve) -> CriticalPointScan:
     s = curve.node_reads.slope
     decided = np.abs(s) > noise_floor
     if not decided.any():
-        one_piece = pot.pieces is not None and min(pot.pieces) == max(pot.pieces)
+        one_piece = pot.piecewise_constant and not pot.breakpoints
         if not one_piece and 2.0 * (math.sqrt(v1) - math.sqrt(v0)) > f_floor:
             raise SolverError(
                 f"F' is under the noise floor {noise_floor:.3g} at every node of the curve window "

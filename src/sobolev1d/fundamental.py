@@ -42,11 +42,11 @@ ceil((b - a)/h0) initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
 sqrt(v1); more than MAX_CELLS raise SolverError before V is read.  Every
 stretch of constant V = c is laid by ``_constant_cells``: the fewest equal
 cells with theta = h sqrt(|c|) <= 20, each with the exact map of constant
-V, which needs no check.  A potential that declares its pieces
-(``Potential.pieces``) makes each segment a stretch: V is read once, at the
-segment midpoints, SolverError is raised unless each reads its declared
-piece, and the stretches are the whole mesh (never more cells than the
-initial ones, as h0 sqrt(v1) < 20).  Any other potential is sampled once,
+V, which needs no check.  A potential declared piecewise constant
+(``Potential.piecewise_constant``) makes each segment a stretch: V is read
+once, at the segment midpoints, each stretch takes the value read there,
+and the stretches are the whole mesh (never more cells than the initial
+ones, as h0 sqrt(v1) < 20).  Any other potential is sampled once,
 into samples[j, g, k]: V at Gauss node j of initial cell k (g = 0) or of
 its left (g = 1) or right (g = 2) half.  It is filled a block of
 _SAMPLE_BLOCK // 3 cells at a time, so that each potential.evaluate call's
@@ -73,13 +73,13 @@ arithmetic (``_dense_one``), which skips numpy's per-call cost on
 one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
 run the same operations in the same order.  Each side keeps in ``_floats``
 the window widened by ``_slack``, the mesh ends as floats, memoryviews of
-the mesh, r and l, whose items are floats, and, when the potential
-declares its pieces, a memoryview of each cell's piece (no cell straddles
-a breakpoint); the float path checks and clamps each point by plain
-comparisons and finds by ``bisect`` the cell that ``searchsorted`` finds.
-A step in a declared piece c takes the exact map of V = c, as the solve
-does, and samples no V (the float path writes _omega(c, c, c, h) as
-(0, h, h c), exact but for the sign of the zero p, which no step reads);
+the mesh, r and l, whose items are floats, and, for a piecewise-constant
+potential, a memoryview of ``_pieces``, the V the solve read on each cell;
+the float path checks and clamps each point by plain comparisons and finds
+by ``bisect`` the cell that ``searchsorted`` finds.  A step in a cell of
+constant V = c takes the exact map of V = c, as the solve does, and
+samples no V (the float path writes _omega(c, c, c, h) as (0, h, h c),
+exact but for the sign of the zero p, which no step reads);
 any other step samples V at its Gauss nodes, all in one potential.evaluate
 call, so a read of both sides at one pin evaluates V at most once.  V at a
 pin (``ell_second_at``, F'') is always read from evaluate.  0 is a mesh
@@ -92,12 +92,12 @@ an array, which gives arrays of its shape; element i is bitwise the point's
 pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y) and
 phi_plus at max(x, y), two points by one ``_dense_one`` call.
 
-Bounds and bands.  Every V the package reads (samples, piece midpoints,
+Bounds and bands.  Every V the package reads (samples, segment midpoints,
 seeds, off-mesh steps, pins, and the points of the Riccati residual, Green
-and Rayleigh checks) must pass ``_honest`` (declared pieces do by
-construction); only ``cli.cmd_verify``'s bounds check and the mesh oracle
-read V to report it.  So theta^2 >= h^2 v0 on every cell and theta <= 20
-overflows no map.  The seeded flows then stay in
+and Rayleigh checks) must pass ``_honest`` (a constant piece's off-mesh
+steps reuse its midpoint V); only ``cli.cmd_verify``'s bounds check and
+the mesh oracle read V to report it.  So theta^2 >= h^2 v0 on every cell
+and theta <= 20 overflows no map.  The seeded flows then stay in
 
     -sqrt(v1) <= r_plus <= -sqrt(v0),    sqrt(v0) <= r_minus <= sqrt(v1),
 
@@ -467,18 +467,19 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     Each segment [a, b] needs ceil((b - a)/h0) initial cells; more than
     MAX_CELLS in all raise SolverError before V is read.  Every stretch of
     constant V gets ``_constant_cells``, whose exact maps need no check.
-    Declared pieces make each segment a stretch, read at its midpoint only,
-    and that is the whole mesh; as h0 sqrt(v1) <= 0.24 < _THETA_MAX, it is
-    never more cells than the initial ones.  Any other potential is sampled
-    once, into samples[j, g, k] (module docstring), a block of cells at a
-    time, and ``_honest`` checks it before any map is built.  A maximal run
-    of flat cells becomes a stretch when that takes fewer cells than the run
-    had; the other cells go to ``_double`` three blocks at a time, with maps
-    from samples[:, 0, k] and their halves' V from samples[:, 1:, k], k the
-    group's kept cells.
+    A piecewise-constant potential makes each segment a stretch at V read
+    at its midpoint only, and that is the whole mesh; as h0 sqrt(v1) <=
+    0.24 < _THETA_MAX, it is never more cells than the initial ones.  Any
+    other potential is sampled once, into samples[j, g, k] (module
+    docstring), a block of cells at a time, and ``_honest`` checks it before
+    any map is built.  A maximal run of flat cells becomes a stretch when
+    that takes fewer cells than the run had; the other cells go to
+    ``_double`` three blocks at a time, with maps from samples[:, 0, k] and
+    their halves' V from samples[:, 1:, k], k the group's kept cells.
     Each later round samples V at the halves of the bisected cells
     ``_double`` handed back, all at once, and doubles them again.
-    Returns the accepted cells (lo, hi) in increasing order with their maps.
+    Returns the accepted cells (lo, hi) in increasing order with their maps,
+    then V on each cell for a piecewise-constant potential, else None.
     """
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     with np.errstate(over="ignore"):  # an overflowing count is inf, which the cap refuses
@@ -488,17 +489,11 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
                 f"the initial mesh needs {counts.sum():.0f} cells, more than {MAX_CELLS}; "
                 "narrow the window or loosen the tolerance"
             )
-    if potential.pieces is not None:
-        mid = 0.5 * (a + b)
-        c = np.array(potential.pieces)[np.searchsorted(potential.breakpoints, mid, side="right")]
-        v = _honest(potential, mid)
-        if not np.array_equal(v, c):
-            i = int(np.flatnonzero(v != c)[0])
-            raise SolverError(
-                f"V({mid[i]:g}) = {v[i]:g}, but the potential declares {c[i]:g} on that piece; "
-                "the declared pieces are not honest"
-            )
-        return _constant_cells(a, b, c)
+    if potential.piecewise_constant:
+        v = _honest(potential, 0.5 * (a + b))
+        lo, hi, *maps = _constant_cells(a, b, v)
+        # No cell crosses a segment edge, so each takes its segment's V.
+        return lo, hi, *maps, v[np.searchsorted(b, lo, side="right")]
     lo, hi = _lay(a, b, counts.astype(np.int64))
     size = _SAMPLE_BLOCK // 3
     # samples[j, g, k]: V at Gauss node j of cell k (g = 0), or of its left (g = 1)
@@ -554,7 +549,7 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
         checked = [_double(lo, hi, maps, v.reshape(3, -1), per_length, s1)]
     cells = [np.concatenate(col) for col in zip(*done)]
     order = np.argsort(cells[0], kind="stable")
-    return [col[order] for col in cells]
+    return *(col[order] for col in cells), None
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
@@ -622,23 +617,23 @@ class LogSolution:
     _mesh: np.ndarray = field(repr=False)
     _r: np.ndarray = field(repr=False)
     _l: np.ndarray = field(repr=False)
+    # V on each cell when the potential is piecewise constant, else None.
+    _pieces: np.ndarray | None = field(default=None, repr=False)
     # What ``_dense_one`` reads (see the module docstring).
     _floats: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mesh, pot = self._mesh, self.potential
-        # V on each cell when the potential declares its pieces: no cell straddles a breakpoint.
-        pieces = pot.pieces and memoryview(np.array(pot.pieces)[
-            np.searchsorted(pot.breakpoints, 0.5 * (mesh[:-1] + mesh[1:]), side="right")])
+        mesh, pieces = self._mesh, self._pieces
         floats = (*_slack(self.window), float(mesh[0]), float(mesh[-1]),
-                  *map(memoryview, (mesh, self._r, self._l)), *_bounds(pot), pieces)
+                  *map(memoryview, (mesh, self._r, self._l)), *_bounds(self.potential),
+                  None if pieces is None else memoryview(pieces))
         object.__setattr__(self, "_floats", floats)
 
     def _dense(self, x):
         """(r, l) at x by a partial Magnus step from the node on the stable side; l(0) = 0.
 
         An array takes one ``_cell_maps`` call for all its points (``_magnus``
-        on its cells' declared pieces instead, when there are pieces) and
+        on its cells' V instead, when the potential is piecewise constant) and
         gives two arrays of x's shape; a point (a float or a 0-d array) takes
         ``_dense_one`` and gives two Python floats, bitwise the same.  Both
         refuse a V outside the declared bounds, as the solve does (SolverError).
@@ -728,7 +723,7 @@ def solve_log_solution(
     internal_tol = min(3e-10, max(tol / 1000.0, 1e-13))
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
     edges = _segment_edges(potential, x_min, x_max)
-    lo, hi, cm1, P, Q, R = _refine(potential, edges, h0, 2.0 * s0 * internal_tol, s1)
+    lo, hi, cm1, P, Q, R, pieces = _refine(potential, edges, h0, 2.0 * s0 * internal_tol, s1)
     mesh = np.append(lo, hi[-1])
 
     # Sweep in each side's attracting direction: forward for "-", backward
@@ -763,6 +758,7 @@ def solve_log_solution(
             _mesh=mesh,
             _r=r,
             _l=l,
+            _pieces=pieces,
         )
 
     return (
@@ -775,16 +771,17 @@ def _dense_one(reads, pin: float | None = None):
     """``_dense`` of each (solution, point) in reads, in float arithmetic, V sampled in one call.
 
     The reads share one potential.  Each point is checked against its window
-    and located as the array path locates it.  When the potential declares
-    its pieces, each step takes V from its cell's piece and only the pin, if
-    given, goes to potential.evaluate; otherwise the Gauss nodes of all the
-    steps, and the pin after them, go to one call.  Then each read steps
-    from its node, taking ``_magnus``'s exponential.  To stay bitwise equal
-    to the array path, sinh and log1p go through numpy, whose loops can
-    round differently from ``math``'s; sqrt is correctly rounded either way,
-    and squares are products, as numpy's ``** 2`` is.  Returns the (r, l)
-    floats of each read and V at the pin (None without one).  A V outside
-    the bounds in ``_floats``, at a node or the pin, is refused by ``_honest``.
+    and located as the array path locates it.  When the potential is
+    piecewise constant, each step takes its cell's V from the solve and
+    only the pin, if given, goes to potential.evaluate; otherwise the Gauss
+    nodes of all the steps, and the pin after them, go to one call.  Then
+    each read steps from its node, taking ``_magnus``'s exponential.  To
+    stay bitwise equal to the array path, sinh and log1p go through numpy,
+    whose loops can round differently from ``math``'s; sqrt is correctly
+    rounded either way, and squares are products, as numpy's ``** 2`` is.
+    Returns the (r, l) floats of each read and V at the pin (None without
+    one).  A V outside the bounds in ``_floats``, at a node or the pin, is
+    refused by ``_honest``.
     """
     cells, nodes, v = [], [], []
     for solution, x in reads:

@@ -3,10 +3,10 @@
 Everything downstream works with essentially bounded potentials
 0 < v0 <= V(x) <= v1 < inf.  A :class:`Potential` bundles the evaluation
 callable with the declared bounds, the locations where V or V' may jump,
-(when known) the limits of V at -inf and +inf, and, for a V constant
-between its breakpoints, the value on each piece.  The declared data is
-trusted by the integrators: :class:`Potential` refuses a non-positive or
-non-finite bound, and each constructor checks only what it alone can.
+(when known) the limits of V at -inf and +inf, and whether V is constant
+between its breakpoints.  The declared data is trusted by the integrators:
+:class:`Potential` refuses a non-positive or non-finite bound, and each
+constructor checks only what it alone can.
 
 Builtin families:
 
@@ -62,17 +62,15 @@ class Potential:
         tail_limits: (limit at -inf, limit at +inf) when the potential has
             genuine limits, else None; both must lie within the bounds.
         label: short human-readable description used in reports.
-        pieces: the value of V on each interval between consecutive
-            breakpoints, left to right (len(breakpoints) + 1 values), when V
-            is constant between its breakpoints; None when not declared.
-            The side solve trusts a declaration: it lays the cells of each
-            piece from this table without sampling V inside it, and checks
-            only that V at the midpoint of each mesh segment reads the
-            declared value (SolverError otherwise).  Off-mesh reads trust
-            it too: a partial cell steps at its piece's value, and V is
-            read only at a pin that needs it.  A table that V contradicts
-            elsewhere gives a wrong m unless ``sobolev1d verify`` is run,
-            whose bounds check compares it with V at every mesh-oracle node.
+        piecewise_constant: True when V is constant between consecutive
+            breakpoints.  The side solve trusts the declaration: it reads V
+            once at the midpoint of each mesh segment and lays that value's
+            exact cells across the segment, sampling V nowhere else inside
+            it.  Off-mesh reads trust it too: a partial cell steps at its
+            cell's value, and V is read only at a pin that needs it.  A V
+            that varies between its breakpoints gives a wrong m unless
+            ``sobolev1d verify`` is run, whose bounds check compares V at
+            every mesh-oracle node with V at the midpoint of its piece.
     """
 
     evaluate: Callable[[np.ndarray | float], np.ndarray | float]
@@ -81,7 +79,7 @@ class Potential:
     breakpoints: tuple[float, ...] = ()
     tail_limits: tuple[float, float] | None = None
     label: str = "potential"
-    pieces: tuple[float, ...] | None = None
+    piecewise_constant: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lower_bound) and math.isfinite(self.upper_bound)):
@@ -98,18 +96,6 @@ class Potential:
             raise ValueError(f"breakpoints must be finite, got {self.breakpoints}")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.pieces is not None:
-            if len(self.pieces) != len(self.breakpoints) + 1:
-                raise ValueError(
-                    f"{len(self.breakpoints)} breakpoints need {len(self.breakpoints) + 1} "
-                    f"pieces, got {len(self.pieces)}"
-                )
-            for v in self.pieces:
-                if not (self.lower_bound <= v <= self.upper_bound):
-                    raise ValueError(
-                        f"piece value {v:g} outside the declared bounds "
-                        f"[{self.lower_bound:g}, {self.upper_bound:g}]"
-                    )
         tails = self.tail_limits or ()
         if not all(self.lower_bound <= t <= self.upper_bound for t in tails):
             raise ValueError(f"declared tail limits {tails} must lie within the declared bounds")
@@ -165,7 +151,7 @@ def make_piecewise_constant(edges: Sequence[float], values: Sequence[float]) -> 
         breakpoints=tuple(edges_arr[jump].tolist()),
         tail_limits=(float(vals[0]), float(vals[-1])),
         label=f"piecewise constant ({vals.size} pieces)",
-        pieces=(float(vals[0]), *vals[1:][jump].tolist()),
+        piecewise_constant=True,
     )
 
 

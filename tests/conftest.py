@@ -48,7 +48,6 @@ def dilated(potential: Potential, s: float) -> Potential:
         upper_bound=potential.upper_bound * scale,
         breakpoints=tuple(b * s for b in potential.breakpoints[order]),
         tail_limits=potential.tail_limits and tuple(t * scale for t in potential.tail_limits[order]),
-        pieces=potential.pieces and tuple(p * scale for p in potential.pieces[order]),
         label=f"{potential.label} dilated by {s:g}",
     )
 

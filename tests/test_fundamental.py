@@ -178,11 +178,11 @@ def test_dishonest_bounds_rejected():
     with pytest.raises(SolverError, match=r"V\(-?[\d.]+\) = 1 is below its declared lower bound 4"):
         solve_log_solution(lying, -12.0, 12.0)
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    # Its declared pieces would name the lie at construction; without them the solve does.
-    with pytest.raises(ValueError, match="outside the declared bounds"):
+    # Its tail limits name the lie at construction; without them the solve does.
+    with pytest.raises(ValueError, match=r"declared tail limits \(4.0, 4.0\) must lie within"):
         dataclasses.replace(well, lower_bound=1.0, upper_bound=3.0)
     understated = dataclasses.replace(
-        well, lower_bound=1.0, upper_bound=3.0, pieces=None, tail_limits=None
+        well, lower_bound=1.0, upper_bound=3.0, piecewise_constant=False, tail_limits=None
     )
     with pytest.raises(SolverError, match=r"V\(-?[\d.]+\) = 4 exceeds its declared upper bound 3"):
         solve_log_solution(understated, *WINDOW)
@@ -203,7 +203,7 @@ def test_the_band_check_refuses_what_the_bounds_check_lets_through(monkeypatch):
     monkeypatch.setattr(fundamental, "_bounds", lambda potential: (0.0, math.inf))
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
     understated = dataclasses.replace(
-        well, lower_bound=1.0, upper_bound=3.0, pieces=None, tail_limits=None
+        well, lower_bound=1.0, upper_bound=3.0, piecewise_constant=False, tail_limits=None
     )
     with pytest.raises(SolverError, match="invariant band"):
         solve_log_solution(understated, *WINDOW)
@@ -372,6 +372,18 @@ def test_nonpositive_wronskian_is_a_solver_error(consumer, constant_sides):
     # A '+' solution relabelled '-' passes the order check but has W = 0.
     with pytest.raises(SolverError, match="nonpositive Wronskian"):
         PAIR_CONSUMERS[consumer](plus, dataclasses.replace(plus, side="-"))
+
+
+def test_a_nonpositive_energy_curve_is_a_solver_error():
+    """r_minus lowered below r_plus at the node after 0, inside the curve window (-13, 13),
+    makes F negative there; W at node 0 and the shared mesh are left as they are."""
+    plus, minus = solve_log_solution(make_constant(1.0), *WINDOW)
+    r = minus._r.copy()
+    k = int(np.searchsorted(minus._mesh, 0.0)) + 1
+    assert 0.0 < minus._mesh[k] < 13.0
+    r[k] = plus._r[k] - 1.0
+    with pytest.raises(SolverError, match="energy curve is not positive"):
+        build_fcurve(plus, dataclasses.replace(minus, _r=r))
 
 
 @pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
@@ -767,7 +779,7 @@ def test_finite_potential_above_its_bound_named_without_warnings():
 def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
     """The same mesh from the declared pieces and, without them, from samples of V."""
     declared = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    for pot in (declared, dataclasses.replace(declared, pieces=None)):
+    for pot in (declared, dataclasses.replace(declared, piecewise_constant=False)):
         for sol in solve_log_solution(pot, -30.0, 30.0):
             mesh = sol._mesh
             assert {-1.0, 0.0, 1.0} <= set(mesh.tolist())
@@ -790,7 +802,9 @@ def test_smooth_potential_keeps_the_initial_spacing():
         make_example(1.0, 2.0),
         make_monotone_step(1.0, 300.0, width=0.2),
         make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
-        dataclasses.replace(make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]), pieces=None),
+        dataclasses.replace(
+            make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]), piecewise_constant=False
+        ),
     ],
     ids=["example", "logistic-step", "pwc-well", "pwc-well-sampled"],
 )
@@ -821,7 +835,7 @@ def test_declared_pieces_are_read_at_the_segment_midpoints_only():
 
     points, nodes = points_and_mesh(pot)
     assert segments == 6 and points <= segments + 2 and nodes == 15
-    assert points_and_mesh(dataclasses.replace(pot, pieces=None)) == (156_458, 15)
+    assert points_and_mesh(dataclasses.replace(pot, piecewise_constant=False)) == (156_458, 15)
 
 
 @pytest.mark.parametrize(
@@ -838,7 +852,7 @@ def test_declared_pieces_are_read_without_sampling_v(base):
     )
     pot, sizes = counting(recorded)
     plus, minus = solve_log_solution(pot, *default_window(pot))
-    sampled = dataclasses.replace(base, pieces=None)
+    sampled = dataclasses.replace(base, piecewise_constant=False)
     twin = [
         LogSolution(s.side, s.window, s.tol, sampled, s._mesh, s._r, s._l) for s in (plus, minus)
     ]
@@ -865,12 +879,28 @@ def test_declared_pieces_are_read_without_sampling_v(base):
         assert sizes == [1] and points[0].tolist() == [a]
 
 
+def test_the_solve_reads_each_piece_from_v():
+    """The barrier's V under the well's declaration solves as the barrier, bit for bit:
+    the declaration says only that V is constant between its breakpoints."""
+    barrier = make_piecewise_constant([-1.0, 1.0], [1.0, 4.0, 1.0])
+    pot = dataclasses.replace(
+        make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
+        evaluate=barrier.evaluate,
+        tail_limits=(1.0, 1.0),
+    )
+    exact = cf.pwc_exact([-1.0, 1.0], [1.0, 4.0, 1.0])
+    report, twin = minimize(pot), minimize(barrier)
+    assert abs(report.m_value - exact.m) <= 1e-10 * exact.m
+    assert (report.attainment, report.a_star) == (exact.attainment, exact.a_star)
+    assert (report.m_value.hex(), report.a_star) == (twin.m_value.hex(), twin.a_star)
+    for ours, theirs in ((report.phi_plus, twin.phi_plus), (report.phi_minus, twin.phi_minus)):
+        for name in ("_mesh", "_r", "_l"):
+            assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+
+
 def test_declared_pieces_that_v_contradicts_at_a_midpoint_are_refused():
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    swapped = dataclasses.replace(well, pieces=(1.0, 4.0, 1.0))
-    with pytest.raises(SolverError, match=r"V\(-13\) = 4, but the potential declares 1"):
-        solve_log_solution(swapped, *WINDOW)
-    # A NaN at the midpoint of [0, 1] is no declared piece either.
+    # A NaN at the midpoint of [0, 1] is no constant piece.
     holed = dataclasses.replace(
         well, evaluate=lambda x: np.where(np.asarray(x) == 0.5, np.nan, well.evaluate(x))
     )
@@ -1225,7 +1255,7 @@ BLOCK_FAMILIES = {
 
 
 def _undeclared(make):
-    return lambda: dataclasses.replace(make(), pieces=None)
+    return lambda: dataclasses.replace(make(), piecewise_constant=False)
 
 
 # Declared pieces skip the sampled first round; their undeclared twins keep it under test.
@@ -1251,7 +1281,7 @@ def test_first_round_blocks_leave_every_bit(family, monkeypatch):
 def _assert_solved_as_undeclared(pot):
     """Declared pieces give the mesh, r and l that sampling V gives, bit for bit."""
     window = default_window(pot)
-    sampled = solve_log_solution(dataclasses.replace(pot, pieces=None), *window)
+    sampled = solve_log_solution(dataclasses.replace(pot, piecewise_constant=False), *window)
     for side, twin in zip(solve_log_solution(pot, *window), sampled):
         for name in ("_mesh", "_r", "_l"):
             assert getattr(side, name).tobytes() == getattr(twin, name).tobytes()

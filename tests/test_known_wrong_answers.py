@@ -32,7 +32,7 @@ def _narrow_well() -> Potential:
 def _undeclared_well() -> Potential:
     """The well [4, 1, 4] on [0.3137, 0.3337], its jumps and pieces not declared."""
     well = make_piecewise_constant([0.3137, 0.3337], [4.0, 1.0, 4.0])
-    return dataclasses.replace(well, breakpoints=(), pieces=None)
+    return dataclasses.replace(well, breakpoints=(), piecewise_constant=False)
 
 
 def _decaying_bump() -> Potential:

@@ -23,7 +23,7 @@ from sobolev1d import (
 from sobolev1d import minimizer
 from sobolev1d.minimizer import classify_attainment, default_window
 from sobolev1d.cli import canonical_json
-from conftest import poschl_teller
+from conftest import dilated, poschl_teller
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_a_constant_is_the_one_piece_step(v):
     """make_constant(v) declares what the step with one piece declares, and minimize
     reads both to the last bit: m, a*, the verdict and every node read."""
     constant, step = make_constant(v), make_piecewise_constant((), (v,))
-    declared = ("lower_bound", "upper_bound", "breakpoints", "tail_limits", "pieces")
+    declared = ("lower_bound", "upper_bound", "breakpoints", "tail_limits", "piecewise_constant")
     assert [getattr(constant, k) for k in declared] == [getattr(step, k) for k in declared]
     assert constant.label == f"constant {v:g}"
     ours, theirs = minimize(constant), minimize(step)
@@ -376,13 +376,29 @@ def _solved_bits(pot) -> list:
 
 def _assert_declared_pieces_leave_every_bit(pot) -> None:
     """The declared pieces skip the first round's samples, not a bit of the result."""
-    assert pot.pieces is not None
-    assert _solved_bits(pot) == _solved_bits(dataclasses.replace(pot, pieces=None))
+    assert pot.piecewise_constant
+    assert _solved_bits(pot) == _solved_bits(dataclasses.replace(pot, piecewise_constant=False))
 
 
 @pytest.mark.parametrize("edges, values", _pwc_cases())
 def test_declared_pieces_leave_every_bit(edges, values):
     _assert_declared_pieces_leave_every_bit(make_piecewise_constant(edges, values))
+
+
+@pytest.mark.parametrize("edges, values", _pwc_cases())
+def test_a_step_declares_its_shape(edges, values):
+    """The flag, and breakpoints exactly where the value jumps; V at each piece's midpoint
+    is its merged value; a shift, a replace and a dilation keep the flag."""
+    pot = make_piecewise_constant(edges, values)
+    jumps = [k for k in range(len(edges)) if values[k] != values[k + 1]]
+    assert pot.piecewise_constant
+    assert pot.breakpoints == tuple(float(edges[k]) for k in jumps)
+    b = pot.breakpoints
+    mids = [b[0] - 1.0, *(0.5 * (x + y) for x, y in zip(b, b[1:])), b[-1] + 1.0] if b else [0.0]
+    merged = [values[0], *(values[k + 1] for k in jumps)]
+    assert pot.evaluate(np.array(mids)).tolist() == [float(v) for v in merged]
+    for kept in (pot.shifted(0.5), dataclasses.replace(pot, label="kept"), dilated(pot, -2.0)):
+        assert kept.piecewise_constant
 
 
 def test_declared_pieces_of_constant_shifted_and_one_cell_pieces_leave_every_bit():

@@ -71,29 +71,10 @@ def test_potential_refuses_breakpoints_out_of_order():
 
 
 def test_constant_potentials_declare_their_pieces():
-    assert make_constant(4.0).pieces == (4.0,)
-    # One value per interval between jumps: the trivial jump at 0 merges two pieces.
-    pot = make_piecewise_constant([0.0, 1.0, 2.0], [2.0, 2.0, 3.0, 1.0])
-    assert pot.pieces == (2.0, 3.0, 1.0)
-    assert pot.shifted(0.5).pieces == pot.pieces
-    assert dataclasses.replace(pot, label="kept").pieces == pot.pieces
-    assert make_example(cf.A, cf.B).pieces is None
-    assert make_monotone_step(1.0, 4.0).pieces is None
-    assert potential_from_spec({"kind": "constant", "v": 2.0}).pieces == (2.0,)
-
-
-def test_declared_pieces_are_checked_against_the_breakpoints_and_bounds():
-    pot = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
-    with pytest.raises(ValueError, match="2 breakpoints need 3 pieces, got 2"):
-        dataclasses.replace(pot, pieces=(4.0, 1.0))
-    with pytest.raises(ValueError, match="1 breakpoints need 2 pieces, got 3"):
-        dataclasses.replace(pot, breakpoints=(0.0,))
-    with pytest.raises(ValueError, match=r"piece value 5 outside the declared bounds \[1, 4\]"):
-        dataclasses.replace(pot, pieces=(4.0, 1.0, 5.0))
-    with pytest.raises(ValueError, match="outside the declared bounds"):
-        dataclasses.replace(pot, pieces=(4.0, math.nan, 4.0))
-    with pytest.raises(ValueError, match=r"piece value 1 outside the declared bounds \[2, 4\]"):
-        dataclasses.replace(pot, lower_bound=2.0)
+    assert make_constant(4.0).piecewise_constant
+    assert potential_from_spec({"kind": "constant", "v": 2.0}).piecewise_constant
+    assert not make_example(cf.A, cf.B).piecewise_constant
+    assert not make_monotone_step(1.0, 4.0).piecewise_constant
 
 
 def test_non_finite_bounds_refused():
