@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .fundamental import (
     LogSolution,
     SolverError,
     _honest,
-    _sorted_unique,
     default_window,
     extremal_function,
     solve_log_solution,
@@ -233,67 +231,28 @@ def extremal(report: MinimizationReport) -> ExtremalFunction | None:
     return extremal_function(report.phi_plus, report.phi_minus, report.a_star)
 
 
-def rayleigh_quotient(
-    u: ExtremalFunction | Callable[[np.ndarray], np.ndarray],
-    potential: Potential,
-    window: tuple[float, float] | None = None,
-    *,
-    u_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-    kinks: Sequence[float] = (),
-) -> float:
-    """The quotient (||u'||_2^2 + int V u^2) / max|u|^2 over the window.
+def rayleigh_quotient(u: ExtremalFunction, potential: Potential) -> float:
+    """The quotient (||u'||_2^2 + int V u^2) / max|u|^2 of an extremal over its window.
 
-    Composite Gauss-Legendre quadrature, with panels split at the integrand
-    kinks (an ExtremalFunction contributes its center automatically, and the
-    potential its breakpoints).  An ExtremalFunction brings its exact
-    sup-norm 1 and, unless u_prime is supplied, its analytic derivative,
-    read with u in one pass per node; for a bare callable the derivative is
-    taken by a five-point stencil unless supplied, and the sup-norm is the
-    sampled maximum.  V at the nodes is read by ``_honest`` (SolverError
-    outside the declared bounds).  Always >= m(V) up to quadrature error.
+    max|u| = 1 at the center, and u' is read analytically with u, as
+    (log u, u'/u) once per node of the composite Gauss-Legendre rule, whose
+    panels split at the center and at the potential's breakpoints.  V at the
+    nodes is read by ``_honest`` (SolverError outside the declared bounds).
+    Always >= m(V) up to quadrature error; equal to it at a*.  For a trial
+    function, integrate with ``quadrature.composite_gauss_legendre``.
     """
-    splits = list(kinks)
-    sup: float | None = None
-    if isinstance(u, ExtremalFunction):
-        if window is None:
-            window = u.window
-        splits.append(u.center)
-        sup = 1.0
-    if window is None:
-        raise ValueError("window is required for a bare callable")
-    if u_prime is None and not isinstance(u, ExtremalFunction):
-        h = 1e-4 / math.sqrt(potential.upper_bound)
-
-        def u_prime(x, _u=u, _h=h):
-            x = np.asarray(x, dtype=float)
-            return (
-                np.asarray(_u(x - 2 * _h))
-                - 8.0 * np.asarray(_u(x - _h))
-                + 8.0 * np.asarray(_u(x + _h))
-                - np.asarray(_u(x + 2 * _h))
-            ) / (12.0 * _h)
-
-    splits.extend(potential.breakpoints)
-    panel = 0.4 / math.sqrt(potential.upper_bound)
+    if not isinstance(u, ExtremalFunction):
+        raise TypeError(
+            f"rayleigh_quotient reads an extremal() function, not a {type(u).__name__}; "
+            "integrate a trial function with quadrature.composite_gauss_legendre"
+        )
 
     def integrand(x):
-        if u_prime is None:
-            # (log u, u'/u) of the extremal, read once per node.
-            log_u, rate = u._reads(x)
-            uu = np.exp(log_u)
-            du = uu * rate
-        else:
-            du = np.asarray(u_prime(x), dtype=float)
-            uu = np.asarray(u(x), dtype=float)
+        log_u, rate = u._reads(x)
+        uu = np.exp(log_u)
+        du = uu * rate
         return du * du + _honest(potential, x) * uu * uu
 
-    total = composite_gauss_legendre(
-        integrand, window[0], window[1], splits=splits, panel_length=panel
-    )
-    if sup is None:
-        xs = np.linspace(window[0], window[1], 4001)
-        xs = _sorted_unique(xs, [s for s in splits if window[0] <= s <= window[1]])
-        sup = float(np.max(np.abs(np.asarray(u(xs)))))
-        if sup == 0.0:
-            raise ValueError("u vanishes on the sampled window")
-    return total / (sup * sup)
+    splits = [u.center, *potential.breakpoints]
+    panel = 0.4 / math.sqrt(potential.upper_bound)
+    return composite_gauss_legendre(integrand, *u.window, splits=splits, panel_length=panel)

@@ -8,7 +8,10 @@ and m in closed form for every lam (Poeschl & Teller 1933); for lam = 1 and
 piecewise-constant V is solved exactly by ``pwc_exact``.
 Everything here is evaluated independently of the package (plain numpy
 expressions, the standard library and mpmath) so the tests have a fixed
-external reference.
+external reference.  The one exception is ``trial_quotient``, the Rayleigh
+quotient of a trial function, which integrates with the package's quadrature
+rule (pinned against ``leggauss`` in ``test_quadrature.py``) and shares no
+mesh with the solver.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
+
+from sobolev1d.quadrature import composite_gauss_legendre
 
 A = 1.0
 B = 2.0
@@ -278,3 +283,12 @@ def pwc_exact(edges, values) -> PwcExact:
     if best < tail:
         return PwcExact(best, a_star, "attained", f, maxima, minima)
     return PwcExact(tail, None, "empty", f, maxima, minima)
+
+
+def trial_quotient(u, du, V, window, kinks=()) -> float:
+    """(||u'||_2^2 + int V u^2) over the window for a trial u with max|u| = 1.
+
+    Every such quotient bounds m(V) from above; kinks split the panels where
+    u, u' or V has one.
+    """
+    return composite_gauss_legendre(lambda x: du(x) ** 2 + V(x) * u(x) ** 2, *window, splits=kinks)

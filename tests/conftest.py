@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sobolev1d import Potential, make_piecewise_constant
+from sobolev1d import Potential, make_piecewise_constant, potential_from_spec
 
 
 def random_piecewise_constant(rng: np.random.Generator, n_pieces: int | None = None) -> Potential:
@@ -32,6 +32,13 @@ def poschl_teller(k: float, lam: float) -> Potential:
         tail_limits=(k * k, k * k),
         label=f"poschl-teller k={k:g} lambda={lam:g}",
     )
+
+
+def gaussian_well_table() -> Potential:
+    """4 - 3 exp(-x^2/2) sampled every 0.25 on [-10, 10], as a spline table."""
+    x = np.arange(-40, 41) * 0.25
+    v = 4.0 - 3.0 * np.exp(-0.5 * x * x)
+    return potential_from_spec({"kind": "table", "x": x.tolist(), "v": v.tolist()})
 
 
 def dilated(potential: Potential, s: float) -> Potential:

@@ -13,7 +13,6 @@ from sobolev1d import (
     make_monotone_step,
     make_piecewise_constant,
     minimize,
-    potential_from_spec,
 )
 from sobolev1d import fundamental
 from sobolev1d.fcurve import (
@@ -26,12 +25,13 @@ from sobolev1d.fcurve import (
 )
 from sobolev1d.fundamental import (
     LogSolution,
+    SolverError,
     _pair_reads,
     extremal_function,
     solve_log_solution,
 )
 from sobolev1d.minimizer import default_window
-from conftest import counting, spy
+from conftest import counting, gaussian_well_table, spy
 
 WINDOW = (-25.0, 25.0)
 
@@ -268,11 +268,11 @@ def test_root_polish_falls_back_to_bisection(flat):
     assert abs(root - 0.3) <= 1e-12
 
 
-def _gaussian_well_table():
-    """4 - 3 exp(-x^2/2) sampled every 0.25 on [-10, 10], as a spline table."""
-    x = np.arange(-40, 41) * 0.25
-    v = 4.0 - 3.0 * np.exp(-0.5 * x * x)
-    return potential_from_spec({"kind": "table", "x": x.tolist(), "v": v.tolist()})
+def test_root_polish_refuses_a_bracket_it_cannot_halve_to_the_root_tolerance():
+    """With F'' = 0 every step bisects, and [-1e20, 1e20] needs more than 100 halvings."""
+    curve = _ArctanSlope(0.3, flat=True)
+    with pytest.raises(SolverError, match="root polish of F' did not converge in"):
+        _polish_root(curve, -1e20, 1e20, curve.slope_at(-1e20))
 
 
 def _scalar_rows(curve, samples):
@@ -302,7 +302,7 @@ def _scalar_rows(curve, samples):
         lambda: make_constant(1.0),
         # Flat tails: F' and F'' sit near roundoff over most samples.
         lambda: make_monotone_step(1.0, 4.0),
-        _gaussian_well_table,
+        gaussian_well_table,
         # example(1, 2) dilated by 1e4: the gaps' scales v1 and sqrt(v1) are below 1.
         lambda: make_example(1e4, 2e-4),
     ],

@@ -5,6 +5,9 @@ A case passes when the answer is right or the solver refuses: a
 ``SolverError`` or an ``undetermined`` verdict passes, and any other
 verdict must be the true one with m within rel 1e-10 of the true value.
 The markers are strict, so the change that mends a case removes its marker.
+A trial function's Rayleigh quotient bounds m from above, so an m above
+one is wrong whatever the reference value; its quadrature shares no mesh
+with the solve.
 """
 
 import dataclasses
@@ -14,8 +17,17 @@ import math
 import numpy as np
 import pytest
 
-from sobolev1d import Potential, SolverError, make_example, make_piecewise_constant, minimize
+import _closed_forms as cf
+from sobolev1d import (
+    Potential,
+    SolverError,
+    make_example,
+    make_monotone_step,
+    make_piecewise_constant,
+    minimize,
+)
 from sobolev1d.cli import main
+from conftest import gaussian_well_table
 
 WRONG = pytest.mark.xfail(strict=True, raises=AssertionError)
 
@@ -144,6 +156,44 @@ def test_minimize_is_right_or_refuses(build, m, attainment):
         return
     assert report.attainment == attainment
     assert report.m_value == pytest.approx(m, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "build, center",
+    [
+        pytest.param(lambda: make_example(1.0, 2.0), None, id="example"),
+        pytest.param(lambda: make_monotone_step(1.0, 4.0), None, id="step"),
+        pytest.param(
+            lambda: make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]), None, id="pwc_well"
+        ),
+        pytest.param(gaussian_well_table, None, id="gaussian_table"),
+        # The deeper wells that the default window misses or cuts: m reads 3.00742,
+        # and a Gaussian in either deeper well reads 2.93937.
+        pytest.param(_far_well, 40.0, marks=WRONG, id="far_well"),
+        pytest.param(_inset_well, 20.0, marks=WRONG, id="inset_well"),
+        # m reads 4.0, and a Gaussian at the moved a* = -10.78 reads 3.75534.
+        pytest.param(
+            lambda: make_example(1.0, 2.0).shifted(-10.0), -10.78, marks=WRONG,
+            id="translated_example",
+        ),
+    ],
+)
+def test_no_trial_function_lies_below_m(build, center):
+    """A Gaussian of width 0.5 bounds m from above, by quadrature that shares no mesh with
+    the solve; it sits at the given center, else at the reported a*, else at 0."""
+    pot = build()
+    report = minimize(pot)
+    if center is None:
+        center = 0.0 if report.a_star is None else report.a_star
+
+    def u(x):
+        return np.exp(-2.0 * (x - center) ** 2)
+
+    q = cf.trial_quotient(
+        u, lambda x: -4.0 * (x - center) * u(x), pot, (center - 12.0, center + 12.0),
+        kinks=pot.breakpoints,
+    )
+    assert q >= report.m_value * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize(

@@ -481,44 +481,38 @@ def test_report_solver_config_block():
     )
 
 
-def test_rayleigh_quotient_kinked_exponential():
-    pot = make_constant(1.0)
-
-    def u(x):
-        return np.exp(-np.abs(np.asarray(x, dtype=float)))
-
-    q = rayleigh_quotient(u, pot, window=(-30.0, 30.0), kinks=[0.0])
+def test_trial_quotient_kinked_exponential():
+    """e^{-|x|} on V = 1: 2 int e^{-2|x|} = 2, with the kink at 0 split off."""
+    q = cf.trial_quotient(
+        lambda x: np.exp(-np.abs(x)),
+        lambda x: -np.sign(x) * np.exp(-np.abs(x)),
+        make_constant(1.0),
+        (-30.0, 30.0),
+        kinks=[0.0],
+    )
     assert abs(q - 2.0) < 1e-9
 
 
-def test_rayleigh_quotient_refuses_a_vanishing_callable():
-    with pytest.raises(ValueError, match="u vanishes on the sampled window"):
-        rayleigh_quotient(lambda x: np.zeros(np.shape(x)), make_example(1.0, 2.0), (-5.0, 5.0))
-
-
-def test_rayleigh_quotient_gaussian():
-    pot = make_constant(1.0)
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-x * x)
-
-    def du(x):
-        x = np.asarray(x, dtype=float)
-        return -2.0 * x * np.exp(-x * x)
-
-    q = rayleigh_quotient(u, pot, window=(-12.0, 12.0), u_prime=du)
-    exact = 2.0 * math.sqrt(math.pi / 2.0)
-    assert abs(q - exact) < 1e-9
-    # five-point fallback derivative agrees to quadrature accuracy
-    q_fd = rayleigh_quotient(u, pot, window=(-12.0, 12.0))
-    assert abs(q_fd - exact) < 1e-7
+def test_trial_quotient_gaussian():
+    """e^{-x^2} on V = 1: int (4 x^2 + 1) e^{-2 x^2} = 2 sqrt(pi/2)."""
+    q = cf.trial_quotient(
+        lambda x: np.exp(-x * x),
+        lambda x: -2.0 * x * np.exp(-x * x),
+        make_constant(1.0),
+        (-12.0, 12.0),
+    )
+    assert abs(q - 2.0 * math.sqrt(math.pi / 2.0)) < 1e-9
 
 
 def test_rayleigh_quotient_of_extremal_matches_m(example_report):
     u = extremal(example_report)
     q = rayleigh_quotient(u, make_example(cf.A, cf.B))
     assert abs(q - example_report.m_value) < 1e-7
+
+
+def test_rayleigh_quotient_refuses_a_bare_callable():
+    with pytest.raises(TypeError, match=r"extremal\(\).*quadrature\.composite_gauss_legendre"):
+        rayleigh_quotient(lambda x: np.exp(-np.abs(x)), make_constant(1.0))
 
 
 @pytest.mark.parametrize(
@@ -532,35 +526,20 @@ def test_rayleigh_quotient_of_extremal_matches_m(example_report):
 def test_rayleigh_quotient_reads_the_extremal_once_per_node_with_the_same_bits(
     make, monkeypatch
 ):
-    """Reading (log u, u'/u) once per node keeps the integrand's bits at every node."""
+    """Reading (log u, u'/u) once per node gives the bits of u' and u read apart."""
     pot = make()
     u = extremal(minimize(pot))
-    integrands = []
+    reads = []
     quadrature = minimizer.composite_gauss_legendre
 
     def recorded(fun, *args, **kwargs):
-        return quadrature(lambda x: integrands.append(fun(x)) or integrands[-1], *args, **kwargs)
+        return quadrature(lambda x: reads.append((x, fun(x))) or reads[-1][1], *args, **kwargs)
 
     monkeypatch.setattr(minimizer, "composite_gauss_legendre", recorded)
-    once = rayleigh_quotient(u, pot)
-    assert once.hex() == rayleigh_quotient(u, pot, u_prime=u.derivative).hex()
-    assert integrands[0].tobytes() == integrands[1].tobytes()
-
-
-def test_rayleigh_quotient_is_never_below_m(example_report):
-    pot = make_example(cf.A, cf.B)
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x - 0.3) ** 2)
-
-    q = rayleigh_quotient(u, pot, window=(-12.0, 12.0))
-    assert q >= example_report.m_value - 1e-9
-
-
-def test_rayleigh_quotient_requires_window_for_callables():
-    with pytest.raises(ValueError):
-        rayleigh_quotient(lambda x: np.exp(-np.abs(x)), make_constant(1.0))
+    rayleigh_quotient(u, pot)
+    [(x, integrand)] = reads
+    d, uu = u.derivative(x), u(x)
+    assert integrand.tobytes() == (d * d + pot(x) * uu * uu).tobytes()
 
 
 @pytest.mark.parametrize("tails", [(0.25, 4.0), (math.nan, 4.0)], ids=["below-v0", "nan"])
