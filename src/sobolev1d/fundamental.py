@@ -348,20 +348,18 @@ def _segment_edges(potential: Potential, x_min: float, x_max: float) -> list[flo
     return sorted({x_min, 0.0, *inner, x_max})
 
 
-def _sorted_unique(a, b) -> np.ndarray:
-    """The distinct values of a and b, sorted: ``np.union1d`` without loading ``numpy.ma``."""
-    x = np.sort(np.concatenate((np.ravel(a), np.ravel(b))))
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
-
 def _sample_grid(solution: LogSolution) -> np.ndarray:
-    """The window at spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the breakpoints."""
+    """The window at spacing SAMPLE_SPACING/sqrt(v0), plus 0 and the breakpoints.
+
+    A point within 1e-12 of the window of the one before it, an exact
+    duplicate too, is dropped.
+    """
     potential = solution.potential
     x_min, x_max = solution.window
     spacing = SAMPLE_SPACING / math.sqrt(potential.lower_bound)
     n = max(2, int(math.ceil((x_max - x_min) / spacing)))
-    grid = _sorted_unique(
-        np.linspace(x_min, x_max, n + 1), _segment_edges(potential, x_min, x_max)
+    grid = np.sort(
+        np.concatenate((np.linspace(x_min, x_max, n + 1), _segment_edges(potential, x_min, x_max)))
     )
     keep = np.concatenate(([True], np.diff(grid) > 1e-12 * (x_max - x_min)))
     return grid[keep]

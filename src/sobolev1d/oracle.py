@@ -12,7 +12,7 @@ A^{-1} e_k rescaled to 1 at the pin and its energy is h / (A^{-1})_kk.  For
 the tridiagonal A that is h (d_k + e_k - a_k), with a the diagonal and d, e
 the elimination pivots swept from the left and from the right: the discrete
 twin of F = r_- - r_+.  Two O(n) sweeps therefore give the energy at every
-pin, and the minimizing pin is their exact argmin over the mesh.
+pin, and ``discrete_minimize`` returns their exact argmin over the mesh.
 Convergence to the continuum values is O(h^2) for smooth potentials, plus a
 boundary truncation error exponentially small in L.  That makes the mesh
 answer a genuinely independent check of the analytic pipeline.
@@ -29,11 +29,7 @@ import numpy as np
 from .fundamental import SolverError
 from .potential import Potential
 
-__all__ = [
-    "DiscreteRayleighProblem",
-    "discrete_first_step",
-    "discrete_minimize",
-]
+__all__ = ["DiscreteRayleighProblem", "discrete_minimize"]
 
 _MIN_NODES = 51
 
@@ -42,7 +38,6 @@ _MIN_NODES = 51
 class DiscreteRayleighProblem:
     """Uniform Dirichlet mesh with potential samples at the nodes."""
 
-    half_width: float
     spacing: float
     nodes: np.ndarray
     v_samples: np.ndarray
@@ -77,7 +72,7 @@ class DiscreteRayleighProblem:
         if not np.all(np.isfinite(v)):
             bad = nodes[~np.isfinite(v)][0]
             raise SolverError(f"potential is non-finite at mesh node x = {bad:g}")
-        return cls(float(half_width), float(spacing), nodes, v)
+        return cls(float(spacing), nodes, v)
 
     def energy(self, u: np.ndarray) -> float:
         """The discrete energy of a mesh function (boundary values included)."""
@@ -114,57 +109,25 @@ def _pivots(problem: DiscreteRayleighProblem) -> tuple[np.ndarray, np.ndarray, n
     return diag, _sweep(memoryview(diag), coupling), _sweep(memoryview(diag[::-1]), coupling)[::-1]
 
 
-def _pinned(
-    problem: DiscreteRayleighProblem, left: np.ndarray, right: np.ndarray, a_node: int
-) -> tuple[np.ndarray, float]:
-    """Pinned profile and energy at a_node from the pivots of _pivots.
-
-    The profile is the Thomas back-substitution for a unit right-hand side at
-    the pin: u_i = u_{i+1} / (h^2 d_i) left of it and u_i = u_{i-1} / (h^2 e_i)
-    right of it.  The solution is checked a posteriori to attain its maximum
-    at the pin (the continuum constraint max|u| = u(a) must be inactive);
-    violation signals a mesh too coarse for the potential and raises
-    SolverError.
-    """
-    h2 = problem.spacing**2
-    k = a_node - 1
-    u = np.zeros(problem.nodes.size)
-    u[a_node] = 1.0
-    u[1:a_node] = np.cumprod(1.0 / (h2 * left[:k][::-1]))[::-1]
-    u[a_node + 1 : -1] = np.cumprod(1.0 / (h2 * right[k + 1 :]))
-    energy = problem.energy(u)
-    if np.max(np.abs(u)) > 1.0 + 1e-9:
-        raise SolverError(
-            "pinned mesh minimizer exceeds 1 in modulus; mesh too coarse"
-        )
-    return u, energy
-
-
-def discrete_first_step(
-    problem: DiscreteRayleighProblem, a_node: int
-) -> tuple[np.ndarray, float]:
-    """Minimize the discrete energy with u[a_node] = 1; returns (u, energy).
-
-    The profile must attain its maximum at the pin; a mesh too coarse for
-    the potential violates that and raises SolverError.
-    """
-    n = problem.nodes.size
-    if not (0 <= a_node < n):
-        raise IndexError(f"node index {a_node} out of range 0..{n - 1}")
-    if a_node in (0, n - 1):
-        raise IndexError("pin must be an interior node, not a boundary node")
-    _, left, right = _pivots(problem)
-    return _pinned(problem, left, right, a_node)
-
-
 def discrete_minimize(problem: DiscreteRayleighProblem) -> tuple[float, int]:
-    """Smallest pinned discrete energy over every interior node.
+    """Smallest pinned discrete energy over every interior node: (energy, node index).
 
-    Returns (energy, node index); the node is the first one attaining the
-    minimum of h (d + e - a), and the energy is that of its pinned profile,
-    checked a posteriori like discrete_first_step's.
+    The node is the first one attaining the minimum of h (d + e - a), and the
+    energy is that of its pinned profile, the Thomas back-substitution for a
+    unit right-hand side at the pin: u_i = u_{i+1} / (h^2 d_i) left of it and
+    u_i = u_{i-1} / (h^2 e_i) right of it.  At that node k, (A^{-1})_kk is the
+    largest diagonal entry of A^{-1}, so |(A^{-1})_ik| <= sqrt((A^{-1})_ii
+    (A^{-1})_kk) <= (A^{-1})_kk and the exact profile never exceeds 1.  The
+    check that it does not guards the pivots and the back-substitution, as
+    _check_pair's W > 0 guards the pair: a profile over 1 raises SolverError.
     """
     diag, left, right = _pivots(problem)
-    best_node = int(np.argmin(left + right - diag)) + 1
-    _, energy = _pinned(problem, left, right, best_node)
-    return energy, best_node
+    k = int(np.argmin(left + right - diag))
+    h2 = problem.spacing**2
+    u = np.zeros(problem.nodes.size)
+    u[k + 1] = 1.0
+    u[1 : k + 1] = np.cumprod(1.0 / (h2 * left[:k][::-1]))[::-1]
+    u[k + 2 : -1] = np.cumprod(1.0 / (h2 * right[k + 1 :]))
+    if np.max(np.abs(u)) > 1.0 + 1e-9:
+        raise SolverError("pinned mesh minimizer exceeds 1 in modulus")
+    return problem.energy(u), k + 1

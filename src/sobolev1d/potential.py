@@ -6,7 +6,9 @@ callable with the declared bounds, the locations where V or V' may jump,
 (when known) the limits of V at -inf and +inf, and whether V is constant
 between its breakpoints.  The declared data is trusted by the integrators:
 :class:`Potential` refuses a non-positive or non-finite bound, and each
-constructor checks only what it alone can.
+constructor checks only what it alone can.  V is read through ``evaluate``;
+a Potential is not itself callable, and it has no translation or dilation of
+its own (the tests build those with ``dataclasses.replace``).
 
 Builtin families:
 
@@ -53,7 +55,8 @@ class Potential:
     """A bounded potential 0 < lower_bound <= V <= upper_bound < inf.
 
     Attributes:
-        evaluate: vectorized callable, float or ndarray in, same shape out.
+        evaluate: vectorized callable, float or ndarray in, same shape out;
+            the one way to read V.
         lower_bound: declared essential infimum v0 (> 0, finite).
         upper_bound: declared essential supremum v1 (>= v0, finite).
         breakpoints: sorted finite locations where V or V' may jump; integrators
@@ -104,19 +107,6 @@ class Potential:
     def continuous(self) -> bool:
         """False when V or V' may jump, i.e. when it has breakpoints."""
         return not self.breakpoints
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        return self.evaluate(x)
-
-    def shifted(self, offset: float) -> "Potential":
-        """The translated potential x -> V(x - offset)."""
-        base = self.evaluate
-        return replace(
-            self,
-            evaluate=lambda x: base(np.asarray(x, dtype=float) - offset),
-            breakpoints=tuple(b + offset for b in self.breakpoints),
-            label=f"{self.label} shifted by {offset:g}",
-        )
 
 
 def make_constant(v: float) -> Potential:

@@ -291,4 +291,4 @@ def trial_quotient(u, du, V, window, kinks=()) -> float:
     Every such quotient bounds m(V) from above; kinks split the panels where
     u, u' or V has one.
     """
-    return composite_gauss_legendre(lambda x: du(x) ** 2 + V(x) * u(x) ** 2, *window, splits=kinks)
+    return composite_gauss_legendre(lambda x: du(x) ** 2 + V.evaluate(x) * u(x) ** 2, *window, splits=kinks)

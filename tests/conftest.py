@@ -41,6 +41,20 @@ def gaussian_well_table() -> Potential:
     return potential_from_spec({"kind": "table", "x": x.tolist(), "v": v.tolist()})
 
 
+def shifted(potential: Potential, offset: float) -> Potential:
+    """The translated potential x -> V(x - offset), its breakpoints moved with it.
+
+    m is unchanged and a* moves by offset.
+    """
+    base = potential.evaluate
+    return dataclasses.replace(
+        potential,
+        evaluate=lambda x: base(np.asarray(x, dtype=float) - offset),
+        breakpoints=tuple(b + offset for b in potential.breakpoints),
+        label=f"{potential.label} shifted by {offset:g}",
+    )
+
+
 def dilated(potential: Potential, s: float) -> Potential:
     """V_s(x) = V(x/s)/s^2, with every declaration scaled to match; s = -1 reflects V.
 

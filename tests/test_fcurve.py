@@ -225,16 +225,23 @@ def test_critical_points_read_as_the_equivalence_check_and_the_pin_readers(make)
 
 def test_curve_grid_holds_zero_and_breakpoints():
     pot = make_piecewise_constant([-6.0, -5.0, 5.0, 6.0], [4.0, 1.0, 4.0, 1.0, 4.0])
-    # On this window no uniform sample lands on 0 or on a breakpoint.
-    window = (-24.9, 25.3)
-    plus, minus = solve_log_solution(pot, *window)
-    curve = build_fcurve(plus, minus)
-    lo, hi = curve.window
-    assert curve.grid[0] >= lo and curve.grid[-1] <= hi
-    for x in (0.0, *pot.breakpoints):
-        assert x in curve.grid
-    spacing = 0.025 / math.sqrt(pot.lower_bound)
-    assert np.max(np.diff(curve.grid)) <= spacing * (1.0 + 1e-9)
+    # On the first window no uniform sample lands on 0 or on a breakpoint; on the
+    # second the lattice falls on all five, and each is held once.
+    for window in ((-24.9, 25.3), (-25.0, 25.0)):
+        plus, minus = solve_log_solution(pot, *window)
+        curve = build_fcurve(plus, minus)
+        lo, hi = curve.window
+        assert curve.grid[0] >= lo and curve.grid[-1] <= hi
+        for x in (0.0, *pot.breakpoints):
+            assert x in curve.grid
+        spacing = 0.025 / math.sqrt(pot.lower_bound)
+        assert np.max(np.diff(curve.grid)) <= spacing * (1.0 + 1e-9)
+        # No two points closer than the grid's 1e-12 of the window, none lost.
+        tol = 1e-12 * (window[1] - window[0])
+        assert np.min(np.diff(curve.grid)) > tol
+        for x in fundamental._segment_edges(pot, *window):
+            if lo <= x <= hi:
+                assert np.min(np.abs(curve.grid - x)) <= tol
 
 
 def test_out_of_window_queries_raise(example_curve):

@@ -38,7 +38,7 @@ from sobolev1d.green import gaussian_test, residual_check
 from sobolev1d.minimizer import default_window, rayleigh_quotient
 from sobolev1d.quadrature import composite_rule
 from sobolev1d import fundamental
-from conftest import counting, dilated, random_piecewise_constant, spy
+from conftest import counting, dilated, random_piecewise_constant, shifted, spy
 
 WINDOW = (-25.0, 25.0)
 
@@ -255,13 +255,12 @@ def test_a_check_that_reads_v_over_its_declared_bound_is_refused(check):
 
 
 # The only functions that call .evaluate: the door (_samples), the float path that hands any
-# refusal to _honest, the two readers that report V rather than refuse it, and __call__.
+# refusal to _honest, and the two readers that report V rather than refuse it.
 EVALUATE_CALLERS = {
     "_samples",
     "_dense_one",
     "cmd_verify",
     "DiscreteRayleighProblem.from_potential",
-    "Potential.__call__",
 }
 
 
@@ -513,7 +512,7 @@ def test_envelope_bounds_fail_on_a_corrupted_pair(monkeypatch, spec):
 # dV/dB = 2B + 2x/(x^2 + A^2) > 0, which holds everywhere once AB > 1/2.
 ORDERED_PAIRS = {
     "example": (make_example(1.0, 2.0), make_example(1.0, 2.5)),
-    "step": (make_monotone_step(1.0, 4.0), make_monotone_step(1.0, 4.0).shifted(-1.0)),
+    "step": (make_monotone_step(1.0, 4.0), shifted(make_monotone_step(1.0, 4.0), -1.0)),
     "well": (
         make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0]),
         make_piecewise_constant([-1.0, 1.0], [4.0, 2.0, 4.0]),

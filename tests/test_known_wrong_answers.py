@@ -27,7 +27,7 @@ from sobolev1d import (
     minimize,
 )
 from sobolev1d.cli import main
-from conftest import gaussian_well_table
+from conftest import gaussian_well_table, shifted
 
 WRONG = pytest.mark.xfail(strict=True, raises=AssertionError)
 
@@ -123,12 +123,12 @@ def _example_m(a: float, b: float) -> float:
         # example(1, 2) moved left by 10: the default window centres on 0 and the
         # curve window misses the well, reading 4.0 empty; a (-60, 60) window is right.
         pytest.param(
-            lambda: make_example(1, 2).shifted(-10), _example_m(1, 2), "attained",
+            lambda: shifted(make_example(1, 2), -10), _example_m(1, 2), "attained",
             marks=WRONG, id="translated_example",
         ),
         # Moved right by 10: refused, as F at a node is below the tail value m would read.
         pytest.param(
-            lambda: make_example(1, 2).shifted(10), _example_m(1, 2), "attained",
+            lambda: shifted(make_example(1, 2), 10), _example_m(1, 2), "attained",
             id="translated_example_right",
         ),
         # The +-150 and +-200 windows agree to 7e-16.
@@ -173,7 +173,7 @@ def test_minimize_is_right_or_refuses(build, m, attainment):
         pytest.param(_inset_well, 20.0, marks=WRONG, id="inset_well"),
         # m reads 4.0, and a Gaussian at the moved a* = -10.78 reads 3.75534.
         pytest.param(
-            lambda: make_example(1.0, 2.0).shifted(-10.0), -10.78, marks=WRONG,
+            lambda: shifted(make_example(1.0, 2.0), -10.0), -10.78, marks=WRONG,
             id="translated_example",
         ),
     ],

@@ -23,7 +23,7 @@ from sobolev1d import (
 from sobolev1d import minimizer
 from sobolev1d.minimizer import classify_attainment, default_window
 from sobolev1d.cli import canonical_json
-from conftest import dilated, poschl_teller
+from conftest import dilated, poschl_teller, shifted
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +317,7 @@ def test_random_piecewise_constant_is_sharp_exact_and_translation_invariant(piec
     assert report.attainment == ("flat" if min(values) == max(values) else exact.attainment)
     if report.attainment != "flat":
         _assert_the_candidates_are_the_exact_minima(report, exact, pot.breakpoints)
-    moved = minimize(pot.shifted(shift))
+    moved = minimize(shifted(pot, shift))
     assert abs(moved.m_value - m) <= 1e-9 * m
     if moved.a_star is not None:
         # Near-ties can move a*: compare F there, not a* itself.
@@ -360,7 +360,7 @@ def test_random_gaussian_well_table_is_attained_and_translation_invariant(
     report = minimize(pot)
     assert report.attainment == "attained"
     _assert_bounded_with_a_constant_wronskian(report)
-    moved = minimize(pot.shifted(shift))
+    moved = minimize(shifted(pot, shift))
     assert abs(moved.m_value - report.m_value) <= 1e-10 * report.m_value
     assert abs(moved.a_star - shift - report.a_star) <= 1e-8
 
@@ -397,15 +397,15 @@ def test_a_step_declares_its_shape(edges, values):
     mids = [b[0] - 1.0, *(0.5 * (x + y) for x, y in zip(b, b[1:])), b[-1] + 1.0] if b else [0.0]
     merged = [values[0], *(values[k + 1] for k in jumps)]
     assert pot.evaluate(np.array(mids)).tolist() == [float(v) for v in merged]
-    for kept in (pot.shifted(0.5), dataclasses.replace(pot, label="kept"), dilated(pot, -2.0)):
+    for kept in (shifted(pot, 0.5), dataclasses.replace(pot, label="kept"), dilated(pot, -2.0)):
         assert kept.piecewise_constant
 
 
 def test_declared_pieces_of_constant_shifted_and_one_cell_pieces_leave_every_bit():
     _assert_declared_pieces_leave_every_bit(make_constant(2.7))
     well = make_piecewise_constant([-1.0, 0.5, 2.0], [4.0, 1.0, 9.0, 2.0])
-    _assert_declared_pieces_leave_every_bit(well.shifted(0.3137))
-    _assert_declared_pieces_leave_every_bit(well.shifted(-2.0))
+    _assert_declared_pieces_leave_every_bit(shifted(well, 0.3137))
+    _assert_declared_pieces_leave_every_bit(shifted(well, -2.0))
     # Segments [-1, -0.999] and [0, 5e-4] are shorter than one initial cell
     # (h0 = 0.05/3): they are not merged, and step doubling checks them.
     short = make_piecewise_constant([-1.0, -0.999, 5e-4], [4.0, 9.0, 1.0, 2.0])
@@ -421,13 +421,13 @@ def test_random_declared_pieces_leave_every_bit(piecewise, shift):
     """Draws of the translation-invariance test's strategy, declared and undeclared."""
     pot = make_piecewise_constant(*piecewise)
     _assert_declared_pieces_leave_every_bit(pot)
-    _assert_declared_pieces_leave_every_bit(pot.shifted(shift))
+    _assert_declared_pieces_leave_every_bit(shifted(pot, shift))
 
 
 def test_translation_equivariance(example_report):
-    shifted = minimize(make_example(cf.A, cf.B).shifted(3.0))
-    assert abs(shifted.m_value - example_report.m_value) < 1e-9
-    assert abs(shifted.a_star - (example_report.a_star + 3.0)) < 1e-7
+    moved = minimize(shifted(make_example(cf.A, cf.B), 3.0))
+    assert abs(moved.m_value - example_report.m_value) < 1e-9
+    assert abs(moved.a_star - (example_report.a_star + 3.0)) < 1e-7
 
 
 def test_explicit_window(example_report):
@@ -539,7 +539,7 @@ def test_rayleigh_quotient_reads_the_extremal_once_per_node_with_the_same_bits(
     rayleigh_quotient(u, pot)
     [(x, integrand)] = reads
     d, uu = u.derivative(x), u(x)
-    assert integrand.tobytes() == (d * d + pot(x) * uu * uu).tobytes()
+    assert integrand.tobytes() == (d * d + pot.evaluate(x) * uu * uu).tobytes()
 
 
 @pytest.mark.parametrize("tails", [(0.25, 4.0), (math.nan, 4.0)], ids=["below-v0", "nan"])

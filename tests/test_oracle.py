@@ -12,12 +12,25 @@ from sobolev1d import (
     make_piecewise_constant,
     minimize,
 )
-from sobolev1d.oracle import (
-    DiscreteRayleighProblem,
-    _pivots,
-    discrete_first_step,
-    discrete_minimize,
-)
+from sobolev1d.oracle import DiscreteRayleighProblem, _pivots, discrete_minimize
+
+
+def _stationarity_matrix(problem: DiscreteRayleighProblem) -> np.ndarray:
+    """A, dense: (2 u_i - u_{i-1} - u_{i+1})/h^2 + V_i u_i at the interior nodes."""
+    h2 = problem.spacing**2
+    n = problem.nodes.size - 2
+    return np.diag(2.0 / h2 + problem.v_samples[1:-1]) - (np.eye(n, k=1) + np.eye(n, k=-1)) / h2
+
+
+def _pinned_profiles(problem: DiscreteRayleighProblem) -> np.ndarray:
+    """Row k - 1 is the profile pinned at node k, u = A^{-1} e_k / (A^{-1})_kk, zero at the ends.
+
+    The brute-force reference, from the dense inverse: no code shared with the oracle's sweeps.
+    """
+    inv = np.linalg.inv(_stationarity_matrix(problem))
+    profiles = np.zeros((inv.shape[0], problem.nodes.size))
+    profiles[:, 1:-1] = inv / np.diag(inv)[:, None]
+    return profiles
 
 
 def test_problem_construction():
@@ -40,38 +53,40 @@ def test_problem_refuses_a_negative_half_width():
         DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), -1.0, 0.1)
 
 
-def test_first_step_refuses_a_profile_over_its_pin():
-    """V < 0 makes the pinned profile grow away from the pin: the mesh check names it."""
-    negative = Potential(lambda x: np.full(np.shape(x), -0.01), 1.0, 1.0)
-    problem = DiscreteRayleighProblem.from_potential(negative, 10.0, 0.1)
+def test_first_step_refuses_a_profile_over_its_pin(monkeypatch):
+    """Pivots below 1/h^2 grow the back-substituted profile away from its pin: refused.
+
+    Exact positive pivots cannot do that at the argmin, so the pivots are patched.
+    """
+    from sobolev1d import oracle
+
+    problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 10.0, 0.1)
+    h2 = problem.spacing**2
+    diag = np.full(problem.nodes.size - 2, 2.0 / h2 + 1.0)
+    half = np.full(diag.size, 0.5 / h2)
+    monkeypatch.setattr(oracle, "_pivots", lambda problem: (diag, half, half))
     with pytest.raises(SolverError, match="exceeds 1 in modulus"):
-        discrete_first_step(problem, 2)
+        discrete_minimize(problem)
 
 
 def test_first_step_pins_and_bounds():
-    problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 30.0, 0.01)
-    j = problem.nodes.size // 2
-    u, energy = discrete_first_step(problem, j)
+    problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 30.0, 0.05)
+    energy, j = discrete_minimize(problem)
+    u = _pinned_profiles(problem)[j - 1]
     assert u[j] == 1.0
     assert np.max(np.abs(u)) <= 1.0 + 1e-9
     assert u[0] == 0.0 and u[-1] == 0.0
+    assert energy == pytest.approx(problem.energy(u), rel=1e-12)
     assert energy == pytest.approx(2.0, abs=5e-3)
-    # the discrete profile tracks e^{-|x|}
-    exact = np.exp(-np.abs(problem.nodes))
+    # the discrete profile tracks e^{-|x - x_j|}
+    exact = np.exp(-np.abs(problem.nodes - problem.nodes[j]))
     assert np.max(np.abs(u - exact)) < 5e-3
 
 
-def test_first_step_boundary_rejected():
-    problem = DiscreteRayleighProblem.from_potential(make_constant(1.0), 30.0, 0.01)
-    for bad in (0, problem.nodes.size - 1, -1, problem.nodes.size):
-        with pytest.raises(IndexError):
-            discrete_first_step(problem, bad)
-
-
 def test_energy_matches_direct_sum():
-    problem = DiscreteRayleighProblem.from_potential(make_constant(2.0), 30.0, 0.01)
-    j = problem.nodes.size // 3
-    u, energy = discrete_first_step(problem, j)
+    problem = DiscreteRayleighProblem.from_potential(make_constant(2.0), 30.0, 0.05)
+    energy, j = discrete_minimize(problem)
+    u = _pinned_profiles(problem)[j - 1]
     h = problem.spacing
     direct = np.sum(np.diff(u) ** 2) / h + h * np.sum(problem.v_samples * u * u)
     assert energy == pytest.approx(direct, rel=1e-12)
@@ -137,17 +152,11 @@ def test_pivot_energies_match_brute_force(pot):
     h = problem.spacing
     diag, left, right = _pivots(problem)
     swept = h * (left + right - diag)
-    # Dense reference: the pinned energy is h / (A^{-1})_kk.
-    a = np.diag(diag) - (np.eye(diag.size, k=1) + np.eye(diag.size, k=-1)) / h**2
+    # Dense reference: the pinned energy is h / (A^{-1})_kk, the energy of its profile.
+    a = _stationarity_matrix(problem)
     assert np.allclose(swept, h / np.diag(np.linalg.inv(a)), rtol=1e-12, atol=0.0)
-    brute = []
-    for node in range(1, problem.nodes.size - 1):
-        u, energy = discrete_first_step(problem, node)
-        assert energy == pytest.approx(swept[node - 1], rel=1e-12)
-        residual = a @ u[1:-1]
-        residual[node - 1] = 0.0
-        assert np.max(np.abs(residual)) <= 1e-9 * 2.0 / h**2
-        brute.append(energy)
+    brute = [problem.energy(u) for u in _pinned_profiles(problem)]
+    assert np.allclose(brute, swept, rtol=1e-12, atol=0.0)
     m_disc, best = discrete_minimize(problem)
     assert m_disc == pytest.approx(min(brute), rel=1e-12)
     assert brute[best - 1] <= min(brute) * (1.0 + 1e-12)
@@ -158,10 +167,10 @@ def test_minimize_sweeps_once(monkeypatch):
     from sobolev1d import oracle
 
     calls = spy(monkeypatch, (oracle,), "_pivots", lambda problem: problem)
-    problem = DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), 30.0, 0.005)
+    problem = DiscreteRayleighProblem.from_potential(make_example(1.0, 2.0), 10.0, 0.05)
     energy, node = discrete_minimize(problem)
     assert len(calls) == 1
-    assert discrete_first_step(problem, node)[1] == energy
+    assert energy == pytest.approx(problem.energy(_pinned_profiles(problem)[node - 1]), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +185,3 @@ def test_bad_tail_refused(tail, error):
     with pytest.raises(error):
         problem = DiscreteRayleighProblem.from_potential(pot, 30.0, 0.005)
         discrete_minimize(problem)
-    with pytest.raises(error):
-        problem = DiscreteRayleighProblem.from_potential(pot, 30.0, 0.005)
-        discrete_first_step(problem, problem.nodes.size // 2)

@@ -44,7 +44,7 @@ SUBMODULE_NAMES = {
     ],
     "green": ["GreenEvaluator", "GreenResidualReport", "gaussian_test", "residual_check"],
     "minimizer": ["MinimizationReport", "classify_attainment", "default_window"],
-    "oracle": ["DiscreteRayleighProblem", "discrete_first_step", "discrete_minimize"],
+    "oracle": ["DiscreteRayleighProblem", "discrete_minimize"],
 }
 
 

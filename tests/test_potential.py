@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _closed_forms as cf
+from conftest import shifted
 from sobolev1d import (
     Potential,
     make_constant,
@@ -27,8 +28,8 @@ def test_constant_basic():
     assert pot.continuous
     assert pot.breakpoints == ()
     x = np.linspace(-10, 10, 7)
-    assert np.all(pot(x) == 4.0)
-    assert pot(0.3) == 4.0
+    assert np.all(pot.evaluate(x) == 4.0)
+    assert pot.evaluate(0.3) == 4.0
 
 
 def test_constant_rejects_nonpositive():
@@ -40,10 +41,10 @@ def test_constant_rejects_nonpositive():
 
 def test_piecewise_constant_right_continuous():
     pot = make_piecewise_constant([-1.0, 2.0], [3.0, 1.0, 5.0])
-    assert pot(-1.5) == 3.0
-    assert pot(-1.0) == 1.0  # right-continuous at the jump
-    assert pot(0.0) == 1.0
-    assert pot(2.0) == 5.0
+    assert pot.evaluate(-1.5) == 3.0
+    assert pot.evaluate(-1.0) == 1.0  # right-continuous at the jump
+    assert pot.evaluate(0.0) == 1.0
+    assert pot.evaluate(2.0) == 5.0
     assert pot.lower_bound == 1.0
     assert pot.upper_bound == 5.0
     assert pot.tail_limits == (3.0, 5.0)
@@ -107,9 +108,9 @@ def test_monotone_step_limits():
     pot = make_monotone_step(1.0, 4.0)
     assert pot.tail_limits == (1.0, 4.0)
     assert pot.continuous
-    assert abs(pot(0.0) - 2.5) < 1e-12  # midpoint of the transition
+    assert abs(pot.evaluate(0.0) - 2.5) < 1e-12  # midpoint of the transition
     xs = np.linspace(-30, 30, 101)
-    v = pot(xs)
+    v = pot.evaluate(xs)
     assert np.all(np.diff(v) >= 0.0)
     assert v[0] == pytest.approx(1.0, abs=1e-9)
     assert v[-1] == pytest.approx(4.0, abs=1e-9)
@@ -136,7 +137,7 @@ def test_example_declares_its_exact_range(a, p):
         np.linspace(-1.0, 0.0, 100_001),
         np.linspace(1.0, 2.0, 100_001),
     ))
-    v = pot(x)
+    v = pot.evaluate(x)
     slack = 2e-9 * pot.upper_bound
     assert pot.lower_bound <= v.min() <= pot.lower_bound + slack
     assert pot.upper_bound - slack <= v.max() <= pot.upper_bound
@@ -151,22 +152,22 @@ def test_example_requires_ab_above_golden_ratio():
 def test_example_matches_closed_form():
     pot = make_example(cf.A, cf.B)
     xs = np.linspace(-8.0, 8.0, 501)
-    assert np.max(np.abs(pot(xs) - cf.v_exact(xs))) < 1e-12
-    assert pot(0.0) == pytest.approx(cf.V_AT_0, abs=1e-14)
+    assert np.max(np.abs(pot.evaluate(xs) - cf.v_exact(xs))) < 1e-12
+    assert pot.evaluate(0.0) == pytest.approx(cf.V_AT_0, abs=1e-14)
     assert pot.tail_limits == (cf.TAIL_VALUE, cf.TAIL_VALUE)
     # declared bounds really bound the samples
-    assert np.all(pot(xs) >= pot.lower_bound - 1e-12)
-    assert np.all(pot(xs) <= pot.upper_bound + 1e-12)
+    assert np.all(pot.evaluate(xs) >= pot.lower_bound - 1e-12)
+    assert np.all(pot.evaluate(xs) <= pot.upper_bound + 1e-12)
 
 
 def test_shifted_translates_graph():
     pot = make_example(cf.A, cf.B)
-    moved = pot.shifted(2.5)
+    moved = shifted(pot, 2.5)
     xs = np.linspace(-5, 5, 101)
-    assert np.allclose(moved(xs), pot(xs - 2.5), rtol=0, atol=1e-14)
+    assert np.allclose(moved.evaluate(xs), pot.evaluate(xs - 2.5), rtol=0, atol=1e-14)
     assert moved.lower_bound == pot.lower_bound
     base = make_piecewise_constant([0.0], [1.0, 2.0])
-    assert base.shifted(1.0).breakpoints == (1.0,)
+    assert shifted(base, 1.0).breakpoints == (1.0,)
 
 
 def test_from_log_derivative_recovers_example():
@@ -175,17 +176,17 @@ def test_from_log_derivative_recovers_example():
         xs, cf.ell_plus_prime_exact(xs), cf.ell_plus_second_exact(xs)
     )
     mid = np.linspace(-9, 9, 301)
-    assert np.max(np.abs(pot(mid) - cf.v_exact(mid))) < 1e-7
+    assert np.max(np.abs(pot.evaluate(mid) - cf.v_exact(mid))) < 1e-7
 
 
 def test_spec_round_trip_kinds():
-    assert potential_from_spec({"kind": "constant", "v": 2.0})(1.0) == 2.0
+    assert potential_from_spec({"kind": "constant", "v": 2.0}).evaluate(1.0) == 2.0
     pot = potential_from_spec({"kind": "example", "A": 1, "B": 2})
-    assert pot(0.0) == pytest.approx(cf.V_AT_0)
+    assert pot.evaluate(0.0) == pytest.approx(cf.V_AT_0)
     pot = potential_from_spec(
         {"kind": "piecewise_constant", "edges": [0.0], "values": [1.0, 2.0]}
     )
-    assert pot(-1.0) == 1.0 and pot(1.0) == 2.0
+    assert pot.evaluate(-1.0) == 1.0 and pot.evaluate(1.0) == 2.0
     pot = potential_from_spec(
         {"kind": "step", "v0": 1.0, "v1": 4.0, "width": 1.0}
     )
@@ -194,7 +195,7 @@ def test_spec_round_trip_kinds():
     pot = potential_from_spec(
         {"kind": "table", "x": xs.tolist(), "v": cf.v_exact(xs).tolist()}
     )
-    assert abs(pot(0.3) - cf.v_exact(0.3)) < 1e-8
+    assert abs(pot.evaluate(0.3) - cf.v_exact(0.3)) < 1e-8
 
 
 def test_spec_rejects_garbage():
@@ -221,7 +222,7 @@ def test_table_bounds_are_the_spline_range():
     assert 1.0 - 1e-8 <= pot.lower_bound <= 1.0
     assert 4.0 <= pot.upper_bound <= 4.0 + 1e-8
     fine = np.linspace(-10.5, 10.5, 200001)
-    vals = np.asarray(pot(fine))
+    vals = np.asarray(pot.evaluate(fine))
     assert np.all(vals >= pot.lower_bound) and np.all(vals <= pot.upper_bound)
 
 
@@ -277,9 +278,9 @@ def test_spline_matches_scipy_cubic_spline(name):
     """The numpy not-a-knot spline reproduces scipy's to 1e-13 relative."""
     spec, bounds, critical, xs, values = SCIPY_SPLINES[name]
     pot = potential_from_spec(spec)
-    got = np.asarray(pot(np.array(xs)))
+    got = np.asarray(pot.evaluate(np.array(xs)))
     assert np.all(np.abs(got - values) <= 1e-13 * np.abs(values))
-    assert [float(pot(x)) for x in xs] == got.tolist()
+    assert [float(pot.evaluate(x)) for x in xs] == got.tolist()
     assert pot.lower_bound == pytest.approx(bounds[0], rel=1e-13, abs=0.0)
     assert pot.upper_bound == pytest.approx(bounds[1], rel=1e-13, abs=0.0)
     grid = np.asarray(spec["x"])
@@ -336,14 +337,14 @@ def test_spline_interpolates_and_holds_the_end_samples():
     grid = np.array([-2.0, -1.3, -0.2, 0.4, 1.5, 2.0])
     cubic = 5.0 + 0.5 * grid - 0.3 * grid**2 + 0.1 * grid**3
     pot = potential_from_spec({"kind": "table", "x": grid.tolist(), "v": cubic.tolist()})
-    assert np.asarray(pot(grid)).tolist() == cubic.tolist()
+    assert np.asarray(pot.evaluate(grid)).tolist() == cubic.tolist()
     fine = np.linspace(-2.0, 2.0, 101)
     exact = 5.0 + 0.5 * fine - 0.3 * fine**2 + 0.1 * fine**3
-    assert np.max(np.abs(np.asarray(pot(fine)) - exact)) < 1e-13
-    assert np.asarray(pot([-np.inf, -7.0, 2.0, 9.0, np.inf])).tolist() == [
+    assert np.max(np.abs(np.asarray(pot.evaluate(fine)) - exact)) < 1e-13
+    assert np.asarray(pot.evaluate([-np.inf, -7.0, 2.0, 9.0, np.inf])).tolist() == [
         cubic[0], cubic[0], cubic[-1], cubic[-1], cubic[-1]
     ]
-    assert math.isnan(pot(np.nan))
+    assert math.isnan(pot.evaluate(np.nan))
 
 
 @pytest.mark.parametrize(

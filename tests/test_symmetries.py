@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dilated
+from conftest import dilated, shifted
 from sobolev1d import (
     SolverError,
     make_example,
@@ -98,7 +98,7 @@ def test_reflection_keeps_m_bitwise_and_mirrors_the_pin(name):
 def test_translation_moves_the_pin_and_keeps_m(name, c):
     """Shifts small enough to keep every well out of the curve window's decay inset."""
     pot, ref = _solved(name)
-    report = minimize(pot.shifted(c))
+    report = minimize(shifted(pot, c))
     bound = 100.0 * DEFAULT_TOL * ref.m_value
     assert report.attainment == ref.attainment
     assert abs(report.m_value - ref.m_value) <= bound
