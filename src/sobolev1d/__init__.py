@@ -12,13 +12,13 @@ logarithmic-derivative solutions, locates and classifies the minimizers,
 evaluates the associated Green function, and cross-checks everything
 against a direct finite-difference minimization.
 
-The top level exports the pipeline; the building blocks (the pair solve, the
-energy curve, checks and reports, the mesh oracle) are imported from their
-submodules: ``fundamental``, ``fcurve``, ``green``, ``minimizer``, ``oracle``.
+The top level exports the pipeline; the building blocks are imported from
+their submodules, one per stage: ``window``, ``mesh``, ``fundamental`` (the
+pair solve), ``fcurve``, ``green``, ``minimizer`` and the mesh ``oracle``.
 """
 
-from .fundamental import SolverError
 from .green import build_green
+from .mesh import SolverError
 from .minimizer import extremal, minimize, rayleigh_quotient
 from .potential import (
     Potential,

@@ -47,19 +47,16 @@ from .fcurve import _default_samples, build_fcurve, check_minimality_equivalence
 from .fcurve import find_critical_points  # noqa: F401 -- a name perfbench/tracing.py patches
 from .fundamental import (
     DEFAULT_TOL,
-    MAX_CELLS,
-    SolverError,
-    _bounds,
-    _check_window,
-    _curve_window,
     check_envelope_bounds,
     check_riccati_residual,
     solve_log_solution,
 )
 from .green import build_green, gaussian_test, residual_check
+from .mesh import MAX_CELLS, SolverError, _bounds
 from .minimizer import SCHEMA_VERSION, default_window, minimize
 from .oracle import DiscreteRayleighProblem, discrete_minimize
 from .potential import potential_from_spec
+from .window import _check_window, _curve_window
 
 __all__ = ["main"]
 

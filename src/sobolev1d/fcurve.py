@@ -30,19 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fundamental import (
-    LogSolution,
-    PinReads,
-    SolverError,
-    _check_inside,
-    _check_pair,
-    _curve_window,
-    _exp,
-    _is_point,
-    _pair_reads,
-    _sample_grid,
-)
+from .fundamental import LogSolution, PinReads, _check_pair, _exp, _is_point, _pair_reads
+from .mesh import SolverError
 from .potential import Potential
+from .window import _check_inside, _curve_window, _sample_grid
 
 __all__ = [
     "FCurve",
@@ -141,7 +132,7 @@ def build_fcurve(phi_plus: LogSolution, phi_minus: LogSolution) -> FCurve:
     wronskian = _check_pair(phi_plus, phi_minus)
     potential = phi_plus.potential
     lo, hi = _curve_window(potential, phi_plus.window)
-    grid = _sample_grid(phi_plus)
+    grid = _sample_grid(potential, phi_plus.window)
     mesh = phi_plus._mesh
     inside = slice(np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right"))
     reads = PinReads(*(a[inside] for a in (phi_plus._r, phi_minus._r, phi_plus._l, phi_minus._l)))

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, _check_pair, _honest, _pair_reads, _PairReader
+from .fundamental import LogSolution, _check_pair, _pair_reads, _PairReader
+from .mesh import _honest
 from .quadrature import composite_rule
 
 __all__ = [

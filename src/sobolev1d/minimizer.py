@@ -35,17 +35,16 @@ from .fcurve import (
 )
 from .fundamental import (
     DEFAULT_TOL,
-    DEFAULT_WINDOW_FACTOR,  # noqa: F401 -- perfbench/selftest.py reads it from here
     ExtremalFunction,
     LogSolution,
-    SolverError,
-    _honest,
-    default_window,
     extremal_function,
     solve_log_solution,
 )
+from .mesh import SolverError, _honest
 from .potential import Potential
 from .quadrature import composite_gauss_legendre
+from .window import DEFAULT_WINDOW_FACTOR  # noqa: F401 -- perfbench/selftest.py reads it from here
+from .window import default_window
 
 __all__ = [
     "MinimizationReport",

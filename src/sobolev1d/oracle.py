@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import SolverError
+from .mesh import SolverError
 from .potential import Potential
 
 __all__ = ["DiscreteRayleighProblem", "discrete_minimize"]

@@ -31,6 +31,7 @@ from sobolev1d.fundamental import (
     solve_log_solution,
 )
 from sobolev1d.minimizer import default_window
+from sobolev1d.window import _segment_edges
 from conftest import counting, gaussian_well_table, spy
 
 WINDOW = (-25.0, 25.0)
@@ -239,7 +240,7 @@ def test_curve_grid_holds_zero_and_breakpoints():
         # No two points closer than the grid's 1e-12 of the window, none lost.
         tol = 1e-12 * (window[1] - window[0])
         assert np.min(np.diff(curve.grid)) > tol
-        for x in fundamental._segment_edges(pot, *window):
+        for x in _segment_edges(pot, *window):
             if lo <= x <= hi:
                 assert np.min(np.abs(curve.grid - x)) <= tol
 

@@ -26,7 +26,6 @@ from sobolev1d import (
 from sobolev1d.fcurve import build_fcurve
 from sobolev1d.fundamental import (
     LogSolution,
-    _cell_maps,
     _pair_reads,
     check_envelope_bounds,
     check_riccati_residual,
@@ -35,9 +34,11 @@ from sobolev1d.fundamental import (
     solve_log_solution,
 )
 from sobolev1d.green import gaussian_test, residual_check
+from sobolev1d.mesh import _cell_maps
 from sobolev1d.minimizer import default_window, rayleigh_quotient
 from sobolev1d.quadrature import composite_rule
-from sobolev1d import fundamental
+from sobolev1d.window import _curve_window, _sample_grid, _segment_edges
+from sobolev1d import fundamental, mesh
 from conftest import counting, dilated, random_piecewise_constant, shifted, spy
 
 WINDOW = (-25.0, 25.0)
@@ -102,7 +103,7 @@ def test_cell_map_of_constant_v_is_exact_on_either_branch(cells):
     """Constant V > 0 gives cosh and sinh; V < 0 never reaches a map (``_honest``)."""
     v = np.array([4.0, 0.25])[cells]
     h = np.array([0.3, 1.0])[cells]
-    cm1, P, Q, R = fundamental._magnus((v, v, v), h)
+    cm1, P, Q, R = mesh._magnus((v, v, v), h)
     w = np.sqrt(v) * h
     sine = np.sinh(w) / np.sqrt(v)
     np.testing.assert_allclose(1.0 + cm1, np.cosh(w), rtol=1e-14)
@@ -200,7 +201,7 @@ def test_dishonest_bounds_rejected():
 def test_the_band_check_refuses_what_the_bounds_check_lets_through(monkeypatch):
     """With the bounds ``_honest`` reads widened to (0, inf), the invariant band still refuses
     a well whose r_minus peaks at 2, inside the wide band [1/sqrt(3), 3] but above sqrt(3)."""
-    monkeypatch.setattr(fundamental, "_bounds", lambda potential: (0.0, math.inf))
+    monkeypatch.setattr(mesh, "_bounds", lambda potential: (0.0, math.inf))
     well = make_piecewise_constant([-1.0, 1.0], [4.0, 1.0, 4.0])
     understated = dataclasses.replace(
         well, lower_bound=1.0, upper_bound=3.0, piecewise_constant=False, tail_limits=None
@@ -304,7 +305,7 @@ def test_negative_v_at_a_seed_is_a_solver_error(evaluate):
 
 def test_refinement_past_max_cells_is_refused(monkeypatch):
     """An initial mesh within MAX_CELLS whose step doubling would pass it."""
-    monkeypatch.setattr(fundamental, "MAX_CELLS", 2000)
+    monkeypatch.setattr(mesh, "MAX_CELLS", 2000)
     rough = Potential(lambda x: 2.0 + np.sin(40.0 * np.asarray(x, dtype=float)), 1.0, 3.0)
     with pytest.raises(SolverError, match="refinement exceeded 2000 cells"):
         solve_log_solution(rough, -25.0, 25.0)
@@ -315,9 +316,9 @@ def test_refinement_cap_is_exact(monkeypatch):
     for pot in (make_example(1.0, 2.0), make_monotone_step(1.0, 40.0, width=3.0)):
         window = default_window(pot)
         cells = solve_log_solution(pot, *window)[0]._mesh.size - 1
-        monkeypatch.setattr(fundamental, "MAX_CELLS", cells)
+        monkeypatch.setattr(mesh, "MAX_CELLS", cells)
         solve_log_solution(pot, *window)
-        monkeypatch.setattr(fundamental, "MAX_CELLS", cells - 1)
+        monkeypatch.setattr(mesh, "MAX_CELLS", cells - 1)
         with pytest.raises(SolverError, match=f"refinement exceeded {cells - 1} cells"):
             solve_log_solution(pot, *window)
         monkeypatch.undo()
@@ -600,7 +601,7 @@ def test_composed_sweep_matches_the_loop(cells, side):
     run = slice(cells // 3, cells // 3 + 64)
     v[:, run] = 2.0
     h[run] = 20.0 / math.sqrt(2.0)
-    cm1, P, Q, R = fundamental._magnus(v, h)
+    cm1, P, Q, R = mesh._magnus(v, h)
     if side == "-":
         args = (math.sqrt(v[1, 0]), 1.0 + cm1 + P, Q, R, 1.0 + cm1 - P)
     else:
@@ -675,7 +676,7 @@ def test_mesh_samples_are_read_in_blocks():
         solve_log_solution(Potential(evaluate, 1.0, 1.0), *WINDOW)
     # The first round: 1000 initial cells, 9 samples each, and no later round.
     assert sum(sizes) == 9 * 1000
-    assert max(sizes) == fundamental._SAMPLE_BLOCK < 9 * 1000
+    assert max(sizes) == mesh._SAMPLE_BLOCK < 9 * 1000
 
 
 def test_dense_reads_refuse_a_non_finite_potential_as_the_solve_does():
@@ -825,7 +826,7 @@ def test_declared_pieces_are_read_at_the_segment_midpoints_only():
          5.66518514493727],
     )
     window = default_window(pot)
-    segments = len(fundamental._segment_edges(pot, *window)) - 1
+    segments = len(_segment_edges(pot, *window)) - 1
 
     def points_and_mesh(p):
         counted, sizes = counting(p)
@@ -1173,7 +1174,7 @@ def _envelope_by_extremal_reads(plus, minus) -> dict:
     pot = plus.potential
     v0, v1 = pot.lower_bound, pot.upper_bound
     s0, s1 = math.sqrt(v0), math.sqrt(v1)
-    lo, hi = fundamental._curve_window(pot, plus.window)
+    lo, hi = _curve_window(pot, plus.window)
     r = min(abs(lo), hi)
     worst = {}
 
@@ -1181,7 +1182,7 @@ def _envelope_by_extremal_reads(plus, minus) -> dict:
         v = float(np.max(violation)) if np.size(violation) else 0.0
         worst[name] = max(worst.get(name, 0.0), v)
 
-    x = fundamental._sample_grid(plus)
+    x = _sample_grid(plus.potential, plus.window)
     _, lp = plus._dense(x)
     record("phi_plus_upper", lp - (0.5 * math.log(v1 / v0) - np.minimum(s0 * x, s1 * x)))
     record("phi_plus_lower", (0.5 * math.log(v0 / v1) - np.maximum(s0 * x, s1 * x)) - lp)
@@ -1239,7 +1240,7 @@ def test_envelope_check_reads_its_three_centers_in_one_call(monkeypatch):
     evaluated.clear()
     assert check_envelope_bounds(plus, minus).passed
     assert one_pin == [["+", "-"] * 3]
-    grid = fundamental._sample_grid(plus)
+    grid = _sample_grid(plus.potential, plus.window)
     assert evaluated[-1] == 18 and sum(evaluated[:-1]) == 2 * 3 * grid.size
 
 
@@ -1268,8 +1269,8 @@ def test_first_round_blocks_leave_every_bit(family, monkeypatch):
     """Blocks of four cells, of the default size and over the whole mesh give one mesh, r and l."""
     pot = BLOCK_FAMILIES[family]()
     solved = []
-    for block in (12, fundamental._SAMPLE_BLOCK, 1 << 40):
-        monkeypatch.setattr(fundamental, "_SAMPLE_BLOCK", block)
+    for block in (12, mesh._SAMPLE_BLOCK, 1 << 40):
+        monkeypatch.setattr(mesh, "_SAMPLE_BLOCK", block)
         solved.append(solve_log_solution(pot, *WINDOW))
     for pair in solved[1:]:
         for side, first in zip(pair, solved[0]):
@@ -1307,7 +1308,7 @@ def test_declared_random_steps_lay_the_mesh_that_sampling_refines():
 
 def test_declared_pieces_take_no_step_doubling(monkeypatch):
     """One-cell segments get their piece's exact map; an oversized mesh is refused unread."""
-    doubled = spy(monkeypatch, (fundamental,), "_double", lambda pot, lo, *rest: lo.size)
+    doubled = spy(monkeypatch, (mesh,), "_double", lambda pot, lo, *rest: lo.size)
     for pot in (
         make_piecewise_constant([0.3137, 0.3147], [1.0, 4.0, 1.0]),
         make_piecewise_constant([0.3137, 0.3147], [4.0, 1.0, 4.0]),
@@ -1324,7 +1325,7 @@ def test_declared_pieces_take_no_step_doubling(monkeypatch):
 def test_a_non_finite_sample_is_named_before_an_earlier_block_overflows(monkeypatch):
     """Every block is sampled before any map is built, so a NaN right of x = 10 is
     refused as non-finite although the maps left of x = -10 overflow first."""
-    monkeypatch.setattr(fundamental, "_SAMPLE_BLOCK", 12)
+    monkeypatch.setattr(mesh, "_SAMPLE_BLOCK", 12)
 
     def potential(nan: bool) -> Potential:
         def evaluate(x):

@@ -13,9 +13,10 @@ from sobolev1d import (
     potential_from_spec,
 )
 from sobolev1d.fcurve import build_fcurve
-from sobolev1d.fundamental import LogSolution, default_window, solve_log_solution
+from sobolev1d.fundamental import LogSolution, solve_log_solution
 from sobolev1d.green import gaussian_test, residual_check
 from sobolev1d.quadrature import composite_gauss_legendre
+from sobolev1d.window import default_window
 
 WINDOW = (-25.0, 25.0)
 

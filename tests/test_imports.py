@@ -1,4 +1,4 @@
-"""Every imported name is used.
+"""Every imported name is used, and no package module reaches far into another.
 
 A standard-library stand-in for a linter's unused-import rule (F401), run
 over every module under ``src/``, ``tests/``, ``tools/`` and ``demos/``.  A
@@ -6,6 +6,9 @@ name counts as used when the module reads it anywhere, in code or in a
 quoted annotation.  Names the module lists in ``__all__`` are exempt, and
 so is an import line marked ``# noqa: F401`` (a name kept for re-export or
 for another module to patch).
+
+A module of ``src/sobolev1d`` imports at most PRIVATE_LIMIT private names
+from any one other module, but for the pairs in PRIVATE_EXCEPTIONS.
 """
 
 import ast
@@ -15,6 +18,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests", "tools", "demos") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = ROOT / "src" / "sobolev1d"
+
+PRIVATE_LIMIT = 3
+# (importer, source) -> the private names the importer may take past the limit.
+PRIVATE_EXCEPTIONS = {
+    # The pair-read protocol, which stays beside LogSolution: perfbench patches it there.
+    ("fcurve", "fundamental"): {"_check_pair", "_exp", "_is_point", "_pair_reads"},
+    # The solve and its reads run on the mesh and the window split out of fundamental.
+    ("fundamental", "mesh"): {
+        "_GAUSS", "_bounds", "_cell_maps", "_gauss_nodes", "_honest", "_magnus", "_omega", "_refine",
+    },
+    ("fundamental", "window"): {
+        "_check_inside", "_check_window", "_curve_window", "_sample_grid", "_segment_edges", "_slack",
+    },
+}
 
 
 def _read_names(tree: ast.AST) -> set[str]:
@@ -78,3 +96,26 @@ def test_scan_finds_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["2: math"]
+
+
+def private_imports(path: Path) -> dict[str, set[str]]:
+    """Sibling module -> the private names a package module imports from it."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names = {alias.name for alias in node.names if alias.name.startswith("_")}
+            found.setdefault(node.module, set()).update(names)
+    return found
+
+
+def test_no_module_imports_many_private_names_from_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    over = {
+        f"{path.stem} <- {source}": sorted(names)
+        for path in modules
+        for source, names in private_imports(path).items()
+        if len(names) > PRIVATE_LIMIT
+        and not names <= PRIVATE_EXCEPTIONS.get((path.stem, source), set())
+    }
+    assert over == {}
