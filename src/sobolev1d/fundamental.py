@@ -94,7 +94,6 @@ from .window import (
     _check_window,
     _curve_window,
     _sample_grid,
-    _segment_edges,
     _slack,
     decay_inset,
 )
@@ -287,7 +286,7 @@ def solve_log_solution(
     applied to r as a Moebius map: side "-" forward from x_min seeded with
     +sqrt(V) there, side "+" backward from x_max seeded with -sqrt(V).
     l = log phi gets the log of the map's denominator, summed outward from
-    l(0) = 0.  See the module docstring for the error control.  Each
+    l(0) = 0.  ``_refine`` sizes the mesh and controls its error.  Each
     solution evaluates r and l anywhere in the window.
 
     Raises ValueError for a window or tolerance that ``_check_window``
@@ -295,16 +294,7 @@ def solve_log_solution(
     ``_honest`` refuses a V, or if a log-derivative leaves its invariant band.
     """
     _check_window(potential, x_min, x_max, tol)
-    s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
-
-    # Refine to a tolerance tighter than the one requested, so that it is met
-    # with room.  Errors in r decay at rate 2 sqrt(v0) along the flow, so a
-    # budget of 2 sqrt(v0) internal_tol per unit length keeps r within about
-    # internal_tol.
-    internal_tol = min(3e-10, max(tol / 1000.0, 1e-13))
-    h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
-    edges = _segment_edges(potential, x_min, x_max)
-    lo, hi, cm1, P, Q, R, pieces = _refine(potential, edges, h0, 2.0 * s0 * internal_tol, s1)
+    lo, hi, cm1, P, Q, R, pieces = _refine(potential, x_min, x_max, tol)
     mesh = np.append(lo, hi[-1])
 
     # Sweep in each side's attracting direction: forward for "-", backward
@@ -317,6 +307,7 @@ def solve_log_solution(
     r_plus = _sweep(-math.sqrt(v[1]), a, -Q[::-1], -R[::-1], d)[::-1]
 
     rates = np.concatenate((r_minus, -r_plus))
+    s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
     slack = 1e-8 * s1
     if not np.all((s0 - slack <= rates) & (rates <= s1 + slack)):
         raise SolverError(

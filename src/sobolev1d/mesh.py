@@ -4,16 +4,15 @@ maps once per side; the two solutions share its node array.  The window is
 split at 0 and at the potential's breakpoints into segments, and every cell
 is laid by one rule (``_lay``): k equal cells on a segment or stretch, laid
 out from the end nearer 0 with exact ends, so the mesh of a window
-symmetric about 0 is bitwise mirror-symmetric.  A segment [a, b] needs
-ceil((b - a)/h0) initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6) /
-sqrt(v1); more than MAX_CELLS raise SolverError before V is read.  Every
+symmetric about 0 is bitwise mirror-symmetric.  ``_refine`` sizes the mesh
+from the window and tol (its docstring states h0 and the budget).  Every
 stretch of constant V = c is laid by ``_constant_cells``: the fewest equal
 cells with theta = h sqrt(|c|) <= 20, each with the exact map of constant
 V, which needs no check.  A potential declared piecewise constant
 (``Potential.piecewise_constant``) makes each segment a stretch: V is read
 once, at the segment midpoints, each stretch takes the value read there,
 and the stretches are the whole mesh (never more cells than the initial
-ones, as h0 sqrt(v1) < 20).  Any other potential is sampled once,
+ones, as h0 sqrt(v1) <= 0.24 < 20).  Any other potential is sampled once,
 into samples[j, g, k]: V at Gauss node j of initial cell k (g = 0) or of
 its left (g = 1) or right (g = 2) half.  It is filled a block of
 _SAMPLE_BLOCK // 3 cells at a time, so that each potential.evaluate call's
@@ -27,10 +26,7 @@ one step against two half steps, whose maps it builds from V at the
 halves' Gauss nodes, three blocks at a time in the first round, all cells
 at once later); the matrix difference is converted to r and l units
 with |r| <= sqrt(v1), and a cell over its budget comes back bisected,
-each half with its map, until all pass.  The
-budget is 2 sqrt(v0) * itol per unit length, with itol = min(3e-10,
-max(tol/1000, 1e-13)): errors in r decay at rate 2 sqrt(v0) along the
-flow, so the dense output carries r to about itol.  A floor of a few dozen
+each half with its map, until all pass.  A floor of a few dozen
 ulps keeps roundoff from driving refinement; more than MAX_CELLS cells
 raise SolverError.
 
@@ -56,6 +52,7 @@ import math
 import numpy as np
 
 from .potential import Potential
+from .window import _segment_edges
 
 # Most mesh cells one side may use before the solver gives up.
 MAX_CELLS = 1 << 19
@@ -259,15 +256,21 @@ def _double(lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
     )
 
 
-def _refine(potential: Potential, edges: list[float], h0: float, per_length: float, s1: float):
-    """Lay the mesh of the segments between edges and refine it until each cell passes.
+def _refine(potential: Potential, x_min: float, x_max: float, tol: float):
+    """Lay the mesh of the window's segments and refine it until each cell passes.
 
-    Each segment [a, b] needs ceil((b - a)/h0) initial cells; more than
-    MAX_CELLS in all raise SolverError before V is read.  Every stretch of
+    The segments lie between ``_segment_edges``.  Each needs ceil(length/h0)
+    initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6)/sqrt(v1), so
+    h0 sqrt(v1) <= 0.24 for every tol up to 1e-6; more than MAX_CELLS in all
+    raise SolverError before V is read.  A cell passes when its step-doubling
+    error is within the budget 2 sqrt(v0) itol per unit length, itol =
+    min(3e-10, max(tol/1000, 1e-13)), or its roundoff floor: errors in r
+    decay at rate 2 sqrt(v0) along the flow, so r is carried to about itol,
+    tighter than tol.  Every stretch of
     constant V gets ``_constant_cells``, whose exact maps need no check.
     A piecewise-constant potential makes each segment a stretch at V read
-    at its midpoint only, and that is the whole mesh; as h0 sqrt(v1) <=
-    0.24 < _THETA_MAX, it is never more cells than the initial ones.  Any
+    at its midpoint only, and that is the whole mesh; as 0.24 < _THETA_MAX,
+    it is never more cells than the initial ones.  Any
     other potential is sampled once, into samples[j, g, k] (module
     docstring), a block of cells at a time, and ``_honest`` checks it before
     any map is built.  A maximal run of flat cells becomes a stretch when
@@ -279,6 +282,11 @@ def _refine(potential: Potential, edges: list[float], h0: float, per_length: flo
     Returns the accepted cells (lo, hi) in increasing order with their maps,
     then V on each cell for a piecewise-constant potential, else None.
     """
+    s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
+    itol = min(3e-10, max(tol / 1000.0, 1e-13))
+    h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1
+    per_length = 2.0 * s0 * itol
+    edges = _segment_edges(potential, x_min, x_max)
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     with np.errstate(over="ignore"):  # an overflowing count is inf, which the cap refuses
         counts = np.ceil((b - a) / h0)

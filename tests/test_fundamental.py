@@ -37,7 +37,7 @@ from sobolev1d.green import gaussian_test, residual_check
 from sobolev1d.mesh import _cell_maps
 from sobolev1d.minimizer import default_window, rayleigh_quotient
 from sobolev1d.quadrature import composite_rule
-from sobolev1d.window import _curve_window, _sample_grid, _segment_edges
+from sobolev1d.window import TOL_RANGE, _curve_window, _sample_grid, _segment_edges
 from sobolev1d import fundamental, mesh
 from conftest import counting, dilated, random_piecewise_constant, shifted, spy
 
@@ -790,10 +790,12 @@ def test_piecewise_constant_mesh_crosses_each_piece_in_few_cells():
 
 
 def test_smooth_potential_keeps_the_initial_spacing():
+    """No cell is wider than h0: 0.05/sqrt(v1) at the default tol, and at the
+    loosest tol under the 0.24/sqrt(v1) that ``_refine``'s arguments rest on."""
     pot = make_example(1.0, 2.0)
-    h0 = 0.05 / math.sqrt(pot.upper_bound)
-    for sol in solve_log_solution(pot, *WINDOW):
-        assert np.max(np.diff(sol._mesh)) <= h0 * (1.0 + 1e-12)
+    for tol, h0 in ((1e-10, 0.05), (TOL_RANGE[1], 0.24)):
+        for sol in solve_log_solution(pot, *WINDOW, tol):
+            assert np.max(np.diff(sol._mesh)) <= h0 / math.sqrt(pot.upper_bound) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ PRIVATE_EXCEPTIONS = {
         "_GAUSS", "_bounds", "_cell_maps", "_gauss_nodes", "_honest", "_magnus", "_omega", "_refine",
     },
     ("fundamental", "window"): {
-        "_check_inside", "_check_window", "_curve_window", "_sample_grid", "_segment_edges", "_slack",
+        "_check_inside", "_check_window", "_curve_window", "_sample_grid", "_slack",
     },
 }
 
