@@ -219,17 +219,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     if args.grid is None:
         grid = curve.grid
     reads = curve._reads(grid)
-    # math.exp per element, as phi_at does for one pin: np.exp can differ by an ulp.
-    rows = list(
-        zip(
-            grid.tolist(),
-            reads.value.tolist(),
-            reads.slope.tolist(),
-            reads.curvature.tolist(),
-            map(math.exp, reads.l_plus.tolist()),
-            map(math.exp, reads.l_minus.tolist()),
-        )
-    )
+    rows = np.column_stack((grid, reads.value, reads.slope, reads.curvature,
+                            np.exp(reads.l_plus), np.exp(reads.l_minus))).tolist()
     return 0, _table(args, ("a", "F", "dF", "d2F", "phi_plus", "phi_minus"), rows)
 
 

@@ -53,10 +53,9 @@ node, so l(0) = 0 exactly and a solve makes no off-mesh read.
 
 Points and arrays.  Every reader here and in ``fcurve`` and ``green`` takes a
 point (a float or a 0-d array), which gives Python floats all the way up, or
-an array, which gives arrays of its shape; element i is bitwise the point's
-(``phi_at`` aside, whose exponential rounds by ``math`` for a point).  The
-pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y) and
-phi_plus at max(x, y), two points by one ``_dense_one`` call.
+an array, which gives arrays of its shape; element i is bitwise the point's.
+The pair is read at (x, y) by ``_pair_reads`` alone: phi_minus at min(x, y)
+and phi_plus at max(x, y), two points by one ``_dense_one`` call.
 
 The pointwise minimizer of the pinned problem (u(a) = max|u| = 1) is
 u_a = G(., a)/G(a, a), read without quadrature, each side only at the
@@ -264,12 +263,8 @@ class LogSolution:
         return _honest(self.potential, np.asarray(x, dtype=float)) - r * r
 
     def phi_at(self, x):
-        """phi(x) = exp(ell(x)); phi(0) = 1.
-
-        math.exp for a point, np.exp for an array: the two may differ by an ulp.
-        """
-        l = self._dense(x)[1]
-        return math.exp(l) if isinstance(l, float) else np.exp(l)
+        """phi(x) = exp(ell(x)); phi(0) = 1."""
+        return _exp(self._dense(x)[1])
 
 
 def solve_log_solution(

@@ -1075,12 +1075,14 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
     """Each reader at one pin gives a Python float, bitwise element i of the array read.
 
     A pin may come as a Python float, an np.float64 (an element of
-    ``np.linspace``) or a 0-d array; all three give the same bits.
+    ``np.linspace``) or a 0-d array; all three give the same bits.  The pins
+    hold the scan grid -3:3:41, on which ``math.exp`` and ``np.exp`` round
+    some of phi's values apart.
     """
     curve, green, u, plus, minus = float_path_readers[family]
     pins = st.floats(*curve.window)
     xs = data.draw(st.lists(pins, min_size=1, max_size=12))
-    xs = np.array([*xs, 0.0, u.center, *curve.potential.breakpoints])
+    xs = np.array([*xs, *np.linspace(-3.0, 3.0, 41), 0.0, u.center, *curve.potential.breakpoints])
     # The last pins sit on the diagonal x = y, where the rate switches sides.
     ys = np.array(data.draw(st.lists(pins, min_size=xs.size, max_size=xs.size)))
     ys[-3:] = xs[-3:]
@@ -1089,7 +1091,7 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
                    lambda a: curve.product_criterion("-", a),
                    u, u.log_value, u.derivative]
     for side in (plus, minus):
-        pin_readers += [side.ell_at, side.ell_prime_at, side.ell_second_at]
+        pin_readers += [side.ell_at, side.ell_prime_at, side.ell_second_at, side.phi_at]
     pin_types = (float, np.float64, np.array)
     for read in pin_readers:
         many = read(xs)
@@ -1101,17 +1103,6 @@ def test_every_one_pin_reader_returns_a_float_equal_to_its_array_element(
         for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             for pin in pin_types:
                 _assert_float_is_element(read(pin(x), pin(y)), many, i)
-    # phi_at takes math.exp for one pin (the scan artifacts' rounding) and
-    # np.exp for an array, which may round the other way by one ulp.
-    for side in (plus, minus):
-        many, logs = side.phi_at(xs), side.ell_at(xs)
-        for i, x in enumerate(xs.tolist()):
-            one = side.phi_at(x)
-            assert type(one) is float and one == math.exp(logs[i])
-            assert abs(one - many[i]) <= np.spacing(many[i])
-            for pin in pin_types[1:]:
-                other = side.phi_at(pin(x))
-                assert type(other) is float and other.hex() == one.hex()
 
 
 @pytest.mark.parametrize("family", ["example", "pwc", "table"])

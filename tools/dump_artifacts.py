@@ -195,8 +195,6 @@ def exact(value) -> bytes:
         return value.hex().encode()
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
-    if isinstance(value, memoryview):
-        return value.tobytes()
     if isinstance(value, (list, tuple)):
         return b"(" + b",".join(map(exact, value)) + b")"
     if isinstance(value, dict):
