@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fundamental import LogSolution, PinReads, _check_pair, _exp, _is_point, _pair_reads
+from .fundamental import LogSolution, PinReads, _check_pair, _exp, _pair_reads
 from .mesh import SolverError
 from .potential import Potential
 from .window import _check_inside, _curve_window, _sample_grid
@@ -82,7 +82,7 @@ class FCurve:
 
     def _reads(self, a, v: bool = True) -> PinReads:
         """The pair read at x = y = a, a pin (in floats) or an array, by ``_pair_reads``; V if v."""
-        a = a if _is_point(a) else np.asarray(a, dtype=float)
+        a = a if isinstance(a, float) else np.asarray(a, dtype=float)
         _check_inside(a, self.window, "pin location outside curve window")
         return _pair_reads(self.phi_plus, self.phi_minus, a, a, v)[0]
 

@@ -38,11 +38,13 @@ points in one vectorized pass per side, or single points in float
 arithmetic (``_dense_one``), which skips numpy's per-call cost on
 one-element arrays.  Both paths share the Magnus exponent (``_omega``) and
 run the same operations in the same order.  Each side keeps in ``_floats``
-the window widened by ``_slack``, the mesh ends as floats, memoryviews of
-the mesh, r and l, whose items are floats, and, for a piecewise-constant
-potential, a memoryview of ``_pieces``, the V the solve read on each cell;
-the float path checks and clamps each point by plain comparisons and finds
-by ``bisect`` the cell that ``searchsorted`` finds.  A step in a cell of
+the solved window, the mesh ends as floats, memoryviews of the mesh, r and
+l, whose items are floats, and, for a piecewise-constant potential, a
+memoryview of ``_pieces``, the V the solve read on each cell; the float
+path checks each point against the window and clamps it to the mesh ends
+by plain comparisons (a point past the window, or in the slack band at its
+ends, goes on to ``_check_inside``) and finds by ``bisect`` the cell that
+``searchsorted`` finds.  A step in a cell of
 constant V = c takes the exact map of V = c, as the solve does, and
 samples no V (the float path writes _omega(c, c, c, h) as (0, h, h c),
 exact but for the sign of the zero p, which no step reads);
@@ -87,15 +89,7 @@ from .mesh import (
     _refine,
 )
 from .potential import Potential
-from .window import (
-    MIN_DOMAIN_MARGIN,
-    _check_inside,
-    _check_window,
-    _curve_window,
-    _sample_grid,
-    _slack,
-    decay_inset,
-)
+from .window import MIN_DOMAIN_MARGIN, _check_inside, _curve_window, _sample_grid, decay_inset
 
 __all__ = [
     "SolverError",
@@ -203,7 +197,7 @@ class LogSolution:
 
     def __post_init__(self) -> None:
         mesh, pieces = self._mesh, self._pieces
-        floats = (*_slack(self.window), float(mesh[0]), float(mesh[-1]),
+        floats = (*self.window, float(mesh[0]), float(mesh[-1]),
                   *map(memoryview, (mesh, self._r, self._l)), *_bounds(self.potential),
                   None if pieces is None else memoryview(pieces))
         object.__setattr__(self, "_floats", floats)
@@ -231,11 +225,10 @@ class LogSolution:
             # Backward from the right node of the cell holding x.
             k = np.clip(np.searchsorted(mesh, flat, side="left"), 1, mesh.size - 1)
             lo, h, sign, cell = flat, mesh[k] - flat, -1.0, k - 1
-        pieces = self._floats[-1]
-        if pieces is None:
+        if self._pieces is None:
             cm1, P, Q, R = _cell_maps(self.potential, lo, h)
         else:
-            cm1, P, Q, R = _magnus((np.asarray(pieces)[cell],) * 3, h)
+            cm1, P, Q, R = _magnus((self._pieces[cell],) * 3, h)
         r0 = self._r[k]
         P, Q, R = sign * P, sign * Q, sign * R
         du = cm1 + P + Q * r0
@@ -281,14 +274,15 @@ def solve_log_solution(
     applied to r as a Moebius map: side "-" forward from x_min seeded with
     +sqrt(V) there, side "+" backward from x_max seeded with -sqrt(V).
     l = log phi gets the log of the map's denominator, summed outward from
-    l(0) = 0.  ``_refine`` sizes the mesh and controls its error.  Each
-    solution evaluates r and l anywhere in the window.
+    l(0) = 0.  ``_refine`` checks the window and tol, sizes the mesh and
+    controls its error.  Each solution evaluates r and l anywhere in the
+    window.
 
-    Raises ValueError for a window or tolerance that ``_check_window``
-    refuses, and SolverError if the mesh needs more than MAX_CELLS cells, if
-    ``_honest`` refuses a V, or if a log-derivative leaves its invariant band.
+    Raises ValueError for a window or tolerance that ``_refine`` refuses
+    (``_check_window``), and SolverError if the mesh needs more than
+    MAX_CELLS cells, if ``_honest`` refuses a V, or if a log-derivative
+    leaves its invariant band.
     """
-    _check_window(potential, x_min, x_max, tol)
     lo, hi, cm1, P, Q, R, pieces = _refine(potential, x_min, x_max, tol)
     mesh = np.append(lo, hi[-1])
 
@@ -352,8 +346,9 @@ def _dense_one(reads, pin: float | None = None):
     """
     cells, nodes, v = [], [], []
     for solution, x in reads:
-        inside_lo, inside_hi, first, last, mesh, rs, ls, v_lo, v_hi, pieces = solution._floats
-        if not inside_lo <= x <= inside_hi:
+        x_min, x_max, first, last, mesh, rs, ls, v_lo, v_hi, pieces = solution._floats
+        if not x_min <= x <= x_max:
+            # Past the window or in its slack band, which _check_inside accepts.
             _check_inside(x, solution.window, "position outside solved window")
         # Clamped to the mesh ends, x can fall off only one end of the cells.
         x = first if x < first else last if x > last else x

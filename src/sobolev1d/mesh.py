@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .potential import Potential
-from .window import _segment_edges
+from .window import _check_window, _segment_edges
 
 # Most mesh cells one side may use before the solver gives up.
 MAX_CELLS = 1 << 19
@@ -259,10 +259,12 @@ def _double(lo: np.ndarray, hi: np.ndarray, maps, v, per_length, s1):
 def _refine(potential: Potential, x_min: float, x_max: float, tol: float):
     """Lay the mesh of the window's segments and refine it until each cell passes.
 
+    First ``_check_window`` refuses, with ValueError and before V is read, a
+    window or tol the solve cannot honour; every tol left is at most 1e-6.
     The segments lie between ``_segment_edges``.  Each needs ceil(length/h0)
     initial cells, h0 = 0.05 (max(tol, 1e-12)/1e-10)^(1/6)/sqrt(v1), so
-    h0 sqrt(v1) <= 0.24 for every tol up to 1e-6; more than MAX_CELLS in all
-    raise SolverError before V is read.  A cell passes when its step-doubling
+    h0 sqrt(v1) <= 0.24 for every tol the check lets in; more than MAX_CELLS
+    in all raise SolverError before V is read.  A cell passes when its step-doubling
     error is within the budget 2 sqrt(v0) itol per unit length, itol =
     min(3e-10, max(tol/1000, 1e-13)), or its roundoff floor: errors in r
     decay at rate 2 sqrt(v0) along the flow, so r is carried to about itol,
@@ -282,6 +284,7 @@ def _refine(potential: Potential, x_min: float, x_max: float, tol: float):
     Returns the accepted cells (lo, hi) in increasing order with their maps,
     then V on each cell for a piecewise-constant potential, else None.
     """
+    _check_window(potential, x_min, x_max, tol)
     s0, s1 = math.sqrt(potential.lower_bound), math.sqrt(potential.upper_bound)
     itol = min(3e-10, max(tol / 1000.0, 1e-13))
     h0 = 0.05 * (max(tol, 1e-12) / 1e-10) ** (1.0 / 6.0) / s1

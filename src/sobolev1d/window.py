@@ -68,20 +68,17 @@ def _curve_window(potential: Potential, window: tuple[float, float]) -> tuple[fl
     return window[0] + inset, window[1] - inset
 
 
-def _slack(window: tuple[float, float]) -> tuple[float, float]:
-    """The window widened for roundoff at its ends by 1e-12 of |lo| + |hi| (> 0: 0 is inside)."""
-    lo, hi = window
-    eps = 1e-12 * (abs(lo) + abs(hi))
-    return lo - eps, hi + eps
-
-
 def _check_inside(x, window: tuple[float, float], what: str) -> None:
-    """Raise ValueError unless x (a point or an array) lies in the window; NaN never does."""
+    """Raise ValueError unless x (a point or an array) lies in the window; NaN never does.
+
+    The window is widened at its ends, for roundoff, by 1e-12 of |lo| + |hi|
+    (> 0: 0 is inside); a point within the window itself returns first.
+    """
     point = not (isinstance(x, np.ndarray) and x.ndim)
     if point and window[0] <= x <= window[1]:
-        # Inside the window itself: no slack to build.
         return
-    lo, hi = _slack(window)
+    eps = 1e-12 * (abs(window[0]) + abs(window[1]))
+    lo, hi = window[0] - eps, window[1] + eps
     inside = lo <= x <= hi if point else np.all((lo <= x) & (x <= hi))
     if not inside:
         raise ValueError(f"{what} [{window[0]:g}, {window[1]:g}]")

@@ -52,6 +52,23 @@ def test_digest_of_one_workload_is_repeatable(monkeypatch):
     assert dump_artifacts.digest_lines(13, ["cli_verify"]) == lines
 
 
+def test_sweep_digest_is_repeatable(monkeypatch):
+    """The first potentials of each sweep family, the full sweep's own, each at every tol:
+    one line per solve."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import dump_artifacts
+
+    lines = dump_artifacts.sweep_lines(size=8)
+    specs = dump_artifacts.sweep_specs(size=8)
+    assert [line.split()[0] for line in lines] == [
+        f"{name}.{tol:g}" for name in specs for tol in dump_artifacts.SWEEP_TOLS
+    ]
+    full = dump_artifacts.sweep_specs()
+    assert len(specs) == 4 * 8 and {name: full[name] for name in specs} == specs
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert dump_artifacts.sweep_lines(size=8) == lines
+
+
 def test_exact_leaves_out_the_derived_caches(monkeypatch):
     """Two LogSolutions that differ only in ``_floats``, a cache derived in
     ``__post_init__``, hash the same."""

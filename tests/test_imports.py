@@ -8,7 +8,9 @@ so is an import line marked ``# noqa: F401`` (a name kept for re-export or
 for another module to patch).
 
 A module of ``src/sobolev1d`` imports at most PRIVATE_LIMIT private names
-from any one other module, but for the pairs in PRIVATE_EXCEPTIONS.
+from any one other module, but for the pairs in PRIVATE_EXCEPTIONS, each of
+which takes exactly the names listed there, more than PRIVATE_LIMIT: an
+allowance that is no longer needed fails too.
 """
 
 import ast
@@ -21,16 +23,11 @@ MODULES = sorted(p for d in ("src", "tests", "tools", "demos") for p in (ROOT / 
 PACKAGE = ROOT / "src" / "sobolev1d"
 
 PRIVATE_LIMIT = 3
-# (importer, source) -> the private names the importer may take past the limit.
+# (importer, source) -> the private names the importer takes past the limit.
 PRIVATE_EXCEPTIONS = {
-    # The pair-read protocol, which stays beside LogSolution: perfbench patches it there.
-    ("fcurve", "fundamental"): {"_check_pair", "_exp", "_is_point", "_pair_reads"},
-    # The solve and its reads run on the mesh and the window split out of fundamental.
+    # The solve and its reads run on the mesh split out of fundamental.
     ("fundamental", "mesh"): {
         "_GAUSS", "_bounds", "_cell_maps", "_gauss_nodes", "_honest", "_magnus", "_omega", "_refine",
-    },
-    ("fundamental", "window"): {
-        "_check_inside", "_check_window", "_curve_window", "_sample_grid", "_slack",
     },
 }
 
@@ -111,11 +108,16 @@ def private_imports(path: Path) -> dict[str, set[str]]:
 def test_no_module_imports_many_private_names_from_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    over = {
-        f"{path.stem} <- {source}": sorted(names)
+    taken = {
+        (path.stem, source): names
         for path in modules
         for source, names in private_imports(path).items()
-        if len(names) > PRIVATE_LIMIT
-        and not names <= PRIVATE_EXCEPTIONS.get((path.stem, source), set())
+    }
+    over = {
+        f"{importer} <- {source}": sorted(names)
+        for (importer, source), names in taken.items()
+        if len(names) > PRIVATE_LIMIT and (importer, source) not in PRIVATE_EXCEPTIONS
     }
     assert over == {}
+    assert {pair: taken.get(pair) for pair in PRIVATE_EXCEPTIONS} == PRIVATE_EXCEPTIONS
+    assert all(len(names) > PRIVATE_LIMIT for names in PRIVATE_EXCEPTIONS.values())

@@ -15,6 +15,8 @@ test suite does, against the same package, and leaves one file
 ``dump_digests`` leaves one file ``digest.<seed>.txt`` per seed of SEEDS,
 with one line ``<op id> <sha256>`` per op of ``perfbench/specs.py``'s
 ``op_list`` over all three workloads; ``digest_lines`` says what each hash covers.
+``dump_digests`` also leaves ``digest.sweep.txt`` in the same format, one
+line per seeded random solve of ``sweep_specs`` at each tol of SWEEP_TOLS.
 Point ``PYTHONPATH`` at two source trees and compare the two directories
 with ``diff -r`` to check that a change keeps every artifact, every demo
 output and every benchmark op's solve, verdict and reads bitwise the same.
@@ -39,12 +41,18 @@ import numpy as np
 import sobolev1d
 from sobolev1d.cli import main
 from sobolev1d.fcurve import check_minimality_equivalence
+from sobolev1d.fundamental import SolverError, solve_log_solution
 from sobolev1d.minimizer import minimize
 from sobolev1d.potential import potential_from_spec
+from sobolev1d.window import default_window
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
 SEEDS = (1, 13, 29)
+# The sweep: potentials per family, their seed, and the tols each is solved at.
+SWEEP_SIZE = 75
+SWEEP_SEED = 55
+SWEEP_TOLS = (1e-6, 1e-10, 1e-13)
 
 _GAUSS_X = [0.25 * k for k in range(-40, 41)]
 _LOG_X = [0.25 * k for k in range(-16, 17)]
@@ -234,13 +242,58 @@ def digest_lines(seed: int, workloads=None) -> list[str]:
     return lines
 
 
+def sweep_specs(size: int = SWEEP_SIZE) -> dict[str, dict]:
+    """``size`` random specs of each family, by id: the closed-form example, the
+    logistic step, piecewise constant with 2 to 5 pieces, and a spline table."""
+    rng = np.random.default_rng(SWEEP_SEED)
+    specs = {}
+    for i in range(size):
+        a = float(rng.uniform(0.3, 3.0))
+        b = (1.7 + float(rng.uniform(0.0, 4.0))) / a
+        specs[f"sweep.example.{i:03d}"] = {"kind": "example", "A": a, "B": b}
+        v0 = float(rng.uniform(0.5, 4.0))
+        specs[f"sweep.step.{i:03d}"] = {
+            "kind": "step", "v0": v0, "v1": v0 * float(rng.uniform(1.0, 40.0)),
+            "width": float(rng.uniform(0.1, 3.0)), "center": float(rng.uniform(-4.0, 4.0)),
+        }
+        n = int(rng.integers(2, 6))
+        specs[f"sweep.pwc.{i:03d}"] = {
+            "kind": "piecewise_constant",
+            "edges": np.sort(rng.uniform(-6.0, 6.0, n - 1)).tolist(),
+            "values": rng.uniform(0.5, 5.0, n).tolist(),
+        }
+        x = np.linspace(-3.0, 3.0, int(rng.integers(5, 16)))
+        specs[f"sweep.table.{i:03d}"] = {
+            "kind": "table", "x": x.tolist(), "v": rng.uniform(1.0, 4.0, x.size).tolist()
+        }
+    return specs
+
+
+def sweep_lines(size: int = SWEEP_SIZE) -> list[str]:
+    """One line ``<spec id>.<tol> <sha256>`` per spec of ``sweep_specs(size)`` and tol of
+    SWEEP_TOLS, hashing both sides' mesh, r and l on the default window, or the refusal text."""
+    lines = []
+    for name, spec in sweep_specs(size).items():
+        pot = potential_from_spec(spec)
+        for tol in SWEEP_TOLS:
+            try:
+                sides = solve_log_solution(pot, *default_window(pot), tol)
+                parts = [(side._mesh, side._r, side._l) for side in sides]
+            except (ValueError, SolverError) as refused:
+                parts = [f"{type(refused).__name__}: {refused}"]
+            lines.append(f"{name}.{tol:g} {hashlib.sha256(exact(parts)).hexdigest()}")
+    return lines
+
+
 def dump_digests(out_dir: Path) -> list[Path]:
-    """Write ``digest.<seed>.txt`` for each seed of SEEDS; returns the files written."""
+    """Write ``digest.<seed>.txt`` for each seed of SEEDS, then ``digest.sweep.txt``;
+    returns the files written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for seed in SEEDS:
-        path = out_dir / f"digest.{seed}.txt"
-        path.write_text("".join(f"{line}\n" for line in digest_lines(seed)), encoding="utf-8")
+    for name in (*SEEDS, "sweep"):
+        lines = sweep_lines() if name == "sweep" else digest_lines(name)
+        path = out_dir / f"digest.{name}.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         written.append(path)
     return written
 
